@@ -9,7 +9,7 @@ RFDump) and returns every packet it can decode inside it, as
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -49,7 +49,7 @@ def _dedup_records(records: List[PacketRecord], min_spacing: int) -> List[Packet
     """Collapse records whose starts are within ``min_spacing`` samples."""
     records.sort(key=lambda r: r.start_sample)
     out: List[PacketRecord] = []
-    for rec in records:
+    for rec in records:  # rfdump: noqa[RFD601] one iteration per decoded record
         if out and rec.start_sample - out[-1].start_sample < min_spacing:
             if rec.ok and not out[-1].ok:
                 out[-1] = rec
@@ -61,49 +61,161 @@ def _dedup_records(records: List[PacketRecord], min_spacing: int) -> List[Packet
 class WifiStreamDecoder:
     """Finds and decodes every 802.11b packet in a sample range.
 
-    The scan correlates all Barker chip-phase templates over the input
-    (the dominant cost, proportional to input length), extracts
-    differential bits at each of the 8 symbol alignments, descrambles,
-    locates SFDs, and runs the full demodulator on each candidate.
+    The range is correlated against each Barker chip-phase template once
+    (the dominant cost, proportional to input length) and only the
+    strongest template's correlation is kept.  Differential bits at each
+    of the 8 symbol alignments of that correlation are descrambled and
+    searched for SFDs, which yields about three candidate starts per
+    packet — one per neighbouring alignment.  Timing acquisition then
+    runs for all candidates together, the candidates are visited in
+    order of their acquired start sample, and one is decoded (from a
+    slice of the kept correlation when acquisition chose that template)
+    only when it starts a new packet rather than repeating the last
+    decoded one.
+
+    ``impl="reference"`` keeps the earlier flow — a full
+    ``WifiDemodulator.demodulate`` on every candidate, duplicates
+    collapsed afterwards — for the equivalence tests and ``rfbench
+    --impl reference``; the two return equal records.
     """
 
     #: samples of slack kept before a candidate's nominal preamble start
     _LEAD = 64
 
+    #: (short preamble?, bits from preamble start to SFD end): long is
+    #: SYNC(128) + SFD(16), short is SYNC(56) + SFD(16)
+    _PREAMBLES = ((False, 144), (True, 72))
+
     def __init__(self, sample_rate: float, decode_payload: bool = True,
-                 max_packet_us: float = 5000.0):
+                 max_packet_us: float = 5000.0, impl: str = "vectorized"):
+        if impl not in ("vectorized", "reference"):
+            raise ValueError(f"impl must be 'vectorized' or 'reference', not {impl!r}")
         self.sample_rate = sample_rate
+        self.impl = impl
         self.demodulator = WifiDemodulator(sample_rate, decode_payload=decode_payload)
         self._sps = self.demodulator._sps
         self._max_packet = int(max_packet_us * 1e-6 * sample_rate)
+        #: two records closer than this are the same packet's preamble
+        #: found at neighbouring alignments
+        self._min_spacing = 96 * self._sps
 
-    def _candidate_starts(self, samples: np.ndarray) -> List[int]:
-        """Sample indices where a PLCP preamble plausibly starts."""
+    def _strongest_correlation(self, samples: np.ndarray) -> Tuple[int, np.ndarray]:
+        """(index, correlation) of the template with the greatest total
+        correlation energy over the range.
+
+        Holds two full-length correlations at most: whole-trace callers
+        (the naive monitor) pass millions of samples.
+        """
+        best, best_corr, best_energy = -1, None, -1.0
+        for index in range(len(self.demodulator._templates)):  # rfdump: noqa[RFD601] one whole-array correlation per template
+            corr = self.demodulator.correlate(samples, index)
+            energy = float(np.sum(np.abs(corr) ** 2))
+            if energy > best_energy:
+                best, best_corr, best_energy = index, corr, energy
+        return best, best_corr
+
+    def _candidate_starts(self, corr: np.ndarray) -> List[int]:
+        """Sample indices where a PLCP preamble plausibly starts, ascending.
+
+        ``corr`` is the range's correlation against its strongest template.
+        """
         sps = self._sps
-        # pick the template with the greatest total correlation energy
+        candidates: List[int] = []
+        for align in range(sps):  # rfdump: noqa[RFD601] one whole-array pass per symbol alignment
+            jumps = dsss.differential_decisions(corr[align::sps])
+            if jumps.size == 0:
+                continue
+            descrambled = descramble_stream(dsss.dbpsk_bits_from_jumps(jumps))
+            candidates.extend(
+                align + max(sfd_end - preamble_bits, 0) * sps
+                for short, preamble_bits in self._PREAMBLES
+                for sfd_end in plcp.find_all_sfds(descrambled, short)
+            )
+        return sorted(candidates)
+
+    def _record(self, buffer: SampleBuffer, lo: int, packet) -> PacketRecord:
+        abs_start = buffer.start_sample + lo + packet.start_sample
+        plcp_us = 96 if packet.preamble == "short" else 192
+        airtime_us = plcp_us + packet.plcp_header.length_us
+        return PacketRecord(
+            protocol="wifi",
+            start_sample=abs_start,
+            end_sample=abs_start + int(airtime_us * 1e-6 * self.sample_rate),
+            ok=True,
+            decoder=type(self).__name__,
+            payload_size=len(packet.mpdu) or packet.plcp_header.mpdu_bytes,
+            rate_mbps=packet.rate_mbps,
+            decoded=packet,
+            info={"header_only": packet.header_only,
+                  "fcs_ok": packet.fcs_ok,
+                  "preamble": packet.preamble},
+        )
+
+    def scan(self, buffer: SampleBuffer) -> List[PacketRecord]:
+        """Decode every 802.11b packet found in the buffer."""
+        samples = buffer.samples
+        if samples.size == 0:
+            return []
+        if self.impl == "reference":
+            return self._scan_reference(buffer)
+        demod = self.demodulator
+        sps = self._sps
+        strongest, strongest_corr = self._strongest_correlation(samples)
+        bounds = [
+            (max(start - self._LEAD, 0), min(start + self._max_packet, samples.size))
+            for start in self._candidate_starts(strongest_corr)
+        ]
+        timings = demod.acquire_each(samples, bounds)
+        # A record starts at lo + acquired offset, so acquisition alone
+        # fixes the order _dedup_records would sort decoded candidates
+        # into (start sample, then candidate order) and which of them it
+        # would drop: those within _min_spacing of the last kept record.
+        # Visiting in that order lets the dropped ones skip the decode.
+        visit = sorted(
+            (bounds[i][0] + timing[1], i)
+            for i, timing in enumerate(timings) if timing is not None
+        )
+        records: List[PacketRecord] = []
+        last_start = None
+        for start, i in visit:  # rfdump: noqa[RFD601] one iteration per candidate
+            if last_start is not None and start - last_start < self._min_spacing:
+                continue
+            lo, hi = bounds[i]
+            index, offset = timings[i]
+            if index == strongest:
+                corr = strongest_corr[lo:hi - sps + 1]
+            else:
+                corr = demod.correlate(samples[lo:hi], index)
+            try:
+                packet = demod.decode(samples[lo:hi], corr, offset)
+            except DecodeError:
+                continue
+            records.append(self._record(buffer, lo, packet))
+            last_start = start
+        return records
+
+    # -- reference twin: the pre-restructuring flow, kept for equivalence ---
+
+    def _candidate_starts_reference(self, samples: np.ndarray) -> List[int]:
+        sps = self._sps
         best_corr, best_energy = None, -1.0
-        for template in self.demodulator._templates:
+        for template in self.demodulator._grid_templates:  # rfdump: noqa[RFD601] reference twin
             corr = np.convolve(samples, template[::-1], mode="valid")
             energy = float(np.sum(np.abs(corr) ** 2))
             if energy > best_energy:
                 best_corr, best_energy = corr, energy
-        if best_corr is None:
-            return []
         candidates: List[int] = []
-        searches = (
-            (plcp.find_sfd, 144),        # long: SYNC(128) + SFD(16)
-            (plcp.find_short_sfd, 72),   # short: SYNC(56) + SFD(16)
-        )
-        for align in range(sps):
+        searches = ((plcp.find_sfd, 144), (plcp.find_short_sfd, 72))
+        for align in range(sps):  # rfdump: noqa[RFD601] reference twin
             symbols = best_corr[align::sps]
             jumps = dsss.differential_decisions(symbols)
             if jumps.size == 0:
                 continue
             bits = dsss.dbpsk_bits_from_jumps(jumps)
             descrambled = descramble_stream(bits)
-            for finder, preamble_bits in searches:
+            for finder, preamble_bits in searches:  # rfdump: noqa[RFD601] reference twin
                 pos = 0
-                while pos < descrambled.size:
+                while pos < descrambled.size:  # rfdump: noqa[RFD601] reference twin
                     sfd_end = finder(descrambled[pos:], search_limit=None)
                     if sfd_end < 0:
                         break
@@ -113,37 +225,19 @@ class WifiStreamDecoder:
                     pos = sfd_end + 1
         return sorted(candidates)
 
-    def scan(self, buffer: SampleBuffer) -> List[PacketRecord]:
-        """Decode every 802.11b packet found in the buffer."""
+    def _scan_reference(self, buffer: SampleBuffer) -> List[PacketRecord]:
         samples = buffer.samples
         records: List[PacketRecord] = []
-        for start in self._candidate_starts(samples):
+        for start in self._candidate_starts_reference(samples):  # rfdump: noqa[RFD601] reference twin
             lo = max(start - self._LEAD, 0)
             hi = min(start + self._max_packet, samples.size)
             try:
-                packet = self.demodulator.demodulate(samples[lo:hi])
+                packet = self.demodulator.demodulate_reference(samples[lo:hi])
             except DecodeError:
                 continue
-            abs_start = buffer.start_sample + lo + packet.start_sample
-            plcp_us = 96 if packet.preamble == "short" else 192
-            airtime_us = plcp_us + packet.plcp_header.length_us
-            records.append(
-                PacketRecord(
-                    protocol="wifi",
-                    start_sample=abs_start,
-                    end_sample=abs_start + int(airtime_us * 1e-6 * self.sample_rate),
-                    ok=True,
-                    decoder=type(self).__name__,
-                    payload_size=len(packet.mpdu) or packet.plcp_header.mpdu_bytes,
-                    rate_mbps=packet.rate_mbps,
-                    decoded=packet,
-                    info={"header_only": packet.header_only,
-                          "fcs_ok": packet.fcs_ok,
-                          "preamble": packet.preamble},
-                )
-            )
+            records.append(self._record(buffer, lo, packet))
         # a packet preamble found at neighbouring alignments is one packet
-        return _dedup_records(records, min_spacing=96 * self._sps)
+        return _dedup_records(records, min_spacing=self._min_spacing)
 
 
 class BluetoothStreamDecoder:
@@ -180,12 +274,12 @@ class BluetoothStreamDecoder:
         guard = 64 * modem.sps
         threshold = 2 * self.demodulator.SYNC_THRESHOLD - 64
         disc = modem.discriminate(baseband)
-        for offset in range(modem.sps):
+        for offset in range(modem.sps):  # rfdump: noqa[RFD601] one whole-array pass per bit alignment
             soft = modem.soft_bits(baseband, offset, disc)
             if soft.size < pattern.size:
                 continue
             corr = np.correlate(np.sign(soft), pattern, mode="valid")
-            for pos in np.flatnonzero(corr >= threshold):
+            for pos in np.flatnonzero(corr >= threshold):  # rfdump: noqa[RFD601] one iteration per sync-word hit
                 start = offset + (int(pos) - PREAMBLE_BITS.size) * modem.sps
                 if any(abs(start - s) < guard for s in decoded_starts):
                     continue
@@ -221,7 +315,7 @@ class BluetoothStreamDecoder:
         else:
             channels = self.channels
         records: List[PacketRecord] = []
-        for channel in channels:
+        for channel in channels:  # rfdump: noqa[RFD601] one demodulation pass per hop channel
             records.extend(self._scan_channel(buffer, channel))
         return _dedup_records(records, min_spacing=64 * self.demodulator.modem.sps)
 
@@ -253,7 +347,7 @@ class OfdmStreamDecoder:
         hits = np.flatnonzero(corr > threshold)
         records: List[PacketRecord] = []
         skip_until = -1
-        for hit in hits:
+        for hit in hits:  # rfdump: noqa[RFD601] one iteration per training-symbol correlation hit
             if hit < skip_until:
                 continue
             lo = max(int(hit) - self._LEAD, 0)
@@ -303,7 +397,7 @@ class ZigbeeStreamDecoder:
         hits = np.flatnonzero(corr > threshold)
         records: List[PacketRecord] = []
         last = -10 * sps
-        for hit in hits:
+        for hit in hits:  # rfdump: noqa[RFD601] one iteration per preamble correlation hit
             if hit - last < 12 * sps:  # inside the previous frame's preamble
                 continue
             lo = max(int(hit) - self._LEAD, 0)

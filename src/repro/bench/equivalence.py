@@ -11,10 +11,11 @@ before timing it; the same helper backs the tier-1 equivalence tests.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
+from repro.analysis.decoders import WifiStreamDecoder
 from repro.core.dispatcher import Dispatcher
 from repro.core.peak_detector import (
     PeakDetectionResult,
@@ -128,3 +129,30 @@ def assert_detection_equivalence(
             protocol: len(items) for protocol, items in vec_ranges.items()
         }
     return summary
+
+
+def assert_wifi_scan_equivalence(ranges: Sequence[SampleBuffer],
+                                 decode_payload: bool = True) -> Dict[str, object]:
+    """Scan every range with both ``WifiStreamDecoder`` implementations
+    and demand equal records, range by range.
+
+    Records compare by value through the decoded packet (PLCP header,
+    MPDU bytes, MAC fields), so equality here is equality of everything
+    a ``PacketEvent`` is built from.
+    """
+    packets = 0
+    for i, sub in enumerate(ranges):
+        found = {
+            impl: WifiStreamDecoder(sub.sample_rate, decode_payload=decode_payload,
+                                    impl=impl).scan(sub)
+            for impl in ("reference", "vectorized")
+        }
+        _check(
+            found["reference"] == found["vectorized"],
+            f"Wi-Fi scan differs on range {i} "
+            f"[{sub.start_sample}, {sub.end_sample}): "
+            f"{len(found['reference'])} reference vs "
+            f"{len(found['vectorized'])} vectorized records",
+        )
+        packets += len(found["vectorized"])
+    return {"ranges": len(ranges), "packets": packets}

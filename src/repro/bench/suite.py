@@ -14,7 +14,11 @@ from typing import Dict
 
 import numpy as np
 
-from repro.bench.equivalence import assert_detection_equivalence
+from repro.analysis.decoders import WifiStreamDecoder
+from repro.bench.equivalence import (
+    assert_detection_equivalence,
+    assert_wifi_scan_equivalence,
+)
 from repro.bench.registry import Benchmark, BenchContext, register_benchmark
 from repro.bench.scenarios import peak_soup, preset_buffer
 from repro.core.peak_detector import PeakDetector, PeakDetectorConfig
@@ -184,6 +188,58 @@ register_benchmark(Benchmark(
     run=_pipeline_run,
     equivalence=_pipeline_equivalence,
     tags=("pipeline",),
+))
+
+
+# -- Wi-Fi demodulator over pre-dispatched ranges ----------------------------
+#
+# The per-demodulator row of the ledger: detection and dispatch run once
+# in setup, and only ``WifiStreamDecoder.scan`` over the forwarded Wi-Fi
+# ranges is timed.  ``--impl reference`` times the pre-restructuring scan
+# (full demodulation of every candidate start); CI gates
+# ``--require-speedup demod_wifi:1.5`` on the same-process pair.
+
+def dispatched_wifi_ranges(preset: str, duration: float, snr_db: float = 20.0,
+                           seed: int = 3):
+    """The Wi-Fi ranges RFDump's detection stage forwards for a preset."""
+    from repro.core.config import MonitorConfig
+    from repro.core.monitor import make_monitor
+
+    buffer = preset_buffer(preset, duration, snr_db=snr_db, seed=seed)
+    report = make_monitor("rfdump", MonitorConfig(demodulate=False)).process(buffer)
+    return [buffer.slice(r.start_sample, r.end_sample)
+            for r in report.ranges.get("wifi", [])]
+
+
+def _demod_wifi_setup(ctx: BenchContext):
+    scale = 0.25 if ctx.quick else 1.0
+    ranges = (dispatched_wifi_ranges("mix", 0.4 * scale)
+              + dispatched_wifi_ranges("broadcast", 0.2 * scale))
+    decoder = WifiStreamDecoder(ranges[0].sample_rate, impl=ctx.impl)
+    return {"ranges": ranges, "decoder": decoder}
+
+
+def _demod_wifi_run(workload, ctx: BenchContext) -> int:
+    decoder = workload["decoder"]
+    total = 0
+    for sub in workload["ranges"]:
+        decoder.scan(sub)
+        total += len(sub)
+    return total
+
+
+def _demod_wifi_equivalence(workload, ctx: BenchContext) -> Dict[str, object]:
+    return assert_wifi_scan_equivalence(workload["ranges"])
+
+
+register_benchmark(Benchmark(
+    name="demod_wifi",
+    description="WifiStreamDecoder.scan over the pre-dispatched Wi-Fi ranges "
+                "of the mix and broadcast presets (demodulation only)",
+    setup=_demod_wifi_setup,
+    run=_demod_wifi_run,
+    equivalence=_demod_wifi_equivalence,
+    tags=("demod", "wifi"),
 ))
 
 

@@ -29,6 +29,11 @@ HOT_PATH_MODULES = (
     # the fused execution path runs once per streamed item; its loops
     # must be bounded by chain length, never by sample count
     "repro/flowgraph/fusion.py",
+    # the Wi-Fi scan and its SFD search (rfbench demod_wifi): loops run
+    # per template, alignment, candidate or pattern hit, never per
+    # sample or per bit
+    "repro/analysis/decoders.py",
+    "repro/phy/plcp.py",
 )
 
 

@@ -13,7 +13,7 @@ z^-4 + z^-7 scrambler, continuing the state from the preamble.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional
 
 from dataclasses import dataclass
 
@@ -156,27 +156,53 @@ def build_short_frame_bits(mpdu: bytes, rate_mbps: float, service: int = 0):
     return preamble, header, payload
 
 
+def _sfd_ends(bits: np.ndarray, pattern: np.ndarray, sync_bit: int,
+              restart: bool) -> List[int]:
+    """Indices just past each accepted ``pattern`` occurrence in ``bits``.
+
+    An occurrence is accepted when the (up to) 8 bits immediately before
+    it all equal ``sync_bit`` — a few SYNC bits, which rejects payload
+    bytes that happen to contain the pattern.  With ``restart`` the
+    search resumes one bit past every accepted SFD as if the stream
+    began there: earlier occurrences are skipped and the lead is cut at
+    the resume position, so an occurrence sitting exactly on it is
+    accepted on an empty lead.  Without, only the first SFD is returned.
+    """
+    # one byte per bit, so the exact match is a C substring search that
+    # carries on from the previous occurrence: one pass over the stream
+    stream, needle = bits.tobytes(), pattern.tobytes()
+    ends: List[int] = []
+    pos = 0
+    start = stream.find(needle)
+    while start >= 0:  # rfdump: noqa[RFD601] one iteration per pattern occurrence, not per bit
+        lead = bits[max(start - 8, pos):start]
+        if lead.all() if sync_bit else not lead.any():
+            ends.append(start + pattern.size)
+            if not restart:
+                break
+            pos = start + pattern.size + 1
+            start = stream.find(needle, pos)
+        else:
+            start = stream.find(needle, start + 1)
+    return ends
+
+
+def _first_sfd(descrambled_bits: np.ndarray, search_limit: Optional[int],
+               pattern: np.ndarray, sync_bit: int) -> int:
+    bits = np.asarray(descrambled_bits, dtype=np.uint8)
+    if search_limit is not None:
+        bits = bits[:max(search_limit, 0)]
+    ends = _sfd_ends(bits, pattern, sync_bit, restart=False)
+    return ends[0] if ends else -1
+
+
 def find_sfd(descrambled_bits: np.ndarray, search_limit: Optional[int] = None) -> int:
     """Index just past the SFD in a descrambled 1 Mbps bit stream, or -1.
 
     The descrambler self-synchronizes within 7 bits, after which the SYNC
     field decodes to a run of ones; we then match the 16 SFD bits exactly.
     """
-    bits = np.asarray(descrambled_bits, dtype=np.uint8)
-    limit = bits.size if search_limit is None else min(search_limit, bits.size)
-    pattern = SFD_BITS
-    plen = pattern.size
-    if limit < plen:
-        return -1
-    idx = np.arange(limit - plen + 1)[:, None] + np.arange(plen)[None, :]
-    hits = np.flatnonzero((bits[idx] == pattern[None, :]).all(axis=1))
-    for start in hits:
-        # Require a few SYNC ones immediately before to reject payload
-        # bytes that happen to contain the pattern.
-        lead = bits[max(start - 8, 0) : start]
-        if lead.size == 0 or lead.all():
-            return int(start) + plen
-    return -1
+    return _first_sfd(descrambled_bits, search_limit, SFD_BITS, 1)
 
 
 def find_short_sfd(descrambled_bits: np.ndarray, search_limit: Optional[int] = None) -> int:
@@ -185,16 +211,18 @@ def find_short_sfd(descrambled_bits: np.ndarray, search_limit: Optional[int] = N
     The short SYNC descrambles to zeros, so the reversed SFD is matched
     with a run of zeros required immediately before it.
     """
+    return _first_sfd(descrambled_bits, search_limit, SHORT_SFD_BITS, 0)
+
+
+def find_all_sfds(descrambled_bits: np.ndarray, short: bool = False) -> List[int]:
+    """Every SFD end a restarting :func:`find_sfd` search would report.
+
+    Equivalent to calling :func:`find_sfd` (:func:`find_short_sfd` when
+    ``short``) on ``bits[pos:]`` with ``pos`` starting at 0 and moving
+    one bit past each SFD found, but matches the pattern over the whole
+    stream once instead of once per restart.
+    """
     bits = np.asarray(descrambled_bits, dtype=np.uint8)
-    limit = bits.size if search_limit is None else min(search_limit, bits.size)
-    pattern = SHORT_SFD_BITS
-    plen = pattern.size
-    if limit < plen:
-        return -1
-    idx = np.arange(limit - plen + 1)[:, None] + np.arange(plen)[None, :]
-    hits = np.flatnonzero((bits[idx] == pattern[None, :]).all(axis=1))
-    for start in hits:
-        lead = bits[max(start - 8, 0) : start]
-        if lead.size == 0 or not lead.any():
-            return int(start) + plen
-    return -1
+    if short:
+        return _sfd_ends(bits, SHORT_SFD_BITS, 0, restart=True)
+    return _sfd_ends(bits, SFD_BITS, 1, restart=True)

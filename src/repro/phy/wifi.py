@@ -11,9 +11,10 @@ demodulation and MAC FCS verification.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.constants import DEFAULT_SAMPLE_RATE
 from repro.errors import ChecksumError, DecodeError, SyncError
@@ -144,9 +145,16 @@ class WifiDemodulator:
         self._sps = int(sps)
         self._acq_symbols = acq_symbols
         self._acq_window = acq_window
-        self._templates = [
+        grid = [
             symbol_template(sample_rate, phase).astype(np.complex64) for phase in self._PHASES
         ]
+        # Neighbouring grid phases sample to the same template (6 distinct
+        # of 11 at 8 Msps).  Every selection over the bank breaks ties
+        # toward the earlier template, so a repeat can never be chosen
+        # and only first occurrences are correlated.
+        self._templates = list({t.tobytes(): t for t in grid}.values())
+        #: one template per grid phase, repeats included (the reference twin's bank)
+        self._grid_templates = grid
         # "USRP2 mode": chip-aligned capture rates can decode CCK payloads
         self._cck = {}
         if (sample_rate / 11e6).is_integer():
@@ -160,53 +168,110 @@ class WifiDemodulator:
         return bool(self._cck)
 
     # -- timing acquisition -------------------------------------------------
+    #
+    # demodulate() = acquire on a window's correlations, then decode from
+    # one template's correlation at the acquired offset.  The stream
+    # decoder calls the two halves itself so that neighbouring candidates
+    # share correlations instead of recomputing them.
 
-    def _acquire(self, samples: np.ndarray):
-        """Find (template, sample offset) maximizing preamble correlation."""
+    def correlate(self, samples: np.ndarray, index: int) -> np.ndarray:
+        """``samples`` slid along template ``index``, one value per offset.
+
+        Each output depends only on the ``sps`` samples under it, so the
+        correlation of a slice is bit-for-bit the slice of the
+        correlation: ``correlate(x[lo:hi], i) == correlate(x, i)[lo:hi-sps+1]``.
+        """
+        return np.convolve(samples, self._templates[index][::-1], mode="valid")
+
+    def _acquisition_offsets(self, nsamples: int) -> int:
+        """Sample offsets acquisition can score in the leading window of a
+        candidate ``nsamples`` long (below 1: too short to acquire)."""
+        return min(nsamples, self._acq_window) - self._acq_symbols * self._sps + 1
+
+    def _acquisition_metrics(self, window: np.ndarray) -> np.ndarray:
+        """``metric[t, o]``: sum of |correlation with template t| at
+        ``o, o+sps, ...`` over ``acq_symbols`` symbols."""
         sps = self._sps
-        window = samples[: min(self._acq_window, samples.size)]
-        need = self._acq_symbols * sps
-        if window.size < need:
-            raise SyncError(f"candidate too short for acquisition ({samples.size} samples)")
-        metrics = []
+        mags = np.abs([self.correlate(window, index)
+                       for index in range(len(self._templates))])
+        span = (self._acq_symbols - 1) * sps
+        terms = sliding_window_view(mags, span + 1, axis=1)[:, :, ::sps]
+        # summed along a contiguous last axis, so each row adds its
+        # acq_symbols terms in np.sum's one fixed order whatever the
+        # number of rows or templates beside it
+        return np.ascontiguousarray(terms).sum(axis=2)
+
+    def _pick_timing(self, metrics: np.ndarray) -> Optional[Tuple[int, int]]:
+        """(template index, sample offset) maximizing preamble correlation,
+        or None when nothing correlates."""
         best_score = -1.0
-        for template in self._templates:
-            corr = np.convolve(window, template[::-1], mode="valid")
-            mag = np.abs(corr)
-            max_offset = mag.size - (self._acq_symbols - 1) * sps
-            if max_offset <= 0:
-                continue
-            # metric[o] = sum of |corr| at o, o+sps, ..., over acq_symbols
-            idx = np.arange(max_offset)[:, None] + sps * np.arange(self._acq_symbols)[None, :]
-            metric = mag[idx].sum(axis=1)
-            metrics.append((template, metric))
+        for metric in metrics:
             best_score = max(best_score, float(metric.max()))
-        if not metrics or best_score <= 0:
-            raise SyncError("timing acquisition failed")
+        if best_score <= 0:
+            return None
         # Any symbol-aligned offset inside the 128-symbol SYNC scores near
         # the maximum; take the *earliest* near-max offset so the SFD is
         # still ahead of us, breaking ties toward the higher score.
-        best = (None, None, np.inf, -1.0)
-        for template, metric in metrics:
+        best = None
+        for index, metric in enumerate(metrics):
             candidates = np.flatnonzero(metric >= 0.9 * best_score)
             if candidates.size == 0:
                 continue
             o = int(candidates[0])
             score = float(metric[o])
-            if o < best[2] or (o == best[2] and score > best[3]):
-                best = (template, o, o, score)
-        if best[0] is None:
-            raise SyncError("timing acquisition failed")
-        return best[0], best[1]
+            if best is None or o < best[1] or (o == best[1] and score > best[2]):
+                best = (index, o, score)
+        return best and best[:2]
+
+    def acquire_each(self, samples: np.ndarray, bounds: Sequence[Tuple[int, int]]
+                     ) -> List[Optional[Tuple[int, int]]]:
+        """Timing acquisition on every candidate ``samples[lo:hi]``.
+
+        ``bounds`` ascends in ``lo``.  Returns, per candidate, ``(template
+        index, offset from lo)`` — or None where the candidate is too
+        short or nothing in its window correlates.  Candidates whose
+        windows start inside one another's (the same preamble seen at
+        neighbouring symbol alignments) read slices of one metric array
+        computed over the union of their windows; each metric row sums
+        the same values in the same order either way.
+        """
+        timings: List[Optional[Tuple[int, int]]] = [None] * len(bounds)
+        offsets = [self._acquisition_offsets(hi - lo) for lo, hi in bounds]
+        start = 0
+        while start < len(bounds):
+            base = bounds[start][0]
+            stop = start + 1
+            while stop < len(bounds) and bounds[stop][0] < base + self._acq_window:
+                stop += 1
+            group = [i for i in range(start, stop) if offsets[i] >= 1]
+            start = stop
+            if not group:
+                continue
+            end = max(min(bounds[i][1], bounds[i][0] + self._acq_window) for i in group)
+            metrics = self._acquisition_metrics(samples[base:end])
+            for i in group:
+                shift = bounds[i][0] - base
+                timings[i] = self._pick_timing(metrics[:, shift:shift + offsets[i]])
+        return timings
 
     # -- decode -------------------------------------------------------------
 
     def demodulate(self, samples: np.ndarray) -> WifiPacket:
         """Decode one candidate transmission; raises DecodeError variants."""
         samples = np.asarray(samples, dtype=np.complex64)
-        template, offset = self._acquire(samples)
+        timing = self.acquire_each(samples, [(0, samples.size)])[0]
+        if timing is None:
+            raise SyncError(f"timing acquisition failed ({samples.size} samples)")
+        index, offset = timing
+        return self.decode(samples, self.correlate(samples, index), offset)
+
+    def decode(self, samples: np.ndarray, corr: np.ndarray, offset: int) -> WifiPacket:
+        """Decode the transmission whose first symbol boundary is ``offset``.
+
+        ``corr`` is ``samples`` correlated against the acquired template
+        (or the matching slice of a longer correlation).
+        """
         sps = self._sps
-        corr = np.convolve(samples, template[::-1], mode="valid")
         symbols = corr[offset::sps]
         jumps = dsss.differential_decisions(symbols)
         scrambled = dsss.dbpsk_bits_from_jumps(jumps)
@@ -301,6 +366,52 @@ class WifiDemodulator:
         except ValueError as exc:
             raise DecodeError(f"CCK payload truncated: {exc}") from exc
         return descramble_stream(np.concatenate([state, scrambled_payload]))[7:]
+
+    # -- reference twin ------------------------------------------------------
+
+    def _acquire_reference(self, samples: np.ndarray):
+        """Find (template, sample offset) maximizing preamble correlation."""
+        sps = self._sps
+        window = samples[: min(self._acq_window, samples.size)]
+        need = self._acq_symbols * sps
+        if window.size < need:
+            raise SyncError(f"candidate too short for acquisition ({samples.size} samples)")
+        metrics = []
+        best_score = -1.0
+        for template in self._grid_templates:
+            corr = np.convolve(window, template[::-1], mode="valid")
+            mag = np.abs(corr)
+            max_offset = mag.size - (self._acq_symbols - 1) * sps
+            if max_offset <= 0:
+                continue
+            # metric[o] = sum of |corr| at o, o+sps, ..., over acq_symbols
+            idx = np.arange(max_offset)[:, None] + sps * np.arange(self._acq_symbols)[None, :]
+            metric = mag[idx].sum(axis=1)
+            metrics.append((template, metric))
+            best_score = max(best_score, float(metric.max()))
+        if not metrics or best_score <= 0:
+            raise SyncError("timing acquisition failed")
+        best = (None, None, np.inf, -1.0)
+        for template, metric in metrics:
+            candidates = np.flatnonzero(metric >= 0.9 * best_score)
+            if candidates.size == 0:
+                continue
+            o = int(candidates[0])
+            score = float(metric[o])
+            if o < best[2] or (o == best[2] and score > best[3]):
+                best = (template, o, o, score)
+        if best[0] is None:
+            raise SyncError("timing acquisition failed")
+        return best[0], best[1]
+
+    def demodulate_reference(self, samples: np.ndarray) -> WifiPacket:
+        """:meth:`demodulate` as first written — every grid-phase template
+        correlated and gathered afresh per call — kept as the oracle the
+        shared-correlation path is tested against."""
+        samples = np.asarray(samples, dtype=np.complex64)
+        template, offset = self._acquire_reference(samples)
+        corr = np.convolve(samples, template[::-1], mode="valid")
+        return self.decode(samples, corr, offset)
 
     def try_demodulate(self, samples: np.ndarray) -> Optional[WifiPacket]:
         """Like :meth:`demodulate` but returns None on any decode failure."""

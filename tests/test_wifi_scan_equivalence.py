@@ -1,0 +1,200 @@
+"""``WifiStreamDecoder``: the shared-correlation scan vs its reference twin.
+
+The default scan correlates a range once, acquires every candidate
+together and decodes only candidates that start a new packet; the
+``impl="reference"`` twin keeps the earlier flow (every grid-phase
+template, a full demodulation per candidate, duplicates dropped
+afterwards).  The two must return equal records on every range, which
+makes every monitor's event stream byte-identical.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from repro.analysis.decoders import WifiStreamDecoder
+from repro.bench.equivalence import assert_wifi_scan_equivalence
+from repro.bench.scenarios import preset_buffer
+from repro.bench.suite import dispatched_wifi_ranges
+from repro.core.config import MonitorConfig
+from repro.core.streaming import StreamingMonitor
+from repro.dsp.samples import SampleBuffer
+from repro.errors import SyncError
+from repro.faults.harness import split_windows
+from repro.phy.wifi import WifiDemodulator, WifiModulator
+from repro.phy.wifi_mac import build_ack_frame, build_data_frame
+
+FS = 8e6
+#: ether per scenario: one "200 ms" window (the whole trace) or three 20 ms ones
+DURATION = 0.06
+
+
+def _event_lines(buffer: SampleBuffer, window: int, impl: str):
+    with StreamingMonitor(config=MonitorConfig(), overlap=48_000) as monitor:
+        monitor.monitor._decoders["wifi"] = WifiStreamDecoder(
+            buffer.sample_rate, impl=impl)
+        return [event.to_json()
+                for event in monitor.events(split_windows(buffer, window))]
+
+
+@pytest.mark.parametrize("snr_db", [8.0, 20.0])
+@pytest.mark.parametrize("seed", [3, 7, 11])
+@pytest.mark.parametrize("preset", ["wifi", "mix", "broadcast", "campus", "kitchen"])
+class TestPresets:
+    def test_records_equal_per_dispatched_range(self, preset, seed, snr_db):
+        ranges = dispatched_wifi_ranges(preset, DURATION, snr_db=snr_db, seed=seed)
+        assert ranges
+        assert_wifi_scan_equivalence(ranges)
+
+    @pytest.mark.parametrize("window", [1_600_000, 160_000])
+    def test_event_lines_identical(self, preset, seed, snr_db, window):
+        buffer = preset_buffer(preset, DURATION, snr_db=snr_db, seed=seed)
+        lines = _event_lines(buffer, window, "vectorized")
+        assert lines == _event_lines(buffer, window, "reference")
+        if snr_db == 20.0:
+            assert any('"protocol":"wifi"' in line for line in lines)
+
+
+# -- hand-built edge ranges ---------------------------------------------------
+
+def _noise(n, level=0.05, seed=0):
+    rng = np.random.default_rng(seed)
+    return (level * (rng.normal(size=n) + 1j * rng.normal(size=n))).astype(np.complex64)
+
+
+def _place(waves, total, seed=0):
+    """Noise of ``total`` samples with each ``(offset, wave)`` added in."""
+    rx = _noise(total, seed=seed)
+    for offset, wave in waves:
+        rx[offset:offset + wave.size] += wave
+    return SampleBuffer.from_array(rx, FS, start_sample=12_345)
+
+
+def _both(buffer, **kwargs):
+    found = [WifiStreamDecoder(FS, impl=impl, **kwargs).scan(buffer)
+             for impl in ("reference", "vectorized")]
+    assert found[0] == found[1]
+    return found[1]
+
+
+@pytest.fixture(scope="module")
+def data_wave():
+    return WifiModulator(FS).modulate(build_data_frame(1, 2, b"p" * 60), 1.0)
+
+
+class TestEdgeRanges:
+    def test_candidate_clipped_at_range_start(self, data_wave):
+        # preamble begins 10 samples in: the candidate's 64-sample lead
+        # is cut at the range boundary (lo == 0)
+        records = _both(_place([(10, data_wave)], data_wave.size + 500))
+        assert len(records) == 1
+        assert records[0].start_sample - 12_345 < 64
+        assert records[0].info["fcs_ok"]
+
+    def test_range_truncated_mid_payload(self, data_wave):
+        cut = data_wave[: 192 * 8 + 200]  # PLCP intact, payload cut short
+        assert _both(_place([(300, cut)], 300 + cut.size)) == []
+
+    def test_range_shorter_than_acquisition(self, data_wave):
+        need = WifiDemodulator(FS)._acq_symbols * 8
+        short = SampleBuffer.from_array(data_wave[: need - 1], FS)
+        assert _both(short) == []
+
+    def test_short_preamble_2mbps(self):
+        wave = WifiModulator(FS).modulate(
+            build_data_frame(1, 2, b"s" * 40), 2.0, preamble="short")
+        records = _both(_place([(400, wave)], wave.size + 800))
+        assert len(records) == 1
+        assert records[0].info["preamble"] == "short"
+        assert records[0].rate_mbps == 2.0
+        assert records[0].info["fcs_ok"]
+
+    def test_data_and_ack_in_one_range(self, data_wave):
+        ack = WifiModulator(FS).modulate(build_ack_frame(1), 1.0)
+        gap = 80  # SIFS at 8 Msps
+        second = 300 + data_wave.size + gap
+        records = _both(_place([(300, data_wave), (second, ack)],
+                               second + ack.size + 300))
+        assert [r.payload_size for r in records] == [len(build_data_frame(1, 2, b"p" * 60)),
+                                                     len(build_ack_frame(1))]
+        assert abs(records[1].start_sample - 12_345 - second) < 64
+
+    def test_header_only(self, data_wave):
+        records = _both(_place([(300, data_wave)], data_wave.size + 600),
+                        decode_payload=False)
+        assert len(records) == 1
+        assert records[0].info["header_only"]
+        assert records[0].decoded.mpdu == b""
+
+    def test_all_noise(self):
+        assert _both(SampleBuffer.from_array(_noise(60_000, 1.0), FS)) == []
+
+    def test_empty_buffer(self):
+        empty = SampleBuffer.from_array(np.zeros(0, dtype=np.complex64), FS)
+        assert _both(empty) == []
+
+    def test_rejects_unknown_impl(self):
+        with pytest.raises(ValueError):
+            WifiStreamDecoder(FS, impl="fast")
+
+
+# -- the two primitives the shared-correlation flow leans on ------------------
+
+class TestCorrelationSlices:
+    def test_slice_of_correlation_is_correlation_of_slice(self):
+        demod = WifiDemodulator(FS)
+        x = _noise(50_003, 1.0, seed=5)
+        for index in range(len(demod._templates)):
+            full = demod.correlate(x, index)
+            for lo, hi in ((0, 4099), (1, 2049), (3, 40_003), (17, 2065),
+                           (12_345, 50_003), (49_000, 49_017)):
+                part = demod.correlate(x[lo:hi], index)
+                assert np.array_equal(part.view(np.float32),
+                                      full[lo:hi - 8 + 1].view(np.float32))
+
+    def test_bank_keeps_first_of_each_distinct_template(self):
+        demod = WifiDemodulator(FS)
+        grid = [t.tobytes() for t in demod._grid_templates]
+        bank = [t.tobytes() for t in demod._templates]
+        assert len(grid) == len(demod._PHASES)
+        assert bank == list(dict.fromkeys(grid))
+        assert len(bank) < len(grid)
+
+    def test_shared_acquisition_matches_per_candidate(self, data_wave):
+        # neighbouring candidates read slices of one metric array; each
+        # must pick what a stand-alone acquisition on its own slice picks
+        demod = WifiDemodulator(FS)
+        rx = _place([(700, data_wave), (700 + data_wave.size + 80, data_wave)],
+                    2 * data_wave.size + 3000).samples
+        bounds = [(0, 200), (636, 40_636), (637, 40_637), (639, rx.size),
+                  (2000, 2255), (2001, 2257), (6900, rx.size), (rx.size - 100, rx.size)]
+        timings = demod.acquire_each(rx, bounds)
+        for (lo, hi), timing in zip(bounds, timings):
+            try:
+                template, offset = demod._acquire_reference(rx[lo:hi])
+            except SyncError:
+                assert timing is None
+                continue
+            assert timing is not None
+            assert demod._templates[timing[0]].tobytes() == template.tobytes()
+            assert timing[1] == offset
+        assert timings[0] is None and timings[4] is None and timings[-1] is None
+        assert timings[1] is not None and timings[5] is not None
+
+
+def test_scan_of_a_whole_window_holds_two_correlations_at_most():
+    # NaiveMonitor hands this decoder whole 200 ms windows: keeping the
+    # correlation of every template (6 x 12.8 MB here) would show up in
+    # the daemon's peak RSS
+    buffer = preset_buffer("broadcast", 0.2, seed=3)
+    assert len(buffer) == 1_600_000
+    decoder = WifiStreamDecoder(FS)
+    tracemalloc.start()
+    try:
+        records = decoder.scan(buffer)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(records) > 20
+    assert peak < 4 * buffer.samples.nbytes
