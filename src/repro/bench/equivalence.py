@@ -11,16 +11,24 @@ before timing it; the same helper backs the tier-1 equivalence tests.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.analysis.decoders import WifiStreamDecoder
+from repro.core.detectors import DbpskPhaseDetector
 from repro.core.dispatcher import Dispatcher
 from repro.core.peak_detector import (
     PeakDetectionResult,
     PeakDetector,
     PeakDetectorConfig,
+)
+from repro.dsp.energy import (
+    chunk_average_of,
+    chunked_power,
+    energy_gate,
+    instant_power,
+    moving_average_of,
 )
 from repro.dsp.samples import SampleBuffer
 
@@ -131,6 +139,29 @@ def assert_detection_equivalence(
     return summary
 
 
+def assert_energy_equivalence(samples: np.ndarray, chunk_samples: int,
+                             window: int, avg_threshold: float,
+                             instant_threshold: float) -> Dict[str, object]:
+    """The tiled kernels under ``PeakDetector.detect`` (``chunked_power``,
+    ``energy_gate``) against the whole-array forms, byte for byte."""
+    whole = instant_power(samples)
+    power, chunk_powers = chunked_power(samples, chunk_samples)
+    _check(power.tobytes() == whole.tobytes(), "tiled |x|^2 differs")
+    _check(
+        chunk_powers.tobytes()
+        == chunk_average_of(whole, chunk_samples).tobytes(),
+        "tiled chunk powers differ",
+    )
+    gate = (moving_average_of(whole, window) > avg_threshold) \
+        & (whole > instant_threshold)
+    _check(
+        energy_gate(power, window, avg_threshold, instant_threshold).tobytes()
+        == gate.tobytes(),
+        "tiled energy gate differs from the whole-array moving average",
+    )
+    return {"samples": int(whole.size), "active": int(gate.sum())}
+
+
 def assert_wifi_scan_equivalence(ranges: Sequence[SampleBuffer],
                                  decode_payload: bool = True) -> Dict[str, object]:
     """Scan every range with both ``WifiStreamDecoder`` implementations
@@ -156,3 +187,30 @@ def assert_wifi_scan_equivalence(ranges: Sequence[SampleBuffer],
         )
         packets += len(found["vectorized"])
     return {"ranges": len(ranges), "packets": packets}
+
+
+def assert_dbpsk_equivalence(
+    windows: Sequence[Tuple[SampleBuffer, PeakDetectionResult]],
+) -> Dict[str, object]:
+    """Classify every ``(buffer, detection)`` window with both
+    ``DbpskPhaseDetector`` implementations, with ``trim`` off and on,
+    and demand equal :class:`Classification` lists — peak (trimmed ends
+    included), confidence and ``info["barker_score"]`` compare with
+    ``==``: the closed-form sign-match returns the reference's floats.
+    """
+    classified = 0
+    for i, (buffer, detection) in enumerate(windows):
+        for trim in (False, True):
+            found = {
+                impl: DbpskPhaseDetector(trim=trim, impl=impl).classify(
+                    detection, buffer)
+                for impl in ("reference", "vectorized")
+            }
+            _check(
+                found["reference"] == found["vectorized"],
+                f"DBPSK classifications differ on window {i} (trim={trim}): "
+                f"{len(found['reference'])} reference vs "
+                f"{len(found['vectorized'])} vectorized",
+            )
+            classified += len(found["vectorized"])
+    return {"windows": len(windows), "classifications": classified}

@@ -16,15 +16,17 @@ import numpy as np
 
 from repro.analysis.decoders import WifiStreamDecoder
 from repro.bench.equivalence import (
+    assert_dbpsk_equivalence,
     assert_detection_equivalence,
+    assert_energy_equivalence,
     assert_wifi_scan_equivalence,
 )
 from repro.bench.registry import Benchmark, BenchContext, register_benchmark
 from repro.bench.scenarios import peak_soup, preset_buffer
+from repro.core.detectors import DbpskPhaseDetector, GfskPhaseDetector
 from repro.core.peak_detector import PeakDetector, PeakDetectorConfig
-from repro.dsp.energy import chunk_average_of, instant_power, interval_stats, moving_average_of
+from repro.dsp.energy import chunked_power, energy_gate, interval_stats
 from repro.dsp.fftutil import spectrogram
-from repro.dsp.phase import phase_derivative_batch
 
 
 def _soup(ctx: BenchContext):
@@ -81,51 +83,84 @@ def _energy_setup(ctx: BenchContext):
     detection = PeakDetector(cfg).detect(buffer)
     starts = (detection.history.starts - buffer.start_sample).astype(np.intp)
     ends = (detection.history.ends - buffer.start_sample).astype(np.intp)
-    return {"samples": buffer.samples, "cfg": cfg, "starts": starts, "ends": ends}
+    return {"samples": buffer.samples, "cfg": cfg, "starts": starts,
+            "ends": ends, "threshold": detection.threshold}
+
+
+def _energy_gate_args(workload):
+    cfg = workload["cfg"]
+    threshold = workload["threshold"]
+    return cfg.energy_window, threshold, cfg.instantaneous_factor * threshold
 
 
 def _energy_run(workload, ctx: BenchContext) -> int:
     samples = workload["samples"]
-    cfg = workload["cfg"]
-    power = instant_power(samples)
-    moving_average_of(power, cfg.energy_window)
-    chunk_average_of(power, cfg.chunk_samples)
+    power, _ = chunked_power(samples, workload["cfg"].chunk_samples)
+    energy_gate(power, *_energy_gate_args(workload))
     if workload["starts"].size:
         interval_stats(power, workload["starts"], workload["ends"])
     return samples.size
 
 
+def _energy_equivalence(workload, ctx: BenchContext) -> Dict[str, object]:
+    return assert_energy_equivalence(
+        workload["samples"], workload["cfg"].chunk_samples,
+        *_energy_gate_args(workload))
+
+
 register_benchmark(Benchmark(
     name="energy_features",
-    description="instantaneous power, moving average, chunk averages and "
-                "batched interval statistics",
+    description="the kernels under PeakDetector.detect: tiled |x|^2 with "
+                "chunk averages, the tiled moving-average energy gate and "
+                "batched interval statistics (redefined in PR 17: earlier "
+                "results timed the whole-array forms, now its oracle)",
     setup=_energy_setup,
     run=_energy_run,
+    equivalence=_energy_equivalence,
     tags=("kernel", "dsp"),
 ))
 
 
-# -- phase kernels ----------------------------------------------------------
+# -- phase detectors over pre-detected peaks ---------------------------------
+#
+# The per-peak half of the detection stage: peak detection runs once in
+# setup and only the DBPSK + GFSK ``classify`` calls over its peaks are
+# timed.  ``--impl reference`` times the pair-by-pair Barker sign-match
+# walk; CI gates ``--require-speedup phase_detectors:5.0``.
 
-def _phase_setup(ctx: BenchContext):
-    workload = _energy_setup(ctx)
-    return workload
+def _phase_detectors_setup(ctx: BenchContext):
+    scale = 0.25 if ctx.quick else 1.0
+    windows = []
+    for preset, duration in (("mix", 0.4), ("broadcast", 0.2)):
+        buffer = preset_buffer(preset, duration * scale, seed=3)
+        windows.append((buffer, PeakDetector().detect(buffer)))
+    return {"windows": windows,
+            "detectors": [DbpskPhaseDetector(impl=ctx.impl),
+                          GfskPhaseDetector()]}
 
 
-def _phase_run(workload, ctx: BenchContext) -> int:
-    values, _ = phase_derivative_batch(
-        workload["samples"], workload["starts"], workload["ends"]
-    )
-    return int(values.size)
+def _phase_detectors_run(workload, ctx: BenchContext) -> int:
+    total = 0
+    for buffer, detection in workload["windows"]:
+        for detector in workload["detectors"]:
+            detector.classify(detection, buffer)
+        total += len(buffer)
+    return total
+
+
+def _phase_detectors_equivalence(workload, ctx: BenchContext) -> Dict[str, object]:
+    return assert_dbpsk_equivalence(workload["windows"])
 
 
 register_benchmark(Benchmark(
-    name="phase_features",
-    description="batched per-peak phase derivatives over every detected "
-                "interval",
-    setup=_phase_setup,
-    run=_phase_run,
-    tags=("kernel", "dsp"),
+    name="phase_detectors",
+    description="DbpskPhaseDetector + GfskPhaseDetector classify over the "
+                "detected peaks of the mix and broadcast presets "
+                "(peak detection excluded)",
+    setup=_phase_detectors_setup,
+    run=_phase_detectors_run,
+    equivalence=_phase_detectors_equivalence,
+    tags=("kernel", "detection"),
 ))
 
 

@@ -56,7 +56,8 @@ class GfskPhaseDetector(Detector):
             raise ValueError("phase detectors need the sample buffer")
         fs = buffer.sample_rate
         out: List[Classification] = []
-        for peak in detection.history:
+        # one iteration per peak; each does O(1) numpy calls
+        for peak in detection.history:  # rfdump: noqa[RFD601]
             duration = peak.length / fs
             if not self.min_duration <= duration <= self.max_duration:
                 continue

@@ -10,12 +10,14 @@ magnitude threshold.
 The implementation is fully vectorized numpy — the equivalent of the
 paper's C++ GNU Radio block — and its measured cost per sample is what
 Table 1's "Peak/Energy detection" row (and the ``peak_detection``
-``rfbench`` microbenchmark) reproduces.  Interval merging, per-peak
-power statistics and the peak->chunk assignment all run as whole-array
-operations (:func:`np.add.reduceat`, ``np.bincount``, ``np.repeat``);
-the pre-vectorization Python-loop kernels are retained as
-``impl="reference"`` so equivalence can be asserted (and the speedup
-measured) against them — see ``repro.bench.equivalence``.
+``rfbench`` microbenchmark) reproduces.  The energy gate runs tile by
+tile over cache-resident scratch (:func:`repro.dsp.energy.chunked_power`,
+:func:`repro.dsp.energy.energy_gate`); interval merging, per-peak power
+statistics and the peak->chunk assignment run as whole-array operations
+(:func:`np.add.reduceat`, ``np.bincount``, ``np.repeat``).  The
+whole-array gate and the pre-vectorization Python-loop kernels are
+retained as ``impl="reference"`` so equivalence can be asserted (and the
+speedup measured) against them — see ``repro.bench.equivalence``.
 """
 
 from __future__ import annotations
@@ -34,6 +36,8 @@ from repro.core.metadata import ChunkMetadata, Peak, PeakHistory
 from repro.dsp.energy import (
     chunk_average_of,
     chunk_average_power,
+    chunked_power,
+    energy_gate,
     instant_power,
     interval_stats,
     moving_average_of,
@@ -81,11 +85,13 @@ class PeakDetectionResult:
     def __init__(self, history: PeakHistory, noise_floor: float,
                  threshold: float, total_samples: int,
                  chunks: Optional[List[ChunkMetadata]] = None,
-                 chunk_builder=None):
+                 chunk_builder=None, nonfinite_samples: int = 0):
         self.history = history
         self.noise_floor = noise_floor
         self.threshold = threshold
         self.total_samples = total_samples
+        #: NaN/Inf samples zeroed before gating (0 on a healthy window)
+        self.nonfinite_samples = nonfinite_samples
         self._chunks = chunks
         self._chunk_builder = chunk_builder
 
@@ -111,10 +117,11 @@ class PeakDetector:
     found, samples scanned, and the tracked noise floor.
 
     ``impl`` selects the kernel implementation: ``"vectorized"`` (the
-    default) or ``"reference"``, the pre-vectorization Python-loop
-    version kept for equivalence testing and as the benchmark baseline.
-    Both produce identical intervals, chunk metadata and dispatch
-    decisions; per-peak float statistics agree to ULP-level rounding.
+    default) or ``"reference"``, the whole-array gate and
+    pre-vectorization Python-loop version kept for equivalence testing
+    and as the benchmark baseline.  Both produce identical activity
+    masks, intervals, chunk metadata and dispatch decisions; the
+    reference's per-peak means agree to ULP-level rounding.
     """
 
     def __init__(self, config: Optional[PeakDetectorConfig] = None, obs=None,
@@ -139,16 +146,28 @@ class PeakDetector:
         cfg = self.config
         samples = buffer.samples
         # |x|^2 is needed by every sub-stage; compute it exactly once
-        power = instant_power(samples)
-        chunk_powers = chunk_average_of(power, cfg.chunk_samples)
+        if self.impl == "reference":
+            power = instant_power(samples)
+            chunk_powers = chunk_average_of(power, cfg.chunk_samples)
+        else:
+            power, chunk_powers = chunked_power(samples, cfg.chunk_samples)
+        nonfinite = self._zero_nonfinite(power, chunk_powers)
         if noise_floor is None:
             if chunk_powers.size == 0:
                 raise ValueError("empty buffer")
             noise_floor = float(np.percentile(chunk_powers, 10.0))
         threshold = noise_floor * float(db_to_linear(cfg.threshold_db))
 
-        avg_power = moving_average_of(power, cfg.energy_window)
-        active = self._active_mask(power, avg_power, threshold)
+        # samples that pass both the averaged gate and — so averaged tails
+        # don't smear peak boundaries by a full window — an instantaneous
+        # one at a fraction of the threshold
+        instant_threshold = cfg.instantaneous_factor * threshold
+        if self.impl == "reference":
+            active = moving_average_of(power, cfg.energy_window) > threshold
+            active &= power > instant_threshold
+        else:
+            active = energy_gate(power, cfg.energy_window, threshold,
+                                 instant_threshold)
 
         history = PeakHistory(buffer.sample_rate)
         if self.impl == "reference":
@@ -189,32 +208,54 @@ class PeakDetector:
             threshold=threshold,
             total_samples=len(samples),
             chunk_builder=chunk_builder,
+            nonfinite_samples=nonfinite,
         )
 
     # -- shared ---------------------------------------------------------------
 
-    def _active_mask(self, power: np.ndarray, avg_power: np.ndarray,
-                     threshold: float) -> np.ndarray:
-        """Samples that pass both the averaged and instantaneous gates."""
-        cfg = self.config
-        active = avg_power > threshold
-        # refine edges: also require the instantaneous magnitude-squared to
-        # clear a fraction of the threshold, so averaged tails don't smear
-        # peak boundaries by a full window
-        active &= power > cfg.instantaneous_factor * threshold
-        return active
+    def _zero_nonfinite(self, power: np.ndarray,
+                        chunk_powers: np.ndarray) -> int:
+        """Zero the NaN/Inf entries of ``power``; returns how many.
+
+        One non-finite sample would poison the window-long running sum
+        and blind the gate for every later sample.  Such a sample makes
+        its chunk's mean non-finite, so ``chunk_powers`` (left untouched:
+        the first-window noise-floor estimate keeps its semantics) says
+        which few chunks to inspect.  A lone zeroed sample is a hole
+        shorter than ``min_gap``, so it can still sit inside a peak: the
+        pipeline hands the later stages :meth:`SampleBuffer.finite`.
+        """
+        bad_chunks = np.flatnonzero(~np.isfinite(chunk_powers))
+        if bad_chunks.size == 0:
+            return 0
+        cs = self.config.chunk_samples
+        idx = (bad_chunks[:, None] * cs + np.arange(cs)).ravel()
+        idx = idx[idx < power.size]
+        bad = idx[~np.isfinite(power[idx])]
+        power[bad] = 0.0
+        zeroed = int(bad.size)
+        if zeroed and self.obs:
+            self.obs.counter(
+                "rfdump_peak_nonfinite_samples_total",
+                help="NaN/Inf samples the peak detector zeroed so the rest "
+                     "of their window stays detectable",
+            ).inc(zeroed)
+        return zeroed
 
     @staticmethod
     def _run_edges(active: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Starts/ends of contiguous True runs in the activity mask."""
-        edges = np.diff(active.astype(np.int8))
-        starts = np.flatnonzero(edges == 1) + 1
-        ends = np.flatnonzero(edges == -1) + 1
-        if active.size and active[0]:
-            starts = np.concatenate([[0], starts])
-        if active.size and active[-1]:
-            ends = np.concatenate([ends, [active.size]])
-        return starts, ends
+        if active.size == 0:
+            empty = np.zeros(0, dtype=np.intp)
+            return empty, empty
+        # run boundaries alternate start, end, start, ... once the
+        # buffer's own edges close the first and last run
+        edges = np.flatnonzero(active[1:] != active[:-1]) + 1
+        if active[0]:
+            edges = np.concatenate([[0], edges])
+        if active[-1]:
+            edges = np.concatenate([edges, [active.size]])
+        return edges[0::2], edges[1::2]
 
     # -- vectorized kernels ---------------------------------------------------
 

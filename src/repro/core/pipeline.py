@@ -40,7 +40,7 @@ from repro.core.metadata import PeakHistory
 from repro.core.parallel import ParallelAnalysisStage, packet_sort_key
 from repro.core.peak_detector import PeakDetectionResult, PeakDetector, PeakDetectorConfig
 from repro.dsp.samples import SampleBuffer
-from repro.errors import DetectorCrashError
+from repro.errors import DetectorCrashError, SampleIntegrityError
 from repro.obs import NULL
 
 
@@ -324,6 +324,25 @@ class RFDumpMonitor(Monitor):
             with clock.stage("peak_detection"):
                 detection = self.peak_detector.detect(buffer, self.noise_floor)
                 clock.touch("peak_detection", len(buffer))
+        if detection.nonfinite_samples:
+            message = (
+                f"{detection.nonfinite_samples} non-finite samples in "
+                f"[{buffer.start_sample}, {buffer.end_sample}) zeroed "
+                "before peak detection"
+            )
+            if self.on_error == "raise":
+                raise SampleIntegrityError(
+                    message, bad_samples=detection.nonfinite_samples)
+            if errors is not None:
+                errors.append(ErrorRecord(
+                    stage="detector", component="PeakDetector",
+                    error="SampleIntegrityError", message=message,
+                    action="sanitized", start_sample=buffer.start_sample,
+                    end_sample=buffer.end_sample,
+                ))
+            # a short hole does not split a peak, so the bad sample can
+            # sit inside one: the detectors read the zero the gate saw
+            buffer = buffer.finite()
         classifications: List[Classification] = []
         for detector in self.detectors:
             if self._breaker.is_open(detector.name):
@@ -423,6 +442,8 @@ class RFDumpMonitor(Monitor):
         with obs.span("process", start_sample=buffer.start_sample,
                       end_sample=buffer.end_sample):
             detection, classifications = self.detect(buffer, clock, errors)
+            if detection.nonfinite_samples:
+                buffer = buffer.finite()  # and so do the demodulators
 
             with obs.span("dispatch"), clock.stage("dispatch"):
                 ranges = self.dispatcher.dispatch(

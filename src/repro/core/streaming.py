@@ -329,6 +329,10 @@ class StreamingMonitor(Monitor):
         # a flush may have pushed past the overlap region).
         tail_start = max(stitched.end_sample - self.overlap, stitched.start_sample)
         self._tail = stitched.slice(tail_start, stitched.end_sample)
+        if any(e.component == "PeakDetector" for e in report.errors):
+            # NaN/Inf the peak detector zeroed, counted and reported:
+            # carry the zeros, or the next window counts them again
+            self._tail = self._tail.finite()
         return report
 
     @staticmethod

@@ -11,12 +11,10 @@ from repro.dsp.energy import (
 from repro.dsp.phase import (
     instantaneous_phase,
     phase_derivative,
-    phase_derivative_batch,
     phase_second_derivative,
     phase_histogram,
     estimate_cfo,
     count_constellation_points,
-    split_batch,
 )
 from repro.dsp.filters import (
     fir_lowpass,
@@ -47,12 +45,10 @@ __all__ = [
     "NoiseFloorEstimator",
     "instantaneous_phase",
     "phase_derivative",
-    "phase_derivative_batch",
     "phase_second_derivative",
     "phase_histogram",
     "estimate_cfo",
     "count_constellation_points",
-    "split_batch",
     "fir_lowpass",
     "gaussian_pulse",
     "filter_signal",

@@ -16,6 +16,14 @@ from repro.constants import DEFAULT_CHUNK_SAMPLES, DEFAULT_ENERGY_WINDOW
 from repro.dsp.samples import chunk_views
 
 
+#: samples per tile of the tiled kernels below.  A tile's float64 working
+#: set (its slice of ``power`` plus scratch) stays L2-resident, so each
+#: pass reads its input from memory once instead of once per ufunc.
+#: Both passes over a 1.6 M-sample window measured 14.0 / 12.7 / 12.9 /
+#: 15.6 / 17.3 ms at 8 / 16 / 32 / 64 / 128 thousand samples per tile.
+TILE_SAMPLES = 32_000
+
+
 def instant_power(samples: np.ndarray,
                   out: Optional[np.ndarray] = None) -> np.ndarray:
     """Per-sample ``|x|^2`` as float64, in one pass over real and imag.
@@ -34,6 +42,46 @@ def instant_power(samples: np.ndarray,
         out += np.multiply(im, im, dtype=np.float64)
         return out
     return np.multiply(x, x, dtype=np.float64, out=out)
+
+
+def chunked_power(samples: np.ndarray,
+                  chunk_samples: int) -> Tuple[np.ndarray, np.ndarray]:
+    """``(instant_power(x), chunk_average_of(power, chunk_samples))`` of
+    a 1-D array, tile by tile.
+
+    C-contiguous complex64 input is read through its interleaved float32
+    view: cast into a float64 scratch, squared in place and the even/odd
+    halves added — the same three IEEE operations per sample as
+    ``re*re + im*im`` in float64, in one read of the samples.  Each
+    tile's chunk rows are reduced while still cache-hot; tiles are a
+    whole number of chunks, so every row is the same contiguous pairwise
+    sum as in the whole-array form.
+    """
+    if chunk_samples <= 0:
+        raise ValueError("chunk_samples must be positive")
+    x = np.asarray(samples)
+    n = x.size
+    power = np.empty(n, dtype=np.float64)
+    chunk_powers = np.empty(-(-n // chunk_samples), dtype=np.float64)
+    tile = max(TILE_SAMPLES // chunk_samples, 1) * chunk_samples
+    fast = x.dtype == np.complex64 and x.flags.c_contiguous
+    if fast:
+        flat = x.view(np.float32)
+        scratch = np.empty(2 * min(n, tile), dtype=np.float64)
+    # one iteration per 32k-sample tile, never per sample
+    for a in range(0, n, tile):  # rfdump: noqa[RFD601]
+        b = min(a + tile, n)
+        dst = power[a:b]
+        if fast:
+            t = scratch[: 2 * (b - a)]
+            np.copyto(t, flat[2 * a: 2 * b])
+            np.multiply(t, t, out=t)
+            np.add(t[0::2], t[1::2], out=dst)
+        else:
+            instant_power(x[a:b], out=dst)
+        chunk_average_of(dst, chunk_samples,
+                         out=chunk_powers[a // chunk_samples:])
+    return power, chunk_powers
 
 
 def interval_stats(
@@ -107,6 +155,51 @@ def moving_average_of(power: np.ndarray, window: int,
     if power.size > window:
         out[window:] = (csum[window:] - csum[:-window]) / window
     return out
+
+
+def energy_gate(power: np.ndarray, window: int, avg_threshold: float,
+                instant_threshold: float) -> np.ndarray:
+    """``(moving_average_of(power, window) > avg_threshold) & (power >
+    instant_threshold)`` without materialising the running sum or the
+    moving average.
+
+    One sequential running sum is continued across tiles: the scratch
+    holds the previous tile's last ``window`` sums followed by the
+    tile's samples, and ``np.add.accumulate`` starts from the last of
+    those sums — it is strictly sequential, so every value equals the
+    whole-array ``csum`` bit for bit, and so does every difference,
+    quotient and comparison formed from it.
+    """
+    if window <= 0:
+        raise ValueError("window must be positive")
+    power = np.asarray(power, dtype=np.float64)
+    n = power.size
+    active = np.empty(n, dtype=bool)
+    tile = max(TILE_SAMPLES, window)
+    span = min(n, tile)
+    # sums[j] is csum[a - window + j]: the zeros ahead of sample 0 leave
+    # csum[0] = 0.0 + power[0] = power[0]
+    sums = np.zeros(window + span, dtype=np.float64)
+    avg = np.empty(span, dtype=np.float64)
+    above = np.empty(span, dtype=bool)
+    # one iteration per 32k-sample tile, never per sample
+    for a in range(0, n, tile):  # rfdump: noqa[RFD601]
+        b = min(a + tile, n)
+        size = b - a
+        sums[window: window + size] = power[a:b]
+        run = sums[window - 1: window + size]
+        np.add.accumulate(run, out=run)
+        np.subtract(sums[window: window + size], sums[:size], out=avg[:size])
+        np.divide(avg[:size], window, out=avg[:size])
+        if a == 0:
+            # warm-up: the first window-1 outputs average a shorter prefix
+            head = min(window, size)
+            np.divide(sums[window: window + head], _ramp(head), out=avg[:head])
+        np.greater(avg[:size], avg_threshold, out=active[a:b])
+        np.greater(power[a:b], instant_threshold, out=above[:size])
+        active[a:b] &= above[:size]
+        sums[:window] = sums[size: size + window]
+    return active
 
 
 def moving_average_power(samples: np.ndarray, window: int = DEFAULT_ENERGY_WINDOW) -> np.ndarray:

@@ -9,8 +9,6 @@ estimates the PSK constellation order.
 
 from __future__ import annotations
 
-from typing import List, Tuple
-
 import numpy as np
 
 
@@ -39,43 +37,6 @@ def phase_second_derivative(samples: np.ndarray) -> np.ndarray:
         return np.zeros(0, dtype=np.float64)
     d2 = np.diff(d1)
     return np.angle(np.exp(1j * d2))  # wrap back into (-pi, pi]
-
-
-def phase_derivative_batch(
-    samples: np.ndarray, starts: np.ndarray, ends: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Phase derivatives of many ``[start, end)`` segments in one pass.
-
-    Returns ``(values, offsets)``: segment ``i``'s derivative occupies
-    ``values[offsets[i]:offsets[i + 1]]`` and is elementwise identical to
-    ``phase_derivative(samples[starts[i]:ends[i]])``.  One gather and one
-    ``angle`` call replace a Python loop of per-segment slice/allocate/
-    arctan rounds — this is how phase features for all dispatched ranges
-    of a buffer are extracted together.
-    """
-    x = np.asarray(samples)
-    starts = np.asarray(starts, dtype=np.intp)
-    ends = np.asarray(ends, dtype=np.intp)
-    if starts.shape != ends.shape or starts.ndim != 1:
-        raise ValueError("starts/ends must be matching 1-D arrays")
-    if starts.size and (np.any(starts < 0) or np.any(ends > x.size)
-                        or np.any(ends < starts)):
-        raise ValueError("intervals must lie inside the array")
-    lengths = np.maximum(ends - starts - 1, 0)
-    offsets = np.concatenate([[0], np.cumsum(lengths)]).astype(np.intp)
-    total = int(offsets[-1])
-    if total == 0:
-        return np.zeros(0, dtype=np.float64), offsets
-    base = np.repeat(starts, lengths)
-    pos = np.arange(total, dtype=np.intp) - np.repeat(offsets[:-1], lengths)
-    lo = x[base + pos]
-    hi = x[base + pos + 1]
-    return np.angle(hi * np.conj(lo)), offsets
-
-
-def split_batch(values: np.ndarray, offsets: np.ndarray) -> List[np.ndarray]:
-    """Views of a batched feature array, one per original segment."""
-    return [values[offsets[i]:offsets[i + 1]] for i in range(offsets.size - 1)]
 
 
 def estimate_cfo(samples: np.ndarray, sample_rate: float) -> float:

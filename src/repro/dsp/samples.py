@@ -73,6 +73,12 @@ class SampleBuffer:
             hi = lo
         return SampleBuffer(self.samples[lo:hi], self.timebase, self.start_sample + lo)
 
+    def finite(self) -> "SampleBuffer":
+        """A copy with every sample that has a NaN/Inf part set to zero."""
+        samples = self.samples.copy()
+        samples[~np.isfinite(samples)] = 0
+        return SampleBuffer(samples, self.timebase, self.start_sample)
+
     def time_of(self, rel_index) -> float:
         """Wall time of a relative index into this buffer."""
         return float(self.timebase.to_time(self.start_sample + rel_index))

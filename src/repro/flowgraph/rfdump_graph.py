@@ -89,6 +89,8 @@ class PeakDetectionBlock(Block):
         samples = np.concatenate(self._chunks)
         buffer = SampleBuffer(samples, Timebase(self._sample_rate), self._start)
         detection = self._detector.detect(buffer, self._noise_floor)
+        if detection.nonfinite_samples:
+            buffer = buffer.finite()  # downstream reads what the gate saw
         return [(detection, buffer)]
 
 

@@ -34,6 +34,11 @@ HOT_PATH_MODULES = (
     # sample or per bit
     "repro/analysis/decoders.py",
     "repro/phy/plcp.py",
+    # the per-peak phase detectors (rfbench phase_detectors): loops run
+    # once per peak with O(1) numpy calls inside, never per template,
+    # alignment or sample
+    "repro/core/detectors/phase_dbpsk.py",
+    "repro/core/detectors/phase_gfsk.py",
 )
 
 

@@ -158,6 +158,19 @@ class TestRunner:
         with pytest.raises(AssertionError):
             runner.run_one(self._tiny_bench(equivalence), calibration_sps=1e9)
 
+    @pytest.mark.parametrize("impl", ["vectorized", "reference"])
+    def test_phase_detectors_bench_times_classify_only(self, impl):
+        from repro.bench.registry import get_benchmark
+
+        runner = BenchRunner(BenchOptions(repeats=1, warmup=0, quick=True,
+                                          impl=impl))
+        result = runner.run_one(get_benchmark("phase_detectors"),
+                                calibration_sps=1e9)
+        assert result.equivalence_checked and result.impl == impl
+        assert result.meta["equivalence"]["classifications"] > 0
+        # throughput is per ether sample the detected peaks came from
+        assert result.n_samples == int(0.1 * 8e6) + int(0.05 * 8e6)
+
     def test_bad_options_rejected(self):
         with pytest.raises(ValueError):
             BenchOptions(repeats=0)
@@ -174,7 +187,7 @@ class TestCli:
         assert rfbench.main(["list"]) == 0
         out = capsys.readouterr().out
         for name in ("peak_detection", "energy_features", "fft_spectrogram",
-                     "phase_features", "pipeline_mix"):
+                     "phase_detectors", "pipeline_mix"):
             assert name in out
 
     def test_compare_gate(self, tmp_path, capsys):
@@ -216,5 +229,8 @@ class TestCli:
         results = load_results("benchmarks/baselines")
         assert "peak_detection" in results
         assert results["peak_detection"].equivalence_checked
+        assert results["phase_detectors"].equivalence_checked
+        assert "phase_features" not in results
         reference = load_results("benchmarks/baselines/reference")
         assert reference["peak_detection"].impl == "reference"
+        assert reference["phase_detectors"].impl == "reference"

@@ -132,3 +132,37 @@ class TestChunkMetadata:
         covered = [c for c in result.chunks if c.n_peaks > 0]
         # chunks 5..14, plus possibly one more from the averaging tail
         assert 10 <= len(covered) <= 11
+
+
+class TestRunEdges:
+    @staticmethod
+    def _by_diff(active):
+        """The textbook form: +1/-1 steps of the mask as int8."""
+        edges = np.diff(active.astype(np.int8))
+        starts = np.flatnonzero(edges == 1) + 1
+        ends = np.flatnonzero(edges == -1) + 1
+        if active.size and active[0]:
+            starts = np.concatenate([[0], starts])
+        if active.size and active[-1]:
+            ends = np.concatenate([ends, [active.size]])
+        return starts, ends
+
+    @pytest.mark.parametrize("mask", [
+        [], [False], [True], [True, True], [False, True], [True, False],
+        [False, True, True, False, True], [True, False, False, True],
+    ])
+    def test_small_masks(self, mask):
+        active = np.array(mask, dtype=bool)
+        starts, ends = PeakDetector._run_edges(active)
+        want_starts, want_ends = self._by_diff(active)
+        assert starts.tolist() == want_starts.tolist()
+        assert ends.tolist() == want_ends.tolist()
+
+    def test_random_masks(self):
+        rng = np.random.default_rng(4)
+        for density in (0.02, 0.5, 0.98):
+            active = rng.random(10_000) < density
+            starts, ends = PeakDetector._run_edges(active)
+            want_starts, want_ends = self._by_diff(active)
+            assert np.array_equal(starts, want_starts)
+            assert np.array_equal(ends, want_ends)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.detectors import (
     DbpskPhaseDetector,
@@ -85,6 +86,57 @@ class TestDbpskDetector:
             buf, det = _buffer_with(wave, seed=int(phase * 4))
             out = DbpskPhaseDetector().classify(det, buf)
             assert len(out) == 1, phase
+
+
+class TestDbpskClosedForm:
+    """The count-based sign-match returns the pair-by-pair walk's floats."""
+
+    @staticmethod
+    def _pair():
+        pair = [DbpskPhaseDetector(impl=impl)
+                for impl in ("vectorized", "reference")]
+        for det in pair:
+            det._prepare(FS)
+        return pair
+
+    @staticmethod
+    def _segment(kind, n, seed):
+        rng = np.random.default_rng(seed)
+        x = (rng.normal(size=n) + 1j * rng.normal(size=n)).astype(np.complex64)
+        if kind == "zeros":      # exact zeros in Re(x[n] conj(x[n-1]))
+            x[rng.random(n) < 0.3] = 0
+        elif kind == "axes":     # more exact zeros: quarter-turn phase steps
+            x = (1j ** rng.integers(0, 4, size=n)).astype(np.complex64)
+        elif kind == "tone":     # constant phase step: one polarity only
+            x = np.exp(2j * np.pi * 0.01 * seed * np.arange(n)).astype(np.complex64)
+        elif kind == "nan" and n:
+            x[rng.integers(0, n)] = np.nan
+        return x
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(["noise", "zeros", "axes", "tone", "nan"]),
+           st.integers(0, 2000), st.integers(0, 2**16))
+    def test_score_and_matched_symbols_equal_reference(self, kind, n, seed):
+        fast, reference = self._pair()
+        fast.threshold = reference.threshold = 0.3  # let noise reach the trim
+        segment = self._segment(kind, n, seed)
+        score = fast._score(segment)
+        assert score == reference._score(segment)
+        assert fast._matched_symbols(segment) \
+            == reference._matched_symbols(segment)
+        if n < 8 * 8 + 1:  # fewer than 8 whole symbols of transitions
+            assert score == -1.0 and fast._matched_symbols(segment) == 0
+
+    def test_first_best_pair_wins_ties(self, wifi_wave):
+        # duplicate chip-phase templates tie exactly; both forms must
+        # settle on the same (template, alignment) row
+        fast, reference = self._pair()
+        grid = fast._transitions(wifi_wave[:1025])
+        assert fast._best_match(grid) == reference._best_match(grid)
+
+    def test_unknown_impl_rejected(self):
+        with pytest.raises(ValueError):
+            DbpskPhaseDetector(impl="fortran")
 
 
 class TestGfskDetector:

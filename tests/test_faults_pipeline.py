@@ -1,11 +1,17 @@
-"""Detector crashes through the error-policy layer and circuit breaker."""
+"""Detector crashes through the error-policy layer and circuit breaker,
+and non-finite samples through the peak detector."""
 
+import numpy as np
 import pytest
 
 from repro import RFDumpMonitor
 from repro.core.config import MonitorConfig
+from repro.core.events import PacketEvent
+from repro.core.monitor import make_monitor
 from repro.core.pipeline import default_detectors
-from repro.errors import DetectorCrashError, RFDumpError
+from repro.core.streaming import StreamingMonitor
+from repro.dsp.samples import SampleBuffer
+from repro.errors import DetectorCrashError, RFDumpError, SampleIntegrityError
 from repro.faults import CrashingDetector
 from repro.obs import Observability
 
@@ -161,3 +167,104 @@ class TestWrappedDetector:
         }
         assert {c.peak.start_sample
                 for c in report.classifications} == wrapped_keys
+
+
+class TestNonFiniteSample:
+    """One NaN/Inf sample costs that sample, never the rest of the
+    window — and never silently (at the parent commit: 0 events, 0
+    records under the default policy)."""
+
+    BAD = 1000
+
+    def _run(self, trace, baseline, value=None, at=BAD, **config):
+        samples = trace.buffer.samples.copy()
+        if value is not None:
+            samples[at] = value
+        monitor = RFDumpMonitor(
+            config=MonitorConfig(protocols=("wifi",), **config))
+        monitor.noise_floor = baseline.noise_floor  # carried, as streaming does
+        seen = []
+        scan = monitor._decoders["wifi"].scan
+        monitor._decoders["wifi"].scan = lambda sub: (
+            seen.append(bool(np.isfinite(sub.samples).all())) or scan(sub))
+        report = monitor.process(SampleBuffer(samples, trace.buffer.timebase))
+        assert seen and all(seen)  # no demodulator is handed NaN/Inf
+        return report
+
+    @staticmethod
+    def _lines(report, skip=None):
+        return [PacketEvent.from_record(p, 8e6, seq=0).to_json()
+                for p in report.packets if p is not skip]
+
+    @staticmethod
+    def _assert_one_record(report):
+        (record,) = report.errors
+        assert (record.stage, record.component, record.error, record.action) \
+            == ("detector", "PeakDetector", "SampleIntegrityError", "sanitized")
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_sanitized_counted_and_reported_once(self, wifi_trace, baseline,
+                                                 value):
+        obs = Observability()
+        report = self._run(wifi_trace, baseline, value, obs=obs)
+        assert all(p.start_sample > self.BAD for p in baseline.packets)
+        assert self._lines(report) == self._lines(baseline)
+        self._assert_one_record(report)
+        assert obs.registry.value("rfdump_peak_nonfinite_samples_total") == 1
+        assert all(np.isfinite(p.mean_power) for p in report.peaks)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_bad_sample_inside_a_packet(self, wifi_trace, baseline, value):
+        """A one-sample hole does not split a peak (``min_gap``), so the
+        packet's range is analysed with the bad sample in it — as the
+        zero the energy gate saw."""
+        k = 1
+        victim = baseline.packets[k]
+        at = (victim.start_sample + victim.end_sample) // 2
+        report = self._run(wifi_trace, baseline, value, at=at)
+        assert any(p.start_sample < at < p.end_sample for p in report.peaks)
+        assert self._lines(report, skip=report.packets[k]) \
+            == self._lines(baseline, skip=victim)
+        assert (report.packets[k].start_sample, report.packets[k].ok) \
+            == (victim.start_sample, victim.ok)
+        self._assert_one_record(report)
+
+    def test_streaming_counts_a_carried_sample_once(self, wifi_trace):
+        """The overlap tail is analysed again by the next window; a bad
+        sample in it is counted and reported by the first only."""
+        window, overlap = 160_000, 48_000
+        samples = wifi_trace.buffer.samples.copy()
+        samples[2 * window - 1000] = np.nan  # second window, inside its tail
+        obs = Observability()
+        stream = StreamingMonitor(
+            config=MonitorConfig(protocols=("wifi",), obs=obs),
+            overlap=overlap)
+        reports = [
+            stream.process(SampleBuffer(samples[a:a + window],
+                                        wifi_trace.buffer.timebase, a))
+            for a in range(0, len(samples), window)
+        ]
+        assert [len(r.errors) for r in reports] == [0, 1, 0, 0]
+        assert obs.registry.value("rfdump_peak_nonfinite_samples_total") == 1
+
+    def test_flowgraph_monitor_reads_the_zero_too(self, wifi_trace, baseline):
+        victim = baseline.packets[1]
+        samples = wifi_trace.buffer.samples.copy()
+        samples[(victim.start_sample + victim.end_sample) // 2] = np.inf
+        config = MonitorConfig(protocols=("wifi",),
+                               noise_floor=baseline.noise_floor)
+        with make_monitor("flowgraph", config) as monitor:
+            report = monitor.process(
+                SampleBuffer(samples, wifi_trace.buffer.timebase))
+        assert [(p.start_sample, p.ok) for p in report.packets] \
+            == [(p.start_sample, p.ok) for p in baseline.packets]
+
+    def test_raise_mode_surfaces_integrity_error(self, wifi_trace, baseline):
+        with pytest.raises(SampleIntegrityError) as excinfo:
+            self._run(wifi_trace, baseline, np.nan, on_error="raise")
+        assert excinfo.value.bad_samples == 1
+
+    def test_finite_input_reports_nothing(self, wifi_trace, baseline):
+        report = self._run(wifi_trace, baseline)
+        assert report.errors == []
+        assert self._lines(report) == self._lines(baseline)
