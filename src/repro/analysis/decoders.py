@@ -151,8 +151,12 @@ class WifiStreamDecoder:
                   "preamble": packet.preamble},
         )
 
-    def scan(self, buffer: SampleBuffer) -> List[PacketRecord]:
-        """Decode every 802.11b packet found in the buffer."""
+    def scan(self, buffer: SampleBuffer,
+             channel_hint: Optional[int] = None) -> List[PacketRecord]:
+        """Decode every 802.11b packet found in the buffer.
+
+        ``channel_hint`` is part of the shared ``scan`` signature
+        (:func:`make_decoder`) and ignored here."""
         samples = buffer.samples
         if samples.size == 0:
             return []
@@ -334,7 +338,8 @@ class OfdmStreamDecoder:
         self._reference = self.demodulator._symbol_from_subcarriers(_TRAINING)
         self._max_packet = int(max_packet_us * 1e-6 * sample_rate)
 
-    def scan(self, buffer: SampleBuffer) -> List[PacketRecord]:
+    def scan(self, buffer: SampleBuffer,
+             channel_hint: Optional[int] = None) -> List[PacketRecord]:
         samples = buffer.samples
         corr = np.abs(
             np.convolve(samples, self._reference[::-1].conj(), mode="valid")
@@ -385,7 +390,8 @@ class ZigbeeStreamDecoder:
         self.demodulator = ZigbeeDemodulator(sample_rate)
         self._max_packet = int(max_packet_us * 1e-6 * sample_rate)
 
-    def scan(self, buffer: SampleBuffer) -> List[PacketRecord]:
+    def scan(self, buffer: SampleBuffer,
+             channel_hint: Optional[int] = None) -> List[PacketRecord]:
         samples = buffer.samples
         sps = self.demodulator.sps
         template = self.demodulator._templates[0]
@@ -421,3 +427,26 @@ class ZigbeeStreamDecoder:
                 )
             )
         return _dedup_records(records, min_spacing=12 * sps)
+
+
+def make_decoder(protocol: str, sample_rate: float,
+                 center_freq: float = DEFAULT_CENTER_FREQ,
+                 decode_payload: bool = True):
+    """The stream decoder every monitor uses for ``protocol``.
+
+    All decoders share one call shape — ``scan(buffer, channel_hint=None)``
+    — so callers never branch on the protocol; only the Bluetooth
+    decoder acts on the hint.  Returns None for ``"microwave"``: there
+    is nothing to demodulate, the classification is the output.
+    """
+    if protocol == "wifi":
+        return WifiStreamDecoder(sample_rate, decode_payload=decode_payload)
+    if protocol == "bluetooth":
+        return BluetoothStreamDecoder(sample_rate, center_freq)
+    if protocol == "zigbee":
+        return ZigbeeStreamDecoder(sample_rate)
+    if protocol == "ofdm":
+        return OfdmStreamDecoder(sample_rate)
+    if protocol == "microwave":
+        return None
+    raise ValueError(f"no analyzer for protocol {protocol!r}")

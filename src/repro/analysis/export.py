@@ -16,7 +16,6 @@ import csv
 import io
 import json
 import struct
-import warnings
 from typing import TYPE_CHECKING, Iterable, List, Optional
 
 from repro.analysis.decoders import PacketRecord
@@ -31,8 +30,6 @@ PACKET_FIELDS = [
     "time_s", "protocol", "start_sample", "end_sample", "payload_size",
     "rate_mbps", "channel", "snr_db", "decoder", "ok",
 ]
-
-_warned_packet_dicts = False
 
 
 def _packet_rows(records: Iterable[PacketRecord], sample_rate: float) -> List[dict]:
@@ -54,22 +51,6 @@ def _packet_rows(records: Iterable[PacketRecord], sample_rate: float) -> List[di
             }
         )
     return out
-
-
-def packet_dicts(records: Iterable[PacketRecord], sample_rate: float) -> List[dict]:
-    """Deprecated: the loose packet-dict form, kept one release for
-    external callers.  New code consumes :class:`~repro.core.PacketEvent`
-    (``repro.core.events_from_records``) — the schema-versioned record
-    the daemon, CLI and exports now share."""
-    global _warned_packet_dicts
-    if not _warned_packet_dicts:
-        _warned_packet_dicts = True
-        warnings.warn(
-            "packet_dicts() is deprecated; consume PacketEvent records "
-            "via repro.core.events_from_records / Monitor.events()",
-            DeprecationWarning, stacklevel=2,
-        )
-    return _packet_rows(records, sample_rate)
 
 
 def packets_to_csv(records: Iterable[PacketRecord], sample_rate: float) -> str:

@@ -347,64 +347,6 @@ register_benchmark(Benchmark(
 ))
 
 
-# -- sharded service: 1-shard vs N-shard over the same stream ----------------
-#
-# The pair measures what the broker costs and buys: _sharded_1 is the
-# degenerate single-worker service (no ownership filtering), _sharded_4
-# replicates detection across four workers but splits the demodulation
-# load.  Each timed repetition builds a fresh broker because streaming
-# state is consumed by a run (windows must stay contiguous).
-
-_SHARD_WINDOW = 160_000
-_SHARD_OVERLAP = 48_000
-
-
-def _sharded_setup(ctx: BenchContext):
-    from repro.faults.harness import split_windows
-
-    duration = 0.05 if ctx.quick else 0.25
-    buffer = preset_buffer("mix", duration, seed=3)
-    return {"windows": split_windows(buffer, _SHARD_WINDOW)}
-
-
-def _sharded_run(workload, nshards: int) -> int:
-    from repro.core.config import MonitorConfig
-    from repro.core.shards import ShardBroker
-
-    broker = ShardBroker(config=MonitorConfig(shards=nshards),
-                         overlap=_SHARD_OVERLAP)
-    total = 0
-    for window in workload["windows"]:
-        broker.process(window)
-        total += len(window)
-    broker.flush()
-    broker.close()
-    return total
-
-
-def _sharded_equivalence(workload, ctx: BenchContext) -> Dict[str, object]:
-    # the broker's contract, stated on the uniform event API: the
-    # N-shard event stream is byte-identical (canonical wire form,
-    # sequence numbers included) to the single-shard stream
-    from repro.core.config import MonitorConfig
-    from repro.core.shards import ShardBroker
-
-    outputs = []
-    for nshards in (1, 4):
-        with ShardBroker(config=MonitorConfig(shards=nshards),
-                         overlap=_SHARD_OVERLAP) as broker:
-            outputs.append([
-                event.to_json()
-                for event in broker.events(workload["windows"])
-            ])
-    if outputs[0] != outputs[1]:
-        raise AssertionError(
-            "sharded event stream diverged from the single-shard run: "
-            f"{len(outputs[0])} vs {len(outputs[1])} events"
-        )
-    return {"events": len(outputs[0]), "identical": True}
-
-
 # -- end-to-end window latency under a deadline ------------------------------
 #
 # The deadline layer's SLO benchmark: a full streaming run (detection,
@@ -483,22 +425,3 @@ register_benchmark(Benchmark(
     tags=("pipeline", "latency"),
 ))
 
-
-register_benchmark(Benchmark(
-    name="pipeline_mix_sharded_1",
-    description="streaming RFDump service through a single-shard broker "
-                "(the serial service baseline, demodulation included)",
-    setup=_sharded_setup,
-    run=lambda workload, ctx: _sharded_run(workload, 1),
-    tags=("pipeline", "shards"),
-))
-
-register_benchmark(Benchmark(
-    name="pipeline_mix_sharded_4",
-    description="streaming RFDump service split across four shard workers "
-                "(replicated detection, partitioned demodulation)",
-    setup=_sharded_setup,
-    run=lambda workload, ctx: _sharded_run(workload, 4),
-    equivalence=_sharded_equivalence,
-    tags=("pipeline", "shards"),
-))

@@ -31,12 +31,6 @@ from repro.core.events import (
 )
 from repro.core.peak_detector import PeakDetector
 from repro.core.pipeline import RFDumpMonitor, MonitorReport
-from repro.core.report import (
-    classification_key,
-    merge_classifications,
-    merge_packets,
-    packet_key,
-)
 from repro.core.naive import NaiveMonitor, EnergyNaiveMonitor
 from repro.core.accounting import StageClock
 from repro.core.streaming import StreamingMonitor
@@ -66,10 +60,6 @@ __all__ = [
     "PacketMeta",
     "events_from_records",
     "read_events",
-    "packet_key",
-    "classification_key",
-    "merge_packets",
-    "merge_classifications",
     "PeakDetector",
     "RFDumpMonitor",
     "MonitorReport",

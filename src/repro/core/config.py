@@ -74,11 +74,6 @@ class MonitorConfig:
     #: per-component defaults), "raise", "skip" or "degrade" — see
     #: :mod:`repro.core.errorpolicy`
     on_error: Optional[str] = None
-    #: shard workers the sharded monitoring service splits the band
-    #: across (1 = a single monitor owns the whole band); consumed by
-    #: :class:`repro.core.shards.ShardBroker` via
-    #: ``make_monitor("sharded", ...)``
-    shards: int = 1
     #: attach an observability sink (metrics registry + tracer); None
     #: runs un-instrumented.  Compared by identity, which is what "the
     #: same config" means for a stateful sink.
@@ -91,8 +86,6 @@ class MonitorConfig:
             raise ValueError("sample_rate must be positive")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        if self.shards < 1:
-            raise ValueError("shards must be >= 1")
         if self.backend not in _BACKENDS:
             raise ValueError(f"backend must be one of {_BACKENDS}")
         if self.granularity not in _GRANULARITIES:

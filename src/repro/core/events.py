@@ -73,8 +73,7 @@ class PacketEvent:
     meta: PacketMeta
 
     def key(self) -> Tuple:
-        """Identity of the underlying transmission (seq excluded), the
-        same notion :func:`repro.core.report.packet_key` uses."""
+        """Identity of the underlying transmission (seq excluded)."""
         return (self.meta.start_sample, self.meta.end_sample,
                 self.protocol, self.decoder, self.meta.channel)
 

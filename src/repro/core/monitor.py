@@ -1,16 +1,16 @@
 """The shared monitor interface and the one factory that builds them.
 
 Every architecture the paper compares (Figure 1 naive, naive+energy,
-the RFDump pipeline) plus the deployment wrappers (streaming, sharded)
-satisfies the same contract: ``process(buffer) -> MonitorReport``,
+the RFDump pipeline) plus its drivers (streaming, flowgraph) satisfies
+the same contract: ``process(buffer) -> MonitorReport``,
 ``events(windows) -> Iterator[PacketEvent]``, ``close()``,
 context-manager.  :func:`make_monitor` maps a name to a constructor so
 the CLI, the daemon and the benchmarks pick architectures through one
 seam instead of per-call-site ``if/elif`` ladders.
 
 ``events()`` is the uniform streaming surface: whatever the family
-(one-shot pipeline, overlap-stitching streaming wrapper, sharded
-broker), consuming it over the same windows yields the same
+(one-shot pipeline, overlap-stitching streaming wrapper, block
+graph), consuming it over the same windows yields the same
 :class:`~repro.core.events.PacketEvent` stream — which is what lets
 ``rfdump --format jsonl`` and a ``rfdumpd`` subscriber diff clean.
 """
@@ -106,12 +106,6 @@ def _make_streaming(config: MonitorConfig, kwargs: dict):
     return StreamingMonitor(config=config, **kwargs)
 
 
-def _make_sharded(config: MonitorConfig, kwargs: dict):
-    from repro.core.shards import ShardBroker
-
-    return ShardBroker(config=config, **kwargs)
-
-
 def _make_flowgraph(config: MonitorConfig, kwargs: dict):
     from repro.flowgraph.monitor import FlowGraphMonitor
 
@@ -125,7 +119,6 @@ _FACTORIES: Dict[str, Callable[[MonitorConfig, dict], Monitor]] = {
     "energy": _make_energy,
     "naive+energy": _make_energy,
     "streaming": _make_streaming,
-    "sharded": _make_sharded,
     "flowgraph": _make_flowgraph,
 }
 

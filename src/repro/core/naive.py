@@ -14,12 +14,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.constants import DEFAULT_CHUNK_SAMPLES, DEFAULT_ENERGY_THRESHOLD_DB
-from repro.analysis.decoders import (
-    BluetoothStreamDecoder,
-    PacketRecord,
-    WifiStreamDecoder,
-    ZigbeeStreamDecoder,
-)
+from repro.analysis.decoders import PacketRecord, make_decoder
 from repro.core.accounting import StageClock
 from repro.core.config import UNSET, MonitorConfig, resolve_monitor_config
 from repro.core.monitor import Monitor
@@ -61,20 +56,11 @@ class NaiveMonitor(Monitor):
         self.center_freq = cfg.center_freq
         self.protocols = cfg.protocols
         self.demodulate = cfg.demodulate
-        self._decoders = {}
-        for protocol in self.protocols:
-            self._decoders[protocol] = self._make_decoder(
-                protocol, cfg.decode_payload
-            )
-
-    def _make_decoder(self, protocol: str, decode_payload: bool):
-        if protocol == "wifi":
-            return WifiStreamDecoder(self.sample_rate, decode_payload=decode_payload)
-        if protocol == "bluetooth":
-            return BluetoothStreamDecoder(self.sample_rate, self.center_freq)
-        if protocol == "zigbee":
-            return ZigbeeStreamDecoder(self.sample_rate)
-        raise ValueError(f"no demodulator for protocol {protocol!r}")
+        self._decoders = {
+            protocol: make_decoder(protocol, self.sample_rate,
+                                   self.center_freq, cfg.decode_payload)
+            for protocol in self.protocols
+        }
 
     def _regions(self, buffer: SampleBuffer, clock: StageClock) -> List[Tuple[int, int]]:
         """Sample ranges handed to every demodulator (here: everything)."""
@@ -98,6 +84,8 @@ class NaiveMonitor(Monitor):
         if self.demodulate:
             for protocol in self.protocols:
                 decoder = self._decoders[protocol]
+                if decoder is None:  # nothing to demodulate (microwave)
+                    continue
                 with obs.span(f"demod[{protocol}]", category="task",
                               protocol=protocol):
                     with clock.stage("demodulation"):

@@ -171,10 +171,7 @@ def decode_task(decoder, task: AnalysisTask) -> TaskOutcome:
         for buf, hint in task.jobs:
             clock.touch("demodulation", len(buf))
             t0 = time.perf_counter()
-            if task.protocol == "bluetooth":
-                packets.extend(decoder.scan(buf, channel_hint=hint))
-            else:
-                packets.extend(decoder.scan(buf))
+            packets.extend(decoder.scan(buf, channel_hint=hint))
             spans.append({
                 "start_sample": buf.start_sample,
                 "end_sample": buf.end_sample,

@@ -9,16 +9,14 @@ demodulating analyzers that decode those ranges.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.constants import DEFAULT_CENTER_FREQ
-from repro.analysis.decoders import (
-    BluetoothStreamDecoder,
-    PacketRecord,
-    WifiStreamDecoder,
-    ZigbeeStreamDecoder,
-)
+from repro.analysis.decoders import PacketRecord, make_decoder
 from repro.core.accounting import StageClock
 from repro.core.config import UNSET, MonitorConfig, resolve_monitor_config
 from repro.core.deadline import DeadlineScheduler, WindowBudget
@@ -162,6 +160,35 @@ class MonitorReport:
         return self.clock.cpu_over_realtime(self.duration)
 
 
+@dataclass
+class WindowState:
+    """One window on its way through the stages of :class:`RFDumpMonitor`.
+
+    Peak detection opens it; each later stage reads what earlier stages
+    left here and fills in its own part, so the drivers —
+    :meth:`RFDumpMonitor.process` and the flowgraph blocks — only decide
+    *when* a stage runs.
+    """
+
+    #: the samples every stage after peak detection reads (the
+    #: sanitized copy when the gate zeroed non-finite samples)
+    buffer: SampleBuffer
+    detection: PeakDetectionResult
+    clock: StageClock
+    #: ``perf_counter`` reading when the window entered the monitor
+    started: float
+    budget: Optional[WindowBudget]
+    errors: List[ErrorRecord] = field(default_factory=list)
+    classifications: List[Classification] = field(default_factory=list)
+    #: what the dispatcher produced (the report's detection-stage truth)
+    ranges: Dict[str, List[DispatchedRange]] = field(default_factory=dict)
+    #: the subset of ``ranges`` the analysis stage demodulates
+    admitted: Dict[str, List[DispatchedRange]] = field(default_factory=dict)
+    packets: List[PacketRecord] = field(default_factory=list)
+    demod_seconds: Dict[str, float] = field(default_factory=dict)
+    parallel_fallbacks: int = 0
+
+
 class RFDumpMonitor(Monitor):
     """The full RFDump pipeline over recorded traces.
 
@@ -196,14 +223,6 @@ class RFDumpMonitor(Monitor):
         deadlines, overruns are counted as misses, and under sustained
         overload the lowest-confidence ranges are shed (recorded as
         ``ErrorRecord(action="shed")``) before demodulation.
-    range_filter:
-        ``f(protocol, dispatched_range, buffer) -> bool`` deciding which
-        dispatched ranges this monitor demodulates; ranges it declines
-        stay on the report's ``ranges`` (detection-stage truth) but are
-        not analyzed.  This is the seam the sharded monitoring service
-        uses to give each shard worker ownership of a slice of the band
-        (:mod:`repro.core.shards`); None (the default) demodulates
-        everything.
     config:
         A :class:`MonitorConfig`; its ``obs`` field attaches the
         metrics/tracing sink for the whole pipeline.
@@ -226,9 +245,6 @@ class RFDumpMonitor(Monitor):
         parallel_timeout: Optional[float] = UNSET,
         on_error: Optional[str] = UNSET,
         deadline_ms: Optional[float] = UNSET,
-        range_filter: Optional[
-            Callable[[str, DispatchedRange, SampleBuffer], bool]
-        ] = None,
         config: Optional[MonitorConfig] = None,
     ):
         cfg = resolve_monitor_config(
@@ -259,7 +275,6 @@ class RFDumpMonitor(Monitor):
         self.demodulate = cfg.demodulate
         self.noise_floor = cfg.noise_floor
         self.workers = int(cfg.workers)
-        self._range_filter = range_filter
         self.peak_detector = PeakDetector(peak_config, obs=self.obs)
         self.dispatcher = Dispatcher(
             self.peak_detector.config.chunk_samples, obs=self.obs
@@ -272,8 +287,9 @@ class RFDumpMonitor(Monitor):
         self._decoders = {}
         if cfg.demodulate:
             for protocol in self.protocols:
-                self._decoders[protocol] = self._make_decoder(
-                    protocol, cfg.decode_payload
+                self._decoders[protocol] = make_decoder(
+                    protocol, self.sample_rate, self.center_freq,
+                    cfg.decode_payload,
                 )
         self._deadline: Optional[DeadlineScheduler] = None
         if cfg.deadline_ms is not None:
@@ -290,40 +306,35 @@ class RFDumpMonitor(Monitor):
                 obs=self.obs,
             )
 
-    def _make_decoder(self, protocol: str, decode_payload: bool):
-        if protocol == "wifi":
-            return WifiStreamDecoder(self.sample_rate, decode_payload=decode_payload)
-        if protocol == "bluetooth":
-            return BluetoothStreamDecoder(self.sample_rate, self.center_freq)
-        if protocol == "zigbee":
-            return ZigbeeStreamDecoder(self.sample_rate)
-        if protocol == "ofdm":
-            from repro.analysis.decoders import OfdmStreamDecoder
+    # -- stages (Figure 2, in order) ------------------------------------------
+    #
+    # Peak detection opens a WindowState and each later stage advances
+    # it in place.  process() below runs them back to back;
+    # repro.flowgraph.rfdump_graph wires the same methods up as blocks.
 
-            return OfdmStreamDecoder(self.sample_rate)
-        if protocol == "microwave":
-            return None  # nothing to demodulate; classification is the output
-        raise ValueError(f"no analyzer for protocol {protocol!r}")
+    def detect_peaks(self, buffer: SampleBuffer) -> WindowState:
+        """Open a window with protocol-agnostic peak detection.
 
-    # -- pipeline -------------------------------------------------------------
-
-    def detect(self, buffer: SampleBuffer, clock: Optional[StageClock] = None,
-               errors: Optional[List[ErrorRecord]] = None) -> Tuple[
-        PeakDetectionResult, List[Classification]
-    ]:
-        """Run the detection stage only.
-
-        ``errors`` collects the faults the skip/degrade policies handled
-        (a crashing detector is quarantined for the window rather than
-        killing it); omit it to discard the records.
+        Applies the non-finite policy: when the gate zeroed NaN/Inf
+        samples, the window carries the sanitized copy of ``buffer`` — a
+        short hole does not split a peak, so the bad sample can sit
+        inside one, and every later stage, detectors and demodulators
+        alike, must read the zero the gate saw.
         """
-        clock = clock if clock is not None else StageClock(obs=self.obs)
         obs = self.obs or NULL
+        obs.counter(
+            "rfdump_samples_total", help="samples entering the monitor"
+        ).inc(len(buffer))
+        started = time.perf_counter()
+        budget = (self._deadline.start_window()
+                  if self._deadline is not None else None)
+        clock = StageClock(obs=self.obs)
         with obs.span("peak_detection", start_sample=buffer.start_sample,
                       end_sample=buffer.end_sample):
             with clock.stage("peak_detection"):
                 detection = self.peak_detector.detect(buffer, self.noise_floor)
                 clock.touch("peak_detection", len(buffer))
+        w = WindowState(buffer, detection, clock, started, budget)
         if detection.nonfinite_samples:
             message = (
                 f"{detection.nonfinite_samples} non-finite samples in "
@@ -333,73 +344,177 @@ class RFDumpMonitor(Monitor):
             if self.on_error == "raise":
                 raise SampleIntegrityError(
                     message, bad_samples=detection.nonfinite_samples)
-            if errors is not None:
-                errors.append(ErrorRecord(
-                    stage="detector", component="PeakDetector",
-                    error="SampleIntegrityError", message=message,
-                    action="sanitized", start_sample=buffer.start_sample,
-                    end_sample=buffer.end_sample,
-                ))
-            # a short hole does not split a peak, so the bad sample can
-            # sit inside one: the detectors read the zero the gate saw
-            buffer = buffer.finite()
-        classifications: List[Classification] = []
-        for detector in self.detectors:
-            if self._breaker.is_open(detector.name):
-                continue  # quarantined after repeated crashes
-            try:
-                with obs.span(detector.name, category="detector",
-                              kind=detector.kind, protocol=detector.protocol):
-                    with clock.stage(f"{detector.kind}_detection"):
-                        found = detector.classify(detection, buffer)
-            except Exception as exc:
-                if self.on_error is None:
-                    raise  # legacy: programming errors propagate unwrapped
-                if self.on_error == "raise":
-                    raise DetectorCrashError(
-                        f"detector {detector.name} failed on "
-                        f"[{buffer.start_sample}, {buffer.end_sample}): "
-                        f"{exc}", detector=detector.name,
-                    ) from exc
-                record = ErrorRecord.from_exception(
-                    stage="detector", component=detector.name, exc=exc,
-                    action="quarantined", start_sample=buffer.start_sample,
-                    end_sample=buffer.end_sample,
-                )
-                if errors is not None:
-                    errors.append(record)
+            w.errors.append(ErrorRecord(
+                stage="detector", component="PeakDetector",
+                error="SampleIntegrityError", message=message,
+                action="sanitized", start_sample=buffer.start_sample,
+                end_sample=buffer.end_sample,
+            ))
+            w.buffer = buffer.finite()
+        return w
+
+    def classify(self, detector: Detector,
+                 w: WindowState) -> List[Classification]:
+        """Run one fast detector under the circuit breaker and error policy.
+
+        A detector that crashes is skipped for the window (and, after
+        repeated crashes, quarantined for the monitor's lifetime) under
+        the skip/degrade policies instead of killing the window.
+        """
+        if self._breaker.is_open(detector.name):
+            return []  # quarantined after repeated crashes
+        obs = self.obs or NULL
+        buffer = w.buffer
+        try:
+            with obs.span(detector.name, category="detector",
+                          kind=detector.kind, protocol=detector.protocol):
+                with w.clock.stage(f"{detector.kind}_detection"):
+                    found = detector.classify(w.detection, buffer)
+        except Exception as exc:
+            if self.on_error is None:
+                raise  # legacy: programming errors propagate unwrapped
+            if self.on_error == "raise":
+                raise DetectorCrashError(
+                    f"detector {detector.name} failed on "
+                    f"[{buffer.start_sample}, {buffer.end_sample}): "
+                    f"{exc}", detector=detector.name,
+                ) from exc
+            w.errors.append(ErrorRecord.from_exception(
+                stage="detector", component=detector.name, exc=exc,
+                action="quarantined", start_sample=buffer.start_sample,
+                end_sample=buffer.end_sample,
+            ))
+            obs.counter(
+                "rfdump_detector_errors_total",
+                help="detector crashes absorbed per-window by the "
+                     "error policy",
+                detector=detector.name,
+            ).inc()
+            if self._breaker.record_failure(detector.name):
                 obs.counter(
-                    "rfdump_detector_errors_total",
-                    help="detector crashes absorbed per-window by the "
-                         "error policy",
-                    detector=detector.name,
+                    "rfdump_detector_circuit_trips_total",
+                    help="detectors quarantined for the monitor's "
+                         "lifetime after repeated crashes",
                 ).inc()
-                if self._breaker.record_failure(detector.name):
-                    obs.counter(
-                        "rfdump_detector_circuit_trips_total",
-                        help="detectors quarantined for the monitor's "
-                             "lifetime after repeated crashes",
-                    ).inc()
-                    obs.gauge(
-                        "rfdump_detector_circuit_open",
-                        help="1 while a detector is quarantined by the "
-                             "circuit breaker",
-                        detector=detector.name,
-                    ).set(1)
-                continue
-            self._breaker.record_success(detector.name)
-            classifications.extend(found)
-        for c in classifications:
+                obs.gauge(
+                    "rfdump_detector_circuit_open",
+                    help="1 while a detector is quarantined by the "
+                         "circuit breaker",
+                    detector=detector.name,
+                ).set(1)
+            return []
+        self._breaker.record_success(detector.name)
+        for c in found:
             obs.counter(
                 "rfdump_classifications_total",
                 help="peak classifications by protocol",
                 protocol=c.protocol,
             ).inc()
-        return detection, classifications
+        return found
+
+    def dispatch(self, w: WindowState) -> None:
+        """Merge the classifications into per-protocol chunk-aligned ranges."""
+        obs = self.obs or NULL
+        with obs.span("dispatch"), w.clock.stage("dispatch"):
+            w.ranges = self.dispatcher.dispatch(
+                w.classifications, w.buffer.end_sample, w.buffer.start_sample
+            )
+
+    def admit(self, w: WindowState) -> None:
+        """Deadline admission: under sustained overload (or an already
+        expired budget) the lowest-confidence ranges are shed *before*
+        any demodulator sees them.  ``w.ranges`` keeps the detection-stage
+        truth; ``w.admitted`` is what the analysis stage gets."""
+        w.admitted = w.ranges
+        if self._deadline is not None and self.demodulate:
+            w.admitted, shed_records = self._deadline.admit(w.ranges, w.budget)
+            w.errors.extend(shed_records)
+
+    def analyze(self, w: WindowState) -> None:
+        """Demodulate the admitted ranges, serially or over the worker pool."""
+        if not self.demodulate:
+            return
+        if self._parallel is not None:
+            w.packets, w.demod_seconds, w.parallel_fallbacks = (
+                self._parallel.run(w.buffer, w.admitted, w.clock,
+                                   budget=w.budget)
+            )
+            w.errors.extend(self._parallel.take_error_records())
+            return
+        obs = self.obs or NULL
+        with obs.span("analysis"):
+            for protocol, proto_ranges in w.admitted.items():
+                decoder = self._decoders.get(protocol)
+                if decoder is None:
+                    continue
+                with obs.span(f"demod[{protocol}]", category="task",
+                              protocol=protocol), \
+                        w.clock.stage("demodulation"):
+                    t0 = time.perf_counter()
+                    for rng in proto_ranges:
+                        if (self._deadline is not None
+                                and w.budget is not None
+                                and w.budget.expired):
+                            # mid-window overrun: shed the rest instead
+                            # of digging deeper
+                            w.errors.append(self._deadline.shed_record(
+                                protocol, rng,
+                                "window budget exhausted mid-analysis",
+                            ))
+                            continue
+                        sub = w.buffer.slice(rng.start_sample, rng.end_sample)
+                        w.clock.touch("demodulation", len(sub))
+                        with obs.span("range", category="range",
+                                      start_sample=rng.start_sample,
+                                      end_sample=rng.end_sample,
+                                      protocol=protocol):
+                            w.packets.extend(
+                                decoder.scan(sub, channel_hint=rng.channel))
+                    w.demod_seconds[protocol] = time.perf_counter() - t0
+        # the same deterministic order the parallel stage emits, so
+        # serial and parallel runs are list-identical
+        w.packets.sort(key=packet_sort_key)
+
+    def finish(self, w: WindowState) -> MonitorReport:
+        """Annotate the packets with SNR, close the window's latency and
+        deadline accounting, and assemble the report."""
+        obs = self.obs or NULL
+        self._annotate_snr(w.packets, w.detection)
+        for packet in w.packets:
+            obs.counter(
+                "rfdump_packets_decoded_total",
+                help="packets the analysis stage decoded",
+                protocol=packet.protocol,
+            ).inc()
+        latency = time.perf_counter() - w.started
+        obs.histogram(
+            "rfdump_window_latency_seconds",
+            help="end-to-end monitor latency per processed window "
+                 "(detection through analysis)",
+        ).observe(latency)
+        deadline_missed = False
+        if self._deadline is not None:
+            deadline_missed = self._deadline.finish_window(latency)
+        return MonitorReport(
+            total_samples=len(w.buffer),
+            duration=w.buffer.duration,
+            peaks=w.detection.history,
+            classifications=w.classifications,
+            ranges=w.ranges,
+            packets=w.packets,
+            clock=w.clock,
+            noise_floor=w.detection.noise_floor,
+            demod_seconds_by_protocol=w.demod_seconds,
+            parallel_fallbacks=w.parallel_fallbacks,
+            errors=w.errors,
+            quarantined_detectors=self._breaker.open_components,
+            latency_seconds=latency,
+            deadline_missed=deadline_missed,
+        )
 
     @staticmethod
     def _annotate_snr(packets: List[PacketRecord],
-                      detection: "PeakDetectionResult") -> None:
+                      detection: PeakDetectionResult) -> None:
         """Attach per-packet SNR/RSSI estimates from the overlapping peak.
 
         The peak detector already measured each transmission's mean power;
@@ -408,8 +523,6 @@ class RFDumpMonitor(Monitor):
         mean power in dB doubles as the radiotap-style RSSI the event
         stream carries.
         """
-        import numpy as np
-
         floor = max(detection.noise_floor, 1e-30)
         starts = detection.history.starts
         ends = detection.history.ends
@@ -424,149 +537,30 @@ class RFDumpMonitor(Monitor):
             packet.info["snr_db"] = round(10 * np.log10(power / floor), 1)
             packet.info["rssi_db"] = round(10 * np.log10(power), 1)
 
+    # -- drivers --------------------------------------------------------------
+
     def process(self, buffer: SampleBuffer) -> MonitorReport:
         """Run the full pipeline over a buffer."""
-        import time as _time
-
-        clock = StageClock(obs=self.obs)
         obs = self.obs or NULL
-        obs.counter(
-            "rfdump_samples_total", help="samples entering the monitor"
-        ).inc(len(buffer))
-        t_start = _time.perf_counter()
-        budget: Optional[WindowBudget] = (
-            self._deadline.start_window() if self._deadline is not None
-            else None
-        )
-        errors: List[ErrorRecord] = []
         with obs.span("process", start_sample=buffer.start_sample,
                       end_sample=buffer.end_sample):
-            detection, classifications = self.detect(buffer, clock, errors)
-            if detection.nonfinite_samples:
-                buffer = buffer.finite()  # and so do the demodulators
+            w = self.detect_peaks(buffer)
+            for detector in self.detectors:
+                w.classifications.extend(self.classify(detector, w))
+            self.dispatch(w)
+            self.admit(w)
+            self.analyze(w)
+        return self.finish(w)
 
-            with obs.span("dispatch"), clock.stage("dispatch"):
-                ranges = self.dispatcher.dispatch(
-                    classifications, buffer.end_sample, buffer.start_sample
-                )
-
-            demod_ranges = ranges
-            if self._range_filter is not None:
-                demod_ranges = {}
-                declined = 0
-                for protocol, proto_ranges in ranges.items():
-                    kept = [
-                        r for r in proto_ranges
-                        if self._range_filter(protocol, r, buffer)
-                    ]
-                    declined += len(proto_ranges) - len(kept)
-                    if kept:
-                        demod_ranges[protocol] = kept
-                if declined:
-                    obs.counter(
-                        "rfdump_ranges_declined_total",
-                        help="dispatched ranges the range-ownership filter "
-                             "left to another monitor",
-                    ).inc(declined)
-
-            if self._deadline is not None and self.demodulate:
-                # admission control: under sustained overload (or an
-                # already-expired budget) the lowest-confidence ranges
-                # are shed *before* any demodulator sees them
-                demod_ranges, shed_records = self._deadline.admit(
-                    demod_ranges, budget
-                )
-                errors.extend(shed_records)
-
-            packets: List[PacketRecord] = []
-            demod_by_protocol: Dict[str, float] = {}
-            parallel_fallbacks = 0
-            if self.demodulate:
-                if self._parallel is not None:
-                    packets, demod_by_protocol, parallel_fallbacks = (
-                        self._parallel.run(buffer, demod_ranges, clock,
-                                           budget=budget)
-                    )
-                    errors.extend(self._parallel.take_error_records())
-                else:
-                    with obs.span("analysis"):
-                        for protocol, proto_ranges in demod_ranges.items():
-                            decoder = self._decoders.get(protocol)
-                            if decoder is None:
-                                continue
-                            with obs.span(f"demod[{protocol}]", category="task",
-                                          protocol=protocol):
-                                with clock.stage("demodulation"):
-                                    t0 = _time.perf_counter()
-                                    for rng in proto_ranges:
-                                        if (budget is not None
-                                                and self._deadline is not None
-                                                and budget.expired):
-                                            # mid-window overrun: shed the
-                                            # rest instead of digging deeper
-                                            errors.append(
-                                                self._deadline.shed_record(
-                                                    protocol, rng,
-                                                    "window budget exhausted "
-                                                    "mid-analysis",
-                                                ))
-                                            continue
-                                        sub = buffer.slice(
-                                            rng.start_sample, rng.end_sample
-                                        )
-                                        clock.touch("demodulation", len(sub))
-                                        with obs.span(
-                                            "range", category="range",
-                                            start_sample=rng.start_sample,
-                                            end_sample=rng.end_sample,
-                                            protocol=protocol,
-                                        ):
-                                            if protocol == "bluetooth":
-                                                packets.extend(decoder.scan(
-                                                    sub, channel_hint=rng.channel
-                                                ))
-                                            else:
-                                                packets.extend(decoder.scan(sub))
-                                    demod_by_protocol[protocol] = (
-                                        demod_by_protocol.get(protocol, 0.0)
-                                        + _time.perf_counter() - t0
-                                    )
-                    # the same deterministic order the parallel stage emits,
-                    # so serial and parallel runs are list-identical
-                    packets.sort(key=packet_sort_key)
-                self._annotate_snr(packets, detection)
-                for packet in packets:
-                    obs.counter(
-                        "rfdump_packets_decoded_total",
-                        help="packets the analysis stage decoded",
-                        protocol=packet.protocol,
-                    ).inc()
-
-        latency = _time.perf_counter() - t_start
-        obs.histogram(
-            "rfdump_window_latency_seconds",
-            help="end-to-end monitor latency per processed window "
-                 "(detection through analysis)",
-        ).observe(latency)
-        deadline_missed = False
-        if self._deadline is not None:
-            deadline_missed = self._deadline.finish_window(latency)
-        return MonitorReport(
-            total_samples=len(buffer),
-            duration=buffer.duration,
-            peaks=detection.history,
-            classifications=classifications,
-            ranges=ranges,
-            packets=packets,
-            clock=clock,
-            noise_floor=detection.noise_floor,
-            demod_seconds_by_protocol=demod_by_protocol,
-            parallel_fallbacks=parallel_fallbacks,
-            errors=errors,
-            quarantined_detectors=self._breaker.open_components,
-            latency_seconds=latency,
-            deadline_missed=deadline_missed,
-        )
+    def detect(self, buffer: SampleBuffer) -> Tuple[
+        PeakDetectionResult, List[Classification]
+    ]:
+        """Run the detection stage only (faults the skip/degrade
+        policies absorb are dropped with the window state)."""
+        w = self.detect_peaks(buffer)
+        for detector in self.detectors:
+            w.classifications.extend(self.classify(detector, w))
+        return w.detection, w.classifications
 
     # -- lifecycle ------------------------------------------------------------
 

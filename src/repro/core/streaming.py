@@ -99,15 +99,10 @@ class StreamingMonitor(Monitor):
         self._early_classifications: set = set()
 
     def _stitch(self, window: SampleBuffer) -> SampleBuffer:
+        # contiguity is _check_stream's job: it ran first and either
+        # raised or dropped the tail
         if self._tail is None or len(self._tail) == 0:
             return window
-        if self._tail.end_sample != window.start_sample:
-            raise StreamGapError(
-                f"window starts at {window.start_sample}, expected "
-                f"{self._tail.end_sample} (streams must be contiguous)",
-                expected_sample=self._tail.end_sample,
-                actual_sample=window.start_sample,
-            )
         samples = np.concatenate([self._tail.samples, window.samples])
         return SampleBuffer(samples, window.timebase, self._tail.start_sample)
 

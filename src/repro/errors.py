@@ -146,16 +146,3 @@ class ServiceProtocolError(RFDumpError):
     or of the pipeline, which keep their own types.
     """
 
-
-class ShardCrashError(RFDumpError):
-    """A shard worker of the sharded monitoring service failed a window.
-
-    Raised only under ``on_error="raise"`` (or the legacy ``None``
-    policy); the skip/degrade policies count the failure against the
-    shard's circuit breaker and, once it trips, rebalance the shard's
-    sub-band onto a healthy neighbor instead.
-    """
-
-    def __init__(self, message: str, shard: Optional[str] = None):
-        super().__init__(message)
-        self.shard = shard

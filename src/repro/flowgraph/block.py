@@ -14,13 +14,14 @@ from typing import Any, Callable, Iterable, List, Optional, Tuple
 ITEM_ANY = "any"
 #: ``(start_sample, ndarray)`` chunk of IQ samples
 ITEM_CHUNK = "chunk"
-#: ``(PeakDetectionResult, SampleBuffer)`` detection-stage output
+#: a window (:class:`repro.core.pipeline.WindowState`) whose peaks are
+#: detected — the kinds below that carry a window name how far it has come
 ITEM_DETECTION = "detection"
 #: a :class:`repro.core.detectors.base.Classification`
 ITEM_CLASSIFICATION = "classification"
-#: ``(protocol, DispatchedRange, SampleBuffer)`` dispatched work unit
+#: a window whose classified ranges are dispatched
 ITEM_DISPATCH = "dispatch"
-#: a decoded :class:`repro.analysis.decoders.PacketRecord`
+#: a window whose dispatched ranges are demodulated into packets
 ITEM_PACKET = "packet"
 
 

@@ -1,60 +1,38 @@
 """The flowgraph assembly behind the uniform :class:`Monitor` contract.
 
-``make_monitor("flowgraph", ...)`` runs Figure 2 as an actual block
+``make_monitor("flowgraph", ...)`` schedules Figure 2 as an actual block
 graph — :func:`~repro.flowgraph.rfdump_graph.build_rfdump_graph` per
-window — instead of the batch :class:`~repro.core.pipeline.RFDumpMonitor`
-calls.  With ``fused=True`` (the ``rfdump --fuse`` flag) each window's
-graph is first passed through the stream-fusion compiler
-(:meth:`~repro.flowgraph.graph.FlowGraph.compile`), which collapses
-maximal linear chains of fusable blocks; fan-out stages — the detection
-DAG's peak fan-out, dispatch fan-in — stay on the interpreter, which is
-the documented fallback.  Outputs are identical either way; fusion only
-removes scheduler round-trips and intermediate buffers.
+window — over one :class:`~repro.core.pipeline.RFDumpMonitor` it holds
+for its lifetime.  The blocks call that monitor's stage methods, so the
+report (and the event stream) is the one ``make_monitor("rfdump", ...)``
+produces; only the scheduler differs.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from repro.core.accounting import StageClock
 from repro.core.config import MonitorConfig
 from repro.core.monitor import Monitor
+from repro.core.pipeline import MonitorReport, RFDumpMonitor
+from repro.flowgraph.rfdump_graph import build_rfdump_graph
 
 
 class FlowGraphMonitor(Monitor):
     """One-shot monitor that streams each window through the block DAG."""
 
-    def __init__(self, config: Optional[MonitorConfig] = None,
-                 fused: bool = False):
-        self.config = config if config is not None else MonitorConfig()
-        self.obs = self.config.obs
-        self.fused = bool(fused)
+    def __init__(self, config: Optional[MonitorConfig] = None):
+        self.monitor = RFDumpMonitor(config=config or MonitorConfig())
+        self.config = self.monitor.config
+        self.obs = self.monitor.obs
 
-    def process(self, buffer) -> "MonitorReport":
-        from repro.core.pipeline import MonitorReport
-        from repro.flowgraph.rfdump_graph import build_rfdump_graph
+    def process(self, buffer) -> MonitorReport:
+        graph, reports = build_rfdump_graph(buffer, self.monitor)
+        graph.run()
+        if not reports.items:
+            raise ValueError("empty buffer")  # as RFDumpMonitor.process does
+        return reports.items[0]
 
-        cfg = self.config
-        clock = StageClock(obs=self.obs)
-        with clock.stage("flowgraph"):
-            graph, packet_sink, cls_sink = build_rfdump_graph(
-                buffer,
-                protocols=cfg.protocols,
-                kinds=cfg.kinds,
-                center_freq=cfg.center_freq,
-                demodulate=cfg.demodulate,
-                noise_floor=cfg.noise_floor,
-                obs=self.obs,
-            )
-            graph.run(fused=self.fused)
-        clock.touch("flowgraph", len(buffer))
-        return MonitorReport(
-            total_samples=len(buffer),
-            duration=len(buffer) / cfg.sample_rate,
-            peaks=None,
-            classifications=list(cls_sink.items),
-            ranges={},
-            packets=list(packet_sink.items),
-            clock=clock,
-            noise_floor=cfg.noise_floor,
-        )
+    def close(self) -> None:
+        """Release the underlying monitor's worker pool, if any."""
+        self.monitor.close()

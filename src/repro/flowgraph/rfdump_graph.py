@@ -1,32 +1,29 @@
 """RFDump assembled as a flowgraph — Figure 2 as an executable DAG.
 
 The paper's prototype is literally a GNU Radio flowgraph; this module
-composes the same pipeline from :mod:`repro.flowgraph` blocks:
+wires the stages of a :class:`~repro.core.pipeline.RFDumpMonitor` up as
+:mod:`repro.flowgraph` blocks:
 
     chunk source -> peak detector -> { protocol detectors } -> dispatcher
-                 -> { protocol analyzers } -> packet sink
+                 -> admission -> analysis -> report -> sink
 
-:class:`~repro.core.pipeline.RFDumpMonitor` remains the convenient batch
-API; this assembly demonstrates (and tests) that the architecture
-decomposes into independently schedulable blocks communicating through
-chunk/metadata items, as in the original implementation.
+Every block is one call to the monitor's stage method of the same name,
+so the graph owns the *scheduling* of Figure 2 — which stage runs when,
+the detector fan-out, the dispatcher fan-in — and none of its
+behaviour: the detectors, dispatcher, decoders, error policy and
+deadline layer are the monitor's own, and the report that reaches the
+sink is the one :meth:`RFDumpMonitor.process` would return.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List
 
 import numpy as np
 
-from repro.constants import (
-    DEFAULT_CENTER_FREQ,
-    DEFAULT_CHUNK_SAMPLES,
-    DEFAULT_ENERGY_WINDOW,
-)
+from repro.constants import DEFAULT_CHUNK_SAMPLES, DEFAULT_ENERGY_WINDOW
 from repro.core.detectors.base import Classification, Detector
-from repro.core.dispatcher import Dispatcher
-from repro.core.peak_detector import PeakDetector, PeakDetectorConfig
-from repro.core.pipeline import default_detectors
+from repro.core.pipeline import RFDumpMonitor, WindowState
 from repro.dsp.samples import SampleBuffer
 from repro.flowgraph.block import (
     ITEM_CHUNK,
@@ -35,6 +32,7 @@ from repro.flowgraph.block import (
     ITEM_DISPATCH,
     ITEM_PACKET,
     Block,
+    FunctionBlock,
     IOSignature,
 )
 from repro.flowgraph.blocks import (
@@ -52,24 +50,22 @@ from repro.util.timebase import Timebase
 
 
 class PeakDetectionBlock(Block):
-    """Protocol-agnostic stage: chunks in, (detection, buffer) out.
+    """Protocol-agnostic stage: chunks in, the opened window out.
 
     Consumes the whole chunk stream (the detection stage tolerates
-    latency — Section 2.2) and emits one detection result at flush time.
+    latency — Section 2.2) and, at flush time, runs the monitor's peak
+    detection over the reassembled buffer.
     """
 
     in_sig = IOSignature(ITEM_CHUNK, dtype=np.complex64)
     out_sig = IOSignature(ITEM_DETECTION)
 
-    def __init__(self, sample_rate: float,
-                 config: Optional[PeakDetectorConfig] = None,
-                 noise_floor: Optional[float] = None,
+    def __init__(self, monitor: RFDumpMonitor, timebase: Timebase,
                  name: str = "peak-detector"):
         super().__init__(name)
-        self._detector = PeakDetector(config)
-        self._sample_rate = sample_rate
-        self._noise_floor = noise_floor
-        self._chunks = []
+        self._monitor = monitor
+        self._timebase = timebase
+        self._chunks: List[np.ndarray] = []
         self._start = None
 
     def start(self) -> None:
@@ -86,85 +82,71 @@ class PeakDetectionBlock(Block):
     def finish(self) -> Iterable:
         if not self._chunks:
             return ()
-        samples = np.concatenate(self._chunks)
-        buffer = SampleBuffer(samples, Timebase(self._sample_rate), self._start)
-        detection = self._detector.detect(buffer, self._noise_floor)
-        if detection.nonfinite_samples:
-            buffer = buffer.finite()  # downstream reads what the gate saw
-        return [(detection, buffer)]
+        buffer = SampleBuffer(
+            np.concatenate(self._chunks), self._timebase, self._start)
+        return [self._monitor.detect_peaks(buffer)]
 
 
 class DetectorBlock(Block):
-    """Protocol-specific stage: wraps one fast detector."""
+    """Protocol-specific stage: one of the monitor's fast detectors."""
 
     in_sig = IOSignature(ITEM_DETECTION)
     out_sig = IOSignature(ITEM_CLASSIFICATION)
 
-    def __init__(self, detector: Detector):
+    def __init__(self, monitor: RFDumpMonitor, detector: Detector):
         super().__init__(detector.name)
-        self._detector = detector
+        self._monitor = monitor
+        self.detector = detector
 
-    def work(self, item) -> List[Classification]:
-        detection, buffer = item
-        return list(self._detector.classify(detection, buffer))
+    def work(self, window: WindowState) -> List[Classification]:
+        return self._monitor.classify(self.detector, window)
 
 
 class DispatcherBlock(Block):
-    """Collects classifications; emits per-protocol dispatched ranges."""
+    """Fan-in: gathers the detectors' classifications onto the window,
+    then dispatches it."""
 
     in_sig = IOSignature(ITEM_DETECTION, ITEM_CLASSIFICATION)
     out_sig = IOSignature(ITEM_DISPATCH)
 
-    def __init__(self, chunk_samples: int, name: str = "dispatcher"):
+    def __init__(self, monitor: RFDumpMonitor, name: str = "dispatcher"):
         super().__init__(name)
-        self._dispatcher = Dispatcher(chunk_samples)
+        self._monitor = monitor
+        self._window = None
         self._classifications: List[Classification] = []
-        self._bounds = None
 
     def start(self) -> None:
+        self._window = None
         self._classifications = []
-        self._bounds = None
 
     def work(self, item) -> Iterable:
         if isinstance(item, Classification):
             self._classifications.append(item)
-        else:  # the (detection, buffer) passthrough defines the bounds
-            detection, buffer = item
-            self._bounds = (buffer.start_sample, buffer.end_sample)
-            self._buffer = buffer
+        else:
+            self._window = item
         return ()
 
     def finish(self) -> Iterable:
-        if self._bounds is None:
+        window = self._window
+        if window is None:
             return ()
-        start, end = self._bounds
-        ranges = self._dispatcher.dispatch(self._classifications, end, start)
-        out = []
-        for protocol, proto_ranges in ranges.items():
-            for rng in proto_ranges:
-                out.append((protocol, rng, self._buffer))
-        return out
+        window.classifications = self._classifications
+        self._monitor.dispatch(window)
+        return [window]
 
 
-class AnalyzerBlock(Block):
-    """Analysis stage: demodulates ranges dispatched to its protocol."""
+class StageBlock(Block):
+    """A stage that advances the window in place and passes it on."""
 
-    in_sig = IOSignature(ITEM_DISPATCH)
-    out_sig = IOSignature(ITEM_PACKET)
+    def __init__(self, name: str, stage, in_kind: str, out_kind: str):
+        super().__init__(name)
+        self._stage = stage
+        self.in_sig = IOSignature(in_kind)
+        self.out_sig = IOSignature(out_kind)
 
-    def __init__(self, protocol: str, decoder):
-        super().__init__(f"{protocol}-analyzer")
-        self.protocol = protocol
-        self._decoder = decoder
-
-    def work(self, item) -> Iterable:
-        protocol, rng, buffer = item
-        if protocol != self.protocol:
-            return ()
-        sub = buffer.slice(rng.start_sample, rng.end_sample)
-        if self.protocol == "bluetooth":
-            return self._decoder.scan(sub, channel_hint=rng.channel)
-        return self._decoder.scan(sub)
+    def work(self, window: WindowState) -> List[WindowState]:
+        self._stage(window)
+        return [window]
 
 
 def build_frontend_graph(
@@ -211,63 +193,34 @@ def build_frontend_graph(
     return graph, sink
 
 
-def build_rfdump_graph(
-    buffer: SampleBuffer,
-    protocols: Sequence[str] = ("wifi", "bluetooth"),
-    kinds: Sequence[str] = ("timing", "phase"),
-    center_freq: float = DEFAULT_CENTER_FREQ,
-    detectors: Optional[Iterable[Detector]] = None,
-    demodulate: bool = True,
-    noise_floor: Optional[float] = None,
-    config: Optional[PeakDetectorConfig] = None,
-    obs=None,
-):
-    """Wire up Figure 2 for a buffer; returns (graph, packet_sink, cls_sink).
+def build_rfdump_graph(buffer: SampleBuffer, monitor: RFDumpMonitor):
+    """Wire ``monitor``'s stages up for a buffer; returns ``(graph, reports)``.
 
-    Run with ``graph.run()``; decoded packets land in ``packet_sink.items``
-    and raw classifications in ``cls_sink.items``.  ``obs`` attaches an
-    observability sink: per-block item/sample counters, and the fusion
-    pass's chain counters when the graph is compiled.
+    Run with ``graph.run()``; the window's
+    :class:`~repro.core.pipeline.MonitorReport` — the one
+    ``monitor.process(buffer)`` would return — lands in
+    ``reports.items`` (an empty buffer streams no chunk and yields no
+    report).  The monitor's ``obs`` sink also counts per-block items.
     """
-    from repro.analysis.decoders import (
-        BluetoothStreamDecoder,
-        OfdmStreamDecoder,
-        WifiStreamDecoder,
-        ZigbeeStreamDecoder,
+    graph = FlowGraph(obs=monitor.obs)
+    peaks = PeakDetectionBlock(monitor, buffer.timebase)
+    dispatcher = DispatcherBlock(monitor)
+    reports = CollectSink("reports")
+
+    graph.chain(
+        BufferChunkSource(buffer, monitor.peak_detector.config.chunk_samples),
+        peaks,
     )
-
-    config = config or PeakDetectorConfig()
-    graph = FlowGraph(obs=obs)
-    source = BufferChunkSource(buffer, config.chunk_samples)
-    peaks = PeakDetectionBlock(buffer.sample_rate, config, noise_floor)
-    dispatcher = DispatcherBlock(config.chunk_samples)
-    packet_sink = CollectSink("packets")
-    cls_sink = CollectSink("classifications")
-
-    graph.chain(source, peaks)
-    graph.connect(peaks, dispatcher)  # bounds passthrough
-    if detectors is None:
-        detectors = default_detectors(tuple(protocols), tuple(kinds), center_freq)
-    for detector in detectors:
-        block = DetectorBlock(detector)
+    graph.connect(peaks, dispatcher)  # the window itself
+    for detector in monitor.detectors:
+        block = DetectorBlock(monitor, detector)
         graph.connect(peaks, block)
         graph.connect(block, dispatcher)
-        graph.connect(block, cls_sink)
-
-    decoder_for = {
-        "wifi": lambda: WifiStreamDecoder(buffer.sample_rate),
-        "bluetooth": lambda: BluetoothStreamDecoder(buffer.sample_rate, center_freq),
-        "zigbee": lambda: ZigbeeStreamDecoder(buffer.sample_rate),
-        "ofdm": lambda: OfdmStreamDecoder(buffer.sample_rate),
-    }
-    if demodulate:
-        for protocol in protocols:
-            factory = decoder_for.get(protocol)
-            if factory is None:
-                continue
-            analyzer = AnalyzerBlock(protocol, factory())
-            graph.connect(dispatcher, analyzer)
-            graph.connect(analyzer, packet_sink)
-    else:
-        graph.connect(dispatcher, packet_sink)
-    return graph, packet_sink, cls_sink
+    graph.chain(
+        dispatcher,
+        StageBlock("admission", monitor.admit, ITEM_DISPATCH, ITEM_DISPATCH),
+        StageBlock("analysis", monitor.analyze, ITEM_DISPATCH, ITEM_PACKET),
+        FunctionBlock(monitor.finish, "report"),
+        reports,
+    )
+    return graph, reports

@@ -7,9 +7,9 @@ With no sanitizer installed these return plain ``threading`` primitives
 — the only overhead is one module-global check at lock *creation* time,
 never per acquisition.  ``pytest --sanitize`` (see ``tests/conftest.py``)
 installs a :class:`~repro.sanitize.locks.LockOrderSanitizer` here, so
-every lock the hub, daemon, shard broker, parallel stage and
-observability registry create during the test session is a sanitized
-wrapper feeding the observed lock-order graph.
+every lock the hub, daemon, parallel stage and observability registry
+create during the test session is a sanitized wrapper feeding the
+observed lock-order graph.
 
 The domain strings double as the vocabulary of the static analyzer:
 ``rflint --project`` derives the same names from these calls, so a

@@ -1,10 +1,10 @@
 """``RFDumpDaemon`` — the long-running monitoring service.
 
-One daemon owns one monitor (any :func:`repro.core.make_monitor` kind,
-including ``"sharded"``) and one event stream.  An *ingest* client
-streams IQ windows over the socket protocol; a pump thread feeds them
-through ``Monitor.events()`` and publishes each
-:class:`~repro.core.PacketEvent` to the :class:`~repro.service.hub.EventHub`,
+One daemon owns one monitor (any :func:`repro.core.make_monitor` kind)
+and one event stream.  An *ingest* client streams IQ windows over the
+socket protocol; a pump thread feeds them through ``Monitor.events()``
+and publishes each :class:`~repro.core.PacketEvent` to the
+:class:`~repro.service.hub.EventHub`,
 which fans out to any number of *subscriber* clients.  A ``/metrics``
 HTTP endpoint exposes the run's metrics as the same Prometheus text
 page ``rfdump --metrics-out`` writes.
@@ -41,7 +41,7 @@ from typing import List, Optional, Tuple
 
 from repro.core.config import MonitorConfig
 from repro.core.errorpolicy import ErrorRecord
-from repro.core.monitor import make_monitor
+from repro.core.monitor import MONITOR_NAMES, make_monitor
 from repro.errors import RFDumpError, ServiceProtocolError
 from repro.obs import Observability, render_prometheus
 from repro.obs.metrics import Histogram
@@ -81,8 +81,7 @@ class RFDumpDaemon:
         ``/metrics`` always has something to export.
     kind:
         ``make_monitor`` kind to run behind the socket (``"streaming"``
-        and ``"sharded"`` carry state across windows; one-shot kinds
-        work too).
+        carries state across windows; one-shot kinds work too).
     host / port:
         Listen address; port 0 picks a free port (see :attr:`address`).
     metrics_port:
@@ -96,6 +95,11 @@ class RFDumpDaemon:
                  port: int = 0, metrics_port: Optional[int] = None,
                  queue_depth: int = DEFAULT_QUEUE_DEPTH,
                  ingest_depth: int = DEFAULT_INGEST_DEPTH):
+        if kind not in MONITOR_NAMES:
+            # here, not in the pump thread, where nobody would see it
+            raise ValueError(
+                f"unknown monitor {kind!r}; known: {', '.join(MONITOR_NAMES)}"
+            )
         if config is None:
             config = MonitorConfig()
         if config.obs is None:

@@ -76,20 +76,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--monitor", choices=("rfdump", "naive", "energy", "flowgraph"),
         default="rfdump",
         help="monitoring architecture (baselines for cost comparison; "
-             "'flowgraph' runs the Figure 2 block DAG per window)",
-    )
-    parser.add_argument(
-        "--fuse", action="store_true",
-        help="compile the flowgraph with the stream-fusion pass before "
-             "running: maximal linear chains of fusable blocks collapse "
-             "into single fused kernels over reused scratch (flowgraph "
-             "monitor only; output is identical to unfused execution)",
-    )
-    parser.add_argument(
-        "--shards", type=int, default=1,
-        help="split the band across N shard workers (each a full "
-             "streaming monitor owning a sub-band group, merged into "
-             "one band-wide report; output is identical to --shards 1)",
+             "'flowgraph' schedules the same pipeline stages as a block "
+             "DAG per window)",
     )
     parser.add_argument(
         "--deadline-ms", type=float, default=None,
@@ -145,19 +133,8 @@ def run(args) -> int:
     if args.workers < 1:
         print("rfdump: --workers must be >= 1", file=sys.stderr)
         return 2
-    if args.shards < 1:
-        print("rfdump: --shards must be >= 1", file=sys.stderr)
-        return 2
     if args.deadline_ms is not None and args.deadline_ms <= 0:
         print("rfdump: --deadline-ms must be positive", file=sys.stderr)
-        return 2
-    if args.shards > 1 and args.monitor != "rfdump":
-        print("rfdump: --shards applies to the rfdump monitor only",
-              file=sys.stderr)
-        return 2
-    if args.fuse and args.monitor != "flowgraph":
-        print("rfdump: --fuse applies to the flowgraph monitor only",
-              file=sys.stderr)
         return 2
     obs = Observability() if (args.metrics_out or args.trace_out) else None
     config = MonitorConfig(
@@ -170,25 +147,18 @@ def run(args) -> int:
         backend=args.parallel_backend,
         on_error=args.on_error,
         deadline_ms=args.deadline_ms,
-        shards=args.shards,
         obs=obs,
     )
     window = max(int(args.window_ms * 1e-3 * meta.sample_rate), 1)
     reader = TraceReader(args.trace, window_samples=window)
 
-    if args.monitor == "rfdump" and args.shards > 1:
-        kind = "sharded"
-    elif args.monitor == "rfdump":
-        kind = "streaming"
-    else:
-        kind = args.monitor
-    extra = {"fused": True} if args.fuse else {}
+    kind = "streaming" if args.monitor == "rfdump" else args.monitor
 
     if args.format == "jsonl":
         # the event-stream path: same monitor, same windows, same wire
         # form as an rfdumpd subscriber — equivalence is line equality
         capture = [] if (args.pcap_out or args.sigmf_out) else None
-        with make_monitor(kind, config, **extra) as monitor:
+        with make_monitor(kind, config) as monitor:
             for event in monitor.events(reader):
                 print(event.to_json())
                 if capture is not None:
@@ -204,24 +174,7 @@ def run(args) -> int:
     peaks = 0
     duration = meta.nsamples / meta.sample_rate
     degradation = None
-    if args.monitor == "rfdump" and args.shards > 1:
-        with make_monitor("sharded", config) as broker:
-            for buf in reader:
-                report = broker.process(buf)
-                peaks += len(report.peaks) if report.peaks is not None else 0
-            broker.flush()
-        packets = broker.packets
-        classifications = broker.classifications
-        clock = broker.clock
-        if broker.all_errors or broker.quarantined_detectors:
-            degradation = (
-                f"degradation: {len(broker.all_errors)} handled fault(s), "
-                f"{len(broker.dead_shards)} shard(s) retired, "
-                f"{broker.rebalances} rebalance(s), "
-                f"{len(broker.quarantined_detectors)} detector(s) "
-                f"quarantined"
-            )
-    elif args.monitor == "rfdump":
+    if args.monitor == "rfdump":
         with make_monitor("streaming", config) as streaming:
             for buf in reader:
                 report = streaming.process(buf)
@@ -246,7 +199,7 @@ def run(args) -> int:
         packets = []
         classifications = []
         clock = None
-        with make_monitor(args.monitor, config, **extra) as monitor:
+        with make_monitor(args.monitor, config) as monitor:
             for buf in reader:
                 report = monitor.process(buf)
                 packets.extend(report.packets)

@@ -34,6 +34,7 @@ from typing import Tuple
 
 from repro.constants import DEFAULT_CENTER_FREQ, DEFAULT_SAMPLE_RATE
 from repro.core.config import MonitorConfig
+from repro.core.monitor import MONITOR_NAMES
 from repro.errors import RFDumpError, TraceFormatError
 from repro.service.client import (
     DEFAULT_WINDOW_MS,
@@ -71,11 +72,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="also serve GET /metrics and /healthz here "
                             "(0 = pick a free port)")
     serve.add_argument("--monitor", default="streaming",
-                       help="make_monitor kind to run (streaming, sharded, "
-                            "rfdump, naive, energy)")
-    serve.add_argument("--shards", type=int, default=1,
-                       help="shortcut: >1 selects the sharded monitor with "
-                            "this many shard workers")
+                       choices=MONITOR_NAMES,
+                       help="make_monitor kind to run ('rfdump' runs as "
+                            "'streaming': a daemon stream is stateful "
+                            "across windows)")
     serve.add_argument("--protocols", default="wifi,bluetooth",
                        help="comma-separated protocol families")
     serve.add_argument("--detectors", default="timing,phase",
@@ -121,14 +121,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_serve(args) -> int:
-    if args.shards > 1 and args.monitor not in ("streaming", "rfdump",
-                                                "sharded"):
-        print("rfdumpd: --shards applies to the rfdump pipeline only",
-              file=sys.stderr)
-        return 2
-    kind = "sharded" if args.shards > 1 else args.monitor
-    if kind == "rfdump":
-        kind = "streaming"  # a daemon stream is stateful across windows
+    # a daemon stream is stateful across windows
+    kind = "streaming" if args.monitor == "rfdump" else args.monitor
     config = MonitorConfig(
         sample_rate=args.sample_rate,
         center_freq=args.center_freq,
@@ -139,7 +133,6 @@ def _run_serve(args) -> int:
         workers=args.workers,
         on_error=args.on_error,
         deadline_ms=args.deadline_ms,
-        shards=args.shards,
     )
     daemon = RFDumpDaemon(
         config, kind=kind, host=args.host, port=args.port,

@@ -3,9 +3,9 @@ at session scope and treated as read-only by tests.
 
 ``pytest --sanitize`` additionally installs the runtime lock-order
 sanitizer (:mod:`repro.sanitize`) for the whole session: every lock the
-hub, daemon, shard broker, parallel stage and observability layer
-create through :mod:`repro.sanitize.hooks` becomes a recording wrapper
-feeding one cumulative acquisition-order graph.  An autouse fixture
+hub, daemon, parallel stage and observability layer create through
+:mod:`repro.sanitize.hooks` becomes a recording wrapper feeding one
+cumulative acquisition-order graph.  An autouse fixture
 fails the test that produced any new violation (order cycle, unbounded
 held-lock wait, re-acquisition), and the terminal summary prints the
 observed edges so CI logs document the discipline the suite actually

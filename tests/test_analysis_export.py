@@ -4,12 +4,9 @@ import csv
 import io
 import json
 
-import pytest
-
 from repro.analysis.export import (
     _packet_rows,
     accuracy_to_json,
-    packet_dicts,
     packets_to_csv,
     report_to_json,
 )
@@ -28,18 +25,6 @@ class TestPacketExport:
         assert all(isinstance(r["snr_db"], float) for r in rows)
         # the fixture renders at 20 dB
         assert all(15 < r["snr_db"] < 25 for r in rows)
-
-    def test_packet_dicts_deprecated_but_working(self, wifi_report, wifi_trace):
-        import repro.analysis.export as export_mod
-        export_mod._warned_packet_dicts = False
-        with pytest.warns(DeprecationWarning, match="PacketEvent"):
-            rows = packet_dicts(wifi_report.packets, wifi_trace.sample_rate)
-        assert rows == _packet_rows(wifi_report.packets, wifi_trace.sample_rate)
-        # the shim warns exactly once per process, not per call
-        import warnings as _warnings
-        with _warnings.catch_warnings():
-            _warnings.simplefilter("error")
-            packet_dicts(wifi_report.packets, wifi_trace.sample_rate)
 
     def test_csv_round_trips(self, wifi_report, wifi_trace):
         text = packets_to_csv(wifi_report.packets, wifi_trace.sample_rate)

@@ -14,6 +14,7 @@ from repro.core.events import (
     events_from_records,
     read_events,
 )
+from repro.emulator.presets import build_preset
 from repro.faults.harness import split_windows
 
 
@@ -144,14 +145,27 @@ class TestMonitorEvents:
         assert len(events) >= 2
         assert emitted_mid_stream
 
-    def test_sharded_equals_streaming(self, wifi_trace):
-        windows = _windows(wifi_trace)
-        with make_monitor("streaming", _config(wifi_trace)) as streaming:
-            expected = [e.to_json() for e in streaming.events(windows)]
-        with make_monitor("sharded", _config(wifi_trace, shards=2)) as broker:
-            actual = [e.to_json() for e in broker.events(windows)]
-        assert actual == expected
-        assert expected
+    @pytest.mark.parametrize("preset", ["mix", "broadcast", "bluetooth"])
+    def test_every_driver_emits_the_same_bytes(self, preset):
+        """rfdump, streaming and flowgraph are one pipeline behind three
+        drivers: the same IQ yields the same canonical event lines."""
+        trace = build_preset(preset, 0.2, seed=3).render()
+        config = MonitorConfig(sample_rate=trace.sample_rate,
+                               center_freq=trace.center_freq)
+        lines = {}
+        for kind in ("rfdump", "streaming", "flowgraph"):
+            with make_monitor(kind, config) as monitor:
+                lines[kind] = [
+                    e.to_json() for e in monitor.events([trace.buffer])]
+        assert lines["rfdump"]
+        assert lines["streaming"] == lines["rfdump"]
+        assert lines["flowgraph"] == lines["rfdump"]
+
+    def test_removed_names_fail_loudly(self):
+        with pytest.raises(ValueError, match="unknown monitor"):
+            make_monitor("sharded")
+        with pytest.raises(TypeError):
+            MonitorConfig(shards=2)
 
     def test_naive_monitor_events(self, wifi_trace):
         with make_monitor("naive", _config(wifi_trace)) as monitor:

@@ -176,18 +176,22 @@ class TestNonFiniteSample:
 
     BAD = 1000
 
-    def _run(self, trace, baseline, value=None, at=BAD, **config):
+    def _run(self, trace, baseline, value=None, at=BAD, kind="rfdump",
+             **config):
         samples = trace.buffer.samples.copy()
         if value is not None:
             samples[at] = value
-        monitor = RFDumpMonitor(
-            config=MonitorConfig(protocols=("wifi",), **config))
+        driver = make_monitor(
+            kind, MonitorConfig(protocols=("wifi",), **config))
+        # the flowgraph driver schedules a pipeline monitor it holds
+        monitor = getattr(driver, "monitor", driver)
         monitor.noise_floor = baseline.noise_floor  # carried, as streaming does
         seen = []
         scan = monitor._decoders["wifi"].scan
-        monitor._decoders["wifi"].scan = lambda sub: (
-            seen.append(bool(np.isfinite(sub.samples).all())) or scan(sub))
-        report = monitor.process(SampleBuffer(samples, trace.buffer.timebase))
+        monitor._decoders["wifi"].scan = lambda sub, **kw: (
+            seen.append(bool(np.isfinite(sub.samples).all()))
+            or scan(sub, **kw))
+        report = driver.process(SampleBuffer(samples, trace.buffer.timebase))
         assert seen and all(seen)  # no demodulator is handed NaN/Inf
         return report
 
@@ -248,21 +252,22 @@ class TestNonFiniteSample:
         assert obs.registry.value("rfdump_peak_nonfinite_samples_total") == 1
 
     def test_flowgraph_monitor_reads_the_zero_too(self, wifi_trace, baseline):
+        """Same stages behind another scheduler: same packets, same one
+        record as the pipeline."""
         victim = baseline.packets[1]
-        samples = wifi_trace.buffer.samples.copy()
-        samples[(victim.start_sample + victim.end_sample) // 2] = np.inf
-        config = MonitorConfig(protocols=("wifi",),
-                               noise_floor=baseline.noise_floor)
-        with make_monitor("flowgraph", config) as monitor:
-            report = monitor.process(
-                SampleBuffer(samples, wifi_trace.buffer.timebase))
-        assert [(p.start_sample, p.ok) for p in report.packets] \
-            == [(p.start_sample, p.ok) for p in baseline.packets]
+        at = (victim.start_sample + victim.end_sample) // 2
+        report, ref = (self._run(wifi_trace, baseline, np.inf, at=at, kind=kind)
+                       for kind in ("flowgraph", "rfdump"))
+        assert self._lines(report) == self._lines(ref)
+        self._assert_one_record(report)
+        assert report.errors == ref.errors
 
     def test_raise_mode_surfaces_integrity_error(self, wifi_trace, baseline):
-        with pytest.raises(SampleIntegrityError) as excinfo:
-            self._run(wifi_trace, baseline, np.nan, on_error="raise")
-        assert excinfo.value.bad_samples == 1
+        for kind in ("rfdump", "flowgraph"):
+            with pytest.raises(SampleIntegrityError) as excinfo:
+                self._run(wifi_trace, baseline, np.nan, kind=kind,
+                          on_error="raise")
+            assert excinfo.value.bad_samples == 1
 
     def test_finite_input_reports_nothing(self, wifi_trace, baseline):
         report = self._run(wifi_trace, baseline)

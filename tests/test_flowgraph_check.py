@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.pipeline import RFDumpMonitor
 from repro.dsp.samples import SampleBuffer
 from repro.errors import FlowGraphError, SchedulerError
 from repro.flowgraph import (
@@ -145,12 +146,12 @@ class TestRunValidates:
         rng = np.random.default_rng(0)
         noise = 0.01 * (rng.normal(size=4096) + 1j * rng.normal(size=4096))
         buffer = SampleBuffer(noise.astype(np.complex64), Timebase(8e6))
-        graph, _, _ = build_rfdump_graph(buffer)
+        graph, _ = build_rfdump_graph(buffer, RFDumpMonitor())
         assert graph.check() is graph
 
     def test_rfdump_graph_without_demod_passes_check(self):
         rng = np.random.default_rng(1)
         noise = 0.01 * (rng.normal(size=4096) + 1j * rng.normal(size=4096))
         buffer = SampleBuffer(noise.astype(np.complex64), Timebase(8e6))
-        graph, _, _ = build_rfdump_graph(buffer, demodulate=False)
+        graph, _ = build_rfdump_graph(buffer, RFDumpMonitor(demodulate=False))
         assert graph.check() is graph

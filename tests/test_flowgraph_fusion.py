@@ -296,33 +296,24 @@ class TestCompileMechanics:
         assert isinstance(sink.items[0], tuple)
 
 
-class TestFlowGraphMonitor:
-    def test_fused_and_unfused_reports_agree(self):
-        from repro.core.config import MonitorConfig
-        from repro.core.monitor import make_monitor
-
-        buffer = make_buffer(40000, sample_rate=8e6)
-        reports = []
-        for fused in (False, True):
-            with make_monitor("flowgraph", MonitorConfig(sample_rate=8e6),
-                              fused=fused) as monitor:
-                reports.append(monitor.process(buffer))
-        ref, fused_report = reports
-        assert [repr(p) for p in ref.packets] == \
-            [repr(p) for p in fused_report.packets]
-        assert [repr(c) for c in ref.classifications] == \
-            [repr(c) for c in fused_report.classifications]
-        assert ref.total_samples == fused_report.total_samples
-
-    def test_cli_rejects_fuse_without_flowgraph_monitor(self, tmp_path):
+class TestFlowGraphMonitorCLI:
+    def test_cli_flowgraph_summary_counts_peaks(self, tmp_path, capsys):
+        from repro.emulator.presets import build_preset
         from repro.tools.rfdump import main
         from repro.trace.io import write_trace
 
         trace = str(tmp_path / "t.iq")
-        write_trace(trace, make_buffer(2000, sample_rate=8e6))
-        assert main([trace, "--fuse"]) == 2
-        assert main([trace, "--monitor", "flowgraph", "--fuse",
-                     "--summary"]) == 0
+        write_trace(trace, build_preset("wifi", 0.02, seed=1).render().buffer)
+        assert main([trace, "--monitor", "flowgraph", "--summary"]) == 0
+        header = capsys.readouterr().out.splitlines()[0]
+        assert header.endswith(" peaks") and not header.endswith(" 0 peaks")
+
+    def test_cli_rejects_removed_fuse_flag(self, tmp_path):
+        from repro.tools.rfdump import main
+
+        with pytest.raises(SystemExit) as exc:
+            main([str(tmp_path / "t.iq"), "--monitor", "flowgraph", "--fuse"])
+        assert exc.value.code == 2
 
 
 class TestSpeedupMeasurement:

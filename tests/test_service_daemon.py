@@ -46,6 +46,13 @@ def _direct_events(kind, config, trace_file):
 
 
 class TestDaemonLifecycle:
+    @pytest.mark.parametrize("kind", ["typo", "sharded"])
+    def test_unknown_kind_rejected_before_any_socket(self, daemon_config, kind):
+        # inside the pump thread this would die silently: stream_done
+        # with no error, subscribers handed an empty stream
+        with pytest.raises(ValueError, match="unknown monitor"):
+            RFDumpDaemon(daemon_config, kind=kind)
+
     def test_replay_then_late_subscribe(self, daemon_config, wifi_trace_file):
         with RFDumpDaemon(daemon_config) as daemon:
             done = replay_trace(
@@ -122,13 +129,12 @@ class TestDaemonLifecycle:
 
 
 class TestDaemonCLIEquivalence:
-    @pytest.mark.parametrize("kind,shards", [("streaming", 1), ("sharded", 2)])
+    @pytest.mark.parametrize("kind", ["streaming", "flowgraph"])
     def test_subscriber_stream_equals_cli_stream(
-            self, daemon_config, wifi_trace_file, kind, shards):
-        config = daemon_config.replace(shards=shards)
-        expected = _direct_events(kind, config, wifi_trace_file)
+            self, daemon_config, wifi_trace_file, kind):
+        expected = _direct_events(kind, daemon_config, wifi_trace_file)
         assert expected, "fixture trace must decode to at least one event"
-        with RFDumpDaemon(config, kind=kind) as daemon:
+        with RFDumpDaemon(daemon_config, kind=kind) as daemon:
             replay_trace(daemon.address, wifi_trace_file, window_ms=WINDOW_MS)
             actual = [
                 event.to_json()

@@ -111,13 +111,19 @@ class TestRfdumpEventFormat:
         jsonl_lines = capsys.readouterr().out.splitlines()
         assert len(jsonl_lines) == len(text_lines)
 
-    def test_jsonl_sharded_equals_streaming(self, recorded, capsys):
+    def test_jsonl_flowgraph_equals_rfdump(self, recorded, capsys):
+        # one window covers the trace, so the one-shot kind sees what
+        # the streaming wrapper sees
         assert rfdump.main([str(recorded), "--format", "jsonl"]) == 0
         streaming = capsys.readouterr().out
         assert rfdump.main([str(recorded), "--format", "jsonl",
-                            "--shards", "2"]) == 0
-        sharded = capsys.readouterr().out
-        assert sharded == streaming
+                            "--monitor", "flowgraph"]) == 0
+        assert capsys.readouterr().out == streaming != ""
+
+    def test_removed_shards_flag_rejected(self, recorded, capsys):
+        with pytest.raises(SystemExit) as exc:
+            rfdump.main([str(recorded), "--shards", "2"])
+        assert exc.value.code == 2
 
     def test_capture_sinks(self, recorded, tmp_path, capsys):
         import json
@@ -166,6 +172,15 @@ class TestRfdumpdCLI:
         code = rfdumpd.main(["replay", str(recorded),
                              "--connect", "127.0.0.1:1"])
         assert code == 2
+
+    @pytest.mark.parametrize("kind", ["typo", "sharded"])
+    def test_serve_rejects_unknown_monitor(self, kind, capsys):
+        from repro.tools import rfdumpd
+
+        with pytest.raises(SystemExit) as exc:
+            rfdumpd.main(["serve", "--monitor", kind])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""  # no announce line
 
     def test_serve_replay_subscribe_round_trip(self, recorded, capsys):
         import json
