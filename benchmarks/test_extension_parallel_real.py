@@ -1,7 +1,7 @@
 """Extension — the *measured* multi-core speedup (Section 2.2, cashed in).
 
 `test_extension_parallelism` reports what a parallel analysis stage
-*should* gain; this benchmark runs the real one (`repro.core.parallel`)
+*should* gain; this benchmark runs the real one (`repro.core.analysis_stage`)
 on the Table-3-shaped traffic mix and compares measured wall-clock
 speedup against the estimator's Amdahl ceiling.
 
@@ -58,17 +58,12 @@ def _make_monitor(trace, workers, delay=0.0):
         protocols=("wifi", "bluetooth"),
         noise_floor=trace.noise_power,
         workers=workers,
-        parallel_backend="thread" if delay else "process",
-        parallel_granularity="range",
+        backend="thread" if delay else "process",
     )
     if delay:
-        for protocol, decoder in list(monitor._decoders.items()):
-            if decoder is None:
-                continue
-            slow = _BlockingDecoder(decoder, delay)
-            monitor._decoders[protocol] = slow
-            if monitor.parallel_stage is not None:
-                monitor.parallel_stage.decoders[protocol] = slow
+        decoders = monitor.analysis_stage.decoders
+        for protocol, decoder in list(decoders.items()):
+            decoders[protocol] = _BlockingDecoder(decoder, delay)
     return monitor
 
 

@@ -63,7 +63,7 @@ def test_fig9(report_table, benchmark):
             actual = trace.ground_truth.busy_fraction()
             row = {}
             for label, kind, overrides in CONFIGS:
-                config = MonitorConfig.from_kwargs(
+                config = MonitorConfig(
                     sample_rate=trace.sample_rate,
                     center_freq=trace.center_freq,
                     **overrides,

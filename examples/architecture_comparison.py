@@ -14,6 +14,7 @@ import time
 from repro import (
     BluetoothL2PingSession,
     EnergyNaiveMonitor,
+    MonitorConfig,
     NaiveMonitor,
     RFDumpMonitor,
     Scenario,
@@ -29,12 +30,14 @@ def main():
     trace = scenario.render()
     print(f"medium utilization: {trace.ground_truth.busy_fraction() * 100:.1f}%")
 
+    config = MonitorConfig(sample_rate=trace.sample_rate,
+                           center_freq=trace.center_freq)
     architectures = [
-        ("naive", NaiveMonitor(trace.sample_rate, trace.center_freq)),
-        ("naive + energy filter", EnergyNaiveMonitor(trace.sample_rate, trace.center_freq)),
-        ("RFDump (timing)", RFDumpMonitor(trace.sample_rate, trace.center_freq, kinds=("timing",))),
-        ("RFDump (phase)", RFDumpMonitor(trace.sample_rate, trace.center_freq, kinds=("phase",))),
-        ("RFDump (timing+phase)", RFDumpMonitor(trace.sample_rate, trace.center_freq)),
+        ("naive", NaiveMonitor(config)),
+        ("naive + energy filter", EnergyNaiveMonitor(config)),
+        ("RFDump (timing)", RFDumpMonitor(config.replace(kinds=("timing",)))),
+        ("RFDump (phase)", RFDumpMonitor(config.replace(kinds=("phase",)))),
+        ("RFDump (timing+phase)", RFDumpMonitor(config)),
     ]
 
     rows = []

@@ -28,7 +28,6 @@ from repro.core import (
     NaiveMonitor,
     PacketEvent,
     PacketMeta,
-    ParallelAnalysisStage,
     PeakDetector,
     RFDumpMonitor,
     make_monitor,
@@ -67,7 +66,6 @@ __all__ = [
     "PacketEvent",
     "PacketMeta",
     "make_monitor",
-    "ParallelAnalysisStage",
     "PeakDetector",
     "SampleBuffer",
     "Scenario",

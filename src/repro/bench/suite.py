@@ -278,75 +278,6 @@ register_benchmark(Benchmark(
 ))
 
 
-# -- fused front-end chain vs the unfused interpreter ------------------------
-#
-# The stream-fusion showcase: the eight-kernel front-end conditioning
-# chain over the mix preset, executed by the fused compiler
-# (``--impl vectorized``, the default) or the block-per-block
-# interpreter (``--impl reference``).  The CI fusion job runs both on
-# the same host and gates ``--require-speedup pipeline_mix_fused:1.5``;
-# the equivalence hook asserts the two executions are byte-identical
-# before any repetition is timed.
-
-_FUSED_CHUNK = 50  # fine-grained chunks (cf. _soup_config): the per-item
-                   # scheduler overhead fusion removes dominates the kernels
-
-
-def _fused_graph(buffer):
-    from repro.flowgraph.rfdump_graph import build_frontend_graph
-
-    return build_frontend_graph(buffer, chunk_samples=_FUSED_CHUNK,
-                                gain=1.5, agc=0.8)
-
-
-def _fused_setup(ctx: BenchContext):
-    duration = 0.05 if ctx.quick else 0.25
-    buffer = preset_buffer("mix", duration, seed=3)
-    graph, sink = _fused_graph(buffer)
-    return {"buffer": buffer, "graph": graph, "sink": sink}
-
-
-def _fused_run(workload, ctx: BenchContext) -> int:
-    # reference = the unfused interpreter; anything else runs the
-    # compiled graph (compilation is cached on the graph, so repeats
-    # time steady-state execution, not the fusion pass)
-    workload["graph"].run(fused=ctx.impl != "reference")
-    return len(workload["buffer"])
-
-
-def _fused_equivalence(workload, ctx: BenchContext) -> Dict[str, object]:
-    outputs = []
-    for fused in (False, True):
-        graph, sink = _fused_graph(workload["buffer"])
-        graph.run(fused=fused)
-        outputs.append(sink.items)
-    if len(outputs[0]) != len(outputs[1]):
-        raise AssertionError(
-            "fused front-end emitted a different item count: "
-            f"{len(outputs[1])} vs {len(outputs[0])} unfused"
-        )
-    for (s_ref, d_ref), (s_fused, d_fused) in zip(*outputs):
-        if (s_ref != s_fused or d_ref.dtype != d_fused.dtype
-                or d_ref.tobytes() != d_fused.tobytes()):
-            raise AssertionError(
-                f"fused front-end diverged at start_sample={s_ref}: "
-                "outputs must be byte-identical to the interpreter"
-            )
-    return {"items": len(outputs[0]), "identical": True}
-
-
-register_benchmark(Benchmark(
-    name="pipeline_mix_fused",
-    description="eight-kernel front-end conditioning chain over the mix "
-                "preset: fused single-loop execution vs the block-per-block "
-                "interpreter (--impl reference)",
-    setup=_fused_setup,
-    run=_fused_run,
-    equivalence=_fused_equivalence,
-    tags=("pipeline", "fusion"),
-))
-
-
 # -- end-to-end window latency under a deadline ------------------------------
 #
 # The deadline layer's SLO benchmark: a full streaming run (detection,

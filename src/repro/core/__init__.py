@@ -35,7 +35,7 @@ from repro.core.naive import NaiveMonitor, EnergyNaiveMonitor
 from repro.core.accounting import StageClock
 from repro.core.streaming import StreamingMonitor
 from repro.core.scanning import ScanningMonitor
-from repro.core.parallel import ParallelAnalysisStage
+from repro.core.analysis_stage import AnalysisStage
 from repro.core.parallelism import estimate_parallel_speedup
 
 __all__ = [
@@ -68,6 +68,6 @@ __all__ = [
     "StageClock",
     "StreamingMonitor",
     "ScanningMonitor",
-    "ParallelAnalysisStage",
+    "AnalysisStage",
     "estimate_parallel_speedup",
 ]

@@ -1,14 +1,12 @@
 """The unified monitor configuration: one frozen object, every monitor.
 
-``RFDumpMonitor``, ``StreamingMonitor`` and the naive baselines each
-grew their own keyword soup; :class:`MonitorConfig` is the single seam
-they now share (and the one place observability hangs off).  Legacy
-keyword *names* still resolve (``parallel_backend`` maps to
-``backend``), but mixing a ``config=`` object with keywords that
-*disagree* with it is an error: :func:`resolve_monitor_config` raises
-:class:`~repro.errors.ConfigurationError` where earlier releases only
-warned — a daemon serving many subscribers must not start from an
-ambiguous configuration.  Pass one or the other.
+:class:`MonitorConfig` is the single seam ``RFDumpMonitor``,
+``StreamingMonitor`` and the naive baselines share (and the one place
+observability hangs off).  A monitor takes either a ``config=`` object
+or the config's fields as keywords, never both — a daemon serving many
+subscribers must not start from an ambiguous configuration.  Every
+value is validated here, at construction, so a bad one surfaces before
+any thread, socket or worker pool exists.
 """
 
 from __future__ import annotations
@@ -21,25 +19,10 @@ from repro.core.errorpolicy import validate_error_policy
 from repro.errors import ConfigurationError
 from repro.obs import Observability
 
-
-class _Unset:
-    """Sentinel distinguishing "not passed" from any real value."""
-
-    def __repr__(self) -> str:
-        return "<unset>"
-
-
-UNSET = _Unset()
-
-#: legacy keyword name -> MonitorConfig field
-LEGACY_ALIASES: Dict[str, str] = {
-    "parallel_backend": "backend",
-    "parallel_granularity": "granularity",
-    "parallel_timeout": "timeout",
-}
+#: the protocol families ``default_detectors`` and ``make_decoder`` know
+PROTOCOLS = ("wifi", "bluetooth", "zigbee", "ofdm", "microwave")
 
 _BACKENDS = ("thread", "process")
-_GRANULARITIES = ("protocol", "range")
 
 
 @dataclass(frozen=True)
@@ -59,9 +42,11 @@ class MonitorConfig:
     demodulate: bool = True
     decode_payload: bool = True
     noise_floor: Optional[float] = None
+    #: analysis-stage pool size; 1 decodes inline in the calling thread
     workers: int = 1
     backend: str = "thread"
-    granularity: str = "protocol"
+    #: pool watchdog: seconds one dispatched range may spend on a worker
+    #: before it is abandoned and shed (None: no watchdog)
     timeout: Optional[float] = None
     #: per-window latency budget in milliseconds; enables the deadline/
     #: admission layer (:mod:`repro.core.deadline`): dispatched ranges
@@ -84,43 +69,25 @@ class MonitorConfig:
         object.__setattr__(self, "kinds", tuple(self.kinds))
         if self.sample_rate <= 0:
             raise ValueError("sample_rate must be positive")
+        unknown = [p for p in self.protocols if p not in PROTOCOLS]
+        if unknown:
+            raise ValueError(
+                f"unknown protocol(s) {', '.join(map(repr, unknown))}; "
+                f"known: {', '.join(PROTOCOLS)}"
+            )
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         if self.backend not in _BACKENDS:
             raise ValueError(f"backend must be one of {_BACKENDS}")
-        if self.granularity not in _GRANULARITIES:
-            raise ValueError(f"granularity must be one of {_GRANULARITIES}")
         if self.timeout is not None and self.timeout <= 0:
             raise ValueError("timeout must be positive")
         if self.deadline_ms is not None and self.deadline_ms <= 0:
             raise ValueError("deadline_ms must be positive")
         validate_error_policy(self.on_error)
 
-    @classmethod
-    def from_kwargs(cls, **kwargs) -> "MonitorConfig":
-        """Build a config from keyword arguments, accepting the legacy
-        names (``parallel_backend`` etc.) alongside the canonical ones."""
-        mapped: Dict[str, object] = {}
-        for key, value in kwargs.items():
-            canonical = LEGACY_ALIASES.get(key, key)
-            if canonical in mapped and mapped[canonical] != value:
-                raise ValueError(
-                    f"conflicting values for {canonical!r} "
-                    f"(given via both alias and canonical name)"
-                )
-            mapped[canonical] = value
-        known = {f.name for f in fields(cls)}
-        unknown = set(mapped) - known
-        if unknown:
-            raise TypeError(f"unknown monitor config fields: {sorted(unknown)}")
-        return cls(**mapped)
-
     def to_kwargs(self) -> Dict[str, object]:
-        """The config as a keyword dict of canonical field names.
-
-        (The ``legacy=True`` variant that re-emitted the pre-unification
-        per-monitor keyword names is gone — internal callers consume
-        :class:`MonitorConfig` objects directly now.)"""
+        """The config as a keyword dict: ``MonitorConfig(**to_kwargs())``
+        rebuilds it."""
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def replace(self, **changes) -> "MonitorConfig":
@@ -128,30 +95,19 @@ class MonitorConfig:
 
 
 def resolve_monitor_config(config: Optional[MonitorConfig],
-                           **overrides) -> MonitorConfig:
-    """Merge a ``config=`` object with explicitly-passed keywords.
+                           **fields) -> MonitorConfig:
+    """The config a monitor constructor was given, one way or the other.
 
-    ``overrides`` values equal to :data:`UNSET` were not passed and are
-    ignored.  With no config, the explicit keywords build one; keywords
-    that *agree* with an explicit config are tolerated (a call site
-    spelling out what the config already says is redundant, not wrong);
-    a keyword that *disagrees* raises
-    :class:`~repro.errors.ConfigurationError`.  Earlier releases let the
-    keyword win under a DeprecationWarning — that grace period is over.
+    ``fields`` are the :class:`MonitorConfig` fields a caller spelled
+    out as keywords; with no ``config`` they build one (the dataclass
+    rejects unknown names).  Passing both is ambiguous and raises
+    :class:`~repro.errors.ConfigurationError`.
     """
-    explicit = {k: v for k, v in overrides.items() if v is not UNSET}
     if config is None:
-        return MonitorConfig.from_kwargs(**explicit)
-    if not explicit:
-        return config
-    canonical = {LEGACY_ALIASES.get(k, k): v for k, v in explicit.items()}
-    merged = config.replace(**canonical)
-    clashes = sorted(
-        k for k in canonical if getattr(merged, k) != getattr(config, k)
-    )
-    if clashes:
+        return MonitorConfig(**fields)
+    if fields:
         raise ConfigurationError(
-            f"monitor received both config= and conflicting keyword(s) "
-            f"{clashes}; pass one or the other"
+            f"monitor received both config= and field keyword(s) "
+            f"{sorted(fields)}; pass one or the other"
         )
     return config

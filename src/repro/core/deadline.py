@@ -9,7 +9,7 @@ to drop when the budget cannot cover the offered load.  Three pieces:
     window enters the pipeline.  Everything downstream measures against
     the same absolute deadline, so a stage cannot "restart the clock"
     the way the old per-future ``result(timeout)`` loop did.
-:func:`range_priority` / :func:`task_priority`
+:func:`range_priority` / :func:`order_tasks`
     The deterministic dispatch order: *deadline slack x confidence*.
     Within one window every range shares the budget, so slack
     differences reduce to estimated cost (range length) — cheap,
@@ -47,8 +47,8 @@ from repro.obs import NULL
 if TYPE_CHECKING:
     from repro.core.dispatcher import DispatchedRange
 
-#: help text for the shed-ranges counter, shared with the parallel
-#: stage's timeout-shed path so both register the series identically
+#: help text for the shed-ranges counter, shared with the analysis
+#: stage's watchdog path so both register the series identically
 SHED_HELP = ("dispatched ranges shed (dropped or abandoned) to hold "
              "the window latency budget")
 
@@ -101,15 +101,23 @@ def range_priority(protocol: str, rng: "DispatchedRange") -> Tuple:
             rng.start_sample, rng.end_sample)
 
 
-def task_priority(task) -> Tuple:
-    """:func:`range_priority` lifted to :class:`AnalysisTask` units."""
-    return (-task.confidence, task.samples, task.protocol,
-            task.start_sample, task.end_sample)
-
-
 def order_tasks(tasks: List) -> List:
-    """Analysis tasks in deadline-priority order (stable, deterministic)."""
-    return sorted(tasks, key=task_priority)
+    """Analysis tasks (one dispatched range each) in
+    :func:`range_priority` order — stable and deterministic."""
+    return sorted(tasks, key=lambda task: range_priority(task.protocol, task))
+
+
+def shed_record(obs, protocol: str, rng, reason: str) -> ErrorRecord:
+    """One shed range (or the task made from it) as a taxonomy record,
+    counted on the registry."""
+    (obs or NULL).counter(
+        "rfdump_ranges_shed_total", help=SHED_HELP, protocol=protocol,
+    ).inc()
+    return ErrorRecord(
+        stage="analysis", component=protocol, error="DeadlineError",
+        message=reason, action="shed",
+        start_sample=rng.start_sample, end_sample=rng.end_sample,
+    )
 
 
 @dataclass
@@ -180,16 +188,9 @@ class DeadlineScheduler:
 
     def shed_record(self, protocol: str, rng: "DispatchedRange",
                     reason: str) -> ErrorRecord:
-        """One shed range as a taxonomy record, counted on the registry."""
+        """One range shed by admission control, recorded and counted."""
         self.ranges_shed += 1
-        (self.obs or NULL).counter(
-            "rfdump_ranges_shed_total", help=SHED_HELP, protocol=protocol,
-        ).inc()
-        return ErrorRecord(
-            stage="analysis", component=protocol, error="DeadlineError",
-            message=reason, action="shed",
-            start_sample=rng.start_sample, end_sample=rng.end_sample,
-        )
+        return shed_record(self.obs, protocol, rng, reason)
 
     def admit(self, ranges: Dict[str, List["DispatchedRange"]],
               budget: Optional[WindowBudget] = None,

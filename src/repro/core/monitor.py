@@ -132,7 +132,7 @@ def make_monitor(name: str, config: Optional[MonitorConfig] = None,
     ``config`` carries the shared knobs (:class:`MonitorConfig`);
     remaining keyword arguments are monitor-specific extras (e.g.
     ``overlap=`` for streaming, ``threshold_db=`` for the energy
-    baseline) or legacy keywords.
+    baseline).
     """
     try:
         factory = _FACTORIES[name.lower().strip()]

@@ -9,14 +9,14 @@
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.constants import DEFAULT_CHUNK_SAMPLES, DEFAULT_ENERGY_THRESHOLD_DB
 from repro.analysis.decoders import PacketRecord, make_decoder
 from repro.core.accounting import StageClock
-from repro.core.config import UNSET, MonitorConfig, resolve_monitor_config
+from repro.core.config import MonitorConfig, resolve_monitor_config
 from repro.core.monitor import Monitor
 from repro.core.pipeline import MonitorReport
 from repro.dsp.energy import chunk_average_power
@@ -28,28 +28,13 @@ from repro.util.db import db_to_linear
 class NaiveMonitor(Monitor):
     """Figure 1: the entire input stream goes to every demodulator.
 
-    Accepts the same ``config=`` / legacy-keyword split as
+    Takes ``config=`` or the config's fields as keywords, like
     :class:`~repro.core.pipeline.RFDumpMonitor`; fields the baseline has
     no use for (kinds, workers) are simply ignored.
     """
 
-    def __init__(
-        self,
-        sample_rate: float = UNSET,
-        center_freq: float = UNSET,
-        protocols: Sequence[str] = UNSET,
-        demodulate: bool = UNSET,
-        decode_payload: bool = UNSET,
-        config: Optional[MonitorConfig] = None,
-    ):
-        cfg = resolve_monitor_config(
-            config,
-            sample_rate=sample_rate,
-            center_freq=center_freq,
-            protocols=protocols,
-            demodulate=demodulate,
-            decode_payload=decode_payload,
-        )
+    def __init__(self, config: Optional[MonitorConfig] = None, **fields):
+        cfg = resolve_monitor_config(config, **fields)
         self.config = cfg
         self.obs = cfg.obs
         self.sample_rate = cfg.sample_rate
@@ -130,25 +115,17 @@ class EnergyNaiveMonitor(NaiveMonitor):
 
     def __init__(
         self,
-        sample_rate: float = UNSET,
-        center_freq: float = UNSET,
-        protocols: Sequence[str] = UNSET,
-        demodulate: bool = UNSET,
-        decode_payload: bool = UNSET,
+        config: Optional[MonitorConfig] = None,
+        *,
         chunk_samples: int = DEFAULT_CHUNK_SAMPLES,
         threshold_db: float = DEFAULT_ENERGY_THRESHOLD_DB,
-        noise_floor: Optional[float] = UNSET,
         margin_chunks: int = 1,
-        config: Optional[MonitorConfig] = None,
+        **fields,
     ):
-        super().__init__(sample_rate, center_freq, protocols, demodulate,
-                         decode_payload, config=config)
+        super().__init__(config, **fields)
         self.chunk_samples = chunk_samples
         self.threshold_db = threshold_db
-        if noise_floor is not UNSET:
-            self.noise_floor = noise_floor
-        else:
-            self.noise_floor = self.config.noise_floor
+        self.noise_floor = self.config.noise_floor
         self.margin_chunks = margin_chunks
 
     def _regions(self, buffer: SampleBuffer, clock: StageClock) -> List[Tuple[int, int]]:

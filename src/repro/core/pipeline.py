@@ -18,7 +18,8 @@ import numpy as np
 from repro.constants import DEFAULT_CENTER_FREQ
 from repro.analysis.decoders import PacketRecord, make_decoder
 from repro.core.accounting import StageClock
-from repro.core.config import UNSET, MonitorConfig, resolve_monitor_config
+from repro.core.analysis_stage import AnalysisStage
+from repro.core.config import MonitorConfig, resolve_monitor_config
 from repro.core.deadline import DeadlineScheduler, WindowBudget
 from repro.core.monitor import Monitor
 from repro.core.detectors import (
@@ -35,7 +36,6 @@ from repro.core.detectors.base import Classification, Detector
 from repro.core.dispatcher import DispatchedRange, Dispatcher
 from repro.core.errorpolicy import CircuitBreaker, ErrorRecord
 from repro.core.metadata import PeakHistory
-from repro.core.parallel import ParallelAnalysisStage, packet_sort_key
 from repro.core.peak_detector import PeakDetectionResult, PeakDetector, PeakDetectorConfig
 from repro.dsp.samples import SampleBuffer
 from repro.errors import DetectorCrashError, SampleIntegrityError
@@ -95,8 +95,8 @@ class MonitorReport:
     #: wall time spent demodulating each protocol (feeds the parallelism
     #: estimate of Section 2.2)
     demod_seconds_by_protocol: Dict[str, float] = field(default_factory=dict)
-    #: analysis tasks the parallel stage re-ran serially after a worker
-    #: failure or timeout (always 0 on a serial run)
+    #: analysis tasks re-run inline after their pool worker failed
+    #: (always 0 with one worker)
     parallel_fallbacks: int = 0
     #: faults the error-policy layer handled while producing this report
     #: (detector crashes, worker failures, stream degradations); empty on
@@ -192,77 +192,48 @@ class WindowState:
 class RFDumpMonitor(Monitor):
     """The full RFDump pipeline over recorded traces.
 
-    Configuration comes from a :class:`~repro.core.config.MonitorConfig`
-    (``config=``) or — the legacy path — from individual keyword
-    arguments; a keyword that disagrees with an explicit config raises
-    :class:`~repro.errors.ConfigurationError`.
+    Configuration is a :class:`~repro.core.config.MonitorConfig`, given
+    either as ``config=`` or as its fields spelled out as keywords
+    (``RFDumpMonitor(protocols=("wifi",), workers=2)``) — never both.
+    The fields that shape this monitor:
 
-    Parameters
-    ----------
-    protocols:
-        Protocol families to monitor.
-    kinds:
-        Which fast-detector families to run ("timing", "phase").
+    protocols / kinds:
+        Protocol families to monitor, and which fast-detector families
+        to run ("timing", "phase").
     demodulate:
         When False, stop after dispatch — the "no demodulation"
         configurations of Figure 9.
     decode_payload:
         When False the Wi-Fi analyzer decodes PLCP headers only.
-    detectors:
-        Explicit detector instances, overriding the defaults.
-    workers:
-        With ``workers > 1`` the analysis stage runs the per-protocol
-        demodulators over a :class:`ParallelAnalysisStage` pool; output
-        is list-identical to a serial run.  Call :meth:`close` (or use
-        the monitor as a context manager) to release the pool.
-    parallel_backend / parallel_granularity / parallel_timeout:
-        Forwarded to :class:`ParallelAnalysisStage`.
+    workers / backend / timeout:
+        Forwarded to the :class:`AnalysisStage`: one worker decodes the
+        dispatched ranges inline in the calling thread, more decode
+        them over a pool; output is list-identical either way.  Call
+        :meth:`close` (or use the monitor as a context manager) to
+        release the pool.
     deadline_ms:
         Per-window latency budget; enables the deadline/admission layer
-        (:mod:`repro.core.deadline`): analysis runs against absolute
-        deadlines, overruns are counted as misses, and under sustained
-        overload the lowest-confidence ranges are shed (recorded as
-        ``ErrorRecord(action="shed")``) before demodulation.
-    config:
-        A :class:`MonitorConfig`; its ``obs`` field attaches the
-        metrics/tracing sink for the whole pipeline.
+        (:mod:`repro.core.deadline`): ranges are analysed in priority
+        order against the budget, overruns are counted as misses, and
+        under sustained overload the lowest-confidence ranges are shed
+        (recorded as ``ErrorRecord(action="shed")``) before
+        demodulation.
+    obs:
+        The metrics/tracing sink for the whole pipeline.
+
+    ``detectors`` (explicit detector instances, overriding the defaults)
+    and ``peak_config`` are this monitor's own extras.
     """
 
     def __init__(
         self,
-        sample_rate: float = UNSET,
-        center_freq: float = UNSET,
-        protocols: Sequence[str] = UNSET,
-        kinds: Sequence[str] = UNSET,
-        demodulate: bool = UNSET,
-        decode_payload: bool = UNSET,
+        config: Optional[MonitorConfig] = None,
+        *,
         detectors: Optional[Iterable[Detector]] = None,
         peak_config: Optional[PeakDetectorConfig] = None,
-        noise_floor: Optional[float] = UNSET,
-        workers: int = UNSET,
-        parallel_backend: str = UNSET,
-        parallel_granularity: str = UNSET,
-        parallel_timeout: Optional[float] = UNSET,
-        on_error: Optional[str] = UNSET,
-        deadline_ms: Optional[float] = UNSET,
-        config: Optional[MonitorConfig] = None,
+        **fields,
     ):
-        cfg = resolve_monitor_config(
-            config,
-            sample_rate=sample_rate,
-            center_freq=center_freq,
-            protocols=protocols,
-            kinds=kinds,
-            demodulate=demodulate,
-            decode_payload=decode_payload,
-            noise_floor=noise_floor,
-            workers=workers,
-            parallel_backend=parallel_backend,
-            parallel_granularity=parallel_granularity,
-            parallel_timeout=parallel_timeout,
-            on_error=on_error,
-            deadline_ms=deadline_ms,
-        )
+        cfg = resolve_monitor_config(config, **fields)
         self.config = cfg
         self.obs = cfg.obs
         self.on_error = cfg.on_error
@@ -284,23 +255,20 @@ class RFDumpMonitor(Monitor):
                 self.protocols, self.kinds, self.center_freq
             )
         self.detectors = list(detectors)
-        self._decoders = {}
-        if cfg.demodulate:
-            for protocol in self.protocols:
-                self._decoders[protocol] = make_decoder(
-                    protocol, self.sample_rate, self.center_freq,
-                    cfg.decode_payload,
-                )
         self._deadline: Optional[DeadlineScheduler] = None
         if cfg.deadline_ms is not None:
             self._deadline = DeadlineScheduler(cfg.deadline_ms, obs=self.obs)
-        self._parallel: Optional[ParallelAnalysisStage] = None
-        if cfg.demodulate and self.workers > 1:
-            self._parallel = ParallelAnalysisStage(
-                self._decoders,
+        self._analysis: Optional[AnalysisStage] = None
+        if cfg.demodulate:
+            self._analysis = AnalysisStage(
+                {
+                    protocol: make_decoder(
+                        protocol, self.sample_rate, self.center_freq,
+                        cfg.decode_payload)
+                    for protocol in self.protocols
+                },
                 workers=self.workers,
                 backend=cfg.backend,
-                granularity=cfg.granularity,
                 timeout_per_range=cfg.timeout,
                 on_error=cfg.on_error,
                 obs=self.obs,
@@ -431,49 +399,12 @@ class RFDumpMonitor(Monitor):
             w.errors.extend(shed_records)
 
     def analyze(self, w: WindowState) -> None:
-        """Demodulate the admitted ranges, serially or over the worker pool."""
-        if not self.demodulate:
+        """Demodulate the admitted ranges on the analysis stage."""
+        if self._analysis is None:
             return
-        if self._parallel is not None:
-            w.packets, w.demod_seconds, w.parallel_fallbacks = (
-                self._parallel.run(w.buffer, w.admitted, w.clock,
-                                   budget=w.budget)
-            )
-            w.errors.extend(self._parallel.take_error_records())
-            return
-        obs = self.obs or NULL
-        with obs.span("analysis"):
-            for protocol, proto_ranges in w.admitted.items():
-                decoder = self._decoders.get(protocol)
-                if decoder is None:
-                    continue
-                with obs.span(f"demod[{protocol}]", category="task",
-                              protocol=protocol), \
-                        w.clock.stage("demodulation"):
-                    t0 = time.perf_counter()
-                    for rng in proto_ranges:
-                        if (self._deadline is not None
-                                and w.budget is not None
-                                and w.budget.expired):
-                            # mid-window overrun: shed the rest instead
-                            # of digging deeper
-                            w.errors.append(self._deadline.shed_record(
-                                protocol, rng,
-                                "window budget exhausted mid-analysis",
-                            ))
-                            continue
-                        sub = w.buffer.slice(rng.start_sample, rng.end_sample)
-                        w.clock.touch("demodulation", len(sub))
-                        with obs.span("range", category="range",
-                                      start_sample=rng.start_sample,
-                                      end_sample=rng.end_sample,
-                                      protocol=protocol):
-                            w.packets.extend(
-                                decoder.scan(sub, channel_hint=rng.channel))
-                    w.demod_seconds[protocol] = time.perf_counter() - t0
-        # the same deterministic order the parallel stage emits, so
-        # serial and parallel runs are list-identical
-        w.packets.sort(key=packet_sort_key)
+        w.packets, w.demod_seconds, w.parallel_fallbacks = self._analysis.run(
+            w.buffer, w.admitted, w.clock, budget=w.budget)
+        w.errors.extend(self._analysis.take_error_records())
 
     def finish(self, w: WindowState) -> MonitorReport:
         """Annotate the packets with SNR, close the window's latency and
@@ -565,9 +496,9 @@ class RFDumpMonitor(Monitor):
     # -- lifecycle ------------------------------------------------------------
 
     @property
-    def parallel_stage(self) -> Optional[ParallelAnalysisStage]:
-        """The worker pool stage, or None when running serially."""
-        return self._parallel
+    def analysis_stage(self) -> Optional[AnalysisStage]:
+        """The stage that demodulates, or None with ``demodulate=False``."""
+        return self._analysis
 
     @property
     def deadline_scheduler(self) -> Optional[DeadlineScheduler]:
@@ -583,10 +514,10 @@ class RFDumpMonitor(Monitor):
     @property
     def ranges_shed(self) -> int:
         """Lifetime count of ranges shed to hold the latency budget
-        (admission-control sheds plus analysis-stage timeout sheds)."""
+        (admission-control sheds plus the analysis stage's own)."""
         shed = self._deadline.ranges_shed if self._deadline is not None else 0
-        if self._parallel is not None:
-            shed += self._parallel.shed_ranges
+        if self._analysis is not None:
+            shed += self._analysis.shed_ranges
         return shed
 
     @property
@@ -600,9 +531,9 @@ class RFDumpMonitor(Monitor):
         self._breaker.reset()
 
     def close(self) -> None:
-        """Shut down the analysis worker pool (no-op for serial monitors)."""
-        if self._parallel is not None:
-            self._parallel.close()
+        """Shut down the analysis worker pool (a no-op without one)."""
+        if self._analysis is not None:
+            self._analysis.close()
 
     def __enter__(self) -> "RFDumpMonitor":
         return self

@@ -32,8 +32,8 @@ def instant_power(samples: np.ndarray,
     square root) that ``np.abs(x) ** 2`` would compute; ``dtype=float64``
     on the ufunc folds the upcast into the multiply, skipping the
     ``astype`` copies.  With ``out`` (a float64 array of the input's
-    length — the fused-kernel scratch path) the result is written in
-    place; values are bitwise identical either way.
+    length — :func:`chunked_power`'s per-tile destination) the result is
+    written in place; values are bitwise identical either way.
     """
     x = np.asarray(samples)
     if np.iscomplexobj(x):
@@ -133,23 +133,16 @@ def _ramp(head: int) -> np.ndarray:
     return ramp
 
 
-def moving_average_of(power: np.ndarray, window: int,
-                      out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Causal moving average of a precomputed power array.
-
-    ``out`` (a float64 array of the input's length) reuses a
-    caller-provided destination — the fused-kernel scratch path; values
-    are bitwise identical to the allocating path.
-    """
+def moving_average_of(power: np.ndarray, window: int) -> np.ndarray:
+    """Causal moving average of a precomputed power array."""
     if window <= 0:
         raise ValueError("window must be positive")
     power = np.asarray(power)
     if power.size == 0:
-        return power.astype(np.float64) if out is None else out[:0]
+        return power.astype(np.float64)
     # np.add.accumulate is np.cumsum minus the fromnumeric wrapper
     csum = np.add.accumulate(power, dtype=np.float64)
-    if out is None:
-        out = np.empty(power.size, dtype=np.float64)
+    out = np.empty(power.size, dtype=np.float64)
     head = min(window, power.size)
     out[:head] = csum[:head] / _ramp(head)
     if power.size > window:
@@ -217,8 +210,9 @@ def chunk_average_of(power: np.ndarray, chunk_samples: int,
     """Per-chunk mean of a precomputed power array.
 
     ``out`` (a float64 array of ``ceil(len(power) / chunk_samples)``
-    entries) reuses a caller-provided destination — the fused-kernel
-    scratch path; values are bitwise identical to the allocating path.
+    entries) reuses a caller-provided destination, as
+    :func:`chunked_power` does per tile; values are bitwise identical to
+    the allocating path.
     """
     if chunk_samples <= 0:
         raise ValueError("chunk_samples must be positive")

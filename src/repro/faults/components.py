@@ -8,7 +8,7 @@ faults fire on explicit call indices (``at=``) or on every call
 (``at=None``), never on a wall clock or ambient RNG.
 
 The decoder wrappers are picklable (plain attributes, module-level
-classes) so they ride into :class:`~repro.core.parallel.ParallelAnalysisStage`
+classes) so they ride into :class:`~repro.core.analysis_stage.AnalysisStage`
 process workers unchanged.  Note that call counting is per process: in a
 process pool each worker counts its own calls.
 """

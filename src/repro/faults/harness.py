@@ -95,9 +95,7 @@ def run_faulted(windows: Sequence[SampleBuffer],
     plan = plan if plan is not None else FaultPlan()
     if monitor is None:
         if config is None:
-            config = MonitorConfig.from_kwargs(
-                on_error=on_error, **monitor_kwargs
-            )
+            config = MonitorConfig(on_error=on_error, **monitor_kwargs)
         inner = RFDumpMonitor(config=config)
         monitor = StreamingMonitor(inner, overlap=overlap)
     reports = []

@@ -21,7 +21,6 @@ from repro.flowgraph.block import (
     ITEM_PACKET,
     SIG_ANY,
     Block,
-    ChunkKernelBlock,
     FunctionBlock,
     IOSignature,
     SinkBlock,
@@ -31,17 +30,10 @@ from repro.flowgraph.graph import FlowGraph
 from repro.flowgraph.blocks import (
     BufferChunkSource,
     CallbackSink,
-    ChunkMeanBlock,
-    ClampBlock,
     CollectSink,
-    DcRemovalBlock,
     EnergyFilterBlock,
-    GainBlock,
-    MovingAverageBlock,
-    PowerBlock,
 )
-from repro.flowgraph.fusion import FusedBlock, compile_graph, find_chains
-from repro.flowgraph.rfdump_graph import build_frontend_graph, build_rfdump_graph
+from repro.flowgraph.rfdump_graph import build_rfdump_graph
 
 __all__ = [
     "ITEM_ANY",
@@ -52,7 +44,6 @@ __all__ = [
     "ITEM_PACKET",
     "SIG_ANY",
     "Block",
-    "ChunkKernelBlock",
     "FunctionBlock",
     "IOSignature",
     "SinkBlock",
@@ -60,17 +51,7 @@ __all__ = [
     "FlowGraph",
     "BufferChunkSource",
     "CallbackSink",
-    "ChunkMeanBlock",
-    "ClampBlock",
     "CollectSink",
-    "DcRemovalBlock",
     "EnergyFilterBlock",
-    "GainBlock",
-    "MovingAverageBlock",
-    "PowerBlock",
-    "FusedBlock",
-    "compile_graph",
-    "find_chains",
-    "build_frontend_graph",
     "build_rfdump_graph",
 ]

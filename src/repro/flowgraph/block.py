@@ -95,13 +95,6 @@ class Block:
     in_sig: Optional[IOSignature] = SIG_ANY
     #: what the output port produces (``None`` = no output port, i.e. a sink)
     out_sig: Optional[IOSignature] = SIG_ANY
-    #: may the fusion pass absorb this block into a
-    #: :class:`~repro.flowgraph.fusion.FusedBlock`?  Fusion is
-    #: semantics-preserving for any block whose only interaction with the
-    #: scheduler is ``start``/``work``/``finish``; a block that inspects
-    #: the graph, spawns threads, or otherwise cares about *when* the
-    #: scheduler calls it opts out by setting this to ``False``.
-    fusable: bool = True
 
     def __init__(self, name: Optional[str] = None):
         self.name = name or type(self).__name__
@@ -121,74 +114,10 @@ class Block:
         return f"<{type(self).__name__} {self.name!r}>"
 
 
-class ChunkKernelBlock(Block):
-    """A per-chunk sample transform expressed as an out-parameter kernel.
-
-    Subclasses implement :meth:`kernel`, a whole-array computation over
-    one chunk that can optionally write into a caller-provided ``out``
-    array (same values, bit for bit, either way).  The generic
-    :meth:`work` keeps the block usable in an interpreted graph; the
-    fusion pass recognizes runs of adjacent kernel blocks and executes
-    their kernels back-to-back over reused scratch buffers, with no
-    intermediate arrays materialized between stages.
-
-    Items are ``(start_sample, chunk)`` pairs; the chunk may be a
-    zero-copy view into the source buffer, so kernels must never write
-    into their input.
-    """
-
-    def kernel(self, data: Any, out: Any = None) -> Any:
-        """Compute this block's transform of one chunk.
-
-        With ``out`` (a correctly-sized array of :meth:`out_dtype`), the
-        result is written there and ``out`` returned; without, a fresh
-        array is allocated.  Both paths must produce bitwise-identical
-        values.
-        """
-        raise NotImplementedError
-
-    def out_len(self, n: int) -> int:
-        """Output length for an ``n``-sample input (decimators override)."""
-        return n
-
-    def out_dtype(self, dtype: Any) -> Any:
-        """Output dtype for a ``dtype`` input (dtype changers override)."""
-        return dtype
-
-    def specialize(self, n: int, dtype: Any, out: Any,
-                   src: Any = None) -> Optional[Callable[[Any], Any]]:
-        """Compile a shape-specialized form of :meth:`kernel`, or ``None``.
-
-        The fusion pass resolves chunk shape and dtype once per plan, so a
-        block may return a closure ``chunk -> array`` hard-wired to
-        ``n``-sample ``dtype`` inputs writing into ``out`` — temporaries
-        preallocated, slices hoisted, scalars precast — that the
-        interpreter, seeing one independent :meth:`work` call at a time,
-        cannot build.  The closure must produce values bitwise identical
-        to ``kernel(chunk, out=out)``.  Returning ``None`` (the default)
-        makes the plan fall back to the generic kernel.
-
-        ``src``, when not ``None``, is the *fixed* array every call will
-        read: for interior stages of a fused run the input is the
-        previous stage's scratch buffer, the same object on every item.
-        The closure is still invoked as ``fn(chunk)`` (and ``chunk is
-        src`` then), but a block may hoist views of ``src`` — real/imag
-        components, reshapes — out of the per-item path entirely.
-        """
-        return None
-
-    def work(self, item: Any) -> Iterable[Any]:
-        start, chunk = item
-        return [(start, self.kernel(chunk))]
-
-
 class SourceBlock(Block):
     """A stream origin: produces items instead of consuming them."""
 
     in_sig = None
-    # the scheduler pulls from sources; they head every stream and are
-    # never absorbed into a fused chain
-    fusable = False
 
     def items(self) -> Iterable[Any]:
         """Yield the finite stream this source produces."""

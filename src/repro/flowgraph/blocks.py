@@ -1,35 +1,15 @@
-"""Standard flowgraph blocks: sources, sinks, filters and chunk kernels.
-
-The chunk-kernel blocks at the bottom (gain, DC removal, power, moving
-average, chunk-mean decimation) form the standard front-end conditioning
-vocabulary.  Each implements the
-:class:`~repro.flowgraph.block.ChunkKernelBlock` out-parameter contract,
-so the fusion pass can collapse adjacent runs of them into one loop over
-reused scratch buffers — with values bitwise identical to the
-interpreted, allocate-per-stage execution.
-"""
+"""Standard flowgraph blocks: sources, sinks and the energy filter."""
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, List, Optional
+from typing import Any, Callable, Iterable, List
 
 import numpy as np
 
-from repro.constants import (
-    DEFAULT_CHUNK_SAMPLES,
-    DEFAULT_ENERGY_THRESHOLD_DB,
-    DEFAULT_ENERGY_WINDOW,
-)
-from repro.dsp.energy import (
-    _ramp,
-    chunk_average_of,
-    instant_power,
-    moving_average_of,
-)
+from repro.constants import DEFAULT_CHUNK_SAMPLES, DEFAULT_ENERGY_THRESHOLD_DB
 from repro.dsp.samples import SampleBuffer, iter_chunks
 from repro.flowgraph.block import (
     ITEM_CHUNK,
-    ChunkKernelBlock,
     IOSignature,
     SinkBlock,
     SourceBlock,
@@ -108,264 +88,3 @@ class EnergyFilterBlock(Block):
             return [item]
         self.dropped += 1
         return []
-
-
-# -- chunk kernels (fusable front-end conditioning) --------------------------
-
-
-class GainBlock(ChunkKernelBlock):
-    """Scales every sample by a constant, dtype-preserving."""
-
-    in_sig = IOSignature(ITEM_CHUNK)
-    out_sig = IOSignature(ITEM_CHUNK)
-
-    def __init__(self, gain: float, name: str = "gain"):
-        super().__init__(name)
-        self._gain = float(gain)
-
-    def kernel(self, data: np.ndarray,
-               out: Optional[np.ndarray] = None) -> np.ndarray:
-        # cast the scalar to the data dtype so fused (out=) and unfused
-        # paths multiply the exact same operands
-        g = data.dtype.type(self._gain)
-        if out is None:
-            return data * g
-        np.multiply(data, g, out=out)
-        return out
-
-    def specialize(self, n: int, dtype: Any, out: np.ndarray,
-                   src: Any = None) -> Callable[[np.ndarray], np.ndarray]:
-        g = np.dtype(dtype).type(self._gain)
-        return lambda data: np.multiply(data, g, out=out)
-
-
-class DcRemovalBlock(ChunkKernelBlock):
-    """Subtracts the per-chunk mean — a one-tap DC blocker."""
-
-    in_sig = IOSignature(ITEM_CHUNK)
-    out_sig = IOSignature(ITEM_CHUNK)
-
-    def __init__(self, name: str = "dc-removal"):
-        super().__init__(name)
-
-    def kernel(self, data: np.ndarray,
-               out: Optional[np.ndarray] = None) -> np.ndarray:
-        if data.size == 0:
-            return data if out is None else out[:0]
-        # one ufunc reduce instead of ndarray.mean's python machinery;
-        # the division stays in the data dtype, so fused == unfused
-        mean = np.add.reduce(data) / data.size
-        if out is None:
-            return data - mean
-        np.subtract(data, mean, out=out)
-        return out
-
-    def specialize(self, n: int, dtype: Any, out: np.ndarray,
-                   src: Any = None) -> Callable[[np.ndarray], np.ndarray]:
-        if n == 0:
-            empty = out[:0]
-            return lambda data: empty
-
-        def fn(data: np.ndarray) -> np.ndarray:
-            np.subtract(data, np.add.reduce(data) / n, out=out)
-            return out
-
-        return fn
-
-
-class PowerBlock(ChunkKernelBlock):
-    """Per-sample instantaneous power ``|x|^2`` as float64."""
-
-    in_sig = IOSignature(ITEM_CHUNK, dtype=np.complex64)
-    out_sig = IOSignature(ITEM_CHUNK, dtype=np.float64)
-
-    def __init__(self, name: str = "power"):
-        super().__init__(name)
-
-    def out_dtype(self, dtype: Any) -> Any:
-        return np.float64
-
-    def kernel(self, data: np.ndarray,
-               out: Optional[np.ndarray] = None) -> np.ndarray:
-        return instant_power(data, out=out)
-
-    def specialize(self, n: int, dtype: Any, out: np.ndarray,
-                   src: Any = None) -> Callable[[np.ndarray], np.ndarray]:
-        if not np.issubdtype(np.dtype(dtype), np.complexfloating):
-            return lambda data: np.multiply(data, data, dtype=np.float64,
-                                            out=out)
-        # a preallocated temp for im*im replaces the fresh allocation the
-        # generic path makes per chunk; np.add writes the same bits
-        tmp = np.empty(n, dtype=np.float64)
-        if src is not None:
-            # interior stage: the input array is fixed, so the real/imag
-            # views are plan-time constants
-            re, im = src.real, src.imag
-
-            def bound(data: np.ndarray) -> np.ndarray:
-                np.multiply(re, re, dtype=np.float64, out=out)
-                np.multiply(im, im, dtype=np.float64, out=tmp)
-                np.add(out, tmp, out=out)
-                return out
-
-            return bound
-
-        def fn(data: np.ndarray) -> np.ndarray:
-            np.multiply(data.real, data.real, dtype=np.float64, out=out)
-            np.multiply(data.imag, data.imag, dtype=np.float64, out=tmp)
-            np.add(out, tmp, out=out)
-            return out
-
-        return fn
-
-
-class ClampBlock(ChunkKernelBlock):
-    """Limits samples to ``[lo, hi]`` — a saturation / underflow guard.
-
-    Placed after the power stage it bounds ADC saturation spikes above
-    and floors at zero below, protecting downstream averaging and any
-    later dB conversion from outliers and log-of-zero.
-    """
-
-    in_sig = IOSignature(ITEM_CHUNK, dtype=np.float64)
-    out_sig = IOSignature(ITEM_CHUNK, dtype=np.float64)
-
-    def __init__(self, lo: float, hi: float, name: str = "clamp"):
-        super().__init__(name)
-        if not lo <= hi:
-            raise ValueError("clamp needs lo <= hi")
-        self._lo = float(lo)
-        self._hi = float(hi)
-
-    def kernel(self, data: np.ndarray,
-               out: Optional[np.ndarray] = None) -> np.ndarray:
-        out = np.maximum(data, self._lo, out=out)
-        np.minimum(out, self._hi, out=out)
-        return out
-
-    def specialize(self, n: int, dtype: Any, out: np.ndarray,
-                   src: Any = None) -> Callable[[np.ndarray], np.ndarray]:
-        lo, hi = self._lo, self._hi
-
-        def fn(data: np.ndarray) -> np.ndarray:
-            np.maximum(data, lo, out=out)
-            np.minimum(out, hi, out=out)
-            return out
-
-        return fn
-
-
-class MovingAverageBlock(ChunkKernelBlock):
-    """Causal moving average over ``window`` samples, per chunk.
-
-    The average restarts at each chunk boundary (no state carries over),
-    matching :func:`repro.dsp.energy.moving_average_of` applied chunk by
-    chunk — which is how the naive per-window detector consumes it.
-    """
-
-    in_sig = IOSignature(ITEM_CHUNK, dtype=np.float64)
-    out_sig = IOSignature(ITEM_CHUNK, dtype=np.float64)
-
-    def __init__(self, window: int = DEFAULT_ENERGY_WINDOW,
-                 name: str = "moving-average"):
-        super().__init__(name)
-        if window <= 0:
-            raise ValueError("window must be positive")
-        self._window = int(window)
-
-    def kernel(self, data: np.ndarray,
-               out: Optional[np.ndarray] = None) -> np.ndarray:
-        return moving_average_of(data, self._window, out=out)
-
-    def specialize(self, n: int, dtype: Any, out: np.ndarray,
-                   src: Any = None) -> Callable[[np.ndarray], np.ndarray]:
-        if n == 0:
-            empty = out[:0]
-            return lambda data: empty
-        w = self._window
-        head = min(w, n)
-        # hoisted from moving_average_of: the cumulative-sum scratch, the
-        # warm-up divisor ramp, and every slice view are fixed for an
-        # n-sample plan
-        csum = np.empty(n, dtype=np.float64)
-        ramp = _ramp(head)
-        out_head, csum_head = out[:head], csum[:head]
-        if n > w:
-            csum_hi, csum_lo, out_tail = csum[w:], csum[:-w], out[w:]
-
-            def fn(data: np.ndarray) -> np.ndarray:
-                np.add.accumulate(data, dtype=np.float64, out=csum)
-                np.divide(csum_head, ramp, out=out_head)
-                np.subtract(csum_hi, csum_lo, out=out_tail)
-                np.divide(out_tail, w, out=out_tail)
-                return out
-
-            return fn
-
-        def fn(data: np.ndarray) -> np.ndarray:
-            np.add.accumulate(data, dtype=np.float64, out=csum)
-            np.divide(csum_head, ramp, out=out_head)
-            return out
-
-        return fn
-
-
-class ChunkMeanBlock(ChunkKernelBlock):
-    """Decimates by averaging every ``chunk_samples`` values into one."""
-
-    in_sig = IOSignature(ITEM_CHUNK, dtype=np.float64)
-    out_sig = IOSignature(ITEM_CHUNK, dtype=np.float64)
-
-    def __init__(self, chunk_samples: int = DEFAULT_CHUNK_SAMPLES,
-                 name: str = "chunk-mean"):
-        super().__init__(name)
-        if chunk_samples <= 0:
-            raise ValueError("chunk_samples must be positive")
-        self._chunk_samples = int(chunk_samples)
-
-    def out_len(self, n: int) -> int:
-        return -(-n // self._chunk_samples)
-
-    def out_dtype(self, dtype: Any) -> Any:
-        return np.float64
-
-    def kernel(self, data: np.ndarray,
-               out: Optional[np.ndarray] = None) -> np.ndarray:
-        return chunk_average_of(data, self._chunk_samples, out=out)
-
-    def specialize(self, n: int, dtype: Any, out: np.ndarray,
-                   src: Any = None) -> Callable[[np.ndarray], np.ndarray]:
-        k = self._chunk_samples
-        nbody = n // k
-        split = nbody * k
-        ntail = n - split
-        out_body = out[:nbody]
-        if src is not None:
-            # interior stage: reshape and tail views of the fixed input
-            # are plan-time constants
-            body = src[:split].reshape(nbody, k)
-            tail = src[split:]
-
-            def bound(data: np.ndarray) -> np.ndarray:
-                if nbody:
-                    np.add.reduce(body, axis=1, dtype=np.float64,
-                                  out=out_body)
-                    np.divide(out_body, k, out=out_body)
-                if ntail:
-                    out[nbody] = np.add.reduce(tail,
-                                               dtype=np.float64) / ntail
-                return out
-
-            return bound
-
-        def fn(data: np.ndarray) -> np.ndarray:
-            if nbody:
-                body = data[:split].reshape(nbody, k)
-                np.add.reduce(body, axis=1, dtype=np.float64, out=out_body)
-                np.divide(out_body, k, out=out_body)
-            if ntail:
-                out[nbody] = np.add.reduce(data[split:],
-                                           dtype=np.float64) / ntail
-            return out
-
-        return fn

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Dict, List, Optional, Set
+from typing import Any, Dict, List, Set
 
 from repro.errors import FlowGraphError, SchedulerError
 from repro.flowgraph.block import Block, SourceBlock
@@ -30,20 +30,9 @@ class FlowGraph:
         self.obs = obs
         #: cached outcome of :meth:`check`; invalidated by any wiring change
         self._validated = False
-        #: cached result of :meth:`compile`; invalidated with the wiring
-        self._compiled: Optional["FlowGraph"] = None
-
-    def _invalidate(self) -> None:
-        self._validated = False
-        self._compiled = None
 
     def _count(self, block: Block, item: Any) -> None:
         if not self.obs:
-            return
-        if getattr(block, "counts_members", False):
-            # a fused chain counts items on behalf of its members, under
-            # the members' own names — counting the container too would
-            # break fused-vs-unfused counter equality
             return
         self.obs.counter(
             "flowgraph_items_total",
@@ -61,7 +50,7 @@ class FlowGraph:
         if block not in self._blocks:
             self._blocks.append(block)
             self._edges.setdefault(block, [])
-            self._invalidate()
+            self._validated = False
         return block
 
     def connect(self, src: Block, dst: Block) -> "FlowGraph":
@@ -74,7 +63,7 @@ class FlowGraph:
                 "sources have no input port"
             )
         self._edges[src].append(dst)
-        self._invalidate()
+        self._validated = False
         self._check_acyclic()
         return self
 
@@ -192,26 +181,6 @@ class FlowGraph:
             raise FlowGraphError("flowgraph contains a cycle")
         return order
 
-    # -- compilation ---------------------------------------------------------
-
-    def compile(self) -> "FlowGraph":
-        """Fuse linear block chains; returns the compiled graph.
-
-        Runs the stream-fusion pass of :mod:`repro.flowgraph.fusion`:
-        every maximal single-producer/single-consumer chain of fusable
-        blocks collapses into one :class:`~repro.flowgraph.fusion.FusedBlock`,
-        with fan-out/fan-in nodes, sources and opted-out blocks left on
-        the unfused interpreter.  The compiled graph shares this graph's
-        block objects and observability; outputs are byte-identical to
-        an unfused :meth:`run`.  The result is cached until the wiring
-        changes; a graph with nothing to fuse compiles to itself.
-        """
-        if self._compiled is None:
-            from repro.flowgraph.fusion import compile_graph
-
-            self._compiled = compile_graph(self)
-        return self._compiled
-
     # -- execution -----------------------------------------------------------
 
     def _propagate(self, block: Block, item: Any) -> None:
@@ -223,20 +192,12 @@ class FlowGraph:
             for nxt in self._edges.get(block, []):
                 self._propagate(nxt, out)
 
-    def run(self, fused: bool = False) -> None:
+    def run(self) -> None:
         """Stream every source to exhaustion, then flush all blocks.
 
         :meth:`check` runs first: a mis-wired graph (type mismatch,
         dangling port, cycle) fails here, before any sample flows.
-        With ``fused=True`` the graph is first :meth:`compile`\\ d and the
-        fused form executed instead — same outputs, byte for byte, same
-        per-block counters, fewer scheduler round-trips.
         """
-        if fused:
-            compiled = self.compile()
-            if compiled is not self:
-                compiled.run()
-                return
         self.check()
         sources = [b for b in self._blocks if isinstance(b, SourceBlock)]
         order = self._topological()

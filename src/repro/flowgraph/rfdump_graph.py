@@ -21,7 +21,6 @@ from typing import Iterable, List
 
 import numpy as np
 
-from repro.constants import DEFAULT_CHUNK_SAMPLES, DEFAULT_ENERGY_WINDOW
 from repro.core.detectors.base import Classification, Detector
 from repro.core.pipeline import RFDumpMonitor, WindowState
 from repro.dsp.samples import SampleBuffer
@@ -35,16 +34,7 @@ from repro.flowgraph.block import (
     FunctionBlock,
     IOSignature,
 )
-from repro.flowgraph.blocks import (
-    BufferChunkSource,
-    ChunkMeanBlock,
-    ClampBlock,
-    CollectSink,
-    DcRemovalBlock,
-    GainBlock,
-    MovingAverageBlock,
-    PowerBlock,
-)
+from repro.flowgraph.blocks import BufferChunkSource, CollectSink
 from repro.flowgraph.graph import FlowGraph
 from repro.util.timebase import Timebase
 
@@ -147,50 +137,6 @@ class StageBlock(Block):
     def work(self, window: WindowState) -> List[WindowState]:
         self._stage(window)
         return [window]
-
-
-def build_frontend_graph(
-    buffer: SampleBuffer,
-    chunk_samples: int = DEFAULT_CHUNK_SAMPLES,
-    gain: float = 1.0,
-    agc: float = 1.0,
-    window: int = DEFAULT_ENERGY_WINDOW,
-    slow_window: int = 4 * DEFAULT_ENERGY_WINDOW,
-    mean_chunk: int = DEFAULT_CHUNK_SAMPLES,
-    saturation: float = 1e6,
-    obs=None,
-):
-    """The front-end conditioning chain; returns ``(graph, sink)``.
-
-    An eight-stage linear pipeline of chunk kernels —
-
-        source -> gain -> dc-removal -> agc -> power -> clamp
-               -> ma-short -> ma-long -> chunk-mean -> sink
-
-    — front-end scaling, DC blocking, gain normalization, instantaneous
-    power, a saturation/underflow guard, the detector's short energy
-    window, a longer noise-tracking smoother, and per-chunk decimation.
-    This is the shape where stream fusion pays: every interior edge is
-    single-producer/single-consumer, so :meth:`FlowGraph.compile`
-    collapses the whole run into one fused block executing all eight
-    kernels over reused scratch per chunk.  Per-chunk mean powers land
-    in ``sink.items`` as ``(start_sample, means)``.
-    """
-    graph = FlowGraph(obs=obs)
-    sink = CollectSink("chunk-powers")
-    graph.chain(
-        BufferChunkSource(buffer, chunk_samples),
-        GainBlock(gain, "gain"),
-        DcRemovalBlock(),
-        GainBlock(agc, "agc"),
-        PowerBlock(),
-        ClampBlock(0.0, saturation),
-        MovingAverageBlock(window, "ma-short"),
-        MovingAverageBlock(slow_window, "ma-long"),
-        ChunkMeanBlock(mean_chunk),
-        sink,
-    )
-    return graph, sink
 
 
 def build_rfdump_graph(buffer: SampleBuffer, monitor: RFDumpMonitor):

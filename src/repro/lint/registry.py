@@ -24,7 +24,7 @@ class ModuleContext:
         """Is this module one of / under the given package-rooted paths?
 
         ``"repro/obs/"`` (trailing slash) matches the whole package;
-        ``"repro/core/parallel.py"`` matches exactly.
+        ``"repro/core/pipeline.py"`` matches exactly.
         """
         for rel in rels:
             if rel.endswith("/"):

@@ -1,6 +1,6 @@
 """Concurrency safety: work submitted to executors must not share state.
 
-``ParallelAnalysisStage`` owes its serial-equivalence guarantee to a
+The pooled ``AnalysisStage`` owes its inline-equivalence guarantee to a
 strict discipline: tasks are pure functions of their arguments, results
 come back through futures, and nothing mutates captured outer-scope
 state from inside a worker.  A lambda that closes over local variables

@@ -40,7 +40,7 @@ PERF_CLOCKS = (
 PERF_ALLOWED = (
     "repro/core/accounting.py",
     "repro/core/deadline.py",
-    "repro/core/parallel.py",
+    "repro/core/analysis_stage.py",
     "repro/core/pipeline.py",
     "repro/obs/",
 )
@@ -122,6 +122,6 @@ class PerfCounterScopeRule(Rule):
                     ctx, call,
                     f"{dotted}() outside the accounting/observability "
                     "modules (core/accounting.py, core/deadline.py, "
-                    "core/parallel.py, core/pipeline.py, obs/); measured "
-                    "time does not belong on the sample path",
+                    "core/analysis_stage.py, core/pipeline.py, obs/); "
+                    "measured time does not belong on the sample path",
                 )

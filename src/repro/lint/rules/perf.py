@@ -26,9 +26,6 @@ HOT_PATH_MODULES = (
     "repro/dsp/phase.py",
     "repro/dsp/fftutil.py",
     "repro/dsp/samples.py",
-    # the fused execution path runs once per streamed item; its loops
-    # must be bounded by chain length, never by sample count
-    "repro/flowgraph/fusion.py",
     # the Wi-Fi scan and its SFD search (rfbench demod_wifi): loops run
     # per template, alignment, candidate or pattern hit, never per
     # sample or per bit

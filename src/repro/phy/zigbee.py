@@ -156,7 +156,10 @@ class ZigbeeDemodulator:
         :meth:`demodulate`.
         """
         t0 = self._templates[0]
-        corr = np.convolve(samples, t0[::-1].conj(), mode="valid")
+        # only the first ten symbol periods are searched, so only the
+        # samples those correlation lags read are correlated
+        head = samples[: 10 * self.sps + t0.size - 1]
+        corr = np.convolve(head, t0[::-1].conj(), mode="valid")
         limit = min(corr.size, 10 * self.sps)
         if limit <= 0:
             raise SyncError("candidate too short for ZigBee preamble search")

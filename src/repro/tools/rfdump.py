@@ -18,7 +18,9 @@ page of the run's metrics; ``--trace-out`` writes an execution trace
 that loads in ``chrome://tracing``).  ``--on-error degrade`` keeps a
 long-running monitor alive across stream gaps, NaN bursts and crashing
 components, printing a degradation summary to stderr when anything was
-absorbed.  ``--format jsonl`` emits one canonical
+absorbed.  ``--workers N`` decodes the dispatched ranges over a pool of
+N workers instead of inline in the calling thread; the output is the
+same, byte for byte.  ``--format jsonl`` emits one canonical
 :class:`~repro.core.PacketEvent` JSON object per line — the exact
 stream an ``rfdumpd`` subscriber receives for the same trace, so the
 two can be diffed byte for byte.
@@ -65,8 +67,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--workers", type=int, default=1,
-        help="analysis-stage worker pool size (1 = serial; output is "
-             "identical either way)",
+        help="analysis-stage workers: 1 decodes the dispatched ranges "
+             "inline, N > 1 decodes them one range per task over a pool "
+             "of N (with 2 on 2 cores: 0.95-1.12x on the thread backend, "
+             "1.05-1.36x with --parallel-backend process; EXPERIMENTS.md); "
+             "output is identical either way",
     )
     parser.add_argument(
         "--parallel-backend", choices=("thread", "process"), default="thread",
@@ -130,35 +135,33 @@ def run(args) -> int:
     protocols = tuple(p.strip() for p in args.protocols.split(",") if p.strip())
     kinds = tuple(k.strip() for k in args.detectors.split(",") if k.strip())
 
-    if args.workers < 1:
-        print("rfdump: --workers must be >= 1", file=sys.stderr)
-        return 2
-    if args.deadline_ms is not None and args.deadline_ms <= 0:
-        print("rfdump: --deadline-ms must be positive", file=sys.stderr)
-        return 2
     obs = Observability() if (args.metrics_out or args.trace_out) else None
-    config = MonitorConfig(
-        sample_rate=meta.sample_rate,
-        center_freq=meta.center_freq,
-        protocols=protocols,
-        kinds=kinds,
-        demodulate=not args.no_demod,
-        workers=args.workers,
-        backend=args.parallel_backend,
-        on_error=args.on_error,
-        deadline_ms=args.deadline_ms,
-        obs=obs,
-    )
+    kind = "streaming" if args.monitor == "rfdump" else args.monitor
+    try:
+        # every bad flag value surfaces here, before any window is read
+        monitor = make_monitor(kind, MonitorConfig(
+            sample_rate=meta.sample_rate,
+            center_freq=meta.center_freq,
+            protocols=protocols,
+            kinds=kinds,
+            demodulate=not args.no_demod,
+            workers=args.workers,
+            backend=args.parallel_backend,
+            on_error=args.on_error,
+            deadline_ms=args.deadline_ms,
+            obs=obs,
+        ))
+    except ValueError as exc:
+        print(f"rfdump: {exc}", file=sys.stderr)
+        return 2
     window = max(int(args.window_ms * 1e-3 * meta.sample_rate), 1)
     reader = TraceReader(args.trace, window_samples=window)
-
-    kind = "streaming" if args.monitor == "rfdump" else args.monitor
 
     if args.format == "jsonl":
         # the event-stream path: same monitor, same windows, same wire
         # form as an rfdumpd subscriber — equivalence is line equality
         capture = [] if (args.pcap_out or args.sigmf_out) else None
-        with make_monitor(kind, config) as monitor:
+        with monitor:
             for event in monitor.events(reader):
                 print(event.to_json())
                 if capture is not None:
@@ -175,7 +178,7 @@ def run(args) -> int:
     duration = meta.nsamples / meta.sample_rate
     degradation = None
     if args.monitor == "rfdump":
-        with make_monitor("streaming", config) as streaming:
+        with monitor as streaming:
             for buf in reader:
                 report = streaming.process(buf)
                 peaks += len(report.peaks) if report.peaks is not None else 0
@@ -199,7 +202,7 @@ def run(args) -> int:
         packets = []
         classifications = []
         clock = None
-        with make_monitor(args.monitor, config) as monitor:
+        with monitor:
             for buf in reader:
                 report = monitor.process(buf)
                 packets.extend(report.packets)

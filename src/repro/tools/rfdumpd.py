@@ -83,7 +83,10 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--sample-rate", type=float, default=DEFAULT_SAMPLE_RATE,
                        help="sample rate ingest clients must match")
     serve.add_argument("--center-freq", type=float, default=DEFAULT_CENTER_FREQ)
-    serve.add_argument("--workers", type=int, default=1)
+    serve.add_argument("--workers", type=int, default=1,
+                       help="analysis-stage workers (1 = decode inline; "
+                            "N > 1 = one dispatched range per task over a "
+                            "thread pool of N)")
     serve.add_argument("--deadline-ms", type=float, default=None,
                        help="per-window latency budget in milliseconds; "
                             "under overload low-confidence ranges are shed "
@@ -123,22 +126,28 @@ def build_parser() -> argparse.ArgumentParser:
 def _run_serve(args) -> int:
     # a daemon stream is stateful across windows
     kind = "streaming" if args.monitor == "rfdump" else args.monitor
-    config = MonitorConfig(
-        sample_rate=args.sample_rate,
-        center_freq=args.center_freq,
-        protocols=tuple(
-            p.strip() for p in args.protocols.split(",") if p.strip()),
-        kinds=tuple(
-            k.strip() for k in args.detectors.split(",") if k.strip()),
-        workers=args.workers,
-        on_error=args.on_error,
-        deadline_ms=args.deadline_ms,
-    )
-    daemon = RFDumpDaemon(
-        config, kind=kind, host=args.host, port=args.port,
-        metrics_port=args.metrics_port,
-        queue_depth=args.queue_depth, ingest_depth=args.ingest_depth,
-    )
+    try:
+        # every bad flag value surfaces here: before the announce line,
+        # before any socket or thread exists
+        daemon = RFDumpDaemon(
+            MonitorConfig(
+                sample_rate=args.sample_rate,
+                center_freq=args.center_freq,
+                protocols=tuple(
+                    p.strip() for p in args.protocols.split(",") if p.strip()),
+                kinds=tuple(
+                    k.strip() for k in args.detectors.split(",") if k.strip()),
+                workers=args.workers,
+                on_error=args.on_error,
+                deadline_ms=args.deadline_ms,
+            ),
+            kind=kind, host=args.host, port=args.port,
+            metrics_port=args.metrics_port,
+            queue_depth=args.queue_depth, ingest_depth=args.ingest_depth,
+        )
+    except ValueError as exc:
+        print(f"rfdumpd: {exc}", file=sys.stderr)
+        return 2
     with daemon:
         host, port = daemon.address
         announce = {"host": host, "port": port}

@@ -182,13 +182,25 @@ def test_calibrate_is_positive_and_repeatable():
     assert calibrate(repeats=3) > 0
 
 
+class TestSpeedupMeasurement:
+    def test_measure_speedup_interleaves_in_process(self):
+        from repro.bench import measure_speedup
+
+        m = measure_speedup(TestRunner()._tiny_bench(),
+                            BenchOptions(repeats=2, warmup=1, quick=True))
+        assert m.name == "tiny"
+        assert len(m.reference_seconds) == len(m.current_seconds) == 2
+        assert m.factor > 0
+
+
 class TestCli:
     def test_list_names_all_benchmarks(self, capsys):
         assert rfbench.main(["list"]) == 0
         out = capsys.readouterr().out
-        for name in ("peak_detection", "energy_features", "fft_spectrogram",
-                     "phase_detectors", "pipeline_mix"):
-            assert name in out
+        names = [line.split()[0] for line in out.splitlines()]
+        assert names == ["demod_wifi", "energy_features", "fft_spectrogram",
+                         "peak_detection", "phase_detectors", "pipeline_mix",
+                         "window_latency"]
 
     def test_compare_gate(self, tmp_path, capsys):
         base = tmp_path / "base"

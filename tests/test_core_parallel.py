@@ -1,4 +1,5 @@
-"""Tests for the real parallel analysis stage (repro.core.parallel)."""
+"""Tests for the analysis stage (repro.core.analysis_stage): the pool
+against inline execution."""
 
 import threading
 import time
@@ -9,9 +10,9 @@ from repro import RFDumpMonitor
 from repro.analysis.decoders import PacketRecord
 from repro.core.accounting import StageClock
 from repro.core.dispatcher import DispatchedRange
-from repro.core.parallel import (
+from repro.core.analysis_stage import (
+    AnalysisStage,
     AnalysisTask,
-    ParallelAnalysisStage,
     decode_task,
     packet_sort_key,
 )
@@ -75,19 +76,15 @@ def _fake_inputs(n_ranges=3, span=1000):
 class TestStageValidation:
     def test_rejects_zero_workers(self):
         with pytest.raises(ValueError):
-            ParallelAnalysisStage({}, workers=0)
+            AnalysisStage({}, workers=0)
 
     def test_rejects_unknown_backend(self):
         with pytest.raises(ValueError):
-            ParallelAnalysisStage({}, backend="coroutine")
-
-    def test_rejects_unknown_granularity(self):
-        with pytest.raises(ValueError):
-            ParallelAnalysisStage({}, granularity="packet")
+            AnalysisStage({}, backend="coroutine")
 
     def test_rejects_bad_timeout(self):
         with pytest.raises(ValueError):
-            ParallelAnalysisStage({}, timeout_per_range=0.0)
+            AnalysisStage({}, timeout_per_range=0.0)
 
     def test_monitor_rejects_zero_workers(self):
         with pytest.raises(ValueError):
@@ -95,47 +92,41 @@ class TestStageValidation:
 
 
 class TestScheduling:
-    def test_protocol_granularity_one_task_per_protocol(self):
+    def test_one_task_per_dispatched_range(self):
         buffer, ranges = _fake_inputs(4)
-        stage = ParallelAnalysisStage({"wifi": _FakeDecoder()})
+        ranges["wifi"][2].channel = 7
+        ranges["wifi"][2].confidence = 0.5
+        stage = AnalysisStage({"wifi": _FakeDecoder()})
         tasks = stage.tasks_for(buffer, ranges)
-        assert [t.protocol for t in tasks] == ["wifi"]
-        assert tasks[0].n_ranges == 4
-        assert tasks[0].samples == 4000
-
-    def test_range_granularity_one_task_per_range(self):
-        buffer, ranges = _fake_inputs(4)
-        stage = ParallelAnalysisStage({"wifi": _FakeDecoder()}, granularity="range")
-        tasks = stage.tasks_for(buffer, ranges)
-        assert len(tasks) == 4
-        assert all(t.n_ranges == 1 for t in tasks)
+        assert [(t.protocol, t.start_sample, t.end_sample) for t in tasks] == [
+            ("wifi", r.start_sample, r.end_sample) for r in ranges["wifi"]
+        ]
+        assert all(t.length == 1000 for t in tasks)
+        assert (tasks[2].channel, tasks[2].confidence) == (7, 0.5)
 
     def test_none_decoders_skipped(self):
         buffer, ranges = _fake_inputs(2)
         ranges["microwave"] = [DispatchedRange(0, 1000)]
-        stage = ParallelAnalysisStage({"wifi": _FakeDecoder(), "microwave": None})
+        stage = AnalysisStage({"wifi": _FakeDecoder(), "microwave": None})
         tasks = stage.tasks_for(buffer, ranges)
-        assert [t.protocol for t in tasks] == ["wifi"]
+        assert [t.protocol for t in tasks] == ["wifi", "wifi"]
 
     def test_decode_task_accounts_samples(self):
-        buffer, ranges = _fake_inputs(3)
-        task = AnalysisTask(
-            "wifi", [(buffer.slice(r.start_sample, r.end_sample), None)
-                     for r in ranges["wifi"]],
-        )
+        buffer, _ = _fake_inputs(3)
+        task = AnalysisTask("wifi", buffer.slice(1000, 3000))
         outcome = decode_task(_FakeDecoder(), task)
-        assert len(outcome.packets) == 3
-        assert outcome.clock.samples_touched["demodulation"] == 3000
+        assert [(p.start_sample, p.end_sample) for p in outcome.packets] == [
+            (1000, 3000)
+        ]
+        assert outcome.clock.samples_touched["demodulation"] == 2000
         assert outcome.clock.seconds["demodulation"] >= 0.0
 
 
 class TestSerialParallelEquivalence:
     """Acceptance: the Table 3 traffic-mix shape decodes identically."""
 
-    @pytest.mark.parametrize("granularity", ["protocol", "range"])
-    def test_thread_backend_matches_serial(self, mixed_trace, serial_report,
-                                           granularity):
-        with RFDumpMonitor(workers=4, parallel_granularity=granularity) as monitor:
+    def test_thread_backend_matches_serial(self, mixed_trace, serial_report):
+        with RFDumpMonitor(workers=4) as monitor:
             report = monitor.process(mixed_trace.buffer)
         assert [_packet_key(p) for p in report.packets] == [
             _packet_key(p) for p in serial_report.packets
@@ -149,7 +140,7 @@ class TestSerialParallelEquivalence:
         ]
 
     def test_process_backend_matches_serial(self, mixed_trace, serial_report):
-        with RFDumpMonitor(workers=2, parallel_backend="process") as monitor:
+        with RFDumpMonitor(workers=2, backend="process") as monitor:
             report = monitor.process(mixed_trace.buffer)
         assert [_packet_key(p) for p in report.packets] == [
             _packet_key(p) for p in serial_report.packets
@@ -186,7 +177,7 @@ class TestAccounting:
 
     def test_parallel_samples_touched_match_serial(self, mixed_trace,
                                                    serial_report):
-        with RFDumpMonitor(workers=3, parallel_granularity="range") as monitor:
+        with RFDumpMonitor(workers=3) as monitor:
             report = monitor.process(mixed_trace.buffer)
         assert (
             report.clock.samples_touched["demodulation"]
@@ -197,9 +188,9 @@ class TestAccounting:
 class TestFallback:
     def test_worker_failure_falls_back_to_serial(self):
         buffer, ranges = _fake_inputs(3)
-        stage = ParallelAnalysisStage(
+        stage = AnalysisStage(
             {"wifi": _FakeDecoder(fail_in_worker=True)},
-            workers=2, granularity="range",
+            workers=2,
         )
         with stage:
             packets, demod, fallbacks = stage.run(buffer, ranges)
@@ -208,30 +199,19 @@ class TestFallback:
         assert len(packets) == 3  # nothing dropped
         assert demod["wifi"] >= 0.0
 
-    def test_timeout_falls_back_to_serial(self):
-        buffer, ranges = _fake_inputs(1)
-        stage = ParallelAnalysisStage(
-            {"wifi": _FakeDecoder(sleep_in_worker=1.0)},
-            workers=2, timeout_per_range=0.05,
-        )
-        packets, _, fallbacks = stage.run(buffer, ranges)
-        stage._discard_executor()  # don't wait out the sleeping worker
-        assert fallbacks == 1
-        assert len(packets) == 1
-
     def test_fallbacks_surface_in_report(self, wifi_trace):
         monitor = RFDumpMonitor(protocols=("wifi",), workers=2)
-        monitor._parallel.decoders["wifi"] = _FakeDecoder(fail_in_worker=True)
-        monitor._decoders["wifi"] = _FakeDecoder(fail_in_worker=True)
+        monitor.analysis_stage.decoders["wifi"] = _FakeDecoder(
+            fail_in_worker=True)
         with monitor:
             report = monitor.process(wifi_trace.buffer)
         assert report.parallel_fallbacks > 0
 
     def test_deterministic_order_despite_fallbacks(self):
         buffer, ranges = _fake_inputs(5)
-        stage = ParallelAnalysisStage(
+        stage = AnalysisStage(
             {"wifi": _FakeDecoder(fail_in_worker=True)},
-            workers=2, granularity="range",
+            workers=2,
         )
         with stage:
             packets, _, _ = stage.run(buffer, ranges)
@@ -241,7 +221,7 @@ class TestFallback:
 class TestLifecycle:
     def test_close_then_reuse_rebuilds_pool(self):
         buffer, ranges = _fake_inputs(2)
-        stage = ParallelAnalysisStage({"wifi": _FakeDecoder()}, workers=2)
+        stage = AnalysisStage({"wifi": _FakeDecoder()}, workers=2)
         first, _, _ = stage.run(buffer, ranges)
         stage.close()
         assert stage._executor is None
@@ -251,5 +231,28 @@ class TestLifecycle:
 
     def test_serial_monitor_close_is_noop(self):
         monitor = RFDumpMonitor()
-        assert monitor.parallel_stage is None
+        assert monitor.analysis_stage._executor is None
         monitor.close()  # must not raise
+
+    def test_one_worker_starts_no_thread_or_process(self, wifi_trace):
+        """``workers == 1`` decodes in the calling thread: a window
+        leaves no executor, thread or child process behind."""
+        import multiprocessing
+
+        seen = []
+
+        class _Spy(_FakeDecoder):
+            def scan(self, buffer, **kwargs):
+                seen.append(threading.current_thread())
+                return super().scan(buffer, **kwargs)
+
+        monitor = RFDumpMonitor(protocols=("wifi",), deadline_ms=30_000.0,
+                                timeout=5.0)
+        monitor.analysis_stage.decoders["wifi"] = _Spy()
+        threads = threading.active_count()
+        report = monitor.process(wifi_trace.buffer)
+        assert report.packets
+        assert set(seen) == {threading.current_thread()}
+        assert threading.active_count() == threads
+        assert multiprocessing.active_children() == []
+        assert monitor.analysis_stage._executor is None

@@ -1,8 +1,9 @@
 """The deadline/admission layer: budgets, priorities, shedding, SLO gate.
 
-Covers the PR's tentpole end to end: absolute per-task deadlines in the
-parallel stage (a permanently-stalled demodulator cannot block past its
-budget), deadline-priority dispatch ordering, AIMD admission control
+Covers the deadline layer end to end: absolute per-task deadlines in the
+pooled analysis stage (a permanently-stalled demodulator cannot block
+past its budget), deadline-priority ordering with any worker count, the
+budget check before every range, AIMD admission control
 with backpressure through the streaming monitor, the leaked-worker
 accounting around ``Future.cancel()``'s no-op on running workers, and
 the rfbench ``--max-p99`` latency SLO gate.
@@ -24,7 +25,7 @@ from repro.core.deadline import (
     range_priority,
 )
 from repro.core.dispatcher import DispatchedRange, Dispatcher
-from repro.core.parallel import AnalysisTask, ParallelAnalysisStage
+from repro.core.analysis_stage import AnalysisStage, AnalysisTask
 from repro.core.streaming import StreamingMonitor
 from repro.dsp.samples import SampleBuffer
 from repro.errors import DeadlineError, DecodeTimeoutError, RFDumpError
@@ -113,9 +114,8 @@ class TestPriority:
 
     def test_order_tasks_matches_range_priority(self):
         buffer = SampleBuffer.from_array([0j] * 3_000)
-        low = AnalysisTask("wifi", [(buffer.slice(0, 2_000), None)],
-                           confidence=0.2)
-        high = AnalysisTask("bluetooth", [(buffer.slice(0, 1_000), None)],
+        low = AnalysisTask("wifi", buffer.slice(0, 2_000), confidence=0.2)
+        high = AnalysisTask("bluetooth", buffer.slice(0, 1_000),
                             confidence=0.8)
         assert order_tasks([low, high]) == [high, low]
         assert order_tasks([high, low]) == [high, low]
@@ -204,7 +204,7 @@ class TestParallelDeadlines:
     def test_hung_worker_cannot_block_past_budget_degrade(self):
         obs = Observability()
         decoder = SlowDecoder(wrapped=_EmittingDecoder(), hang=True)
-        stage = ParallelAnalysisStage(
+        stage = AnalysisStage(
             {"wifi": decoder}, workers=2, timeout_per_range=0.1,
             on_error="degrade", obs=obs,
         )
@@ -225,7 +225,7 @@ class TestParallelDeadlines:
 
     def test_hung_worker_raises_typed_error_in_raise_mode(self):
         decoder = SlowDecoder(wrapped=_EmittingDecoder(), hang=True)
-        stage = ParallelAnalysisStage(
+        stage = AnalysisStage(
             {"wifi": decoder}, workers=2, timeout_per_range=0.1,
             on_error="raise",
         )
@@ -243,7 +243,7 @@ class TestParallelDeadlines:
     def test_skip_policy_sheds_timed_out_task(self):
         obs = Observability()
         decoder = SlowDecoder(wrapped=_EmittingDecoder(), hang=True)
-        stage = ParallelAnalysisStage(
+        stage = AnalysisStage(
             {"wifi": decoder}, workers=2, timeout_per_range=0.1,
             on_error="skip", obs=obs,
         )
@@ -259,48 +259,52 @@ class TestParallelDeadlines:
             decoder.release()
             stage.close()
 
-    def test_legacy_policy_bounds_inline_retry_under_budget(self):
-        # on_error=None historically re-ran the task inline with no
-        # bound; under a window budget the retry is bounded and a hang
-        # is shed instead of stalling the caller forever
-        decoder = SlowDecoder(wrapped=_EmittingDecoder(), hang=True,
-                              only_in_worker=True)
-        stage = ParallelAnalysisStage(
+    def test_default_policy_sheds_a_timed_out_task_too(self):
+        # on_error=None used to re-run a timed-out task in the calling
+        # thread, unbounded without a budget: a hung decoder hung the
+        # window until released.  One rule now: shed and recorded.
+        decoder = SlowDecoder(wrapped=_EmittingDecoder(), hang=True)
+        stage = AnalysisStage(
             {"wifi": decoder}, workers=2, timeout_per_range=0.1,
         )
         try:
-            buffer, ranges = _fake_inputs(1)
-            budget = WindowBudget(0.5)
+            buffer, ranges = _fake_inputs(3)
             t0 = time.monotonic()
-            packets, _, fallbacks = stage.run(buffer, ranges, budget=budget)
-            elapsed = time.monotonic() - t0
-            assert elapsed < 2.0
+            packets, _, fallbacks = stage.run(buffer, ranges)
+            assert time.monotonic() - t0 < 1.0
             assert packets == []
             assert fallbacks == 0
-            assert stage.shed_ranges == 1
-            actions = [r.action for r in stage.take_error_records()]
-            assert actions == ["timeout", "shed"]
+            assert stage.shed_ranges == 3
+            records = stage.take_error_records()
+            # the two in flight blew the watchdog; the third never got a
+            # worker, because its protocol had just stalled two
+            assert sorted(r.action for r in records) == [
+                "shed", "timeout", "timeout"]
+            assert sorted((r.start_sample, r.end_sample)
+                          for r in records) == [
+                (0, 1_000), (1_000, 2_000), (2_000, 3_000)]
         finally:
             decoder.release()
             stage.close()
 
     def test_queued_task_deadline_runs_from_submit_time(self):
-        # one worker, two tasks: the second never starts, but its
-        # deadline was fixed at submit, so both expire together instead
-        # of serializing (the old loop waited timeout per future)
+        # two workers, three tasks: the third never starts, and does not
+        # get a watchdog period of its own once the first two have shown
+        # the decoder is stalled — timeouts do not serialize (the old
+        # loop waited timeout per future)
         decoder = SlowDecoder(wrapped=_EmittingDecoder(), hang=True)
-        stage = ParallelAnalysisStage(
-            {"wifi": decoder}, workers=1, granularity="range",
+        stage = AnalysisStage(
+            {"wifi": decoder}, workers=2,
             timeout_per_range=0.15, on_error="degrade",
         )
         try:
-            buffer, ranges = _fake_inputs(2)
+            buffer, ranges = _fake_inputs(3)
             t0 = time.monotonic()
             packets, _, _ = stage.run(buffer, ranges)
             elapsed = time.monotonic() - t0
             assert packets == []
-            assert stage.shed_ranges == 2
-            # both tasks expired at ~0.15s from submit; well under the
+            assert stage.shed_ranges == 3
+            # everything expired at ~0.15s from submit; well under the
             # 0.30s+ a per-future countdown would serialize into
             assert elapsed < 0.29
         finally:
@@ -314,12 +318,88 @@ class TestParallelDeadlines:
         monitor = RFDumpMonitor(config=MonitorConfig(
             protocols=("wifi",), workers=4, deadline_ms=30_000.0,
         ))
-        with monitor.parallel_stage:
+        with monitor:
             report = monitor.process(wifi_trace.buffer)
         assert report.packets == serial.packets
         assert report.shed_ranges == 0
         assert not report.deadline_missed
         assert monitor.deadline_misses == 0
+
+
+# -- one analysis path: inline and pooled share order and budget check -------
+
+class _SpyDecoder(_EmittingDecoder):
+    """Logs every scanned range; optionally blocks until told."""
+
+    def __init__(self, until=None):
+        self.scanned = []
+        self.until = until
+
+    def scan(self, buffer, **kwargs):
+        self.scanned.append((buffer.start_sample, buffer.end_sample))
+        if self.until is not None:
+            self.until()
+        return super().scan(buffer, **kwargs)
+
+
+class TestOneAnalysisPath:
+    def test_one_worker_scans_in_priority_order(self, mixed_trace):
+        # the default path: rfdump --deadline-ms, the daemon, the e2e
+        # benchmark.  It used to walk dispatch order whatever the flag's
+        # help text promised.
+        spy = _SpyDecoder()
+        monitor = RFDumpMonitor(deadline_ms=30_000.0)
+        for protocol in ("wifi", "bluetooth"):
+            monitor.analysis_stage.decoders[protocol] = spy
+        report = monitor.process(mixed_trace.buffer)
+        dispatched = [(r.start_sample, r.end_sample)
+                      for rs in report.ranges.values() for r in rs]
+        by_priority = [(r.start_sample, r.end_sample)
+                       for _, r in Dispatcher.priority_order(report.ranges)]
+        assert by_priority != dispatched  # or this test shows nothing
+        assert spy.scanned == by_priority
+        assert len(report.packets) == len(dispatched)
+
+    def test_mid_window_overrun_sheds_the_same_tail_inline_and_pooled(self):
+        """Every scan outlasts the budget.  Inline cannot abandon the
+        first, so it keeps that packet and sheds the rest; the pool
+        abandons the two it had in flight and sheds the rest — with the
+        same record for every range both declined to start."""
+        confidences = [0.2, 0.9, 0.5, 0.7, 0.1, 0.8]
+        buffer = SampleBuffer.from_array([0j] * 6_000)
+        ranges = {"wifi": [
+            _rng(i * 1_000, (i + 1) * 1_000, confidence=c)
+            for i, c in enumerate(confidences)
+        ]}
+        by_priority = [(r.start_sample, r.end_sample)
+                       for _, r in Dispatcher.priority_order(ranges)]
+        runs = {}
+        for workers in (1, 2):
+            budget = WindowBudget(0.1)
+            spy = _SpyDecoder(
+                until=lambda b=budget: time.sleep(max(b.remaining(), 0) + 0.2))
+            stage = AnalysisStage({"wifi": spy}, workers=workers)
+            with stage:
+                packets, _, _ = stage.run(buffer, ranges, budget=budget)
+            records = stage.take_error_records()
+            assert sorted(spy.scanned) == sorted(by_priority[:workers])
+            assert stage.shed_ranges == 6 - len(packets)
+            runs[workers] = (packets, records)
+
+        packets, inline = runs[1]
+        assert [(p.start_sample, p.end_sample) for p in packets] == \
+            by_priority[:1]
+        assert [(r.start_sample, r.end_sample) for r in inline] == \
+            by_priority[1:]
+        assert {(r.action, r.error) for r in inline} == {
+            ("shed", "DeadlineError")}
+
+        packets, pooled = runs[2]
+        assert packets == []
+        timed_out = [r for r in pooled if r.action == "timeout"]
+        assert sorted((r.start_sample, r.end_sample) for r in timed_out) == \
+            sorted(by_priority[:2])
+        assert [r for r in pooled if r.action != "timeout"] == inline[1:]
 
 
 # -- leaked-worker accounting ------------------------------------------------
@@ -328,7 +408,7 @@ class TestLeakedWorkers:
     def test_leak_counted_then_reclaimed_on_release(self):
         obs = Observability()
         decoder = SlowDecoder(wrapped=_EmittingDecoder(), hang=True)
-        stage = ParallelAnalysisStage(
+        stage = AnalysisStage(
             {"wifi": decoder}, workers=2, timeout_per_range=0.1,
             on_error="degrade", obs=obs,
         )
@@ -348,22 +428,23 @@ class TestLeakedWorkers:
 
     def test_degrade_rebuilds_pool_when_leaks_exhaust_it(self):
         obs = Observability()
-        # only the first scan hangs; after the pool rebuild the decoder
+        # only the first two scans hang; after the pool rebuild the decoder
         # behaves, proving the fresh pool actually does the work
-        decoder = SlowDecoder(wrapped=_EmittingDecoder(), hang=True, at=(0,))
-        stage = ParallelAnalysisStage(
-            {"wifi": decoder}, workers=1, timeout_per_range=0.1,
+        decoder = SlowDecoder(wrapped=_EmittingDecoder(), hang=True,
+                              at=(0, 1))
+        stage = AnalysisStage(
+            {"wifi": decoder}, workers=2, timeout_per_range=0.1,
             on_error="degrade", obs=obs,
         )
         try:
-            buffer, ranges = _fake_inputs(1)
+            buffer, ranges = _fake_inputs(2)
             packets, _, _ = stage.run(buffer, ranges)
             assert packets == []
             assert stage.leak_rebuilds == 0
             # every slot is now leaked; the next run must rebuild
             packets, _, _ = stage.run(buffer, ranges)
             assert stage.leak_rebuilds == 1
-            assert len(packets) == 1
+            assert len(packets) == 2
             assert obs.registry.value(
                 "rfdump_parallel_pool_restarts_total") == 1
         finally:
@@ -499,14 +580,13 @@ class TestAcceptance:
             protocols=("wifi", "bluetooth"), workers=2,
             on_error="degrade", timeout=0.1, deadline_ms=2_000.0,
         )
-        baseline = RFDumpMonitor(config=config)
-        with baseline.parallel_stage:
+        with RFDumpMonitor(config=config) as baseline:
             clean = baseline.process(mixed_trace.buffer)
         clean_bt = [p for p in clean.packets if p.protocol == "bluetooth"]
         assert clean_bt  # the comparison must compare something
 
         monitor = RFDumpMonitor(config=config)
-        stage = monitor.parallel_stage
+        stage = monitor.analysis_stage
         hang = SlowDecoder(wrapped=stage.decoders["wifi"], hang=True)
         stage.decoders["wifi"] = hang
         try:

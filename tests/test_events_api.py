@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from repro import MonitorConfig
+from repro import MonitorConfig, RFDumpMonitor
 from repro.core import make_monitor
 from repro.core.events import (
     EVENT_SCHEMA_VERSION,
@@ -148,24 +148,40 @@ class TestMonitorEvents:
     @pytest.mark.parametrize("preset", ["mix", "broadcast", "bluetooth"])
     def test_every_driver_emits_the_same_bytes(self, preset):
         """rfdump, streaming and flowgraph are one pipeline behind three
-        drivers: the same IQ yields the same canonical event lines."""
+        drivers, and the analysis stage one task list behind inline
+        execution and two pool backends: the same IQ yields the same
+        canonical event lines through all of them."""
         trace = build_preset(preset, 0.2, seed=3).render()
         config = MonitorConfig(sample_rate=trace.sample_rate,
                                center_freq=trace.center_freq)
-        lines = {}
-        for kind in ("rfdump", "streaming", "flowgraph"):
-            with make_monitor(kind, config) as monitor:
-                lines[kind] = [
-                    e.to_json() for e in monitor.events([trace.buffer])]
-        assert lines["rfdump"]
-        assert lines["streaming"] == lines["rfdump"]
-        assert lines["flowgraph"] == lines["rfdump"]
+        runs = [(kind, config) for kind in ("rfdump", "streaming", "flowgraph")]
+        runs += [("streaming", config.replace(workers=2, backend=backend))
+                 for backend in ("thread", "process")]
+        lines = []
+        for kind, cfg in runs:
+            with make_monitor(kind, cfg) as monitor:
+                lines.append(
+                    [e.to_json() for e in monitor.events([trace.buffer])])
+        assert lines[0]
+        for (kind, cfg), got in zip(runs, lines):
+            assert got == lines[0], (kind, cfg.workers, cfg.backend)
 
     def test_removed_names_fail_loudly(self):
         with pytest.raises(ValueError, match="unknown monitor"):
             make_monitor("sharded")
+        for removed in ("shards", "granularity", "parallel_granularity",
+                        "parallel_backend"):
+            with pytest.raises(TypeError):
+                MonitorConfig(**{removed: 2})
+            with pytest.raises(TypeError):
+                RFDumpMonitor(**{removed: 2})
+        from repro.flowgraph import FlowGraph
+
+        assert not hasattr(FlowGraph, "compile")
         with pytest.raises(TypeError):
-            MonitorConfig(shards=2)
+            FlowGraph().run(fused=True)
+        with pytest.raises(ImportError):
+            import repro.flowgraph.fusion  # noqa: F401
 
     def test_naive_monitor_events(self, wifi_trace):
         with make_monitor("naive", _config(wifi_trace)) as monitor:

@@ -1,4 +1,4 @@
-"""Worker crashes, stalls and pool death through the parallel stage."""
+"""Worker crashes, stalls and pool death through the pooled analysis stage."""
 
 import pytest
 
@@ -6,7 +6,7 @@ from repro import RFDumpMonitor
 from repro.analysis.decoders import PacketRecord
 from repro.core.config import MonitorConfig
 from repro.core.dispatcher import DispatchedRange
-from repro.core.parallel import ParallelAnalysisStage
+from repro.core.analysis_stage import AnalysisStage
 from repro.dsp.samples import SampleBuffer
 from repro.errors import DecodeTimeoutError, RFDumpError, WorkerCrashError
 from repro.faults import CrashingDecoder, PoolKillerDecoder, SlowDecoder
@@ -55,7 +55,7 @@ class TestDegrade:
                 protocols=("wifi",), workers=2, on_error="degrade", obs=obs
             )
         )
-        stage = monitor.parallel_stage
+        stage = monitor.analysis_stage
         stage.decoders["wifi"] = CrashingDecoder(
             wrapped=stage.decoders["wifi"], at=None
         )
@@ -76,9 +76,9 @@ class TestDegrade:
 
     def test_error_records_carry_sample_ranges(self):
         buffer, ranges = _fake_inputs(3)
-        stage = ParallelAnalysisStage(
+        stage = AnalysisStage(
             {"wifi": CrashingDecoder(wrapped=_EmittingDecoder(), at=None)},
-            workers=2, granularity="range", on_error="degrade",
+            workers=2, on_error="degrade",
         )
         with stage:
             packets, _, fallbacks = stage.run(buffer, ranges)
@@ -93,9 +93,9 @@ class TestDegrade:
     def test_broken_process_pool_restarts_then_falls_back(self):
         obs = Observability()
         buffer, ranges = _fake_inputs(1)
-        stage = ParallelAnalysisStage(
+        stage = AnalysisStage(
             {"wifi": PoolKillerDecoder()},
-            workers=1, backend="process", on_error="degrade",
+            workers=2, backend="process", on_error="degrade",
             max_pool_restarts=2, obs=obs,
         )
         with stage:
@@ -116,7 +116,7 @@ class TestDegrade:
         # prevent; the task is shed and counted instead
         obs = Observability()
         buffer, ranges = _fake_inputs(1)
-        stage = ParallelAnalysisStage(
+        stage = AnalysisStage(
             {"wifi": SlowDecoder(wrapped=_EmittingDecoder(), delay=1.0)},
             workers=2, timeout_per_range=0.05, on_error="degrade", obs=obs,
         )
@@ -135,7 +135,7 @@ class TestDegrade:
 class TestRaise:
     def test_worker_crash_raises_typed_error(self):
         buffer, ranges = _fake_inputs(1)
-        stage = ParallelAnalysisStage(
+        stage = AnalysisStage(
             {"wifi": CrashingDecoder(at=None)},
             workers=2, on_error="raise",
         )
@@ -150,7 +150,7 @@ class TestRaise:
         # deadline fault, surfaced as DecodeTimeoutError (the silent
         # inline re-run used to hide the stall entirely)
         buffer, ranges = _fake_inputs(1)
-        stage = ParallelAnalysisStage(
+        stage = AnalysisStage(
             {"wifi": SlowDecoder(wrapped=_EmittingDecoder(), delay=1.0)},
             workers=2, timeout_per_range=0.05, on_error="raise",
         )
@@ -165,9 +165,9 @@ class TestSkip:
     def test_failed_tasks_dropped_not_retried(self):
         obs = Observability()
         buffer, ranges = _fake_inputs(3)
-        stage = ParallelAnalysisStage(
+        stage = AnalysisStage(
             {"wifi": CrashingDecoder(wrapped=_EmittingDecoder(), at=None)},
-            workers=2, granularity="range", on_error="skip", obs=obs,
+            workers=2, on_error="skip", obs=obs,
         )
         with stage:
             packets, _, fallbacks = stage.run(buffer, ranges)
@@ -182,9 +182,9 @@ class TestSkip:
 class TestLegacy:
     def test_default_mode_still_falls_back_but_records(self):
         buffer, ranges = _fake_inputs(2)
-        stage = ParallelAnalysisStage(
+        stage = AnalysisStage(
             {"wifi": CrashingDecoder(wrapped=_EmittingDecoder(), at=None)},
-            workers=2, granularity="range",
+            workers=2,
         )
         with stage:
             packets, _, fallbacks = stage.run(buffer, ranges)

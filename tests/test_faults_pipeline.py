@@ -187,8 +187,9 @@ class TestNonFiniteSample:
         monitor = getattr(driver, "monitor", driver)
         monitor.noise_floor = baseline.noise_floor  # carried, as streaming does
         seen = []
-        scan = monitor._decoders["wifi"].scan
-        monitor._decoders["wifi"].scan = lambda sub, **kw: (
+        decoder = monitor.analysis_stage.decoders["wifi"]
+        scan = decoder.scan
+        decoder.scan = lambda sub, **kw: (
             seen.append(bool(np.isfinite(sub.samples).all()))
             or scan(sub, **kw))
         report = driver.process(SampleBuffer(samples, trace.buffer.timebase))

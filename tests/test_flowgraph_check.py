@@ -142,6 +142,16 @@ class TestRunValidates:
         graph.run()
         assert len(sink.items) == 1
 
+    def test_check_cache_invalidated_by_connect(self):
+        tee = FunctionBlock(lambda item: item, "tee")
+        graph = FlowGraph().chain(ChunkSource(), tee, CollectSink())
+        graph.check()
+        assert graph._validated
+        graph.connect(tee, CollectSink("extra"))
+        assert not graph._validated
+        graph.check()
+        assert graph._validated
+
     def test_rfdump_graph_passes_check(self):
         rng = np.random.default_rng(0)
         noise = 0.01 * (rng.normal(size=4096) + 1j * rng.normal(size=4096))

@@ -59,7 +59,7 @@ class TestGraphAssembly:
         assert all(a is b for a, b in zip(wired, monitor.detectors))
         owned = [(monitor.peak_detector, "detect"),
                  (monitor.dispatcher, "dispatch"),
-                 (monitor._decoders["wifi"], "scan")]
+                 (monitor.analysis_stage.decoders["wifi"], "scan")]
         with ExitStack() as stack:
             spies = [
                 stack.enter_context(mock.patch.object(

@@ -97,7 +97,7 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("path", [
         "src/repro/core/accounting.py",
-        "src/repro/core/parallel.py",
+        "src/repro/core/analysis_stage.py",
         "src/repro/core/pipeline.py",
         "src/repro/obs/tracing.py",
     ])

@@ -6,7 +6,7 @@ import pytest
 
 from repro import Monitor, MonitorConfig, make_monitor
 from repro.core import EnergyNaiveMonitor, NaiveMonitor, RFDumpMonitor
-from repro.core.config import LEGACY_ALIASES, resolve_monitor_config
+from repro.core.config import PROTOCOLS, resolve_monitor_config
 from repro.core.monitor import MONITOR_NAMES
 from repro.core.streaming import StreamingMonitor
 from repro.errors import ConfigurationError
@@ -34,8 +34,9 @@ class TestMonitorConfig:
         {"sample_rate": 0},
         {"workers": 0},
         {"backend": "greenlet"},
-        {"granularity": "chunk"},
+        {"deadline_ms": -5.0},
         {"timeout": -1.0},
+        {"protocols": ("wifi", "foo")},
     ])
     def test_validation(self, bad):
         with pytest.raises(ValueError):
@@ -44,32 +45,32 @@ class TestMonitorConfig:
     def test_round_trip(self):
         cfg = MonitorConfig(
             sample_rate=8e6, protocols=("zigbee",), workers=3,
-            backend="process", granularity="range", timeout=2.0,
+            backend="process", timeout=2.0,
         )
-        assert MonitorConfig.from_kwargs(**cfg.to_kwargs()) == cfg
-
-    def test_legacy_names_still_resolve_in_from_kwargs(self):
-        cfg = MonitorConfig(workers=2, backend="process", timeout=1.5)
-        legacy = {"workers": 2, "parallel_backend": "process",
-                  "parallel_timeout": 1.5}
-        assert set(LEGACY_ALIASES) >= {"parallel_backend", "parallel_timeout"}
-        assert MonitorConfig.from_kwargs(**legacy) == cfg
+        assert MonitorConfig(**cfg.to_kwargs()) == cfg
 
     def test_to_kwargs_emits_canonical_names_only(self):
         out = MonitorConfig(backend="process").to_kwargs()
-        assert "backend" in out
-        for old in LEGACY_ALIASES:
-            assert old not in out
+        assert set(out) == {f.name for f in dataclasses.fields(MonitorConfig)}
+        assert len(out) == 13
         with pytest.raises(TypeError):
             MonitorConfig().to_kwargs(legacy=True)
 
-    def test_from_kwargs_rejects_unknown(self):
-        with pytest.raises(TypeError):
-            MonitorConfig.from_kwargs(warp_factor=9)
+    def test_every_known_protocol_has_detectors_and_a_decoder(self):
+        """``PROTOCOLS`` is exactly what the pipeline can build: a name
+        validation accepts never fails later, inside a pump thread."""
+        from repro.analysis.decoders import make_decoder
+        from repro.core.pipeline import default_detectors
 
-    def test_from_kwargs_rejects_alias_conflict(self):
+        for protocol in PROTOCOLS:
+            default_detectors((protocol,), ("timing", "phase", "frequency"))
+            make_decoder(protocol, 8e6)
+        with pytest.raises(ValueError, match="foo.*known: wifi"):
+            MonitorConfig(protocols=("foo",))
         with pytest.raises(ValueError):
-            MonitorConfig.from_kwargs(backend="thread", parallel_backend="process")
+            default_detectors(("foo",), ("timing",))
+        with pytest.raises(ValueError):
+            make_decoder("foo", 8e6)
 
     def test_replace_revalidates(self):
         cfg = MonitorConfig()
@@ -87,27 +88,21 @@ class TestResolve:
         cfg = MonitorConfig(workers=2)
         assert resolve_monitor_config(cfg) is cfg
 
-    def test_consistent_mix_no_warning(self, recwarn):
-        cfg = MonitorConfig(workers=2)
-        out = resolve_monitor_config(cfg, workers=2)
-        assert out.workers == 2
-        assert not [w for w in recwarn if w.category is DeprecationWarning]
-
     def test_inconsistent_mix_raises(self):
         cfg = MonitorConfig(workers=2)
         with pytest.raises(ConfigurationError, match="workers"):
             resolve_monitor_config(cfg, workers=4)
 
-    def test_conflicting_legacy_alias_raises(self):
-        cfg = MonitorConfig(backend="thread")
-        with pytest.raises(ConfigurationError, match="backend"):
-            resolve_monitor_config(cfg, parallel_backend="process")
-
-    def test_agreeing_mix_returns_config_unchanged(self):
+    def test_agreeing_mix_raises_too(self):
+        """One or the other: a keyword that repeats the config is still
+        two sources of truth at the call site."""
         cfg = MonitorConfig(workers=2, backend="process")
-        out = resolve_monitor_config(cfg, workers=2,
-                                     parallel_backend="process")
-        assert out is cfg
+        with pytest.raises(ConfigurationError, match="one or the other"):
+            resolve_monitor_config(cfg, workers=2)
+
+    def test_unknown_field_rejected(self):
+        with pytest.raises(TypeError):
+            resolve_monitor_config(None, warp_factor=9)
 
 
 class TestMonitorsAcceptConfig:

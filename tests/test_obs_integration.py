@@ -3,8 +3,8 @@
 The acceptance bar for the obs subsystem: deterministic counters are
 identical across serial and parallel runs (the paper's Table 1 / Fig 9
 quantities must not depend on the worker pool), spans nest stage ->
-detector/task -> range under both pool backends, and the streaming /
-flowgraph layers report their own load.
+detector / decoded range whether the ranges ran inline or on either
+pool backend, and the streaming / flowgraph layers report their own load.
 """
 
 import pytest
@@ -108,9 +108,9 @@ def _span_tree(obs):
 
 class TestPipelineSpans:
     @pytest.mark.parametrize("workers,backend", [
-        (1, "thread"),   # serial: spans opened inline
-        (2, "thread"),   # pool: spans replayed from worker measurements
-        (2, "process"),  # cross-process: spans shipped back as dicts
+        (1, "thread"),   # inline: measured in the calling thread
+        (2, "thread"),   # pool: measured on the worker
+        (2, "process"),  # cross-process: measurements shipped back
     ])
     def test_nesting_stage_task_range(self, wifi_trace, workers, backend):
         obs = Observability()
@@ -127,15 +127,15 @@ class TestPipelineSpans:
         kid_names = {s.name for s in children[process.id]}
         assert "peak_detection" in kid_names
         assert "analysis" in kid_names
-        analysis = by_name["analysis"]
-        tasks = children[analysis.id]
-        assert tasks and all(t.name.startswith("demod[") for t in tasks)
-        ranges = [r for t in tasks for r in children[t.id]]
-        assert ranges and all(r.category == "range" for r in ranges)
+        # one span per decoded range, straight under the stage
+        ranges = children[by_name["analysis"].id]
+        assert ranges and all(r.name == "demod[wifi]" for r in ranges)
+        assert all(r.category == "range" for r in ranges)
         assert all(
             r.start_sample is not None and r.end_sample > r.start_sample
             for r in ranges
         )
+        assert all(not children[r.id] for r in ranges)
 
     def test_trace_structure_matches_across_worker_counts(self, wifi_trace):
         structures = []

@@ -100,6 +100,24 @@ class TestModem:
         with pytest.raises(DecodeError):
             dem.demodulate(noise)
 
+    def test_preamble_search_correlates_only_what_it_reads(self, modem,
+                                                           monkeypatch):
+        """``_find_start`` looks at ten symbol periods of correlation; it
+        used to convolve the whole candidate (36,000 samples) first."""
+        mod, dem = modem
+        rx = _embed(mod.modulate(bytes(100)), tail=30_000, seed=7)
+        expected = dem._find_start(rx)
+        sizes = []
+        convolve = np.convolve
+
+        def spy(a, v, mode="full"):
+            sizes.append(len(a))
+            return convolve(a, v, mode=mode)
+
+        monkeypatch.setattr(np, "convolve", spy)
+        assert dem._find_start(rx) == expected
+        assert sizes and max(sizes) <= 11 * dem.sps < rx.size
+
     def test_corrupted_fcs_raises(self, modem):
         mod, dem = modem
         wave = mod.modulate(b"fcs target")

@@ -79,11 +79,40 @@ class TestRfdump:
     def test_rejects_bad_workers(self, recorded, capsys):
         assert rfdump.main([str(recorded), "--workers", "0"]) == 2
 
+    @pytest.mark.parametrize("flags", [
+        ["--workers", "0"], ["--deadline-ms", "-5"], ["--protocols", "foo"],
+    ])
+    def test_bad_flag_value_is_one_line_and_exit_2(self, recorded, capsys,
+                                                   flags):
+        assert rfdump.main([str(recorded), *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("rfdump: ")
+
     def test_monitor_baseline_selection(self, recorded, capsys):
         code = rfdump.main([str(recorded), "--monitor", "naive", "--summary"])
         assert code == 0
         out = capsys.readouterr().out
         assert "decoded packets" in out
+
+
+class TestFlowGraphMonitorCLI:
+    def test_cli_flowgraph_summary_counts_peaks(self, tmp_path, capsys):
+        from repro.emulator.presets import build_preset
+        from repro.trace.io import write_trace
+
+        trace = str(tmp_path / "t.iq")
+        write_trace(trace, build_preset("wifi", 0.02, seed=1).render().buffer)
+        assert rfdump.main([trace, "--monitor", "flowgraph", "--summary"]) == 0
+        header = capsys.readouterr().out.splitlines()[0]
+        assert header.endswith(" peaks") and not header.endswith(" 0 peaks")
+
+    def test_cli_rejects_removed_fuse_flag(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            rfdump.main([str(tmp_path / "t.iq"), "--monitor", "flowgraph",
+                         "--fuse"])
+        assert exc.value.code == 2
 
 
 class TestRfdumpEventFormat:
@@ -181,6 +210,25 @@ class TestRfdumpdCLI:
             rfdumpd.main(["serve", "--monitor", kind])
         assert exc.value.code == 2
         assert capsys.readouterr().out == ""  # no announce line
+
+    @pytest.mark.parametrize("flags", [
+        ["--protocols", "foo"], ["--workers", "0"], ["--deadline-ms", "-5"],
+        ["--sample-rate", "0"],
+    ])
+    def test_serve_rejects_bad_config_before_announcing(self, flags, capsys):
+        """Was: a pump-thread traceback (``--protocols foo``) behind an
+        announced port serving an empty stream, or a bare traceback."""
+        import threading
+
+        from repro.tools import rfdumpd
+
+        threads = threading.active_count()
+        assert rfdumpd.main(["serve", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # no announce line
+        (line,) = captured.err.splitlines()
+        assert line.startswith("rfdumpd: ")
+        assert threading.active_count() == threads
 
     def test_serve_replay_subscribe_round_trip(self, recorded, capsys):
         import json
