@@ -58,15 +58,21 @@ def _dedup_records(records: List[PacketRecord], min_spacing: int) -> List[Packet
     return out
 
 
+#: offsets per tile when the Wi-Fi scan ranks templates: the tile's
+#: correlation bank (6 rows x 64 KiB at 8 Msps) stays cache-resident
+#: while each row is derived from the one before
+_BANK_TILE = 8192
+
+
 class WifiStreamDecoder:
     """Finds and decodes every 802.11b packet in a sample range.
 
-    The range is correlated against each Barker chip-phase template once
-    (the dominant cost, proportional to input length) and only the
-    strongest template's correlation is kept.  Differential bits at each
-    of the 8 symbol alignments of that correlation are descrambled and
-    searched for SFDs, which yields about three candidate starts per
-    packet — one per neighbouring alignment.  Timing acquisition then
+    The Barker chip-phase templates are ranked by correlation energy over
+    the range (``WifiDemodulator.correlate_bank``, a tile at a time) and
+    only the strongest template's correlation is kept.  Differential
+    bits at each of the 8 symbol alignments of that correlation are
+    descrambled and searched for SFDs, which yields about three candidate
+    starts per packet — one per neighbouring alignment.  Timing acquisition then
     runs for all candidates together, the candidates are visited in
     order of their acquired start sample, and one is decoded (from a
     slice of the kept correlation when acquisition chose that template)
@@ -104,15 +110,25 @@ class WifiStreamDecoder:
         correlation energy over the range.
 
         Holds two full-length correlations at most: whole-trace callers
-        (the naive monitor) pass millions of samples.
+        (the naive monitor) pass millions of samples.  The templates are
+        ranked on the correlation bank, a cache-sized tile at a time,
+        and only the winner is correlated full-length; ``argmax`` breaks
+        a tie toward the earlier template.
         """
-        best, best_corr, best_energy = -1, None, -1.0
-        for index in range(len(self.demodulator._templates)):  # rfdump: noqa[RFD601] one whole-array correlation per template
-            corr = self.demodulator.correlate(samples, index)
-            energy = float(np.sum(np.abs(corr) ** 2))
-            if energy > best_energy:
-                best, best_corr, best_energy = index, corr, energy
-        return best, best_corr
+        demod = self.demodulator
+        sps = self._sps
+        rows = len(demod._templates)
+        offsets = max(samples.size - sps + 1, 0)
+        scratch = np.empty(rows * min(offsets, _BANK_TILE), dtype=np.complex64)
+        energy = np.zeros(rows)
+        for lo in range(0, offsets, _BANK_TILE):  # rfdump: noqa[RFD601] one iteration per _BANK_TILE offsets
+            hi = min(lo + _BANK_TILE, offsets)
+            bank = scratch[:rows * (hi - lo)].reshape(rows, hi - lo)
+            demod.correlate_bank(samples[lo:hi + sps - 1], out=bank)
+            parts = bank.view(np.float32)
+            energy += np.einsum("ij,ij->i", parts, parts)
+        strongest = int(np.argmax(energy))
+        return strongest, demod.correlate(samples, strongest)
 
     def _candidate_starts(self, corr: np.ndarray) -> List[int]:
         """Sample indices where a PLCP preamble plausibly starts, ascending.

@@ -232,7 +232,7 @@ register_benchmark(Benchmark(
 # in setup, and only ``WifiStreamDecoder.scan`` over the forwarded Wi-Fi
 # ranges is timed.  ``--impl reference`` times the pre-restructuring scan
 # (full demodulation of every candidate start); CI gates
-# ``--require-speedup demod_wifi:1.5`` on the same-process pair.
+# ``--require-speedup demod_wifi:3.0`` on the same-process pair.
 
 def dispatched_wifi_ranges(preset: str, duration: float, snr_db: float = 20.0,
                            seed: int = 3):

@@ -9,7 +9,7 @@ accounts for every forwarded sample (the false-positive denominator).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.constants import DEFAULT_CHUNK_SAMPLES
 from repro.core.detectors.base import Classification
@@ -141,22 +141,3 @@ class Dispatcher:
         return {
             protocol: sum(r.length for r in rs) for protocol, rs in ranges.items()
         }
-
-    @staticmethod
-    def priority_order(
-        ranges: Dict[str, List[DispatchedRange]]
-    ) -> List[Tuple[str, DispatchedRange]]:
-        """Flatten dispatch output into deadline-priority order.
-
-        ``(protocol, range)`` pairs sorted by deadline slack × confidence
-        (:func:`repro.core.deadline.range_priority`): the ranges worth
-        spending the window's latency budget on first come first, and
-        the tail is what admission control sheds under overload.  A pure
-        function of the dispatch output — deterministic across runs.
-        """
-        from repro.core.deadline import range_priority
-
-        return sorted(
-            ((protocol, rng) for protocol, rs in ranges.items() for rng in rs),
-            key=lambda pair: range_priority(pair[0], pair[1]),
-        )

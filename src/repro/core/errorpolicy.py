@@ -27,14 +27,20 @@ Every fault-handling seam in the pipeline consults one policy knob
     inline — everything counted and surfaced on the report.
 
 This module holds the pieces the policy seams share: the policy
-vocabulary, the :class:`ErrorRecord` that reports carry, and the
+vocabulary, the :class:`ErrorRecord` that reports carry, the non-finite
+sample policy of every monitor (:func:`sanitize_nonfinite`), and the
 per-component :class:`CircuitBreaker`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+
+from repro.errors import SampleIntegrityError
+
+if TYPE_CHECKING:
+    from repro.dsp.samples import SampleBuffer
 
 #: accepted values for ``on_error`` (``None`` = legacy per-component
 #: defaults; see the module docstring)
@@ -89,6 +95,35 @@ class ErrorRecord:
             start_sample=start_sample,
             end_sample=end_sample,
         )
+
+
+def sanitize_nonfinite(buffer: "SampleBuffer", bad_samples: int,
+                       stage: str, component: str, on_error: Optional[str],
+                       errors: List[ErrorRecord]) -> "SampleBuffer":
+    """The buffer a monitor analyses once ``component`` (of ``stage``)
+    has counted ``bad_samples`` NaN/Inf samples in ``buffer``.
+
+    A clean buffer comes back as it is.  Otherwise ``on_error="raise"``
+    raises :class:`~repro.errors.SampleIntegrityError`; every other
+    policy appends one ``action="sanitized"`` record to ``errors`` and
+    returns :meth:`SampleBuffer.finite`, so a bad sample costs itself
+    and nothing around it, and no demodulator is handed NaN/Inf.
+    """
+    if not bad_samples:
+        return buffer
+    message = (
+        f"{bad_samples} non-finite samples in "
+        f"[{buffer.start_sample}, {buffer.end_sample})"
+    )
+    if on_error == "raise":
+        raise SampleIntegrityError(message, bad_samples=bad_samples)
+    errors.append(ErrorRecord(
+        stage=stage, component=component,
+        error="SampleIntegrityError", message=f"{message} zeroed",
+        action="sanitized", start_sample=buffer.start_sample,
+        end_sample=buffer.end_sample,
+    ))
+    return buffer.finite()
 
 
 class CircuitBreaker:

@@ -17,6 +17,7 @@ from repro.constants import DEFAULT_CHUNK_SAMPLES, DEFAULT_ENERGY_THRESHOLD_DB
 from repro.analysis.decoders import PacketRecord, make_decoder
 from repro.core.accounting import StageClock
 from repro.core.config import MonitorConfig, resolve_monitor_config
+from repro.core.errorpolicy import ErrorRecord, sanitize_nonfinite
 from repro.core.monitor import Monitor
 from repro.core.pipeline import MonitorReport
 from repro.dsp.energy import chunk_average_power
@@ -37,6 +38,7 @@ class NaiveMonitor(Monitor):
         cfg = resolve_monitor_config(config, **fields)
         self.config = cfg
         self.obs = cfg.obs
+        self.on_error = cfg.on_error
         self.sample_rate = cfg.sample_rate
         self.center_freq = cfg.center_freq
         self.protocols = cfg.protocols
@@ -57,6 +59,12 @@ class NaiveMonitor(Monitor):
         obs.counter(
             "rfdump_samples_total", help="samples entering the monitor"
         ).inc(len(buffer))
+        # no peak detector in front to zero a NaN/Inf sample: the energy
+        # filter and every demodulator would read it
+        bad = len(buffer) - int(np.count_nonzero(np.isfinite(buffer.samples)))
+        errors: List[ErrorRecord] = []
+        buffer = sanitize_nonfinite(buffer, bad, "stream", type(self).__name__,
+                                    self.on_error, errors)
         regions = self._regions(buffer, clock)
         ranges = {
             protocol: [
@@ -92,6 +100,7 @@ class NaiveMonitor(Monitor):
             ranges=ranges,
             packets=packets,
             clock=clock,
+            errors=errors,
         )
 
 

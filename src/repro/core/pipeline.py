@@ -34,11 +34,11 @@ from repro.core.detectors import (
 )
 from repro.core.detectors.base import Classification, Detector
 from repro.core.dispatcher import DispatchedRange, Dispatcher
-from repro.core.errorpolicy import CircuitBreaker, ErrorRecord
+from repro.core.errorpolicy import CircuitBreaker, ErrorRecord, sanitize_nonfinite
 from repro.core.metadata import PeakHistory
 from repro.core.peak_detector import PeakDetectionResult, PeakDetector, PeakDetectorConfig
 from repro.dsp.samples import SampleBuffer
-from repro.errors import DetectorCrashError, SampleIntegrityError
+from repro.errors import DetectorCrashError
 from repro.obs import NULL
 
 
@@ -303,22 +303,9 @@ class RFDumpMonitor(Monitor):
                 detection = self.peak_detector.detect(buffer, self.noise_floor)
                 clock.touch("peak_detection", len(buffer))
         w = WindowState(buffer, detection, clock, started, budget)
-        if detection.nonfinite_samples:
-            message = (
-                f"{detection.nonfinite_samples} non-finite samples in "
-                f"[{buffer.start_sample}, {buffer.end_sample}) zeroed "
-                "before peak detection"
-            )
-            if self.on_error == "raise":
-                raise SampleIntegrityError(
-                    message, bad_samples=detection.nonfinite_samples)
-            w.errors.append(ErrorRecord(
-                stage="detector", component="PeakDetector",
-                error="SampleIntegrityError", message=message,
-                action="sanitized", start_sample=buffer.start_sample,
-                end_sample=buffer.end_sample,
-            ))
-            w.buffer = buffer.finite()
+        w.buffer = sanitize_nonfinite(
+            buffer, detection.nonfinite_samples, "detector", "PeakDetector",
+            self.on_error, w.errors)
         return w
 
     def classify(self, detector: Detector,

@@ -26,10 +26,11 @@ HOT_PATH_MODULES = (
     "repro/dsp/phase.py",
     "repro/dsp/fftutil.py",
     "repro/dsp/samples.py",
-    # the Wi-Fi scan and its SFD search (rfbench demod_wifi): loops run
-    # per template, alignment, candidate or pattern hit, never per
-    # sample or per bit
+    # the Wi-Fi scan, its correlation kernel and its SFD search (rfbench
+    # demod_wifi): loops run per tile, template, tap, alignment,
+    # candidate or pattern hit, never per sample or per bit
     "repro/analysis/decoders.py",
+    "repro/phy/wifi.py",
     "repro/phy/plcp.py",
     # the per-peak phase detectors (rfbench phase_detectors): loops run
     # once per peak with O(1) numpy calls inside, never per template,

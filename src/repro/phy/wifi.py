@@ -155,6 +155,15 @@ class WifiDemodulator:
         self._templates = list({t.tobytes(): t for t in grid}.values())
         #: one template per grid phase, repeats included (the reference twin's bank)
         self._grid_templates = grid
+        # Every tap is a real +1 or -1, so a correlation is a signed sum
+        # of shifted views: _tap_plus[t, j] says whether tap j of
+        # template t adds, and _row_flips[t - 1] lists the taps where
+        # template t differs from t - 1 (with the sign they take in t).
+        self._tap_plus = np.array([t.real > 0 for t in self._templates])
+        self._row_flips = [
+            [(int(tap), bool(row[tap])) for tap in np.flatnonzero(row != prev)]
+            for prev, row in zip(self._tap_plus, self._tap_plus[1:])
+        ]
         # "USRP2 mode": chip-aligned capture rates can decode CCK payloads
         self._cck = {}
         if (sample_rate / 11e6).is_integer():
@@ -174,14 +183,56 @@ class WifiDemodulator:
     # decoder calls the two halves itself so that neighbouring candidates
     # share correlations instead of recomputing them.
 
-    def correlate(self, samples: np.ndarray, index: int) -> np.ndarray:
-        """``samples`` slid along template ``index``, one value per offset.
+    def correlate(self, samples: np.ndarray, index: int,
+                  out: Optional[np.ndarray] = None) -> np.ndarray:
+        """``samples`` slid along template ``index``, one value per offset
+        (none when there are fewer than ``sps`` samples).
 
-        Each output depends only on the ``sps`` samples under it, so the
-        correlation of a slice is bit-for-bit the slice of the
-        correlation: ``correlate(x[lo:hi], i) == correlate(x, i)[lo:hi-sps+1]``.
+        The taps are +-1, so this is the signed sum of the ``sps`` shifted
+        views of ``samples``, added in tap order.  Each output depends
+        only on the ``sps`` samples under it, so the correlation of a
+        slice is bit-for-bit the slice of the correlation:
+        ``correlate(x[lo:hi], i) == correlate(x, i)[lo:hi-sps+1]``.
+        ``out``, when given, receives the result.
         """
-        return np.convolve(samples, self._templates[index][::-1], mode="valid")
+        n = max(samples.size - self._sps + 1, 0)
+        if out is None:
+            out = np.empty(n, dtype=np.result_type(samples.dtype, np.complex64))
+        plus = self._tap_plus[index]
+        if plus[0]:
+            np.copyto(out, samples[:n])
+        else:
+            np.negative(samples[:n], out=out)
+        for tap in range(1, self._sps):  # rfdump: noqa[RFD601] one whole-array add per tap (sps - 1 of them)
+            accumulate = np.add if plus[tap] else np.subtract
+            accumulate(out, samples[tap:tap + n], out=out)
+        return out
+
+    def correlate_bank(self, samples: np.ndarray,
+                       out: Optional[np.ndarray] = None) -> np.ndarray:
+        """``bank[t, o]``: ``samples`` correlated with every template.
+
+        Row 0 is :meth:`correlate`; each later row is its predecessor
+        with the taps that differ re-signed — ``+- 2 * samples`` at that
+        tap — which at 8 Msps is one add per row.  Such a row matches
+        its own :meth:`correlate` to rounding only (the sum is taken in
+        another order), so it may rank templates and score timing but is
+        never decoded from.  Like :meth:`correlate`, a slice's bank is
+        bit-for-bit the slice of the bank.
+        """
+        n = max(samples.size - self._sps + 1, 0)
+        if out is None:
+            out = np.empty((len(self._templates), n),
+                           dtype=np.result_type(samples.dtype, np.complex64))
+        self.correlate(samples, 0, out=out[0])
+        twice = samples + samples
+        for row, flips in enumerate(self._row_flips, start=1):  # rfdump: noqa[RFD601] one iteration per template row
+            previous = out[row - 1]
+            for tap, plus in flips:  # rfdump: noqa[RFD601] one whole-array add per differing tap
+                accumulate = np.add if plus else np.subtract
+                accumulate(previous, twice[tap:tap + n], out=out[row])
+                previous = out[row]
+        return out
 
     def _acquisition_offsets(self, nsamples: int) -> int:
         """Sample offsets acquisition can score in the leading window of a
@@ -192,8 +243,7 @@ class WifiDemodulator:
         """``metric[t, o]``: sum of |correlation with template t| at
         ``o, o+sps, ...`` over ``acq_symbols`` symbols."""
         sps = self._sps
-        mags = np.abs([self.correlate(window, index)
-                       for index in range(len(self._templates))])
+        mags = np.abs(self.correlate_bank(window))
         span = (self._acq_symbols - 1) * sps
         terms = sliding_window_view(mags, span + 1, axis=1)[:, :, ::sps]
         # summed along a contiguous last axis, so each row adds its
@@ -205,7 +255,7 @@ class WifiDemodulator:
         """(template index, sample offset) maximizing preamble correlation,
         or None when nothing correlates."""
         best_score = -1.0
-        for metric in metrics:
+        for metric in metrics:  # rfdump: noqa[RFD601] one iteration per template
             best_score = max(best_score, float(metric.max()))
         if best_score <= 0:
             return None
@@ -213,7 +263,7 @@ class WifiDemodulator:
         # the maximum; take the *earliest* near-max offset so the SFD is
         # still ahead of us, breaking ties toward the higher score.
         best = None
-        for index, metric in enumerate(metrics):
+        for index, metric in enumerate(metrics):  # rfdump: noqa[RFD601] one iteration per template
             candidates = np.flatnonzero(metric >= 0.9 * best_score)
             if candidates.size == 0:
                 continue
@@ -238,10 +288,10 @@ class WifiDemodulator:
         timings: List[Optional[Tuple[int, int]]] = [None] * len(bounds)
         offsets = [self._acquisition_offsets(hi - lo) for lo, hi in bounds]
         start = 0
-        while start < len(bounds):
+        while start < len(bounds):  # rfdump: noqa[RFD601] one iteration per group of candidates
             base = bounds[start][0]
             stop = start + 1
-            while stop < len(bounds) and bounds[stop][0] < base + self._acq_window:
+            while stop < len(bounds) and bounds[stop][0] < base + self._acq_window:  # rfdump: noqa[RFD601] one iteration per candidate
                 stop += 1
             group = [i for i in range(start, stop) if offsets[i] >= 1]
             start = stop
@@ -249,7 +299,7 @@ class WifiDemodulator:
                 continue
             end = max(min(bounds[i][1], bounds[i][0] + self._acq_window) for i in group)
             metrics = self._acquisition_metrics(samples[base:end])
-            for i in group:
+            for i in group:  # rfdump: noqa[RFD601] one iteration per candidate
                 shift = bounds[i][0] - base
                 timings[i] = self._pick_timing(metrics[:, shift:shift + offsets[i]])
         return timings
@@ -378,7 +428,7 @@ class WifiDemodulator:
             raise SyncError(f"candidate too short for acquisition ({samples.size} samples)")
         metrics = []
         best_score = -1.0
-        for template in self._grid_templates:
+        for template in self._grid_templates:  # rfdump: noqa[RFD601] reference twin
             corr = np.convolve(window, template[::-1], mode="valid")
             mag = np.abs(corr)
             max_offset = mag.size - (self._acq_symbols - 1) * sps
@@ -392,7 +442,7 @@ class WifiDemodulator:
         if not metrics or best_score <= 0:
             raise SyncError("timing acquisition failed")
         best = (None, None, np.inf, -1.0)
-        for template, metric in metrics:
+        for template, metric in metrics:  # rfdump: noqa[RFD601] reference twin
             candidates = np.flatnonzero(metric >= 0.9 * best_score)
             if candidates.size == 0:
                 continue

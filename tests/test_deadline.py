@@ -24,7 +24,7 @@ from repro.core.deadline import (
     order_tasks,
     range_priority,
 )
-from repro.core.dispatcher import DispatchedRange, Dispatcher
+from repro.core.dispatcher import DispatchedRange
 from repro.core.analysis_stage import AnalysisStage, AnalysisTask
 from repro.core.streaming import StreamingMonitor
 from repro.dsp.samples import SampleBuffer
@@ -69,6 +69,14 @@ def _rng(start, end, confidence=0.0):
                            confidence=confidence)
 
 
+def _by_priority(ranges):
+    """Dispatch output as ``(protocol, range)`` pairs, best priority first."""
+    return sorted(
+        ((protocol, rng) for protocol, rs in ranges.items() for rng in rs),
+        key=lambda pair: range_priority(*pair),
+    )
+
+
 # -- WindowBudget ------------------------------------------------------------
 
 class TestWindowBudget:
@@ -105,12 +113,12 @@ class TestPriority:
         )
         assert order == [confident, cheap, costly]
 
-    def test_dispatcher_priority_order_is_insertion_invariant(self):
+    def test_range_priority_order_is_insertion_invariant(self):
         a = {"wifi": [_rng(0, 1_000, 0.9)], "bluetooth": [_rng(0, 500, 0.9)]}
         b = {"bluetooth": [_rng(0, 500, 0.9)], "wifi": [_rng(0, 1_000, 0.9)]}
-        assert Dispatcher.priority_order(a) == Dispatcher.priority_order(b)
+        assert _by_priority(a) == _by_priority(b)
         # equal confidence: the cheaper bluetooth range runs first
-        assert Dispatcher.priority_order(a)[0][0] == "bluetooth"
+        assert _by_priority(a)[0][0] == "bluetooth"
 
     def test_order_tasks_matches_range_priority(self):
         buffer = SampleBuffer.from_array([0j] * 3_000)
@@ -355,7 +363,7 @@ class TestOneAnalysisPath:
         dispatched = [(r.start_sample, r.end_sample)
                       for rs in report.ranges.values() for r in rs]
         by_priority = [(r.start_sample, r.end_sample)
-                       for _, r in Dispatcher.priority_order(report.ranges)]
+                       for _, r in _by_priority(report.ranges)]
         assert by_priority != dispatched  # or this test shows nothing
         assert spy.scanned == by_priority
         assert len(report.packets) == len(dispatched)
@@ -372,7 +380,7 @@ class TestOneAnalysisPath:
             for i, c in enumerate(confidences)
         ]}
         by_priority = [(r.start_sample, r.end_sample)
-                       for _, r in Dispatcher.priority_order(ranges)]
+                       for _, r in _by_priority(ranges)]
         runs = {}
         for workers in (1, 2):
             budget = WindowBudget(0.1)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from repro import RFDumpMonitor
+from repro.analysis.decoders import WifiStreamDecoder
 from repro.core.config import MonitorConfig
 from repro.core.events import PacketEvent
 from repro.core.monitor import make_monitor
@@ -187,7 +188,10 @@ class TestNonFiniteSample:
         monitor = getattr(driver, "monitor", driver)
         monitor.noise_floor = baseline.noise_floor  # carried, as streaming does
         seen = []
-        decoder = monitor.analysis_stage.decoders["wifi"]
+        if kind in ("naive", "energy"):
+            decoder = monitor._decoders["wifi"]
+        else:
+            decoder = monitor.analysis_stage.decoders["wifi"]
         scan = decoder.scan
         decoder.scan = lambda sub, **kw: (
             seen.append(bool(np.isfinite(sub.samples).all()))
@@ -274,3 +278,35 @@ class TestNonFiniteSample:
         report = self._run(wifi_trace, baseline)
         assert report.errors == []
         assert self._lines(report) == self._lines(baseline)
+
+    @pytest.mark.parametrize("kind", ["naive", "energy"])
+    def test_baseline_monitors_apply_the_same_policy(self, wifi_trace,
+                                                     baseline, kind):
+        """No peak detector stands in front of these demodulators, so the
+        monitor counts and zeroes (at the parent commit: ``TypeError``
+        out of the Wi-Fi scan under naive, no packets under energy)."""
+        clean = self._run(wifi_trace, baseline, kind=kind)
+        assert len(clean.packets) == len(baseline.packets)
+        assert clean.errors == []
+        for value in (np.nan, complex(np.inf, 0.0)):
+            report = self._run(wifi_trace, baseline, value, kind=kind)
+            assert self._lines(report) == self._lines(clean)
+            (record,) = report.errors
+            assert (record.stage, record.error, record.action) \
+                == ("stream", "SampleIntegrityError", "sanitized")
+            assert record.component.endswith("NaiveMonitor")
+        with pytest.raises(SampleIntegrityError) as excinfo:
+            self._run(wifi_trace, baseline, np.nan, kind=kind,
+                      on_error="raise")
+        assert excinfo.value.bad_samples == 1
+
+    def test_wifi_scan_survives_a_bad_sample(self, wifi_trace):
+        """Every template's energy is NaN then; the scan still names one
+        (at the parent commit: ``(-1, None)`` and a ``TypeError``)."""
+        samples = wifi_trace.buffer.samples.copy()
+        samples[self.BAD] = np.nan
+        decoder = WifiStreamDecoder(wifi_trace.buffer.sample_rate)
+        index, corr = decoder._strongest_correlation(samples)
+        assert index == 0 and corr.size == samples.size - 7
+        records = decoder.scan(SampleBuffer(samples, wifi_trace.buffer.timebase))
+        assert all(r.start_sample > self.BAD for r in records)

@@ -13,7 +13,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.analysis.decoders import WifiStreamDecoder
+from repro.analysis import decoders
+from repro.analysis.decoders import _BANK_TILE, WifiStreamDecoder
 from repro.bench.equivalence import assert_wifi_scan_equivalence
 from repro.bench.scenarios import preset_buffer
 from repro.bench.suite import dispatched_wifi_ranges
@@ -141,6 +142,20 @@ class TestEdgeRanges:
 
 # -- the two primitives the shared-correlation flow leans on ------------------
 
+def _strongest_by_walk(demod, samples):
+    """The template ranking as first written: one full convolution per
+    template, a strictly greater energy replaces the best so far."""
+    best, best_energy = -1, -1.0
+    for index, template in enumerate(demod._templates):
+        if samples.size < template.size:
+            return 0  # np.convolve would swap its arguments
+        corr = np.convolve(samples, template[::-1], mode="valid")
+        energy = float(np.sum(np.abs(corr) ** 2))
+        if energy > best_energy:
+            best, best_energy = index, energy
+    return best
+
+
 class TestCorrelationSlices:
     def test_slice_of_correlation_is_correlation_of_slice(self):
         demod = WifiDemodulator(FS)
@@ -152,6 +167,84 @@ class TestCorrelationSlices:
                 part = demod.correlate(x[lo:hi], index)
                 assert np.array_equal(part.view(np.float32),
                                       full[lo:hi - 8 + 1].view(np.float32))
+
+    @pytest.mark.parametrize("fs", [8e6, 22e6])
+    def test_add_only_kernels_match_convolution(self, fs):
+        # not bitwise: numpy's dot order is the platform's, and a chained
+        # bank row sums in yet another order
+        demod = WifiDemodulator(fs)
+        x = _noise(20_011, 1.0, seed=6)
+        bank = demod.correlate_bank(x)
+        assert bank.shape == (len(demod._templates), x.size - demod._sps + 1)
+        assert bank.dtype == np.complex64
+        for index, template in enumerate(demod._templates):
+            own = demod.correlate(x, index)
+            assert np.allclose(own, np.convolve(x, template[::-1], "valid"),
+                               rtol=0, atol=1e-5)
+            assert np.allclose(bank[index], own, rtol=0, atol=1e-5)
+        assert np.array_equal(bank[0].view(np.float32),
+                              demod.correlate(x, 0).view(np.float32))
+
+    def test_slice_of_bank_is_bank_of_slice(self):
+        demod = WifiDemodulator(FS)
+        x = _noise(50_003, 1.0, seed=5)
+        full = demod.correlate_bank(x)
+        for lo, hi in ((0, 4099), (1, 2049), (3, 40_003), (17, 2065),
+                       (12_345, 50_003), (49_000, 49_017)):
+            part = demod.correlate_bank(x[lo:hi])
+            assert np.array_equal(part.view(np.float32),
+                                  full[:, lo:hi - 8 + 1].view(np.float32))
+
+    @pytest.mark.parametrize("size", [0, 7, 8, _BANK_TILE - 1, _BANK_TILE,
+                                      _BANK_TILE + 1, _BANK_TILE + 8])
+    def test_lengths_around_a_symbol_and_a_tile(self, size):
+        decoder = WifiStreamDecoder(FS)
+        demod = decoder.demodulator
+        x = _noise(size, 1.0, seed=size)
+        offsets = max(size - 7, 0)
+        assert demod.correlate(x, 3).shape == (offsets,)
+        assert demod.correlate_bank(x).shape == (6, offsets)
+        index, corr = decoder._strongest_correlation(x)
+        assert index == _strongest_by_walk(demod, x)
+        assert np.array_equal(corr.view(np.float32),
+                              demod.correlate(x, index).view(np.float32))
+
+    def test_strided_and_double_precision_input(self):
+        demod = WifiDemodulator(FS)
+        x = _noise(6_001, 1.0, seed=8)
+        strided = np.repeat(x, 2)[::2]
+        assert not strided.flags.c_contiguous
+        wide = x.astype(np.complex128)
+        for index in range(len(demod._templates)):
+            own = demod.correlate(x, index)
+            assert np.array_equal(demod.correlate(strided, index), own)
+            assert demod.correlate(wide, index).dtype == np.complex128
+            assert np.allclose(demod.correlate(wide, index), own,
+                               rtol=0, atol=1e-5)
+        assert np.array_equal(demod.correlate_bank(strided),
+                              demod.correlate_bank(x))
+        assert np.allclose(demod.correlate_bank(wide), demod.correlate_bank(x),
+                           rtol=0, atol=1e-5)
+
+    @pytest.mark.parametrize("preset", ["wifi", "mix", "broadcast", "campus", "kitchen"])
+    def test_strongest_template_is_the_walk_s_whatever_the_tiles(
+            self, preset, monkeypatch):
+        decoder = WifiStreamDecoder(FS)
+        ranges = dispatched_wifi_ranges(preset, DURATION)
+        assert ranges
+        for tile in (1_000, _BANK_TILE, 10 ** 9):
+            monkeypatch.setattr(decoders, "_BANK_TILE", tile)
+            for sub in ranges:
+                index, _ = decoder._strongest_correlation(sub.samples)
+                assert index == _strongest_by_walk(decoder.demodulator, sub.samples)
+
+    def test_exact_tie_goes_to_the_earlier_template(self):
+        # one impulse: every +-1 template collects the same 8 unit taps
+        decoder = WifiStreamDecoder(FS)
+        x = np.zeros(4_000, dtype=np.complex64)
+        x[1_234] = 1.0
+        assert decoder._strongest_correlation(x)[0] == 0
+        assert _strongest_by_walk(decoder.demodulator, x) == 0
 
     def test_bank_keeps_first_of_each_distinct_template(self):
         demod = WifiDemodulator(FS)
