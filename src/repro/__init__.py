@@ -15,8 +15,8 @@ True
 Package map: :mod:`repro.core` holds the RFDump architecture (detectors,
 dispatcher, monitors), :mod:`repro.phy` the protocol PHYs,
 :mod:`repro.emulator` the workload generator, :mod:`repro.analysis` the
-decoders and accuracy scoring, :mod:`repro.flowgraph` the GNU-Radio-like
-substrate, and :mod:`repro.trace` trace file I/O.
+decoders and accuracy scoring, :mod:`repro.service` the ``rfdumpd``
+daemon, and :mod:`repro.trace` trace file I/O.
 """
 
 from repro.constants import PROTOCOL_FEATURES, features_for

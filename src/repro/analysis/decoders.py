@@ -49,7 +49,7 @@ def _dedup_records(records: List[PacketRecord], min_spacing: int) -> List[Packet
     """Collapse records whose starts are within ``min_spacing`` samples."""
     records.sort(key=lambda r: r.start_sample)
     out: List[PacketRecord] = []
-    for rec in records:  # rfdump: noqa[RFD601] one iteration per decoded record
+    for rec in records:
         if out and rec.start_sample - out[-1].start_sample < min_spacing:
             if rec.ok and not out[-1].ok:
                 out[-1] = rec
@@ -121,7 +121,7 @@ class WifiStreamDecoder:
         offsets = max(samples.size - sps + 1, 0)
         scratch = np.empty(rows * min(offsets, _BANK_TILE), dtype=np.complex64)
         energy = np.zeros(rows)
-        for lo in range(0, offsets, _BANK_TILE):  # rfdump: noqa[RFD601] one iteration per _BANK_TILE offsets
+        for lo in range(0, offsets, _BANK_TILE):
             hi = min(lo + _BANK_TILE, offsets)
             bank = scratch[:rows * (hi - lo)].reshape(rows, hi - lo)
             demod.correlate_bank(samples[lo:hi + sps - 1], out=bank)
@@ -137,7 +137,7 @@ class WifiStreamDecoder:
         """
         sps = self._sps
         candidates: List[int] = []
-        for align in range(sps):  # rfdump: noqa[RFD601] one whole-array pass per symbol alignment
+        for align in range(sps):
             jumps = dsss.differential_decisions(corr[align::sps])
             if jumps.size == 0:
                 continue
@@ -197,7 +197,7 @@ class WifiStreamDecoder:
         )
         records: List[PacketRecord] = []
         last_start = None
-        for start, i in visit:  # rfdump: noqa[RFD601] one iteration per candidate
+        for start, i in visit:
             if last_start is not None and start - last_start < self._min_spacing:
                 continue
             lo, hi = bounds[i]
@@ -219,23 +219,23 @@ class WifiStreamDecoder:
     def _candidate_starts_reference(self, samples: np.ndarray) -> List[int]:
         sps = self._sps
         best_corr, best_energy = None, -1.0
-        for template in self.demodulator._grid_templates:  # rfdump: noqa[RFD601] reference twin
+        for template in self.demodulator._grid_templates:
             corr = np.convolve(samples, template[::-1], mode="valid")
             energy = float(np.sum(np.abs(corr) ** 2))
             if energy > best_energy:
                 best_corr, best_energy = corr, energy
         candidates: List[int] = []
         searches = ((plcp.find_sfd, 144), (plcp.find_short_sfd, 72))
-        for align in range(sps):  # rfdump: noqa[RFD601] reference twin
+        for align in range(sps):
             symbols = best_corr[align::sps]
             jumps = dsss.differential_decisions(symbols)
             if jumps.size == 0:
                 continue
             bits = dsss.dbpsk_bits_from_jumps(jumps)
             descrambled = descramble_stream(bits)
-            for finder, preamble_bits in searches:  # rfdump: noqa[RFD601] reference twin
+            for finder, preamble_bits in searches:
                 pos = 0
-                while pos < descrambled.size:  # rfdump: noqa[RFD601] reference twin
+                while pos < descrambled.size:
                     sfd_end = finder(descrambled[pos:], search_limit=None)
                     if sfd_end < 0:
                         break
@@ -248,7 +248,7 @@ class WifiStreamDecoder:
     def _scan_reference(self, buffer: SampleBuffer) -> List[PacketRecord]:
         samples = buffer.samples
         records: List[PacketRecord] = []
-        for start in self._candidate_starts_reference(samples):  # rfdump: noqa[RFD601] reference twin
+        for start in self._candidate_starts_reference(samples):
             lo = max(start - self._LEAD, 0)
             hi = min(start + self._max_packet, samples.size)
             try:
@@ -294,12 +294,12 @@ class BluetoothStreamDecoder:
         guard = 64 * modem.sps
         threshold = 2 * self.demodulator.SYNC_THRESHOLD - 64
         disc = modem.discriminate(baseband)
-        for offset in range(modem.sps):  # rfdump: noqa[RFD601] one whole-array pass per bit alignment
+        for offset in range(modem.sps):
             soft = modem.soft_bits(baseband, offset, disc)
             if soft.size < pattern.size:
                 continue
             corr = np.correlate(np.sign(soft), pattern, mode="valid")
-            for pos in np.flatnonzero(corr >= threshold):  # rfdump: noqa[RFD601] one iteration per sync-word hit
+            for pos in np.flatnonzero(corr >= threshold):
                 start = offset + (int(pos) - PREAMBLE_BITS.size) * modem.sps
                 if any(abs(start - s) < guard for s in decoded_starts):
                     continue
@@ -335,7 +335,7 @@ class BluetoothStreamDecoder:
         else:
             channels = self.channels
         records: List[PacketRecord] = []
-        for channel in channels:  # rfdump: noqa[RFD601] one demodulation pass per hop channel
+        for channel in channels:
             records.extend(self._scan_channel(buffer, channel))
         return _dedup_records(records, min_spacing=64 * self.demodulator.modem.sps)
 
@@ -368,7 +368,7 @@ class OfdmStreamDecoder:
         hits = np.flatnonzero(corr > threshold)
         records: List[PacketRecord] = []
         skip_until = -1
-        for hit in hits:  # rfdump: noqa[RFD601] one iteration per training-symbol correlation hit
+        for hit in hits:
             if hit < skip_until:
                 continue
             lo = max(int(hit) - self._LEAD, 0)
@@ -419,7 +419,7 @@ class ZigbeeStreamDecoder:
         hits = np.flatnonzero(corr > threshold)
         records: List[PacketRecord] = []
         last = -10 * sps
-        for hit in hits:  # rfdump: noqa[RFD601] one iteration per preamble correlation hit
+        for hit in hits:
             if hit - last < 12 * sps:  # inside the previous frame's preamble
                 continue
             lo = max(int(hit) - self._LEAD, 0)

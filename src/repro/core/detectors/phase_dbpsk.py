@@ -85,7 +85,7 @@ class DbpskPhaseDetector(Detector):
         self._keep_sel = np.zeros((rows, sps), dtype=np.int64)
         self._flip_sel = np.zeros((rows, sps), dtype=np.int64)
         # runs once per detector: one iteration per usable template
-        for t, keep in enumerate(self._templates):  # rfdump: noqa[RFD601]
+        for t, keep in enumerate(self._templates):
             block = np.arange(t * sps, (t + 1) * sps)[:, None]
             self._keep_sel[block, cols[:, keep]] = 1
             self._flip_sel[block, cols[:, ~keep]] = 1
@@ -123,8 +123,8 @@ class DbpskPhaseDetector(Detector):
         signs = np.sign(grid)
         best = (-1, -1.0)
         # reference implementation: (template x alignment) Python loop
-        for t, keep in enumerate(self._templates):  # rfdump: noqa[RFD601]
-            for align in range(sps):  # rfdump: noqa[RFD601]
+        for t, keep in enumerate(self._templates):
+            for align in range(sps):
                 picked = signs[:, self._cols[align]]
                 score = min(float(np.mean(picked[:, keep] > 0)),
                             float(np.mean(picked[:, ~keep] < 0)))
@@ -181,7 +181,7 @@ class DbpskPhaseDetector(Detector):
             self._prepare(fs)
         out: List[Classification] = []
         # one iteration per peak; each does O(1) numpy calls
-        for peak in detection.history:  # rfdump: noqa[RFD601]
+        for peak in detection.history:
             if peak.length / fs < self.min_duration:
                 continue
             hi = min(peak.end_sample, peak.start_sample + self.max_samples)

@@ -57,7 +57,7 @@ class GfskPhaseDetector(Detector):
         fs = buffer.sample_rate
         out: List[Classification] = []
         # one iteration per peak; each does O(1) numpy calls
-        for peak in detection.history:  # rfdump: noqa[RFD601]
+        for peak in detection.history:
             duration = peak.length / fs
             if not self.min_duration <= duration <= self.max_duration:
                 continue

@@ -1,16 +1,16 @@
 """The shared monitor interface and the one factory that builds them.
 
 Every architecture the paper compares (Figure 1 naive, naive+energy,
-the RFDump pipeline) plus its drivers (streaming, flowgraph) satisfies
-the same contract: ``process(buffer) -> MonitorReport``,
+the RFDump pipeline) plus its streaming driver satisfies the same
+contract: ``process(buffer) -> MonitorReport``,
 ``events(windows) -> Iterator[PacketEvent]``, ``close()``,
 context-manager.  :func:`make_monitor` maps a name to a constructor so
 the CLI, the daemon and the benchmarks pick architectures through one
 seam instead of per-call-site ``if/elif`` ladders.
 
 ``events()`` is the uniform streaming surface: whatever the family
-(one-shot pipeline, overlap-stitching streaming wrapper, block
-graph), consuming it over the same windows yields the same
+(one-shot pipeline, overlap-stitching streaming wrapper), consuming it
+over the same windows yields the same
 :class:`~repro.core.events.PacketEvent` stream — which is what lets
 ``rfdump --format jsonl`` and a ``rfdumpd`` subscriber diff clean.
 """
@@ -106,20 +106,12 @@ def _make_streaming(config: MonitorConfig, kwargs: dict):
     return StreamingMonitor(config=config, **kwargs)
 
 
-def _make_flowgraph(config: MonitorConfig, kwargs: dict):
-    from repro.flowgraph.monitor import FlowGraphMonitor
-
-    return FlowGraphMonitor(config=config, **kwargs)
-
-
-#: name -> constructor; aliases cover the labels the figures use
+#: name -> constructor
 _FACTORIES: Dict[str, Callable[[MonitorConfig, dict], Monitor]] = {
     "rfdump": _make_rfdump,
     "naive": _make_naive,
     "energy": _make_energy,
-    "naive+energy": _make_energy,
     "streaming": _make_streaming,
-    "flowgraph": _make_flowgraph,
 }
 
 MONITOR_NAMES = tuple(sorted(_FACTORIES))

@@ -341,7 +341,7 @@ class PeakDetector:
         starts, ends = self._run_edges(active)
         intervals: List[Tuple[int, int]] = []
         # reference implementation: deliberately loopy (rfbench baseline)
-        for start, end in zip(starts, ends):  # rfdump: noqa[RFD601]
+        for start, end in zip(starts, ends):
             if intervals and start - intervals[-1][1] < cfg.min_gap:
                 intervals[-1] = (intervals[-1][0], int(end))
             else:
@@ -351,7 +351,7 @@ class PeakDetector:
     def _fill_history_reference(self, history: PeakHistory, buffer: SampleBuffer,
                                 power: np.ndarray, intervals: List[Tuple[int, int]]) -> None:
         # reference implementation: per-peak slice/mean/max Python round trips
-        for start, end in intervals:  # rfdump: noqa[RFD601]
+        for start, end in intervals:
             seg = power[start:end]
             history.append(
                 buffer.start_sample + start,
@@ -371,13 +371,13 @@ class PeakDetector:
         first_chunk = np.maximum(starts // cs, 0)
         last_chunk = np.minimum((ends - 1) // cs, nchunks - 1)
         # reference implementation: the O(history x chunks) fill
-        for k in range(len(history)):  # rfdump: noqa[RFD601]
-            for ci in range(int(first_chunk[k]), int(last_chunk[k]) + 1):  # rfdump: noqa[RFD601]
+        for k in range(len(history)):
+            for ci in range(int(first_chunk[k]), int(last_chunk[k]) + 1):
                 peak_lists[ci].append(k)
         active = chunk_powers > threshold
         chunks: List[ChunkMetadata] = []
         # reference implementation: per-chunk record construction loop
-        for i in range(nchunks):  # rfdump: noqa[RFD601]
+        for i in range(nchunks):
             c_start = buffer.start_sample + i * cs
             c_len = min(cs, buffer.end_sample - c_start)
             chunks.append(

@@ -165,9 +165,8 @@ class WindowState:
     """One window on its way through the stages of :class:`RFDumpMonitor`.
 
     Peak detection opens it; each later stage reads what earlier stages
-    left here and fills in its own part, so the drivers —
-    :meth:`RFDumpMonitor.process` and the flowgraph blocks — only decide
-    *when* a stage runs.
+    left here and fills in its own part, so :meth:`RFDumpMonitor.process`
+    only decides *when* a stage runs.
     """
 
     #: the samples every stage after peak detection reads (the
@@ -277,8 +276,8 @@ class RFDumpMonitor(Monitor):
     # -- stages (Figure 2, in order) ------------------------------------------
     #
     # Peak detection opens a WindowState and each later stage advances
-    # it in place.  process() below runs them back to back;
-    # repro.flowgraph.rfdump_graph wires the same methods up as blocks.
+    # it in place.  process() below runs them back to back: Figure 2's
+    # graph is fixed, so its schedule is a straight line.
 
     def detect_peaks(self, buffer: SampleBuffer) -> WindowState:
         """Open a window with protocol-agnostic peak detection.

@@ -28,7 +28,7 @@ import numpy as np
 from repro.analysis.decoders import PacketRecord
 from repro.core.accounting import StageClock
 from repro.core.config import MonitorConfig
-from repro.core.errorpolicy import ErrorRecord, validate_error_policy
+from repro.core.errorpolicy import ErrorRecord
 from repro.core.monitor import Monitor
 from repro.core.pipeline import MonitorReport, RFDumpMonitor
 from repro.dsp.samples import SampleBuffer
@@ -49,19 +49,17 @@ class StreamingMonitor(Monitor):
         Samples carried from the end of each window into the next; size it
         to the longest packet plus margin (default 6 ms at 8 Msps — a
         maximum-length 1 Mbps 802.11b frame).
-    on_error:
-        Fault policy for stream-level faults (gaps, NaN bursts); when
-        omitted, inherited from the wrapped monitor's config.  ``None``
-        keeps the legacy contract: gaps raise (a
-        :class:`~repro.errors.StreamGapError`, which is a
-        ``ValueError``), non-finite noise-floor estimates are skipped
-        and counted.
+
+    The fault policy for stream-level faults (gaps, NaN bursts) is the
+    wrapped monitor's ``config.on_error``.  ``None`` keeps the legacy
+    contract: gaps raise (a :class:`~repro.errors.StreamGapError`, which
+    is a ``ValueError``), non-finite noise-floor estimates are skipped
+    and counted.
     """
 
     def __init__(self, monitor: Optional[RFDumpMonitor] = None,
                  overlap: int = 48_000,
-                 config: Optional[MonitorConfig] = None,
-                 on_error: Optional[str] = None):
+                 config: Optional[MonitorConfig] = None):
         if overlap < 0:
             raise ValueError("overlap must be non-negative")
         if monitor is None:
@@ -70,13 +68,9 @@ class StreamingMonitor(Monitor):
             monitor = RFDumpMonitor(config=config)
         self.monitor = monitor
         self.config = monitor.config
-        self.obs = getattr(monitor, "obs", None)
+        self.obs = monitor.obs
         self.overlap = overlap
-        if on_error is None:
-            on_error = getattr(
-                getattr(monitor, "config", None), "on_error", None
-            )
-        self.on_error = validate_error_policy(on_error)
+        self.on_error = monitor.config.on_error
         #: stream-level faults handled so far (gaps, NaN bursts, skips)
         self.errors: List[ErrorRecord] = []
         #: samples lost to gaps and skipped windows
@@ -351,12 +345,12 @@ class StreamingMonitor(Monitor):
     @property
     def deadline_misses(self) -> int:
         """Windows that exceeded the configured deadline budget so far."""
-        return getattr(self.monitor, "deadline_misses", 0)
+        return self.monitor.deadline_misses
 
     @property
     def ranges_shed(self) -> int:
         """Ranges shed to hold the latency budget so far."""
-        return getattr(self.monitor, "ranges_shed", 0)
+        return self.monitor.ranges_shed
 
     def flush(self) -> "StreamingMonitor":
         """Release deferred results; idempotent and safe mid-stream.

@@ -1,6 +1,6 @@
 """Signal-processing substrate: buffers, energy, phase, filters, FFT."""
 
-from repro.dsp.samples import SampleBuffer, chunk_views, frame_view, iter_chunks
+from repro.dsp.samples import SampleBuffer, chunk_views, frame_view
 from repro.dsp.energy import (
     moving_average_power,
     chunk_average_power,
@@ -35,7 +35,6 @@ from repro.dsp.resample import fractional_indices, repeat_to_rate
 
 __all__ = [
     "SampleBuffer",
-    "iter_chunks",
     "chunk_views",
     "frame_view",
     "moving_average_power",

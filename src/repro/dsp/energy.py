@@ -69,7 +69,7 @@ def chunked_power(samples: np.ndarray,
         flat = x.view(np.float32)
         scratch = np.empty(2 * min(n, tile), dtype=np.float64)
     # one iteration per 32k-sample tile, never per sample
-    for a in range(0, n, tile):  # rfdump: noqa[RFD601]
+    for a in range(0, n, tile):
         b = min(a + tile, n)
         dst = power[a:b]
         if fast:
@@ -176,7 +176,7 @@ def energy_gate(power: np.ndarray, window: int, avg_threshold: float,
     avg = np.empty(span, dtype=np.float64)
     above = np.empty(span, dtype=bool)
     # one iteration per 32k-sample tile, never per sample
-    for a in range(0, n, tile):  # rfdump: noqa[RFD601]
+    for a in range(0, n, tile):
         b = min(a + tile, n)
         size = b - a
         sums[window: window + size] = power[a:b]

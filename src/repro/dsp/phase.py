@@ -36,7 +36,9 @@ def phase_second_derivative(samples: np.ndarray) -> np.ndarray:
     if d1.size < 2:
         return np.zeros(0, dtype=np.float64)
     d2 = np.diff(d1)
-    return np.angle(np.exp(1j * d2))  # wrap back into (-pi, pi]
+    # wrap back into (-pi, pi]: a trick on float64 phase differences,
+    # not an IQ buffer
+    return np.angle(np.exp(1j * d2))  # rfdump: noqa[RFD202]
 
 
 def estimate_cfo(samples: np.ndarray, sample_rate: float) -> float:
@@ -97,4 +99,6 @@ def remove_cfo(samples: np.ndarray, cfo_hz: float, sample_rate: float) -> np.nda
     """Mix ``samples`` down by ``cfo_hz`` to center the signal at DC."""
     x = np.asarray(samples)
     n = np.arange(x.size, dtype=np.float64)
-    return x * np.exp(-2j * np.pi * cfo_hz * n / sample_rate)
+    # the mixing oscillator stays float64 so the phase ramp is accurate
+    # over long buffers; decoders re-cast at the boundary
+    return x * np.exp(-2j * np.pi * cfo_hz * n / sample_rate)  # rfdump: noqa[RFD202]

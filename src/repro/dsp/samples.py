@@ -10,11 +10,11 @@ metadata at chunk granularity (default 200 samples = 25 us at 8 Msps).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.constants import DEFAULT_CHUNK_SAMPLES, DEFAULT_SAMPLE_RATE
+from repro.constants import DEFAULT_SAMPLE_RATE
 from repro.util.timebase import Timebase
 
 
@@ -84,24 +84,6 @@ class SampleBuffer:
         return float(self.timebase.to_time(self.start_sample + rel_index))
 
 
-def iter_chunks(
-    buffer: SampleBuffer, chunk_samples: int = DEFAULT_CHUNK_SAMPLES
-) -> Iterator[Tuple[int, np.ndarray]]:
-    """Yield ``(absolute_start_sample, chunk_array)`` pairs.
-
-    The final chunk is yielded even if shorter than ``chunk_samples`` so no
-    samples are silently dropped at the end of a trace.  Each yielded chunk
-    is a zero-copy view into the buffer.
-    """
-    if chunk_samples <= 0:
-        raise ValueError("chunk_samples must be positive")
-    data = buffer.samples
-    # O(n_chunks) iteration at chunk granularity, not per-sample work; the
-    # bodies handed out are views, so no sample is copied here.
-    for offset in range(0, len(data), chunk_samples):  # rfdump: noqa[RFD601]
-        yield buffer.start_sample + offset, data[offset : offset + chunk_samples]
-
-
 def chunk_views(samples: np.ndarray, chunk_samples: int) -> Tuple[np.ndarray, np.ndarray]:
     """Zero-copy ``(body, tail)`` chunking of a 1-D array.
 
@@ -109,7 +91,7 @@ def chunk_views(samples: np.ndarray, chunk_samples: int) -> Tuple[np.ndarray, np
     full chunks and ``tail`` a view of the remainder (possibly empty).
     Nothing is copied: both share memory with ``samples``, which is what
     lets per-chunk reductions run as one numpy call instead of a Python
-    loop over ``iter_chunks``.
+    loop over the chunks.
     """
     if chunk_samples <= 0:
         raise ValueError("chunk_samples must be positive")

@@ -47,14 +47,6 @@ class ChecksumError(DecodeError):
         self.actual = actual
 
 
-class FlowGraphError(RFDumpError):
-    """The flowgraph is malformed (cycle, dangling port, type mismatch)."""
-
-
-class SchedulerError(FlowGraphError):
-    """The scheduler could not make progress executing a flowgraph."""
-
-
 class StreamGapError(RFDumpError, ValueError):
     """The sample stream is discontiguous: a window does not start where
     the previous one ended.

@@ -4,28 +4,19 @@ The runtime never checks the contracts this codebase actually lives by:
 bit-deterministic sample paths, ``complex64`` IQ buffers, share-nothing
 executor tasks, frozen configs, stable metric names.  :mod:`repro.lint`
 turns them into machine-checked rules over the AST — the software
-analogue of GNU Radio validating ``io_signature``s before a flowgraph
-runs (the flowgraph side of that check is
-:meth:`repro.flowgraph.FlowGraph.check`).
+analogue of GNU Radio validating ``io_signature``s before a graph runs.
 
 Entry points
 ------------
 * ``python -m repro.tools.rflint src/`` — the CLI (human or JSON output,
-  baseline support, non-zero exit on any active finding).
+  non-zero exit on any active finding).
 * :func:`lint_source` / :func:`lint_paths` — library API, used by the
   test suite to lint fixtures in memory.
 
 Suppression is per-line: ``# rfdump: noqa[RFD101]`` silences exactly
-that rule on that line; a baseline file grandfathers existing findings
-per ``(file, rule)`` with a justification.
+that rule on that statement, next to the comment that says why.
 """
 
-from repro.lint.baseline import (
-    apply_baseline,
-    load_baseline,
-    stale_entries,
-    write_baseline,
-)
 from repro.lint.engine import (
     SYNTAX_RULE,
     lint_paths,
@@ -67,8 +58,4 @@ __all__ = [
     "package_rel_path",
     "statement_spans",
     "SYNTAX_RULE",
-    "load_baseline",
-    "write_baseline",
-    "apply_baseline",
-    "stale_entries",
 ]

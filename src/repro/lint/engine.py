@@ -34,9 +34,8 @@ def package_rel_path(path: str) -> str:
     """Normalize a file path to its package-rooted form.
 
     ``/ckpt/src/repro/phy/dsss.py`` and ``src/repro/phy/dsss.py`` both
-    become ``repro/phy/dsss.py``, so baselines and rule scopes are
-    checkout-independent.  Paths outside the package keep their own
-    (slash-normalized) shape.
+    become ``repro/phy/dsss.py``, so rule scopes are checkout-independent.
+    Paths outside the package keep their own (slash-normalized) shape.
 
     A ``repro`` component preceded by ``src`` wins (that is the package
     root, wherever the checkout lives); otherwise the *last* ``repro``

@@ -24,8 +24,8 @@ class Finding:
 
     ``path`` is the file as the caller named it (what gets printed);
     ``rel`` is the package-rooted path (``repro/phy/dsss.py``) that rule
-    scoping and the baseline match on, so a baseline written from one
-    checkout matches findings produced in another.
+    scoping matches on, so findings do not depend on where the checkout
+    lives.
     """
 
     rule: str
@@ -35,10 +35,6 @@ class Finding:
     line: int
     col: int
     message: str
-
-    @property
-    def baseline_key(self) -> Tuple[str, str]:
-        return (self.rel, self.rule)
 
     def sort_key(self) -> Tuple:
         return (self.rel, self.line, self.col, self.rule)

@@ -8,7 +8,6 @@ Rule id space:
 * ``RFD3xx``      concurrency safety & reliability
 * ``RFD4xx``      API contracts (frozen config, metric names)
 * ``RFD5xx``      typing hygiene
-* ``RFD6xx``      performance (hot-path modules stay loop-free)
 * ``RFD7xx``      whole-program concurrency & contracts
                   (:class:`~repro.lint.registry.ProjectRule` family,
                   run by ``rflint --project``)
@@ -21,7 +20,6 @@ from repro.lint.rules import (  # noqa: F401  (imports register the rules)
     contracts_project,
     determinism,
     dtype,
-    perf,
     reliability,
     typing_hygiene,
 )

@@ -91,9 +91,9 @@ class DefaultComplexRule(_IQRule):
             if (isinstance(parent, ast.Attribute) and parent.attr == "astype"):
                 continue
             # -np.exp(...) wrapped in a cast one level up is still flagged
-            # conservatively; suppress or baseline deliberate float64 math
+            # conservatively; suppress deliberate float64 math inline
             yield self.finding(
                 ctx, call,
                 "np.exp(1j * ...) creates a complex128 array; append "
-                ".astype(np.complex64) or justify via the baseline",
+                ".astype(np.complex64) or justify with a noqa[RFD202] comment",
             )

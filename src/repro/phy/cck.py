@@ -29,7 +29,10 @@ def _dibits(bits: np.ndarray) -> np.ndarray:
 
 def cck_codeword(phi1: float, phi2: float, phi3: float, phi4: float) -> np.ndarray:
     """The 8-chip CCK codeword for the four phase parameters."""
-    c = np.array(
+    # symbol-domain math at full precision (the table doubles as the
+    # receive-side ML correlation template); modulate_cck casts to
+    # complex64 at the waveform boundary
+    c = np.array(  # rfdump: noqa[RFD202]
         [
             np.exp(1j * (phi1 + phi2 + phi3 + phi4)),
             np.exp(1j * (phi1 + phi3 + phi4)),
@@ -56,7 +59,8 @@ def cck_chips_11mbps(bits: np.ndarray, initial_phase: float = 0.0) -> np.ndarray
         d1, d2, d3, d4 = (int(d) for d in dibits[i : i + 4])
         phi1 = phi1 + _DIBIT_PHASE[d1]  # differential on phi1
         out.append(cck_codeword(phi1, _DIBIT_PHASE[d2], _DIBIT_PHASE[d3], _DIBIT_PHASE[d4]))
-    return np.concatenate(out) if out else np.zeros(0, dtype=np.complex128)
+    # the empty-stream sentinel matches the (float64-domain) codeword dtype
+    return np.concatenate(out) if out else np.zeros(0, dtype=np.complex128)  # rfdump: noqa[RFD201]
 
 
 def cck_chips_5_5mbps(bits: np.ndarray, initial_phase: float = 0.0) -> np.ndarray:
@@ -74,7 +78,8 @@ def cck_chips_5_5mbps(bits: np.ndarray, initial_phase: float = 0.0) -> np.ndarra
         phi3 = 0.0
         phi4 = b3 * np.pi
         out.append(cck_codeword(phi1, phi2, phi3, phi4))
-    return np.concatenate(out) if out else np.zeros(0, dtype=np.complex128)
+    # the empty-stream sentinel matches the (float64-domain) codeword dtype
+    return np.concatenate(out) if out else np.zeros(0, dtype=np.complex128)  # rfdump: noqa[RFD201]
 
 
 def modulate_cck(bits: np.ndarray, rate_mbps: float, sample_rate: float,

@@ -26,7 +26,9 @@ def dbpsk_symbols(bits: np.ndarray, initial_phase: float = 0.0) -> np.ndarray:
     bits = np.asarray(bits, dtype=np.uint8)
     jumps = _DBPSK_JUMPS[bits]
     phases = initial_phase + np.cumsum(jumps)
-    return np.exp(1j * phases)
+    # symbol-domain (differential phase) math; symbols_to_waveform casts
+    # to complex64 at the waveform boundary
+    return np.exp(1j * phases)  # rfdump: noqa[RFD202]
 
 
 def dqpsk_symbols(bits: np.ndarray, initial_phase: float = 0.0) -> np.ndarray:
@@ -37,7 +39,8 @@ def dqpsk_symbols(bits: np.ndarray, initial_phase: float = 0.0) -> np.ndarray:
     dibits = bits[0::2] | (bits[1::2] << 1)
     jumps = np.array([_DQPSK_JUMPS[int(d)] for d in dibits])
     phases = initial_phase + np.cumsum(jumps)
-    return np.exp(1j * phases)
+    # symbol-domain math, cast at the waveform boundary (as dbpsk_symbols)
+    return np.exp(1j * phases)  # rfdump: noqa[RFD202]
 
 
 def dqpsk_bits_from_jumps(jumps: np.ndarray) -> np.ndarray:
@@ -99,10 +102,12 @@ def correlate_symbols(
     need = offset + n_symbols * sps
     if need > samples.size:
         n_symbols = max((samples.size - offset) // sps, 0)
+    # per-symbol correlation deliberately accumulates at float64 for
+    # decision margin; the empty-result sentinel matches that dtype
     if n_symbols <= 0:
-        return np.zeros(0, dtype=np.complex128)
+        return np.zeros(0, dtype=np.complex128)  # rfdump: noqa[RFD201]
     block = samples[offset : offset + n_symbols * sps].reshape(n_symbols, sps)
-    return block @ template.astype(np.complex128)
+    return block @ template.astype(np.complex128)  # rfdump: noqa[RFD201]
 
 
 def differential_decisions(correlations: np.ndarray) -> np.ndarray:

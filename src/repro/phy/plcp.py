@@ -174,7 +174,7 @@ def _sfd_ends(bits: np.ndarray, pattern: np.ndarray, sync_bit: int,
     ends: List[int] = []
     pos = 0
     start = stream.find(needle)
-    while start >= 0:  # rfdump: noqa[RFD601] one iteration per pattern occurrence, not per bit
+    while start >= 0:  # one iteration per pattern occurrence, not per bit
         lead = bits[max(start - 8, pos):start]
         if lead.all() if sync_bit else not lead.any():
             ends.append(start + pattern.size)

@@ -203,7 +203,7 @@ class WifiDemodulator:
             np.copyto(out, samples[:n])
         else:
             np.negative(samples[:n], out=out)
-        for tap in range(1, self._sps):  # rfdump: noqa[RFD601] one whole-array add per tap (sps - 1 of them)
+        for tap in range(1, self._sps):
             accumulate = np.add if plus[tap] else np.subtract
             accumulate(out, samples[tap:tap + n], out=out)
         return out
@@ -226,9 +226,9 @@ class WifiDemodulator:
                            dtype=np.result_type(samples.dtype, np.complex64))
         self.correlate(samples, 0, out=out[0])
         twice = samples + samples
-        for row, flips in enumerate(self._row_flips, start=1):  # rfdump: noqa[RFD601] one iteration per template row
+        for row, flips in enumerate(self._row_flips, start=1):
             previous = out[row - 1]
-            for tap, plus in flips:  # rfdump: noqa[RFD601] one whole-array add per differing tap
+            for tap, plus in flips:
                 accumulate = np.add if plus else np.subtract
                 accumulate(previous, twice[tap:tap + n], out=out[row])
                 previous = out[row]
@@ -255,7 +255,7 @@ class WifiDemodulator:
         """(template index, sample offset) maximizing preamble correlation,
         or None when nothing correlates."""
         best_score = -1.0
-        for metric in metrics:  # rfdump: noqa[RFD601] one iteration per template
+        for metric in metrics:  # one iteration per template
             best_score = max(best_score, float(metric.max()))
         if best_score <= 0:
             return None
@@ -263,7 +263,7 @@ class WifiDemodulator:
         # the maximum; take the *earliest* near-max offset so the SFD is
         # still ahead of us, breaking ties toward the higher score.
         best = None
-        for index, metric in enumerate(metrics):  # rfdump: noqa[RFD601] one iteration per template
+        for index, metric in enumerate(metrics):
             candidates = np.flatnonzero(metric >= 0.9 * best_score)
             if candidates.size == 0:
                 continue
@@ -288,10 +288,10 @@ class WifiDemodulator:
         timings: List[Optional[Tuple[int, int]]] = [None] * len(bounds)
         offsets = [self._acquisition_offsets(hi - lo) for lo, hi in bounds]
         start = 0
-        while start < len(bounds):  # rfdump: noqa[RFD601] one iteration per group of candidates
+        while start < len(bounds):  # one iteration per group of candidates
             base = bounds[start][0]
             stop = start + 1
-            while stop < len(bounds) and bounds[stop][0] < base + self._acq_window:  # rfdump: noqa[RFD601] one iteration per candidate
+            while stop < len(bounds) and bounds[stop][0] < base + self._acq_window:  # one iteration per candidate
                 stop += 1
             group = [i for i in range(start, stop) if offsets[i] >= 1]
             start = stop
@@ -299,7 +299,7 @@ class WifiDemodulator:
                 continue
             end = max(min(bounds[i][1], bounds[i][0] + self._acq_window) for i in group)
             metrics = self._acquisition_metrics(samples[base:end])
-            for i in group:  # rfdump: noqa[RFD601] one iteration per candidate
+            for i in group:
                 shift = bounds[i][0] - base
                 timings[i] = self._pick_timing(metrics[:, shift:shift + offsets[i]])
         return timings
@@ -428,7 +428,7 @@ class WifiDemodulator:
             raise SyncError(f"candidate too short for acquisition ({samples.size} samples)")
         metrics = []
         best_score = -1.0
-        for template in self._grid_templates:  # rfdump: noqa[RFD601] reference twin
+        for template in self._grid_templates:
             corr = np.convolve(window, template[::-1], mode="valid")
             mag = np.abs(corr)
             max_offset = mag.size - (self._acq_symbols - 1) * sps
@@ -442,7 +442,7 @@ class WifiDemodulator:
         if not metrics or best_score <= 0:
             raise SyncError("timing acquisition failed")
         best = (None, None, np.inf, -1.0)
-        for template, metric in metrics:  # rfdump: noqa[RFD601] reference twin
+        for template, metric in metrics:
             candidates = np.flatnonzero(metric >= 0.9 * best_score)
             if candidates.size == 0:
                 continue

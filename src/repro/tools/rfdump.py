@@ -40,11 +40,19 @@ from repro.core.monitor import make_monitor
 from repro.errors import RFDumpError, TraceFormatError
 from repro.obs import Observability, write_metrics, write_trace
 from repro.trace import TraceReader
-from repro.trace.io import read_meta
+from repro.trace.io import DEFAULT_WINDOW_MS, read_meta, window_samples
+
+
+class _OneLineErrorParser(argparse.ArgumentParser):
+    """Reports a bad command line the way ``run`` reports a bad flag
+    value: ``rfdump: <message>`` on stderr, exit 2, no usage dump."""
+
+    def error(self, message: str):
+        self.exit(2, f"{self.prog}: {message}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _OneLineErrorParser(
         prog="rfdump",
         description="monitor the wireless ether from a recorded IQ trace",
     )
@@ -62,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="stop after the detection stage (classification only)",
     )
     parser.add_argument(
-        "--window-ms", type=float, default=200.0,
+        "--window-ms", type=float, default=DEFAULT_WINDOW_MS,
         help="streaming window size in milliseconds",
     )
     parser.add_argument(
@@ -78,11 +86,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker pool backend when --workers > 1",
     )
     parser.add_argument(
-        "--monitor", choices=("rfdump", "naive", "energy", "flowgraph"),
-        default="rfdump",
-        help="monitoring architecture (baselines for cost comparison; "
-             "'flowgraph' schedules the same pipeline stages as a block "
-             "DAG per window)",
+        "--monitor", choices=("rfdump", "naive", "energy"), default="rfdump",
+        help="monitoring architecture (baselines for cost comparison)",
     )
     parser.add_argument(
         "--deadline-ms", type=float, default=None,
@@ -139,6 +144,7 @@ def run(args) -> int:
     kind = "streaming" if args.monitor == "rfdump" else args.monitor
     try:
         # every bad flag value surfaces here, before any window is read
+        window = window_samples(args.window_ms, meta.sample_rate)
         monitor = make_monitor(kind, MonitorConfig(
             sample_rate=meta.sample_rate,
             center_freq=meta.center_freq,
@@ -154,7 +160,6 @@ def run(args) -> int:
     except ValueError as exc:
         print(f"rfdump: {exc}", file=sys.stderr)
         return 2
-    window = max(int(args.window_ms * 1e-3 * meta.sample_rate), 1)
     reader = TraceReader(args.trace, window_samples=window)
 
     if args.format == "jsonl":

@@ -164,7 +164,12 @@ def _run_serve(args) -> int:
 
 
 def _run_replay(args) -> int:
-    done = replay_trace(args.connect, args.trace, window_ms=args.window_ms)
+    try:
+        done = replay_trace(args.connect, args.trace, window_ms=args.window_ms)
+    except ValueError as exc:
+        # a bad --window-ms: raised before the ingest socket is opened
+        print(f"rfdumpd: {exc}", file=sys.stderr)
+        return 2
     print(json.dumps(done, sort_keys=True))
     return 1 if done.get("stream_error") else 0
 

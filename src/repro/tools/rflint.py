@@ -6,21 +6,17 @@ Usage::
     python -m repro.tools.rflint --project            # + whole-program RFD7xx
     python -m repro.tools.rflint src/ --format json
     python -m repro.tools.rflint src/ --json-out rflint-report.json
-    python -m repro.tools.rflint src/ --write-baseline
     python -m repro.tools.rflint --list-rules
 
 ``--project`` adds the whole-program pass (lock-order graph, shared
 state audit, wire/metric vocabulary drift) on top of the per-module
 rules; paths default to ``src`` and test files (``--tests``, default
 ``tests`` when present) are scanned as metric-name references without
-being lint targets themselves.  In project mode, baseline entries for
-RFD7xx rules must carry real reasons, and a baseline entry whose budget
-exceeds the findings the tree still produces (stale debt) fails the run.
+being lint targets themselves.
 
-Exit status: 0 when every finding is fixed, suppressed
-(``# rfdump: noqa[RULE]``) or grandfathered by the baseline file;
-1 when any active finding remains or the baseline is stale; 2 on usage
-errors or an invalid baseline.
+Exit status: 0 when every finding is fixed or suppressed inline
+(``# rfdump: noqa[RULE]``, next to the comment that says why); 1 when
+any active finding remains; 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -35,17 +31,10 @@ from repro.lint import (
     Finding,
     active_project_rules,
     active_rules,
-    apply_baseline,
     lint_paths,
     lint_project,
-    load_baseline,
-    package_rel_path,
-    stale_entries,
-    write_baseline,
 )
-from repro.lint.engine import SYNTAX_RULE, iter_python_files
 
-DEFAULT_BASELINE = "lint-baseline.json"
 DEFAULT_PATHS = ("src",)
 DEFAULT_TESTS = "tests"
 
@@ -77,14 +66,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="report format on stdout")
     parser.add_argument("--json-out", metavar="FILE",
                         help="also write the JSON report to FILE")
-    parser.add_argument("--baseline", default=DEFAULT_BASELINE, metavar="FILE",
-                        help="baseline file of grandfathered findings "
-                             f"(default: {DEFAULT_BASELINE} if present)")
-    parser.add_argument("--no-baseline", action="store_true",
-                        help="ignore any baseline file")
-    parser.add_argument("--write-baseline", action="store_true",
-                        help="grandfather every current finding into the "
-                             "baseline file and exit 0")
     parser.add_argument("--select", metavar="RULES",
                         help="comma-separated rule ids to run (default: all)")
     parser.add_argument("--ignore", metavar="RULES",
@@ -94,17 +75,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _report(findings: List[Finding], grandfathered: int,
-            files_hint: str) -> dict:
+def _report(findings: List[Finding], files_hint: str) -> dict:
     return {
         "version": 1,
         "tool": "rflint",
         "paths": files_hint,
         "findings": [f.to_dict() for f in findings],
-        "counts": {
-            "active": len(findings),
-            "grandfathered": grandfathered,
-        },
+        "counts": {"active": len(findings)},
     }
 
 
@@ -129,8 +106,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     select = _parse_rule_list(args.select)
     ignore = _parse_rule_list(args.ignore)
     findings = lint_paths(args.paths, select=select, ignore=ignore)
-    checked_rules = {r.id for r in active_rules(select, ignore)}
-    checked_rules.add(SYNTAX_RULE)
     if args.project:
         tests = args.tests
         if tests is None and os.path.isdir(DEFAULT_TESTS):
@@ -141,35 +116,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             select=select, ignore=ignore,
         ))
         findings.sort(key=Finding.sort_key)
-        checked_rules.update(r.id for r in active_project_rules(select, ignore))
 
-    if args.write_baseline:
-        write_baseline(findings, args.baseline)
-        print(f"rflint: wrote {len(findings)} finding(s) to {args.baseline}; "
-              "fill in the 'reason' fields")
-        return 0
-
-    grandfathered: List[Finding] = []
-    stale: List = []
-    if not args.no_baseline and os.path.exists(args.baseline):
-        try:
-            allowed = load_baseline(args.baseline,
-                                    require_reasons=args.project)
-        except ValueError as exc:
-            print(f"rflint: invalid baseline: {exc}", file=sys.stderr)
-            return 2
-        checked_rels = {
-            package_rel_path(f) for f in iter_python_files(args.paths)
-        }
-        stale = stale_entries(findings, allowed, checked_rules, checked_rels)
-        findings, grandfathered = apply_baseline(findings, allowed)
-
-    report = _report(findings, len(grandfathered), " ".join(args.paths))
-    if stale:
-        report["stale_baseline"] = [
-            {"path": rel, "rule": rule, "allowed": budget, "actual": actual}
-            for rel, rule, budget, actual in stale
-        ]
+    report = _report(findings, " ".join(args.paths))
     if args.json_out:
         with open(args.json_out, "w", encoding="utf-8") as fh:
             json.dump(report, fh, indent=2)
@@ -181,16 +129,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     else:
         for finding in findings:
             print(finding.format())
-        for rel, rule, budget, actual in stale:
-            print(f"{rel}: stale baseline entry: {rule} allows {budget} "
-                  f"finding(s) but only {actual} remain — shrink it")
-        summary = f"rflint: {len(findings)} active finding(s)"
-        if grandfathered:
-            summary += f", {len(grandfathered)} grandfathered by {args.baseline}"
-        if stale:
-            summary += f", {len(stale)} stale baseline entr(y/ies)"
-        print(summary)
-    return 1 if (findings or stale) else 0
+        print(f"rflint: {len(findings)} active finding(s)")
+    return 1 if findings else 0
 
 
 if __name__ == "__main__":

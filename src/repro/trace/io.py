@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 from typing import Iterator, Optional
 
@@ -13,6 +14,21 @@ from repro.trace.format import TraceMeta, sidecar_path
 from repro.util.timebase import Timebase
 
 _DTYPE = np.complex64
+
+#: the default streaming window of ``rfdump`` and ``rfdumpd replay``
+DEFAULT_WINDOW_MS = 200.0
+
+
+def window_samples(window_ms: float, sample_rate: float) -> int:
+    """The window formula of ``rfdump`` and ``rfdumpd replay``: one
+    definition, so both cut a trace into the same windows.  A positive
+    ``window_ms`` shorter than one sample still means one sample;
+    anything else that is not a positive finite number raises
+    :class:`ValueError`."""
+    if not (math.isfinite(window_ms) and window_ms > 0):
+        raise ValueError(
+            f"window_ms must be positive and finite, got {window_ms}")
+    return max(int(window_ms * 1e-3 * sample_rate), 1)
 
 
 def write_trace(path, buffer: SampleBuffer, center_freq: Optional[float] = None,

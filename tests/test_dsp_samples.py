@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.dsp.samples import SampleBuffer, iter_chunks
+from repro.dsp.samples import SampleBuffer
 from repro.util.timebase import Timebase
 
 
@@ -49,30 +49,3 @@ class TestSampleBuffer:
     def test_from_array(self):
         buf = SampleBuffer.from_array(np.zeros(10), sample_rate=2e6)
         assert buf.sample_rate == 2e6
-
-
-class TestIterChunks:
-    def test_chunk_count(self):
-        buf = _buffer(1000)
-        chunks = list(iter_chunks(buf, 200))
-        assert len(chunks) == 5
-
-    def test_tail_chunk_kept(self):
-        buf = _buffer(1001)
-        chunks = list(iter_chunks(buf, 200))
-        assert len(chunks) == 6
-        assert len(chunks[-1][1]) == 1
-
-    def test_absolute_start_samples(self):
-        buf = _buffer(400, start=1000)
-        starts = [s for s, _ in iter_chunks(buf, 200)]
-        assert starts == [1000, 1200]
-
-    def test_chunks_cover_everything(self):
-        buf = _buffer(777)
-        total = sum(len(c) for _, c in iter_chunks(buf, 100))
-        assert total == 777
-
-    def test_rejects_bad_chunk_size(self):
-        with pytest.raises(ValueError):
-            list(iter_chunks(_buffer(10), 0))

@@ -14,8 +14,11 @@ from repro.core.events import (
     events_from_records,
     read_events,
 )
+from repro.core.streaming import StreamingMonitor
 from repro.emulator.presets import build_preset
 from repro.faults.harness import split_windows
+from repro.service import RFDumpDaemon
+from repro.tools import rfdump
 
 
 def _config(trace, **overrides) -> MonitorConfig:
@@ -147,14 +150,14 @@ class TestMonitorEvents:
 
     @pytest.mark.parametrize("preset", ["mix", "broadcast", "bluetooth"])
     def test_every_driver_emits_the_same_bytes(self, preset):
-        """rfdump, streaming and flowgraph are one pipeline behind three
-        drivers, and the analysis stage one task list behind inline
-        execution and two pool backends: the same IQ yields the same
-        canonical event lines through all of them."""
+        """rfdump and streaming are one pipeline behind two drivers, and
+        the analysis stage one task list behind inline execution and two
+        pool backends: the same IQ yields the same canonical event lines
+        through all of them."""
         trace = build_preset(preset, 0.2, seed=3).render()
         config = MonitorConfig(sample_rate=trace.sample_rate,
                                center_freq=trace.center_freq)
-        runs = [(kind, config) for kind in ("rfdump", "streaming", "flowgraph")]
+        runs = [(kind, config) for kind in ("rfdump", "streaming")]
         runs += [("streaming", config.replace(workers=2, backend=backend))
                  for backend in ("thread", "process")]
         lines = []
@@ -166,22 +169,29 @@ class TestMonitorEvents:
         for (kind, cfg), got in zip(runs, lines):
             assert got == lines[0], (kind, cfg.workers, cfg.backend)
 
-    def test_removed_names_fail_loudly(self):
-        with pytest.raises(ValueError, match="unknown monitor"):
-            make_monitor("sharded")
+    def test_removed_names_fail_loudly(self, tmp_path, capsys):
+        for kind in ("sharded", "flowgraph", "naive+energy"):
+            with pytest.raises(ValueError, match="unknown monitor"):
+                make_monitor(kind)
         for removed in ("shards", "granularity", "parallel_granularity",
                         "parallel_backend"):
             with pytest.raises(TypeError):
                 MonitorConfig(**{removed: 2})
             with pytest.raises(TypeError):
                 RFDumpMonitor(**{removed: 2})
-        from repro.flowgraph import FlowGraph
-
-        assert not hasattr(FlowGraph, "compile")
-        with pytest.raises(TypeError):
-            FlowGraph().run(fused=True)
         with pytest.raises(ImportError):
-            import repro.flowgraph.fusion  # noqa: F401
+            import repro.flowgraph  # noqa: F401
+        with pytest.raises(TypeError):
+            StreamingMonitor(config=MonitorConfig(), on_error="degrade")
+        # a daemon refuses the kind before it owns a socket or a thread
+        with pytest.raises(ValueError, match="unknown monitor"):
+            RFDumpDaemon(MonitorConfig(), kind="flowgraph")
+        # and the CLI before it opens the trace: one line, exit 2
+        with pytest.raises(SystemExit) as exc:
+            rfdump.main([str(tmp_path / "absent.iq"), "--monitor", "flowgraph"])
+        assert exc.value.code == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("rfdump: ")
 
     def test_naive_monitor_events(self, wifi_trace):
         with make_monitor("naive", _config(wifi_trace)) as monitor:

@@ -182,10 +182,8 @@ class TestNonFiniteSample:
         samples = trace.buffer.samples.copy()
         if value is not None:
             samples[at] = value
-        driver = make_monitor(
+        monitor = make_monitor(
             kind, MonitorConfig(protocols=("wifi",), **config))
-        # the flowgraph driver schedules a pipeline monitor it holds
-        monitor = getattr(driver, "monitor", driver)
         monitor.noise_floor = baseline.noise_floor  # carried, as streaming does
         seen = []
         if kind in ("naive", "energy"):
@@ -196,7 +194,7 @@ class TestNonFiniteSample:
         decoder.scan = lambda sub, **kw: (
             seen.append(bool(np.isfinite(sub.samples).all()))
             or scan(sub, **kw))
-        report = driver.process(SampleBuffer(samples, trace.buffer.timebase))
+        report = monitor.process(SampleBuffer(samples, trace.buffer.timebase))
         assert seen and all(seen)  # no demodulator is handed NaN/Inf
         return report
 
@@ -256,23 +254,10 @@ class TestNonFiniteSample:
         assert [len(r.errors) for r in reports] == [0, 1, 0, 0]
         assert obs.registry.value("rfdump_peak_nonfinite_samples_total") == 1
 
-    def test_flowgraph_monitor_reads_the_zero_too(self, wifi_trace, baseline):
-        """Same stages behind another scheduler: same packets, same one
-        record as the pipeline."""
-        victim = baseline.packets[1]
-        at = (victim.start_sample + victim.end_sample) // 2
-        report, ref = (self._run(wifi_trace, baseline, np.inf, at=at, kind=kind)
-                       for kind in ("flowgraph", "rfdump"))
-        assert self._lines(report) == self._lines(ref)
-        self._assert_one_record(report)
-        assert report.errors == ref.errors
-
     def test_raise_mode_surfaces_integrity_error(self, wifi_trace, baseline):
-        for kind in ("rfdump", "flowgraph"):
-            with pytest.raises(SampleIntegrityError) as excinfo:
-                self._run(wifi_trace, baseline, np.nan, kind=kind,
-                          on_error="raise")
-            assert excinfo.value.bad_samples == 1
+        with pytest.raises(SampleIntegrityError) as excinfo:
+            self._run(wifi_trace, baseline, np.nan, on_error="raise")
+        assert excinfo.value.bad_samples == 1
 
     def test_finite_input_reports_nothing(self, wifi_trace, baseline):
         report = self._run(wifi_trace, baseline)

@@ -1,4 +1,4 @@
-"""Engine-level tests: baseline workflow, CLI behavior, repo cleanliness."""
+"""Engine-level tests: suppression spans, CLI behavior, repo cleanliness."""
 
 import json
 import os
@@ -6,19 +6,11 @@ import textwrap
 
 import pytest
 
-from repro.lint import (
-    apply_baseline,
-    lint_paths,
-    lint_source,
-    load_baseline,
-    package_rel_path,
-    write_baseline,
-)
+from repro.lint import lint_paths, lint_source, package_rel_path
 from repro.tools import rflint
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(REPO_ROOT, "src")
-BASELINE = os.path.join(REPO_ROOT, "lint-baseline.json")
 
 
 class TestPathNormalization:
@@ -39,54 +31,10 @@ class TestPathNormalization:
 
 
 class TestRepoIsClean:
-    def test_src_lints_clean_modulo_baseline(self):
+    def test_src_lints_clean(self):
         """The acceptance gate: rflint over src/ has no active findings."""
-        findings = lint_paths([SRC])
-        active, grandfathered = apply_baseline(findings, load_baseline(BASELINE))
+        active = lint_paths([SRC])
         assert active == [], "\n" + "\n".join(f.format() for f in active)
-        # the baseline is tight: every grandfathered budget is spent
-        assert len(grandfathered) == sum(load_baseline(BASELINE).values())
-
-
-class TestBaseline:
-    def _findings(self, tmp_path):
-        mod = tmp_path / "src" / "repro" / "phy" / "mod.py"
-        mod.parent.mkdir(parents=True)
-        mod.write_text(textwrap.dedent(
-            """
-            import time
-            a = time.time()
-            b = time.time()
-            """
-        ))
-        return lint_paths([str(tmp_path)])
-
-    def test_roundtrip_grandfathers_everything(self, tmp_path):
-        findings = self._findings(tmp_path)
-        assert len(findings) == 2
-        baseline_file = tmp_path / "baseline.json"
-        write_baseline(findings, str(baseline_file))
-        allowed = load_baseline(str(baseline_file))
-        active, grandfathered = apply_baseline(findings, allowed)
-        assert active == [] and len(grandfathered) == 2
-
-    def test_excess_findings_stay_active(self, tmp_path):
-        findings = self._findings(tmp_path)
-        allowed = {("repro/phy/mod.py", "RFD101"): 1}
-        active, grandfathered = apply_baseline(findings, allowed)
-        assert len(active) == 1 and len(grandfathered) == 1
-
-    def test_baseline_entry_does_not_leak_across_rules(self, tmp_path):
-        findings = self._findings(tmp_path)
-        allowed = {("repro/phy/mod.py", "RFD501"): 5}
-        active, _ = apply_baseline(findings, allowed)
-        assert len(active) == 2
-
-    def test_unknown_version_rejected(self, tmp_path):
-        bad = tmp_path / "baseline.json"
-        bad.write_text(json.dumps({"version": 99, "entries": []}))
-        with pytest.raises(ValueError):
-            load_baseline(str(bad))
 
 
 class TestCli:
@@ -100,11 +48,11 @@ class TestCli:
         mod = tmp_path / "src" / "repro" / "phy" / "ok.py"
         mod.parent.mkdir(parents=True)
         mod.write_text("import numpy as np\nZERO = np.complex64(0)\n")
-        assert rflint.main([str(tmp_path), "--no-baseline"]) == 0
+        assert rflint.main([str(tmp_path)]) == 0
 
     def test_violation_exits_nonzero_naming_rule_file_line(self, tmp_path, capsys):
         mod = self._write_violation(tmp_path)
-        code = rflint.main([str(tmp_path), "--no-baseline"])
+        code = rflint.main([str(tmp_path)])
         out = capsys.readouterr().out
         assert code == 1
         assert "RFD101" in out
@@ -112,7 +60,7 @@ class TestCli:
 
     def test_json_format(self, tmp_path, capsys):
         self._write_violation(tmp_path)
-        code = rflint.main([str(tmp_path), "--no-baseline", "--format", "json"])
+        code = rflint.main([str(tmp_path), "--format", "json"])
         report = json.loads(capsys.readouterr().out)
         assert code == 1
         assert report["counts"]["active"] == 1
@@ -122,33 +70,24 @@ class TestCli:
     def test_json_out_writes_report_file(self, tmp_path, capsys):
         self._write_violation(tmp_path)
         out_file = tmp_path / "report.json"
-        rflint.main([str(tmp_path), "--no-baseline", "--json-out", str(out_file)])
+        rflint.main([str(tmp_path), "--json-out", str(out_file)])
         report = json.loads(out_file.read_text())
         assert report["counts"]["active"] == 1
 
-    def test_write_baseline_then_clean(self, tmp_path, capsys):
-        self._write_violation(tmp_path)
-        baseline = tmp_path / "baseline.json"
-        assert rflint.main([
-            str(tmp_path), "--baseline", str(baseline), "--write-baseline",
-        ]) == 0
-        assert rflint.main([str(tmp_path), "--baseline", str(baseline)]) == 0
-        out = capsys.readouterr().out
-        assert "grandfathered" in out
-
     def test_select_and_ignore(self, tmp_path):
         self._write_violation(tmp_path)
-        assert rflint.main(
-            [str(tmp_path), "--no-baseline", "--select", "RFD501"]) == 0
-        assert rflint.main(
-            [str(tmp_path), "--no-baseline", "--ignore", "RFD101"]) == 0
+        assert rflint.main([str(tmp_path), "--select", "RFD501"]) == 0
+        assert rflint.main([str(tmp_path), "--ignore", "RFD101"]) == 0
 
     def test_list_rules(self, capsys):
         assert rflint.main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in ("RFD101", "RFD102", "RFD103", "RFD201", "RFD202",
-                        "RFD301", "RFD401", "RFD402", "RFD501"):
-            assert rule_id in out
+        # pinned: a rule that comes or goes is a decision (DESIGN.md
+        # "What each rule has found" keeps the tally), not a side effect
+        assert [line.split()[0] for line in out.splitlines()] == [
+            "RFD101", "RFD102", "RFD103", "RFD201", "RFD202", "RFD301",
+            "RFD302", "RFD401", "RFD402", "RFD501", "RFD701", "RFD702",
+            "RFD703", "RFD704", "RFD705", "RFD706"]
 
     def test_no_paths_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
@@ -196,115 +135,6 @@ class TestNoqaSpans:
             """
         ), path="src/repro/phy/mod.py")
         assert [f.rule for f in findings] == ["RFD101"]
-
-
-class TestStaleBaseline:
-    def _tree_with_one_finding(self, tmp_path):
-        mod = tmp_path / "src" / "repro" / "phy" / "mod.py"
-        mod.parent.mkdir(parents=True)
-        mod.write_text("import time\nstamp = time.time()\n")
-
-    def _baseline(self, tmp_path, count, rel="repro/phy/mod.py",
-                  rule="RFD101"):
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text(json.dumps({
-            "version": 1,
-            "entries": [{"path": rel, "rule": rule, "count": count,
-                         "reason": "grandfathered at introduction"}],
-        }))
-        return baseline
-
-    def test_overbudget_entry_fails_the_run(self, tmp_path, capsys):
-        self._tree_with_one_finding(tmp_path)
-        baseline = self._baseline(tmp_path, count=3)
-        code = rflint.main([str(tmp_path), "--baseline", str(baseline)])
-        out = capsys.readouterr().out
-        assert code == 1
-        assert "stale baseline entry" in out
-        assert "allows 3 finding(s) but only 1 remain" in out
-
-    def test_exact_budget_passes(self, tmp_path):
-        self._tree_with_one_finding(tmp_path)
-        baseline = self._baseline(tmp_path, count=1)
-        assert rflint.main([str(tmp_path), "--baseline", str(baseline)]) == 0
-
-    def test_entry_for_unanalyzed_file_is_not_stale(self, tmp_path):
-        self._tree_with_one_finding(tmp_path)
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text(json.dumps({
-            "version": 1,
-            "entries": [
-                {"path": "repro/phy/mod.py", "rule": "RFD101", "count": 1,
-                 "reason": "grandfathered at introduction"},
-                {"path": "repro/gone/elsewhere.py", "rule": "RFD101",
-                 "count": 4, "reason": "file not part of this run"},
-            ],
-        }))
-        assert rflint.main([str(tmp_path), "--baseline", str(baseline)]) == 0
-
-    def test_entry_for_unselected_rule_is_not_stale(self, tmp_path):
-        self._tree_with_one_finding(tmp_path)
-        baseline = self._baseline(tmp_path, count=3)
-        # RFD101 was not run at all, so its budget is unverifiable
-        assert rflint.main([
-            str(tmp_path), "--baseline", str(baseline),
-            "--select", "RFD501",
-        ]) == 0
-
-    def test_stale_entries_reported_in_json(self, tmp_path, capsys):
-        self._tree_with_one_finding(tmp_path)
-        baseline = self._baseline(tmp_path, count=2)
-        code = rflint.main([str(tmp_path), "--baseline", str(baseline),
-                            "--format", "json"])
-        report = json.loads(capsys.readouterr().out)
-        assert code == 1
-        assert report["stale_baseline"] == [{
-            "path": "repro/phy/mod.py", "rule": "RFD101",
-            "allowed": 2, "actual": 1,
-        }]
-
-
-class TestBaselineReasons:
-    def test_rfd7_entry_needs_a_reason_in_project_mode(self, tmp_path):
-        bad = tmp_path / "baseline.json"
-        bad.write_text(json.dumps({
-            "version": 1,
-            "entries": [{"path": "repro/service/daemon.py", "rule": "RFD703",
-                         "count": 1, "reason": "TODO: justify or fix"}],
-        }))
-        with pytest.raises(ValueError, match="needs a real 'reason'"):
-            load_baseline(str(bad), require_reasons=True)
-        # outside project mode the same file loads fine
-        assert load_baseline(str(bad)) == {
-            ("repro/service/daemon.py", "RFD703"): 1,
-        }
-
-    def test_cli_project_mode_rejects_unjustified_rfd7_entries(
-            self, tmp_path, capsys):
-        mod = tmp_path / "src" / "repro" / "phy" / "ok.py"
-        mod.parent.mkdir(parents=True)
-        mod.write_text("import numpy as np\nZERO = np.complex64(0)\n")
-        bad = tmp_path / "baseline.json"
-        bad.write_text(json.dumps({
-            "version": 1,
-            "entries": [{"path": "repro/svc/x.py", "rule": "RFD701",
-                         "count": 1, "reason": ""}],
-        }))
-        code = rflint.main([str(tmp_path), "--project",
-                            "--baseline", str(bad)])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert "invalid baseline" in err
-
-    def test_non_rfd7_entries_never_need_reasons(self, tmp_path):
-        fine = tmp_path / "baseline.json"
-        fine.write_text(json.dumps({
-            "version": 1,
-            "entries": [{"path": "repro/phy/mod.py", "rule": "RFD101",
-                         "count": 2}],
-        }))
-        allowed = load_baseline(str(fine), require_reasons=True)
-        assert allowed == {("repro/phy/mod.py", "RFD101"): 2}
 
 
 class TestFindingOrdering:

@@ -21,7 +21,6 @@ from repro.tools import rflint
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(REPO_ROOT, "src")
 TESTS = os.path.join(REPO_ROOT, "tests")
-BASELINE = os.path.join(REPO_ROOT, "lint-baseline.json")
 
 RACY = """
 import queue

@@ -428,72 +428,6 @@ class TestTypingHygiene:
         assert rules_of(findings) == ["RFD501"]
 
 
-class TestPerf:
-    HOT = "src/repro/dsp/energy.py"
-
-    def test_loop_in_hot_path_flagged(self):
-        findings = lint(
-            """
-            def total(xs):
-                acc = 0.0
-                for x in xs:
-                    acc += x
-                return acc
-            """,
-            path=self.HOT,
-        )
-        assert rules_of(findings) == ["RFD601"]
-        assert findings[0].severity == Severity.WARNING
-        assert findings[0].line == 4
-
-    def test_while_loop_flagged(self):
-        findings = lint(
-            """
-            def spin(n):
-                while n > 0:
-                    n -= 1
-            """,
-            path=self.HOT,
-        )
-        assert rules_of(findings) == ["RFD601"]
-
-    def test_comprehensions_allowed(self):
-        # record/list construction is fine; the rule targets statement
-        # loops doing per-sample arithmetic
-        assert lint(
-            """
-            def views(values, offsets):
-                return [values[offsets[i]:offsets[i + 1]]
-                        for i in range(offsets.size - 1)]
-            """,
-            path=self.HOT,
-        ) == []
-
-    def test_non_hot_path_modules_out_of_scope(self):
-        assert lint(
-            """
-            def total(xs):
-                acc = 0.0
-                for x in xs:
-                    acc += x
-                return acc
-            """,
-            path=CORE,
-        ) == []
-
-    def test_noqa_suppresses_deliberate_loop(self):
-        assert lint(
-            """
-            def merge(runs):
-                out = []
-                for r in runs:  # rfdump: noqa[RFD601]
-                    out.append(r)
-                return out
-            """,
-            path=self.HOT,
-        ) == []
-
-
 class TestSuppression:
     def test_noqa_suppresses_exactly_one_finding(self):
         findings = lint(

@@ -144,7 +144,6 @@ class TestMakeMonitor:
         ("rfdump", RFDumpMonitor),
         ("naive", NaiveMonitor),
         ("energy", EnergyNaiveMonitor),
-        ("naive+energy", EnergyNaiveMonitor),
         ("streaming", StreamingMonitor),
     ])
     def test_factory_names(self, name, cls):
@@ -160,6 +159,16 @@ class TestMakeMonitor:
             make_monitor("quantum")
         for name in MONITOR_NAMES:
             assert name in str(err.value)
+
+    def test_cli_and_factory_reach_the_same_kinds(self):
+        """``rfdump`` runs its 'rfdump' choice as 'streaming'; beyond
+        that, a kind is reachable from every entry point or from none."""
+        from repro.tools import rfdump
+
+        (monitor_flag,) = [action for action in rfdump.build_parser()._actions
+                           if action.dest == "monitor"]
+        assert set(monitor_flag.choices) | {"streaming"} == set(MONITOR_NAMES)
+        assert MONITOR_NAMES == ("energy", "naive", "rfdump", "streaming")
 
     def test_default_config(self):
         monitor = make_monitor("rfdump")

@@ -4,7 +4,7 @@ The acceptance bar for the obs subsystem: deterministic counters are
 identical across serial and parallel runs (the paper's Table 1 / Fig 9
 quantities must not depend on the worker pool), spans nest stage ->
 detector / decoded range whether the ranges ran inline or on either
-pool backend, and the streaming / flowgraph layers report their own load.
+pool backend, and the streaming layer reports its own load.
 """
 
 import pytest
@@ -13,17 +13,7 @@ from repro import MonitorConfig, Observability, RFDumpMonitor
 from repro.core.accounting import StageClock
 from repro.core.pipeline import MonitorReport
 from repro.core.streaming import StreamingMonitor
-from repro.flowgraph import CollectSink, FlowGraph, FunctionBlock, SourceBlock
 from repro.obs.metrics import Counter
-
-
-class _ItemSource(SourceBlock):
-    def __init__(self, values):
-        super().__init__("item-source")
-        self._values = values
-
-    def items(self):
-        return iter(self._values)
 
 
 def _monitor(trace, obs, **overrides):
@@ -185,39 +175,6 @@ class TestStreamingMetrics:
         monitor = _monitor(wifi_trace, obs, protocols=("wifi",))
         streaming = StreamingMonitor(monitor)
         assert streaming.obs is obs
-
-
-class TestFlowgraphMetrics:
-    def test_per_block_item_counts(self):
-        obs = Observability()
-        sink = CollectSink()
-        double = FunctionBlock(lambda x: x * 2, "double")
-        graph = FlowGraph(obs=obs)
-        graph.chain(_ItemSource([1, 2, 3]), double, sink)
-        graph.run()
-        assert obs.registry.value(
-            "flowgraph_items_total", block="double"
-        ) == 3
-        assert obs.registry.value(
-            "flowgraph_items_total", block=sink.name
-        ) == 3
-
-    def test_sample_counts_for_buffers(self, wifi_trace):
-        obs = Observability()
-        sink = CollectSink()
-        graph = FlowGraph(obs=obs)
-        graph.chain(_ItemSource([wifi_trace.buffer]), sink)
-        graph.run()
-        assert obs.registry.value(
-            "flowgraph_samples_total", block=sink.name
-        ) == len(wifi_trace.buffer)
-
-    def test_no_obs_is_free(self):
-        sink = CollectSink()
-        graph = FlowGraph()
-        graph.chain(_ItemSource([1]), sink)
-        graph.run()
-        assert sink.items == [1]
 
 
 class TestCpuOverRealtime:

