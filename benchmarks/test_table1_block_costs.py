@@ -14,9 +14,14 @@ row (paper: 12x) — and, less steeply, to the whole detection stage:
 peak/energy detection plus the per-peak phase detectors it feeds
 (Section 4.5: "a few operations per sample").  Since the add-only
 correlation bank the 802.11 scan runs at the paper's 0.6 CPU/RT, so it
-no longer clears five detection *stages* the way the Bluetooth scan
-does; each block is timed three times and its best time kept, since the
-ratios compare blocks run seconds apart on a host whose speed drifts.
+no longer clears five detection *stages*.  The Bluetooth row is eight
+demodulators over the whole trace: since the all-channels, all-alignments
+scan it measures 1.4-1.9 CPU/RT (6.5-8.9 before), half of it the
+channel filter's sixteen ``np.convolve`` passes; it is held under 3.0
+and still has to clear five detection stages, as the paper's 0.7 does
+fourteen times over.  Each block is timed three times and its best time
+kept, since the ratios compare blocks run seconds apart on a host whose
+speed drifts.
 """
 
 import time
@@ -98,6 +103,7 @@ def test_table1(busy_trace, report_table, benchmark):
     assert measured["802.11 demodulation (1 Mbps)"] > 5 * peak_detection
     assert measured["802.11 demodulation (1 Mbps)"] > 3 * detection_stage
     assert measured["Bluetooth demodulation"] > 5 * detection_stage
+    assert measured["Bluetooth demodulation"] <= 3.0
 
 
 def test_bench_peak_detection(busy_trace, benchmark):

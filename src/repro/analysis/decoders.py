@@ -18,7 +18,12 @@ from repro.dsp.samples import SampleBuffer
 from repro.emulator.channel import apply_freq_offset
 from repro.errors import DecodeError
 from repro.phy import plcp
-from repro.phy.bluetooth import BluetoothDemodulator, PREAMBLE_BITS, sync_word
+from repro.phy.bluetooth import (
+    BluetoothDemodulator,
+    PREAMBLE_BITS,
+    air_bits,
+    sync_word,
+)
 from repro.phy.bluetooth_fh import channel_freq, channels_in_band
 from repro.phy.wifi import WifiDemodulator
 from repro.phy.zigbee import ZigbeeDemodulator
@@ -263,27 +268,95 @@ class WifiStreamDecoder:
 class BluetoothStreamDecoder:
     """Finds and decodes Bluetooth packets on every in-band hop channel.
 
-    One GFSK demodulation pass per channel — the paper's "8 Bluetooth
-    demodulators (one for each channel)".  A channel hint (from the phase
-    or frequency detector) restricts the scan to a single channel.
+    The paper's "8 Bluetooth demodulators (one for each channel)",
+    computed together: one pass over the range yields every channel's
+    discriminator output (``GfskModem.discriminate_channels``), one more
+    correlates the bit decisions of every symbol alignment of every
+    channel with the sync word (``GfskModem.sync_correlation``), and
+    each match of ``SYNC_THRESHOLD`` bits or more that does not repeat a
+    decoded packet is demodulated from its own slice of the range.  A
+    channel hint (from the phase or frequency detector) restricts the
+    scan to a single channel.
+
+    ``impl="reference"`` keeps the earlier flow — per channel an
+    ``np.exp`` mixer and a double-precision filter, per alignment a
+    reduction and an ``np.correlate`` — for the equivalence tests and
+    ``rfbench --impl reference``; the two return equal records.
     """
 
     _LEAD = 96
 
     def __init__(self, sample_rate: float, center_freq: float = DEFAULT_CENTER_FREQ,
-                 lap: int = 0x9E8B33, max_packet_us: float = 3200.0):
+                 lap: int = 0x9E8B33, max_packet_us: float = 3200.0,
+                 impl: str = "vectorized"):
+        if impl not in ("vectorized", "reference"):
+            raise ValueError(f"impl must be 'vectorized' or 'reference', not {impl!r}")
         self.sample_rate = sample_rate
         self.center_freq = center_freq
         self.lap = lap
+        self.impl = impl
         self.demodulator = BluetoothDemodulator(sample_rate, lap=lap)
         self.channels = [int(c) for c in channels_in_band(center_freq, sample_rate)]
         self._sync = sync_word(lap)
         self._max_packet = int(max_packet_us * 1e-6 * sample_rate)
+        #: a sync match this close to a decoded packet's is the same packet
+        self._guard = 64 * self.demodulator.modem.sps
 
     def _channel_offset(self, channel: int) -> float:
         return channel_freq(channel) - self.center_freq
 
-    def _scan_channel(self, buffer: SampleBuffer, channel: int) -> List[PacketRecord]:
+    def _record(self, buffer: SampleBuffer, lo: int, channel: int,
+                packet) -> PacketRecord:
+        abs_start = buffer.start_sample + lo + packet.start_sample
+        nbits = air_bits(packet.ptype, len(packet.payload))
+        return PacketRecord(
+            protocol="bluetooth",
+            start_sample=abs_start,
+            end_sample=abs_start + nbits * self.demodulator.modem.sps,
+            ok=True,
+            decoder=type(self).__name__,
+            payload_size=len(packet.payload),
+            rate_mbps=1.0,
+            channel=channel,
+            decoded=packet,
+            info={"ptype": packet.ptype, "clock": packet.clock},
+        )
+
+    def _scan_channels(self, buffer: SampleBuffer,
+                       channels: List[int]) -> List[PacketRecord]:
+        demod = self.demodulator
+        sps = demod.modem.sps
+        samples = buffer.samples
+        offsets_hz = [self._channel_offset(c) for c in channels]
+        disc = demod.modem.discriminate_channels(samples, offsets_hz)
+        correlation = demod.modem.sync_correlation(disc, self._sync)
+        rows, sync_starts = np.divmod(
+            np.flatnonzero(correlation.ravel() >= 2 * demod.SYNC_THRESHOLD - 64),
+            max(correlation.shape[1], 1))
+        # tried channel by channel, a symbol alignment at a time, in
+        # order of position: which matches the guard drops depends on it
+        order = np.lexsort((sync_starts, sync_starts % sps, rows))
+        records: List[PacketRecord] = []
+        decoded_starts: List[Tuple[int, int]] = []
+        for row, sync_start in zip(rows[order].tolist(), sync_starts[order].tolist()):
+            start = sync_start - PREAMBLE_BITS.size * sps
+            if any(row == r and abs(start - s) < self._guard
+                   for r, s in decoded_starts):
+                continue
+            lo = max(start - self._LEAD, 0)
+            hi = min(start + self._max_packet, samples.size)
+            try:
+                packet = demod.demodulate(samples[lo:hi], offsets_hz[row])
+            except DecodeError:
+                continue
+            decoded_starts.append((row, start))
+            records.append(self._record(buffer, lo, channels[row], packet))
+        return records
+
+    # -- reference twin: the earlier flow, kept for equivalence -------------
+
+    def _scan_channel_reference(self, buffer: SampleBuffer,
+                                channel: int) -> List[PacketRecord]:
         baseband = apply_freq_offset(
             buffer.samples, -self._channel_offset(channel), self.sample_rate
         )
@@ -291,7 +364,6 @@ class BluetoothStreamDecoder:
         pattern = 2.0 * self._sync.astype(np.float64) - 1.0
         records: List[PacketRecord] = []
         decoded_starts: List[int] = []
-        guard = 64 * modem.sps
         threshold = 2 * self.demodulator.SYNC_THRESHOLD - 64
         disc = modem.discriminate(baseband)
         for offset in range(modem.sps):
@@ -301,31 +373,16 @@ class BluetoothStreamDecoder:
             corr = np.correlate(np.sign(soft), pattern, mode="valid")
             for pos in np.flatnonzero(corr >= threshold):
                 start = offset + (int(pos) - PREAMBLE_BITS.size) * modem.sps
-                if any(abs(start - s) < guard for s in decoded_starts):
+                if any(abs(start - s) < self._guard for s in decoded_starts):
                     continue
                 lo = max(start - self._LEAD, 0)
                 hi = min(start + self._max_packet, baseband.size)
                 try:
-                    packet = self.demodulator.demodulate(baseband[lo:hi])
+                    packet = self.demodulator.demodulate_reference(baseband[lo:hi])
                 except DecodeError:
                     continue
                 decoded_starts.append(start)
-                abs_start = buffer.start_sample + lo + packet.start_sample
-                nbits = 72 + 54 + (16 + 8 * len(packet.payload) + 16 if packet.has_payload else 0)
-                records.append(
-                    PacketRecord(
-                        protocol="bluetooth",
-                        start_sample=abs_start,
-                        end_sample=abs_start + nbits * modem.sps,
-                        ok=True,
-                        decoder=type(self).__name__,
-                        payload_size=len(packet.payload),
-                        rate_mbps=1.0,
-                        channel=channel,
-                        decoded=packet,
-                        info={"ptype": packet.ptype, "clock": packet.clock},
-                    )
-                )
+                records.append(self._record(buffer, lo, channel, packet))
         return records
 
     def scan(self, buffer: SampleBuffer, channel_hint: Optional[int] = None) -> List[PacketRecord]:
@@ -334,10 +391,12 @@ class BluetoothStreamDecoder:
             channels = [channel_hint]
         else:
             channels = self.channels
-        records: List[PacketRecord] = []
-        for channel in channels:
-            records.extend(self._scan_channel(buffer, channel))
-        return _dedup_records(records, min_spacing=64 * self.demodulator.modem.sps)
+        if self.impl == "reference":
+            records = [record for channel in channels
+                       for record in self._scan_channel_reference(buffer, channel)]
+        else:
+            records = self._scan_channels(buffer, channels)
+        return _dedup_records(records, min_spacing=self._guard)
 
 
 class OfdmStreamDecoder:

@@ -15,7 +15,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.analysis.decoders import WifiStreamDecoder
+from repro.analysis.decoders import BluetoothStreamDecoder, WifiStreamDecoder
 from repro.core.detectors import DbpskPhaseDetector
 from repro.core.dispatcher import Dispatcher
 from repro.core.peak_detector import (
@@ -185,6 +185,34 @@ def assert_wifi_scan_equivalence(ranges: Sequence[SampleBuffer],
             f"{len(found['reference'])} reference vs "
             f"{len(found['vectorized'])} vectorized records",
         )
+        packets += len(found["vectorized"])
+    return {"ranges": len(ranges), "packets": packets}
+
+
+def assert_bluetooth_scan_equivalence(
+    ranges: Sequence[Tuple[SampleBuffer, Optional[int]]],
+) -> Dict[str, object]:
+    """Scan every ``(range, channel hint)`` with both
+    ``BluetoothStreamDecoder`` implementations, with its hint and with
+    none (all in-band channels), and demand equal records each time —
+    decoded packet, payload bytes and recovered clock included.
+    """
+    packets = 0
+    decoders: Dict[str, BluetoothStreamDecoder] = {}
+    for i, (sub, hint) in enumerate(ranges):
+        if not decoders:
+            decoders = {impl: BluetoothStreamDecoder(sub.sample_rate, impl=impl)
+                        for impl in ("reference", "vectorized")}
+        for channel_hint in dict.fromkeys((hint, None)):
+            found = {impl: decoder.scan(sub, channel_hint)
+                     for impl, decoder in decoders.items()}
+            _check(
+                found["reference"] == found["vectorized"],
+                f"Bluetooth scan differs on range {i} "
+                f"[{sub.start_sample}, {sub.end_sample}) with channel hint "
+                f"{channel_hint}: {len(found['reference'])} reference vs "
+                f"{len(found['vectorized'])} vectorized records",
+            )
         packets += len(found["vectorized"])
     return {"ranges": len(ranges), "packets": packets}
 

@@ -14,8 +14,9 @@ from typing import Dict
 
 import numpy as np
 
-from repro.analysis.decoders import WifiStreamDecoder
+from repro.analysis.decoders import BluetoothStreamDecoder, WifiStreamDecoder
 from repro.bench.equivalence import (
+    assert_bluetooth_scan_equivalence,
     assert_dbpsk_equivalence,
     assert_detection_equivalence,
     assert_energy_equivalence,
@@ -234,16 +235,31 @@ register_benchmark(Benchmark(
 # (full demodulation of every candidate start); CI gates
 # ``--require-speedup demod_wifi:3.0`` on the same-process pair.
 
-def dispatched_wifi_ranges(preset: str, duration: float, snr_db: float = 20.0,
-                           seed: int = 3):
-    """The Wi-Fi ranges RFDump's detection stage forwards for a preset."""
+def _dispatched(preset: str, duration: float, snr_db: float, seed: int):
+    """A preset's buffer and the ranges RFDump's detection stage forwards."""
     from repro.core.config import MonitorConfig
     from repro.core.monitor import make_monitor
 
     buffer = preset_buffer(preset, duration, snr_db=snr_db, seed=seed)
     report = make_monitor("rfdump", MonitorConfig(demodulate=False)).process(buffer)
+    return buffer, report.ranges
+
+
+def dispatched_wifi_ranges(preset: str, duration: float, snr_db: float = 20.0,
+                           seed: int = 3):
+    """The Wi-Fi ranges RFDump's detection stage forwards for a preset."""
+    buffer, ranges = _dispatched(preset, duration, snr_db, seed)
     return [buffer.slice(r.start_sample, r.end_sample)
-            for r in report.ranges.get("wifi", [])]
+            for r in ranges.get("wifi", [])]
+
+
+def dispatched_bluetooth_ranges(preset: str, duration: float,
+                                snr_db: float = 20.0, seed: int = 3):
+    """The Bluetooth ranges forwarded for a preset, each with the channel
+    hint the analysis stage would pass ``scan``."""
+    buffer, ranges = _dispatched(preset, duration, snr_db, seed)
+    return [(buffer.slice(r.start_sample, r.end_sample), r.channel)
+            for r in ranges.get("bluetooth", [])]
 
 
 def _demod_wifi_setup(ctx: BenchContext):
@@ -275,6 +291,48 @@ register_benchmark(Benchmark(
     run=_demod_wifi_run,
     equivalence=_demod_wifi_equivalence,
     tags=("demod", "wifi"),
+))
+
+
+# -- Bluetooth demodulator over pre-dispatched ranges ------------------------
+#
+# The same row for Bluetooth: only ``BluetoothStreamDecoder.scan`` over
+# the forwarded Bluetooth ranges is timed, each range with the channel
+# hint the analysis stage would pass (``mix`` forwards mostly unhinted
+# ranges that decode nothing, ``bluetooth`` hinted ones that decode).
+# ``--impl reference`` times the per-channel, per-alignment scan; CI
+# gates ``--require-speedup demod_bluetooth:2.0`` on the same-process pair.
+
+def _demod_bluetooth_setup(ctx: BenchContext):
+    scale = 0.25 if ctx.quick else 1.0
+    ranges = (dispatched_bluetooth_ranges("mix", 0.4 * scale)
+              + dispatched_bluetooth_ranges("bluetooth", 1.0 * scale))
+    decoder = BluetoothStreamDecoder(ranges[0][0].sample_rate, impl=ctx.impl)
+    return {"ranges": ranges, "decoder": decoder}
+
+
+def _demod_bluetooth_run(workload, ctx: BenchContext) -> int:
+    decoder = workload["decoder"]
+    total = 0
+    for sub, channel_hint in workload["ranges"]:
+        decoder.scan(sub, channel_hint)
+        total += len(sub)
+    return total
+
+
+def _demod_bluetooth_equivalence(workload, ctx: BenchContext) -> Dict[str, object]:
+    return assert_bluetooth_scan_equivalence(workload["ranges"])
+
+
+register_benchmark(Benchmark(
+    name="demod_bluetooth",
+    description="BluetoothStreamDecoder.scan over the pre-dispatched "
+                "Bluetooth ranges of the mix and bluetooth presets, each "
+                "with its channel hint (demodulation only)",
+    setup=_demod_bluetooth_setup,
+    run=_demod_bluetooth_run,
+    equivalence=_demod_bluetooth_equivalence,
+    tags=("demod", "bluetooth"),
 ))
 
 

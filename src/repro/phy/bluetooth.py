@@ -46,6 +46,7 @@ from repro.util.bits import (
     bits_to_bytes,
     bt_crc,
     bt_hec,
+    bt_hec_table,
     bytes_to_bits,
     pack_uint,
     unpack_uint,
@@ -71,6 +72,28 @@ _SLOTS = {TYPE_NULL: 1, TYPE_POLL: 1, TYPE_DH1: 1, TYPE_DM1: 1,
 
 PREAMBLE_BITS = np.array([1, 0, 1, 0], dtype=np.uint8)
 TRAILER_BITS = np.array([0, 1, 0, 1], dtype=np.uint8)
+
+#: row ``clock``: the whitening bits seed ``clock`` puts on the 18 header bits
+_HEADER_WHITENING = np.stack(
+    [BluetoothWhitener(clock).sequence(18) for clock in range(64)])
+#: LSB-first bit weights of the header's 10 info bits / 8 HEC bits
+_INFO_WEIGHTS = 1 << np.arange(10)
+_HEC_WEIGHTS = 1 << np.arange(8)
+
+
+def air_bits(ptype: int, payload_len: int) -> int:
+    """Bits on the air for a packet of type ``ptype`` carrying
+    ``payload_len`` payload bytes: access code, header and — for a
+    payload-bearing type — payload header, data and CRC, the whole
+    payload padded to 10 and coded at rate 2/3 for the DM types."""
+    nbits = 72 + 54
+    if ptype in _MAX_PAYLOAD:
+        plain = 16 + 8 * payload_len + 16
+        if ptype in _FEC23_TYPES:
+            nbits += 15 * (-(-plain // 10))
+        else:
+            nbits += plain
+    return nbits
 
 
 def sync_word(lap: int) -> np.ndarray:
@@ -180,14 +203,7 @@ class BluetoothModulator:
 
     def airtime(self, ptype: int, payload_len: int) -> float:
         """On-air duration in seconds of a packet."""
-        nbits = 72 + 54
-        if ptype in _MAX_PAYLOAD:
-            plain = 16 + 8 * payload_len + 16
-            if ptype in _FEC23_TYPES:
-                nbits += 15 * (-(-plain // 10))  # padded to 10, coded at 2/3
-            else:
-                nbits += plain
-        return nbits / BT_SYMBOL_RATE
+        return air_bits(ptype, payload_len) / BT_SYMBOL_RATE
 
 
 class BluetoothDemodulator:
@@ -203,15 +219,38 @@ class BluetoothDemodulator:
         self.lap = lap
         self.uap = uap
         self._sync = sync_word(lap)
+        self._hec_of_info = bt_hec_table(uap)
 
-    def demodulate(self, samples: np.ndarray) -> BluetoothPacket:
-        """Decode one candidate transmission; raises DecodeError variants."""
+    def demodulate(self, samples: np.ndarray,
+                   channel_offset_hz: float = 0.0) -> BluetoothPacket:
+        """Decode one candidate transmission; raises DecodeError variants.
+
+        ``channel_offset_hz`` is where the transmission's channel sits
+        relative to the centre of ``samples``."""
+        modem = self.modem
+        disc = modem.discriminate_channels(samples, (channel_offset_hz,))
+        offset, pos, score = modem.best_match(
+            modem.sync_correlation(disc, self._sync)[0])
+        self._require_sync(pos, score)
+        return self._decode(modem.hard_bits(disc[0], offset), offset, pos)
+
+    def demodulate_reference(self, samples: np.ndarray) -> BluetoothPacket:
+        """:meth:`demodulate` on the modem's double-precision,
+        alignment-at-a-time kernels (the oracle the scan is checked
+        against)."""
         samples = np.asarray(samples, dtype=np.complex64)
         disc = self.modem.discriminate(samples)
         offset, pos, score = self.modem.best_offset(samples, self._sync, disc)
+        self._require_sync(pos, score)
+        return self._decode(self.modem.demodulate(samples, offset, disc), offset, pos)
+
+    def _require_sync(self, pos: int, score: float) -> None:
         if pos < 0 or score < 2 * self.SYNC_THRESHOLD - 64:
             raise SyncError(f"no Bluetooth sync word (best score {score})")
-        bits = self.modem.demodulate(samples, offset, disc)
+
+    def _decode(self, bits: np.ndarray, offset: int, pos: int) -> BluetoothPacket:
+        """Parse the bit stream of alignment ``offset`` whose sync word
+        starts at bit ``pos``."""
         after_sync = pos + self._sync.size
         header_start = after_sync + TRAILER_BITS.size
         header_end = header_start + 54
@@ -242,7 +281,7 @@ class BluetoothDemodulator:
         llid = 0
         if ptype in _MAX_PAYLOAD:
             whitener = BluetoothWhitener(clock)
-            whitener.process(np.zeros(18, dtype=np.uint8))  # advance past header
+            whitener.sequence(18)  # advance past header
             ph_start = header_end
             if ptype in _FEC23_TYPES:
                 plain, llid, length = self._decode_fec23_payload(
@@ -292,7 +331,7 @@ class BluetoothDemodulator:
             raise DecodeError("truncated DM payload header")
         peek_info = hamming1510_decode(bits[ph_start : ph_start + 30])
         peek = BluetoothWhitener(clock)
-        peek.process(np.zeros(18, dtype=np.uint8))
+        peek.sequence(18)
         ph = peek.process(peek_info[:16])
         llid = unpack_uint(ph[0:2])
         length = unpack_uint(ph[3:13])
@@ -309,7 +348,7 @@ class BluetoothDemodulator:
 
     def _header_candidates(self, whitened: np.ndarray):
         """Yield (header, clock) for every whitening seed whose HEC passes."""
-        for clock in range(64):
-            candidate = BluetoothWhitener(clock).process(whitened)
-            if bt_hec(candidate[:10], self.uap) == unpack_uint(candidate[10:18]):
-                yield candidate, clock
+        candidates = whitened ^ _HEADER_WHITENING
+        hec = self._hec_of_info[candidates[:, :10] @ _INFO_WEIGHTS]
+        for clock in np.flatnonzero(hec == candidates[:, 10:] @ _HEC_WEIGHTS):
+            yield candidates[clock], int(clock)

@@ -8,6 +8,8 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from repro.errors import DecodeError
@@ -32,14 +34,45 @@ def repeat3_decode(coded: np.ndarray) -> np.ndarray:
     return (groups.sum(axis=1) >= 2).astype(np.uint8)
 
 
-def _poly_mod(dividend: int, nbits: int) -> int:
-    """Remainder of dividend / g(D) over GF(2), dividend has nbits bits."""
-    g = _G1510
-    gdeg = 5
-    for shift in range(nbits - 1, gdeg - 1, -1):
-        if dividend & (1 << shift):
-            dividend ^= g << (shift - gdeg)
+def _poly_mod(dividend, nbits: int):
+    """Remainder of dividend / g(D) over GF(2), dividend has nbits bits
+    (an int, or an array of them)."""
+    for shift in range(nbits - 1, 4, -1):
+        dividend = dividend ^ (((dividend >> shift) & 1) * (_G1510 << (shift - 5)))
     return dividend & 0x1F
+
+
+@lru_cache(maxsize=None)
+def _tables():
+    """``(parity, decoded)``: the parity bits of every 10-bit info word,
+    and the info word of every 15-bit received word.
+
+    A received word with a non-zero syndrome is corrected at the one bit
+    position that syndrome names, or decodes to ``_UNCORRECTABLE`` when
+    no single-bit error has it.  Built on first use: only DM packets
+    carry this code.
+    """
+    parity = _poly_mod(np.arange(1 << 10, dtype=np.int16) << 5, 15)
+    flip = np.zeros(32, dtype=np.int16)  # syndrome -> bit to flip
+    correctable = np.zeros(32, dtype=bool)
+    correctable[0] = True
+    for k in range(15):
+        syndrome = _poly_mod(1 << (14 - k), 15)
+        flip[syndrome] = 1 << (14 - k)
+        correctable[syndrome] = True
+    words = np.arange(1 << 15, dtype=np.int16)
+    # the code is linear and systematic: a word's syndrome is the parity
+    # of its info bits XOR its own parity bits
+    syndrome = parity[words >> 5] ^ (words & 0x1F)
+    decoded = (words ^ flip[syndrome]) >> 5
+    decoded[~correctable[syndrome]] = _UNCORRECTABLE
+    return parity, decoded
+
+
+_UNCORRECTABLE = -1
+#: MSB-first bit weights of a 15-bit codeword / a 10-bit info word
+_W15 = 1 << np.arange(14, -1, -1)
+_W10 = 1 << np.arange(9, -1, -1)
 
 
 def hamming1510_encode(bits: np.ndarray) -> np.ndarray:
@@ -51,14 +84,9 @@ def hamming1510_encode(bits: np.ndarray) -> np.ndarray:
     bits = np.asarray(bits, dtype=np.uint8)
     if bits.size % 10 != 0:
         raise ValueError("rate-2/3 FEC consumes bits 10 at a time")
-    out = []
-    for i in range(0, bits.size, 10):
-        block = bits[i : i + 10]
-        info = int(sum(int(b) << (9 - j) for j, b in enumerate(block)))
-        parity = _poly_mod(info << 5, 15)
-        word = (info << 5) | parity
-        out.append([(word >> (14 - k)) & 1 for k in range(15)])
-    return np.array(out, dtype=np.uint8).ravel()
+    info = bits.reshape(-1, 10) @ _W10
+    words = (info << 5) | _tables()[0][info]
+    return ((words[:, None] & _W15) != 0).astype(np.uint8).ravel()
 
 
 def hamming1510_decode(coded: np.ndarray) -> np.ndarray:
@@ -66,18 +94,7 @@ def hamming1510_decode(coded: np.ndarray) -> np.ndarray:
     coded = np.asarray(coded, dtype=np.uint8)
     if coded.size % 15 != 0:
         raise DecodeError(f"rate-2/3 stream length {coded.size} not divisible by 15")
-    # syndrome of a single-bit error at position k (MSB-first)
-    syndromes = {_poly_mod(1 << (14 - k), 15): k for k in range(15)}
-    out = []
-    for i in range(0, coded.size, 15):
-        block = coded[i : i + 15]
-        word = int(sum(int(b) << (14 - j) for j, b in enumerate(block)))
-        syn = _poly_mod(word, 15)
-        if syn != 0:
-            pos = syndromes.get(syn)
-            if pos is None:
-                raise DecodeError("uncorrectable rate-2/3 FEC block")
-            word ^= 1 << (14 - pos)
-        info = word >> 5
-        out.append([(info >> (9 - k)) & 1 for k in range(10)])
-    return np.array(out, dtype=np.uint8).ravel()
+    info = _tables()[1][coded.reshape(-1, 15) @ _W15]
+    if (info == _UNCORRECTABLE).any():
+        raise DecodeError("uncorrectable rate-2/3 FEC block")
+    return ((info[:, None] & _W10) != 0).astype(np.uint8).ravel()

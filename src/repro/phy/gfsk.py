@@ -5,17 +5,57 @@ shaped by a Gaussian pulse (BT = 0.5), and integrated into phase.  The
 receive side is an FM discriminator — exactly the per-sample phase
 derivative the GFSK fast detector also computes, followed by symbol-timing
 selection and hard decisions.
+
+The receive side exists twice.  ``discriminate`` / ``soft_bits`` /
+``best_offset`` are the straightforward forms (one double-precision
+filter, one reduction and one ``np.correlate`` per symbol alignment) and
+stay as the oracle; ``discriminate_channels`` / ``sync_correlation`` /
+``hard_bits`` are what the Bluetooth scan runs: single precision, every
+channel and every alignment from one pass, a tile at a time.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from functools import lru_cache
+from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.constants import BT_GAUSSIAN_BT, BT_MODULATION_INDEX, BT_SYMBOL_RATE
 from repro.dsp.filters import fir_lowpass, filter_signal, gaussian_pulse
 from repro.dsp.phase import phase_derivative
+
+
+#: elements per tile of the receive kernels: a tile — every channel's
+#: row of it — stays cache-resident across the passes made over it
+_TILE = 65536
+
+#: longest mixer period, in samples, that is tiled rather than computed
+_MAX_MIXER_PERIOD = 64
+
+
+@lru_cache(maxsize=256)
+def _mixer_period(cycles: float) -> Optional[np.ndarray]:
+    """One period of ``exp(2j pi cycles n)``, or None when it does not
+    repeat within ``_MAX_MIXER_PERIOD`` samples."""
+    for period in range(1, _MAX_MIXER_PERIOD + 1):
+        if abs(cycles * period - round(cycles * period)) < 1e-9:
+            n = np.arange(period, dtype=np.float64)
+            return np.exp(2j * np.pi * cycles * n).astype(np.complex64)
+    return None
+
+
+def _mixer(cycles: float, count: int) -> np.ndarray:
+    """``exp(2j pi cycles n)`` for ``n < count``, complex64.
+
+    Bluetooth channels sit on a 1 MHz raster, so the oscillator usually
+    repeats every few samples and is tiled from one period.
+    """
+    one = _mixer_period(cycles)
+    if one is None:
+        n = np.arange(count, dtype=np.float64)
+        return np.exp(2j * np.pi * cycles * n).astype(np.complex64)
+    return np.tile(one, -(-count // one.size))[:count]
 
 
 class GfskModem:
@@ -45,9 +85,14 @@ class GfskModem:
         self.sps = int(sps)
         self.h = modulation_index
         self._pulse = gaussian_pulse(bt, self.sps)
-        self._chan_taps = None
+        self._chan_taps = self._chan_taps32 = None
         if channel_filter and sample_rate > 1.5 * symbol_rate:
             self._chan_taps = fir_lowpass(0.6 * symbol_rate, sample_rate, ntaps=33)
+            self._chan_taps32 = self._chan_taps.astype(np.float32)
+        #: the central half of each symbol (edges carry ISI) is what a
+        #: bit decision averages: samples [_lo, _lo + _width) of the symbol
+        self._lo = self.sps // 4
+        self._width = self.sps - 2 * self._lo
 
     # -- transmit ----------------------------------------------------------
 
@@ -95,10 +140,7 @@ class GfskModem:
         if nsym <= 0:
             return np.zeros(0)
         block = disc[offset : offset + nsym * self.sps].reshape(nsym, self.sps)
-        # average the central half of each symbol to dodge ISI at edges
-        lo = self.sps // 4
-        hi = self.sps - lo
-        return block[:, lo:hi].mean(axis=1)
+        return block[:, self._lo : self._lo + self._width].mean(axis=1)
 
     def demodulate(self, samples: np.ndarray, offset: int = 0,
                    disc: Optional[np.ndarray] = None) -> np.ndarray:
@@ -128,3 +170,119 @@ class GfskModem:
             if score > best[2]:
                 best = (offset, pos, score)
         return best
+
+    # -- receive, every channel and alignment from one pass ------------------
+
+    def discriminate_channels(self, samples: np.ndarray,
+                              channel_offsets_hz: Sequence[float] = (0.0,)) -> np.ndarray:
+        """:meth:`discriminate` for each of several channels of ``samples``.
+
+        ``channel_offsets_hz`` are the channels' centre frequencies
+        relative to the capture's.  Returns a ``(channels, len(samples))``
+        float32 array: row ``i`` is the mean-removed per-sample frequency
+        estimate of channel ``i`` mixed down to DC.  Mixer, channel
+        filter and phase derivative all stay in single precision.
+        """
+        x = np.asarray(samples, dtype=np.complex64)
+        n = x.size
+        rows = len(channel_offsets_hz)
+        if n < 2:
+            return np.zeros((rows, 0), dtype=np.float32)
+        taps = self._chan_taps32
+        half = 0 if taps is None else (taps.size - 1) // 2
+        tile = max(_TILE // rows, 1)
+        width = min(tile, n - 1)
+        # each tile is mixed from phase zero: a constant rotation of a
+        # tile's samples cancels in its phase derivative
+        mixers = [_mixer(-offset_hz / self.sample_rate, min(width + 1 + 2 * half, n))
+                  if offset_hz else None for offset_hz in channel_offsets_hz]
+        out = np.empty((rows, n), dtype=np.float32)
+        re = np.empty((rows, width + 1), dtype=np.float32)
+        im = np.empty_like(re)
+        # derivative k needs filtered samples k and k + 1
+        for a in range(0, n - 1, tile):
+            b = min(a + tile, n - 1)
+            lo, hi = max(a - half, 0), min(b + 1 + half, n)
+            keep = slice(a - lo + half, b + 1 - lo + half)
+            for row, mixer in enumerate(mixers):
+                mixed = x[lo:hi] if mixer is None else x[lo:hi] * mixer[: hi - lo]
+                if taps is None:
+                    re[row, : b + 1 - a] = mixed.real
+                    im[row, : b + 1 - a] = mixed.imag
+                else:
+                    # "full" zero-pads past the ends of the range the
+                    # way discriminate()'s "same" does
+                    re[row, : b + 1 - a] = np.convolve(mixed.real, taps)[keep]
+                    im[row, : b + 1 - a] = np.convolve(mixed.imag, taps)[keep]
+            r0, r1 = re[:, : b - a], re[:, 1 : b + 1 - a]
+            i0, i1 = im[:, : b - a], im[:, 1 : b + 1 - a]
+            # angle(y[k + 1] * conj(y[k]))
+            np.arctan2(i1 * r0 - r1 * i0, r1 * r0 + i1 * i0, out=out[:, a:b])
+        out[:, n - 1] = out[:, n - 2]
+        out -= out.mean(axis=1, dtype=np.float64, keepdims=True).astype(np.float32)
+        return out
+
+    def _symbol_sums(self, disc: np.ndarray) -> np.ndarray:
+        """Sum of ``disc[..., k + _lo : k + _lo + _width]`` for every
+        symbol start ``k``: all ``sps`` alignments' soft bits at once
+        (alignment ``j`` is the ``j::sps`` view), added in the order
+        ``soft_bits``' mean adds them."""
+        count = disc.shape[-1] - self._lo - self._width + 1
+        sums = disc[..., self._lo : self._lo + count].copy()
+        for k in range(self._lo + 1, self._lo + self._width):
+            sums += disc[..., k : k + count]
+        return sums
+
+    def hard_bits(self, disc: np.ndarray, offset: int = 0) -> np.ndarray:
+        """:meth:`demodulate`'s bit decisions from one row of
+        :meth:`discriminate_channels`."""
+        nsym = max((disc.size - offset) // self.sps, 0)
+        block = disc[offset : offset + nsym * self.sps].reshape(nsym, self.sps)
+        return (self._symbol_sums(block)[:, 0] > 0).astype(np.uint8)
+
+    def sync_correlation(self, disc: np.ndarray, sync_bits: np.ndarray) -> np.ndarray:
+        """:meth:`best_offset`'s sync-word correlation at every sample a
+        symbol could start at, for every row of ``disc``.
+
+        ``disc`` is ``(channels, n)`` from :meth:`discriminate_channels`.
+        Entry ``[c, k]`` is ``np.correlate(np.sign(soft), 2 * sync - 1)``
+        of channel ``c`` at alignment ``k % sps``, bit position
+        ``k // sps`` — matching bits minus mismatching ones among the
+        ``len(sync_bits)`` symbols starting at sample ``k`` — as int8.
+        Only windows that end inside the range are scored, so the result
+        is ``(channels, max(n - len(sync_bits) * sps + 1, 0))``.
+        """
+        sync = np.asarray(sync_bits, dtype=bool).tolist()
+        sps = self.sps
+        rows, n = disc.shape
+        total = max(n - len(sync) * sps + 1, 0)
+        out = np.zeros((rows, total), dtype=np.int8)
+        # the last symbol of the window starting at k reads up to
+        # k + (len(sync) - 1) * sps + _lo + _width
+        reach = (len(sync) - 1) * sps + self._lo + self._width
+        tile = max(_TILE // rows, 1)
+        for a in range(0, total, tile):
+            b = min(a + tile, total)
+            sums = self._symbol_sums(disc[:, a : b - 1 + reach])
+            signs = (sums > 0).view(np.int8) - (sums < 0).view(np.int8)
+            # +-1 taps: the correlation is adds and subtracts of the
+            # sign array's shifted views
+            score = out[:, a:b]
+            for j, bit in enumerate(sync):
+                shifted = signs[:, j * sps : j * sps + b - a]
+                if bit:
+                    score += shifted
+                else:
+                    score -= shifted
+        return out
+
+    def best_match(self, correlation: np.ndarray):
+        """:meth:`best_offset`'s ``(offset, bit_position, score)`` from one
+        row of :meth:`sync_correlation`: the highest score, at the first
+        alignment that reaches it and the first position there."""
+        if correlation.size == 0:
+            return 0, -1, -np.inf
+        score = correlation.max()
+        starts = np.flatnonzero(correlation == score)
+        start = int(starts[np.argmin(starts % self.sps)])
+        return start % self.sps, start // self.sps, float(score)

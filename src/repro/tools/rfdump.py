@@ -182,11 +182,14 @@ def run(args) -> int:
     peaks = 0
     duration = meta.nsamples / meta.sample_rate
     degradation = None
+    forwarded = Counter()  # ranges handed to each protocol's decoder ...
+    fruitful = Counter()   # ... and those a decoded packet overlaps
     if args.monitor == "rfdump":
         with monitor as streaming:
             for buf in reader:
                 report = streaming.process(buf)
                 peaks += len(report.peaks) if report.peaks is not None else 0
+                _count_ranges(report, forwarded, fruitful)
             streaming.flush()
         packets = streaming.packets
         classifications = streaming.classifications
@@ -213,6 +216,7 @@ def run(args) -> int:
                 packets.extend(report.packets)
                 classifications.extend(report.classifications)
                 peaks += len(report.peaks or [])
+                _count_ranges(report, forwarded, fruitful)
                 clock = report.clock if clock is None else clock.merged(report.clock)
     classified = Counter(c.protocol for c in classifications)
 
@@ -230,6 +234,8 @@ def run(args) -> int:
                 {
                     "protocol": protocol,
                     "classifications": classified.get(protocol, 0),
+                    "ranges": forwarded[protocol],
+                    "ranges decoded": fruitful[protocol],
                     "decoded packets": len(decoded),
                     "decoded bytes": sum(p.payload_size for p in decoded),
                 }
@@ -237,7 +243,8 @@ def run(args) -> int:
         print(render_summary(
             f"{args.trace}: {duration * 1e3:.1f} ms, {peaks} peaks",
             rows,
-            ["protocol", "classifications", "decoded packets", "decoded bytes"],
+            ["protocol", "classifications", "ranges", "ranges decoded",
+             "decoded packets", "decoded bytes"],
         ))
         if clock is not None:
             print(f"processing cost: {clock.cpu_over_realtime(duration):.2f}x real time")
@@ -249,6 +256,23 @@ def run(args) -> int:
     if degradation is not None:
         print(degradation, file=sys.stderr)
     return 0
+
+
+def _count_ranges(report, forwarded: Counter, fruitful: Counter) -> None:
+    """Add one window's dispatched ranges, per protocol, to ``forwarded``
+    and those overlapped by a packet it decoded to ``fruitful``.
+
+    A range the streaming monitor sees again in the next window's
+    overlap is counted both times: each is one decoder ``scan``.
+    """
+    for protocol, ranges in report.ranges.items():
+        spans = [(p.start_sample, p.end_sample) for p in report.packets
+                 if p.protocol == protocol]
+        forwarded[protocol] += len(ranges)
+        fruitful[protocol] += sum(
+            any(start < r.end_sample and end > r.start_sample
+                for start, end in spans)
+            for r in ranges)
 
 
 def _write_capture_sinks(args, events, meta) -> None:

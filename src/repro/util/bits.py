@@ -7,6 +7,8 @@ least-significant-bit-first within each byte (the on-air order for both
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 
@@ -59,17 +61,38 @@ def _reflect(value: int, nbits: int) -> int:
     return out
 
 
+@lru_cache(maxsize=None)
+def _crc_table(poly: int, nbits: int) -> tuple:
+    """Register contribution of each top byte after eight zero bits."""
+    top, mask = 1 << (nbits - 1), (1 << nbits) - 1
+    table = []
+    for byte in range(256):
+        reg = byte << (nbits - 8)
+        for _ in range(8):
+            reg = ((reg << 1) ^ poly if reg & top else reg << 1) & mask
+        table.append(reg)
+    return tuple(table)
+
+
 def _crc_bits(bits: np.ndarray, poly: int, nbits: int, init: int) -> int:
-    """Bitwise CRC over an LSB-first bit stream (MSB-first register)."""
-    reg = init
-    top = 1 << (nbits - 1)
+    """CRC over an LSB-first bit stream (MSB-first register, ``nbits >= 8``).
+
+    Whole bytes of the stream go through :func:`_crc_table`; only the
+    tail of fewer than eight bits is shifted in one at a time.
+    """
+    bits = np.asarray(bits, dtype=np.uint8)
     mask = (1 << nbits) - 1
-    for bit in np.asarray(bits, dtype=np.uint8):
-        fb = ((reg >> (nbits - 1)) & 1) ^ int(bit)
+    reg = init & mask
+    whole = bits.size - bits.size % 8
+    table = _crc_table(poly & mask, nbits)
+    for byte in np.packbits(bits[:whole]).tolist():
+        reg = ((reg << 8) & mask) ^ table[(reg >> (nbits - 8)) ^ byte]
+    for bit in bits[whole:].tolist():
+        fb = (reg >> (nbits - 1)) ^ bit
         reg = (reg << 1) & mask
         if fb:
             reg ^= poly & mask
-    return reg & mask
+    return reg
 
 
 def crc16_ccitt(bits: np.ndarray, init: int = 0xFFFF, complement: bool = True) -> int:
@@ -95,6 +118,16 @@ def bt_hec(header_bits: np.ndarray, uap: int = 0x00) -> int:
     initialised with the device UAP.
     """
     return _crc_bits(header_bits, 0xA7, 8, uap & 0xFF)
+
+
+def bt_hec_table(uap: int = 0x00) -> np.ndarray:
+    """``bt_hec`` of every 10-bit header (LSB-first value) for one UAP."""
+    info = np.arange(1 << 10)
+    reg = np.full(info.shape, uap & 0xFF)
+    for i in range(10):
+        fb = (reg >> 7) ^ ((info >> i) & 1)
+        reg = ((reg << 1) & 0xFF) ^ (fb * 0xA7)
+    return reg.astype(np.uint8)
 
 
 _CRC32_TABLE = None
@@ -186,26 +219,41 @@ def descramble_stream(bits: np.ndarray) -> np.ndarray:
     return out
 
 
+def _whitening_sequence():
+    """One period of the x^7 + x^4 + 1 output, and each state's place in it."""
+    sequence = np.zeros(127, dtype=np.uint8)
+    phase_of = np.zeros(128, dtype=np.intp)
+    state = 0x40
+    for phase in range(127):
+        phase_of[state] = phase
+        out = state >> 6
+        sequence[phase] = out
+        state = (((state << 1) & 0x7F) | out) ^ (out << 4)
+    return sequence, phase_of
+
+
+_WHITENING_SEQUENCE, _WHITENING_PHASE = _whitening_sequence()
+
+
 class BluetoothWhitener:
     """Bluetooth data whitening LFSR, polynomial x^7 + x^4 + 1.
 
     Whitening and de-whitening are the same XOR operation; the register is
     seeded from the master clock bits CLK[6:1] with bit 6 forced to 1.
+    The register runs through one 127-bit m-sequence whatever the seed,
+    so a seed is a phase of that sequence and the state is kept as one.
     """
 
     def __init__(self, clock: int = 0):
-        self._state = ((clock & 0x3F) | 0x40) & 0x7F
+        self._phase = int(_WHITENING_PHASE[(clock & 0x3F) | 0x40])
+
+    def sequence(self, nbits: int) -> np.ndarray:
+        """The next ``nbits`` whitening bits (advances the state)."""
+        out = np.resize(np.roll(_WHITENING_SEQUENCE, -self._phase), nbits)
+        self._phase = (self._phase + nbits) % 127
+        return out
 
     def process(self, bits: np.ndarray) -> np.ndarray:
         """XOR the whitening sequence onto ``bits`` (updates state)."""
         bits = np.asarray(bits, dtype=np.uint8)
-        out = np.empty_like(bits)
-        state = self._state
-        for i, bit in enumerate(bits):
-            white = (state >> 6) & 1
-            out[i] = int(bit) ^ white
-            fb = white  # output bit feeds back via x^7 + x^4 + 1
-            state = ((state << 1) & 0x7F) | fb
-            state ^= fb << 4
-        self._state = state
-        return out
+        return bits ^ self.sequence(bits.size)

@@ -198,9 +198,9 @@ class TestCli:
         assert rfbench.main(["list"]) == 0
         out = capsys.readouterr().out
         names = [line.split()[0] for line in out.splitlines()]
-        assert names == ["demod_wifi", "energy_features", "fft_spectrogram",
-                         "peak_detection", "phase_detectors", "pipeline_mix",
-                         "window_latency"]
+        assert names == ["demod_bluetooth", "demod_wifi", "energy_features",
+                         "fft_spectrogram", "peak_detection",
+                         "phase_detectors", "pipeline_mix", "window_latency"]
 
     def test_compare_gate(self, tmp_path, capsys):
         base = tmp_path / "base"

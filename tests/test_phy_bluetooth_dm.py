@@ -7,6 +7,7 @@ from repro.phy.bluetooth import (
     BluetoothDemodulator,
     BluetoothModulator,
     TYPE_DH1,
+    TYPE_DH3,
     TYPE_DH5,
     TYPE_DM1,
     TYPE_DM3,
@@ -99,3 +100,26 @@ class TestDmPackets:
             dm_ok += dem.try_demodulate(dm_rx) is not None
             dh_ok += dem.try_demodulate(dh_rx) is not None
         assert dm_ok >= dh_ok
+
+
+class TestRecordLength:
+    """A decoded packet's record spans the transmission, whatever the FEC."""
+
+    @pytest.mark.parametrize("ptype,size", [
+        (TYPE_DH1, 27), (TYPE_DH3, 183), (TYPE_DH5, 200),
+        (TYPE_DM1, 17), (TYPE_DM3, 121), (TYPE_DM5, 200),
+    ])
+    def test_record_spans_the_modulated_waveform(self, modem, ptype, size):
+        from repro.analysis.decoders import BluetoothStreamDecoder
+        from repro.dsp.samples import SampleBuffer
+
+        mod, _ = modem
+        wave = mod.modulate(ptype, bytes(size), clock=size & 0x3F)
+        assert mod.airtime(ptype, size) == pytest.approx(wave.size / 8e6)
+        buffer = SampleBuffer.from_array(_embed(wave, seed=size), 8e6,
+                                         start_sample=10_000)
+        decoder = BluetoothStreamDecoder(8e6, center_freq=2.441e9)
+        (record,) = decoder.scan(buffer, channel_hint=39)
+        assert record.payload_size == size
+        assert record.end_sample - record.start_sample == wave.size
+        assert abs(record.start_sample - 10_400) <= 4

@@ -55,6 +55,24 @@ class TestRfdump:
         assert "decoded packets" in out
         assert "real time" in out
 
+    def test_summary_counts_dispatched_and_decoded_ranges(self, recorded, capsys):
+        # the unicast trace: every Wi-Fi range decodes, and the Bluetooth
+        # ranges the slot-spaced pings get forwarded as decode nothing
+        assert rfdump.main([str(recorded), "--summary"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [c.strip() for c in lines[1].split("  ") if c.strip()] == [
+            "protocol", "classifications", "ranges", "ranges decoded",
+            "decoded packets", "decoded bytes"]
+        table = {row.split()[0]: [int(v) for v in row.split()[1:]]
+                 for row in lines[3:5]}
+        assert table["wifi"][1:4] == [8, 8, 16]
+        assert table["bluetooth"][1:4] == [6, 0, 0]
+        assert all(row[2] <= row[1] for row in table.values())
+        # without demodulation a range is still forwarded, never decoded
+        assert rfdump.main([str(recorded), "--summary", "--no-demod"]) == 0
+        rows = capsys.readouterr().out.splitlines()[3:5]
+        assert [[int(v) for v in row.split()[2:4]] for row in rows] == [[8, 0], [6, 0]]
+
     def test_no_demod(self, recorded, capsys):
         code = rfdump.main([str(recorded), "--no-demod", "--summary"])
         assert code == 0
