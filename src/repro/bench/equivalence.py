@@ -94,13 +94,19 @@ def assert_detection_equivalence(
 
     With ``detectors`` (a list of protocol detectors) the check extends
     through classification into the dispatcher: the chunk-aligned ranges
-    forwarded per protocol must be byte-identical.  Returns a summary
-    (peak/chunk/range counts) for benchmark metadata.
+    forwarded per protocol must be byte-identical.  Both run twice: with
+    the noise floor estimated (a stream's first window) and with that
+    estimate carried in, as every later window gets it — the arm on
+    which the vectorized gate never forms the whole-window power array.
+    Returns a summary (peak/chunk/range counts) for benchmark metadata.
     """
     cfg = config or PeakDetectorConfig()
     reference = PeakDetector(cfg, impl="reference").detect(buffer)
     vectorized = PeakDetector(cfg, impl="vectorized").detect(buffer)
     compare_detections(reference, vectorized, power_rtol=power_rtol)
+    carried = PeakDetector(cfg, impl="vectorized").detect(
+        buffer, reference.noise_floor)
+    compare_detections(reference, carried, power_rtol=power_rtol)
 
     summary: Dict[str, object] = {
         "peaks": len(vectorized.history),

@@ -76,6 +76,56 @@ register_benchmark(Benchmark(
 ))
 
 
+# -- peak detection over idle ether, floor carried ---------------------------
+#
+# The streaming path's case: every window after the first arrives with
+# the noise floor, and on a Bluetooth-only ether ~95% of its samples are
+# idle.  ``peak_detection`` above times the opposite corner (peak-dense,
+# floor estimated), which the coarse pass leaves alone.  CI gates
+# ``--require-speedup peak_detection_sparse:3.0`` on the same-process pair.
+
+_SPARSE_WINDOW = 1_600_000  # 200 ms at 8 Msps, the streaming default
+
+
+def _peak_sparse_setup(ctx: BenchContext) -> Dict[str, object]:
+    buffer = preset_buffer("bluetooth", 0.25 if ctx.quick else 1.0, seed=3)
+    windows = [buffer.slice(a, min(a + _SPARSE_WINDOW, buffer.end_sample))
+               for a in range(buffer.start_sample, buffer.end_sample,
+                              _SPARSE_WINDOW)]
+    detector = PeakDetector(impl=ctx.impl)
+    return {"windows": windows, "detector": detector,
+            "floor": detector.detect(windows[0]).noise_floor}
+
+
+def _peak_sparse_run(workload, ctx: BenchContext) -> int:
+    detector, floor = workload["detector"], workload["floor"]
+    total = 0
+    for window in workload["windows"]:
+        detector.detect(window, floor)
+        total += len(window)
+    return total
+
+
+def _peak_sparse_equivalence(workload, ctx: BenchContext) -> Dict[str, object]:
+    # assert_detection_equivalence's carried-floor arm is the timed path
+    peaks = 0
+    for window in workload["windows"]:
+        peaks += assert_detection_equivalence(window)["peaks"]
+    return {"windows": len(workload["windows"]), "peaks": peaks}
+
+
+register_benchmark(Benchmark(
+    name="peak_detection_sparse",
+    description="peak detection over the mostly idle bluetooth preset in "
+                "200 ms windows with the noise floor carried from the "
+                "first, as the streaming monitor runs it",
+    setup=_peak_sparse_setup,
+    run=_peak_sparse_run,
+    equivalence=_peak_sparse_equivalence,
+    tags=("kernel", "detection"),
+))
+
+
 # -- energy kernels ---------------------------------------------------------
 
 def _energy_setup(ctx: BenchContext):

@@ -9,15 +9,42 @@ magnitude threshold.
 
 The implementation is fully vectorized numpy — the equivalent of the
 paper's C++ GNU Radio block — and its measured cost per sample is what
-Table 1's "Peak/Energy detection" row (and the ``peak_detection``
-``rfbench`` microbenchmark) reproduces.  The energy gate runs tile by
-tile over cache-resident scratch (:func:`repro.dsp.energy.chunked_power`,
-:func:`repro.dsp.energy.energy_gate`); interval merging, per-peak power
-statistics and the peak->chunk assignment run as whole-array operations
-(:func:`np.add.reduceat`, ``np.bincount``, ``np.repeat``).  The
-whole-array gate and the pre-vectorization Python-loop kernels are
-retained as ``impl="reference"`` so equivalence can be asserted (and the
-speedup measured) against them — see ``repro.bench.equivalence``.
+Table 1's "Peak/Energy detection" rows (and the ``peak_detection`` /
+``peak_detection_sparse`` ``rfbench`` microbenchmarks) reproduce.  The
+gate has the two levels the paragraph above describes:
+
+* **Coarse** (:func:`repro.dsp.energy.candidate_runs`): one read of the
+  samples as float32 ``|x|^2`` sums over blocks of ``energy_window // 4``
+  samples.  Powers are non-negative, so a sample can pass the averaged
+  gate only if the blocks its window touches hold ``window * threshold``
+  between them; blocks that stay under that by a 1e-4 margin (a hundred
+  times the float32 rounding of the sums) are idle by construction.
+  What is left are runs of samples worth examining — a few percent of a
+  Bluetooth-only ether, a quarter of the Wi-Fi + Bluetooth mix.
+* **Fine** (:func:`repro.dsp.energy.gate_runs`): float64 ``|x|^2`` and
+  the moving-average gate (:func:`repro.dsp.energy.energy_gate`) over
+  those runs only, each with ``energy_window`` samples of context, laid
+  back to back; peak edges, interval merging and per-peak statistics
+  (:func:`np.add.reduceat`) work on that compact array and map back to
+  sample positions.
+
+When the noise floor is not known yet (a one-shot buffer, a stream's
+first window) every chunk's power is needed for the percentile, so the
+whole-window ``|x|^2`` is formed as before and the runs reuse it; and a
+window whose chunk powers say it is mostly signal — or whose samples are
+not finite, not C-contiguous complex64, or too small for float32 — is
+one run, gated whole.  What is **bitwise** equal to the whole-window
+gate: ``|x|^2``, the chunk powers, the noise floor and threshold, and
+each peak's ``mean_power`` / ``peak_power`` (the same values summed in
+the same order).  What is **peak-equal only**: the moving average — its
+running sum starts at the first run instead of at sample 0, so it
+differs in the last bits, and the comparison against the threshold
+could differ only for an average within ~1e-9 relative of it (the same
+exposure every streaming window size already has; no sweep has seen
+it).  The whole-array gate and the pre-vectorization Python-loop kernels
+are retained as ``impl="reference"`` so equivalence can be asserted (and
+the speedup measured) against them — see ``repro.bench.equivalence`` and
+``tests/test_coarse_gate.py``.
 """
 
 from __future__ import annotations
@@ -34,13 +61,16 @@ from repro.constants import (
 )
 from repro.core.metadata import ChunkMetadata, Peak, PeakHistory
 from repro.dsp.energy import (
+    RUN_MERGE_SAMPLES,
+    candidate_runs,
     chunk_average_of,
     chunk_average_power,
     chunked_power,
-    energy_gate,
+    gate_runs,
     instant_power,
     interval_stats,
     moving_average_of,
+    run_edges,
 )
 from repro.dsp.samples import SampleBuffer
 from repro.util.db import db_to_linear
@@ -85,13 +115,18 @@ class PeakDetectionResult:
     def __init__(self, history: PeakHistory, noise_floor: float,
                  threshold: float, total_samples: int,
                  chunks: Optional[List[ChunkMetadata]] = None,
-                 chunk_builder=None, nonfinite_samples: int = 0):
+                 chunk_builder=None, nonfinite_samples: int = 0,
+                 gated_samples: Optional[int] = None):
         self.history = history
         self.noise_floor = noise_floor
         self.threshold = threshold
         self.total_samples = total_samples
         #: NaN/Inf samples zeroed before gating (0 on a healthy window)
         self.nonfinite_samples = nonfinite_samples
+        #: samples that reached the fine energy gate — the candidate runs
+        #: of the coarse pass and their context; all of them by default
+        self.gated_samples = (total_samples if gated_samples is None
+                              else gated_samples)
         self._chunks = chunks
         self._chunk_builder = chunk_builder
 
@@ -117,11 +152,11 @@ class PeakDetector:
     found, samples scanned, and the tracked noise floor.
 
     ``impl`` selects the kernel implementation: ``"vectorized"`` (the
-    default) or ``"reference"``, the whole-array gate and
-    pre-vectorization Python-loop version kept for equivalence testing
-    and as the benchmark baseline.  Both produce identical activity
-    masks, intervals, chunk metadata and dispatch decisions; the
-    reference's per-peak means agree to ULP-level rounding.
+    default, the coarse-to-fine gate) or ``"reference"``, the whole-array
+    gate and pre-vectorization Python-loop version kept for equivalence
+    testing and as the benchmark baseline.  Both produce identical
+    intervals, chunk metadata and dispatch decisions; the reference's
+    per-peak means agree to ULP-level rounding.
     """
 
     def __init__(self, config: Optional[PeakDetectorConfig] = None, obs=None,
@@ -136,82 +171,150 @@ class PeakDetector:
 
     def estimate_noise_floor(self, buffer: SampleBuffer) -> float:
         """Noise floor as a low percentile of per-chunk powers."""
-        powers = chunk_average_power(buffer.samples, self.config.chunk_samples)
-        if powers.size == 0:
-            raise ValueError("empty buffer")
-        return float(np.percentile(powers, 10.0))
+        return self._floor_of(
+            chunk_average_power(buffer.samples, self.config.chunk_samples))
 
     def detect(self, buffer: SampleBuffer, noise_floor: Optional[float] = None) -> PeakDetectionResult:
         """Find peaks and build chunk metadata for a buffer."""
+        if self.impl == "reference":
+            return self._detect_reference(buffer, noise_floor)
         cfg = self.config
         samples = buffer.samples
-        # |x|^2 is needed by every sub-stage; compute it exactly once
-        if self.impl == "reference":
-            power = instant_power(samples)
-            chunk_powers = chunk_average_of(power, cfg.chunk_samples)
-        else:
-            power, chunk_powers = chunked_power(samples, cfg.chunk_samples)
-        nonfinite = self._zero_nonfinite(power, chunk_powers)
+        n = len(samples)
+        power = chunk_powers = None
+        nonfinite = 0
         if noise_floor is None:
-            if chunk_powers.size == 0:
-                raise ValueError("empty buffer")
-            noise_floor = float(np.percentile(chunk_powers, 10.0))
+            # the percentile needs every chunk's power, bitwise
+            power, chunk_powers = chunked_power(samples, cfg.chunk_samples)
+            nonfinite = self._zero_nonfinite(power, chunk_powers)
+            noise_floor = self._floor_of(chunk_powers)
         threshold = noise_floor * float(db_to_linear(cfg.threshold_db))
-
         # samples that pass both the averaged gate and — so averaged tails
         # don't smear peak boundaries by a full window — an instantaneous
         # one at a fraction of the threshold
         instant_threshold = cfg.instantaneous_factor * threshold
-        if self.impl == "reference":
-            active = moving_average_of(power, cfg.energy_window) > threshold
-            active &= power > instant_threshold
-        else:
-            active = energy_gate(power, cfg.energy_window, threshold,
-                                 instant_threshold)
 
+        # coarse pass: which runs of samples are worth gating.  A window
+        # whose chunk powers already say it is mostly signal is one run.
+        runs = None
+        dense = chunk_powers is not None and (
+            2 * np.count_nonzero(chunk_powers > threshold) >= chunk_powers.size)
+        if (not dense and samples.dtype == np.complex64
+                and samples.flags.c_contiguous):
+            # runs closer than the gate's context, or than a gap one
+            # peak may span, must be one run
+            runs = candidate_runs(samples, cfg.energy_window, threshold,
+                                  max(RUN_MERGE_SAMPLES, cfg.energy_window,
+                                      cfg.min_gap))
+        if runs is None:
+            if power is None:
+                power, chunk_powers = chunked_power(samples, cfg.chunk_samples)
+                nonfinite = self._zero_nonfinite(power, chunk_powers)
+            runs = np.array([0]), np.array([n])
+
+        # fine pass: the gate over the runs laid back to back, then
+        # peaks from that compact mask mapped back to sample positions
+        active, run_power, offsets, origins = gate_runs(
+            samples, power, *runs, cfg.energy_window, threshold,
+            instant_threshold)
+        starts, ends = self._run_edges(active)
+        run_of = np.searchsorted(offsets, starts, side="right") - 1
+        to_sample = buffer.start_sample + (origins - offsets)[run_of]
+        starts, ends = starts + to_sample, ends + to_sample
+        first, last = self._merge_runs(starts, ends)
         history = PeakHistory(buffer.sample_rate)
-        if self.impl == "reference":
-            intervals = self._intervals_reference(active)
-            self._fill_history_reference(history, buffer, power, intervals)
-            chunk_builder = lambda: self._chunk_metadata_reference(  # noqa: E731
-                buffer, chunk_powers, threshold, history
-            )
-        else:
-            istarts, iends = self._intervals_vectorized(active)
-            if istarts.size:
-                _, means, maxes = interval_stats(power, istarts, iends)
-                history.extend_from_arrays(
-                    buffer.start_sample + istarts.astype(np.int64),
-                    buffer.start_sample + iends.astype(np.int64),
-                    means, maxes,
-                )
-            chunk_builder = lambda: self._chunk_metadata_vectorized(  # noqa: E731
-                buffer, chunk_powers, threshold, history
-            )
+        if first.size:
+            # a peak lies inside one run: the same shift maps both ends
+            # back, and its samples are contiguous in run_power
+            shift = to_sample[first]
+            _, means, maxes = interval_stats(
+                run_power, starts[first] - shift, ends[last] - shift)
+            history.extend_from_arrays(
+                starts[first].astype(np.int64), ends[last].astype(np.int64),
+                means, maxes)
 
-        if self.obs:
-            self.obs.counter(
-                "rfdump_peaks_total", help="peaks found by the detection stage"
-            ).inc(len(history))
-            self.obs.counter(
-                "rfdump_peak_scan_samples_total",
-                help="samples scanned by the peak detector",
-            ).inc(len(samples))
-            self.obs.gauge(
-                "rfdump_noise_floor_power",
-                help="tracked noise-floor estimate (linear power)",
-            ).set(noise_floor)
+        def chunk_builder():
+            powers = chunk_powers
+            if powers is None:  # floor carried: nothing needed them yet
+                powers = chunked_power(samples, cfg.chunk_samples)[1]
+            return self._chunk_metadata_vectorized(
+                buffer, powers, threshold, history)
 
+        self._count(history, n, int(active.size), noise_floor)
+        return PeakDetectionResult(
+            history=history,
+            noise_floor=noise_floor,
+            threshold=threshold,
+            total_samples=n,
+            chunk_builder=chunk_builder,
+            nonfinite_samples=nonfinite,
+            gated_samples=int(active.size),
+        )
+
+    def _detect_reference(self, buffer: SampleBuffer,
+                          noise_floor: Optional[float]) -> PeakDetectionResult:
+        """The whole-array gate and per-peak Python loops: the oracle."""
+        cfg = self.config
+        samples = buffer.samples
+        power = instant_power(samples)
+        chunk_powers = chunk_average_of(power, cfg.chunk_samples)
+        nonfinite = self._zero_nonfinite(power, chunk_powers)
+        if noise_floor is None:
+            noise_floor = self._floor_of(chunk_powers)
+        threshold = noise_floor * float(db_to_linear(cfg.threshold_db))
+        active = moving_average_of(power, cfg.energy_window) > threshold
+        active &= power > cfg.instantaneous_factor * threshold
+        history = PeakHistory(buffer.sample_rate)
+        self._fill_history_reference(history, buffer, power,
+                                     self._intervals_reference(active))
+        self._count(history, len(samples), len(samples), noise_floor)
         return PeakDetectionResult(
             history=history,
             noise_floor=noise_floor,
             threshold=threshold,
             total_samples=len(samples),
-            chunk_builder=chunk_builder,
+            chunk_builder=lambda: self._chunk_metadata_reference(
+                buffer, chunk_powers, threshold, history),
             nonfinite_samples=nonfinite,
         )
 
     # -- shared ---------------------------------------------------------------
+
+    @staticmethod
+    def _floor_of(chunk_powers: np.ndarray) -> float:
+        """Noise floor: the 10th percentile of the finite chunk powers.
+
+        A chunk holding a NaN/Inf sample has a non-finite mean; left in,
+        it would make the floor, the threshold and every comparison of
+        the window NaN.  With no finite chunk the estimate stays
+        non-finite (and the caller's record says so).
+        """
+        if chunk_powers.size == 0:
+            raise ValueError("empty buffer")
+        finite = chunk_powers[np.isfinite(chunk_powers)]
+        return float(np.percentile(finite if finite.size else chunk_powers,
+                                   10.0))
+
+    def _count(self, history: PeakHistory, scanned: int, gated: int,
+               noise_floor: float) -> None:
+        if not self.obs:
+            return
+        self.obs.counter(
+            "rfdump_peaks_total", help="peaks found by the detection stage"
+        ).inc(len(history))
+        self.obs.counter(
+            "rfdump_peak_scan_samples_total",
+            help="samples scanned by the peak detector",
+        ).inc(scanned)
+        self.obs.counter(
+            "rfdump_peak_gated_samples_total",
+            help="samples that reached the fine energy gate (candidate "
+                 "runs and their context) out of those scanned",
+        ).inc(gated)
+        self.obs.gauge(
+            "rfdump_noise_floor_power",
+            help="tracked noise-floor estimate (linear power)",
+        ).set(noise_floor)
 
     def _zero_nonfinite(self, power: np.ndarray,
                         chunk_powers: np.ndarray) -> int:
@@ -242,44 +345,30 @@ class PeakDetector:
             ).inc(zeroed)
         return zeroed
 
-    @staticmethod
-    def _run_edges(active: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Starts/ends of contiguous True runs in the activity mask."""
-        if active.size == 0:
-            empty = np.zeros(0, dtype=np.intp)
-            return empty, empty
-        # run boundaries alternate start, end, start, ... once the
-        # buffer's own edges close the first and last run
-        edges = np.flatnonzero(active[1:] != active[:-1]) + 1
-        if active[0]:
-            edges = np.concatenate([[0], edges])
-        if active[-1]:
-            edges = np.concatenate([edges, [active.size]])
-        return edges[0::2], edges[1::2]
+    _run_edges = staticmethod(run_edges)
 
     # -- vectorized kernels ---------------------------------------------------
 
-    def _intervals_vectorized(self, active: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Gap-merged, length-filtered peak intervals as index arrays.
+    def _merge_runs(self, starts: np.ndarray,
+                    ends: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Gap-merge and length-filter sorted, disjoint active runs.
 
         Runs separated by less than ``min_gap`` coalesce: a boolean break
         mask over the inter-run gaps selects each merged group's first
-        start and last end — no per-run Python iteration.
+        and last run — no per-run Python iteration.  Returns the indices
+        of those runs: peak ``k`` is ``[starts[first[k]], ends[last[k]])``.
         """
         cfg = self.config
-        starts, ends = self._run_edges(active)
         if starts.size == 0:
             empty = np.zeros(0, dtype=np.intp)
-            return empty, empty.copy()
-        # runs are sorted and disjoint, so the gap before run i is
-        # starts[i] - ends[i-1]; a True marks the start of a new group
+            return empty, empty
+        # the gap before run i is starts[i] - ends[i-1]; a True marks the
+        # start of a new group
         breaks = (starts[1:] - ends[:-1]) >= cfg.min_gap
-        first = np.concatenate([[True], breaks])
-        last = np.concatenate([breaks, [True]])
-        gstarts = starts[first]
-        gends = ends[last]
-        keep = (gends - gstarts) >= cfg.min_length
-        return gstarts[keep].astype(np.intp), gends[keep].astype(np.intp)
+        first = np.flatnonzero(np.concatenate([[True], breaks]))
+        last = np.flatnonzero(np.concatenate([breaks, [True]]))
+        keep = (ends[last] - starts[first]) >= cfg.min_length
+        return first[keep], last[keep]
 
     def _chunk_metadata_vectorized(self, buffer: SampleBuffer, chunk_powers: np.ndarray,
                                    threshold: float, history: PeakHistory) -> List[ChunkMetadata]:

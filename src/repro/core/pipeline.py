@@ -92,6 +92,9 @@ class MonitorReport:
     packets: List[PacketRecord]
     clock: StageClock
     noise_floor: Optional[float] = None
+    #: samples that reached the peak detector's fine energy gate (0 for a
+    #: monitor without a detection stage)
+    gated_samples: int = 0
     #: wall time spent demodulating each protocol (feeds the parallelism
     #: estimate of Section 2.2)
     demod_seconds_by_protocol: Dict[str, float] = field(default_factory=dict)
@@ -421,6 +424,7 @@ class RFDumpMonitor(Monitor):
             packets=w.packets,
             clock=w.clock,
             noise_floor=w.detection.noise_floor,
+            gated_samples=w.detection.gated_samples,
             demod_seconds_by_protocol=w.demod_seconds,
             parallel_fallbacks=w.parallel_fallbacks,
             errors=w.errors,

@@ -5,14 +5,19 @@ consumes an unbounded stream in windows.  A packet that straddles a
 window boundary would be lost (its peak is truncated in both windows), so
 :class:`StreamingMonitor` carries a tail of each window into the next —
 sized to the longest transmission it must not split — and deduplicates
-the overlap region.  It also carries the noise-floor estimate forward,
-the way a long-running radio front end would.
+the overlap region.  The noise floor is estimated once: the first
+window's estimate is frozen and handed to every later window (there is
+no running average — ``PeakDetector.detect`` returns the floor it was
+given), so later windows skip the estimate and the whole-window power
+array it needs.
 
-Because that front end is a real radio, the stream is allowed to
+Because the front end is a real radio, the stream is allowed to
 misbehave: overruns drop samples (the next window no longer starts where
-the tail ended) and saturation emits NaN/Inf bursts that would poison
-the carried noise-floor EMA.  The ``on_error`` policy decides the
-response — ``"raise"`` surfaces typed errors
+the tail ended) and saturation emits NaN/Inf bursts.  A window holding
+such samples still estimates a floor, over its finite chunks, but that
+estimate is not the one frozen — the next clean window's is.  The
+``on_error`` policy decides the response — ``"raise"`` surfaces typed
+errors
 (:class:`~repro.errors.StreamGapError`,
 :class:`~repro.errors.SampleIntegrityError`), ``"skip"`` drops the
 offending window, and ``"degrade"`` resynchronizes across gaps and
@@ -53,8 +58,8 @@ class StreamingMonitor(Monitor):
     The fault policy for stream-level faults (gaps, NaN bursts) is the
     wrapped monitor's ``config.on_error``.  ``None`` keeps the legacy
     contract: gaps raise (a :class:`~repro.errors.StreamGapError`, which
-    is a ``ValueError``), non-finite noise-floor estimates are skipped
-    and counted.
+    is a ``ValueError``), noise-floor estimates made over non-finite
+    samples are not carried forward, and counted.
     """
 
     def __init__(self, monitor: Optional[RFDumpMonitor] = None,
@@ -248,13 +253,19 @@ class StreamingMonitor(Monitor):
         report = self.monitor.process(stitched)
         report.errors.extend(stream_errors)
         nf = report.noise_floor
-        if nf is not None and not np.isfinite(nf):
-            # a NaN/Inf burst must not poison the EMA carried into every
-            # subsequent window; keep the last finite estimate
+        # The first estimate kept is frozen for the life of the stream,
+        # so it must be a clean one: a non-finite estimate (every chunk
+        # held a NaN/Inf) or one made over a window the peak detector
+        # had to sanitize is used for that window only.
+        suspect = nf is not None and (not np.isfinite(nf) or (
+            self._noise_floor is None and any(
+                e.component == "PeakDetector" and e.action == "sanitized"
+                for e in report.errors)))
+        if suspect:
             obs.counter(
                 "rfdump_stream_nonfinite_noise_floor_total",
-                help="non-finite noise-floor estimates discarded instead "
-                     "of being carried forward",
+                help="noise-floor estimates of windows holding NaN/Inf "
+                     "samples discarded instead of being carried forward",
             ).inc()
         else:
             self._noise_floor = nf

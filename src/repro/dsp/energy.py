@@ -21,6 +21,10 @@ from repro.dsp.samples import chunk_views
 #: pass reads its input from memory once instead of once per ufunc.
 #: Both passes over a 1.6 M-sample window measured 14.0 / 12.7 / 12.9 /
 #: 15.6 / 17.3 ms at 8 / 16 / 32 / 64 / 128 thousand samples per tile.
+#: Since the coarse pass (:func:`candidate_runs`) the peak detector
+#: tiles only the samples worth gating, gathered run by run
+#: (:func:`gate_runs`); the whole window is tiled when its noise floor
+#: is still to be estimated or it is mostly signal.
 TILE_SAMPLES = 32_000
 
 
@@ -42,6 +46,17 @@ def instant_power(samples: np.ndarray,
         out += np.multiply(im, im, dtype=np.float64)
         return out
     return np.multiply(x, x, dtype=np.float64, out=out)
+
+
+def _interleaved_power(flat: np.ndarray, scratch: np.ndarray,
+                       out: np.ndarray) -> None:
+    """``|x|^2`` of one tile of interleaved float32 ``re, im`` pairs into
+    the float64 ``out``: cast, square in place, add the even and odd
+    halves — per sample the three IEEE operations of ``re*re + im*im``."""
+    t = scratch[: flat.size]
+    np.copyto(t, flat)
+    np.multiply(t, t, out=t)
+    np.add(t[0::2], t[1::2], out=out)
 
 
 def chunked_power(samples: np.ndarray,
@@ -73,10 +88,7 @@ def chunked_power(samples: np.ndarray,
         b = min(a + tile, n)
         dst = power[a:b]
         if fast:
-            t = scratch[: 2 * (b - a)]
-            np.copyto(t, flat[2 * a: 2 * b])
-            np.multiply(t, t, out=t)
-            np.add(t[0::2], t[1::2], out=dst)
+            _interleaved_power(flat[2 * a: 2 * b], scratch, dst)
         else:
             instant_power(x[a:b], out=dst)
         chunk_average_of(dst, chunk_samples,
@@ -193,6 +205,140 @@ def energy_gate(power: np.ndarray, window: int, avg_threshold: float,
         active[a:b] &= above[:size]
         sums[:window] = sums[size: size + window]
     return active
+
+
+def run_edges(mask: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Starts/ends of the contiguous True runs of a boolean mask."""
+    if mask.size == 0:
+        empty = np.zeros(0, dtype=np.intp)
+        return empty, empty
+    # run boundaries alternate start, end, start, ... once the mask's
+    # own edges close the first and last run
+    edges = np.flatnonzero(mask[1:] != mask[:-1]) + 1
+    if mask[0]:
+        edges = np.concatenate([[0], edges])
+    if mask[-1]:
+        edges = np.concatenate([edges, [mask.size]])
+    return edges[0::2], edges[1::2]
+
+
+#: the coarse pass declares a block idle only when its float32 sum sits
+#: this far (relative) under the gate's threshold.  At the default
+#: 20-sample window a block sum is ten float32 products and nine adds,
+#: the cover four more adds: ~1e-6 relative error at 6e-8 per operation,
+#: a hundredth of the margin
+COARSE_MARGIN = 1e-4
+
+#: largest block of the coarse pass: a longer row's worst-case rounding
+#: (6e-8 per product and add) would no longer be a small part of the margin
+COARSE_BLOCK_MAX = 256
+
+#: candidate runs closer than this many samples gate as one: laying one
+#: more run into the fine pass costs about what gating this many does
+RUN_MERGE_SAMPLES = 512
+
+_FLOAT32_TINY = float(np.finfo(np.float32).tiny)
+
+
+def candidate_runs(samples: np.ndarray, window: int, avg_threshold: float,
+                   merge_gap: int
+                   ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """Coarse pass of the energy gate: the sample runs ``[start, end)``
+    outside which ``moving_average_of(|x|^2, window) > avg_threshold`` is
+    false by construction.
+
+    C-contiguous complex64 ``samples`` are read once through their
+    interleaved float32 view as rows of ``window // 4`` samples (at most
+    :data:`COARSE_BLOCK_MAX`), one float32 ``|x|^2`` sum per row.
+    Powers are non-negative, so a sample passes the averaged gate only
+    if the blocks its window touches — its own and the few before it —
+    hold ``window * avg_threshold`` between them; a block whose sum over
+    those blocks stays under that by :data:`COARSE_MARGIN` is idle.  The
+    buffer head (the moving average's warm-up prefix divides by less
+    than ``window``) and a ragged tail shorter than a block are always
+    candidates.  Runs closer than ``merge_gap`` samples are returned as
+    one.
+
+    Returns ``None`` — gate the whole array — when a block sum is not
+    finite (a NaN or Inf sample, or a finite one whose square overflows
+    float32) or the threshold is too small for float32 to resolve.
+    """
+    n = samples.size
+    if n == 0:
+        return None
+    block = min(max(window // 4, 1), COARSE_BLOCK_MAX)
+    nblocks = n // block
+    limit = window * avg_threshold * (1.0 - COARSE_MARGIN)
+    # below this, products that underflow float32 outweigh the margin
+    # (and a NaN threshold compares false)
+    if not limit > _FLOAT32_TINY / COARSE_MARGIN:
+        return None
+    rows = samples.view(np.float32)[: 2 * block * nblocks]
+    rows = rows.reshape(nblocks, 2 * block)
+    sums = np.einsum("ij,ij->i", rows, rows)
+    if not np.isfinite(sums.sum()):
+        return None
+    # cover[j]: the blocks a window ending inside block j can touch
+    cover = sums.copy()
+    for k in range(1, (window + block - 2) // block + 1):
+        cover[k:] += sums[:-k]
+    candidate = cover > np.float32(limit)
+    candidate[: -(-window // block)] = True
+    starts, ends = run_edges(candidate)
+    starts, ends = starts * block, ends * block
+    if n > nblocks * block:
+        starts = np.append(starts, nblocks * block)
+        ends = np.append(ends, n)
+    apart = starts[1:] - ends[:-1] >= merge_gap
+    return (starts[np.concatenate([[True], apart])],
+            ends[np.concatenate([apart, [True]])])
+
+
+def gate_runs(samples: np.ndarray, power: Optional[np.ndarray],
+              starts: np.ndarray, ends: np.ndarray, window: int,
+              avg_threshold: float, instant_threshold: float
+              ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Fine pass: one :func:`energy_gate` over the candidate runs laid
+    back to back.
+
+    Each run of :func:`candidate_runs` (the first starts at sample 0,
+    the others lie at least ``window`` apart) is gathered together with
+    the ``window`` samples ahead of it.  Those are context: an output
+    past them averages the run's own samples only, wherever the running
+    sum began, and their own outputs are forced idle (they lie outside
+    the candidates).  Powers come from ``power`` (the whole-array
+    ``|x|^2``) when given, else from the C-contiguous complex64
+    ``samples`` — the same three IEEE operations per sample as
+    :func:`chunked_power`, over the gathered samples alone.
+
+    Returns ``(active, run_power, offsets, origins)``: run ``r`` occupies
+    ``active[offsets[r]:offsets[r + 1]]`` and the same span of
+    ``run_power``, and its first entry is sample ``origins[r]``.
+    """
+    origins = np.maximum(starts - window, 0)
+    offsets = np.concatenate([[0], np.cumsum(ends - origins)[:-1]])
+    spans = list(zip(origins.tolist(), ends.tolist()))
+    if power is not None:
+        # a single run (a dense window) is gated where it lies, uncopied
+        gathered = (power[spans[0][0]: spans[0][1]] if len(spans) == 1 else
+                    np.concatenate([power[a:b] for a, b in spans]))
+    else:
+        flat = samples.view(np.float32)
+        gathered = np.empty(int(offsets[-1] + ends[-1] - origins[-1]),
+                            dtype=np.float64)
+        scratch = np.empty(2 * min(gathered.size, TILE_SAMPLES),
+                           dtype=np.float64)
+        at = 0
+        # one iteration per run and 32k-sample tile, never per sample
+        for origin, end in spans:
+            for a in range(origin, end, TILE_SAMPLES):
+                size = min(a + TILE_SAMPLES, end) - a
+                _interleaved_power(flat[2 * a: 2 * (a + size)], scratch,
+                                   gathered[at: at + size])
+                at += size
+    active = energy_gate(gathered, window, avg_threshold, instant_threshold)
+    active[(offsets[1:, None] + np.arange(window)).ravel()] = False
+    return active, gathered, offsets, origins
 
 
 def moving_average_power(samples: np.ndarray, window: int = DEFAULT_ENERGY_WINDOW) -> np.ndarray:

@@ -179,7 +179,7 @@ def run(args) -> int:
         _write_capture_sinks(args, capture, meta)
         return 0
 
-    peaks = 0
+    peaks = scanned = gated = 0
     duration = meta.nsamples / meta.sample_rate
     degradation = None
     forwarded = Counter()  # ranges handed to each protocol's decoder ...
@@ -189,6 +189,8 @@ def run(args) -> int:
             for buf in reader:
                 report = streaming.process(buf)
                 peaks += len(report.peaks) if report.peaks is not None else 0
+                scanned += report.total_samples
+                gated += report.gated_samples
                 _count_ranges(report, forwarded, fruitful)
             streaming.flush()
         packets = streaming.packets
@@ -216,6 +218,8 @@ def run(args) -> int:
                 packets.extend(report.packets)
                 classifications.extend(report.classifications)
                 peaks += len(report.peaks or [])
+                scanned += report.total_samples
+                gated += report.gated_samples
                 _count_ranges(report, forwarded, fruitful)
                 clock = report.clock if clock is None else clock.merged(report.clock)
     classified = Counter(c.protocol for c in classifications)
@@ -241,7 +245,8 @@ def run(args) -> int:
                 }
             )
         print(render_summary(
-            f"{args.trace}: {duration * 1e3:.1f} ms, {peaks} peaks",
+            f"{args.trace}: {duration * 1e3:.1f} ms, {peaks} peaks, "
+            f"{100.0 * gated / max(scanned, 1):.1f}% of samples gated",
             rows,
             ["protocol", "classifications", "ranges", "ranges decoded",
              "decoded packets", "decoded bytes"],

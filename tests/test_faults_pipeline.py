@@ -178,13 +178,14 @@ class TestNonFiniteSample:
     BAD = 1000
 
     def _run(self, trace, baseline, value=None, at=BAD, kind="rfdump",
-             **config):
+             carried=True, **config):
         samples = trace.buffer.samples.copy()
         if value is not None:
             samples[at] = value
         monitor = make_monitor(
             kind, MonitorConfig(protocols=("wifi",), **config))
-        monitor.noise_floor = baseline.noise_floor  # carried, as streaming does
+        if carried:  # as streaming does after its first window
+            monitor.noise_floor = baseline.noise_floor
         seen = []
         if kind in ("naive", "energy"):
             decoder = monitor._decoders["wifi"]
@@ -234,6 +235,74 @@ class TestNonFiniteSample:
             == self._lines(baseline, skip=victim)
         assert (report.packets[k].start_sample, report.packets[k].ok) \
             == (victim.start_sample, victim.ok)
+        self._assert_one_record(report)
+
+    @staticmethod
+    def _spans(report, skip=None):
+        # without the SNR column: the floor is estimated over one chunk less
+        return [(p.protocol, p.start_sample, p.end_sample, p.ok)
+                for p in report.packets if p is not skip]
+
+    @pytest.mark.parametrize("on_error", [None, "degrade", "skip"])
+    def test_estimated_floor_ignores_the_bad_chunk(self, wifi_trace, baseline,
+                                                   on_error):
+        """With no floor carried (every one-shot window, a stream's
+        first) the percentile runs over the finite chunk powers (at the
+        parent commit: a NaN floor, 0 packets, under every policy)."""
+        report = self._run(wifi_trace, baseline, np.nan, carried=False,
+                           on_error=on_error)
+        assert np.isfinite(report.noise_floor)
+        assert report.noise_floor == pytest.approx(baseline.noise_floor,
+                                                   rel=0.01)
+        assert self._spans(report) == self._spans(baseline)
+        self._assert_one_record(report)
+
+    def test_estimated_floor_with_the_bad_sample_in_a_packet(self, wifi_trace,
+                                                             baseline):
+        victim = baseline.packets[1]
+        at = (victim.start_sample + victim.end_sample) // 2
+        report = self._run(wifi_trace, baseline, np.nan, at=at, carried=False)
+        # the packet under the bad sample may be lost, no other may
+        kept = self._spans(baseline, skip=victim)
+        assert [s for s in self._spans(report) if s in kept] == kept
+        assert len(report.packets) <= len(baseline.packets)
+
+    def test_streaming_first_window_survives_a_bad_sample(self, wifi_trace):
+        """Under the default policy the first window estimates over its
+        finite chunks and decodes; that estimate is not the one frozen
+        for the stream — the next clean window's is, as before."""
+        window, overlap = 160_000, 48_000
+        samples = wifi_trace.buffer.samples.copy()
+
+        def run(samples):
+            obs = Observability()
+            stream = StreamingMonitor(
+                config=MonitorConfig(protocols=("wifi",), obs=obs),
+                overlap=overlap)
+            for a in range(0, len(samples), window):
+                stream.process(SampleBuffer(samples[a:a + window],
+                                            wifi_trace.buffer.timebase, a))
+            stream.flush()
+            return stream, obs
+
+        clean, _ = run(samples)
+        assert any(p.end_sample < window for p in clean.packets)
+        samples[self.BAD] = np.nan
+        faulted, obs = run(samples)
+        assert [(p.start_sample, p.ok) for p in faulted.packets] \
+            == [(p.start_sample, p.ok) for p in clean.packets]
+        assert obs.registry.value(
+            "rfdump_stream_nonfinite_noise_floor_total") == 1
+        assert np.isfinite(faulted._noise_floor)
+
+    def test_all_chunks_nonfinite_keeps_the_record(self, wifi_trace):
+        """No finite chunk to estimate from: the floor stays non-finite,
+        nothing is found, and the report says why."""
+        samples = np.full(1000, np.nan, dtype=np.complex64)
+        report = RFDumpMonitor(protocols=("wifi",)).process(
+            SampleBuffer(samples, wifi_trace.buffer.timebase))
+        assert not np.isfinite(report.noise_floor)
+        assert len(report.peaks) == 0
         self._assert_one_record(report)
 
     def test_streaming_counts_a_carried_sample_once(self, wifi_trace):

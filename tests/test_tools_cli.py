@@ -73,6 +73,30 @@ class TestRfdump:
         rows = capsys.readouterr().out.splitlines()[3:5]
         assert [[int(v) for v in row.split()[2:4]] for row in rows] == [[8, 0], [6, 0]]
 
+    def test_summary_title_reports_the_gated_share(self, recorded, tmp_path,
+                                                   capsys):
+        """``..., N peaks, S% of samples gated``: the share of scanned
+        samples the peak detector's coarse pass could not rule out."""
+        import re
+
+        def share(path, *flags):
+            assert rfdump.main([str(path), "--summary", *flags]) == 0
+            title = capsys.readouterr().out.splitlines()[0]
+            match = re.search(r", (\d+) peaks, (\d+\.\d)% of samples gated$",
+                              title)
+            assert match, title
+            return float(match.group(2))
+
+        assert 0.0 < share(recorded) <= 100.0
+        assert 0.0 < share(recorded, "--window-ms", "20") <= 100.0
+        idle = tmp_path / "bt.iq"
+        assert rfrecord.main([str(idle), "--preset", "bluetooth",
+                              "--duration", "0.1", "--seed", "3"]) == 0
+        capsys.readouterr()
+        assert 0.0 < share(idle) < 25.0
+        # no detection stage, nothing gated
+        assert share(recorded, "--monitor", "naive") == 0.0
+
     def test_no_demod(self, recorded, capsys):
         code = rfdump.main([str(recorded), "--no-demod", "--summary"])
         assert code == 0
