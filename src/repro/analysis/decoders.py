@@ -63,21 +63,21 @@ def _dedup_records(records: List[PacketRecord], min_spacing: int) -> List[Packet
     return out
 
 
-#: offsets per tile when the Wi-Fi scan ranks templates: the tile's
-#: correlation bank (6 rows x 64 KiB at 8 Msps) stays cache-resident
-#: while each row is derived from the one before
-_BANK_TILE = 8192
+#: differential bits searched for SFDs at a time, so that a whole-trace
+#: scan (the naive monitors) holds tile-sized temporaries
+_SFD_TILE = 1 << 15
 
 
 class WifiStreamDecoder:
     """Finds and decodes every 802.11b packet in a sample range.
 
-    The Barker chip-phase templates are ranked by correlation energy over
-    the range (``WifiDemodulator.correlate_bank``, a tile at a time) and
-    only the strongest template's correlation is kept.  Differential
-    bits at each of the 8 symbol alignments of that correlation are
-    descrambled and searched for SFDs, which yields about three candidate
-    starts per packet — one per neighbouring alignment.  Timing acquisition then
+    Each question is asked of a range once.  The Barker chip-phase
+    templates are ranked by correlation energy from the range's lag sums
+    (``WifiDemodulator.strongest_template``) and only the strongest is
+    correlated.  One lag-``sps`` product of that correlation gives the
+    differential bits of all 8 symbol alignments, which are descrambled
+    and searched for SFDs together — about three candidate starts per
+    packet, one per neighbouring alignment.  Timing acquisition then
     runs for all candidates together, the candidates are visited in
     order of their acquired start sample, and one is decoded (from a
     slice of the kept correlation when acquisition chose that template)
@@ -110,49 +110,33 @@ class WifiStreamDecoder:
         #: found at neighbouring alignments
         self._min_spacing = 96 * self._sps
 
-    def _strongest_correlation(self, samples: np.ndarray) -> Tuple[int, np.ndarray]:
-        """(index, correlation) of the template with the greatest total
-        correlation energy over the range.
-
-        Holds two full-length correlations at most: whole-trace callers
-        (the naive monitor) pass millions of samples.  The templates are
-        ranked on the correlation bank, a cache-sized tile at a time,
-        and only the winner is correlated full-length; ``argmax`` breaks
-        a tie toward the earlier template.
-        """
-        demod = self.demodulator
-        sps = self._sps
-        rows = len(demod._templates)
-        offsets = max(samples.size - sps + 1, 0)
-        scratch = np.empty(rows * min(offsets, _BANK_TILE), dtype=np.complex64)
-        energy = np.zeros(rows)
-        for lo in range(0, offsets, _BANK_TILE):
-            hi = min(lo + _BANK_TILE, offsets)
-            bank = scratch[:rows * (hi - lo)].reshape(rows, hi - lo)
-            demod.correlate_bank(samples[lo:hi + sps - 1], out=bank)
-            parts = bank.view(np.float32)
-            energy += np.einsum("ij,ij->i", parts, parts)
-        strongest = int(np.argmax(energy))
-        return strongest, demod.correlate(samples, strongest)
-
     def _candidate_starts(self, corr: np.ndarray) -> List[int]:
         """Sample indices where a PLCP preamble plausibly starts, ascending.
 
-        ``corr`` is the range's correlation against its strongest template.
+        ``corr`` is the range's correlation against its strongest
+        template.  All ``sps`` symbol alignments are searched together:
+        differential bit ``i`` is bit ``i // sps`` of alignment ``i % sps``.
         """
         sps = self._sps
-        candidates: List[int] = []
-        for align in range(sps):
-            jumps = dsss.differential_decisions(corr[align::sps])
-            if jumps.size == 0:
-                continue
-            descrambled = descramble_stream(dsss.dbpsk_bits_from_jumps(jumps))
-            candidates.extend(
-                align + max(sfd_end - preamble_bits, 0) * sps
-                for short, preamble_bits in self._PREAMBLES
-                for sfd_end in plcp.find_all_sfds(descrambled, short)
+        nbits = corr.size - sps
+        # a tile's bits start 7 before they descramble right and 8 more
+        # (an SFD's lead) before the first SFD it may report
+        margin = 15 * sps
+        hits = []
+        for lo in range(0, nbits - margin, _SFD_TILE):
+            first = max(lo - margin, 0)
+            last = min(lo + _SFD_TILE + margin, nbits)
+            bits = dsss.dbpsk_bits_at_lag(corr[first:last + sps], sps)
+            hits.extend(
+                (first + start, short, lead)
+                for start, short, lead in plcp.sfd_hits(descramble_stream(bits, sps), sps)
+                if first + start >= lo
             )
-        return sorted(candidates)
+        return sorted(
+            end % sps + max(end // sps - preamble_bits, 0) * sps
+            for short, preamble_bits in self._PREAMBLES
+            for end in plcp.accepted_sfd_ends(hits, short, sps)
+        )
 
     def _record(self, buffer: SampleBuffer, lo: int, packet) -> PacketRecord:
         abs_start = buffer.start_sample + lo + packet.start_sample
@@ -185,7 +169,10 @@ class WifiStreamDecoder:
             return self._scan_reference(buffer)
         demod = self.demodulator
         sps = self._sps
-        strongest, strongest_corr = self._strongest_correlation(samples)
+        # two full-length arrays at most (whole-trace callers pass
+        # millions of samples): the range and one correlation
+        strongest = demod.strongest_template(samples)
+        strongest_corr = demod.correlate(samples, strongest)
         bounds = [
             (max(start - self._LEAD, 0), min(start + self._max_packet, samples.size))
             for start in self._candidate_starts(strongest_corr)

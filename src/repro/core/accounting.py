@@ -68,7 +68,11 @@ class StageClock:
         self._emit_touch(name, int(nsamples))
 
     def total_seconds(self) -> float:
-        return sum(self.seconds.values())
+        """Stage seconds summed.  ``*_wall`` keys (a pool's elapsed time
+        around work its workers already accounted) are not CPU cost and
+        stay out of the total."""
+        return sum(spent for name, spent in self.seconds.items()
+                   if not name.endswith("_wall"))
 
     def cpu_over_realtime(self, trace_duration: float, stage: Optional[str] = None) -> float:
         """CPU time / real time, for one stage or the whole run."""

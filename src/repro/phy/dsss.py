@@ -126,3 +126,24 @@ def dbpsk_bits_from_jumps(jumps: np.ndarray) -> np.ndarray:
     """DBPSK decisions: |jump| > pi/2 means a phase flip, i.e. bit 1."""
     jumps = np.asarray(jumps)
     return (np.abs(jumps) > np.pi / 2).astype(np.uint8)
+
+
+def dbpsk_bits_at_lag(correlations: np.ndarray, lag: int) -> np.ndarray:
+    """DBPSK decisions on ``y[i+lag] * conj(y[i])``: entry ``a + m * lag``
+    is bit ``m`` of ``dbpsk_bits_from_jumps(differential_decisions(
+    y[a::lag]))``, every symbol alignment from one product.
+
+    A phase beyond a quarter turn is a negative real part.  The two can
+    part only where rounding decides — a real part under 2**-20 of the
+    imaginary one, or a value that is not finite — and those few
+    entries are decided on the phase itself.
+    """
+    y = np.asarray(correlations)
+    if y.size <= lag:
+        return np.zeros(0, dtype=np.uint8)
+    product = y[lag:] * np.conj(y[:-lag])
+    bits = (product.real < 0).view(np.uint8)
+    unsure = np.flatnonzero(
+        ~(np.abs(product.real) > 2.0 ** -20 * np.abs(product.imag)))
+    bits[unsure] = dbpsk_bits_from_jumps(np.angle(product[unsure]))
+    return bits

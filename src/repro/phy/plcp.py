@@ -13,7 +13,7 @@ z^-4 + z^-7 scrambler, continuing the state from the preamble.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Iterable, List, Optional, Tuple
 
 from dataclasses import dataclass
 
@@ -156,44 +156,23 @@ def build_short_frame_bits(mpdu: bytes, rate_mbps: float, service: int = 0):
     return preamble, header, payload
 
 
-def _sfd_ends(bits: np.ndarray, pattern: np.ndarray, sync_bit: int,
-              restart: bool) -> List[int]:
-    """Indices just past each accepted ``pattern`` occurrence in ``bits``.
-
-    An occurrence is accepted when the (up to) 8 bits immediately before
-    it all equal ``sync_bit`` — a few SYNC bits, which rejects payload
-    bytes that happen to contain the pattern.  With ``restart`` the
-    search resumes one bit past every accepted SFD as if the stream
-    began there: earlier occurrences are skipped and the lead is cut at
-    the resume position, so an occurrence sitting exactly on it is
-    accepted on an empty lead.  Without, only the first SFD is returned.
-    """
-    # one byte per bit, so the exact match is a C substring search that
-    # carries on from the previous occurrence: one pass over the stream
-    stream, needle = bits.tobytes(), pattern.tobytes()
-    ends: List[int] = []
-    pos = 0
-    start = stream.find(needle)
-    while start >= 0:  # one iteration per pattern occurrence, not per bit
-        lead = bits[max(start - 8, pos):start]
-        if lead.all() if sync_bit else not lead.any():
-            ends.append(start + pattern.size)
-            if not restart:
-                break
-            pos = start + pattern.size + 1
-            start = stream.find(needle, pos)
-        else:
-            start = stream.find(needle, start + 1)
-    return ends
-
-
 def _first_sfd(descrambled_bits: np.ndarray, search_limit: Optional[int],
                pattern: np.ndarray, sync_bit: int) -> int:
+    """Index just past the first ``pattern`` occurrence whose (up to) 8
+    preceding bits all equal ``sync_bit``, or -1."""
     bits = np.asarray(descrambled_bits, dtype=np.uint8)
     if search_limit is not None:
         bits = bits[:max(search_limit, 0)]
-    ends = _sfd_ends(bits, pattern, sync_bit, restart=False)
-    return ends[0] if ends else -1
+    # one byte per bit, so the exact match is a C substring search that
+    # carries on from the previous occurrence: one pass over the stream
+    stream, needle = bits.tobytes(), pattern.tobytes()
+    start = stream.find(needle)
+    while start >= 0:  # one iteration per pattern occurrence, not per bit
+        lead = bits[max(start - 8, 0):start]
+        if lead.all() if sync_bit else not lead.any():
+            return start + pattern.size
+        start = stream.find(needle, start + 1)
+    return -1
 
 
 def find_sfd(descrambled_bits: np.ndarray, search_limit: Optional[int] = None) -> int:
@@ -214,15 +193,59 @@ def find_short_sfd(descrambled_bits: np.ndarray, search_limit: Optional[int] = N
     return _first_sfd(descrambled_bits, search_limit, SHORT_SFD_BITS, 0)
 
 
-def find_all_sfds(descrambled_bits: np.ndarray, short: bool = False) -> List[int]:
-    """Every SFD end a restarting :func:`find_sfd` search would report.
+def sfd_hits(descrambled_bits: np.ndarray, stride: int = 1
+             ) -> List[Tuple[int, bool, int]]:
+    """``(index of first bit, short?, lead)`` of every exact occurrence of
+    either SFD in ``stride`` interleaved streams (bit ``m`` of stream
+    ``a`` at ``a + m * stride``), ascending.
 
-    Equivalent to calling :func:`find_sfd` (:func:`find_short_sfd` when
-    ``short``) on ``bits[pos:]`` with ``pos`` starting at 0 and moving
-    one bit past each SFD found, but matches the pattern over the whole
-    stream once instead of once per restart.
+    ``lead`` counts the bits just before the occurrence in its own
+    stream, 8 at most, that equal its SYNC bit.  The 16 bits from every
+    index are packed LSB-first into one word array by four shift-or
+    doublings, so both patterns are a compare against it.
     """
     bits = np.asarray(descrambled_bits, dtype=np.uint8)
-    if short:
-        return _sfd_ends(bits, SHORT_SFD_BITS, 0, restart=True)
-    return _sfd_ends(bits, SFD_BITS, 1, restart=True)
+    words = bits.astype(np.uint16)
+    for width in (1, 2, 4, 8):
+        words = words[:-width * stride] | (words[width * stride:] << width)
+    hits = []
+    for start in np.flatnonzero((words == WIFI_PLCP_SFD)
+                                | (words == WIFI_PLCP_SHORT_SFD)).tolist():  # one iteration per occurrence
+        short = bool(words[start] == WIFI_PLCP_SHORT_SFD)
+        before = bits[start % stride + max(start // stride - 8, 0) * stride:start:stride]
+        wrong = np.flatnonzero(before != (0 if short else 1))
+        hits.append((start, short,
+                     before.size - 1 - int(wrong[-1]) if wrong.size else before.size))
+    return hits
+
+
+def accepted_sfd_ends(hits: Iterable[Tuple[int, bool, int]], short: bool,
+                      stride: int = 1) -> List[int]:
+    """Indices just past each SFD of one kind a restarting search accepts,
+    from :func:`sfd_hits` output (of a whole stream, or its tiles joined).
+
+    An occurrence is accepted when the (up to) 8 bits before it all equal
+    the SYNC bit — which rejects payload bytes that happen to contain the
+    pattern — and the search resumes one bit past an accepted SFD as if
+    the stream began there: earlier occurrences are skipped and the lead
+    is cut at the resume position, so an occurrence sitting exactly on it
+    is accepted on an empty lead.
+    """
+    resume = [0] * stride  # per stream, in bits
+    ends: List[int] = []
+    for start, is_short, lead in hits:  # one iteration per pattern occurrence
+        stream, bit = start % stride, start // stride
+        if is_short == short and bit >= resume[stream] \
+                and lead >= min(8, bit - resume[stream]):
+            ends.append(start + 16 * stride)
+            resume[stream] = bit + 17
+    return ends
+
+
+def find_all_sfds(descrambled_bits: np.ndarray, short: bool = False,
+                  stride: int = 1) -> List[int]:
+    """Every SFD end a restarting :func:`find_sfd` search (:func:`find_short_sfd`
+    when ``short``) would report in each of ``stride`` interleaved streams
+    — end ``e`` is bit ``e // stride`` of stream ``e % stride`` — with all
+    of them matched in one pass."""
+    return accepted_sfd_ends(sfd_hits(descrambled_bits, stride), short, stride)

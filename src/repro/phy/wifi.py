@@ -24,6 +24,11 @@ from repro.phy.wifi_mac import MacFrame, parse_mac_frame
 from repro.util.bits import bits_to_bytes, descramble_stream
 
 
+#: samples per lag sum when templates are ranked: single-precision
+#: partial sums stay short, their total is kept in double
+_RANK_TILE = 1 << 16
+
+
 @dataclass
 class WifiPacket:
     """A decoded (or header-only decoded) 802.11b transmission."""
@@ -129,22 +134,20 @@ class WifiDemodulator:
 
     #: chip-phase grid searched during timing acquisition
     _PHASES = np.arange(0.0, 11.0 / 8.0, 1.0 / 8.0)
+    #: symbols summed per acquisition score (``_acquisition_metrics``
+    #: spells out np.sum's order for exactly this many)
+    _ACQ_SYMBOLS = 32
+    #: samples at the head of a candidate searched for its timing
+    _ACQ_WINDOW = 2048
 
-    def __init__(
-        self,
-        sample_rate: float = DEFAULT_SAMPLE_RATE,
-        decode_payload: bool = True,
-        acq_symbols: int = 32,
-        acq_window: int = 2048,
-    ):
+    def __init__(self, sample_rate: float = DEFAULT_SAMPLE_RATE,
+                 decode_payload: bool = True):
         sps = samples_per_symbol(sample_rate)
         if not float(sps).is_integer():
             raise ValueError("sample_rate must be an integer multiple of 1 MSym/s")
         self.sample_rate = sample_rate
         self.decode_payload = decode_payload
         self._sps = int(sps)
-        self._acq_symbols = acq_symbols
-        self._acq_window = acq_window
         grid = [
             symbol_template(sample_rate, phase).astype(np.complex64) for phase in self._PHASES
         ]
@@ -160,6 +163,13 @@ class WifiDemodulator:
         # template t adds, and _row_flips[t - 1] lists the taps where
         # template t differs from t - 1 (with the sign they take in t).
         self._tap_plus = np.array([t.real > 0 for t in self._templates])
+        self._tap_signs = np.where(self._tap_plus, 1.0, -1.0)
+        #: ``[t, d]``: sum of tap products ``d`` apart, both orders counted
+        self._tap_autocorrelation = np.array([
+            [(2 if lag else 1) * np.dot(taps[lag:], taps[:self._sps - lag])
+             for lag in range(self._sps)]
+            for taps in self._tap_signs
+        ])
         self._row_flips = [
             [(int(tap), bool(row[tap])) for tap in np.flatnonzero(row != prev)]
             for prev, row in zip(self._tap_plus, self._tap_plus[1:])
@@ -208,22 +218,20 @@ class WifiDemodulator:
             accumulate(out, samples[tap:tap + n], out=out)
         return out
 
-    def correlate_bank(self, samples: np.ndarray,
-                       out: Optional[np.ndarray] = None) -> np.ndarray:
+    def correlate_bank(self, samples: np.ndarray) -> np.ndarray:
         """``bank[t, o]``: ``samples`` correlated with every template.
 
         Row 0 is :meth:`correlate`; each later row is its predecessor
         with the taps that differ re-signed — ``+- 2 * samples`` at that
         tap — which at 8 Msps is one add per row.  Such a row matches
         its own :meth:`correlate` to rounding only (the sum is taken in
-        another order), so it may rank templates and score timing but is
-        never decoded from.  Like :meth:`correlate`, a slice's bank is
-        bit-for-bit the slice of the bank.
+        another order), so it may score timing but is never decoded
+        from.  Like :meth:`correlate`, a slice's bank is bit-for-bit the
+        slice of the bank.
         """
         n = max(samples.size - self._sps + 1, 0)
-        if out is None:
-            out = np.empty((len(self._templates), n),
-                           dtype=np.result_type(samples.dtype, np.complex64))
+        out = np.empty((len(self._templates), n),
+                       dtype=np.result_type(samples.dtype, np.complex64))
         self.correlate(samples, 0, out=out[0])
         twice = samples + samples
         for row, flips in enumerate(self._row_flips, start=1):
@@ -234,42 +242,76 @@ class WifiDemodulator:
                 previous = out[row]
         return out
 
+    def strongest_template(self, samples: np.ndarray) -> int:
+        """Index of the template with the greatest total correlation
+        energy over ``samples`` (a tie goes to the earlier template).
+
+        Over every overlap of template and range, partial ones included,
+        the energy ``sum_o |sum_j s[j] x[o+j]|^2`` is the template's tap
+        autocorrelation dotted with the range's lag sums ``sum_i x[i]
+        conj(x[i+d])``; the ``sps - 1`` partial overlaps at either end
+        are then taken off.  One ``np.vdot`` per lag ranks every
+        template and nothing is correlated; the energies match a
+        correlation's to rounding only, so they rank and are never
+        decoded from.
+        """
+        sps = self._sps
+        offsets = samples.size - sps + 1
+        if offsets < 1:
+            return 0
+        lag_sums = np.zeros(sps)
+        for lag in range(sps):
+            for lo in range(0, samples.size - lag, _RANK_TILE):
+                hi = min(lo + _RANK_TILE, samples.size - lag)
+                lag_sums[lag] += np.vdot(samples[lo + lag:hi + lag], samples[lo:hi]).real
+        # every window hanging off the end of the range, then off its start
+        ends = np.concatenate([samples[offsets:], np.zeros(sps - 1, samples.dtype),
+                               samples[:sps - 1]])
+        partial = np.abs(sliding_window_view(ends, sps) @ self._tap_signs.T)
+        energy = self._tap_autocorrelation @ lag_sums - np.sum(partial ** 2, axis=0)
+        return int(np.argmax(energy))
+
     def _acquisition_offsets(self, nsamples: int) -> int:
         """Sample offsets acquisition can score in the leading window of a
         candidate ``nsamples`` long (below 1: too short to acquire)."""
-        return min(nsamples, self._acq_window) - self._acq_symbols * self._sps + 1
+        return min(nsamples, self._ACQ_WINDOW) - self._ACQ_SYMBOLS * self._sps + 1
 
     def _acquisition_metrics(self, window: np.ndarray) -> np.ndarray:
         """``metric[t, o]``: sum of |correlation with template t| at
-        ``o, o+sps, ...`` over ``acq_symbols`` symbols."""
+        ``o, o+sps, ...`` over ``_ACQ_SYMBOLS`` symbols.
+
+        Bit for bit ``np.sum`` of each score's 32 float32 terms, which
+        runs eight accumulators down the terms and folds them as a fixed
+        tree: that order, in six adds over the whole window.
+        """
         sps = self._sps
         mags = np.abs(self.correlate_bank(window))
-        span = (self._acq_symbols - 1) * sps
-        terms = sliding_window_view(mags, span + 1, axis=1)[:, :, ::sps]
-        # summed along a contiguous last axis, so each row adds its
-        # acq_symbols terms in np.sum's one fixed order whatever the
-        # number of rows or templates beside it
-        return np.ascontiguousarray(terms).sum(axis=2)
+        # accumulator j of offset o (terms j, j+8, j+16, j+24) is acc[o + j*sps]
+        acc = mags[:, :-8 * sps] + mags[:, 8 * sps:]
+        for terms in (16, 24):
+            acc = acc[:, :-8 * sps] + mags[:, terms * sps:]
+        for lag in (sps, 2 * sps, 4 * sps):  # the tree: pairs, pairs of pairs, halves
+            acc = acc[:, :-lag] + acc[:, lag:]
+        return acc
 
     def _pick_timing(self, metrics: np.ndarray) -> Optional[Tuple[int, int]]:
         """(template index, sample offset) maximizing preamble correlation,
         or None when nothing correlates."""
-        best_score = -1.0
-        for metric in metrics:  # one iteration per template
-            best_score = max(best_score, float(metric.max()))
+        best_score = float(metrics.max())
         if best_score <= 0:
             return None
         # Any symbol-aligned offset inside the 128-symbol SYNC scores near
         # the maximum; take the *earliest* near-max offset so the SFD is
         # still ahead of us, breaking ties toward the higher score.
+        near = metrics >= 0.9 * best_score
+        rows = np.arange(len(metrics))
+        firsts = near.argmax(axis=1)
         best = None
-        for index, metric in enumerate(metrics):
-            candidates = np.flatnonzero(metric >= 0.9 * best_score)
-            if candidates.size == 0:
-                continue
-            o = int(candidates[0])
-            score = float(metric[o])
-            if best is None or o < best[1] or (o == best[1] and score > best[2]):
+        for index, (o, found, score) in enumerate(zip(  # one iteration per template
+                firsts.tolist(), near[rows, firsts].tolist(),
+                metrics[rows, firsts].tolist())):
+            if found and (best is None or o < best[1]
+                          or (o == best[1] and score > best[2])):
                 best = (index, o, score)
         return best and best[:2]
 
@@ -291,17 +333,21 @@ class WifiDemodulator:
         while start < len(bounds):  # one iteration per group of candidates
             base = bounds[start][0]
             stop = start + 1
-            while stop < len(bounds) and bounds[stop][0] < base + self._acq_window:  # one iteration per candidate
+            while stop < len(bounds) and bounds[stop][0] < base + self._ACQ_WINDOW:  # one iteration per candidate
                 stop += 1
             group = [i for i in range(start, stop) if offsets[i] >= 1]
             start = stop
             if not group:
                 continue
-            end = max(min(bounds[i][1], bounds[i][0] + self._acq_window) for i in group)
+            end = max(min(bounds[i][1], bounds[i][0] + self._ACQ_WINDOW) for i in group)
             metrics = self._acquisition_metrics(samples[base:end])
+            picked = {}  # candidates cut at the range start share one slice
             for i in group:
                 shift = bounds[i][0] - base
-                timings[i] = self._pick_timing(metrics[:, shift:shift + offsets[i]])
+                if (shift, offsets[i]) not in picked:
+                    picked[shift, offsets[i]] = self._pick_timing(
+                        metrics[:, shift:shift + offsets[i]])
+                timings[i] = picked[shift, offsets[i]]
         return timings
 
     # -- decode -------------------------------------------------------------
@@ -422,8 +468,8 @@ class WifiDemodulator:
     def _acquire_reference(self, samples: np.ndarray):
         """Find (template, sample offset) maximizing preamble correlation."""
         sps = self._sps
-        window = samples[: min(self._acq_window, samples.size)]
-        need = self._acq_symbols * sps
+        window = samples[: min(self._ACQ_WINDOW, samples.size)]
+        need = self._ACQ_SYMBOLS * sps
         if window.size < need:
             raise SyncError(f"candidate too short for acquisition ({samples.size} samples)")
         metrics = []
@@ -431,11 +477,11 @@ class WifiDemodulator:
         for template in self._grid_templates:
             corr = np.convolve(window, template[::-1], mode="valid")
             mag = np.abs(corr)
-            max_offset = mag.size - (self._acq_symbols - 1) * sps
+            max_offset = mag.size - (self._ACQ_SYMBOLS - 1) * sps
             if max_offset <= 0:
                 continue
             # metric[o] = sum of |corr| at o, o+sps, ..., over acq_symbols
-            idx = np.arange(max_offset)[:, None] + sps * np.arange(self._acq_symbols)[None, :]
+            idx = np.arange(max_offset)[:, None] + sps * np.arange(self._ACQ_SYMBOLS)[None, :]
             metric = mag[idx].sum(axis=1)
             metrics.append((template, metric))
             best_score = max(best_score, float(metric.max()))

@@ -7,6 +7,7 @@ least-significant-bit-first within each byte (the on-air order for both
 
 from __future__ import annotations
 
+import zlib
 from functools import lru_cache
 
 import numpy as np
@@ -51,14 +52,6 @@ def unpack_uint(bits: np.ndarray) -> int:
 # ---------------------------------------------------------------------------
 # CRCs
 # ---------------------------------------------------------------------------
-
-
-def _reflect(value: int, nbits: int) -> int:
-    out = 0
-    for i in range(nbits):
-        if value & (1 << i):
-            out |= 1 << (nbits - 1 - i)
-    return out
 
 
 @lru_cache(maxsize=None)
@@ -130,30 +123,9 @@ def bt_hec_table(uap: int = 0x00) -> np.ndarray:
     return reg.astype(np.uint8)
 
 
-_CRC32_TABLE = None
-
-
-def _crc32_table() -> np.ndarray:
-    global _CRC32_TABLE
-    if _CRC32_TABLE is None:
-        poly = 0xEDB88320  # reflected 0x04C11DB7
-        table = np.zeros(256, dtype=np.uint32)
-        for i in range(256):
-            crc = i
-            for _ in range(8):
-                crc = (crc >> 1) ^ poly if (crc & 1) else (crc >> 1)
-            table[i] = crc
-        _CRC32_TABLE = table
-    return _CRC32_TABLE
-
-
 def crc32_802(data: bytes) -> int:
-    """IEEE 802 CRC-32 (the 802.11 MAC FCS) over bytes."""
-    table = _crc32_table()
-    crc = 0xFFFFFFFF
-    for byte in bytes(data):
-        crc = (crc >> 8) ^ int(table[(crc ^ byte) & 0xFF])
-    return crc ^ 0xFFFFFFFF
+    """IEEE 802 CRC-32 (the 802.11 MAC FCS) over bytes — zlib's CRC-32."""
+    return zlib.crc32(data)
 
 
 # ---------------------------------------------------------------------------
@@ -201,21 +173,22 @@ class Scrambler80211:
         return out
 
 
-def descramble_stream(bits: np.ndarray) -> np.ndarray:
+def descramble_stream(bits: np.ndarray, stride: int = 1) -> np.ndarray:
     """Vectorized 802.11b descramble of a long received bit stream.
 
     Because the scrambler is self-synchronizing, the descrambler output is
     a pure feed-forward function of the received bits:
     ``out[i] = in[i] ^ in[i-4] ^ in[i-7]`` (prior state assumed zero).  The
     first 7 outputs are therefore unreliable, which the 128-bit SYNC field
-    absorbs.
+    absorbs.  ``bits`` may hold ``stride`` streams interleaved (bit ``m``
+    of stream ``a`` at ``a + m * stride``); each is descrambled on its own.
     """
     b = np.asarray(bits, dtype=np.uint8)
     out = b.copy()
-    if b.size > 4:
-        out[4:] ^= b[:-4]
-    if b.size > 7:
-        out[7:] ^= b[:-7]
+    if b.size > 4 * stride:
+        out[4 * stride:] ^= b[:-4 * stride]
+    if b.size > 7 * stride:
+        out[7 * stride:] ^= b[:-7 * stride]
     return out
 
 

@@ -175,6 +175,18 @@ class TestAccounting:
             report.clock.seconds["demodulation"], rel=0.05
         )
 
+    def test_pool_wall_time_is_not_counted_as_cost(self, mixed_trace):
+        # "processing cost" added the pool's elapsed time to the seconds
+        # its workers had already accounted (3.12x for a 0.6x trace)
+        with RFDumpMonitor(workers=2) as monitor:
+            report = monitor.process(mixed_trace.buffer)
+        seconds = report.clock.seconds
+        cpu = sum(spent for stage, spent in seconds.items()
+                  if stage != "demodulation_wall")
+        assert seconds["demodulation_wall"] > 0  # still there to read
+        assert report.clock.total_seconds() == pytest.approx(cpu)
+        assert report.cpu_over_realtime == pytest.approx(cpu / report.duration)
+
     def test_parallel_samples_touched_match_serial(self, mixed_trace,
                                                    serial_report):
         with RFDumpMonitor(workers=3) as monitor:

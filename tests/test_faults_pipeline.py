@@ -360,7 +360,6 @@ class TestNonFiniteSample:
         samples = wifi_trace.buffer.samples.copy()
         samples[self.BAD] = np.nan
         decoder = WifiStreamDecoder(wifi_trace.buffer.sample_rate)
-        index, corr = decoder._strongest_correlation(samples)
-        assert index == 0 and corr.size == samples.size - 7
+        assert decoder.demodulator.strongest_template(samples) == 0
         records = decoder.scan(SampleBuffer(samples, wifi_trace.buffer.timebase))
         assert all(r.start_sample > self.BAD for r in records)

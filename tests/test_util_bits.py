@@ -44,7 +44,35 @@ class TestPacking:
             pack_uint(-1, 8)
 
 
+def _crc32_by_table(data: bytes) -> int:
+    """The reflected 0x04C11DB7 CRC a byte at a time, as ``crc32_802``
+    was written before it became ``zlib.crc32``."""
+    table = []
+    for i in range(256):
+        crc = i
+        for _ in range(8):
+            crc = (crc >> 1) ^ 0xEDB88320 if crc & 1 else crc >> 1
+        table.append(crc)
+    crc = 0xFFFFFFFF
+    for byte in data:
+        crc = (crc >> 8) ^ table[(crc ^ byte) & 0xFF]
+    return crc ^ 0xFFFFFFFF
+
+
 class TestCrc32:
+    def test_matches_the_table_loop(self):
+        from repro.phy.wifi_mac import build_data_frame, parse_mac_frame
+
+        rng = np.random.default_rng(0)
+        mpdu = build_data_frame(1, 2, rng.bytes(200))
+        for data in (b"", b"\x00", b"\xff", bytes(1500), rng.bytes(1500),
+                     rng.bytes(37), mpdu[:-4]):
+            assert crc32_802(data) == _crc32_by_table(data)
+            assert crc32_802(bytearray(data)) == _crc32_by_table(data)
+        frame = parse_mac_frame(mpdu)
+        assert frame.fcs_ok
+        assert int.from_bytes(mpdu[-4:], "little") == _crc32_by_table(mpdu[:-4])
+
     def test_known_vector(self):
         # the classic CRC-32 check value
         assert crc32_802(b"123456789") == 0xCBF43926

@@ -13,8 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.analysis import decoders
-from repro.analysis.decoders import _BANK_TILE, WifiStreamDecoder
+from repro.analysis.decoders import WifiStreamDecoder
 from repro.bench.equivalence import assert_wifi_scan_equivalence
 from repro.bench.scenarios import preset_buffer
 from repro.bench.suite import dispatched_wifi_ranges
@@ -23,7 +22,8 @@ from repro.core.streaming import StreamingMonitor
 from repro.dsp.samples import SampleBuffer
 from repro.errors import SyncError
 from repro.faults.harness import split_windows
-from repro.phy.wifi import WifiDemodulator, WifiModulator
+from repro.phy import wifi
+from repro.phy.wifi import _RANK_TILE, WifiDemodulator, WifiModulator
 from repro.phy.wifi_mac import build_ack_frame, build_data_frame
 
 FS = 8e6
@@ -98,7 +98,7 @@ class TestEdgeRanges:
         assert _both(_place([(300, cut)], 300 + cut.size)) == []
 
     def test_range_shorter_than_acquisition(self, data_wave):
-        need = WifiDemodulator(FS)._acq_symbols * 8
+        need = WifiDemodulator._ACQ_SYMBOLS * 8
         short = SampleBuffer.from_array(data_wave[: need - 1], FS)
         assert _both(short) == []
 
@@ -195,19 +195,15 @@ class TestCorrelationSlices:
             assert np.array_equal(part.view(np.float32),
                                   full[:, lo:hi - 8 + 1].view(np.float32))
 
-    @pytest.mark.parametrize("size", [0, 7, 8, _BANK_TILE - 1, _BANK_TILE,
-                                      _BANK_TILE + 1, _BANK_TILE + 8])
-    def test_lengths_around_a_symbol_and_a_tile(self, size):
-        decoder = WifiStreamDecoder(FS)
-        demod = decoder.demodulator
+    @pytest.mark.parametrize("size", [0, 7, 8, 8191, 8192, 8193, 8200])
+    def test_lengths_around_a_symbol_and_a_tile(self, size, monkeypatch):
+        monkeypatch.setattr(wifi, "_RANK_TILE", 8192)
+        demod = WifiDemodulator(FS)
         x = _noise(size, 1.0, seed=size)
         offsets = max(size - 7, 0)
         assert demod.correlate(x, 3).shape == (offsets,)
         assert demod.correlate_bank(x).shape == (6, offsets)
-        index, corr = decoder._strongest_correlation(x)
-        assert index == _strongest_by_walk(demod, x)
-        assert np.array_equal(corr.view(np.float32),
-                              demod.correlate(x, index).view(np.float32))
+        assert demod.strongest_template(x) == _strongest_by_walk(demod, x)
 
     def test_strided_and_double_precision_input(self):
         demod = WifiDemodulator(FS)
@@ -229,22 +225,22 @@ class TestCorrelationSlices:
     @pytest.mark.parametrize("preset", ["wifi", "mix", "broadcast", "campus", "kitchen"])
     def test_strongest_template_is_the_walk_s_whatever_the_tiles(
             self, preset, monkeypatch):
-        decoder = WifiStreamDecoder(FS)
+        demod = WifiDemodulator(FS)
         ranges = dispatched_wifi_ranges(preset, DURATION)
         assert ranges
-        for tile in (1_000, _BANK_TILE, 10 ** 9):
-            monkeypatch.setattr(decoders, "_BANK_TILE", tile)
+        for tile in (1_000, _RANK_TILE, 10 ** 9):
+            monkeypatch.setattr(wifi, "_RANK_TILE", tile)
             for sub in ranges:
-                index, _ = decoder._strongest_correlation(sub.samples)
-                assert index == _strongest_by_walk(decoder.demodulator, sub.samples)
+                assert demod.strongest_template(sub.samples) \
+                    == _strongest_by_walk(demod, sub.samples)
 
     def test_exact_tie_goes_to_the_earlier_template(self):
         # one impulse: every +-1 template collects the same 8 unit taps
-        decoder = WifiStreamDecoder(FS)
+        demod = WifiDemodulator(FS)
         x = np.zeros(4_000, dtype=np.complex64)
         x[1_234] = 1.0
-        assert decoder._strongest_correlation(x)[0] == 0
-        assert _strongest_by_walk(decoder.demodulator, x) == 0
+        assert demod.strongest_template(x) == 0
+        assert _strongest_by_walk(demod, x) == 0
 
     def test_bank_keeps_first_of_each_distinct_template(self):
         demod = WifiDemodulator(FS)
