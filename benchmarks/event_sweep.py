@@ -3,19 +3,25 @@
 Every performance PR claims "event lines byte-identical to the parent";
 this is that check as a command.  Each source (every emulator preset,
 plus hand-built short-preamble 2 Mbps frames the emulator does not
-send) is rendered per (seed, SNR) arm and run through four paths — the
-streaming monitor in 200 ms and in 20 ms windows, whole-trace
-``rfdump`` and the whole-trace naive monitor — and the canonical event
-lines of each stream are hashed::
+send, plus ``collide``: Wi-Fi pings spaced at Bluetooth slot multiples
+over an l2ping session, so ACKs fuse with DH5 packets) is rendered per
+(seed, SNR) arm and run through four paths — the streaming monitor in
+200 ms and in 20 ms windows, whole-trace ``rfdump`` and the whole-trace
+naive monitor — and the canonical event lines of each stream are
+hashed::
 
     PYTHONPATH=src python benchmarks/event_sweep.py              # {stream: sha1} as JSON
     PYTHONPATH=src python benchmarks/event_sweep.py --against DIR
+    PYTHONPATH=src python benchmarks/event_sweep.py --against DIR --sources collide
 
 ``--against DIR`` runs the sweep here and again in a subprocess with
 ``PYTHONPATH=DIR/src`` (a ``git worktree`` or clone of the parent
-commit; nothing is fetched), prints the streams whose hashes differ
-and exits 1 if any do.  The script uses only calls both sides have:
-``build_preset``, ``make_monitor``, ``Monitor.events``, ``split_windows``.
+commit; nothing is fetched), prints the streams whose hashes differ —
+each with the event lines it lost and gained, ``seq`` stripped, and for
+a gained line the ground-truth transmission it overlaps — and exits 1
+if any differ.  The script uses only calls both sides have:
+``build_preset``, ``Scenario``, ``make_monitor``, ``Monitor.events``,
+``split_windows``.
 """
 
 from __future__ import annotations
@@ -26,7 +32,8 @@ import json
 import os
 import subprocess
 import sys
-from typing import Dict, List
+from collections import Counter
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -41,6 +48,20 @@ PATHS = {
     "naive": ("naive", None),
 }
 SHORT = "short2mbps"
+COLLIDE = "collide"
+#: the collide source's scenarios, each its own arm: (seed, SNR dB,
+#: Wi-Fi ping interval s, ping payload bytes, l2ping interval in slots).
+#: Every ping interval is a multiple of the 625 us Bluetooth slot.
+COLLIDE_ARMS = (
+    (21, 25.0, 5e-3, 30, 2),
+    (22, 20.0, 12.5e-3, 120, 4),
+    (23, 16.0, 20e-3, 500, 6),
+    (24, 12.0, 40e-3, 250, 8),
+    (25, 18.0, 60e-3, 60, 12),
+)
+
+#: (start_sample, end_sample, protocol, kind) of one ground-truth transmission
+Truth = Tuple[int, int, str, str]
 
 
 def _short_preamble_buffer(duration: float, snr_db: float, seed: int):
@@ -65,29 +86,96 @@ def _short_preamble_buffer(duration: float, snr_db: float, seed: int):
     return SampleBuffer.from_array(samples.astype(np.complex64), DEFAULT_SAMPLE_RATE)
 
 
-def sweep(sources: List[str], duration: float) -> Dict[str, Dict[str, object]]:
-    """``{"source/seedN/SdB/path": {"sha1": ..., "events": n}}``."""
+def _collide_scenario(duration: float, seed: int, snr_db: float,
+                      interval: float, payload: int, slots: int):
+    """Wi-Fi pings every ``interval`` beside l2ping every ``slots`` slots."""
+    from repro.constants import BT_SLOT
+    from repro.emulator.scenario import Scenario
+    from repro.emulator.traffic import BluetoothL2PingSession, WifiPingSession
+
+    scenario = Scenario(duration=duration, seed=seed)
+    scenario.add(WifiPingSession(
+        n_pings=int(duration / interval) + 1, payload_size=payload,
+        interval=interval, snr_db=snr_db, seed=seed + 1))
+    scenario.add(BluetoothL2PingSession(
+        n_pings=int(duration / (slots * BT_SLOT)) + 1, interval_slots=slots,
+        snr_db=snr_db))
+    return scenario
+
+
+def _render(source: str, duration: float, arm) -> Tuple[object, Optional[List[Truth]]]:
+    """A source's buffer for one arm, with its ground truth when the
+    emulator rendered it."""
+    from repro.emulator.presets import build_preset
+
+    seed, snr_db = arm[:2]
+    if source == SHORT:
+        return _short_preamble_buffer(duration, snr_db, seed), None
+    if source == COLLIDE:
+        trace = _collide_scenario(duration, *arm).render()
+    else:
+        trace = build_preset(source, duration, snr_db=snr_db, seed=seed).render()
+    to_samples = trace.ground_truth.timebase.to_samples
+    truth = [(int(to_samples(t.start_time)), int(to_samples(t.end_time)),
+              t.protocol, t.kind)
+             for t in trace.ground_truth.observable()]
+    return trace.buffer, truth
+
+
+def sweep(sources: List[str], duration: float):
+    """``({"source/seedN/SdB/path": {"sha1": ..., "events": n}},
+    {stream: event lines}, {stream: ground truth or None})``."""
     from repro.core.config import MonitorConfig
     from repro.core.monitor import make_monitor
-    from repro.emulator.presets import build_preset
     from repro.faults.harness import split_windows
 
     streams: Dict[str, Dict[str, object]] = {}
+    lines: Dict[str, List[str]] = {}
+    truths: Dict[str, Optional[List[Truth]]] = {}
     for source in sources:
-        for seed, snr_db in ARMS:
-            if source == SHORT:
-                buffer = _short_preamble_buffer(duration, snr_db, seed)
-            else:
-                buffer = build_preset(source, duration, snr_db=snr_db,
-                                      seed=seed).render().buffer
+        for arm in (COLLIDE_ARMS if source == COLLIDE else ARMS):
+            buffer, truth = _render(source, duration, arm)
+            seed, snr_db = arm[:2]
             for path, (kind, window) in PATHS.items():
                 windows = split_windows(buffer, window or len(buffer))
                 with make_monitor(kind, MonitorConfig()) as monitor:
-                    lines = [event.to_json() for event in monitor.events(windows)]
-                digest = hashlib.sha1("\n".join(lines).encode()).hexdigest()
-                streams[f"{source}/seed{seed}/{snr_db:g}dB/{path}"] = {
-                    "sha1": digest, "events": len(lines)}
-    return streams
+                    found = [event.to_json() for event in monitor.events(windows)]
+                name = f"{source}/seed{seed}/{snr_db:g}dB/{path}"
+                streams[name] = {
+                    "sha1": hashlib.sha1("\n".join(found).encode()).hexdigest(),
+                    "events": len(found)}
+                lines[name] = found
+                truths[name] = truth
+    return streams, lines, truths
+
+
+def _without_seq(line: str) -> str:
+    event = json.loads(line)
+    event.pop("seq", None)
+    return json.dumps(event, sort_keys=True, separators=(",", ":"))
+
+
+def _truth_match(line: str, truth: Optional[List[Truth]]) -> str:
+    """The ground-truth transmission a gained event overlaps, if any."""
+    if truth is None:
+        return "no ground truth for this source"
+    event = json.loads(line)
+    for start, end, protocol, kind in truth:
+        if (protocol == event["protocol"] and start < event["end_sample"]
+                and end > event["start_sample"]):
+            return f"truth: {protocol} {kind} [{start}, {end})"
+    return "NO ground-truth transmission overlaps it"
+
+
+def _print_diff(name: str, here: List[str], there: List[str],
+                truth: Optional[List[Truth]]) -> None:
+    """The lines a stream lost and gained against the other checkout."""
+    ours = Counter(_without_seq(line) for line in here)
+    theirs = Counter(_without_seq(line) for line in there)
+    for line in sorted((theirs - ours).elements()):
+        print(f"  lost   {line}")
+    for line in sorted((ours - theirs).elements()):
+        print(f"  gained {line}  <- {_truth_match(line, truth)}")
 
 
 def main(argv=None) -> int:
@@ -97,16 +185,22 @@ def main(argv=None) -> int:
     parser.add_argument("--duration", type=float, default=0.25,
                         help="seconds of ether per trace (default 0.25: the "
                              "200 ms arm then crosses one window edge)")
-    parser.add_argument("--sources", nargs="+", default=[*PRESETS, SHORT],
-                        help="presets to sweep (default: all, plus %s)" % SHORT)
+    parser.add_argument("--sources", nargs="+",
+                        default=[*PRESETS, SHORT, COLLIDE],
+                        help="presets to sweep (default: all, plus %s and %s)"
+                             % (SHORT, COLLIDE))
     parser.add_argument("--against", metavar="DIR",
                         help="also run with PYTHONPATH=DIR/src and diff the hashes")
+    parser.add_argument("--lines", action="store_true",
+                        help="include every stream's event lines in the JSON")
     args = parser.parse_args(argv)
 
-    streams = sweep(args.sources, args.duration)
+    streams, lines, truths = sweep(args.sources, args.duration)
     if not args.against:
-        json.dump({"duration": args.duration, "streams": streams}, sys.stdout,
-                  indent=1, sort_keys=True)
+        out: Dict[str, object] = {"duration": args.duration, "streams": streams}
+        if args.lines:
+            out["lines"] = lines
+        json.dump(out, sys.stdout, indent=1, sort_keys=True)
         print()
         return 0
     src = os.path.join(args.against, "src")
@@ -114,14 +208,17 @@ def main(argv=None) -> int:
         parser.error(f"{src} is not a directory")
     other = subprocess.run(
         [sys.executable, os.path.abspath(__file__), "--duration",
-         str(args.duration), "--sources", *args.sources],
+         str(args.duration), "--lines", "--sources", *args.sources],
         env={**os.environ, "PYTHONPATH": src}, check=True,
         capture_output=True, text=True)
-    theirs = json.loads(other.stdout)["streams"]
+    result = json.loads(other.stdout)
+    theirs, their_lines = result["streams"], result["lines"]
     differing = sorted(name for name in streams.keys() | theirs.keys()
                        if streams.get(name) != theirs.get(name))
     for name in differing:
         print(f"DIFFERS {name}: here {streams.get(name)} there {theirs.get(name)}")
+        _print_diff(name, lines.get(name, []), their_lines.get(name, []),
+                    truths.get(name))
     events = sum(stream["events"] for stream in streams.values())
     print(f"{len(streams)} streams, {events} events: "
           f"{len(differing)} differ from {args.against}")

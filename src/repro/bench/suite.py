@@ -378,9 +378,10 @@ register_benchmark(Benchmark(
 # -- Bluetooth demodulator over pre-dispatched ranges ------------------------
 #
 # The same row for Bluetooth: only ``BluetoothStreamDecoder.scan`` over
-# the forwarded Bluetooth ranges is timed, each range with the channel
-# hint the analysis stage would pass (``mix`` forwards mostly unhinted
-# ranges that decode nothing, ``bluetooth`` hinted ones that decode).
+# the forwarded Bluetooth ranges is timed.  Dispatch now forwards almost
+# only hinted ranges that decode, so each range is scanned twice — with
+# the channel hint the analysis stage would pass, and with none (all
+# eight in-band channels) — to keep the worst case timed.
 # ``--impl reference`` times the per-channel, per-alignment scan; CI
 # gates ``--require-speedup demod_bluetooth:2.0`` on the same-process pair.
 
@@ -395,9 +396,10 @@ def _demod_bluetooth_setup(ctx: BenchContext):
 def _demod_bluetooth_run(workload, ctx: BenchContext) -> int:
     decoder = workload["decoder"]
     total = 0
-    for sub, channel_hint in workload["ranges"]:
-        decoder.scan(sub, channel_hint)
-        total += len(sub)
+    for sub, hint in workload["ranges"]:
+        for channel_hint in dict.fromkeys((hint, None)):
+            decoder.scan(sub, channel_hint)
+            total += len(sub)
     return total
 
 
@@ -409,7 +411,8 @@ register_benchmark(Benchmark(
     name="demod_bluetooth",
     description="BluetoothStreamDecoder.scan over the pre-dispatched "
                 "Bluetooth ranges of the mix and bluetooth presets, each "
-                "with its channel hint (demodulation only)",
+                "with its channel hint and again without one "
+                "(demodulation only)",
     setup=_demod_bluetooth_setup,
     run=_demod_bluetooth_run,
     equivalence=_demod_bluetooth_equivalence,

@@ -15,6 +15,7 @@ from typing import List, Tuple
 import numpy as np
 
 from repro.core.detectors.base import Classification, Detector
+from repro.core.metadata import Peak
 from repro.core.peak_detector import IMPLEMENTATIONS, PeakDetectionResult
 from repro.dsp.samples import SampleBuffer
 from repro.phy.barker import phase_change_template, samples_per_symbol
@@ -171,6 +172,20 @@ class DbpskPhaseDetector(Detector):
         if bad.size == 0:
             return nsym
         return int(bad[0]) * window
+
+    def tail_matches(self, peak: Peak, buffer: SampleBuffer) -> bool:
+        """Does Barker chipping reach the end of a peak this detector
+        claimed?  :meth:`classify` scores only the first ``max_samples``
+        samples; this re-scores the last ``max_samples`` with the same
+        test and threshold.  A peak no longer than that is covered by the
+        head score already."""
+        if peak.length <= self.max_samples:
+            return True
+        if self._sps is None:
+            self._prepare(buffer.sample_rate)
+        tail = buffer.slice(peak.end_sample - self.max_samples,
+                            peak.end_sample).samples
+        return self._score(tail) >= self.threshold
 
     def classify(self, detection: PeakDetectionResult,
                  buffer: SampleBuffer) -> List[Classification]:

@@ -92,6 +92,10 @@ class MonitorReport:
     packets: List[PacketRecord]
     clock: StageClock
     noise_floor: Optional[float] = None
+    #: classifications the dispatch stage did not forward (contested
+    #: peaks, see :meth:`RFDumpMonitor.dispatch`); ``classifications``
+    #: still holds them
+    overruled: List[Classification] = field(default_factory=list)
     #: samples that reached the peak detector's fine energy gate (0 for a
     #: monitor without a detection stage)
     gated_samples: int = 0
@@ -153,6 +157,16 @@ class MonitorReport:
     def forwarded_ranges(self, protocol: str) -> List[Tuple[int, int]]:
         return [(r.start_sample, r.end_sample) for r in self.ranges.get(protocol, [])]
 
+    def ranges_decoded(self, protocol: str) -> int:
+        """Dispatched ranges of ``protocol`` that a packet decoded in this
+        report overlaps (the hit-share numerator)."""
+        spans = [(p.start_sample, p.end_sample) for p in self.packets
+                 if p.protocol == protocol]
+        return sum(
+            any(start < r.end_sample and end > r.start_sample
+                for start, end in spans)
+            for r in self.ranges.get(protocol, []))
+
     @property
     def cpu_over_realtime(self) -> float:
         """CPU time / real time; 0.0 for a zero-duration (empty) buffer
@@ -182,6 +196,8 @@ class WindowState:
     budget: Optional[WindowBudget]
     errors: List[ErrorRecord] = field(default_factory=list)
     classifications: List[Classification] = field(default_factory=list)
+    #: classifications dispatch resolved against (never forwarded)
+    overruled: List[Classification] = field(default_factory=list)
     #: what the dispatcher produced (the report's detection-stage truth)
     ranges: Dict[str, List[DispatchedRange]] = field(default_factory=dict)
     #: the subset of ``ranges`` the analysis stage demodulates
@@ -370,12 +386,55 @@ class RFDumpMonitor(Monitor):
         return found
 
     def dispatch(self, w: WindowState) -> None:
-        """Merge the classifications into per-protocol chunk-aligned ranges."""
+        """Resolve contested peaks, then merge the classifications left
+        into per-protocol chunk-aligned ranges.
+
+        A peak is *contested* when a timing detector calls it Bluetooth,
+        this monitor's :class:`DbpskPhaseDetector` calls it 802.11b, and
+        no Bluetooth phase or frequency detector backs the timing claim —
+        Table 3's observation (b): pings whose spacing is a multiple of
+        the 625 us slot.  The Barker test re-scored on the peak's tail
+        decides it.  Chipping to the end overrules the timing claim,
+        which then reaches no demodulator; a tail that fails the test
+        keeps it, because the tail of an ACK fused with a longer
+        Bluetooth packet behind it is GFSK.
+        """
         obs = self.obs or NULL
         with obs.span("dispatch"), w.clock.stage("dispatch"):
+            w.overruled = self._contested_timing_claims(w)
+            dropped = {id(c) for c in w.overruled}
+            forwarded = [c for c in w.classifications if id(c) not in dropped]
             w.ranges = self.dispatcher.dispatch(
-                w.classifications, w.buffer.end_sample, w.buffer.start_sample
+                forwarded, w.buffer.end_sample, w.buffer.start_sample
             )
+        for c in w.overruled:
+            obs.counter(
+                "rfdump_classifications_overruled_total",
+                help="classifications the dispatch stage did not forward "
+                     "because an independent detector contradicted them",
+                protocol=c.protocol,
+            ).inc()
+
+    def _contested_timing_claims(self, w: WindowState) -> List[Classification]:
+        """The Bluetooth timing claims :meth:`dispatch` overrules."""
+        barker = next((d for d in self.detectors
+                       if isinstance(d, DbpskPhaseDetector)), None)
+        if barker is None:
+            return []
+        chipped = {c.peak.index for c in w.classifications
+                   if c.detector == barker.name}
+        if not chipped:
+            return []
+        kinds = {d.name: d.kind for d in self.detectors}
+        backed = {c.peak.index for c in w.classifications
+                  if c.protocol == "bluetooth"
+                  and kinds.get(c.detector) in ("phase", "frequency")}
+        return [c for c in w.classifications
+                if c.protocol == "bluetooth"
+                and kinds.get(c.detector) == "timing"
+                and c.peak.index in chipped
+                and c.peak.index not in backed
+                and barker.tail_matches(c.peak, w.buffer)]
 
     def admit(self, w: WindowState) -> None:
         """Deadline admission: under sustained overload (or an already
@@ -415,7 +474,7 @@ class RFDumpMonitor(Monitor):
         deadline_missed = False
         if self._deadline is not None:
             deadline_missed = self._deadline.finish_window(latency)
-        return MonitorReport(
+        report = MonitorReport(
             total_samples=len(w.buffer),
             duration=w.buffer.duration,
             peaks=w.detection.history,
@@ -424,6 +483,7 @@ class RFDumpMonitor(Monitor):
             packets=w.packets,
             clock=w.clock,
             noise_floor=w.detection.noise_floor,
+            overruled=w.overruled,
             gated_samples=w.detection.gated_samples,
             demod_seconds_by_protocol=w.demod_seconds,
             parallel_fallbacks=w.parallel_fallbacks,
@@ -432,6 +492,14 @@ class RFDumpMonitor(Monitor):
             latency_seconds=latency,
             deadline_missed=deadline_missed,
         )
+        for protocol in w.ranges:
+            obs.counter(
+                "rfdump_ranges_decoded_total",
+                help="dispatched ranges a decoded packet overlaps (hit "
+                     "share = this / rfdump_ranges_dispatched_total)",
+                protocol=protocol,
+            ).inc(report.ranges_decoded(protocol))
+        return report
 
     @staticmethod
     def _annotate_snr(packets: List[PacketRecord],

@@ -184,6 +184,7 @@ def run(args) -> int:
     degradation = None
     forwarded = Counter()  # ranges handed to each protocol's decoder ...
     fruitful = Counter()   # ... and those a decoded packet overlaps
+    overruled = Counter()  # classifications dispatch did not forward
     if args.monitor == "rfdump":
         with monitor as streaming:
             for buf in reader:
@@ -191,7 +192,7 @@ def run(args) -> int:
                 peaks += len(report.peaks) if report.peaks is not None else 0
                 scanned += report.total_samples
                 gated += report.gated_samples
-                _count_ranges(report, forwarded, fruitful)
+                _count_ranges(report, forwarded, fruitful, overruled)
             streaming.flush()
         packets = streaming.packets
         classifications = streaming.classifications
@@ -220,7 +221,7 @@ def run(args) -> int:
                 peaks += len(report.peaks or [])
                 scanned += report.total_samples
                 gated += report.gated_samples
-                _count_ranges(report, forwarded, fruitful)
+                _count_ranges(report, forwarded, fruitful, overruled)
                 clock = report.clock if clock is None else clock.merged(report.clock)
     classified = Counter(c.protocol for c in classifications)
 
@@ -238,6 +239,7 @@ def run(args) -> int:
                 {
                     "protocol": protocol,
                     "classifications": classified.get(protocol, 0),
+                    "overruled": overruled[protocol],
                     "ranges": forwarded[protocol],
                     "ranges decoded": fruitful[protocol],
                     "decoded packets": len(decoded),
@@ -248,8 +250,8 @@ def run(args) -> int:
             f"{args.trace}: {duration * 1e3:.1f} ms, {peaks} peaks, "
             f"{100.0 * gated / max(scanned, 1):.1f}% of samples gated",
             rows,
-            ["protocol", "classifications", "ranges", "ranges decoded",
-             "decoded packets", "decoded bytes"],
+            ["protocol", "classifications", "overruled", "ranges",
+             "ranges decoded", "decoded packets", "decoded bytes"],
         ))
         if clock is not None:
             print(f"processing cost: {clock.cpu_over_realtime(duration):.2f}x real time")
@@ -263,21 +265,19 @@ def run(args) -> int:
     return 0
 
 
-def _count_ranges(report, forwarded: Counter, fruitful: Counter) -> None:
-    """Add one window's dispatched ranges, per protocol, to ``forwarded``
-    and those overlapped by a packet it decoded to ``fruitful``.
+def _count_ranges(report, forwarded: Counter, fruitful: Counter,
+                  overruled: Counter) -> None:
+    """Add one window's dispatched ranges, per protocol, to ``forwarded``,
+    those overlapped by a packet it decoded to ``fruitful`` and the
+    classifications dispatch overruled to ``overruled``.
 
     A range the streaming monitor sees again in the next window's
     overlap is counted both times: each is one decoder ``scan``.
     """
     for protocol, ranges in report.ranges.items():
-        spans = [(p.start_sample, p.end_sample) for p in report.packets
-                 if p.protocol == protocol]
         forwarded[protocol] += len(ranges)
-        fruitful[protocol] += sum(
-            any(start < r.end_sample and end > r.start_sample
-                for start, end in spans)
-            for r in ranges)
+        fruitful[protocol] += report.ranges_decoded(protocol)
+    overruled.update(c.protocol for c in report.overruled)
 
 
 def _write_capture_sinks(args, events, meta) -> None:

@@ -45,6 +45,15 @@ CENTER = 2.4415e9
 DURATION = 0.3
 
 
+#: traces on which every Bluetooth timing claim sits on a peak that carries
+#: Barker chipping end to end: dispatch overrules them all and forwards no
+#: Bluetooth range.  The other presets still forward hint-less ranges
+#: (mix at 6 dB, campus, kitchen at 6 and 8.5 dB, bluetooth at 6 dB), and
+#: every range is scanned without its hint as well.
+NO_BLUETOOTH_RANGES = {("wifi", 6.0), ("wifi", 8.5), ("wifi", 20.0),
+                       ("kitchen", 20.0)}
+
+
 # 6 dB forwards Bluetooth ranges but none of them decodes; at 8.5 dB
 # about half do, which is where a bit decision is likeliest to differ
 @pytest.mark.parametrize("snr_db", [6.0, 8.5, 20.0])
@@ -53,6 +62,9 @@ def test_records_equal_per_dispatched_range(preset, snr_db):
     # each range is scanned with the hint the detectors gave it and
     # with none (all eight in-band channels)
     ranges = dispatched_bluetooth_ranges(preset, DURATION, snr_db=snr_db, seed=3)
+    if (preset, snr_db) in NO_BLUETOOTH_RANGES:
+        assert ranges == []
+        return
     assert ranges
     assert_bluetooth_scan_equivalence(ranges)
 

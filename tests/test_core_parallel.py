@@ -7,7 +7,8 @@ import time
 import pytest
 
 from repro import RFDumpMonitor
-from repro.analysis.decoders import PacketRecord
+from repro.analysis.decoders import PacketRecord, make_decoder
+from repro.bench.scenarios import preset_buffer
 from repro.core.accounting import StageClock
 from repro.core.dispatcher import DispatchedRange
 from repro.core.analysis_stage import (
@@ -174,6 +175,22 @@ class TestAccounting:
         assert sum(report.demod_seconds_by_protocol.values()) == pytest.approx(
             report.clock.seconds["demodulation"], rel=0.05
         )
+
+    def test_pool_demodulation_seconds_are_worker_cpu(self):
+        # each decode is timed on its worker's CPU clock: a wall clock
+        # also counted the time a thread worker waited for the
+        # interpreter lock while its neighbour decoded, and summed to
+        # 1.4-1.5x the CPU the whole process spent on a 2-core host
+        buffer = preset_buffer("broadcast", 0.2, seed=3)
+        with RFDumpMonitor(demodulate=False) as monitor:
+            ranges = monitor.process(buffer).ranges
+        decoders = {p: make_decoder(p, buffer.sample_rate) for p in ranges}
+        with AnalysisStage(decoders, workers=2) as stage:
+            stage.run(buffer, ranges)  # start the pool's threads
+            started = time.process_time()
+            _, demod_seconds, _ = stage.run(buffer, ranges)
+            process_cpu = time.process_time() - started
+        assert 0.0 < sum(demod_seconds.values()) <= process_cpu
 
     def test_pool_wall_time_is_not_counted_as_cost(self, mixed_trace):
         # "processing cost" added the pool's elapsed time to the seconds

@@ -56,22 +56,25 @@ class TestRfdump:
         assert "real time" in out
 
     def test_summary_counts_dispatched_and_decoded_ranges(self, recorded, capsys):
-        # the unicast trace: every Wi-Fi range decodes, and the Bluetooth
-        # ranges the slot-spaced pings get forwarded as decode nothing
+        # the unicast trace: every Wi-Fi range decodes, and the six
+        # Bluetooth timing claims the slot-spaced pings draw sit on
+        # Barker-chipped peaks, so dispatch overrules them and forwards
+        # no Bluetooth range (the parent forwarded 6 that decoded nothing)
         assert rfdump.main([str(recorded), "--summary"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert [c.strip() for c in lines[1].split("  ") if c.strip()] == [
-            "protocol", "classifications", "ranges", "ranges decoded",
-            "decoded packets", "decoded bytes"]
+            "protocol", "classifications", "overruled", "ranges",
+            "ranges decoded", "decoded packets", "decoded bytes"]
         table = {row.split()[0]: [int(v) for v in row.split()[1:]]
                  for row in lines[3:5]}
-        assert table["wifi"][1:4] == [8, 8, 16]
-        assert table["bluetooth"][1:4] == [6, 0, 0]
-        assert all(row[2] <= row[1] for row in table.values())
+        assert table["wifi"][1:5] == [0, 8, 8, 16]
+        assert table["bluetooth"][:5] == [6, 6, 0, 0, 0]
+        assert all(row[3] <= row[2] for row in table.values())
         # without demodulation a range is still forwarded, never decoded
         assert rfdump.main([str(recorded), "--summary", "--no-demod"]) == 0
         rows = capsys.readouterr().out.splitlines()[3:5]
-        assert [[int(v) for v in row.split()[2:4]] for row in rows] == [[8, 0], [6, 0]]
+        assert [[int(v) for v in row.split()[2:5]] for row in rows] == [
+            [0, 8, 0], [6, 0, 0]]
 
     def test_summary_title_reports_the_gated_share(self, recorded, tmp_path,
                                                    capsys):
