@@ -86,30 +86,33 @@ register_benchmark(Benchmark(
 # floor estimated), which the coarse pass leaves alone.  CI gates
 # ``--require-speedup peak_detection_sparse:3.0`` on the same-process pair.
 
-_SPARSE_WINDOW = 1_600_000  # 200 ms at 8 Msps, the streaming default
+_STREAM_WINDOW = 1_600_000  # 200 ms at 8 Msps, the streaming default
 
 
-def _peak_sparse_setup(ctx: BenchContext) -> Dict[str, object]:
-    buffer = preset_buffer("bluetooth", 0.25 if ctx.quick else 1.0, seed=3)
-    windows = [buffer.slice(a, min(a + _SPARSE_WINDOW, buffer.end_sample))
-               for a in range(buffer.start_sample, buffer.end_sample,
-                              _SPARSE_WINDOW)]
-    detector = PeakDetector(impl=ctx.impl)
-    return {"windows": windows, "detector": detector,
-            "floor": detector.detect(windows[0]).noise_floor}
+def _peak_windows_setup(preset: str, estimate_first: bool):
+    def setup(ctx: BenchContext) -> Dict[str, object]:
+        buffer = preset_buffer(preset, 0.25 if ctx.quick else 1.0, seed=3)
+        windows = [buffer.slice(a, min(a + _STREAM_WINDOW, buffer.end_sample))
+                   for a in range(buffer.start_sample, buffer.end_sample,
+                                  _STREAM_WINDOW)]
+        detector = PeakDetector(impl=ctx.impl)
+        floor = detector.detect(windows[0]).noise_floor
+        floors = [floor] * len(windows)  # None: detect() estimates it
+        floors[0] = None if estimate_first else floor
+        return {"windows": windows, "detector": detector, "floors": floors}
+    return setup
 
 
-def _peak_sparse_run(workload, ctx: BenchContext) -> int:
-    detector, floor = workload["detector"], workload["floor"]
+def _peak_windows_run(workload, ctx: BenchContext) -> int:
     total = 0
-    for window in workload["windows"]:
-        detector.detect(window, floor)
+    for window, floor in zip(workload["windows"], workload["floors"]):
+        workload["detector"].detect(window, floor)
         total += len(window)
     return total
 
 
-def _peak_sparse_equivalence(workload, ctx: BenchContext) -> Dict[str, object]:
-    # assert_detection_equivalence's carried-floor arm is the timed path
+def _peak_windows_equivalence(workload, ctx: BenchContext) -> Dict[str, object]:
+    # both timed arms, floor estimated and carried
     peaks = 0
     for window in workload["windows"]:
         peaks += assert_detection_equivalence(window)["peaks"]
@@ -121,9 +124,24 @@ register_benchmark(Benchmark(
     description="peak detection over the mostly idle bluetooth preset in "
                 "200 ms windows with the noise floor carried from the "
                 "first, as the streaming monitor runs it",
-    setup=_peak_sparse_setup,
-    run=_peak_sparse_run,
-    equivalence=_peak_sparse_equivalence,
+    setup=_peak_windows_setup("bluetooth", estimate_first=False),
+    run=_peak_windows_run,
+    equivalence=_peak_windows_equivalence,
+    tags=("kernel", "detection"),
+))
+
+
+# -- the same over busy ether: a broadcast flood, ~75% signal, the first
+# window estimating its floor (e2e ``wifi_dense``).  CI gates
+# ``--require-speedup peak_detection_dense:1.6`` on the same-process pair.
+
+register_benchmark(Benchmark(
+    name="peak_detection_dense",
+    description="peak detection over the broadcast preset in 200 ms "
+                "windows, the first estimating the noise floor",
+    setup=_peak_windows_setup("broadcast", estimate_first=True),
+    run=_peak_windows_run,
+    equivalence=_peak_windows_equivalence,
     tags=("kernel", "detection"),
 ))
 

@@ -18,7 +18,8 @@ over the same windows yields the same
 from __future__ import annotations
 
 import abc
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, Iterator, List, Optional
+from typing import (TYPE_CHECKING, Callable, Dict, Iterable, Iterator, List,
+                    Optional, Tuple)
 
 from repro.core.config import MonitorConfig
 
@@ -47,17 +48,26 @@ class Monitor(abc.ABC):
         flushed and yielded too, so the generator ends with the stream
         complete.  ``seq`` numbers are consecutive from ``start_seq``.
         """
+        for _, events in self.window_events(windows, start_seq=start_seq):
+            yield from events
+
+    def window_events(self, windows: Iterable, *, start_seq: int = 0
+                      ) -> Iterator[Tuple[Optional["MonitorReport"],
+                                          List["PacketEvent"]]]:
+        """:meth:`events`, one window at a time: each window's report
+        with the events it made final, then ``(None, flushed events)``."""
         from repro.core.events import PacketEvent
 
         sample_rate = self.config.sample_rate
         seq = start_seq
         for window in windows:
-            for record in self._final_packets(self.process(window)):
-                yield PacketEvent.from_record(record, sample_rate, seq=seq)
-                seq += 1
-        for record in self._final_flush():
-            yield PacketEvent.from_record(record, sample_rate, seq=seq)
-            seq += 1
+            report = self.process(window)
+            records = self._final_packets(report)
+            yield report, [PacketEvent.from_record(r, sample_rate, seq=seq + i)
+                           for i, r in enumerate(records)]
+            seq += len(records)
+        yield None, [PacketEvent.from_record(r, sample_rate, seq=seq + i)
+                     for i, r in enumerate(self._final_flush())]
 
     # -- events() hooks (stateful monitors override both) ---------------------
 

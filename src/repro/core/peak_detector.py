@@ -21,27 +21,30 @@ gate has the two levels the paragraph above describes:
   times the float32 rounding of the sums) are idle by construction.
   What is left are runs of samples worth examining — a few percent of a
   Bluetooth-only ether, a quarter of the Wi-Fi + Bluetooth mix.
-* **Fine** (:func:`repro.dsp.energy.gate_runs`): float64 ``|x|^2`` and
-  the moving-average gate (:func:`repro.dsp.energy.energy_gate`) over
-  those runs only, each with ``energy_window`` samples of context, laid
-  back to back; peak edges, interval merging and per-peak statistics
-  (:func:`np.add.reduceat`) work on that compact array and map back to
-  sample positions.
+* **Fine** (:func:`repro.dsp.energy.gate_runs`): float64 ``|x|^2`` over
+  those runs, each with ``energy_window`` samples of context, locates
+  each peak's edges: a burst's interior, where every power of a
+  sample's averaging window clears the threshold by more than a running
+  sum can round, is active by construction, and the moving-average gate
+  (:func:`repro.dsp.energy.energy_gate`) runs only over the spans left
+  in doubt — peak edges and dips, well under 5% of a busy window.
 
 When the noise floor is not known yet (a one-shot buffer, a stream's
 first window) every chunk's power is needed for the percentile, so the
-whole-window ``|x|^2`` is formed as before and the runs reuse it; and a
-window whose chunk powers say it is mostly signal — or whose samples are
-not finite, not C-contiguous complex64, or too small for float32 — is
-one run, gated whole.  What is **bitwise** equal to the whole-window
-gate: ``|x|^2``, the chunk powers, the noise floor and threshold, and
-each peak's ``mean_power`` / ``peak_power`` (the same values summed in
-the same order).  What is **peak-equal only**: the moving average — its
-running sum starts at the first run instead of at sample 0, so it
-differs in the last bits, and the comparison against the threshold
-could differ only for an average within ~1e-9 relative of it (the same
-exposure every streaming window size already has; no sweep has seen
-it).  The whole-array gate and the pre-vectorization Python-loop kernels
+whole-window ``|x|^2`` is formed as before and the runs are read from
+it (in place when they are most of it); a busy window takes the coarse
+pass like any other, and
+one whose samples are not finite, not C-contiguous complex64, or too
+small for float32 is one run.  What is **bitwise** equal to the
+whole-window gate: ``|x|^2``, the chunk powers, the noise floor and
+threshold, and each peak's ``mean_power`` / ``peak_power`` (the same
+values summed in the same order).  What is **peak-equal only**: the
+moving average inside a doubtful span — its running sum starts at the
+span instead of at sample 0, so it differs in the last bits, and the
+comparison against the threshold could differ only for an average
+within ~1e-9 relative of it (the same exposure every streaming window
+size already has; no sweep has seen it).  The whole-array gate and the
+pre-vectorization Python-loop kernels
 are retained as ``impl="reference"`` so equivalence can be asserted (and
 the speedup measured) against them — see ``repro.bench.equivalence`` and
 ``tests/test_coarse_gate.py``.
@@ -116,7 +119,8 @@ class PeakDetectionResult:
                  threshold: float, total_samples: int,
                  chunks: Optional[List[ChunkMetadata]] = None,
                  chunk_builder=None, nonfinite_samples: int = 0,
-                 gated_samples: Optional[int] = None):
+                 gated_samples: Optional[int] = None,
+                 exact_samples: Optional[int] = None):
         self.history = history
         self.noise_floor = noise_floor
         self.threshold = threshold
@@ -127,6 +131,9 @@ class PeakDetectionResult:
         #: of the coarse pass and their context; all of them by default
         self.gated_samples = (total_samples if gated_samples is None
                               else gated_samples)
+        #: of those, the samples whose moving average was evaluated
+        self.exact_samples = (self.gated_samples if exact_samples is None
+                              else exact_samples)
         self._chunks = chunks
         self._chunk_builder = chunk_builder
 
@@ -194,13 +201,9 @@ class PeakDetector:
         # one at a fraction of the threshold
         instant_threshold = cfg.instantaneous_factor * threshold
 
-        # coarse pass: which runs of samples are worth gating.  A window
-        # whose chunk powers already say it is mostly signal is one run.
+        # coarse pass: which runs of samples are worth gating
         runs = None
-        dense = chunk_powers is not None and (
-            2 * np.count_nonzero(chunk_powers > threshold) >= chunk_powers.size)
-        if (not dense and samples.dtype == np.complex64
-                and samples.flags.c_contiguous):
+        if samples.dtype == np.complex64 and samples.flags.c_contiguous:
             # runs closer than the gate's context, or than a gap one
             # peak may span, must be one run
             runs = candidate_runs(samples, cfg.energy_window, threshold,
@@ -212,26 +215,20 @@ class PeakDetector:
                 nonfinite = self._zero_nonfinite(power, chunk_powers)
             runs = np.array([0]), np.array([n])
 
-        # fine pass: the gate over the runs laid back to back, then
-        # peaks from that compact mask mapped back to sample positions
-        active, run_power, offsets, origins = gate_runs(
-            samples, power, *runs, cfg.energy_window, threshold,
-            instant_threshold)
-        starts, ends = self._run_edges(active)
-        run_of = np.searchsorted(offsets, starts, side="right") - 1
-        to_sample = buffer.start_sample + (origins - offsets)[run_of]
-        starts, ends = starts + to_sample, ends + to_sample
-        first, last = self._merge_runs(starts, ends)
+        # fine pass: the active runs, found from their edges
+        fine = gate_runs(samples, power, *runs, cfg.energy_window, threshold,
+                         instant_threshold)
+        first, last = self._merge_runs(fine.starts, fine.ends)
         history = PeakHistory(buffer.sample_rate)
         if first.size:
             # a peak lies inside one run: the same shift maps both ends
-            # back, and its samples are contiguous in run_power
-            shift = to_sample[first]
+            # into the powers, where its samples are contiguous
+            starts, ends = fine.starts[first], fine.ends[last]
             _, means, maxes = interval_stats(
-                run_power, starts[first] - shift, ends[last] - shift)
-            history.extend_from_arrays(
-                starts[first].astype(np.int64), ends[last].astype(np.int64),
-                means, maxes)
+                fine.power, starts - fine.shift[first], ends - fine.shift[first])
+            base = buffer.start_sample
+            history.extend_from_arrays((starts + base).astype(np.int64),
+                                       (ends + base).astype(np.int64), means, maxes)
 
         def chunk_builder():
             powers = chunk_powers
@@ -240,7 +237,7 @@ class PeakDetector:
             return self._chunk_metadata_vectorized(
                 buffer, powers, threshold, history)
 
-        self._count(history, n, int(active.size), noise_floor)
+        self._count(history, n, fine.gated, noise_floor, fine.exact)
         return PeakDetectionResult(
             history=history,
             noise_floor=noise_floor,
@@ -248,7 +245,8 @@ class PeakDetector:
             total_samples=n,
             chunk_builder=chunk_builder,
             nonfinite_samples=nonfinite,
-            gated_samples=int(active.size),
+            gated_samples=fine.gated,
+            exact_samples=fine.exact,
         )
 
     def _detect_reference(self, buffer: SampleBuffer,
@@ -267,7 +265,7 @@ class PeakDetector:
         history = PeakHistory(buffer.sample_rate)
         self._fill_history_reference(history, buffer, power,
                                      self._intervals_reference(active))
-        self._count(history, len(samples), len(samples), noise_floor)
+        self._count(history, len(samples), len(samples), noise_floor, len(samples))
         return PeakDetectionResult(
             history=history,
             noise_floor=noise_floor,
@@ -296,7 +294,7 @@ class PeakDetector:
                                    10.0))
 
     def _count(self, history: PeakHistory, scanned: int, gated: int,
-               noise_floor: float) -> None:
+               noise_floor: float, exact: int) -> None:
         if not self.obs:
             return
         self.obs.counter(
@@ -311,6 +309,11 @@ class PeakDetector:
             help="samples that reached the fine energy gate (candidate "
                  "runs and their context) out of those scanned",
         ).inc(gated)
+        self.obs.counter(
+            "rfdump_peak_exact_samples_total",
+            help="samples whose moving average the fine gate evaluated "
+                 "(those not certainly active from their own powers)",
+        ).inc(exact)
         self.obs.gauge(
             "rfdump_noise_floor_power",
             help="tracked noise-floor estimate (linear power)",

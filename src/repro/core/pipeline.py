@@ -99,6 +99,8 @@ class MonitorReport:
     #: samples that reached the peak detector's fine energy gate (0 for a
     #: monitor without a detection stage)
     gated_samples: int = 0
+    #: of those, the samples whose moving average the gate evaluated
+    exact_samples: int = 0
     #: wall time spent demodulating each protocol (feeds the parallelism
     #: estimate of Section 2.2)
     demod_seconds_by_protocol: Dict[str, float] = field(default_factory=dict)
@@ -485,6 +487,7 @@ class RFDumpMonitor(Monitor):
             noise_floor=w.detection.noise_floor,
             overruled=w.overruled,
             gated_samples=w.detection.gated_samples,
+            exact_samples=w.detection.exact_samples,
             demod_seconds_by_protocol=w.demod_seconds,
             parallel_fallbacks=w.parallel_fallbacks,
             errors=w.errors,

@@ -6,7 +6,6 @@ from repro.dsp.energy import (
     chunk_average_power,
     instant_power,
     interval_stats,
-    NoiseFloorEstimator,
 )
 from repro.dsp.phase import (
     instantaneous_phase,
@@ -41,7 +40,6 @@ __all__ = [
     "chunk_average_power",
     "instant_power",
     "interval_stats",
-    "NoiseFloorEstimator",
     "instantaneous_phase",
     "phase_derivative",
     "phase_second_derivative",

@@ -1,4 +1,4 @@
-"""Energy measurement and noise-floor tracking.
+"""Energy measurement and noise-floor estimation.
 
 The protocol-agnostic peak detector (Section 4.3) rests on two primitives:
 a moving-average of instantaneous power over a short window (default 20
@@ -8,7 +8,7 @@ threshold is applied.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -22,9 +22,9 @@ from repro.dsp.samples import chunk_views
 #: Both passes over a 1.6 M-sample window measured 14.0 / 12.7 / 12.9 /
 #: 15.6 / 17.3 ms at 8 / 16 / 32 / 64 / 128 thousand samples per tile.
 #: Since the coarse pass (:func:`candidate_runs`) the peak detector
-#: tiles only the samples worth gating, gathered run by run
-#: (:func:`gate_runs`); the whole window is tiled when its noise floor
-#: is still to be estimated or it is mostly signal.
+#: squares only the samples worth gating, run by run (:func:`gate_runs`),
+#: unless the window's noise floor is still to be estimated; the moving
+#: average runs only over the spans its powers leave in doubt.
 TILE_SAMPLES = 32_000
 
 
@@ -240,6 +240,13 @@ RUN_MERGE_SAMPLES = 512
 _FLOAT32_TINY = float(np.finfo(np.float32).tiny)
 
 
+def _groups(starts: np.ndarray, ends: np.ndarray,
+            apart: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Intervals whose successor is not ``apart`` joined into one."""
+    return (starts[np.concatenate([[True], apart])],
+            ends[np.concatenate([apart, [True]])])
+
+
 def candidate_runs(samples: np.ndarray, window: int, avg_threshold: float,
                    merge_gap: int
                    ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
@@ -289,56 +296,124 @@ def candidate_runs(samples: np.ndarray, window: int, avg_threshold: float,
     if n > nblocks * block:
         starts = np.append(starts, nblocks * block)
         ends = np.append(ends, n)
-    apart = starts[1:] - ends[:-1] >= merge_gap
-    return (starts[np.concatenate([[True], apart])],
-            ends[np.concatenate([apart, [True]])])
+    return _groups(starts, ends, starts[1:] - ends[:-1] >= merge_gap)
+
+
+class FineGate(NamedTuple):
+    """:func:`gate_runs`' answer: the active runs ``[starts, ends)`` in
+    sample offsets, sorted and disjoint; the powers they were read from
+    (sample ``s`` of run ``i`` at ``power[s - shift[i]]``); the samples
+    gated (runs and context) and those the running sum evaluated."""
+
+    starts: np.ndarray
+    ends: np.ndarray
+    power: np.ndarray
+    shift: np.ndarray
+    gated: int
+    exact: int
 
 
 def gate_runs(samples: np.ndarray, power: Optional[np.ndarray],
               starts: np.ndarray, ends: np.ndarray, window: int,
-              avg_threshold: float, instant_threshold: float
-              ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Fine pass: one :func:`energy_gate` over the candidate runs laid
-    back to back.
+              avg_threshold: float, instant_threshold: float) -> FineGate:
+    """Fine pass over the candidate runs: peak edges, not interiors.
 
     Each run of :func:`candidate_runs` (the first starts at sample 0,
-    the others lie at least ``window`` apart) is gathered together with
-    the ``window`` samples ahead of it.  Those are context: an output
-    past them averages the run's own samples only, wherever the running
-    sum began, and their own outputs are forced idle (they lie outside
-    the candidates).  Powers come from ``power`` (the whole-array
-    ``|x|^2``) when given, else from the C-contiguous complex64
-    ``samples`` — the same three IEEE operations per sample as
-    :func:`chunked_power`, over the gathered samples alone.
-
-    Returns ``(active, run_power, offsets, origins)``: run ``r`` occupies
-    ``active[offsets[r]:offsets[r + 1]]`` and the same span of
-    ``run_power``, and its first entry is sample ``origins[r]``.
+    the others lie at least ``window`` apart) is read with the
+    ``window`` samples ahead of it as context, never active: from
+    ``power`` (the whole-array ``|x|^2``) where it lies when the runs
+    are most of the window, else laid back to back — copied from
+    ``power``, or squared from the C-contiguous complex64 ``samples`` as
+    :func:`chunked_power` does.  A sample is *certainly active* when
+    every power of its averaging window (or warm-up prefix) exceeds
+    ``max(avg_threshold, instant_threshold)`` by the running sum's worst
+    rounding.  Only the rest — peak edges, dips — go through
+    :func:`energy_gate`, each span with ``window`` samples of context.
     """
     origins = np.maximum(starts - window, 0)
-    offsets = np.concatenate([[0], np.cumsum(ends - origins)[:-1]])
-    spans = list(zip(origins.tolist(), ends.tolist()))
-    if power is not None:
-        # a single run (a dense window) is gated where it lies, uncopied
-        gathered = (power[spans[0][0]: spans[0][1]] if len(spans) == 1 else
-                    np.concatenate([power[a:b] for a, b in spans]))
-    else:
+    sizes = ends - origins
+    offsets = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+    gated = int(sizes.sum())
+    if power is None:
+        base = offsets
+        power = np.empty(gated, dtype=np.float64)
         flat = samples.view(np.float32)
-        gathered = np.empty(int(offsets[-1] + ends[-1] - origins[-1]),
-                            dtype=np.float64)
-        scratch = np.empty(2 * min(gathered.size, TILE_SAMPLES),
-                           dtype=np.float64)
-        at = 0
+        scratch = np.empty(2 * min(gated, TILE_SAMPLES), dtype=np.float64)
         # one iteration per run and 32k-sample tile, never per sample
-        for origin, end in spans:
+        for origin, end, at in zip(origins.tolist(), ends.tolist(),
+                                   offsets.tolist()):
             for a in range(origin, end, TILE_SAMPLES):
-                size = min(a + TILE_SAMPLES, end) - a
-                _interleaved_power(flat[2 * a: 2 * (a + size)], scratch,
-                                   gathered[at: at + size])
-                at += size
-    active = energy_gate(gathered, window, avg_threshold, instant_threshold)
-    active[(offsets[1:, None] + np.arange(window)).ravel()] = False
-    return active, gathered, offsets, origins
+                b = min(a + TILE_SAMPLES, end)
+                _interleaved_power(flat[2 * a: 2 * b], scratch,
+                                   power[at + a - origin: at + b - origin])
+    elif 2 * gated < power.size:
+        # mostly idle: summing and reducing a compact copy beats reading
+        # the whole window around the runs
+        base = offsets
+        power = np.concatenate([power[a:b] for a, b in zip(origins, ends)])
+    else:
+        base = origins
+    # Every partial sum of a running sum over these non-negative powers,
+    # wherever it starts, is at most the buffer's total S (the runs' own
+    # powers, plus under window * avg_threshold per idle block outside
+    # them).  An add rounds by at most eps/2 * S, so a moving average —
+    # the window's adds, a subtraction and a division — is off by under
+    # 1.5 * eps * S; a 4 * eps * S margin holds whatever the running
+    # sum's origin.  A NaN bound certifies nothing.
+    bound = float(power.sum()) + float(ends[-1]) * window * avg_threshold
+    level = (max(avg_threshold, instant_threshold)
+             + 4 * np.finfo(np.float64).eps * bound)
+    # positions from here on are back to back (offsets): which powers
+    # clear the level; a run's first context sample is never needed
+    hi = np.empty(gated, dtype=bool)
+    for at, b, size in zip(offsets.tolist(), base.tolist(), sizes.tolist()):
+        np.greater(power[b: b + size], level, out=hi[at: at + size])
+    hi[offsets[1:]] = False
+    hs, he = run_edges(hi)
+    certain = (he - hs >= window) | (hs == 0)
+    if 8 * window * np.count_nonzero(certain) > gated:
+        # certified spans under 8 windows apart on average (a peak-dense
+        # soup; real ether reads 10-1000x sparser): the spans between
+        # them cost more to gather than to gate, so decide every sample
+        certain[:] = False
+    cs, ce = np.where(hs == 0, 0, hs + window - 1)[certain], he[certain]
+    # certified spans lie inside runs: run starts and certified ends
+    # open the uncertain spans, certified starts and run ends close them
+    us = np.sort(np.concatenate([offsets + starts - origins, ce]))
+    ue = np.sort(np.concatenate([cs, offsets + sizes]))
+    us, ue = us[ue > us], ue[ue > us]
+    exact_starts = exact_ends = np.zeros(0, dtype=np.intp)
+    exact = 0
+    if us.size:
+        # spans whose context overlaps gate as one (never across runs: a
+        # run's first uncertain sample is >= window past its origin)
+        gs, gb = _groups(us, ue, us[1:] - window >= ue[:-1])
+        ga = np.maximum(gs - window, 0)
+        lengths = gb - ga
+        exact = int(lengths.sum())
+        goff = np.concatenate([[0], np.cumsum(lengths)[:-1]])
+        pos = ga + (base - offsets)[np.searchsorted(offsets, ga, "right") - 1]
+        # one span (a whole run) is gated where it lies, uncopied
+        active = energy_gate(
+            power[pos[0]: pos[0] + exact] if pos.size == 1 else np.concatenate(
+                [power[a: a + n] for a, n in zip(pos.tolist(), lengths.tolist())]),
+            window, avg_threshold, instant_threshold)
+        ctx = np.arange(window)
+        active[(goff[:, None] + ctx)[ctx < (gs - ga)[:, None]]] = False
+        exact_starts, exact_ends = run_edges(active)
+        back = (ga - goff)[np.searchsorted(goff, exact_starts, "right") - 1]
+        exact_starts, exact_ends = exact_starts + back, exact_ends + back
+    a, b = exact_starts, exact_ends
+    if cs.size:
+        # certified and exact runs may touch or overlap: join them
+        a = np.concatenate([cs, a])
+        order = np.argsort(a, kind="stable")
+        a, b = a[order], np.maximum.accumulate(np.concatenate([ce, b])[order])
+        a, b = _groups(a, b, a[1:] > b[:-1])
+    run_of = np.searchsorted(offsets, a, side="right") - 1
+    to_sample = (origins - offsets)[run_of]
+    return FineGate(a + to_sample, b + to_sample, power,
+                    (origins - base)[run_of], gated, exact)
 
 
 def moving_average_power(samples: np.ndarray, window: int = DEFAULT_ENERGY_WINDOW) -> np.ndarray:
@@ -385,50 +460,10 @@ def chunk_average_power(
     return chunk_average_of(instant_power(samples), chunk_samples)
 
 
-class NoiseFloorEstimator:
-    """Tracks the noise floor as a low percentile of chunk powers.
-
-    The ether is idle a reasonable fraction of the time even when busy, so a
-    low percentile of per-chunk average powers is a robust floor estimate.
-    The estimator is streaming: feed it chunk powers as they are computed
-    and read :attr:`noise_floor` at any point.
-    """
-
-    def __init__(self, percentile: float = 10.0, max_history: int = 4096):
-        if not 0 < percentile < 100:
-            raise ValueError("percentile must be in (0, 100)")
-        self._percentile = percentile
-        self._max_history = max_history
-        self._history = []
-        self._cached = None
-
-    def update(self, chunk_powers: np.ndarray) -> None:
-        """Fold a batch of per-chunk average powers into the estimate."""
-        arr = np.asarray(chunk_powers, dtype=np.float64).ravel()
-        if arr.size == 0:
-            return
-        self._history.extend(arr.tolist())
-        if len(self._history) > self._max_history:
-            self._history = self._history[-self._max_history :]
-        self._cached = None
-
-    @property
-    def noise_floor(self) -> float:
-        """Current noise-floor power estimate (linear)."""
-        if not self._history:
-            raise RuntimeError("no chunk powers observed yet")
-        if self._cached is None:
-            self._cached = float(np.percentile(self._history, self._percentile))
-        return self._cached
-
-    @property
-    def n_observed(self) -> int:
-        return len(self._history)
-
-
 def estimate_noise_floor(samples: np.ndarray, chunk_samples: int = DEFAULT_CHUNK_SAMPLES,
                          percentile: float = 10.0) -> float:
-    """One-shot noise-floor estimate over a whole buffer."""
-    est = NoiseFloorEstimator(percentile=percentile)
-    est.update(chunk_average_power(samples, chunk_samples))
-    return est.noise_floor
+    """One-shot noise-floor estimate over a whole buffer: a low percentile
+    of its chunk powers (the ether is idle part of the time even when
+    busy)."""
+    return float(np.percentile(chunk_average_power(samples, chunk_samples),
+                               percentile))

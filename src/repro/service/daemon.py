@@ -3,7 +3,8 @@
 One daemon owns one monitor (any :func:`repro.core.make_monitor` kind)
 and one event stream.  An *ingest* client streams IQ windows over the
 socket protocol; a pump thread feeds them through ``Monitor.events()``
-and publishes each :class:`~repro.core.PacketEvent` to the
+(keeping each window's fault records for ``status()``) and publishes
+each :class:`~repro.core.PacketEvent` to the
 :class:`~repro.service.hub.EventHub`,
 which fans out to any number of *subscriber* clients.  A ``/metrics``
 HTTP endpoint exposes the run's metrics as the same Prometheus text
@@ -36,8 +37,10 @@ import math
 import queue
 import socket
 import threading
+from collections import deque
+from dataclasses import asdict
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import List, Optional, Tuple
+from typing import Deque, List, Optional, Tuple
 
 from repro.core.config import MonitorConfig
 from repro.core.errorpolicy import ErrorRecord
@@ -108,6 +111,9 @@ class RFDumpDaemon:
         self.obs = config.obs
         self.kind = kind
         self.errors: List[ErrorRecord] = []
+        #: the newest faults the monitor handled inside windows (NaN
+        #: bursts sanitized, detectors quarantined, ranges shed)
+        self.pipeline_errors: Deque[ErrorRecord] = deque(maxlen=64)
         self._errors_lock = new_lock("daemon.errors")
         self.hub = EventHub(
             policy=slow_consumer_policy(config.on_error),
@@ -215,6 +221,8 @@ class RFDumpDaemon:
         with self._state_lock:
             windows = self._windows_ingested
             stream_error = self._stream_error
+        with self._errors_lock:
+            pipeline_errors = [asdict(e) for e in self.pipeline_errors]
         return {
             "kind": self.kind,
             "windows": windows,
@@ -223,6 +231,7 @@ class RFDumpDaemon:
             "stream_done": self._stream_done.is_set(),
             "stream_error": stream_error,
             "errors": len(self.errors),
+            "pipeline_errors": pipeline_errors,
             "latency": self._latency_status(),
         }
 
@@ -293,8 +302,12 @@ class RFDumpDaemon:
 
         try:
             with make_monitor(self.kind, self.config) as monitor:
-                for event in monitor.events(windows()):
-                    self.hub.publish(event)
+                for report, events in monitor.window_events(windows()):
+                    if report is not None and report.errors:
+                        with self._errors_lock:
+                            self.pipeline_errors.extend(report.errors)
+                    for event in events:
+                        self.hub.publish(event)
         except RFDumpError as exc:
             # the monitor's own policy said raise; the stream is over
             with self._state_lock:

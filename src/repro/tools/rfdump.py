@@ -179,7 +179,7 @@ def run(args) -> int:
         _write_capture_sinks(args, capture, meta)
         return 0
 
-    peaks = scanned = gated = 0
+    counts = Counter()  # peaks and scanned / gated / exact samples
     duration = meta.nsamples / meta.sample_rate
     degradation = None
     forwarded = Counter()  # ranges handed to each protocol's decoder ...
@@ -188,11 +188,8 @@ def run(args) -> int:
     if args.monitor == "rfdump":
         with monitor as streaming:
             for buf in reader:
-                report = streaming.process(buf)
-                peaks += len(report.peaks) if report.peaks is not None else 0
-                scanned += report.total_samples
-                gated += report.gated_samples
-                _count_ranges(report, forwarded, fruitful, overruled)
+                _tally(streaming.process(buf), counts, forwarded, fruitful,
+                       overruled)
             streaming.flush()
         packets = streaming.packets
         classifications = streaming.classifications
@@ -218,10 +215,7 @@ def run(args) -> int:
                 report = monitor.process(buf)
                 packets.extend(report.packets)
                 classifications.extend(report.classifications)
-                peaks += len(report.peaks or [])
-                scanned += report.total_samples
-                gated += report.gated_samples
-                _count_ranges(report, forwarded, fruitful, overruled)
+                _tally(report, counts, forwarded, fruitful, overruled)
                 clock = report.clock if clock is None else clock.merged(report.clock)
     classified = Counter(c.protocol for c in classifications)
 
@@ -247,8 +241,10 @@ def run(args) -> int:
                 }
             )
         print(render_summary(
-            f"{args.trace}: {duration * 1e3:.1f} ms, {peaks} peaks, "
-            f"{100.0 * gated / max(scanned, 1):.1f}% of samples gated",
+            f"{args.trace}: {duration * 1e3:.1f} ms, {counts['peaks']} peaks, "
+            f"{100.0 * counts['gated'] / max(counts['scanned'], 1):.1f}% of "
+            f"samples gated, {100.0 * counts['exact'] / max(counts['scanned'], 1):.1f}"
+            f"% decided sample by sample",
             rows,
             ["protocol", "classifications", "overruled", "ranges",
              "ranges decoded", "decoded packets", "decoded bytes"],
@@ -265,15 +261,18 @@ def run(args) -> int:
     return 0
 
 
-def _count_ranges(report, forwarded: Counter, fruitful: Counter,
-                  overruled: Counter) -> None:
-    """Add one window's dispatched ranges, per protocol, to ``forwarded``,
+def _tally(report, counts: Counter, forwarded: Counter, fruitful: Counter,
+           overruled: Counter) -> None:
+    """Add one window's peaks and scanned / gated / exact samples to
+    ``counts``, its dispatched ranges, per protocol, to ``forwarded``,
     those overlapped by a packet it decoded to ``fruitful`` and the
     classifications dispatch overruled to ``overruled``.
 
     A range the streaming monitor sees again in the next window's
     overlap is counted both times: each is one decoder ``scan``.
     """
+    counts.update(peaks=len(report.peaks or []), scanned=report.total_samples,
+                  gated=report.gated_samples, exact=report.exact_samples)
     for protocol, ranges in report.ranges.items():
         forwarded[protocol] += len(ranges)
         fruitful[protocol] += report.ranges_decoded(protocol)

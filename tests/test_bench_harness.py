@@ -200,7 +200,8 @@ class TestCli:
         names = [line.split()[0] for line in out.splitlines()]
         assert names == ["demod_bluetooth", "demod_wifi", "energy_features",
                          "fft_spectrogram", "peak_detection",
-                         "peak_detection_sparse", "phase_detectors",
+                         "peak_detection_dense", "peak_detection_sparse",
+                         "phase_detectors",
                          "pipeline_mix", "window_latency"]
 
     def test_compare_gate(self, tmp_path, capsys):

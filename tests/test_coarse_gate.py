@@ -97,12 +97,11 @@ def _two_level_mask(x, threshold, cfg=CFG):
                           max(RUN_MERGE_SAMPLES, cfg.energy_window,
                               cfg.min_gap))
     assert runs is not None
-    active, _, offsets, origins = gate_runs(
-        x, None, *runs, cfg.energy_window, threshold,
-        cfg.instantaneous_factor * threshold)
+    fine = gate_runs(x, None, *runs, cfg.energy_window, threshold,
+                     cfg.instantaneous_factor * threshold)
     mask = np.zeros(x.size, dtype=bool)
-    for off, origin, end in zip(offsets, origins, runs[1]):
-        mask[origin:end] = active[off: off + end - origin]
+    for start, end in zip(fine.starts, fine.ends):
+        mask[start:end] = True
     return mask, runs
 
 
@@ -247,15 +246,15 @@ def test_all_idle_and_all_signal_windows():
     assert len(got.history) == 1 and got.gated_samples == busy.size
 
 
-def test_single_run_rule_is_a_property_of_the_chunk_powers():
-    """Floor unknown and at least half the chunks above threshold: one
-    run, no coarse pass."""
-    x = _trace(200_000, [(20_000, 110_000, 4.0)])
-    got = _assert_equal(x, None)
-    assert got.gated_samples == x.size
-    sparse = _trace(200_000, [(20_000, 60_000, 4.0)])
-    got = _assert_equal(sparse, None)
-    assert got.gated_samples < 70_000
+def test_dense_windows_take_the_coarse_pass():
+    """Floor unknown and most chunks above threshold: the coarse pass
+    still skips the idle stretch, and the burst's interior is certified
+    without the running sum."""
+    for length in (110_000, 60_000):
+        x = _trace(200_000, [(20_000, length, 4.0)])
+        got = _assert_equal(x, None)
+        assert got.gated_samples < length + 10_000
+        assert got.exact_samples < 0.05 * length
 
 
 @pytest.mark.parametrize("make", [

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.dsp.energy import (
-    NoiseFloorEstimator,
     chunk_average_power,
     estimate_noise_floor,
     moving_average_power,
@@ -85,20 +84,3 @@ class TestNoiseFloor:
         trace[8000:24000] += 10.0  # a strong long transmission
         floor = estimate_noise_floor(trace)
         assert floor < 2.0
-
-    def test_streaming_updates(self, rng):
-        est = NoiseFloorEstimator()
-        with pytest.raises(RuntimeError):
-            _ = est.noise_floor
-        est.update(np.ones(50))
-        assert est.noise_floor == pytest.approx(1.0)
-        assert est.n_observed == 50
-
-    def test_history_bounded(self):
-        est = NoiseFloorEstimator(max_history=100)
-        est.update(np.ones(500))
-        assert est.n_observed == 100
-
-    def test_rejects_bad_percentile(self):
-        with pytest.raises(ValueError):
-            NoiseFloorEstimator(percentile=0.0)

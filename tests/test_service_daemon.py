@@ -207,6 +207,30 @@ class TestIngestGapDetection:
             assert final["type"] == "done"
             assert final["errors"] == 0
 
+    @pytest.mark.parametrize("kind", ["streaming", "rfdump"])
+    def test_status_lists_the_monitors_fault_records(
+            self, daemon_config, wifi_trace, kind):
+        """A NaN burst the monitor sanitizes under ``degrade`` is a
+        record on its window's report; the daemon keeps it, not only the
+        counter."""
+        import numpy as np
+
+        windows = self._windows(wifi_trace)
+        burst = windows[1].samples.copy()
+        burst[1_000:1_010] = np.nan
+        windows[1] = windows[1].slice(windows[1].start_sample,
+                                      windows[1].end_sample)
+        windows[1].samples = burst
+        with RFDumpDaemon(daemon_config, kind=kind) as daemon:
+            final = self._ingest_raw(daemon, list(enumerate(windows)))
+            assert final["type"] == "done"
+            assert daemon.wait_stream_end(30)
+            listed = daemon.status()["pipeline_errors"]
+        assert [(e["error"], e["action"]) for e in listed] == [
+            ("SampleIntegrityError", "sanitized")]
+        assert listed[0]["start_sample"] <= windows[1].start_sample + 1_000
+        assert listed[0]["end_sample"] >= windows[1].start_sample + 1_010
+
     def test_raise_policy_rejects_gapped_stream(
             self, daemon_config, wifi_trace):
         windows = self._windows(wifi_trace)

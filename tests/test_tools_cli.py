@@ -78,17 +78,21 @@ class TestRfdump:
 
     def test_summary_title_reports_the_gated_share(self, recorded, tmp_path,
                                                    capsys):
-        """``..., N peaks, S% of samples gated``: the share of scanned
-        samples the peak detector's coarse pass could not rule out."""
+        """``..., N peaks, S% of samples gated, E% decided sample by
+        sample``: the share of scanned samples the peak detector's coarse
+        pass could not rule out, and the smaller share whose moving
+        average its fine pass evaluated."""
         import re
 
         def share(path, *flags):
             assert rfdump.main([str(path), "--summary", *flags]) == 0
             title = capsys.readouterr().out.splitlines()[0]
-            match = re.search(r", (\d+) peaks, (\d+\.\d)% of samples gated$",
-                              title)
+            match = re.search(r", (\d+) peaks, (\d+\.\d)% of samples gated, "
+                              r"(\d+\.\d)% decided sample by sample$", title)
             assert match, title
-            return float(match.group(2))
+            gated, exact = float(match.group(2)), float(match.group(3))
+            assert exact <= gated
+            return gated
 
         assert 0.0 < share(recorded) <= 100.0
         assert 0.0 < share(recorded, "--window-ms", "20") <= 100.0
