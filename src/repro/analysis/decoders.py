@@ -261,7 +261,10 @@ class BluetoothStreamDecoder:
     correlates the bit decisions of every symbol alignment of every
     channel with the sync word (``GfskModem.sync_correlation``), and
     each match of ``SYNC_THRESHOLD`` bits or more that does not repeat a
-    decoded packet is demodulated from its own slice of the range.  A
+    decoded packet is demodulated from its own slice of the range — the
+    slice's discriminator rows derived from the range's, bit for bit what
+    discriminating the slice again would give
+    (``GfskModem.discriminate_slice``).  A
     channel hint (from the phase or frequency detector) restricts the
     scan to a single channel.
 
@@ -312,11 +315,13 @@ class BluetoothStreamDecoder:
     def _scan_channels(self, buffer: SampleBuffer,
                        channels: List[int]) -> List[PacketRecord]:
         demod = self.demodulator
-        sps = demod.modem.sps
+        modem = demod.modem
+        sps = modem.sps
         samples = buffer.samples
         offsets_hz = [self._channel_offset(c) for c in channels]
-        disc = demod.modem.discriminate_channels(samples, offsets_hz)
-        correlation = demod.modem.sync_correlation(disc, self._sync)
+        # one discriminator pass: each hit's slice is derived from it
+        freq = modem.frequency_rows(samples, offsets_hz)
+        correlation = modem.centred_sync_correlation(freq, self._sync)
         rows, sync_starts = np.divmod(
             np.flatnonzero(correlation.ravel() >= 2 * demod.SYNC_THRESHOLD - 64),
             max(correlation.shape[1], 1))
@@ -332,8 +337,10 @@ class BluetoothStreamDecoder:
                 continue
             lo = max(start - self._LEAD, 0)
             hi = min(start + self._max_packet, samples.size)
+            disc = modem.discriminate_slice(samples, freq[row : row + 1],
+                                            offsets_hz[row : row + 1], lo, hi)
             try:
-                packet = demod.demodulate(samples[lo:hi], offsets_hz[row])
+                packet = demod.demodulate_discriminated(disc)
             except DecodeError:
                 continue
             decoded_starts.append((row, start))

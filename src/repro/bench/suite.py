@@ -401,7 +401,7 @@ register_benchmark(Benchmark(
 # the channel hint the analysis stage would pass, and with none (all
 # eight in-band channels) — to keep the worst case timed.
 # ``--impl reference`` times the per-channel, per-alignment scan; CI
-# gates ``--require-speedup demod_bluetooth:2.0`` on the same-process pair.
+# gates ``--require-speedup demod_bluetooth:3.0`` on the same-process pair.
 
 def _demod_bluetooth_setup(ctx: BenchContext):
     scale = 0.25 if ctx.quick else 1.0

@@ -227,8 +227,13 @@ class BluetoothDemodulator:
 
         ``channel_offset_hz`` is where the transmission's channel sits
         relative to the centre of ``samples``."""
+        return self.demodulate_discriminated(
+            self.modem.discriminate_channels(samples, (channel_offset_hz,)))
+
+    def demodulate_discriminated(self, disc: np.ndarray) -> BluetoothPacket:
+        """:meth:`demodulate` from the candidate's ``(1, n)``
+        :meth:`GfskModem.discriminate_channels` row."""
         modem = self.modem
-        disc = modem.discriminate_channels(samples, (channel_offset_hz,))
         offset, pos, score = modem.best_match(
             modem.sync_correlation(disc, self._sync)[0])
         self._require_sync(pos, score)

@@ -11,13 +11,15 @@ The receive side exists twice.  ``discriminate`` / ``soft_bits`` /
 filter, one reduction and one ``np.correlate`` per symbol alignment) and
 stay as the oracle; ``discriminate_channels`` / ``sync_correlation`` /
 ``hard_bits`` are what the Bluetooth scan runs: single precision, every
-channel and every alignment from one pass, a tile at a time.
+channel and every alignment from one pass, a tile at a time.  The scan
+discriminates a range once (``frequency_rows``) and derives each
+candidate slice's rows from it (``discriminate_slice``), bit for bit.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -45,17 +47,38 @@ def _mixer_period(cycles: float) -> Optional[np.ndarray]:
     return None
 
 
-def _mixer(cycles: float, count: int) -> np.ndarray:
-    """``exp(2j pi cycles n)`` for ``n < count``, complex64.
+def _mixer(cycles: float, count: int) -> Callable[[int], np.ndarray]:
+    """``start -> exp(2j pi cycles n)`` for ``start <= n < start + count``,
+    complex64.
 
     Bluetooth channels sit on a 1 MHz raster, so the oscillator usually
-    repeats every few samples and is tiled from one period.
+    repeats every few samples: one table of ``count`` samples and a
+    period, tiled once, is read from ``start % period``.  An offset off
+    the raster evaluates ``np.exp`` from ``start`` on each read.
     """
     one = _mixer_period(cycles)
     if one is None:
-        n = np.arange(count, dtype=np.float64)
-        return np.exp(2j * np.pi * cycles * n).astype(np.complex64)
-    return np.tile(one, -(-count // one.size))[:count]
+        def read(start: int) -> np.ndarray:
+            n = np.arange(start, start + count, dtype=np.float64)
+            return np.exp(2j * np.pi * cycles * n).astype(np.complex64)
+        return read
+    table = np.tile(one, -(-count // one.size) + 1)
+    return lambda start: table[start % one.size:][:count]
+
+
+def _row_means(rows: np.ndarray) -> np.ndarray:
+    """Each row's float64 mean, rounded once to float32, as a column."""
+    return rows.mean(axis=1, dtype=np.float64, keepdims=True).astype(np.float32)
+
+
+def centre(rows: np.ndarray) -> np.ndarray:
+    """Remove each row's mean from ``rows``, in place, and return them:
+    what turns :meth:`GfskModem.frequency_rows` into
+    :meth:`GfskModem.discriminate_channels`.  Rows of no samples have no
+    mean and are left as they are."""
+    if rows.shape[1]:
+        rows -= _row_means(rows)
+    return rows
 
 
 class GfskModem:
@@ -89,6 +112,8 @@ class GfskModem:
         if channel_filter and sample_rate > 1.5 * symbol_rate:
             self._chan_taps = fir_lowpass(0.6 * symbol_rate, sample_rate, ntaps=33)
             self._chan_taps32 = self._chan_taps.astype(np.float32)
+        #: filtered sample k of a range reads samples k - _half .. k + _half
+        self._half = 0 if self._chan_taps32 is None else (self._chan_taps32.size - 1) // 2
         #: the central half of each symbol (edges carry ISI) is what a
         #: bit decision averages: samples [_lo, _lo + _width) of the symbol
         self._lo = self.sps // 4
@@ -183,29 +208,85 @@ class GfskModem:
         estimate of channel ``i`` mixed down to DC.  Mixer, channel
         filter and phase derivative all stay in single precision.
         """
+        # fewer than two samples give (channels, 0), which centre()
+        # leaves untouched
+        return centre(self.frequency_rows(samples, channel_offsets_hz))
+
+    def frequency_rows(self, samples: np.ndarray,
+                       channel_offsets_hz: Sequence[float] = (0.0,)) -> np.ndarray:
+        """:meth:`discriminate_channels` before each row's mean is removed
+        (:func:`centre` removes it): what :meth:`centred_sync_correlation`
+        searches and :meth:`discriminate_slice` derives a slice's rows
+        from."""
+        return self._frequency_rows(np.asarray(samples, dtype=np.complex64),
+                                    channel_offsets_hz, 0)
+
+    def discriminate_slice(self, samples: np.ndarray, rows: np.ndarray,
+                           channel_offsets_hz: Sequence[float],
+                           lo: int, hi: int) -> np.ndarray:
+        """:meth:`discriminate_channels` of ``samples[lo:hi]``, bit for bit,
+        from ``rows = frequency_rows(samples, channel_offsets_hz)`` — with
+        the oscillator still indexed from ``samples[0]``.
+
+        A derivative sample whose filter windows lie inside the slice is
+        the range's: it is copied.  Only the ``half`` samples at the head
+        and the ``half`` at the tail whose windows reach past the slice,
+        plus the padded last one, are recomputed, from ``2 * half + 2``
+        samples of the range at each end that is not the range's own; the
+        slice's own mean is then removed.  A slice shorter than its two
+        edges is discriminated whole.
+        """
         x = np.asarray(samples, dtype=np.complex64)
+        half = self._half
+        edge = 2 * half + 2
+        if hi - lo < 2 * edge:
+            out = self._frequency_rows(x[lo:hi], channel_offsets_hz, lo)
+        else:
+            out = rows[:, lo:hi].copy()
+            # where the slice ends with the range, its zero padding is
+            # the range's and so are those samples
+            if lo > 0:
+                head = self._frequency_rows(x[lo : lo + edge], channel_offsets_hz, lo)
+                out[:, :half] = head[:, :half]
+            if hi < x.size:
+                tail = self._frequency_rows(x[hi - edge : hi], channel_offsets_hz,
+                                            hi - edge)
+                out[:, -half - 1:] = tail[:, -half - 1:]
+        return centre(out)
+
+    def _frequency_rows(self, x: np.ndarray, channel_offsets_hz: Sequence[float],
+                        start: int) -> np.ndarray:
+        """The uncentred rows of complex64 ``x``, its sample ``k`` mixed
+        by the oscillator's sample ``start + k``."""
         n = x.size
         rows = len(channel_offsets_hz)
         if n < 2:
             return np.zeros((rows, 0), dtype=np.float32)
         taps = self._chan_taps32
-        half = 0 if taps is None else (taps.size - 1) // 2
-        tile = max(_TILE // rows, 1)
-        width = min(tile, n - 1)
-        # each tile is mixed from phase zero: a constant rotation of a
-        # tile's samples cancels in its phase derivative
+        half = self._half
+        # np.convolve sums a piece shorter than the filter the other way
+        # round, so no piece is left that short (unless the range is):
+        # tiles are over half derivatives long, and a last tile of half
+        # or fewer joins the tile before it
+        tile = max(_TILE // rows, half + 1)
+        ends = list(range(tile, n - 1, tile))
+        if ends and n - 1 - ends[-1] <= half:
+            ends.pop()
+        width = min(tile + half, n - 1)
+        # the oscillator is indexed from the buffer's first sample, not
+        # each tile's: a mixed sample, and so every derivative sample, is
+        # the same whichever tile — or slice — computes it
         mixers = [_mixer(-offset_hz / self.sample_rate, min(width + 1 + 2 * half, n))
                   if offset_hz else None for offset_hz in channel_offsets_hz]
         out = np.empty((rows, n), dtype=np.float32)
         re = np.empty((rows, width + 1), dtype=np.float32)
         im = np.empty_like(re)
         # derivative k needs filtered samples k and k + 1
-        for a in range(0, n - 1, tile):
-            b = min(a + tile, n - 1)
+        for a, b in zip([0] + ends, ends + [n - 1]):
             lo, hi = max(a - half, 0), min(b + 1 + half, n)
             keep = slice(a - lo + half, b + 1 - lo + half)
             for row, mixer in enumerate(mixers):
-                mixed = x[lo:hi] if mixer is None else x[lo:hi] * mixer[: hi - lo]
+                mixed = x[lo:hi] if mixer is None else x[lo:hi] * mixer(start + lo)[: hi - lo]
                 if taps is None:
                     re[row, : b + 1 - a] = mixed.real
                     im[row, : b + 1 - a] = mixed.imag
@@ -219,7 +300,6 @@ class GfskModem:
             # angle(y[k + 1] * conj(y[k]))
             np.arctan2(i1 * r0 - r1 * i0, r1 * r0 + i1 * i0, out=out[:, a:b])
         out[:, n - 1] = out[:, n - 2]
-        out -= out.mean(axis=1, dtype=np.float64, keepdims=True).astype(np.float32)
         return out
 
     def _symbol_sums(self, disc: np.ndarray) -> np.ndarray:
@@ -252,18 +332,31 @@ class GfskModem:
         Only windows that end inside the range are scored, so the result
         is ``(channels, max(n - len(sync_bits) * sps + 1, 0))``.
         """
+        return self._sync_correlation(disc, sync_bits, centred=False)
+
+    def centred_sync_correlation(self, rows: np.ndarray,
+                                 sync_bits: np.ndarray) -> np.ndarray:
+        """:meth:`sync_correlation` of ``centre(rows.copy())`` for
+        :meth:`frequency_rows` output, without the copy: each tile is
+        centred as the search reads it, and ``rows`` is left as it is."""
+        return self._sync_correlation(rows, sync_bits, centred=True)
+
+    def _sync_correlation(self, disc: np.ndarray, sync_bits: np.ndarray,
+                          centred: bool) -> np.ndarray:
         sync = np.asarray(sync_bits, dtype=bool).tolist()
         sps = self.sps
         rows, n = disc.shape
         total = max(n - len(sync) * sps + 1, 0)
         out = np.zeros((rows, total), dtype=np.int8)
+        means = _row_means(disc) if centred and total else None
         # the last symbol of the window starting at k reads up to
         # k + (len(sync) - 1) * sps + _lo + _width
         reach = (len(sync) - 1) * sps + self._lo + self._width
         tile = max(_TILE // rows, 1)
         for a in range(0, total, tile):
             b = min(a + tile, total)
-            sums = self._symbol_sums(disc[:, a : b - 1 + reach])
+            block = disc[:, a : b - 1 + reach]
+            sums = self._symbol_sums(block if means is None else block - means)
             signs = (sums > 0).view(np.int8) - (sums < 0).view(np.int8)
             # +-1 taps: the correlation is adds and subtracts of the
             # sign array's shifted views

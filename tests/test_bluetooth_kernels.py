@@ -15,7 +15,7 @@ from repro.phy.bluetooth import (
     header_info_bits,
     sync_word,
 )
-from repro.phy.gfsk import GfskModem
+from repro.phy.gfsk import GfskModem, centre
 from repro.util.bits import BluetoothWhitener, _crc_bits, bt_hec, unpack_uint
 
 FS = 8e6
@@ -222,6 +222,19 @@ class TestSyncCorrelation:
             monkeypatch.setattr(gfsk, "_TILE", tile)
             assert np.array_equal(modem.sync_correlation(disc, SYNC), whole)
 
+    @pytest.mark.parametrize("n", [0, 1, 64 * 8 - 1, 64 * 8, 9001])
+    def test_centred_search_centres_each_tile_as_it_reads_it(self, modem, monkeypatch, n):
+        from repro.phy import gfsk
+
+        # an offset mean, as a channel's carrier offset leaves in the rows
+        rows = np.stack([_noise(n, seed=s) + 0.05 * s for s in range(3)])
+        before = rows.copy()
+        expected = modem.sync_correlation(centre(rows.copy()), SYNC)
+        for tile in (700, 3 * 8192, 65536):
+            monkeypatch.setattr(gfsk, "_TILE", tile)
+            assert np.array_equal(modem.centred_sync_correlation(rows, SYNC), expected)
+        assert np.array_equal(rows, before)
+
     @pytest.mark.parametrize("fs", [2e6, 4e6])
     def test_other_symbol_lengths(self, fs):
         # (a mean over 8 samples or more, sps >= 16, is not summed in order)
@@ -269,18 +282,20 @@ class TestDiscriminateChannels:
         from repro.phy import gfsk
 
         rx = self._rx(20_011, seed=2)
-        offsets = [-3.5e6, 0.5e6, 2.5e6]
+        offsets = [-3.5e6, 0.5e6, 2.5e6, 1.2345678e6]
         whole = modem.discriminate_channels(rx, offsets)
         for row, offset_hz in enumerate(offsets):
             alone = modem.discriminate_channels(rx, [offset_hz])[0]
             assert np.array_equal(alone, whole[row])
-        for tile in (999, 4096, 3 * 8192):
+        # 1: the shortest tile (17 derivatives); 5 332: 1 333 a row, so
+        # the last tile would be 15 derivatives, a 32-sample piece that
+        # np.convolve sums the other way round — it joins the one before
+        for tile in (1, 999, 5332, 4096, 3 * 8192, 65536):
             monkeypatch.setattr(gfsk, "_TILE", tile)
             tiled = modem.discriminate_channels(rx, offsets)
-            # each tile is mixed from phase zero, so its samples are the
-            # whole range's rotated by a constant: equal up to rounding,
-            # which a near-zero lag product magnifies
-            assert (np.abs(tiled - whole) < 1e-4).mean() > 0.999
+            # the oscillator is indexed from the range's first sample,
+            # so a tile mixes its samples exactly as the whole range does
+            assert np.array_equal(tiled, whole)
 
     def test_an_offset_off_the_raster_takes_the_computed_mixer(self, modem):
         from repro.emulator.channel import apply_freq_offset
@@ -304,3 +319,97 @@ class TestDiscriminateChannels:
         rx = self._rx(5_000, seed=4)
         disc = modem.discriminate_channels(rx)[0]
         assert (np.abs(disc - modem.discriminate(rx)) < 1e-3).mean() > 0.999
+
+    def test_frequency_rows_are_the_rows_before_centring(self, modem):
+        rx = self._rx(3_001, seed=5)
+        rows = modem.frequency_rows(rx, [0.5e6, -1.5e6])
+        disc = modem.discriminate_channels(rx, [0.5e6, -1.5e6])
+        assert np.array_equal(centre(rows.copy()), disc)
+        assert not np.array_equal(rows, disc)
+
+
+# -- a slice's rows, derived from its range's ---------------------------------
+
+#: every in-band channel of an 8 MHz capture centred between two channels
+EIGHT = [-3.5e6, -2.5e6, -1.5e6, -0.5e6, 0.5e6, 1.5e6, 2.5e6, 3.5e6]
+#: no period of 64 samples or fewer: the mixer evaluates np.exp
+OFF_RASTER = 1.2345678e6
+
+
+def _rediscriminated(modem, rx, offsets, lo, hi):
+    """discriminate_channels(rx[lo:hi]) with the oscillator still indexed
+    from rx[0], as the range's rows have it."""
+    return centre(modem._frequency_rows(rx[lo:hi], offsets, lo))
+
+
+class TestDiscriminateSlice:
+    @pytest.fixture(scope="class")
+    def modem(self):
+        return GfskModem(FS)
+
+    def _rx(self, n, seed):
+        rng = np.random.default_rng(seed)
+        return (rng.normal(size=n) + 1j * rng.normal(size=n)).astype(np.complex64)
+
+    def _assert_derived(self, modem, rx, offsets, bounds):
+        rows = modem.frequency_rows(rx, offsets)
+        for lo, hi in bounds:
+            derived = modem.discriminate_slice(rx, rows, offsets, lo, hi)
+            assert derived.shape == (len(offsets), hi - lo)
+            assert derived.dtype == np.float32
+            assert np.array_equal(derived, _rediscriminated(modem, rx, offsets, lo, hi)), \
+                (lo, hi)
+
+    def _random_bounds(self, n, count, seed):
+        rng = np.random.default_rng(seed)
+        lo = rng.integers(0, n - 1, count)
+        return [(int(a), int(rng.integers(a + 2, n + 1))) for a in lo]
+
+    @pytest.mark.parametrize("offset_hz", [-1.5e6, 0.0, OFF_RASTER])
+    def test_one_hinted_row(self, modem, offset_hz):
+        rx = self._rx(23_457, seed=11)
+        self._assert_derived(modem, rx, [offset_hz], self._random_bounds(rx.size, 60, 1))
+
+    def test_eight_rows_over_several_tiles(self, modem):
+        # 8 rows: 8 192 derivatives a tile, so a range of 30 001 is four
+        # tiles and most slices cross a tile edge
+        rx = self._rx(30_001, seed=12)
+        self._assert_derived(modem, rx, EIGHT, self._random_bounds(rx.size, 40, 2))
+
+    def test_off_raster_among_eight(self, modem):
+        rx = self._rx(20_000, seed=13)
+        offsets = EIGHT[:7] + [OFF_RASTER]
+        self._assert_derived(modem, rx, offsets, self._random_bounds(rx.size, 20, 3))
+
+    @pytest.mark.parametrize("offsets", [[2.5e6], EIGHT, [OFF_RASTER]])
+    def test_range_edges_and_short_slices(self, modem, offsets):
+        n = 9_001
+        rx = self._rx(n, seed=14)
+        edge = 2 * modem._half + 2
+        bounds = [(0, n), (0, 5_000), (4_000, n), (0, 2), (n - 2, n),
+                  (700, 705), (700, 700 + 2 * edge - 1), (700, 700 + 2 * edge),
+                  (n - 2 * edge, n), (0, 2 * edge + 1), (1, n - 1)]
+        self._assert_derived(modem, rx, offsets, bounds)
+
+    def test_all_zero_range(self, modem):
+        rx = np.zeros(12_000, np.complex64)
+        rows = modem.frequency_rows(rx, EIGHT)
+        for lo, hi in [(0, 12_000), (300, 9_000), (5, 40)]:
+            derived = modem.discriminate_slice(rx, rows, EIGHT, lo, hi)
+            assert not derived.any()
+            assert np.array_equal(derived, _rediscriminated(modem, rx, EIGHT, lo, hi))
+
+    def test_on_the_phase_grid_it_is_discriminate_channels(self, modem):
+        # at 8 Msps a 1 MHz raster offset repeats every 8 samples: a slice
+        # starting on a multiple of 8 has the range's phase reference
+        rx = self._rx(15_000, seed=15)
+        rows = modem.frequency_rows(rx, EIGHT)
+        for lo, hi in [(0, 15_000), (800, 14_003), (4_096, 9_999)]:
+            assert np.array_equal(modem.discriminate_slice(rx, rows, EIGHT, lo, hi),
+                                  modem.discriminate_channels(rx[lo:hi], EIGHT))
+
+    def test_no_channel_filter(self):
+        modem = GfskModem(FS, channel_filter=False)
+        rx = self._rx(5_000, seed=16)
+        self._assert_derived(modem, rx, [0.5e6, OFF_RASTER],
+                             self._random_bounds(rx.size, 20, 4) + [(0, 2), (10, 14)])
