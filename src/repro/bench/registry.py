@@ -1,6 +1,6 @@
 """The benchmark registry: benches declare themselves, the runner discovers them.
 
-Mirrors the ``repro.lint`` rule registry: :mod:`repro.bench.suite`
+A name-keyed registry filled at import: :mod:`repro.bench.suite`
 self-registers the default benchmarks on import, and
 :func:`all_benchmarks` triggers that import lazily so constructing the
 registry costs nothing until a runner needs it.

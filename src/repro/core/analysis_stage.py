@@ -70,7 +70,6 @@ from repro.core.errorpolicy import ErrorRecord, validate_error_policy
 from repro.dsp.samples import SampleBuffer
 from repro.errors import DecodeTimeoutError, WorkerCrashError
 from repro.obs import NULL
-from repro.sanitize.hooks import new_lock
 
 BACKENDS = ("thread", "process")
 
@@ -259,10 +258,10 @@ class AnalysisStage:
         # guards the executor handle: the streaming monitor's run loop
         # rebuilds a broken pool while a daemon stop() may close() the
         # stage from another thread; a torn handoff leaks a pool
-        self._pool_lock = new_lock("parallel.pool")
+        self._pool_lock = threading.Lock()
         # guards the leaked-slot count and its pool generation; leaks
         # are reclaimed from worker done-callbacks, i.e. other threads
-        self._leak_lock = new_lock("parallel.leaks")
+        self._leak_lock = threading.Lock()
         self._leaked = 0
         self._pool_generation = 0
 

@@ -20,8 +20,11 @@ estimate is not the one frozen — the next clean window's is.  The
 errors
 (:class:`~repro.errors.StreamGapError`,
 :class:`~repro.errors.SampleIntegrityError`), ``"skip"`` drops the
-offending window, and ``"degrade"`` resynchronizes across gaps and
-sanitizes non-finite bursts, counting every lost sample.
+offending window, and ``"degrade"`` resynchronizes across gaps, counting
+every lost sample.  Under every other policy a window holding
+non-finite samples is analysed, and the peak detector applies the one
+non-finite rule (:func:`~repro.core.errorpolicy.sanitize_nonfinite`)
+exactly as it does for a one-shot :class:`RFDumpMonitor`.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from repro.core.errorpolicy import ErrorRecord
 from repro.core.monitor import Monitor
 from repro.core.pipeline import MonitorReport, RFDumpMonitor
 from repro.dsp.samples import SampleBuffer
-from repro.errors import SampleIntegrityError, StreamGapError
+from repro.errors import StreamGapError
 from repro.obs import NULL
 
 
@@ -129,9 +132,9 @@ class StreamingMonitor(Monitor):
         self._emitted_to = max(self._emitted_to, frontier)
 
     def _check_stream(self, window: SampleBuffer, obs,
-                      errors: List[ErrorRecord]) -> Optional[SampleBuffer]:
-        """Apply the stream-fault policy; returns the window to process
-        (possibly sanitized) or None when the skip policy dropped it."""
+                      errors: List[ErrorRecord]) -> bool:
+        """Apply the stream-fault policy; False when the skip policy
+        dropped the window."""
         # -- continuity ------------------------------------------------------
         if (self._tail is not None and len(self._tail)
                 and self._tail.end_sample != window.start_sample):
@@ -166,61 +169,36 @@ class StreamingMonitor(Monitor):
             ).inc(lost)
             self._resync(window.start_sample)
         # -- sample integrity ------------------------------------------------
-        if self.on_error is not None:
+        # Only skip acts here: under raise and degrade the window goes on,
+        # and the peak detector applies the one non-finite rule
+        # (errorpolicy.sanitize_nonfinite) to the window it gates.
+        if self.on_error == "skip":
             bad = int(len(window) - np.count_nonzero(
                 np.isfinite(window.samples)
             ))
             if bad:
-                if self.on_error == "raise":
-                    raise SampleIntegrityError(
-                        f"{bad} non-finite samples in window "
-                        f"[{window.start_sample}, {window.end_sample})",
-                        bad_samples=bad,
-                    )
-                if self.on_error == "skip":
-                    record = ErrorRecord(
-                        stage="stream", component="window",
-                        error="SampleIntegrityError",
-                        message=f"{bad} non-finite samples; window "
-                                f"dropped", action="skipped",
-                        start_sample=window.start_sample,
-                        end_sample=window.end_sample,
-                    )
-                    self.errors.append(record)
-                    errors.append(record)
-                    self.lost_samples += len(window)
-                    obs.counter(
-                        "rfdump_stream_windows_skipped_total",
-                        help="windows dropped by the skip error policy",
-                    ).inc()
-                    self._resync(window.end_sample)
-                    # a zero-length tail at the window's end keeps the
-                    # next window's continuity check honest
-                    self._tail = window.slice(
-                        window.end_sample, window.end_sample
-                    )
-                    return None
-                # degrade: zero the burst and analyze what remains
                 record = ErrorRecord(
                     stage="stream", component="window",
                     error="SampleIntegrityError",
-                    message=f"{bad} non-finite samples sanitized to zero",
-                    action="sanitized", start_sample=window.start_sample,
+                    message=f"{bad} non-finite samples; window dropped",
+                    action="skipped", start_sample=window.start_sample,
                     end_sample=window.end_sample,
                 )
                 self.errors.append(record)
                 errors.append(record)
+                self.lost_samples += len(window)
                 obs.counter(
-                    "rfdump_stream_nonfinite_samples_total",
-                    help="NaN/Inf samples zeroed by the degrade policy",
-                ).inc(bad)
-                samples = np.nan_to_num(
-                    window.samples, nan=0.0, posinf=0.0, neginf=0.0
+                    "rfdump_stream_windows_skipped_total",
+                    help="windows dropped by the skip error policy",
+                ).inc()
+                self._resync(window.end_sample)
+                # a zero-length tail at the window's end keeps the
+                # next window's continuity check honest
+                self._tail = window.slice(
+                    window.end_sample, window.end_sample
                 )
-                window = SampleBuffer(
-                    samples, window.timebase, window.start_sample
-                )
-        return window
+                return False
+        return True
 
     def process(self, window: SampleBuffer) -> MonitorReport:
         """Process the next contiguous window; returns its report.
@@ -237,10 +215,8 @@ class StreamingMonitor(Monitor):
             # face the continuity check.
             return self._empty_report()
         stream_errors: List[ErrorRecord] = []
-        checked = self._check_stream(window, obs, stream_errors)
-        if checked is None:  # skip policy dropped the window
+        if not self._check_stream(window, obs, stream_errors):
             return self._empty_report(stream_errors)
-        window = checked
         stitched = self._stitch(window)
         obs.counter(
             "rfdump_stream_windows_total", help="stream windows processed"

@@ -38,7 +38,7 @@ def phase_second_derivative(samples: np.ndarray) -> np.ndarray:
     d2 = np.diff(d1)
     # wrap back into (-pi, pi]: a trick on float64 phase differences,
     # not an IQ buffer
-    return np.angle(np.exp(1j * d2))  # rfdump: noqa[RFD202]
+    return np.angle(np.exp(1j * d2))
 
 
 def estimate_cfo(samples: np.ndarray, sample_rate: float) -> float:
@@ -101,4 +101,4 @@ def remove_cfo(samples: np.ndarray, cfo_hz: float, sample_rate: float) -> np.nda
     n = np.arange(x.size, dtype=np.float64)
     # the mixing oscillator stays float64 so the phase ramp is accurate
     # over long buffers; decoders re-cast at the boundary
-    return x * np.exp(-2j * np.pi * cfo_hz * n / sample_rate)  # rfdump: noqa[RFD202]
+    return x * np.exp(-2j * np.pi * cfo_hz * n / sample_rate)

@@ -13,10 +13,9 @@ the same bucket counts.
 
 from __future__ import annotations
 
+import threading
 from bisect import bisect_left
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
-
-from repro.sanitize.hooks import new_lock
 
 LabelSet = Tuple[Tuple[str, str], ...]
 
@@ -165,7 +164,7 @@ class MetricsRegistry:
         self.namespace = namespace
         self._metrics: Dict[Tuple[str, LabelSet], Metric] = {}
         self._kinds: Dict[str, str] = {}
-        self._lock = new_lock("obs.registry")
+        self._lock = threading.Lock()
 
     def _get_or_create(self, cls, name: str, help: str, labels: Dict[str, object],
                        **kwargs) -> Metric:

@@ -28,8 +28,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.sanitize.hooks import new_lock
-
 
 @dataclass
 class Span:
@@ -85,7 +83,7 @@ class Tracer:
         self._local = threading.local()
         # leaf domain: held only for the list append, never while
         # calling out of the tracer
-        self._lock = new_lock("obs.tracer")
+        self._lock = threading.Lock()
 
     def _now(self) -> float:
         return self._clock() - self._epoch

@@ -32,7 +32,7 @@ def cck_codeword(phi1: float, phi2: float, phi3: float, phi4: float) -> np.ndarr
     # symbol-domain math at full precision (the table doubles as the
     # receive-side ML correlation template); modulate_cck casts to
     # complex64 at the waveform boundary
-    c = np.array(  # rfdump: noqa[RFD202]
+    c = np.array(
         [
             np.exp(1j * (phi1 + phi2 + phi3 + phi4)),
             np.exp(1j * (phi1 + phi3 + phi4)),
@@ -60,7 +60,7 @@ def cck_chips_11mbps(bits: np.ndarray, initial_phase: float = 0.0) -> np.ndarray
         phi1 = phi1 + _DIBIT_PHASE[d1]  # differential on phi1
         out.append(cck_codeword(phi1, _DIBIT_PHASE[d2], _DIBIT_PHASE[d3], _DIBIT_PHASE[d4]))
     # the empty-stream sentinel matches the (float64-domain) codeword dtype
-    return np.concatenate(out) if out else np.zeros(0, dtype=np.complex128)  # rfdump: noqa[RFD201]
+    return np.concatenate(out) if out else np.zeros(0, dtype=np.complex128)
 
 
 def cck_chips_5_5mbps(bits: np.ndarray, initial_phase: float = 0.0) -> np.ndarray:
@@ -79,7 +79,7 @@ def cck_chips_5_5mbps(bits: np.ndarray, initial_phase: float = 0.0) -> np.ndarra
         phi4 = b3 * np.pi
         out.append(cck_codeword(phi1, phi2, phi3, phi4))
     # the empty-stream sentinel matches the (float64-domain) codeword dtype
-    return np.concatenate(out) if out else np.zeros(0, dtype=np.complex128)  # rfdump: noqa[RFD201]
+    return np.concatenate(out) if out else np.zeros(0, dtype=np.complex128)
 
 
 def modulate_cck(bits: np.ndarray, rate_mbps: float, sample_rate: float,

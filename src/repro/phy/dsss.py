@@ -28,7 +28,7 @@ def dbpsk_symbols(bits: np.ndarray, initial_phase: float = 0.0) -> np.ndarray:
     phases = initial_phase + np.cumsum(jumps)
     # symbol-domain (differential phase) math; symbols_to_waveform casts
     # to complex64 at the waveform boundary
-    return np.exp(1j * phases)  # rfdump: noqa[RFD202]
+    return np.exp(1j * phases)
 
 
 def dqpsk_symbols(bits: np.ndarray, initial_phase: float = 0.0) -> np.ndarray:
@@ -40,7 +40,7 @@ def dqpsk_symbols(bits: np.ndarray, initial_phase: float = 0.0) -> np.ndarray:
     jumps = np.array([_DQPSK_JUMPS[int(d)] for d in dibits])
     phases = initial_phase + np.cumsum(jumps)
     # symbol-domain math, cast at the waveform boundary (as dbpsk_symbols)
-    return np.exp(1j * phases)  # rfdump: noqa[RFD202]
+    return np.exp(1j * phases)
 
 
 def dqpsk_bits_from_jumps(jumps: np.ndarray) -> np.ndarray:
@@ -105,9 +105,9 @@ def correlate_symbols(
     # per-symbol correlation deliberately accumulates at float64 for
     # decision margin; the empty-result sentinel matches that dtype
     if n_symbols <= 0:
-        return np.zeros(0, dtype=np.complex128)  # rfdump: noqa[RFD201]
+        return np.zeros(0, dtype=np.complex128)
     block = samples[offset : offset + n_symbols * sps].reshape(n_symbols, sps)
-    return block @ template.astype(np.complex128)  # rfdump: noqa[RFD201]
+    return block @ template.astype(np.complex128)
 
 
 def differential_decisions(correlations: np.ndarray) -> np.ndarray:

@@ -43,7 +43,7 @@ def _training_symbols() -> np.ndarray:
     # np.fft computes in complex128 whatever the input dtype, so the
     # training symbols stay in that domain; the emitted waveform is cast
     # to complex64 downstream
-    return (2.0 * rng.integers(0, 2, N_SUBCARRIERS) - 1.0).astype(np.complex128)  # rfdump: noqa[RFD201]
+    return (2.0 * rng.integers(0, 2, N_SUBCARRIERS) - 1.0).astype(np.complex128)
 
 
 _TRAINING = _training_symbols()
@@ -72,7 +72,7 @@ class OfdmModem:
 
     def _symbol_from_subcarriers(self, values: np.ndarray) -> np.ndarray:
         # np.fft's own precision (see _training_symbols); cast downstream
-        spectrum = np.zeros(FFT_SIZE, dtype=np.complex128)  # rfdump: noqa[RFD201]
+        spectrum = np.zeros(FFT_SIZE, dtype=np.complex128)
         spectrum[_SUBCARRIERS] = values
         # scale for unit mean time-domain power, like the other PHYs
         time = np.fft.ifft(spectrum) * (FFT_SIZE / np.sqrt(N_SUBCARRIERS))

@@ -178,7 +178,7 @@ class ZigbeeDemodulator:
         if np.abs(rotation) > 0:
             # a scalar phasor: NEP-50 weak promotion keeps the complex64
             # sample buffer complex64
-            samples = samples * np.exp(-1j * np.angle(rotation))  # rfdump: noqa[RFD202]
+            samples = samples * np.exp(-1j * np.angle(rotation))
         # Decode the head with slack and locate the SFD symbol pair: the
         # correlation lock may sit on any of the 8 preamble symbols.
         head_symbols = _PREAMBLE_SYMBOLS + 4 + 2  # preamble + SFD + PHR + slack

@@ -11,11 +11,11 @@ HTTP endpoint exposes the run's metrics as the same Prometheus text
 page ``rfdump --metrics-out`` writes.
 
 Determinism discipline: the daemon contains **no clock reads** — not
-even monotonic ones (lint rules RFD101/RFD103).  All waiting is done
-with socket timeouts, ``queue.get(timeout=...)`` and
-``threading.Event.wait``; every timestamp a subscriber sees is derived
-from sample indices by the pipeline, so a daemon replay of a trace is
-byte-identical to a CLI run of the same trace.
+even monotonic ones.  All waiting is done with socket timeouts,
+``queue.get(timeout=...)`` and ``threading.Event.wait``; every
+timestamp a subscriber sees is derived from sample indices by the
+pipeline, so a daemon replay of a trace is byte-identical to a CLI run
+of the same trace.
 
 Ingest faults slot into the :mod:`repro.core.errorpolicy` taxonomy:
 
@@ -48,7 +48,6 @@ from repro.core.monitor import MONITOR_NAMES, make_monitor
 from repro.errors import RFDumpError, ServiceProtocolError
 from repro.obs import Observability, render_prometheus
 from repro.obs.metrics import Histogram
-from repro.sanitize.hooks import new_lock
 from repro.service import protocol
 from repro.service.hub import (
     DISCONNECTED,
@@ -114,7 +113,7 @@ class RFDumpDaemon:
         #: the newest faults the monitor handled inside windows (NaN
         #: bursts sanitized, detectors quarantined, ranges shed)
         self.pipeline_errors: Deque[ErrorRecord] = deque(maxlen=64)
-        self._errors_lock = new_lock("daemon.errors")
+        self._errors_lock = threading.Lock()
         self.hub = EventHub(
             policy=slow_consumer_policy(config.on_error),
             queue_depth=queue_depth,
@@ -125,7 +124,7 @@ class RFDumpDaemon:
         self._port = port
         self._metrics_port = metrics_port
         self._ingest_queue: "queue.Queue" = queue.Queue(maxsize=ingest_depth)
-        self._ingest_claimed = new_lock("daemon.ingest-claim")
+        self._ingest_claimed = threading.Lock()
         self._windows_ingested = 0
         self._stop = threading.Event()
         self._stream_done = threading.Event()
@@ -134,12 +133,12 @@ class RFDumpDaemon:
         self._metrics_server: Optional[ThreadingHTTPServer] = None
         self._threads: List[threading.Thread] = []
         self._conns: List[socket.socket] = []
-        self._conns_lock = new_lock("daemon.conns")
+        self._conns_lock = threading.Lock()
         # guards the cross-thread scalars and the thread roster: _threads
         # grows from the accept thread while stop() (any thread) walks it,
         # _windows_ingested is bumped by the ingest thread and read by
         # /healthz, _stream_error is set by the pump and read everywhere
-        self._state_lock = new_lock("daemon.state")
+        self._state_lock = threading.Lock()
 
     # -- lifecycle -------------------------------------------------------------
 

@@ -31,13 +31,13 @@ the same record type the pipeline uses for its handled faults.
 from __future__ import annotations
 
 import socket
+import threading
 from collections import deque
 from typing import Callable, Deque, Dict, List, Optional
 
 from repro.core.errorpolicy import ErrorRecord
 from repro.core.events import PacketEvent
 from repro.obs import NULL, Observability
-from repro.sanitize.hooks import new_condition, new_lock
 
 #: slow-consumer policies, keyed by the error-policy value they map from
 POLICY_DISCONNECT = "disconnect"
@@ -102,7 +102,7 @@ class SubscriberQueue:
         self._items: Deque[object] = deque()
         # lock-order discipline: "service.subscriber" is a leaf domain,
         # always acquired after (never before) "service.hub"
-        self._cond = new_condition("service.subscriber")
+        self._cond = threading.Condition()
         self._closed = False
 
     def put(self, event: PacketEvent) -> bool:
@@ -182,7 +182,7 @@ class EventHub:
         self.queue_depth = queue_depth
         self._obs = obs if obs is not None else NULL
         self._on_error_record = on_error_record
-        self._lock = new_lock("service.hub")
+        self._lock = threading.Lock()
         self._subscribers: Dict[int, SubscriberQueue] = {}
         self._backlog: List[PacketEvent] = []
         self._next_sid = 0

@@ -106,12 +106,14 @@ class TestNaNBurst:
         plan = self._plan()
         run = run_faulted(windows, plan, on_error="degrade",
                           overlap=OVERLAP, protocols=("wifi",), obs=obs)
-        (record,) = [e for e in run.monitor.errors
-                     if e.error == "SampleIntegrityError"]
-        assert record.action == "sanitized"
+        # the peak detector's one rule, recorded on the window's report
+        (record,) = [e for r in run.reports for e in r.errors]
+        assert (record.component, record.action) == (
+            "PeakDetector", "sanitized")
         assert obs.registry.value(
-            "rfdump_stream_nonfinite_samples_total"
+            "rfdump_peak_nonfinite_samples_total"
         ) == 512
+        assert run.monitor.errors == []  # no stream-level fault
         assert run.monitor.lost_samples == 0  # sanitized, not dropped
         spans = plan.affected_spans(margin=OVERLAP)
         assert _outside(run.packets, spans) == _outside(clean.packets, spans)
@@ -165,6 +167,27 @@ class TestNaNBurst:
         spans = plan.affected_spans(margin=OVERLAP)
         assert _outside(run.packets, spans) == _outside(clean.packets, spans)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_degrade_keeps_detecting_after_nan_in_first_window(
+        self, windows, clean
+    ):
+        # regression: the stream used to zero the burst itself, so the
+        # peak detector never recorded it and the first window's floor
+        # was frozen at 0.0 -- every later window gated deaf
+        obs = Observability()
+        plan = FaultPlan(
+            NaNBurstInjector(burst_samples=20_000, offset=10_000, at=(0,))
+        )
+        run = run_faulted(windows, plan, on_error="degrade",
+                          overlap=OVERLAP, protocols=("wifi",), obs=obs)
+        spans = plan.affected_spans(margin=OVERLAP)
+        assert _outside(clean.packets, spans)  # comparison is not vacuous
+        assert _outside(run.packets, spans) == _outside(clean.packets, spans)
+        assert run.monitor._noise_floor > 0
+        assert obs.registry.value(
+            "rfdump_stream_nonfinite_noise_floor_total"
+        ) == 1
+
 
 class TestEmptyDiscontiguousWindow:
     def test_degrade_absorbs_emptied_window(self, windows, clean):
@@ -204,8 +227,12 @@ class TestComposedFaults:
         monitor = run.monitor
         assert monitor.gaps == 1
         assert monitor.lost_samples == 2_000
-        assert {e.error for e in monitor.errors} == {
-            "StreamGapError", "SampleIntegrityError"
+        assert {(e.error, e.action) for r in run.reports
+                for e in r.errors} == {
+            ("StreamGapError", "resync"), ("SampleIntegrityError", "sanitized")
         }
+        assert obs.registry.value(
+            "rfdump_peak_nonfinite_samples_total"
+        ) == 256
         spans = plan.affected_spans(margin=OVERLAP)
         assert _outside(run.packets, spans) == _outside(clean.packets, spans)

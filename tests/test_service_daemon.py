@@ -1,17 +1,29 @@
-"""Tests for RFDumpDaemon: ingest, fan-out, gaps, metrics, equivalence."""
+"""Tests for RFDumpDaemon: ingest, fan-out, gaps, metrics, equivalence,
+lock order."""
 
+import linecache
+import re
 import socket
+import sys
 import threading
 
 import pytest
 
 from repro import MonitorConfig
-from repro.core import make_monitor
+from repro.core import analysis_stage, make_monitor
 from repro.errors import ServiceProtocolError
+from repro.obs import Observability, metrics, tracing
 from repro.service import RFDumpDaemon, replay_trace, subscribe_events
+from repro.service import daemon as daemon_module
+from repro.service import hub as hub_module
 from repro.service import protocol
 from repro.service.client import fetch_metrics, window_samples
-from repro.service.hub import POLICY_DISCONNECT, POLICY_DROP_NEW, POLICY_DROP_OLD
+from repro.service.hub import (
+    POLICY_DISCONNECT,
+    POLICY_DROP_NEW,
+    POLICY_DROP_OLD,
+    EventHub,
+)
 from repro.trace import write_trace
 from repro.trace.io import TraceReader
 
@@ -264,3 +276,199 @@ class TestMetricsEndpoint:
             assert health["events"] == done["events"]
             with pytest.raises(ServiceProtocolError):
                 fetch_metrics(daemon.metrics_address, path="/nope")
+
+
+# -- lock order ----------------------------------------------------------------
+#
+# The ten lock sites, by (module, attribute), and the domain DESIGN.md's
+# lock table names them by.  A lock created anywhere else in these
+# modules is reported as undocumented.
+LOCK_DOMAINS = {
+    ("repro.obs.metrics", "_lock"): "obs.registry",
+    ("repro.obs.tracing", "_lock"): "obs.tracer",
+    ("repro.service.hub", "_lock"): "service.hub",
+    ("repro.service.hub", "_cond"): "service.subscriber",
+    ("repro.service.daemon", "_errors_lock"): "daemon.errors",
+    ("repro.service.daemon", "_ingest_claimed"): "daemon.ingest-claim",
+    ("repro.service.daemon", "_conns_lock"): "daemon.conns",
+    ("repro.service.daemon", "_state_lock"): "daemon.state",
+    ("repro.core.analysis_stage", "_pool_lock"): "parallel.pool",
+    ("repro.core.analysis_stage", "_leak_lock"): "parallel.leaks",
+}
+
+#: every (held -> acquired) order the design allows; no other nesting
+DOCUMENTED_EDGES = {
+    ("daemon.ingest-claim", "daemon.errors"),
+    ("daemon.ingest-claim", "daemon.state"),
+    ("daemon.ingest-claim", "obs.registry"),
+    ("daemon.ingest-claim", "service.hub"),
+    ("service.hub", "service.subscriber"),
+}
+
+_ASSIGNED_ATTR = re.compile(r"self\.(\w+)\s*[:=]")
+
+
+class _LockRecorder:
+    """Per-thread held stacks over recording locks: which domains were
+    taken, every (held -> acquired) edge, and every re-acquisition."""
+
+    def __init__(self):
+        self._mutex = threading.Lock()
+        self._local = threading.local()
+        self.acquired = set()
+        self.edges = set()
+        self.problems = []
+
+    def _held(self):
+        if not hasattr(self._local, "held"):
+            self._local.held = []
+        return self._local.held
+
+    def report(self, problem):
+        with self._mutex:
+            self.problems.append(problem)
+
+    def before_acquire(self, lock, blocking):
+        if any(held is lock for held in self._held()):
+            self.report(f"re-acquire of {lock.domain}")
+            if blocking:  # proceeding would deadlock the test
+                raise RuntimeError(f"re-acquire of {lock.domain}")
+
+    def after_acquire(self, lock):
+        held = self._held()
+        with self._mutex:
+            self.acquired.add(lock.domain)
+            self.edges.update((h.domain, lock.domain) for h in held)
+        held.append(lock)
+
+    def released(self, lock):
+        held = self._held()
+        for i in range(len(held) - 1, -1, -1):
+            if held[i] is lock:
+                del held[i]
+                return
+
+    def violations(self):
+        return self.problems + [
+            f"undocumented lock order {a} -> {b}"
+            for a, b in sorted(self.edges - DOCUMENTED_EDGES)]
+
+
+class _RecordingLock:
+    def __init__(self, recorder, domain):
+        self._recorder = recorder
+        self.domain = domain
+        self._inner = threading.Lock()
+
+    def acquire(self, blocking=True, timeout=-1):
+        self._recorder.before_acquire(self, blocking and timeout < 0)
+        acquired = self._inner.acquire(blocking, timeout)
+        if acquired:
+            self._recorder.after_acquire(self)
+        return acquired
+
+    def release(self):
+        self._inner.release()
+        self._recorder.released(self)
+
+    def locked(self):
+        return self._inner.locked()
+
+    def __enter__(self):
+        return self.acquire()
+
+    def __exit__(self, *exc):
+        self.release()
+
+
+class _RecordingCondition(_RecordingLock):
+    def __init__(self, recorder, domain):
+        super().__init__(recorder, domain)
+        self._cond = threading.Condition(self._inner)
+
+    def wait(self, timeout=None):
+        self._recorder.released(self)
+        try:
+            return self._cond.wait(timeout)
+        finally:
+            self._recorder.after_acquire(self)
+
+    def notify(self, n=1):
+        self._cond.notify(n)
+
+    def notify_all(self):
+        self._cond.notify_all()
+
+
+class _RecordingThreading:
+    """``threading`` as the lock-owning modules see it under test: every
+    ``Lock()`` / ``Condition()`` records, named by its creation site."""
+
+    def __init__(self, recorder):
+        self._recorder = recorder
+
+    def __getattr__(self, name):
+        return getattr(threading, name)
+
+    def _domain(self):
+        caller = sys._getframe(2)
+        line = linecache.getline(caller.f_code.co_filename, caller.f_lineno)
+        attr = _ASSIGNED_ATTR.search(line)
+        site = (caller.f_globals["__name__"], attr and attr.group(1))
+        if site not in LOCK_DOMAINS:
+            self._recorder.report(f"undocumented lock created at {site}")
+        return LOCK_DOMAINS.get(site, f"{site}")
+
+    def Lock(self):
+        return _RecordingLock(self._recorder, self._domain())
+
+    def Condition(self):
+        return _RecordingCondition(self._recorder, self._domain())
+
+
+@pytest.fixture
+def lock_recorder(monkeypatch):
+    recorder = _LockRecorder()
+    patched = _RecordingThreading(recorder)
+    for module in (metrics, tracing, hub_module, daemon_module,
+                   analysis_stage):
+        monkeypatch.setattr(module, "threading", patched)
+    return recorder
+
+
+class TestLockOrder:
+    def test_daemon_session_takes_only_documented_edges(
+            self, lock_recorder, daemon_config, wifi_trace_file):
+        config = daemon_config.replace(workers=2, obs=Observability())
+        with RFDumpDaemon(config) as rfdumpd:
+            live = []
+            thread = threading.Thread(
+                target=lambda: live.extend(
+                    subscribe_events(rfdumpd.address, from_seq=0)),
+                daemon=True)
+            thread.start()
+            done = replay_trace(
+                rfdumpd.address, wifi_trace_file, window_ms=WINDOW_MS)
+            late = list(subscribe_events(rfdumpd.address, from_seq=0))
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+            assert rfdumpd.status()["stream_done"]
+        assert len(live) == len(late) == done["events"] > 0
+        assert lock_recorder.acquired == set(LOCK_DOMAINS.values())
+        assert lock_recorder.violations() == []
+        assert {("daemon.ingest-claim", "service.hub"),
+                ("service.hub", "service.subscriber")} <= lock_recorder.edges
+
+    def test_injected_inversion_is_reported(self, lock_recorder):
+        fanout = EventHub()
+        queue = fanout.subscribe()
+        with queue._cond:
+            assert fanout.subscriber_count == 1  # takes service.hub
+        assert lock_recorder.violations() == [
+            "undocumented lock order service.subscriber -> service.hub"]
+
+    def test_reacquire_is_reported(self, lock_recorder):
+        fanout = EventHub()
+        with fanout._lock:
+            assert not fanout._lock.acquire(blocking=False)
+        assert lock_recorder.violations() == ["re-acquire of service.hub"]
