@@ -5,8 +5,8 @@ this is that check as a command.  Each source (every emulator preset,
 plus hand-built short-preamble 2 Mbps frames the emulator does not
 send, plus ``collide``: Wi-Fi pings spaced at Bluetooth slot multiples
 over an l2ping session, so ACKs fuse with DH5 packets) is rendered per
-(seed, SNR) arm and run through four paths — the streaming monitor in
-200 ms and in 20 ms windows, whole-trace ``rfdump`` and the whole-trace
+(seed, SNR) arm and run through five paths — the streaming monitor in
+200, 20 and 5 ms windows, whole-trace ``rfdump`` and the whole-trace
 naive monitor — and the canonical event lines of each stream are
 hashed::
 
@@ -22,11 +22,19 @@ a gained line the ground-truth transmission it overlaps — and exits 1
 if any differ.  The script uses only calls both sides have:
 ``build_preset``, ``Scenario``, ``make_monitor``, ``Monitor.events``,
 ``split_windows``.
+
+Without ``--lines`` every streaming stream is also checked against a
+second observation path: whole-trace ``rfdump`` given the noise floor
+the stream froze from its first window.  The two must emit the same
+lines, ``seq`` stripped; any difference is printed — lost and gained
+lines, each gained one with its ground-truth match — and the command
+exits 1.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
@@ -44,6 +52,7 @@ ARMS = ((3, 20.0), (11, 20.0), (5, 8.0), (7, 4.0))
 PATHS = {
     "stream200": ("streaming", 1_600_000),
     "stream20": ("streaming", 160_000),
+    "stream5": ("streaming", 40_000),
     "rfdump": ("rfdump", None),
     "naive": ("naive", None),
 }
@@ -122,9 +131,11 @@ def _render(source: str, duration: float, arm) -> Tuple[object, Optional[List[Tr
     return trace.buffer, truth
 
 
-def sweep(sources: List[str], duration: float):
+def sweep(sources: List[str], duration: float, oracle: bool = False):
     """``({"source/seedN/SdB/path": {"sha1": ..., "events": n}},
-    {stream: event lines}, {stream: ground truth or None})``."""
+    {stream: event lines}, {stream: ground truth or None},
+    {stream: the one-shot lines given its floor})`` — the last empty
+    unless ``oracle``."""
     from repro.core.config import MonitorConfig
     from repro.core.monitor import make_monitor
     from repro.faults.harness import split_windows
@@ -132,6 +143,7 @@ def sweep(sources: List[str], duration: float):
     streams: Dict[str, Dict[str, object]] = {}
     lines: Dict[str, List[str]] = {}
     truths: Dict[str, Optional[List[Truth]]] = {}
+    one_shot: Dict[str, List[str]] = {}
     for source in sources:
         for arm in (COLLIDE_ARMS if source == COLLIDE else ARMS):
             buffer, truth = _render(source, duration, arm)
@@ -141,12 +153,17 @@ def sweep(sources: List[str], duration: float):
                 with make_monitor(kind, MonitorConfig()) as monitor:
                     found = [event.to_json() for event in monitor.events(windows)]
                 name = f"{source}/seed{seed}/{snr_db:g}dB/{path}"
+                if oracle and kind == "streaming":
+                    config = MonitorConfig(noise_floor=monitor._noise_floor)
+                    with make_monitor("rfdump", config) as whole:
+                        one_shot[name] = [event.to_json() for event
+                                          in whole.events([buffer])]
                 streams[name] = {
                     "sha1": hashlib.sha1("\n".join(found).encode()).hexdigest(),
                     "events": len(found)}
                 lines[name] = found
                 truths[name] = truth
-    return streams, lines, truths
+    return streams, lines, truths, one_shot
 
 
 def _without_seq(line: str) -> str:
@@ -178,6 +195,21 @@ def _print_diff(name: str, here: List[str], there: List[str],
         print(f"  gained {line}  <- {_truth_match(line, truth)}")
 
 
+def check_one_shot(lines: Dict[str, List[str]], one_shot: Dict[str, List[str]],
+                   truths: Dict[str, Optional[List[Truth]]]) -> List[str]:
+    """Print every streaming stream whose lines differ from the one-shot
+    monitor's given its floor; returns their names."""
+    differing = [name for name in sorted(one_shot)
+                 if Counter(map(_without_seq, lines[name]))
+                 != Counter(map(_without_seq, one_shot[name]))]
+    for name in differing:
+        print(f"ONE-SHOT DIFFERS {name}")
+        _print_diff(name, lines[name], one_shot[name], truths[name])
+    print(f"{len(one_shot)} streaming streams: {len(differing)} differ "
+          f"from one-shot rfdump given their floor")
+    return differing
+
+
 def main(argv=None) -> int:
     from repro.emulator.presets import PRESETS
 
@@ -195,14 +227,16 @@ def main(argv=None) -> int:
                         help="include every stream's event lines in the JSON")
     args = parser.parse_args(argv)
 
-    streams, lines, truths = sweep(args.sources, args.duration)
+    streams, lines, truths, one_shot = sweep(args.sources, args.duration,
+                                             oracle=not args.lines)
     if not args.against:
         out: Dict[str, object] = {"duration": args.duration, "streams": streams}
         if args.lines:
             out["lines"] = lines
         json.dump(out, sys.stdout, indent=1, sort_keys=True)
         print()
-        return 0
+        with contextlib.redirect_stdout(sys.stderr):  # keep stdout JSON
+            return 1 if check_one_shot(lines, one_shot, truths) else 0
     src = os.path.join(args.against, "src")
     if not os.path.isdir(src):
         parser.error(f"{src} is not a directory")
@@ -222,7 +256,8 @@ def main(argv=None) -> int:
     events = sum(stream["events"] for stream in streams.values())
     print(f"{len(streams)} streams, {events} events: "
           f"{len(differing)} differ from {args.against}")
-    return 1 if differing else 0
+    unequal = check_one_shot(lines, one_shot, truths)
+    return 1 if differing or unequal else 0
 
 
 if __name__ == "__main__":

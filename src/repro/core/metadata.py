@@ -11,7 +11,7 @@ history — a compact array of start/end timestamps — and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -96,6 +96,16 @@ class PeakHistory:
         self._starts.extend(s_list)
         self._ends.extend(e_list)
         self._invalidate()
+
+    @classmethod
+    def of(cls, sample_rate: float, peaks: Sequence[Peak]) -> "PeakHistory":
+        """A history of ``peaks`` as given, each keeping its ``index``
+        (a subset of another history: its peaks by their index there)."""
+        history = cls(sample_rate)
+        history._peaks = list(peaks)
+        history._starts = [p.start_sample for p in history._peaks]
+        history._ends = [p.end_sample for p in history._peaks]
+        return history
 
     def __len__(self) -> int:
         return len(self._peaks)

@@ -9,7 +9,7 @@ the CLI, the daemon and the benchmarks pick architectures through one
 seam instead of per-call-site ``if/elif`` ladders.
 
 ``events()`` is the uniform streaming surface: whatever the family
-(one-shot pipeline, overlap-stitching streaming wrapper), consuming it
+(one-shot pipeline, seam-carrying streaming wrapper), consuming it
 over the same windows yields the same
 :class:`~repro.core.events.PacketEvent` stream — which is what lets
 ``rfdump --format jsonl`` and a ``rfdumpd`` subscriber diff clean.
@@ -42,11 +42,10 @@ class Monitor(abc.ABC):
 
         Processes each window in order and yields a
         :class:`~repro.core.events.PacketEvent` for every packet the
-        moment it becomes *final* (for stateful monitors: once the
-        emission frontier passes it; for one-shot monitors: immediately).
-        When the window iterable is exhausted, deferred results are
-        flushed and yielded too, so the generator ends with the stream
-        complete.  ``seq`` numbers are consecutive from ``start_seq``.
+        moment it becomes *final* (for stateful monitors: once its range
+        closes; for one-shot monitors: immediately).  When the window
+        iterable is exhausted, what is still open is finalised and
+        yielded too, so the generator ends with the stream complete.  ``seq`` numbers are consecutive from ``start_seq``.
         """
         for _, events in self.window_events(windows, start_seq=start_seq):
             yield from events
@@ -73,13 +72,13 @@ class Monitor(abc.ABC):
 
     def _final_packets(self, report: "MonitorReport") -> List["PacketRecord"]:
         """Packets made final by the window just processed.  One-shot
-        monitors finalize everything per window; overlap-carrying
-        monitors return only what crossed the emission frontier."""
+        monitors finalize everything per window; a seam-carrying monitor
+        returns the packets of the ranges that closed."""
         return report.packets
 
     def _final_flush(self) -> List["PacketRecord"]:
         """Packets released by the end-of-stream flush (none for
-        monitors without deferred state)."""
+        monitors that carry nothing across windows)."""
         return []
 
     def close(self) -> None:
@@ -133,8 +132,10 @@ def make_monitor(name: str, config: Optional[MonitorConfig] = None,
 
     ``config`` carries the shared knobs (:class:`MonitorConfig`);
     remaining keyword arguments are monitor-specific extras (e.g.
-    ``overlap=`` for streaming, ``threshold_db=`` for the energy
-    baseline).
+    ``threshold_db=`` for the energy baseline, or ``overlap=`` for
+    streaming: the cap on the samples the seam carries from one window
+    into the next — a window whose open activity needs more closes its
+    ranges at its end instead, as ``flush()`` does).
     """
     try:
         factory = _FACTORIES[name.lower().strip()]

@@ -120,7 +120,8 @@ class PeakDetectionResult:
                  chunks: Optional[List[ChunkMetadata]] = None,
                  chunk_builder=None, nonfinite_samples: int = 0,
                  gated_samples: Optional[int] = None,
-                 exact_samples: Optional[int] = None):
+                 exact_samples: Optional[int] = None,
+                 open_start: Optional[int] = None):
         self.history = history
         self.noise_floor = noise_floor
         self.threshold = threshold
@@ -134,6 +135,10 @@ class PeakDetectionResult:
         #: of those, the samples whose moving average was evaluated
         self.exact_samples = (self.gated_samples if exact_samples is None
                               else exact_samples)
+        #: absolute start of the active samples still running into the
+        #: buffer's end (gaps under ``min_gap`` apart, a peak or not yet
+        #: one), or None when the buffer ends idle
+        self.open_start = open_start
         self._chunks = chunks
         self._chunk_builder = chunk_builder
 
@@ -247,6 +252,7 @@ class PeakDetector:
             nonfinite_samples=nonfinite,
             gated_samples=fine.gated,
             exact_samples=fine.exact,
+            open_start=self._open_start(buffer, fine.starts, fine.ends),
         )
 
     def _detect_reference(self, buffer: SampleBuffer,
@@ -274,6 +280,7 @@ class PeakDetector:
             chunk_builder=lambda: self._chunk_metadata_reference(
                 buffer, chunk_powers, threshold, history),
             nonfinite_samples=nonfinite,
+            open_start=self._open_start(buffer, *self._run_edges(active)),
         )
 
     # -- shared ---------------------------------------------------------------
@@ -349,6 +356,18 @@ class PeakDetector:
         return zeroed
 
     _run_edges = staticmethod(run_edges)
+
+    def _open_start(self, buffer: SampleBuffer, starts: np.ndarray,
+                    ends: np.ndarray) -> Optional[int]:
+        """Where the group of active runs reaching the buffer's last
+        ``min_gap`` samples begins: a later sample could still join it.
+        The gate is causal, so every run before that is final."""
+        n = len(buffer)
+        if ends.size == 0 or ends[-1] <= n - self.config.min_gap:
+            return None
+        apart = np.flatnonzero(starts[1:] - ends[:-1] >= self.config.min_gap)
+        first = int(apart[-1]) + 1 if apart.size else 0
+        return buffer.start_sample + int(starts[first])
 
     # -- vectorized kernels ---------------------------------------------------
 

@@ -10,7 +10,7 @@ demodulating analyzers that decode those ranges.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -35,8 +35,9 @@ from repro.core.detectors import (
 from repro.core.detectors.base import Classification, Detector
 from repro.core.dispatcher import DispatchedRange, Dispatcher
 from repro.core.errorpolicy import CircuitBreaker, ErrorRecord, sanitize_nonfinite
-from repro.core.metadata import PeakHistory
+from repro.core.metadata import Peak, PeakHistory
 from repro.core.peak_detector import PeakDetectionResult, PeakDetector, PeakDetectorConfig
+from repro.dsp.energy import instant_power
 from repro.dsp.samples import SampleBuffer
 from repro.errors import DetectorCrashError
 from repro.obs import NULL
@@ -117,6 +118,8 @@ class MonitorReport:
     latency_seconds: float = 0.0
     #: True when this window exceeded its configured deadline budget
     deadline_missed: bool = False
+    #: what a streamed window left open for the next (None one-shot)
+    seam: Optional["Seam"] = None
 
     @property
     def last_error(self) -> Optional[ErrorRecord]:
@@ -180,6 +183,38 @@ class MonitorReport:
 
 
 @dataclass
+class Seam:
+    """What a streamed window leaves open at its end for the next one.
+
+    A peak whose active samples reach the window's last ``min_gap``
+    samples may still grow, and a range ending in the window's last
+    chunk may still merge with the next window's first peak; every
+    other peak and range is final.  The seam carries only what the open
+    ones need: the samples from the chunk-aligned start of the earliest
+    open range, or of the open peak less its gate context (none when the
+    window ends in silence); the final peaks of the last ``limit``
+    samples, which the timing detectors read back to; and the forwarded
+    classifications of final peaks inside an open range.
+    """
+
+    #: carried samples, ``[start, end of the window)``; empty when
+    #: nothing is open, but its end still marks where the stream is
+    buffer: SampleBuffer
+    #: most samples ``buffer`` may hold (and how far back ``peaks`` go)
+    limit: int
+    #: a peak ending at or before this sample is final
+    closed_to: int
+    peaks: List[Peak] = field(default_factory=list)
+    classifications: List[Classification] = field(default_factory=list)
+    #: the part before ``buffer`` of an open peak too long to carry
+    #: whole; the next window's first peak continues it
+    head: Optional[Peak] = None
+    #: close every range at the end of the next pass: the stream ends
+    #: or breaks there
+    final: bool = False
+
+
+@dataclass
 class WindowState:
     """One window on its way through the stages of :class:`RFDumpMonitor`.
 
@@ -207,6 +242,13 @@ class WindowState:
     packets: List[PacketRecord] = field(default_factory=list)
     demod_seconds: Dict[str, float] = field(default_factory=dict)
     parallel_fallbacks: int = 0
+    #: forwarded classifications of final peaks a seam carried in
+    carried: List[Classification] = field(default_factory=list)
+    #: what dispatch forwarded, carried claims included
+    forwarded: List[Classification] = field(default_factory=list)
+    #: peaks first final in this window (streamed; None: the whole history)
+    peaks: Optional[PeakHistory] = None
+    seam: Optional[Seam] = None
 
 
 class RFDumpMonitor(Monitor):
@@ -379,12 +421,6 @@ class RFDumpMonitor(Monitor):
                 ).set(1)
             return []
         self._breaker.record_success(detector.name)
-        for c in found:
-            obs.counter(
-                "rfdump_classifications_total",
-                help="peak classifications by protocol",
-                protocol=c.protocol,
-            ).inc()
         return found
 
     def dispatch(self, w: WindowState) -> None:
@@ -403,40 +439,34 @@ class RFDumpMonitor(Monitor):
         """
         obs = self.obs or NULL
         with obs.span("dispatch"), w.clock.stage("dispatch"):
-            w.overruled = self._contested_timing_claims(w)
+            claims = w.carried + w.classifications
+            w.overruled = self._contested_timing_claims(claims, w.buffer)
             dropped = {id(c) for c in w.overruled}
-            forwarded = [c for c in w.classifications if id(c) not in dropped]
+            w.forwarded = [c for c in claims if id(c) not in dropped]
             w.ranges = self.dispatcher.dispatch(
-                forwarded, w.buffer.end_sample, w.buffer.start_sample
+                w.forwarded, w.buffer.end_sample, w.buffer.start_sample
             )
-        for c in w.overruled:
-            obs.counter(
-                "rfdump_classifications_overruled_total",
-                help="classifications the dispatch stage did not forward "
-                     "because an independent detector contradicted them",
-                protocol=c.protocol,
-            ).inc()
 
-    def _contested_timing_claims(self, w: WindowState) -> List[Classification]:
+    def _contested_timing_claims(self, claims: List[Classification],
+                                 buffer: SampleBuffer) -> List[Classification]:
         """The Bluetooth timing claims :meth:`dispatch` overrules."""
         barker = next((d for d in self.detectors
                        if isinstance(d, DbpskPhaseDetector)), None)
         if barker is None:
             return []
-        chipped = {c.peak.index for c in w.classifications
-                   if c.detector == barker.name}
+        chipped = {c.peak.index for c in claims if c.detector == barker.name}
         if not chipped:
             return []
         kinds = {d.name: d.kind for d in self.detectors}
-        backed = {c.peak.index for c in w.classifications
+        backed = {c.peak.index for c in claims
                   if c.protocol == "bluetooth"
                   and kinds.get(c.detector) in ("phase", "frequency")}
-        return [c for c in w.classifications
+        return [c for c in claims
                 if c.protocol == "bluetooth"
                 and kinds.get(c.detector) == "timing"
                 and c.peak.index in chipped
                 and c.peak.index not in backed
-                and barker.tail_matches(c.peak, w.buffer)]
+                and barker.tail_matches(c.peak, buffer)]
 
     def admit(self, w: WindowState) -> None:
         """Deadline admission: under sustained overload (or an already
@@ -461,6 +491,19 @@ class RFDumpMonitor(Monitor):
         deadline accounting, and assemble the report."""
         obs = self.obs or NULL
         self._annotate_snr(w.packets, w.detection)
+        for c in w.classifications:
+            obs.counter(
+                "rfdump_classifications_total",
+                help="peak classifications by protocol",
+                protocol=c.protocol,
+            ).inc()
+        for c in w.overruled:
+            obs.counter(
+                "rfdump_classifications_overruled_total",
+                help="classifications the dispatch stage did not forward "
+                     "because an independent detector contradicted them",
+                protocol=c.protocol,
+            ).inc()
         for packet in w.packets:
             obs.counter(
                 "rfdump_packets_decoded_total",
@@ -479,7 +522,7 @@ class RFDumpMonitor(Monitor):
         report = MonitorReport(
             total_samples=len(w.buffer),
             duration=w.buffer.duration,
-            peaks=w.detection.history,
+            peaks=w.detection.history if w.peaks is None else w.peaks,
             classifications=w.classifications,
             ranges=w.ranges,
             packets=w.packets,
@@ -494,6 +537,7 @@ class RFDumpMonitor(Monitor):
             quarantined_detectors=self._breaker.open_components,
             latency_seconds=latency,
             deadline_missed=deadline_missed,
+            seam=w.seam,
         )
         for protocol in w.ranges:
             obs.counter(
@@ -531,18 +575,161 @@ class RFDumpMonitor(Monitor):
 
     # -- drivers --------------------------------------------------------------
 
-    def process(self, buffer: SampleBuffer) -> MonitorReport:
-        """Run the full pipeline over a buffer."""
+    def process(self, buffer: SampleBuffer,
+                seam: Optional[Seam] = None) -> MonitorReport:
+        """Run the full pipeline over a buffer.
+
+        With a ``seam`` (streaming; ``buffer`` then starts with its
+        carried samples) the buffer is one window of a stream: the
+        seam's final peaks and classifications join the window's, only
+        ranges final at its end are demodulated, and the report's
+        ``seam`` holds what is still open.
+        """
         obs = self.obs or NULL
         with obs.span("process", start_sample=buffer.start_sample,
                       end_sample=buffer.end_sample):
             w = self.detect_peaks(buffer)
+            new = self._join(w, seam) if seam is not None else 0
             for detector in self.detectors:
                 w.classifications.extend(self.classify(detector, w))
+            if new:
+                w.classifications = [c for c in w.classifications
+                                     if c.peak.index >= new]
             self.dispatch(w)
+            trim = self._hold(w, seam, new) if seam is not None else None
             self.admit(w)
             self.analyze(w)
+            if trim is not None:
+                self._carry(w, trim)
         return self.finish(w)
+
+    # -- the streaming seam ---------------------------------------------------
+
+    def _join(self, w: WindowState, seam: Seam) -> int:
+        """Put the seam's final peaks ahead of the window's new ones and
+        its classifications on them; returns the first new peak's index.
+
+        The window's samples up to ``seam.closed_to`` were analysed
+        before: peaks ending there are the seam's (re-detected, they may
+        be cut at the buffer's start), and a later one is new.
+        """
+        history = w.detection.history
+        first = int(np.searchsorted(history.ends, seam.closed_to, "right"))
+        carried = [p for p in seam.peaks if p.end_sample <= seam.closed_to]
+        fresh = list(history)[first:]
+        head = seam.head
+        cfg = self.peak_detector.config
+        if head is not None and fresh and fresh[0].start_sample < (
+                w.buffer.start_sample + cfg.energy_window + cfg.min_gap):
+            # the overlong peak the seam cut: one peak again, its power
+            # summed over both parts
+            p = fresh[0]
+            fresh[0] = Peak(head.start_sample, p.end_sample,
+                            (head.mean_power * head.length
+                             + p.mean_power * p.length)
+                            / (p.end_sample - head.start_sample),
+                            max(head.peak_power, p.peak_power))
+        elif not (carried or first):
+            return 0
+        joined = PeakHistory(history.sample_rate)
+        for p in carried + fresh:
+            joined.append(p.start_sample, p.end_sample, p.mean_power,
+                          p.peak_power)
+        w.detection.history = joined
+        index = {p.start_sample: i for i, p in enumerate(carried)}
+        w.carried = [replace(c, peak=replace(
+            c.peak, index=index[c.peak.start_sample]))
+            for c in seam.classifications]
+        return len(carried)
+
+    def _hold(self, w: WindowState, seam: Seam,
+              new: int) -> Optional[Seam]:
+        """Keep the ranges still open at the window's end out of this
+        pass and put them, with what they need, on ``w.seam``.
+
+        Open: a range ending in the chunk where the window's open
+        activity starts, or later (the next window's first peak could
+        merge with it).  When carrying them would take more than
+        ``seam.limit`` samples, what is final closes now and only the
+        open peak is carried, to be classified afresh; when the open
+        peak alone is longer, everything closes and the seam carries
+        the last ``limit`` samples past the packets decoded now
+        (:meth:`_carry`; the seam is returned for it); when ``seam.final`` says
+        the stream ends or breaks here, everything closes and nothing is
+        carried.
+        """
+        cfg = self.peak_detector.config
+        cs = cfg.chunk_samples
+        end = w.buffer.end_sample
+        closed_to = end - cfg.min_gap
+        history = w.detection.history
+        edge = peak_from = end
+        overlong = False
+        if w.detection.open_start is not None:
+            edge = w.detection.open_start
+            # re-detected next time: give its leading edge the gate's
+            # context and a gap no cut run before it can merge across
+            peak_from = max((edge - cfg.energy_window - cfg.min_gap)
+                            // cs * cs, w.buffer.start_sample)
+        bound = edge // cs * cs
+        open_lo = {protocol: next((r.start_sample for r in rs
+                                   if r.end_sample >= bound), end)
+                   for protocol, rs in w.ranges.items()}
+        start = min([peak_from, *open_lo.values()])
+        final = [c for c in w.forwarded
+                 if c.peak.start_sample >= open_lo.get(c.protocol, end)
+                 and history[c.peak.index].end_sample <= closed_to]
+        if seam.final:
+            start = closed_to = end
+            final = []
+        elif end - peak_from > seam.limit:
+            start = -(-(end - seam.limit) // cs) * cs
+            final, overlong = [], True
+        elif end - start > seam.limit:
+            closing = self.dispatcher.dispatch(final, end,
+                                               w.buffer.start_sample)
+            w.ranges = {protocol: [r for r in w.ranges[protocol]
+                                   if r.start_sample < open_lo[protocol]]
+                        + closing.get(protocol, [])
+                        for protocol in w.ranges}
+            start, final = peak_from, []
+        elif start < end:
+            w.ranges = {protocol: [r for r in rs
+                                   if r.start_sample < open_lo[protocol]]
+                        for protocol, rs in w.ranges.items()}
+        w.ranges = {protocol: rs for protocol, rs in w.ranges.items() if rs}
+        done = [p for p in list(history)[new:] if p.end_sample <= closed_to]
+        w.peaks = PeakHistory.of(history.sample_rate, done)
+        indices = {p.index for p in done}
+        w.classifications = [c for c in w.classifications
+                             if c.peak.index in indices]
+        w.overruled = [c for c in w.overruled if c.peak.index in indices]
+        w.seam = Seam(
+            buffer=w.buffer.slice(start, end), limit=seam.limit,
+            closed_to=closed_to,
+            peaks=[p for p in history
+                   if end - seam.limit < p.end_sample <= closed_to],
+            classifications=final)
+        return w.seam if overlong else None
+
+    def _carry(self, w: WindowState, seam: Seam) -> None:
+        """After an overlong open peak closed every range: start the
+        carried samples past every packet decoded from them, so the next
+        window decodes only what did not end in this one."""
+        cs = self.peak_detector.config.chunk_samples
+        carry = seam.buffer
+        start = max([carry.start_sample]
+                    + [p.end_sample // cs * cs for p in w.packets])
+        seam.buffer = carry.slice(start, carry.end_sample)
+        history = w.detection.history
+        peak = history[-1] if len(history) else None
+        if peak is not None and peak.start_sample < start < peak.end_sample:
+            rest = float(instant_power(
+                w.buffer.slice(start, peak.end_sample).samples).sum())
+            seam.head = Peak(
+                peak.start_sample, start,
+                (peak.mean_power * peak.length - rest)
+                / (start - peak.start_sample), peak.peak_power)
 
     def detect(self, buffer: SampleBuffer) -> Tuple[
         PeakDetectionResult, List[Classification]

@@ -1,23 +1,32 @@
 """Streaming monitor: RFDump over an endless sample stream.
 
 The core monitor processes one finite buffer at a time; a real deployment
-consumes an unbounded stream in windows.  A packet that straddles a
-window boundary would be lost (its peak is truncated in both windows), so
-:class:`StreamingMonitor` carries a tail of each window into the next —
-sized to the longest transmission it must not split — and deduplicates
-the overlap region.  The noise floor is estimated once: the first
-window's estimate is frozen and handed to every later window (there is
-no running average — ``PeakDetector.detect`` returns the floor it was
-given), so later windows skip the estimate and the whole-window power
-array it needs.
+consumes an unbounded stream in windows.  A transmission that straddles a
+window boundary would be lost (its peak is cut in both windows), so
+:class:`StreamingMonitor` carries a *seam* (:class:`~repro.core.pipeline.Seam`)
+from each window into the next: the samples from the chunk-aligned start
+of the earliest range or peak still open at the window's end, the final
+peaks the timing detectors read back to, and the classifications of the
+open ranges.  A window that ends in silence carries no samples and the
+next is analysed in place, uncopied.  A range that closes inside a
+window is demodulated once and its packets are final at once; an open
+range is demodulated when a later window, a stream gap, a skipped window
+or :meth:`~StreamingMonitor.flush` closes it.  Peaks and ranges are
+analysed with the context one pass over the whole stream gives them, so
+the events equal the one-shot monitor's given the same noise floor
+(DESIGN.md "Streaming: the seam" names the one exception).  The
+floor is estimated once: the first window's estimate is frozen and
+handed to every later window (``PeakDetector.detect`` returns the floor
+it was given), so later windows skip the estimate and the whole-window
+power array it needs.
 
 Because the front end is a real radio, the stream is allowed to
 misbehave: overruns drop samples (the next window no longer starts where
-the tail ended) and saturation emits NaN/Inf bursts.  A window holding
-such samples still estimates a floor, over its finite chunks, but that
-estimate is not the one frozen — the next clean window's is.  The
-``on_error`` policy decides the response — ``"raise"`` surfaces typed
-errors
+the last one ended) and saturation emits NaN/Inf bursts.  A window
+holding such samples still estimates a floor, over its finite chunks,
+but that estimate is not the one frozen — the next clean window's is.
+The ``on_error`` policy decides the response — ``"raise"`` surfaces
+typed errors
 (:class:`~repro.errors.StreamGapError`,
 :class:`~repro.errors.SampleIntegrityError`), ``"skip"`` drops the
 offending window, and ``"degrade"`` resynchronizes across gaps, counting
@@ -29,6 +38,7 @@ exactly as it does for a one-shot :class:`RFDumpMonitor`.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Iterable, List, Optional
 
 import numpy as np
@@ -38,14 +48,14 @@ from repro.core.accounting import StageClock
 from repro.core.config import MonitorConfig
 from repro.core.errorpolicy import ErrorRecord
 from repro.core.monitor import Monitor
-from repro.core.pipeline import MonitorReport, RFDumpMonitor
+from repro.core.pipeline import MonitorReport, RFDumpMonitor, Seam
 from repro.dsp.samples import SampleBuffer
 from repro.errors import StreamGapError
 from repro.obs import NULL
 
 
 class StreamingMonitor(Monitor):
-    """Wraps an :class:`RFDumpMonitor` with window-overlap handling.
+    """Wraps an :class:`RFDumpMonitor`, carrying a seam across windows.
 
     Parameters
     ----------
@@ -54,9 +64,10 @@ class StreamingMonitor(Monitor):
         May be omitted when ``config`` is given — the streaming monitor
         then builds its own :class:`RFDumpMonitor` from the config.
     overlap:
-        Samples carried from the end of each window into the next; size it
-        to the longest packet plus margin (default 6 ms at 8 Msps — a
-        maximum-length 1 Mbps 802.11b frame).
+        The most samples the seam may carry into the next window (default
+        6 ms at 8 Msps — a maximum-length 1 Mbps 802.11b frame).  A
+        window whose open activity needs more closes every range at its
+        end instead, as :meth:`flush` does.
 
     The fault policy for stream-level faults (gaps, NaN bursts) is the
     wrapped monitor's ``config.on_error``.  ``None`` keeps the legacy
@@ -85,28 +96,22 @@ class StreamingMonitor(Monitor):
         self.lost_samples = 0
         #: stream gaps resynchronized across (degrade/skip modes)
         self.gaps = 0
-        self._tail: Optional[SampleBuffer] = None
-        self._emitted_to = 0  # absolute sample up to which output is final
+        #: what the last window left open (None before the first)
+        self._seam: Optional[Seam] = None
         self._event_cursor = 0  # packets already yielded by events()
         self.packets: List[PacketRecord] = []
         self.classifications = []
         self.clock = StageClock()
         self._noise_floor = monitor.noise_floor
-        self._deferred_packets: List[PacketRecord] = []
-        self._deferred_classifications: list = []
-        # Results a mid-stream flush() released ahead of the emission
-        # frontier; the next windows will re-detect them from the carried
-        # tail, so their keys are held until the frontier passes them.
-        self._early_packets: set = set()
-        self._early_classifications: set = set()
 
-    def _stitch(self, window: SampleBuffer) -> SampleBuffer:
+    @staticmethod
+    def _stitch(window: SampleBuffer, carry: SampleBuffer) -> SampleBuffer:
         # contiguity is _check_stream's job: it ran first and either
-        # raised or dropped the tail
-        if self._tail is None or len(self._tail) == 0:
+        # raised or dropped the seam
+        if len(carry) == 0:
             return window
-        samples = np.concatenate([self._tail.samples, window.samples])
-        return SampleBuffer(samples, window.timebase, self._tail.start_sample)
+        samples = np.concatenate([carry.samples, window.samples])
+        return SampleBuffer(samples, window.timebase, carry.start_sample)
 
     def _empty_report(self, errors: Optional[List[ErrorRecord]] = None
                       ) -> MonitorReport:
@@ -117,28 +122,47 @@ class StreamingMonitor(Monitor):
             errors=list(errors or []),
         )
 
-    def _resync(self, frontier: int) -> None:
-        """Abandon the carried tail after a stream fault.
+    def _analyse(self, buffer: SampleBuffer, seam: Seam) -> MonitorReport:
+        """One pass of the wrapped monitor; its final results are kept."""
+        self.monitor.noise_floor = self._noise_floor
+        report = self.monitor.process(buffer, seam)
+        nf = report.noise_floor
+        # The first estimate kept is frozen for the life of the stream,
+        # so it must be a clean one: a non-finite estimate (every chunk
+        # held a NaN/Inf) or one made over a window the peak detector
+        # had to sanitize is used for that window only.
+        suspect = nf is not None and (not np.isfinite(nf) or (
+            self._noise_floor is None and any(
+                e.component == "PeakDetector" and e.action == "sanitized"
+                for e in report.errors)))
+        if suspect:
+            (self.obs or NULL).counter(
+                "rfdump_stream_nonfinite_noise_floor_total",
+                help="noise-floor estimates of windows holding NaN/Inf "
+                     "samples discarded instead of being carried forward",
+            ).inc()
+        else:
+            self._noise_floor = nf
+        self.clock = self.clock.merged(report.clock)
+        self.packets.extend(report.packets)
+        self.classifications.extend(report.classifications)
+        self._seam = report.seam
+        return report
 
-        The context that would re-detect the deferred results is gone, so
-        they are final — release them — and the emission frontier jumps
-        to ``frontier`` (nothing before it can be produced anymore).
-        """
-        self.packets.extend(self._deferred_packets)
-        self.classifications.extend(self._deferred_classifications)
-        self._deferred_packets = []
-        self._deferred_classifications = []
-        self._tail = None
-        self._emitted_to = max(self._emitted_to, frontier)
+    def _close(self) -> None:
+        """Finalise what the seam holds open, the one way every path
+        does (a gap, a skipped window, ``flush()``): one last pass over
+        the carried samples in which every range closes.  Nothing later
+        reads those samples again, so nothing is emitted twice."""
+        if self._seam is not None and len(self._seam.buffer):
+            self._analyse(self._seam.buffer, replace(self._seam, final=True))
 
-    def _check_stream(self, window: SampleBuffer, obs,
+    def _check_stream(self, window: SampleBuffer, expected: int, obs,
                       errors: List[ErrorRecord]) -> bool:
-        """Apply the stream-fault policy; False when the skip policy
-        dropped the window."""
+        """Apply the stream-fault policy to a window the stream expected
+        at sample ``expected``; False when the skip policy dropped it."""
         # -- continuity ------------------------------------------------------
-        if (self._tail is not None and len(self._tail)
-                and self._tail.end_sample != window.start_sample):
-            expected = self._tail.end_sample
+        if expected != window.start_sample:
             if self.on_error in (None, "raise"):
                 raise StreamGapError(
                     f"window starts at {window.start_sample}, expected "
@@ -167,7 +191,8 @@ class StreamingMonitor(Monitor):
                 "rfdump_stream_gap_lost_samples_total",
                 help="samples lost to stream gaps",
             ).inc(lost)
-            self._resync(window.start_sample)
+            self._close()
+            self._seam = self._opening(window, window.start_sample)
         # -- sample integrity ------------------------------------------------
         # Only skip acts here: under raise and degrade the window goes on,
         # and the peak detector applies the one non-finite rule
@@ -191,135 +216,48 @@ class StreamingMonitor(Monitor):
                     "rfdump_stream_windows_skipped_total",
                     help="windows dropped by the skip error policy",
                 ).inc()
-                self._resync(window.end_sample)
-                # a zero-length tail at the window's end keeps the
-                # next window's continuity check honest
-                self._tail = window.slice(
-                    window.end_sample, window.end_sample
-                )
+                self._close()
+                # the stream resumes at the dropped window's end
+                self._seam = self._opening(window, window.end_sample)
                 return False
         return True
+
+    def _opening(self, window: SampleBuffer, at: int) -> Seam:
+        """The seam of a stream (re)starting at ``window``'s sample ``at``."""
+        return Seam(window.slice(at, at), self.overlap, closed_to=at)
 
     def process(self, window: SampleBuffer) -> MonitorReport:
         """Process the next contiguous window; returns its report.
 
-        Packets and classifications are accumulated on the monitor
-        (deduplicated across overlaps); the per-window report is returned
-        for callers that want window-level detail.
+        The report holds what became final in this window: the ranges
+        that closed (and their packets), and the peaks and
+        classifications that can no longer change.  They are also
+        accumulated on the monitor.
         """
         obs = self.obs or NULL
         if len(window) == 0:
             # Nothing new to analyze — even when the empty window's start
             # is discontiguous, there is nothing to lose or resync; keep
-            # the tail and frontier intact and let the next real window
-            # face the continuity check.
+            # the seam intact and let the next real window face the
+            # continuity check.
             return self._empty_report()
+        if self._seam is None:
+            self._seam = self._opening(window, window.start_sample)
         stream_errors: List[ErrorRecord] = []
-        if not self._check_stream(window, obs, stream_errors):
+        if not self._check_stream(window, self._seam.buffer.end_sample, obs,
+                                  stream_errors):
             return self._empty_report(stream_errors)
-        stitched = self._stitch(window)
+        stitched = self._stitch(window, self._seam.buffer)
         obs.counter(
             "rfdump_stream_windows_total", help="stream windows processed"
         ).inc()
         obs.counter(
             "rfdump_stream_overlap_samples_total",
-            help="samples re-analyzed from the carried tail",
+            help="samples the seam carried into the window",
         ).inc(len(stitched) - len(window))
-        self.monitor.noise_floor = self._noise_floor
-        report = self.monitor.process(stitched)
+        report = self._analyse(stitched, self._seam)
         report.errors.extend(stream_errors)
-        nf = report.noise_floor
-        # The first estimate kept is frozen for the life of the stream,
-        # so it must be a clean one: a non-finite estimate (every chunk
-        # held a NaN/Inf) or one made over a window the peak detector
-        # had to sanitize is used for that window only.
-        suspect = nf is not None and (not np.isfinite(nf) or (
-            self._noise_floor is None and any(
-                e.component == "PeakDetector" and e.action == "sanitized"
-                for e in report.errors)))
-        if suspect:
-            obs.counter(
-                "rfdump_stream_nonfinite_noise_floor_total",
-                help="noise-floor estimates of windows holding NaN/Inf "
-                     "samples discarded instead of being carried forward",
-            ).inc()
-        else:
-            self._noise_floor = nf
-        self.clock = self.clock.merged(report.clock)
-
-        # Packets starting inside the carried tail will be seen again by
-        # the next window, so they are deferred: emitting them now would
-        # duplicate them.  flush() releases the final window's deferrals.
-        # The frontier is clamped so it never moves backwards — a window
-        # shorter than the overlap (or a mid-stream flush) must not cause
-        # already-emitted packets to be re-emitted as duplicates.
-        new_emitted_to = max(self._emitted_to, stitched.end_sample - self.overlap)
-        dedup_hits = 0
-        self._deferred_packets = []
-        self._deferred_classifications = []
-        for packet in report.packets:
-            if packet.start_sample < self._emitted_to:
-                dedup_hits += 1
-                continue
-            if self._packet_key(packet) in self._early_packets:
-                dedup_hits += 1
-                continue  # a mid-stream flush already released it
-            if packet.start_sample < new_emitted_to:
-                self.packets.append(packet)
-            else:
-                self._deferred_packets.append(packet)
-        for c in report.classifications:
-            if c.peak.start_sample < self._emitted_to:
-                continue
-            if self._classification_key(c) in self._early_classifications:
-                continue
-            if c.peak.start_sample < new_emitted_to:
-                self.classifications.append(c)
-            else:
-                self._deferred_classifications.append(c)
-
-        self._emitted_to = new_emitted_to
-        if dedup_hits:
-            obs.counter(
-                "rfdump_stream_dedup_hits_total",
-                help="packets suppressed as overlap-region duplicates",
-            ).inc(dedup_hits)
-        obs.gauge(
-            "rfdump_stream_frontier_lag_samples",
-            help="samples between the stream head and the emission frontier",
-        ).set(stitched.end_sample - new_emitted_to)
-        obs.gauge(
-            "rfdump_stream_deferred_packets",
-            help="decoded packets held back until the frontier passes them",
-        ).set(len(self._deferred_packets))
-        # keys behind the frontier are now covered by the `_emitted_to`
-        # guard and can be forgotten
-        self._early_packets = {
-            k for k in self._early_packets if k[0] >= new_emitted_to
-        }
-        self._early_classifications = {
-            k for k in self._early_classifications if k[0] >= new_emitted_to
-        }
-        # The carried tail is always the last `overlap` samples — it is
-        # detection context, independent of the emission frontier (which
-        # a flush may have pushed past the overlap region).
-        tail_start = max(stitched.end_sample - self.overlap, stitched.start_sample)
-        self._tail = stitched.slice(tail_start, stitched.end_sample)
-        if any(e.component == "PeakDetector" for e in report.errors):
-            # NaN/Inf the peak detector zeroed, counted and reported:
-            # carry the zeros, or the next window counts them again
-            self._tail = self._tail.finite()
         return report
-
-    @staticmethod
-    def _packet_key(packet: PacketRecord):
-        # the same transmission re-decoded from the next window lands on
-        # the same absolute start sample
-        return (packet.start_sample, packet.protocol, packet.decoder)
-
-    @staticmethod
-    def _classification_key(c):
-        return (c.peak.start_sample, c.detector)
 
     # -- deadline/backpressure surface ---------------------------------------
     #
@@ -340,35 +278,16 @@ class StreamingMonitor(Monitor):
         return self.monitor.ranges_shed
 
     def flush(self) -> "StreamingMonitor":
-        """Release deferred results; idempotent and safe mid-stream.
+        """Finalise whatever the seam holds open; idempotent.
 
-        Flushed results are remembered until the emission frontier passes
-        them, so a later window re-detecting them from the carried tail
-        cannot emit duplicates — and a packet still undecodable (it
-        straddles the stream head) stays pending rather than being lost.
+        Mid-stream it closes the open ranges as a gap would: a packet
+        still running into the stream head is decoded as far as it has
+        arrived, and the next window starts afresh at the head.
         """
-        obs = self.obs or NULL
-        obs.counter(
+        (self.obs or NULL).counter(
             "rfdump_stream_flushes_total", help="flush() calls"
         ).inc()
-        if self._deferred_packets:
-            obs.counter(
-                "rfdump_stream_flushed_packets_total",
-                help="deferred packets released by flush()",
-            ).inc(len(self._deferred_packets))
-        if self._deferred_classifications:
-            obs.counter(
-                "rfdump_stream_flushed_classifications_total",
-                help="deferred classifications released by flush()",
-            ).inc(len(self._deferred_classifications))
-        for packet in self._deferred_packets:
-            self.packets.append(packet)
-            self._early_packets.add(self._packet_key(packet))
-        for c in self._deferred_classifications:
-            self.classifications.append(c)
-            self._early_classifications.add(self._classification_key(c))
-        self._deferred_packets = []
-        self._deferred_classifications = []
+        self._close()
         return self
 
     def run(self, windows: Iterable[SampleBuffer]) -> "StreamingMonitor":
@@ -384,7 +303,7 @@ class StreamingMonitor(Monitor):
 
         ``self.packets`` is append-only in emission order, so a cursor
         into it is exact: every packet is yielded exactly once, the
-        moment the frontier (or a flush/resync) finalizes it."""
+        moment its range closes."""
         new = self.packets[self._event_cursor:]
         self._event_cursor = len(self.packets)
         return new

@@ -268,8 +268,8 @@ def _tally(report, counts: Counter, forwarded: Counter, fruitful: Counter,
     those overlapped by a packet it decoded to ``fruitful`` and the
     classifications dispatch overruled to ``overruled``.
 
-    A range the streaming monitor sees again in the next window's
-    overlap is counted both times: each is one decoder ``scan``.
+    A streamed window reports only what became final in it, so each
+    range, peak and classification is counted once.
     """
     counts.update(peaks=len(report.peaks or []), scanned=report.total_samples,
                   gated=report.gated_samples, exact=report.exact_samples)

@@ -167,8 +167,10 @@ class TestStreamingMetrics:
         reg = obs.registry
         assert reg.value("rfdump_stream_windows_total") >= 3
         assert reg.value("rfdump_stream_flushes_total") == 1
-        # gauges exist once a window has been stitched
-        assert reg.value("rfdump_stream_frontier_lag_samples") is not None
+        # the seam's carried samples, never more than the overlap a window
+        carried = reg.value("rfdump_stream_overlap_samples_total")
+        assert carried is not None
+        assert 0 <= carried <= 2 * streaming.overlap
 
     def test_streaming_inherits_inner_monitor_obs(self, wifi_trace):
         obs = Observability()
