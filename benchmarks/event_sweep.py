@@ -5,10 +5,11 @@ this is that check as a command.  Each source (every emulator preset,
 plus hand-built short-preamble 2 Mbps frames the emulator does not
 send, plus ``collide``: Wi-Fi pings spaced at Bluetooth slot multiples
 over an l2ping session, so ACKs fuse with DH5 packets) is rendered per
-(seed, SNR) arm and run through five paths — the streaming monitor in
-200, 20 and 5 ms windows, whole-trace ``rfdump`` and the whole-trace
-naive monitor — and the canonical event lines of each stream are
-hashed::
+(seed, SNR) arm and run through six paths — the streaming monitor in
+200, 20 and 5 ms windows, the 20 ms windows through an ``RFDumpDaemon``
+over loopback (the lines a subscriber reads), whole-trace ``rfdump`` and
+the whole-trace naive monitor — and the canonical event lines of each
+stream are hashed::
 
     PYTHONPATH=src python benchmarks/event_sweep.py              # {stream: sha1} as JSON
     PYTHONPATH=src python benchmarks/event_sweep.py --against DIR
@@ -21,14 +22,16 @@ each with the event lines it lost and gained, ``seq`` stripped, and for
 a gained line the ground-truth transmission it overlaps — and exits 1
 if any differ.  The script uses only calls both sides have:
 ``build_preset``, ``Scenario``, ``make_monitor``, ``Monitor.events``,
-``split_windows``.
+``split_windows``, ``RFDumpDaemon``, ``subscribe_events`` and the
+``protocol`` frame calls.
 
 Without ``--lines`` every streaming stream is also checked against a
 second observation path: whole-trace ``rfdump`` given the noise floor
 the stream froze from its first window.  The two must emit the same
 lines, ``seq`` stripped; any difference is printed — lost and gained
 lines, each gained one with its ground-truth match — and the command
-exits 1.
+exits 1.  Every daemon stream must also equal its in-process
+``stream20`` twin byte for byte, ``seq`` included (exits 1 otherwise).
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from itertools import zip_longest
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -48,11 +52,14 @@ import numpy as np
 #: (seed, SNR dB): two clean arms, and two where a rounding difference
 #: in a demodulator would flip a bit first
 ARMS = ((3, 20.0), (11, 20.0), (5, 8.0), (7, 4.0))
+#: the path kind that runs a streaming monitor behind an ``RFDumpDaemon``
+DAEMON = "daemon"
 #: path name -> (monitor kind, window in samples; None = the whole trace)
 PATHS = {
     "stream200": ("streaming", 1_600_000),
     "stream20": ("streaming", 160_000),
     "stream5": ("streaming", 40_000),
+    "daemon20": (DAEMON, 160_000),
     "rfdump": ("rfdump", None),
     "naive": ("naive", None),
 }
@@ -131,6 +138,37 @@ def _render(source: str, duration: float, arm) -> Tuple[object, Optional[List[Tr
     return trace.buffer, truth
 
 
+def _expect(frame, ftype: str) -> None:
+    if (frame is None or frame[0].get("type") != ftype
+            or frame[0].get("stream_error")):
+        raise RuntimeError(f"daemon answered {frame and frame[0]} "
+                           f"where {ftype!r} was due")
+
+
+def _daemon_lines(windows) -> List[str]:
+    """The windows through a fresh daemon over loopback TCP: the event
+    lines a subscriber reads once the ingest session is done."""
+    import socket
+
+    from repro.core.config import MonitorConfig
+    from repro.service import RFDumpDaemon, protocol, subscribe_events
+
+    with RFDumpDaemon(MonitorConfig(), kind="streaming") as daemon:
+        with socket.create_connection(daemon.address, timeout=120) as conn:
+            rw = conn.makefile("rwb")
+            protocol.send_frame(rw, {"type": "hello", "role": "ingest",
+                                     "v": protocol.PROTOCOL_VERSION})
+            _expect(protocol.recv_frame(rw), "welcome")
+            for seq, window in enumerate(windows):
+                header, payload = protocol.window_frame(window)
+                header["seq"] = seq
+                protocol.send_frame(rw, header, payload)
+            protocol.send_frame(rw, {"type": "end"})
+            _expect(protocol.recv_frame(rw), "done")
+        return [event.to_json()
+                for event in subscribe_events(daemon.address, from_seq=0)]
+
+
 def sweep(sources: List[str], duration: float, oracle: bool = False):
     """``({"source/seedN/SdB/path": {"sha1": ..., "events": n}},
     {stream: event lines}, {stream: ground truth or None},
@@ -150,9 +188,13 @@ def sweep(sources: List[str], duration: float, oracle: bool = False):
             seed, snr_db = arm[:2]
             for path, (kind, window) in PATHS.items():
                 windows = split_windows(buffer, window or len(buffer))
-                with make_monitor(kind, MonitorConfig()) as monitor:
-                    found = [event.to_json() for event in monitor.events(windows)]
                 name = f"{source}/seed{seed}/{snr_db:g}dB/{path}"
+                if kind == DAEMON:
+                    found = _daemon_lines(windows)
+                else:
+                    with make_monitor(kind, MonitorConfig()) as monitor:
+                        found = [event.to_json()
+                                 for event in monitor.events(windows)]
                 if oracle and kind == "streaming":
                     config = MonitorConfig(noise_floor=monitor._noise_floor)
                     with make_monitor("rfdump", config) as whole:
@@ -210,6 +252,25 @@ def check_one_shot(lines: Dict[str, List[str]], one_shot: Dict[str, List[str]],
     return differing
 
 
+def check_daemon(lines: Dict[str, List[str]]) -> List[str]:
+    """Print every ``daemon20`` stream whose lines, ``seq`` included,
+    differ from its in-process ``stream20`` twin's; returns their names."""
+    pairs = [(name, name[:-len("daemon20")] + "stream20")
+             for name in sorted(lines) if name.endswith("/daemon20")]
+    differing = []
+    for name, twin in pairs:
+        if lines[name] != lines[twin]:
+            differing.append(name)
+            ours, theirs = next(
+                pair for pair in zip_longest(lines[name], lines[twin])
+                if pair[0] != pair[1])
+            print(f"DAEMON DIFFERS {name} from {twin}\n"
+                  f"  daemon {ours}\n  stream {theirs}")
+    print(f"{len(pairs)} daemon streams: {len(differing)} differ from their "
+          f"in-process twin")
+    return differing
+
+
 def main(argv=None) -> int:
     from repro.emulator.presets import PRESETS
 
@@ -235,8 +296,11 @@ def main(argv=None) -> int:
             out["lines"] = lines
         json.dump(out, sys.stdout, indent=1, sort_keys=True)
         print()
+        if args.lines:  # the other side of an --against run
+            return 0
         with contextlib.redirect_stdout(sys.stderr):  # keep stdout JSON
-            return 1 if check_one_shot(lines, one_shot, truths) else 0
+            unequal = check_one_shot(lines, one_shot, truths)
+            return 1 if check_daemon(lines) or unequal else 0
     src = os.path.join(args.against, "src")
     if not os.path.isdir(src):
         parser.error(f"{src} is not a directory")
@@ -257,7 +321,7 @@ def main(argv=None) -> int:
     print(f"{len(streams)} streams, {events} events: "
           f"{len(differing)} differ from {args.against}")
     unequal = check_one_shot(lines, one_shot, truths)
-    return 1 if differing or unequal else 0
+    return 1 if differing or unequal or check_daemon(lines) else 0
 
 
 if __name__ == "__main__":

@@ -152,7 +152,7 @@ class MetricsRegistry:
     return the same object.  Re-registering a name as a different metric
     kind is an error — one name, one type, as in Prometheus.
 
-    Registration is thread-safe: the daemon's pump, accept and
+    Registration is thread-safe: the daemon's accept and
     connection threads all get-or-create series concurrently, and a
     check-then-act race here would hand two threads distinct ``Counter``
     objects for the same key (one of which silently loses every

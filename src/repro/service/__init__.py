@@ -17,8 +17,8 @@ Layering
     :class:`EventHub` — per-subscriber bounded queues, slow-consumer
     policy, session backlog for ``from_seq`` replay.
 :mod:`repro.service.daemon`
-    :class:`RFDumpDaemon` — the TCP server, ingest pump and
-    ``/metrics`` HTTP endpoint.
+    :class:`RFDumpDaemon` — the TCP server, the ingest session that
+    runs the monitor, and the ``/metrics`` HTTP endpoint.
 :mod:`repro.service.client`
     ``replay_trace`` / ``subscribe_events`` — the client half the
     ``rfdumpd`` CLI and the tests drive.

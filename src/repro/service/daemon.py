@@ -2,17 +2,19 @@
 
 One daemon owns one monitor (any :func:`repro.core.make_monitor` kind)
 and one event stream.  An *ingest* client streams IQ windows over the
-socket protocol; a pump thread feeds them through ``Monitor.events()``
-(keeping each window's fault records for ``status()``) and publishes
-each :class:`~repro.core.PacketEvent` to the
-:class:`~repro.service.hub.EventHub`,
-which fans out to any number of *subscriber* clients.  A ``/metrics``
-HTTP endpoint exposes the run's metrics as the same Prometheus text
-page ``rfdump --metrics-out`` writes.
+socket protocol; its connection's thread runs them through
+``Monitor.window_events()`` (keeping each window's fault records for
+``status()``) and publishes each :class:`~repro.core.PacketEvent` to
+the :class:`~repro.service.hub.EventHub` before it reads the next
+frame.  The hub fans out to any number of *subscriber* clients.  There
+is no queue between the socket and the monitor: TCP backpressure is
+the only flow control.  A ``/metrics`` HTTP endpoint exposes the run's
+metrics as the same Prometheus text page ``rfdump --metrics-out``
+writes.
 
 Determinism discipline: the daemon contains **no clock reads** — not
 even monotonic ones.  All waiting is done with socket timeouts,
-``queue.get(timeout=...)`` and ``threading.Event.wait``; every
+``SubscriberQueue.get(timeout=...)`` and ``threading.Event.wait``; every
 timestamp a subscriber sees is derived from sample indices by the
 pipeline, so a daemon replay of a trace is byte-identical to a CLI run
 of the same trace.
@@ -26,6 +28,9 @@ Ingest faults slot into the :mod:`repro.core.errorpolicy` taxonomy:
   (``stage="service"``), and the window is forwarded — recovery on the
   sample stream itself (resync, loss accounting) stays the monitor's
   job, exactly as it is off-daemon.
+* a session that ends any way but its ``end`` frame — EOF, a bad or
+  cut frame, ``stop()`` — is flushed like one that ended cleanly and
+  leaves one ``ErrorRecord(component="ingest", action="flushed")``.
 * a slow subscriber hits the queue policy derived from the same knob
   (see :func:`repro.service.hub.slow_consumer_policy`).
 """
@@ -34,17 +39,17 @@ from __future__ import annotations
 
 import json
 import math
-import queue
 import socket
 import threading
 from collections import deque
 from dataclasses import asdict
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Deque, List, Optional, Tuple
+from typing import Deque, Iterator, List, Optional, Tuple
 
 from repro.core.config import MonitorConfig
 from repro.core.errorpolicy import ErrorRecord
 from repro.core.monitor import MONITOR_NAMES, make_monitor
+from repro.dsp.samples import SampleBuffer
 from repro.errors import RFDumpError, ServiceProtocolError
 from repro.obs import Observability, render_prometheus
 from repro.obs.metrics import Histogram
@@ -56,9 +61,6 @@ from repro.service.hub import (
     slow_consumer_policy,
 )
 
-#: sentinel closing the ingest queue (monitor flush follows)
-_INGEST_EOS = object()
-
 #: how long blocking waits sleep before re-checking the stop flag; this
 #: bounds shutdown latency, it is never used to measure time
 _POLL_S = 0.2
@@ -66,13 +68,9 @@ _POLL_S = 0.2
 #: default bound on each subscriber's live-event queue
 DEFAULT_QUEUE_DEPTH = 256
 
-#: default bound on the ingest window queue (backpressure onto the
-#: client's TCP stream once the monitor falls behind)
-DEFAULT_INGEST_DEPTH = 8
-
 
 class RFDumpDaemon:
-    """The rfdumpd server: ingest socket, monitor pump, subscriber fan-out.
+    """The rfdumpd server: ingest socket, monitor, subscriber fan-out.
 
     Parameters
     ----------
@@ -95,10 +93,9 @@ class RFDumpDaemon:
     def __init__(self, config: Optional[MonitorConfig] = None, *,
                  kind: str = "streaming", host: str = "127.0.0.1",
                  port: int = 0, metrics_port: Optional[int] = None,
-                 queue_depth: int = DEFAULT_QUEUE_DEPTH,
-                 ingest_depth: int = DEFAULT_INGEST_DEPTH):
+                 queue_depth: int = DEFAULT_QUEUE_DEPTH):
         if kind not in MONITOR_NAMES:
-            # here, not in the pump thread, where nobody would see it
+            # here, not in the ingest session, long after start()
             raise ValueError(
                 f"unknown monitor {kind!r}; known: {', '.join(MONITOR_NAMES)}"
             )
@@ -123,8 +120,7 @@ class RFDumpDaemon:
         self._host = host
         self._port = port
         self._metrics_port = metrics_port
-        self._ingest_queue: "queue.Queue" = queue.Queue(maxsize=ingest_depth)
-        self._ingest_claimed = threading.Lock()
+        self._ingest_claimed = False
         self._windows_ingested = 0
         self._stop = threading.Event()
         self._stream_done = threading.Event()
@@ -136,8 +132,9 @@ class RFDumpDaemon:
         self._conns_lock = threading.Lock()
         # guards the cross-thread scalars and the thread roster: _threads
         # grows from the accept thread while stop() (any thread) walks it,
-        # _windows_ingested is bumped by the ingest thread and read by
-        # /healthz, _stream_error is set by the pump and read everywhere
+        # _ingest_claimed is checked-and-set by connection threads,
+        # _windows_ingested and _stream_error are set by the ingest
+        # session and read by /healthz
         self._state_lock = threading.Lock()
 
     # -- lifecycle -------------------------------------------------------------
@@ -152,25 +149,21 @@ class RFDumpDaemon:
                 (self._host, self._metrics_port), self)
             self._spawn(self._metrics_server.serve_forever, "metrics")
         self._spawn(self._accept_loop, "accept")
-        self._spawn(self._pump, "pump")
         return self
 
     def stop(self, timeout: float = 5.0) -> None:
         self._stop.set()
-        # unblock the pump even if no ingest session ever ended
-        try:
-            self._ingest_queue.put_nowait(_INGEST_EOS)
-        except queue.Full:
-            pass
         if self._server is not None:
-            self._server.close()
+            _shut_quietly(self._server)  # wakes the accept loop at once
         if self._metrics_server is not None:
             self._metrics_server.shutdown()
         self.hub.close()
         with self._conns_lock:
             conns = list(self._conns)
         for conn in conns:
-            _close_quietly(conn)
+            # wakes a handler blocked in a read, which close() alone does
+            # not while the handler's makefile holds the socket open
+            _shut_quietly(conn)
         with self._state_lock:
             threads = list(self._threads)
         for thread in threads:
@@ -212,7 +205,7 @@ class RFDumpDaemon:
             return self._stream_error
 
     def wait_stream_end(self, timeout: Optional[float] = None) -> bool:
-        """Block until the monitor has flushed (ingest ``end`` seen)."""
+        """Block until the ingest session has ended and the stream with it."""
         return self._stream_done.wait(timeout)
 
     def status(self) -> dict:
@@ -284,43 +277,6 @@ class RFDumpDaemon:
             if conn in self._conns:
                 self._conns.remove(conn)
 
-    # the pump: ingest queue -> Monitor.events() -> hub
-
-    def _pump(self) -> None:
-        def windows():
-            while True:
-                try:
-                    item = self._ingest_queue.get(timeout=_POLL_S)
-                except queue.Empty:
-                    if self._stop.is_set():
-                        return
-                    continue
-                if item is _INGEST_EOS:
-                    return
-                yield item
-
-        try:
-            with make_monitor(self.kind, self.config) as monitor:
-                for report, events in monitor.window_events(windows()):
-                    if report is not None and report.errors:
-                        with self._errors_lock:
-                            self.pipeline_errors.extend(report.errors)
-                    for event in events:
-                        self.hub.publish(event)
-        except RFDumpError as exc:
-            # the monitor's own policy said raise; the stream is over
-            with self._state_lock:
-                self._stream_error = f"{type(exc).__name__}: {exc}"
-            self._record_error(ErrorRecord.from_exception(
-                "service", "pump", exc, action="aborted"))
-            self.obs.counter(
-                "rfdumpd_stream_failures_total",
-                help="event streams terminated by a pipeline fault",
-            ).inc()
-        finally:
-            self.hub.end_stream()
-            self._stream_done.set()
-
     # the accept loop and per-connection handlers
 
     def _accept_loop(self) -> None:
@@ -370,89 +326,124 @@ class RFDumpDaemon:
             _close_quietly(conn)
 
     def _serve_ingest(self, rw, hello: dict) -> None:
-        # finalized beats claimed: the previous session's done frame is
-        # sent only after _stream_done is set but *before* it releases
-        # the claim, so a client reconnecting right after done must see
-        # "finalized", never a racy "already active"
-        if self._stream_done.is_set():
+        rate = hello.get("sample_rate")
+        if rate is not None and float(rate) != self.config.sample_rate:
             protocol.send_frame(rw, {
                 "type": "error",
-                "message": "event stream already finalized",
+                "message": (
+                    f"daemon monitors at {self.config.sample_rate} sps, "
+                    f"client offers {rate}"
+                ),
             })
             return
-        if not self._ingest_claimed.acquire(blocking=False):
-            protocol.send_frame(rw, {
-                "type": "error",
-                "message": "an ingest session is already active",
-            })
+        refusal = self._claim_ingest()
+        if refusal is not None:
+            protocol.send_frame(rw, {"type": "error", "message": refusal})
             return
-        try:
-            if self._stream_done.is_set():
-                protocol.send_frame(rw, {
-                    "type": "error",
-                    "message": "event stream already finalized",
-                })
-                return
-            rate = hello.get("sample_rate")
-            if rate is not None and float(rate) != self.config.sample_rate:
-                protocol.send_frame(rw, {
-                    "type": "error",
-                    "message": (
-                        f"daemon monitors at {self.config.sample_rate} sps, "
-                        f"client offers {rate}"
-                    ),
-                })
-                return
-            protocol.send_frame(rw, {
-                "type": "welcome", "role": "ingest",
-                "v": protocol.PROTOCOL_VERSION, "kind": self.kind,
-            })
-            self._ingest_loop(rw)
-        finally:
-            self._ingest_claimed.release()
+        ended_by_end = False
+        rejection: Optional[str] = None
 
-    def _ingest_loop(self, rw) -> None:
-        expected_seq = 0
-        expected_sample: Optional[int] = None
-        while not self._stop.is_set():
-            frame = protocol.recv_frame(rw)
-            if frame is None:
-                # abrupt EOF: finalize with what arrived
-                self._record_error(ErrorRecord(
-                    stage="service", component="ingest",
-                    error="ConnectionClosed",
-                    message="ingest stream ended without an end frame",
-                    action="flushed",
-                ))
-                self._finish_ingest()
-                return
-            header, payload = frame
-            ftype = header.get("type")
-            if ftype == "end":
-                self._finish_ingest()
+        def windows() -> Iterator[SampleBuffer]:
+            # one frame read per window, after the previous window's
+            # events are published; every ending but `end` is recorded
+            nonlocal ended_by_end, rejection
+            expected_seq = 0
+            expected_sample: Optional[int] = None
+            stopped = ("DaemonStopped", "the daemon stopped mid-session")
+            ending = stopped
+            try:
+                while not self._stop.is_set():
+                    frame = protocol.recv_frame(rw)
+                    if frame is None:
+                        ending = ("ConnectionClosed",
+                                  "ingest stream ended without an end frame")
+                        break
+                    header, payload = frame
+                    ftype = header.get("type")
+                    if ftype == "end":
+                        ended_by_end = True
+                        return
+                    if ftype != "window":
+                        raise ServiceProtocolError(
+                            f"unexpected {ftype!r} frame during ingest")
+                    buffer = protocol.decode_window(
+                        header, payload, self.config.sample_rate)
+                    gap = self._check_continuity(
+                        header, buffer, expected_seq, expected_sample)
+                    if gap is not None and self.config.on_error == "raise":
+                        rejection = gap
+                        ending = ("IngestRejected", gap)
+                        break
+                    expected_seq = int(header.get("seq", expected_seq)) + 1
+                    expected_sample = buffer.start_sample + len(buffer)
+                    self._count_window()
+                    yield buffer
+            except (OSError, ValueError, ServiceProtocolError) as exc:
+                ending = (type(exc).__name__, str(exc))
+            if self._stop.is_set():  # stop() cuts the connection too
+                ending = stopped
+            self._record_error(ErrorRecord(
+                stage="service", component="ingest", error=ending[0],
+                message=ending[1], action="flushed"))
+
+        frames = windows()
+        try:
+            with make_monitor(self.kind, self.config) as monitor:
                 protocol.send_frame(rw, {
-                    "type": "done",
-                    "windows": self.windows_ingested,
-                    "events": self.hub.published,
-                    "errors": len(self.errors),
-                    "stream_error": self.stream_error,
+                    "type": "welcome", "role": "ingest",
+                    "v": protocol.PROTOCOL_VERSION, "kind": self.kind,
                 })
-                return
-            if ftype != "window":
-                raise ServiceProtocolError(
-                    f"unexpected {ftype!r} frame during ingest")
-            buffer = protocol.decode_window(
-                header, payload, self.config.sample_rate)
-            gap = self._check_continuity(
-                header, buffer, expected_seq, expected_sample)
-            if gap is not None and self.config.on_error == "raise":
-                protocol.send_frame(rw, {"type": "error", "message": gap})
-                self._finish_ingest()
-                return
-            expected_seq = int(header.get("seq", expected_seq)) + 1
-            expected_sample = buffer.start_sample + len(buffer)
-            self._enqueue_window(buffer)
-        # daemon stopping; drop the connection without a done frame
+                try:
+                    for report, events in monitor.window_events(frames):
+                        if report is not None and report.errors:
+                            with self._errors_lock:
+                                self.pipeline_errors.extend(report.errors)
+                        for event in events:
+                            self.hub.publish(event)
+                except RFDumpError as exc:
+                    # the monitor's own policy said raise: the stream is
+                    # over, and the session reads on to its end to say so
+                    self._abort_stream(exc)
+                    for _ in frames:
+                        pass
+        finally:
+            self.hub.end_stream()
+            self._stream_done.set()
+        if rejection is not None:
+            protocol.send_frame(rw, {"type": "error", "message": rejection})
+        elif ended_by_end:
+            protocol.send_frame(rw, {
+                "type": "done",
+                "windows": self.windows_ingested,
+                "events": self.hub.published,
+                "errors": len(self.errors),
+                "stream_error": self.stream_error,
+            })
+
+    def _abort_stream(self, exc: RFDumpError) -> None:
+        with self._state_lock:
+            self._stream_error = f"{type(exc).__name__}: {exc}"
+        self._record_error(ErrorRecord.from_exception(
+            "service", "monitor", exc, action="aborted"))
+        self.obs.counter(
+            "rfdumpd_stream_failures_total",
+            help="event streams terminated by a pipeline fault",
+        ).inc()
+
+    def _claim_ingest(self) -> Optional[str]:
+        """Claim the daemon's one ingest session; the refusal, if not.
+
+        Finalized beats claimed: ``_stream_done`` is set before the
+        session's ``done`` frame is sent, so a client reconnecting right
+        after ``done`` sees "finalized", never a racy "already active".
+        """
+        with self._state_lock:
+            if self._stream_done.is_set():
+                return "event stream already finalized"
+            if self._ingest_claimed:
+                return "an ingest session is already active"
+            self._ingest_claimed = True
+        return None
 
     def _check_continuity(self, header: dict, buffer, expected_seq: int,
                           expected_sample: Optional[int]) -> Optional[str]:
@@ -491,31 +482,13 @@ class RFDumpDaemon:
             ))
         return gap
 
-    def _enqueue_window(self, buffer) -> None:
-        while not self._stop.is_set():
-            try:
-                self._ingest_queue.put(buffer, timeout=_POLL_S)
-                break
-            except queue.Full:
-                continue  # monitor is behind; TCP backpressure builds
+    def _count_window(self) -> None:
         with self._state_lock:
             self._windows_ingested += 1
         self.obs.counter(
             "rfdumpd_windows_ingested_total",
             help="IQ windows accepted over the ingest socket",
         ).inc()
-
-    def _finish_ingest(self) -> None:
-        while True:
-            try:
-                self._ingest_queue.put(_INGEST_EOS, timeout=_POLL_S)
-                break
-            except queue.Full:
-                if self._stop.is_set():
-                    return
-        while not self._stream_done.wait(_POLL_S):
-            if self._stop.is_set():
-                return
 
     def _serve_subscriber(self, conn: socket.socket, rw, hello: dict) -> None:
         from_seq = hello.get("from_seq")
@@ -592,3 +565,12 @@ def _close_quietly(conn: socket.socket) -> None:
         conn.close()
     except OSError:
         pass
+
+
+def _shut_quietly(sock: socket.socket) -> None:
+    """Shut ``sock`` down, waking any thread blocked on it, and close it."""
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass
+    _close_quietly(sock)

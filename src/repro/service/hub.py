@@ -1,6 +1,6 @@
 """Event fan-out: one publisher, N subscribers, bounded queues.
 
-The daemon's ingest pump publishes each :class:`~repro.core.PacketEvent`
+The daemon's ingest session publishes each :class:`~repro.core.PacketEvent`
 exactly once; the :class:`EventHub` owns a bounded
 :class:`SubscriberQueue` per subscriber plus the session *backlog* — an
 append-only list of every event published so far.  A subscriber that
@@ -166,7 +166,7 @@ class EventHub:
     """The daemon's fan-out core: backlog + per-subscriber queues.
 
     Thread contract: ``publish``/``end_stream`` are called from the
-    ingest pump thread; ``subscribe``/``unsubscribe`` from connection
+    ingest session's thread; ``subscribe``/``unsubscribe`` from connection
     threads.  The hub lock orders backlog appends against subscriber
     registration, which is what makes ``from_seq`` replay exact — an
     event is either in the preloaded backlog slice or delivered live,

@@ -43,16 +43,16 @@ from repro.trace import TraceReader
 from repro.trace.io import DEFAULT_WINDOW_MS, read_meta, window_samples
 
 
-class _OneLineErrorParser(argparse.ArgumentParser):
+class OneLineErrorParser(argparse.ArgumentParser):
     """Reports a bad command line the way ``run`` reports a bad flag
-    value: ``rfdump: <message>`` on stderr, exit 2, no usage dump."""
+    value: ``<prog>: <message>`` on stderr, exit 2, no usage dump."""
 
     def error(self, message: str):
         self.exit(2, f"{self.prog}: {message}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _OneLineErrorParser(
+    parser = OneLineErrorParser(
         prog="rfdump",
         description="monitor the wireless ether from a recorded IQ trace",
     )

@@ -41,11 +41,8 @@ from repro.service.client import (
     replay_trace,
     subscribe_events,
 )
-from repro.service.daemon import (
-    DEFAULT_INGEST_DEPTH,
-    DEFAULT_QUEUE_DEPTH,
-    RFDumpDaemon,
-)
+from repro.service.daemon import DEFAULT_QUEUE_DEPTH, RFDumpDaemon
+from repro.tools.rfdump import OneLineErrorParser
 
 
 def _address(text: str) -> Tuple[str, int]:
@@ -57,7 +54,7 @@ def _address(text: str) -> Tuple[str, int]:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = OneLineErrorParser(
         prog="rfdumpd",
         description="the RFDump monitoring daemon and its clients",
     )
@@ -98,9 +95,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "degrade=drop oldest)")
     serve.add_argument("--queue-depth", type=int, default=DEFAULT_QUEUE_DEPTH,
                        help="per-subscriber bounded queue depth")
-    serve.add_argument("--ingest-depth", type=int, default=DEFAULT_INGEST_DEPTH,
-                       help="ingest window queue depth (TCP backpressure "
-                            "builds once the monitor falls this far behind)")
 
     replay = sub.add_parser(
         "replay", help="stream a recorded trace into a running daemon")
@@ -143,7 +137,7 @@ def _run_serve(args) -> int:
             ),
             kind=kind, host=args.host, port=args.port,
             metrics_port=args.metrics_port,
-            queue_depth=args.queue_depth, ingest_depth=args.ingest_depth,
+            queue_depth=args.queue_depth,
         )
     except ValueError as exc:
         print(f"rfdumpd: {exc}", file=sys.stderr)

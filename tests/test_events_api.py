@@ -18,7 +18,7 @@ from repro.core.streaming import StreamingMonitor
 from repro.emulator.presets import build_preset
 from repro.faults.harness import split_windows
 from repro.service import RFDumpDaemon
-from repro.tools import rfdump
+from repro.tools import rfdump, rfdumpd
 
 
 def _config(trace, **overrides) -> MonitorConfig:
@@ -186,6 +186,14 @@ class TestMonitorEvents:
         # a daemon refuses the kind before it owns a socket or a thread
         with pytest.raises(ValueError, match="unknown monitor"):
             RFDumpDaemon(MonitorConfig(), kind="flowgraph")
+        # the ingest queue is gone: TCP backpressure is the flow control
+        with pytest.raises(TypeError):
+            RFDumpDaemon(MonitorConfig(), ingest_depth=8)
+        with pytest.raises(SystemExit) as exc:
+            rfdumpd.main(["serve", "--ingest-depth", "4"])
+        assert exc.value.code == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("rfdumpd: ")
         # and the CLI before it opens the trace: one line, exit 2
         with pytest.raises(SystemExit) as exc:
             rfdump.main([str(tmp_path / "absent.iq"), "--monitor", "flowgraph"])

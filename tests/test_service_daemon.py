@@ -1,5 +1,5 @@
-"""Tests for RFDumpDaemon: ingest, fan-out, gaps, metrics, equivalence,
-lock order."""
+"""Tests for RFDumpDaemon: ingest, fan-out, gaps, session endings,
+metrics, equivalence, lock order."""
 
 import linecache
 import re
@@ -45,6 +45,24 @@ def daemon_config(wifi_trace):
         protocols=("wifi",),
         on_error="degrade",
     )
+
+
+def _open_ingest(daemon):
+    """An ingest connection past its handshake: ``(socket, rw file)``."""
+    conn = socket.create_connection(daemon.address, timeout=30)
+    rw = conn.makefile("rwb")
+    protocol.send_frame(rw, {
+        "type": "hello", "role": "ingest", "v": protocol.PROTOCOL_VERSION,
+    })
+    header, _ = protocol.recv_frame(rw)
+    assert header["type"] == "welcome"
+    return conn, rw
+
+
+def _send_window(rw, seq, buffer):
+    head, payload = protocol.window_frame(buffer)
+    head["seq"] = seq
+    protocol.send_frame(rw, head, payload)
 
 
 def _direct_events(kind, config, trace_file):
@@ -167,25 +185,18 @@ class TestDaemonCLIEquivalence:
         assert actual == expected
 
 
-class TestIngestGapDetection:
-    def _ingest_raw(self, daemon, windows, *, frames=None):
-        """Drive the ingest protocol by hand; returns the final frame."""
-        with socket.create_connection(daemon.address, timeout=30) as conn:
-            rw = conn.makefile("rwb")
-            protocol.send_frame(rw, {
-                "type": "hello", "role": "ingest",
-                "v": protocol.PROTOCOL_VERSION,
-            })
-            header, _ = protocol.recv_frame(rw)
-            assert header["type"] == "welcome"
-            for seq, buffer in windows:
-                head, payload = protocol.window_frame(buffer)
-                head["seq"] = seq
-                protocol.send_frame(rw, head, payload)
-            protocol.send_frame(rw, {"type": "end"})
-            final = protocol.recv_frame(rw)
-            return final[0] if final else None
+def _ingest_raw(daemon, windows):
+    """Drive the ingest protocol by hand; returns the final frame."""
+    conn, rw = _open_ingest(daemon)
+    with conn:
+        for seq, buffer in windows:
+            _send_window(rw, seq, buffer)
+        protocol.send_frame(rw, {"type": "end"})
+        final = protocol.recv_frame(rw)
+        return final[0] if final else None
 
+
+class TestIngestGapDetection:
     def _windows(self, trace):
         from repro.faults.harness import split_windows
         return split_windows(
@@ -202,7 +213,7 @@ class TestIngestGapDetection:
             (i, w) for i, w in enumerate(windows) if i >= 2
         ]
         with RFDumpDaemon(daemon_config) as daemon:
-            final = self._ingest_raw(daemon, fed)
+            final = _ingest_raw(daemon, fed)
             assert final["type"] == "done"
             errors = list(daemon.errors)
         kinds = {(e.error, e.action) for e in errors}
@@ -214,7 +225,7 @@ class TestIngestGapDetection:
             self, daemon_config, wifi_trace):
         windows = self._windows(wifi_trace)
         with RFDumpDaemon(daemon_config) as daemon:
-            final = self._ingest_raw(
+            final = _ingest_raw(
                 daemon, list(enumerate(windows)))
             assert final["type"] == "done"
             assert final["errors"] == 0
@@ -234,7 +245,7 @@ class TestIngestGapDetection:
                                       windows[1].end_sample)
         windows[1].samples = burst
         with RFDumpDaemon(daemon_config, kind=kind) as daemon:
-            final = self._ingest_raw(daemon, list(enumerate(windows)))
+            final = _ingest_raw(daemon, list(enumerate(windows)))
             assert final["type"] == "done"
             assert daemon.wait_stream_end(30)
             listed = daemon.status()["pipeline_errors"]
@@ -249,12 +260,120 @@ class TestIngestGapDetection:
         fed = [(0, windows[0]), (2, windows[2])]  # seq 1 missing
         config = daemon_config.replace(on_error="raise")
         with RFDumpDaemon(config) as daemon:
-            final = self._ingest_raw(daemon, fed)
+            final = _ingest_raw(daemon, fed)
             assert final["type"] == "error"
             # both the seq and the sample-position discontinuity fire;
             # the reported message describes the gap either way
             assert "seq" in final["message"] or "sample" in final["message"]
             assert any(e.action == "rejected" for e in daemon.errors)
+
+
+#: a window header whose payload never arrives in full
+_CUT_WINDOW = (b'{"nbytes":8000,"nsamples":1000,"seq":1,'
+               b'"start_sample":8000,"type":"window"}\n' + bytes(100))
+
+#: what a session that ends without ``end`` was sent after its first
+#: window, and the error its ``flushed`` record names
+_BAD_ENDINGS = {
+    "eof": (b"", "ConnectionClosed"),
+    "unknown-type": (b'{"type":"bogus"}\n', "ServiceProtocolError"),
+    "malformed-header": (b"not json\n", "ServiceProtocolError"),
+    "implausible-nbytes": (b'{"nbytes":1099511627776,"type":"window"}\n',
+                           "ServiceProtocolError"),
+    "cut-payload": (_CUT_WINDOW, "ServiceProtocolError"),
+}
+
+
+def _daemon_threads():
+    return [t.name for t in threading.enumerate()
+            if t.name.startswith("rfdumpd-")]
+
+
+class TestIngestSessionEnds:
+    """Every way an ingest session ends flushes the monitor and ends the
+    hub stream once; every way but ``end`` leaves one ``flushed`` record."""
+
+    @pytest.fixture
+    def first_window(self, wifi_trace):
+        return wifi_trace.buffer.slice(0, 8_000)
+
+    def _flushed(self, daemon):
+        return [(e.stage, e.component, e.error) for e in daemon.errors
+                if e.action == "flushed"]
+
+    @pytest.mark.parametrize("ending", sorted(_BAD_ENDINGS))
+    def test_session_cut_short_is_flushed_and_recorded(
+            self, daemon_config, first_window, ending):
+        sent, error = _BAD_ENDINGS[ending]
+        with RFDumpDaemon(daemon_config) as daemon:
+            conn, rw = _open_ingest(daemon)
+            with conn:
+                _send_window(rw, 0, first_window)
+                rw.write(sent)
+                rw.flush()
+                conn.shutdown(socket.SHUT_WR)
+                # was (unknown type, cut payload): no record, and the
+                # stream open until stop()
+                assert daemon.wait_stream_end(3)
+            assert daemon.hub.ended
+            assert daemon.windows_ingested == 1
+            assert self._flushed(daemon) == [("service", "ingest", error)]
+
+    def test_stop_mid_session_is_flushed_and_recorded(
+            self, daemon_config, first_window):
+        daemon = RFDumpDaemon(daemon_config).start()
+        conn, rw = _open_ingest(daemon)
+        with conn:
+            _send_window(rw, 0, first_window)
+            rw.write(_CUT_WINDOW)
+            rw.flush()
+            daemon.stop()
+            assert daemon.wait_stream_end(0)
+        assert daemon.hub.ended
+        assert self._flushed(daemon) == [
+            ("service", "ingest", "DaemonStopped")]
+
+    def test_monitor_fault_ends_stream_and_is_reported_in_done(
+            self, daemon_config, wifi_trace):
+        import numpy as np
+
+        broken = wifi_trace.buffer.slice(8_000, 16_000)
+        broken.samples = broken.samples.copy()
+        broken.samples[10] = np.nan
+        windows = [wifi_trace.buffer.slice(0, 8_000), broken,
+                   wifi_trace.buffer.slice(16_000, 24_000)]
+        config = daemon_config.replace(on_error="raise")
+        with RFDumpDaemon(config) as daemon:
+            final = _ingest_raw(daemon, list(enumerate(windows)))
+            assert final["type"] == "done"
+            assert final["windows"] == 3  # read on to the end frame
+            assert final["stream_error"].startswith("SampleIntegrityError")
+            assert [(e.component, e.action) for e in daemon.errors] == [
+                ("monitor", "aborted")]
+            assert daemon.hub.ended
+
+    def test_stop_leaves_no_daemon_thread(self, daemon_config, first_window):
+        RFDumpDaemon(daemon_config).start().stop()
+        assert _daemon_threads() == []
+
+        daemon = RFDumpDaemon(daemon_config).start()
+        conn, rw = _open_ingest(daemon)
+        with conn:
+            _send_window(rw, 0, first_window)
+            rw.write(_CUT_WINDOW)
+            rw.flush()
+            # the connection's own thread runs the monitor
+            assert _daemon_threads().count("rfdumpd-conn") == 1
+            daemon.stop()
+        assert _daemon_threads() == []
+
+        with RFDumpDaemon(daemon_config) as finished:
+            final = _ingest_raw(finished, [(0, first_window)])
+            assert final["type"] == "done"
+            assert self._flushed(finished) == []  # `end` is the clean way
+        assert _daemon_threads() == []
+        for each in (daemon, finished):
+            assert "rfdumpd-pump" not in [t.name for t in each._threads]
 
 
 class TestMetricsEndpoint:
@@ -280,7 +399,7 @@ class TestMetricsEndpoint:
 
 # -- lock order ----------------------------------------------------------------
 #
-# The ten lock sites, by (module, attribute), and the domain DESIGN.md's
+# The nine lock sites, by (module, attribute), and the domain DESIGN.md's
 # lock table names them by.  A lock created anywhere else in these
 # modules is reported as undocumented.
 LOCK_DOMAINS = {
@@ -289,7 +408,6 @@ LOCK_DOMAINS = {
     ("repro.service.hub", "_lock"): "service.hub",
     ("repro.service.hub", "_cond"): "service.subscriber",
     ("repro.service.daemon", "_errors_lock"): "daemon.errors",
-    ("repro.service.daemon", "_ingest_claimed"): "daemon.ingest-claim",
     ("repro.service.daemon", "_conns_lock"): "daemon.conns",
     ("repro.service.daemon", "_state_lock"): "daemon.state",
     ("repro.core.analysis_stage", "_pool_lock"): "parallel.pool",
@@ -298,10 +416,6 @@ LOCK_DOMAINS = {
 
 #: every (held -> acquired) order the design allows; no other nesting
 DOCUMENTED_EDGES = {
-    ("daemon.ingest-claim", "daemon.errors"),
-    ("daemon.ingest-claim", "daemon.state"),
-    ("daemon.ingest-claim", "obs.registry"),
-    ("daemon.ingest-claim", "service.hub"),
     ("service.hub", "service.subscriber"),
 }
 
@@ -456,8 +570,7 @@ class TestLockOrder:
         assert len(live) == len(late) == done["events"] > 0
         assert lock_recorder.acquired == set(LOCK_DOMAINS.values())
         assert lock_recorder.violations() == []
-        assert {("daemon.ingest-claim", "service.hub"),
-                ("service.hub", "service.subscriber")} <= lock_recorder.edges
+        assert lock_recorder.edges == DOCUMENTED_EDGES
 
     def test_injected_inversion_is_reported(self, lock_recorder):
         fanout = EventHub()

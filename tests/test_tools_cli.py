@@ -251,7 +251,10 @@ class TestRfdumpdCLI:
         with pytest.raises(SystemExit) as exc:
             rfdumpd.main(["serve", "--monitor", kind])
         assert exc.value.code == 2
-        assert capsys.readouterr().out == ""  # no announce line
+        captured = capsys.readouterr()
+        assert captured.out == ""  # no announce line
+        (line,) = captured.err.splitlines()
+        assert line.startswith("rfdumpd serve: ")
 
     @pytest.mark.parametrize("flags", [
         ["--protocols", "foo"], ["--workers", "0"], ["--deadline-ms", "-5"],
