@@ -25,12 +25,20 @@ what still has to be true for the architecture to pay: demodulating
 everything costs more than the whole detection *stage* that decides
 what to demodulate — peak/energy detection plus the per-peak phase
 detectors it feeds (Section 4.5: "a few operations per sample");
-measured 1.4-1.5x.  The Bluetooth row is eight
+measured 1.4-1.5x on the host above.  Decode-forward scanning made
+this whole-trace row dearer, not cheaper: five alternating runs on a
+2-vCPU host read 0.19-0.24 (median 0.22) against 0.17-0.23 (0.18)
+before it, 2.2x the detection stage (1.6x before) and 10.6x idle
+detection (8.1x).  A whole trace pays a search, an acquisition call and
+a capture check per decoded packet, where dispatched ranges hold one
+packet each.  The Bluetooth row is eight
 demodulators over the whole trace: since the all-channels, all-alignments
 scan it measures 1.4-1.9 CPU/RT (6.5-8.9 before), half of it the
 channel filter's sixteen ``np.convolve`` passes; it is held under 3.0
 and still has to clear five detection stages, as the paper's 0.7 does
-fourteen times over.  Peak/energy detection has two rows.  The busy
+fourteen times over.  That bound depends on the host: over 25 runs on
+the 2-vCPU host above, with one Bluetooth scan throughout, the row read
+1.75-3.94 and failed it 9 times.  Peak/energy detection has two rows.  The busy
 trace is ~70% signal and its floor is estimated, so every sample is
 squared for the percentile; the coarse pass still skips the idle
 stretches, and inside the bursts the moving average is evaluated only

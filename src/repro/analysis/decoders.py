@@ -63,31 +63,53 @@ def _dedup_records(records: List[PacketRecord], min_spacing: int) -> List[Packet
     return out
 
 
-#: differential bits searched for SFDs at a time, so that a whole-trace
-#: scan (the naive monitors) holds tile-sized temporaries
+#: An SFD search covers _SEARCH_CHUNK differential bits from the range
+#: start or past a decoded packet, doubling up to _SFD_TILE (so a
+#: whole-trace scan holds tile-sized temporaries) for each search that
+#: decodes nothing: a search's fixed cost is that of thousands of bits,
+#: yet the first should stop soon after a long preamble's SFD, which
+#: ends 1,152 samples in at 8 Msps.
+_SEARCH_CHUNK = 2048
 _SFD_TILE = 1 << 15
+
+#: A stronger frame arriving inside a decoded one captures the receiver.
+#: Its power, one sample per symbol summed over _CAPTURE_BLOCK symbols,
+#: rises against the packet's PLCP level: an arrival as strong doubles it
+#: (noise aside), a weaker one is not decoded under it; 1.5x sits between.
+_CAPTURE_BLOCK = 32
+_CAPTURE_LEVEL = 1.5
+
+#: the longest 802.11b frame — a 192 us PLCP and a 2,346-byte MPDU at
+#: 1 Mbps: 192 + 8 * 2346 = 18,960 us — and a symbol of slack, since a
+#: start read from an SFD can fall a symbol early
+_MAX_PACKET_US = 192.0 + 8 * 2346 + 8
+#: a candidate is decoded from this much of its slice first: it holds all
+#: but the longest frames, and a whole-trace scan reads a quarter as much
+_FIRST_SLICE_US = 5000.0
 
 
 class WifiStreamDecoder:
     """Finds and decodes every 802.11b packet in a sample range.
 
-    Each question is asked of a range once.  The Barker chip-phase
-    templates are ranked by correlation energy from the range's lag sums
+    Decode forward.  The Barker chip-phase templates are ranked by
+    correlation energy from the range's lag sums
     (``WifiDemodulator.strongest_template``) and only the strongest is
     correlated.  One lag-``sps`` product of that correlation gives the
     differential bits of all 8 symbol alignments, which are descrambled
-    and searched for SFDs together — about three candidate starts per
-    packet, one per neighbouring alignment.  Timing acquisition then
-    runs for all candidates together, the candidates are visited in
-    order of their acquired start sample, and one is decoded (from a
-    slice of the kept correlation when acquisition chose that template)
-    only when it starts a new packet rather than repeating the last
-    decoded one.
+    and searched for SFDs together, a chunk at a time from a resume
+    position — about three candidate starts per packet, one per
+    neighbouring alignment.  A chunk's candidates are acquired together
+    and visited in order of their acquired start sample, and one is
+    decoded (from a slice of the kept correlation when acquisition chose
+    that template) only when it starts a new packet rather than
+    repeating the last decoded one.  The search then resumes at that
+    packet's end, or earlier where a stronger arrival captures it.
 
-    ``impl="reference"`` keeps the earlier flow — a full
-    ``WifiDemodulator.demodulate`` on every candidate, duplicates
+    ``impl="reference"`` keeps the earlier flow — every SFD searched, a
+    full ``WifiDemodulator.demodulate`` on every candidate, duplicates
     collapsed afterwards — for the equivalence tests and ``rfbench
-    --impl reference``; the two return equal records.
+    --impl reference``.  The two return equal records unless a packet
+    starts inside a decoded one without capturing it.
     """
 
     #: samples of slack kept before a candidate's nominal preamble start
@@ -98,7 +120,7 @@ class WifiStreamDecoder:
     _PREAMBLES = ((False, 144), (True, 72))
 
     def __init__(self, sample_rate: float, decode_payload: bool = True,
-                 max_packet_us: float = 5000.0, impl: str = "vectorized"):
+                 max_packet_us: float = _MAX_PACKET_US, impl: str = "vectorized"):
         if impl not in ("vectorized", "reference"):
             raise ValueError(f"impl must be 'vectorized' or 'reference', not {impl!r}")
         self.sample_rate = sample_rate
@@ -110,28 +132,26 @@ class WifiStreamDecoder:
         #: found at neighbouring alignments
         self._min_spacing = 96 * self._sps
 
-    def _candidate_starts(self, corr: np.ndarray) -> List[int]:
-        """Sample indices where a PLCP preamble plausibly starts, ascending.
+    def _candidate_starts(self, corr: np.ndarray, lo: int = 0,
+                          hi: Optional[int] = None) -> List[int]:
+        """Sample indices where a PLCP preamble plausibly starts, ascending,
+        from the SFDs whose first differential bit is in ``[lo, hi)``.
 
         ``corr`` is the range's correlation against its strongest
         template.  All ``sps`` symbol alignments are searched together:
         differential bit ``i`` is bit ``i // sps`` of alignment ``i % sps``.
         """
         sps = self._sps
-        nbits = corr.size - sps
-        # a tile's bits start 7 before they descramble right and 8 more
-        # (an SFD's lead) before the first SFD it may report
+        # the bits start 7 before they descramble right and 8 more (an
+        # SFD's lead) before the first SFD they may report
         margin = 15 * sps
-        hits = []
-        for lo in range(0, nbits - margin, _SFD_TILE):
-            first = max(lo - margin, 0)
-            last = min(lo + _SFD_TILE + margin, nbits)
-            bits = dsss.dbpsk_bits_at_lag(corr[first:last + sps], sps)
-            hits.extend(
-                (first + start, short, lead)
+        stop = corr.size - sps - margin
+        hi = stop if hi is None else min(hi, stop)
+        first = max(lo - margin, 0)
+        bits = dsss.dbpsk_bits_at_lag(corr[first:max(hi + margin + sps, first)], sps)
+        hits = [(first + start, short, lead)
                 for start, short, lead in plcp.sfd_hits(descramble_stream(bits, sps), sps)
-                if first + start >= lo
-            )
+                if first + start >= lo]
         return sorted(
             end % sps + max(end // sps - preamble_bits, 0) * sps
             for short, preamble_bits in self._PREAMBLES
@@ -173,38 +193,71 @@ class WifiStreamDecoder:
         # millions of samples): the range and one correlation
         strongest = demod.strongest_template(samples)
         strongest_corr = demod.correlate(samples, strongest)
-        bounds = [
-            (max(start - self._LEAD, 0), min(start + self._max_packet, samples.size))
-            for start in self._candidate_starts(strongest_corr)
-        ]
-        timings = demod.acquire_each(samples, bounds)
-        # A record starts at lo + acquired offset, so acquisition alone
-        # fixes the order _dedup_records would sort decoded candidates
-        # into (start sample, then candidate order) and which of them it
-        # would drop: those within _min_spacing of the last kept record.
-        # Visiting in that order lets the dropped ones skip the decode.
-        visit = sorted(
-            (bounds[i][0] + timing[1], i)
-            for i, timing in enumerate(timings) if timing is not None
-        )
         records: List[PacketRecord] = []
         last_start = None
-        for start, i in visit:
-            if last_start is not None and start - last_start < self._min_spacing:
-                continue
-            lo, hi = bounds[i]
-            index, offset = timings[i]
-            if index == strongest:
-                corr = strongest_corr[lo:hi - sps + 1]
-            else:
-                corr = demod.correlate(samples[lo:hi], index)
-            try:
-                packet = demod.decode(samples[lo:hi], corr, offset)
-            except DecodeError:
-                continue
-            records.append(self._record(buffer, lo, packet))
-            last_start = start
+        pos, chunk = 0, _SEARCH_CHUNK
+        # the last SFD a search can report starts 16 symbols before the end
+        while pos < strongest_corr.size - 16 * sps:  # one iteration per search
+            bounds = [
+                (max(start - self._LEAD, 0), min(start + self._max_packet, samples.size))
+                for start in self._candidate_starts(strongest_corr, pos, pos + chunk)
+            ]
+            pos, chunk = pos + chunk, min(2 * chunk, _SFD_TILE)
+            timings = demod.acquire_each(samples, bounds)
+            # A record starts at lo + acquired offset, so acquisition alone
+            # fixes the order _dedup_records would sort decoded candidates
+            # into (start sample, then candidate order) and which of them it
+            # would drop: those within _min_spacing of the last kept record.
+            # Visiting in that order lets the dropped ones skip the decode,
+            # and the first that decodes moves the search past its packet.
+            visit = sorted(
+                (bounds[i][0] + timing[1], i)
+                for i, timing in enumerate(timings) if timing is not None
+            )
+            for start, i in visit:
+                if last_start is not None and start - last_start < self._min_spacing:
+                    continue
+                lo, hi = bounds[i]
+                try:
+                    packet = self._decode(samples, lo, hi, timings[i], strongest, strongest_corr)
+                except DecodeError:
+                    continue
+                records.append(self._record(buffer, lo, packet))
+                last_start = start
+                pos, chunk = self._resume(samples, start, records[-1]), _SEARCH_CHUNK
+                break
         return records
+
+    def _decode(self, samples: np.ndarray, lo: int, hi: int, timing: Tuple[int, int],
+                strongest: int, strongest_corr: np.ndarray):
+        """The candidate ``samples[lo:hi]`` decoded at its acquired ``(template,
+        offset)``: from its first ``_FIRST_SLICE_US``, and from the whole
+        slice if the frame's header passed but its payload ran out there."""
+        index, offset = timing
+        cut = min(hi, lo + int(_FIRST_SLICE_US * 1e-6 * self.sample_rate))
+        while True:  # at most twice
+            corr = (strongest_corr[lo:cut - self._sps + 1] if index == strongest
+                    else self.demodulator.correlate(samples[lo:cut], index))
+            try:
+                return self.demodulator.decode(samples[lo:cut], corr, offset)
+            except DecodeError as exc:
+                if cut == hi or type(exc) is not DecodeError:  # no SFD, or a bad CRC
+                    raise
+                cut = hi
+
+    def _resume(self, samples: np.ndarray, start: int, record: PacketRecord) -> int:
+        """Where the SFD search goes on after ``record`` decoded from
+        ``start``: the packet's end, or the first block inside it where a
+        stronger arrival raises the power to ``_CAPTURE_LEVEL`` x its PLCP's."""
+        sps = self._sps
+        end = start + record.end_sample - record.start_sample
+        head = 96 if record.info["preamble"] == "short" else 192  # PLCP symbols
+        x = samples[start:end:sps]
+        power = x.real * x.real + x.imag * x.imag
+        body = power[head:head + (power.size - head) // _CAPTURE_BLOCK * _CAPTURE_BLOCK]
+        rise = np.flatnonzero(body.reshape(-1, _CAPTURE_BLOCK).sum(axis=1)
+                              >= _CAPTURE_LEVEL * _CAPTURE_BLOCK / head * power[:head].sum())
+        return start + (head + _CAPTURE_BLOCK * int(rise[0])) * sps if rise.size else end
 
     # -- reference twin: the pre-restructuring flow, kept for equivalence ---
 

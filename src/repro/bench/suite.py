@@ -30,6 +30,8 @@ from repro.core.peak_detector import PeakDetector, PeakDetectorConfig
 from repro.dsp.energy import chunked_power, energy_gate, interval_stats
 from repro.dsp.fftutil import spectrogram
 from repro.dsp.samples import SampleBuffer
+from repro.phy.wifi import WifiModulator
+from repro.phy.wifi_mac import build_data_frame
 
 
 def _soup(ctx: BenchContext):
@@ -340,6 +342,27 @@ def dispatched_bluetooth_ranges(preset: str, duration: float,
             for r in ranges.get("bluetooth", [])]
 
 
+def capture_grid():
+    """``(power_db, range)`` per case: frame A (a 428-byte 1 Mbps MPDU) with
+    frame B (88 bytes), ``power_db`` stronger, starting inside A's payload.
+    3 chip phases of B x 8 powers x 4 positions x A at 31, 11 and 5 dB SNR."""
+    modulator = WifiModulator()
+    a = modulator.modulate(build_data_frame(1, 2, bytes(range(200)) * 2), 1.0)
+    rng = np.random.default_rng(36)
+    cases = []
+    for phase in (0.0, 1 / 3, 2 / 3):
+        b = modulator.modulate(build_data_frame(3, 4, b"b" * 60), 1.0, chip_phase=phase)
+        for power_db in (-3.0, 0.0, 1.0, 2.0, 3.0, 6.0, 10.0, 20.0):
+            for at in (8 * us + 300 for us in (300, 1100, 1900, 2700)):
+                for snr_db in (31.0, 11.0, 5.0):
+                    noise = rng.normal(size=(2, a.size + 600)) * np.sqrt(0.5 / 10 ** (snr_db / 10))
+                    rx = (noise[0] + 1j * noise[1]).astype(np.complex64)
+                    rx[300:300 + a.size] += a
+                    rx[at:at + b.size] += np.float32(10 ** (power_db / 20)) * b
+                    cases.append((power_db, SampleBuffer.from_array(rx, DEFAULT_SAMPLE_RATE)))
+    return cases
+
+
 def _demod_wifi_setup(ctx: BenchContext):
     scale = 0.25 if ctx.quick else 1.0
     ranges = (dispatched_wifi_ranges("mix", 0.4 * scale)
@@ -360,10 +383,9 @@ def _demod_wifi_run(workload, ctx: BenchContext) -> int:
 def _demod_wifi_equivalence(workload, ctx: BenchContext) -> Dict[str, object]:
     """Both scans on the timed ranges and on arms the timing leaves out:
     low SNR (where a rounding difference flips a bit first), ranges cut by
-    20 ms window edges, and a short-preamble 2 Mbps frame."""
-    from repro.phy.wifi import WifiModulator
-    from repro.phy.wifi_mac import build_data_frame
-
+    20 ms window edges, a short-preamble 2 Mbps frame, and the capture
+    grid (a frame arriving inside another, which only the reference
+    searches for unless its power rises)."""
     scale = 0.25 if ctx.quick else 1.0
     wave = WifiModulator().modulate(build_data_frame(1, 2, b"s" * 40), 2.0,
                                     preamble="short")
@@ -377,6 +399,7 @@ def _demod_wifi_equivalence(workload, ctx: BenchContext) -> Dict[str, object]:
         "4dB": dispatched_wifi_ranges("broadcast", 0.2 * scale, snr_db=4.0),
         "20ms_windows": dispatched_wifi_ranges("mix", 0.4 * scale, window=160_000),
         "short_2mbps": [SampleBuffer.from_array(short, DEFAULT_SAMPLE_RATE)],
+        "capture": [buffer for _, buffer in capture_grid()],
     }
     return {arm: assert_wifi_scan_equivalence(ranges)
             for arm, ranges in arms.items()}

@@ -12,6 +12,8 @@ from repro.analysis.decoders import (
 )
 from repro.dsp.samples import SampleBuffer
 from repro.emulator import Scenario, ZigbeePingSession
+from repro.phy.wifi import WifiModulator
+from repro.phy.wifi_mac import build_data_frame
 from repro.util.timebase import Timebase
 
 FS = 8e6
@@ -77,6 +79,25 @@ class TestWifiStream:
         records = WifiStreamDecoder(FS).scan(sub)
         assert len(records) == 1
         assert abs(records[0].start_sample - lo - 400) < 200
+
+    @pytest.mark.parametrize("rate_mbps, nbytes", [
+        (1.0, 700), (1.0, 1500), (1.0, 2300), (1.0, 2346), (2.0, 1500), (2.0, 2300)])
+    def test_frames_longer_than_5_ms_decode(self, rate_mbps, nbytes):
+        # a candidate's slice once ended 5 ms after its start, which cut
+        # these payloads short and left no record at all; 2,346 bytes at
+        # 1 Mbps is the longest 802.11b frame
+        mpdu = build_data_frame(1, 2, (bytes(range(256)) * 10)[:nbytes - 28])
+        wave = WifiModulator(FS).modulate(mpdu, rate_mbps)
+        assert wave.size > 5e-3 * FS
+        rx = np.zeros(wave.size + 1_000, dtype=np.complex64)
+        rx[400:400 + wave.size] = wave
+        for impl in ("vectorized", "reference"):
+            records = WifiStreamDecoder(FS, impl=impl).scan(
+                SampleBuffer.from_array(rx, FS))
+            assert [(r.payload_size, r.info["fcs_ok"]) for r in records] \
+                == [(nbytes, True)]
+            assert records[0].end_sample - records[0].start_sample \
+                == pytest.approx(wave.size, abs=16)
 
 
 class TestBluetoothStream:

@@ -157,7 +157,8 @@ SHORT = np.concatenate([np.zeros(8, np.uint8), plcp.SHORT_SFD_BITS])
 
 
 class TestCandidates:
-    def test_real_ranges_whatever_the_tile(self, real_ranges, monkeypatch):
+    def test_real_ranges_whatever_the_tile(self, real_ranges):
+        # the scan searches a chunk at a time: chunks see the whole's SFDs
         decoder = WifiStreamDecoder(FS)
         found = 0
         for sub in real_ranges:
@@ -165,9 +166,11 @@ class TestCandidates:
             corr = demod.correlate(sub.samples, demod.strongest_template(sub.samples))
             expected = _candidates_per_alignment(corr)
             found += len(expected)
+            assert decoder._candidate_starts(corr) == expected
             for tile in (decoders._SFD_TILE, 4096, 1000, 121):
-                monkeypatch.setattr(decoders, "_SFD_TILE", tile)
-                assert decoder._candidate_starts(corr) == expected
+                assert sorted(start for lo in range(0, corr.size, tile)
+                              for start in decoder._candidate_starts(corr, lo, lo + tile)) \
+                    == expected
         assert found > 3 * len(real_ranges) // 2
 
     @pytest.mark.parametrize("size", [0, 1, 8, 9, 16, 135, 136, 137, 191, 192, 200])

@@ -1,14 +1,17 @@
-"""``WifiStreamDecoder``: the shared-correlation scan vs its reference twin.
+"""``WifiStreamDecoder``: the decode-forward scan vs its reference twin.
 
-The default scan correlates a range once, acquires every candidate
-together and decodes only candidates that start a new packet; the
-``impl="reference"`` twin keeps the earlier flow (every grid-phase
-template, a full demodulation per candidate, duplicates dropped
-afterwards).  The two must return equal records on every range, which
-makes every monitor's event stream byte-identical.
+The default scan correlates a range once, searches it for SFDs a chunk
+at a time, decodes only candidates that start a new packet and resumes
+the search past each decoded packet (or where a stronger arrival
+captures it); the ``impl="reference"`` twin keeps the earlier flow
+(every grid-phase template, every SFD, a full demodulation per
+candidate, duplicates dropped afterwards).  The two must return equal
+records on every range below, which makes every monitor's event stream
+byte-identical; the capture grid holds frames that start inside others.
 """
 
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,13 +19,13 @@ import pytest
 from repro.analysis.decoders import WifiStreamDecoder
 from repro.bench.equivalence import assert_wifi_scan_equivalence
 from repro.bench.scenarios import preset_buffer
-from repro.bench.suite import dispatched_wifi_ranges
+from repro.bench.suite import capture_grid, dispatched_wifi_ranges
 from repro.core.config import MonitorConfig
 from repro.core.streaming import StreamingMonitor
 from repro.dsp.samples import SampleBuffer
 from repro.errors import SyncError
 from repro.faults.harness import split_windows
-from repro.phy import wifi
+from repro.phy import dsss, wifi
 from repro.phy.wifi import _RANK_TILE, WifiDemodulator, WifiModulator
 from repro.phy.wifi_mac import build_ack_frame, build_data_frame
 
@@ -138,6 +141,46 @@ class TestEdgeRanges:
     def test_rejects_unknown_impl(self):
         with pytest.raises(ValueError):
             WifiStreamDecoder(FS, impl="fast")
+
+
+# -- decode forward: nothing inside a decoded packet is searched, unless ------
+# -- a stronger arrival captures it -------------------------------------------
+
+@pytest.fixture(scope="module")
+def long_wave():
+    """A 428-byte 1 Mbps frame: 3.6 ms, 28,928 samples."""
+    return WifiModulator(FS).modulate(build_data_frame(1, 2, b"L" * 400), 1.0)
+
+
+class TestDecodeForward:
+    def test_capture_grid(self):
+        # frame B starts inside frame A's payload; the reference searches
+        # everywhere, so each B it decodes the default must find too
+        both = Counter()
+        for power_db, buffer in capture_grid():
+            both[power_db] += sorted(r.payload_size for r in _both(buffer)) == [88, 428]
+        # a search that skipped every decoded packet would find no B at all
+        assert {0, 1, 2, 3, 6, 10, 20} <= {p for p, n in both.items() if n}, both
+
+    def test_weaker_arrival_leaves_the_first_frame_alone(self, long_wave, data_wave):
+        weak = np.float32(10 ** (-6 / 20)) * data_wave
+        records = _both(_place([(300, long_wave), (300 + 8 * 1100, weak)],
+                               long_wave.size + 600))
+        assert [r.payload_size for r in records] == [428]
+
+    def test_search_reads_a_fifth_of_a_single_frame_range(self, long_wave, monkeypatch):
+        searched = []
+        search = dsss.dbpsk_bits_at_lag
+
+        def counting(correlations, lag):
+            searched.append(correlations.size)
+            return search(correlations, lag)
+
+        monkeypatch.setattr(dsss, "dbpsk_bits_at_lag", counting)
+        buffer = _place([(300, long_wave)], long_wave.size + 600)
+        records = WifiStreamDecoder(FS).scan(buffer)
+        assert [r.payload_size for r in records] == [428]
+        assert sum(searched) <= 0.2 * len(buffer)
 
 
 # -- the two primitives the shared-correlation flow leans on ------------------
