@@ -317,9 +317,9 @@ class BluetoothStreamDecoder:
     decoded packet is demodulated from its own slice of the range — the
     slice's discriminator rows derived from the range's, bit for bit what
     discriminating the slice again would give
-    (``GfskModem.discriminate_slice``).  A
-    channel hint (from the phase or frequency detector) restricts the
-    scan to a single channel.
+    (``GfskModem.discriminate_slice``), or for a whole-range slice its
+    sync match too.  A channel hint (from the phase or frequency
+    detector) restricts the scan to a single channel.
 
     ``impl="reference"`` keeps the earlier flow — per channel an
     ``np.exp`` mixer and a double-precision filter, per alignment a
@@ -392,8 +392,10 @@ class BluetoothStreamDecoder:
             hi = min(start + self._max_packet, samples.size)
             disc = modem.discriminate_slice(samples, freq[row : row + 1],
                                             offsets_hz[row : row + 1], lo, hi)
+            whole = lo == 0 and hi == samples.size  # searched as the range
             try:
-                packet = demod.demodulate_discriminated(disc)
+                packet = demod.demodulate_discriminated(
+                    disc, correlation[row] if whole else None)
             except DecodeError:
                 continue
             decoded_starts.append((row, start))

@@ -30,11 +30,10 @@ gate has the two levels the paragraph above describes:
   in doubt — peak edges and dips, well under 5% of a busy window.
 
 When the noise floor is not known yet (a one-shot buffer, a stream's
-first window) every chunk's power is needed for the percentile, so the
-whole-window ``|x|^2`` is formed as before and the runs are read from
-it (in place when they are most of it); a busy window takes the coarse
-pass like any other, and
-one whose samples are not finite, not C-contiguous complex64, or too
+first window) it is certified from the coarse pass's block sums and a
+few exactly recomputed chunks (:func:`repro.dsp.energy.certified_floor`);
+a window it cannot certify forms the whole-window ``|x|^2`` as before,
+and one whose samples are not finite, not C-contiguous complex64, or too
 small for float32 is one run.  What is **bitwise** equal to the
 whole-window gate: ``|x|^2``, the chunk powers, the noise floor and
 threshold, and each peak's ``mean_power`` / ``peak_power`` (the same
@@ -65,10 +64,12 @@ from repro.constants import (
 from repro.core.metadata import ChunkMetadata, Peak, PeakHistory
 from repro.dsp.energy import (
     RUN_MERGE_SAMPLES,
+    block_sums,
     candidate_runs,
+    certified_floor,
     chunk_average_of,
-    chunk_average_power,
     chunked_power,
+    floor_of,
     gate_runs,
     instant_power,
     interval_stats,
@@ -181,11 +182,6 @@ class PeakDetector:
         self.obs = obs
         self.impl = impl
 
-    def estimate_noise_floor(self, buffer: SampleBuffer) -> float:
-        """Noise floor as a low percentile of per-chunk powers."""
-        return self._floor_of(
-            chunk_average_power(buffer.samples, self.config.chunk_samples))
-
     def detect(self, buffer: SampleBuffer, noise_floor: Optional[float] = None) -> PeakDetectionResult:
         """Find peaks and build chunk metadata for a buffer."""
         if self.impl == "reference":
@@ -195,11 +191,14 @@ class PeakDetector:
         n = len(samples)
         power = chunk_powers = None
         nonfinite = 0
+        sums = block_sums(samples, cfg.energy_window)  # the coarse pass's read
         if noise_floor is None:
-            # the percentile needs every chunk's power, bitwise
+            noise_floor = certified_floor(samples, sums, cfg.energy_window,
+                                          cfg.chunk_samples)
+        if noise_floor is None:
             power, chunk_powers = chunked_power(samples, cfg.chunk_samples)
             nonfinite = self._zero_nonfinite(power, chunk_powers)
-            noise_floor = self._floor_of(chunk_powers)
+            noise_floor = floor_of(chunk_powers)
         threshold = noise_floor * float(db_to_linear(cfg.threshold_db))
         # samples that pass both the averaged gate and — so averaged tails
         # don't smear peak boundaries by a full window — an instantaneous
@@ -208,12 +207,13 @@ class PeakDetector:
 
         # coarse pass: which runs of samples are worth gating
         runs = None
-        if samples.dtype == np.complex64 and samples.flags.c_contiguous:
+        if sums is not None:
             # runs closer than the gate's context, or than a gap one
             # peak may span, must be one run
             runs = candidate_runs(samples, cfg.energy_window, threshold,
                                   max(RUN_MERGE_SAMPLES, cfg.energy_window,
-                                      cfg.min_gap))
+                                      cfg.min_gap), sums)
+            del sums  # dead now: not held while the fine pass squares
         if runs is None:
             if power is None:
                 power, chunk_powers = chunked_power(samples, cfg.chunk_samples)
@@ -264,7 +264,7 @@ class PeakDetector:
         chunk_powers = chunk_average_of(power, cfg.chunk_samples)
         nonfinite = self._zero_nonfinite(power, chunk_powers)
         if noise_floor is None:
-            noise_floor = self._floor_of(chunk_powers)
+            noise_floor = floor_of(chunk_powers)
         threshold = noise_floor * float(db_to_linear(cfg.threshold_db))
         active = moving_average_of(power, cfg.energy_window) > threshold
         active &= power > cfg.instantaneous_factor * threshold
@@ -284,21 +284,6 @@ class PeakDetector:
         )
 
     # -- shared ---------------------------------------------------------------
-
-    @staticmethod
-    def _floor_of(chunk_powers: np.ndarray) -> float:
-        """Noise floor: the 10th percentile of the finite chunk powers.
-
-        A chunk holding a NaN/Inf sample has a non-finite mean; left in,
-        it would make the floor, the threshold and every comparison of
-        the window NaN.  With no finite chunk the estimate stays
-        non-finite (and the caller's record says so).
-        """
-        if chunk_powers.size == 0:
-            raise ValueError("empty buffer")
-        finite = chunk_powers[np.isfinite(chunk_powers)]
-        return float(np.percentile(finite if finite.size else chunk_powers,
-                                   10.0))
 
     def _count(self, history: PeakHistory, scanned: int, gated: int,
                noise_floor: float, exact: int) -> None:

@@ -23,8 +23,8 @@ from repro.dsp.samples import chunk_views
 #: 15.6 / 17.3 ms at 8 / 16 / 32 / 64 / 128 thousand samples per tile.
 #: Since the coarse pass (:func:`candidate_runs`) the peak detector
 #: squares only the samples worth gating, run by run (:func:`gate_runs`),
-#: unless the window's noise floor is still to be estimated; the moving
-#: average runs only over the spans its powers leave in doubt.
+#: even for the floor (:func:`certified_floor`); the moving average runs
+#: only over the spans its powers leave in doubt.
 TILE_SAMPLES = 32_000
 
 
@@ -247,43 +247,53 @@ def _groups(starts: np.ndarray, ends: np.ndarray,
             ends[np.concatenate([apart, [True]])])
 
 
+def coarse_block(window: int) -> int:
+    """Samples per row of the coarse pass at averaging window ``window``."""
+    return min(max(window // 4, 1), COARSE_BLOCK_MAX)
+
+
+def block_sums(samples: np.ndarray, window: int) -> Optional[np.ndarray]:
+    """The coarse pass's one read: float32 ``|x|^2`` sums over rows of
+    :func:`coarse_block` samples (a ragged tail left out) of C-contiguous
+    complex64 ``samples``; ``None`` for any other layout, no samples, or
+    a sum not finite (a NaN or Inf sample, or a square that overflows)."""
+    if not (samples.size and samples.dtype == np.complex64
+            and samples.flags.c_contiguous):
+        return None
+    block = coarse_block(window)
+    nblocks = samples.size // block
+    rows = samples.view(np.float32)[: 2 * block * nblocks].reshape(nblocks, 2 * block)
+    sums = np.einsum("ij,ij->i", rows, rows)
+    return sums if np.isfinite(sums.sum()) else None
+
+
 def candidate_runs(samples: np.ndarray, window: int, avg_threshold: float,
-                   merge_gap: int
+                   merge_gap: int, sums: Optional[np.ndarray] = None
                    ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
     """Coarse pass of the energy gate: the sample runs ``[start, end)``
     outside which ``moving_average_of(|x|^2, window) > avg_threshold`` is
     false by construction.
 
-    C-contiguous complex64 ``samples`` are read once through their
-    interleaved float32 view as rows of ``window // 4`` samples (at most
-    :data:`COARSE_BLOCK_MAX`), one float32 ``|x|^2`` sum per row.
-    Powers are non-negative, so a sample passes the averaged gate only
-    if the blocks its window touches — its own and the few before it —
-    hold ``window * avg_threshold`` between them; a block whose sum over
-    those blocks stays under that by :data:`COARSE_MARGIN` is idle.  The
-    buffer head (the moving average's warm-up prefix divides by less
-    than ``window``) and a ragged tail shorter than a block are always
-    candidates.  Runs closer than ``merge_gap`` samples are returned as
-    one.
-
-    Returns ``None`` — gate the whole array — when a block sum is not
-    finite (a NaN or Inf sample, or a finite one whose square overflows
-    float32) or the threshold is too small for float32 to resolve.
+    Reads the samples' :func:`block_sums` (or ``sums``).  Powers are
+    non-negative, so a sample passes the averaged gate only if the blocks
+    its window touches — its own and the few before it — hold ``window *
+    avg_threshold`` between them; a block whose sum over those blocks
+    stays under that by :data:`COARSE_MARGIN` is idle.  The buffer head
+    (the moving average's warm-up prefix) and a ragged tail shorter than
+    a block are always candidates.  Runs closer than ``merge_gap``
+    samples are returned as one.  ``None`` — gate the whole array — when
+    the block sums are, or the threshold is too small for float32.
     """
     n = samples.size
-    if n == 0:
-        return None
-    block = min(max(window // 4, 1), COARSE_BLOCK_MAX)
+    block = coarse_block(window)
     nblocks = n // block
     limit = window * avg_threshold * (1.0 - COARSE_MARGIN)
     # below this, products that underflow float32 outweigh the margin
     # (and a NaN threshold compares false)
     if not limit > _FLOAT32_TINY / COARSE_MARGIN:
         return None
-    rows = samples.view(np.float32)[: 2 * block * nblocks]
-    rows = rows.reshape(nblocks, 2 * block)
-    sums = np.einsum("ij,ij->i", rows, rows)
-    if not np.isfinite(sums.sum()):
+    sums = block_sums(samples, window) if sums is None else sums
+    if sums is None:
         return None
     # cover[j]: the blocks a window ending inside block j can touch
     cover = sums.copy()
@@ -297,6 +307,58 @@ def candidate_runs(samples: np.ndarray, window: int, avg_threshold: float,
         starts = np.append(starts, nblocks * block)
         ends = np.append(ends, n)
     return _groups(starts, ends, starts[1:] - ends[:-1] >= merge_gap)
+
+
+#: chunks :func:`certified_floor` recomputes at most; more (a constant
+#: window ties every chunk with the percentile's) and it declines
+FLOOR_AMBIGUOUS_MAX = 64
+
+
+def certified_floor(samples: np.ndarray, sums: Optional[np.ndarray],
+                    window: int, chunk_samples: int,
+                    percentile: float = 10.0) -> Optional[float]:
+    """``floor_of(chunked_power(samples, chunk_samples)[1], percentile)``,
+    bit for bit, from the :func:`block_sums`: a chunk's rows' sums, added
+    in float64, are within ``4 * block - 1`` float32 roundings of its
+    power, and the margin is nine times that (1.0e-5 at the default
+    window).  A chunk a margin under (over) both order statistics the
+    percentile reads is certainly ranked before (after) them; only the
+    rest are recomputed exactly, the others standing in as copies of
+    their least and greatest.  ``None`` (not certified) when ``sums`` is,
+    a chunk is not whole rows, the last chunk is not finite, the floor is
+    under what float32 resolves, or over :data:`FLOOR_AMBIGUOUS_MAX`
+    chunks are in doubt.
+    """
+    block = coarse_block(window)
+    if sums is None or chunk_samples % block:
+        return None
+    nbody = samples.size // chunk_samples
+    approx = np.empty(-(-samples.size // chunk_samples), dtype=np.float64)
+    per = chunk_samples // block
+    np.add.reduce(sums[: nbody * per].reshape(nbody, per), axis=1,
+                  dtype=np.float64, out=approx[:nbody])
+    approx[:nbody] /= chunk_samples
+    # the ragged last chunk, which the rows leave out, is exact at once
+    approx[nbody:] = chunked_power(samples[nbody * chunk_samples:],
+                                   chunk_samples)[1]
+    margin = 9 * (4 * block - 1) * float(np.finfo(np.float32).epsneg)
+    first = int(np.floor((approx.size - 1) * (percentile / 100)))
+    ranks = [first, min(first + 1, approx.size - 1)]
+    lower, upper = np.partition(approx, ranks)[ranks] * [1 - margin, 1 + margin]
+    if not (lower > _FLOAT32_TINY / margin and np.isfinite(approx[-1])):
+        return None
+    below = approx * (1 + margin) < lower
+    doubt = np.flatnonzero(~below & (approx * (1 - margin) <= upper))
+    if doubt.size > FLOOR_AMBIGUOUS_MAX:
+        return None
+    exact = approx[doubt]
+    body = doubt < nbody
+    exact[body] = chunked_power(samples[: nbody * chunk_samples].reshape(
+        nbody, chunk_samples)[doubt[body]].ravel(), chunk_samples)[1]
+    exact.sort()
+    ahead = int(np.count_nonzero(below))
+    return floor_of(np.concatenate([np.full(ahead, exact[0]), exact, np.full(
+        approx.size - ahead - exact.size, exact[-1])]), percentile)
 
 
 class FineGate(NamedTuple):
@@ -321,11 +383,11 @@ def gate_runs(samples: np.ndarray, power: Optional[np.ndarray],
     Each run of :func:`candidate_runs` (the first starts at sample 0,
     the others lie at least ``window`` apart) is read with the
     ``window`` samples ahead of it as context, never active: from
-    ``power`` (the whole-array ``|x|^2``) where it lies when the runs
-    are most of the window, else laid back to back — copied from
-    ``power``, or squared from the C-contiguous complex64 ``samples`` as
-    :func:`chunked_power` does.  A sample is *certainly active* when
-    every power of its averaging window (or warm-up prefix) exceeds
+    ``power`` (the whole-array ``|x|^2``, a fallback's) where it lies,
+    else squared from the C-contiguous complex64 ``samples`` as
+    :func:`chunked_power` does and laid back to back.  A sample is
+    *certainly active* when every power of its averaging window (or
+    warm-up prefix) exceeds
     ``max(avg_threshold, instant_threshold)`` by the running sum's worst
     rounding.  Only the rest — peak edges, dips — go through
     :func:`energy_gate`, each span with ``window`` samples of context.
@@ -346,11 +408,6 @@ def gate_runs(samples: np.ndarray, power: Optional[np.ndarray],
                 b = min(a + TILE_SAMPLES, end)
                 _interleaved_power(flat[2 * a: 2 * b], scratch,
                                    power[at + a - origin: at + b - origin])
-    elif 2 * gated < power.size:
-        # mostly idle: summing and reducing a compact copy beats reading
-        # the whole window around the runs
-        base = offsets
-        power = np.concatenate([power[a:b] for a, b in zip(origins, ends)])
     else:
         base = origins
     # Every partial sum of a running sum over these non-negative powers,
@@ -460,10 +517,12 @@ def chunk_average_power(
     return chunk_average_of(instant_power(samples), chunk_samples)
 
 
-def estimate_noise_floor(samples: np.ndarray, chunk_samples: int = DEFAULT_CHUNK_SAMPLES,
-                         percentile: float = 10.0) -> float:
-    """One-shot noise-floor estimate over a whole buffer: a low percentile
-    of its chunk powers (the ether is idle part of the time even when
-    busy)."""
-    return float(np.percentile(chunk_average_power(samples, chunk_samples),
+def floor_of(chunk_powers: np.ndarray, percentile: float = 10.0) -> float:
+    """Noise floor: a low percentile of the finite chunk powers (the
+    ether is idle part of the time even when busy; a NaN/Inf sample's
+    chunk would make the floor NaN).  With none finite it stays so."""
+    if chunk_powers.size == 0:
+        raise ValueError("empty buffer")
+    finite = chunk_powers[np.isfinite(chunk_powers)]
+    return float(np.percentile(finite if finite.size else chunk_powers,
                                percentile))

@@ -230,12 +230,16 @@ class BluetoothDemodulator:
         return self.demodulate_discriminated(
             self.modem.discriminate_channels(samples, (channel_offset_hz,)))
 
-    def demodulate_discriminated(self, disc: np.ndarray) -> BluetoothPacket:
+    def demodulate_discriminated(self, disc: np.ndarray,
+                                 correlation: Optional[np.ndarray] = None
+                                 ) -> BluetoothPacket:
         """:meth:`demodulate` from the candidate's ``(1, n)``
-        :meth:`GfskModem.discriminate_channels` row."""
+        :meth:`GfskModem.discriminate_channels` row (and its
+        :meth:`GfskModem.sync_correlation`, when the caller has it)."""
         modem = self.modem
-        offset, pos, score = modem.best_match(
-            modem.sync_correlation(disc, self._sync)[0])
+        if correlation is None:
+            correlation = modem.sync_correlation(disc, self._sync)[0]
+        offset, pos, score = modem.best_match(correlation)
         self._require_sync(pos, score)
         return self._decode(modem.hard_bits(disc[0], offset), offset, pos)
 

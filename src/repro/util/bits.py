@@ -7,6 +7,7 @@ least-significant-bit-first within each byte (the on-air order for both
 
 from __future__ import annotations
 
+import binascii
 import zlib
 from functools import lru_cache
 
@@ -44,9 +45,8 @@ def pack_uint(value: int, nbits: int) -> np.ndarray:
 
 def unpack_uint(bits: np.ndarray) -> int:
     """Decode LSB-first bits into an unsigned integer."""
-    bits = np.asarray(bits, dtype=np.uint64)
-    weights = np.left_shift(np.uint64(1), np.arange(bits.size, dtype=np.uint64))
-    return int(np.sum(bits * weights))
+    packed = np.packbits(np.asarray(bits, dtype=np.uint8), bitorder="little")
+    return int.from_bytes(packed.tobytes(), "little")
 
 
 # ---------------------------------------------------------------------------
@@ -70,16 +70,21 @@ def _crc_table(poly: int, nbits: int) -> tuple:
 def _crc_bits(bits: np.ndarray, poly: int, nbits: int, init: int) -> int:
     """CRC over an LSB-first bit stream (MSB-first register, ``nbits >= 8``).
 
-    Whole bytes of the stream go through :func:`_crc_table`; only the
-    tail of fewer than eight bits is shifted in one at a time.
+    Whole bytes of the stream go through :func:`_crc_table` (for the
+    CCITT polynomial, the same step in C: ``binascii.crc_hqx``); only
+    the tail of fewer than eight bits is shifted in one at a time.
     """
     bits = np.asarray(bits, dtype=np.uint8)
     mask = (1 << nbits) - 1
     reg = init & mask
     whole = bits.size - bits.size % 8
-    table = _crc_table(poly & mask, nbits)
-    for byte in np.packbits(bits[:whole]).tolist():
-        reg = ((reg << 8) & mask) ^ table[(reg >> (nbits - 8)) ^ byte]
+    packed = np.packbits(bits[:whole])
+    if (poly & mask, nbits) == (0x1021, 16):
+        reg = binascii.crc_hqx(packed.tobytes(), reg)
+    else:
+        table = _crc_table(poly & mask, nbits)
+        for byte in packed.tolist():
+            reg = ((reg << 8) & mask) ^ table[(reg >> (nbits - 8)) ^ byte]
     for bit in bits[whole:].tolist():
         fb = (reg >> (nbits - 1)) ^ bit
         reg = (reg << 1) & mask
@@ -206,6 +211,9 @@ def _whitening_sequence():
 
 
 _WHITENING_SEQUENCE, _WHITENING_PHASE = _whitening_sequence()
+#: the sequence repeated past any phase plus a DH5 payload (2,744 bits)
+_WHITENING_TILED = np.tile(_WHITENING_SEQUENCE, 24)
+_WHITENING_TILED.flags.writeable = False
 
 
 class BluetoothWhitener:
@@ -221,10 +229,12 @@ class BluetoothWhitener:
         self._phase = int(_WHITENING_PHASE[(clock & 0x3F) | 0x40])
 
     def sequence(self, nbits: int) -> np.ndarray:
-        """The next ``nbits`` whitening bits (advances the state)."""
-        out = np.resize(np.roll(_WHITENING_SEQUENCE, -self._phase), nbits)
-        self._phase = (self._phase + nbits) % 127
-        return out
+        """The next ``nbits`` whitening bits (advances the state), read
+        only."""
+        phase, self._phase = self._phase, (self._phase + nbits) % 127
+        if phase + nbits <= _WHITENING_TILED.size:
+            return _WHITENING_TILED[phase: phase + nbits]
+        return np.resize(np.roll(_WHITENING_SEQUENCE, -phase), nbits)
 
     def process(self, bits: np.ndarray) -> np.ndarray:
         """XOR the whitening sequence onto ``bits`` (updates state)."""

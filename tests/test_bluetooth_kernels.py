@@ -16,7 +16,14 @@ from repro.phy.bluetooth import (
     sync_word,
 )
 from repro.phy.gfsk import GfskModem, centre
-from repro.util.bits import BluetoothWhitener, _crc_bits, bt_hec, unpack_uint
+from repro.util.bits import (
+    _WHITENING_SEQUENCE,
+    BluetoothWhitener,
+    _crc_bits,
+    _crc_table,
+    bt_hec,
+    unpack_uint,
+)
 
 FS = 8e6
 SYNC = sync_word(0x9E8B33)
@@ -44,6 +51,29 @@ def _crc_bit_serial(bits, poly, nbits, init):
         if fb:
             reg ^= poly & mask
     return reg & mask
+
+
+def _crc_table_loop(bits, poly, nbits, init):
+    """``_crc_bits`` before whole bytes went through ``binascii``."""
+    mask = (1 << nbits) - 1
+    reg = init & mask
+    whole = bits.size - bits.size % 8
+    table = _crc_table(poly & mask, nbits)
+    for byte in np.packbits(bits[:whole]).tolist():
+        reg = ((reg << 8) & mask) ^ table[(reg >> (nbits - 8)) ^ byte]
+    return _crc_bit_serial(bits[whole:], poly, nbits, reg)
+
+
+def _sequence_by_roll(phase, nbits):
+    """``BluetoothWhitener.sequence`` before the tiled table."""
+    return np.resize(np.roll(_WHITENING_SEQUENCE, -phase), nbits)
+
+
+def _unpack_by_weights(bits):
+    """``unpack_uint`` before ``np.packbits``."""
+    bits = np.asarray(bits, dtype=np.uint64)
+    weights = np.left_shift(np.uint64(1), np.arange(bits.size, dtype=np.uint64))
+    return int(np.sum(bits * weights))
 
 
 def _header_candidates_by_seed(whitened, uap):
@@ -79,6 +109,22 @@ class TestWhitener:
                 assert np.array_equal(a.sequence(n),
                                       b.process(np.zeros(n, dtype=np.uint8)))
 
+    def test_every_phase_and_length_equals_the_rolled_sequence(self):
+        """Every phase of the m-sequence, every length up to a DH5
+        payload after the header (and past the tiled table's end)."""
+        longest = 18 + 2744
+        whitener = BluetoothWhitener(0)
+        for phase in range(127):
+            want = _sequence_by_roll(phase, longest + 200).tobytes()
+            for n in list(range(longest + 1)) + [longest + 150, longest + 200]:
+                whitener._phase = phase
+                assert whitener.sequence(n).tobytes() == want[:n]
+                assert whitener._phase == (phase + n) % 127
+
+    def test_sequence_is_read_only(self):
+        with pytest.raises(ValueError):
+            BluetoothWhitener(3).sequence(40)[0] ^= 1
+
     def test_clock_uses_six_bits(self):
         bits = np.zeros(40, dtype=np.uint8)
         assert np.array_equal(BluetoothWhitener(0x45).process(bits),
@@ -96,6 +142,28 @@ class TestCrc:
             bits = rng.integers(0, 2, length).astype(np.uint8)
             assert (_crc_bits(bits, poly, nbits, init)
                     == _crc_bit_serial(bits, poly, nbits, init))
+
+    @pytest.mark.parametrize("init", [0xFFFF, 0x0000, 0x4700])
+    def test_ccitt_bytes_equal_the_table_loop(self, init):
+        """The PLCP header's init and the Bluetooth payload's (UAP 0 and
+        0x47): ``binascii.crc_hqx`` on whole bytes, the table loop's
+        register, at every length from 0 to 4,096 bits."""
+        rng = np.random.default_rng(init)
+        for length in list(range(0, 130)) + rng.integers(0, 4097, 200).tolist() + [4096]:
+            bits = rng.integers(0, 2, length).astype(np.uint8)
+            assert (_crc_bits(bits, 0x1021, 16, init)
+                    == _crc_table_loop(bits, 0x1021, 16, init))
+
+
+class TestUnpackUint:
+    def test_equals_the_weighted_sum(self):
+        rng = np.random.default_rng(5)
+        for length in range(0, 65):
+            for _ in range(20):
+                bits = rng.integers(0, 2, length).astype(np.uint8)
+                assert unpack_uint(bits) == _unpack_by_weights(bits)
+                assert unpack_uint(bits.astype(bool)) == _unpack_by_weights(bits)
+                assert unpack_uint(bits.tolist()) == _unpack_by_weights(bits)
 
 
 class TestHeaderCandidates:

@@ -37,6 +37,7 @@ from repro.phy.bluetooth import (
     TYPE_POLL,
 )
 from repro.phy.bluetooth_fh import channel_freq
+from repro.phy.gfsk import GfskModem
 
 FS = 8e6
 CENTER = 2.4415e9
@@ -100,6 +101,49 @@ def test_event_lines_identical(preset, snr_db, window):
     assert lines == _event_lines(buffer, window, "reference")
     if snr_db == 20.0:
         assert any('"protocol":"bluetooth"' in line for line in lines)
+
+
+def _counting_correlations(monkeypatch):
+    calls = []
+    search = GfskModem._sync_correlation
+
+    def counted(self, disc, sync_bits, centred):
+        calls.append(disc.shape)
+        return search(self, disc, sync_bits, centred)
+
+    monkeypatch.setattr(GfskModem, "_sync_correlation", counted)
+    return calls
+
+
+def test_a_whole_range_hit_reuses_the_range_search(monkeypatch):
+    """On the l2ping trace every hinted range decodes one packet from a
+    slice that is the whole range: one sync correlation per range."""
+    ranges = dispatched_bluetooth_ranges("bluetooth", DURATION, seed=3)
+    calls = _counting_correlations(monkeypatch)
+    decoder = BluetoothStreamDecoder(FS)
+    for buffer, hint in ranges:
+        del calls[:]
+        assert len(decoder.scan(buffer, hint)) == 1
+        assert calls == [(1, len(buffer))]
+
+
+@pytest.mark.parametrize("preset,snr_db", [("bluetooth", 8.5), ("bluetooth", 20.0),
+                                           ("mix", 20.0)])
+def test_records_equal_with_the_reuse_off(monkeypatch, preset, snr_db):
+    """The range's row and the re-correlated slice give the same records,
+    hinted and over all eight channels."""
+    ranges = dispatched_bluetooth_ranges(preset, DURATION, snr_db=snr_db, seed=3)
+    decoder = BluetoothStreamDecoder(FS)
+    scans = [(buffer, hint) for buffer, hint in ranges] + [
+        (buffer, None) for buffer, _ in ranges]
+    reused = [decoder.scan(buffer, hint) for buffer, hint in scans]
+    demodulate = BluetoothDemodulator.demodulate_discriminated
+    monkeypatch.setattr(BluetoothDemodulator, "demodulate_discriminated",
+                        lambda self, disc, correlation=None: demodulate(self, disc))
+    calls = _counting_correlations(monkeypatch)
+    assert [decoder.scan(buffer, hint) for buffer, hint in scans] == reused
+    assert len(calls) > len(scans)  # the slices were correlated again
+    assert any(reused)
 
 
 def test_the_hook_notices_a_difference(monkeypatch):

@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.core.peak_detector import PeakDetector
 from repro.dsp.energy import (
     chunk_average_power,
-    estimate_noise_floor,
+    floor_of,
     moving_average_power,
 )
+from repro.dsp.samples import SampleBuffer
 
 
 class TestMovingAverage:
@@ -75,12 +77,28 @@ class TestChunkAverage:
 class TestNoiseFloor:
     def test_idle_trace_floor_is_noise_power(self, rng):
         noise = (rng.normal(size=20000) + 1j * rng.normal(size=20000)) / np.sqrt(2)
-        floor = estimate_noise_floor(noise.astype(np.complex64))
+        floor = floor_of(chunk_average_power(noise.astype(np.complex64), 200))
         assert floor == pytest.approx(1.0, rel=0.15)
 
     def test_busy_trace_floor_ignores_signal(self, rng):
         noise = (rng.normal(size=40000) + 1j * rng.normal(size=40000)) / np.sqrt(2)
         trace = noise.astype(np.complex64)
         trace[8000:24000] += 10.0  # a strong long transmission
-        floor = estimate_noise_floor(trace)
+        floor = floor_of(chunk_average_power(trace, 200))
         assert floor < 2.0
+
+    def test_a_nan_chunk_is_left_out_everywhere(self, rng):
+        """One floor rule: every caller takes the percentile over the
+        finite chunks only (the one-shot estimate once did not)."""
+        noise = (rng.normal(size=40000) + 1j * rng.normal(size=40000)) / np.sqrt(2)
+        trace = noise.astype(np.complex64)
+        trace[1234] = np.nan
+        powers = chunk_average_power(trace, 200)
+        want = float(np.percentile(np.delete(powers, 1234 // 200), 10.0))
+        assert floor_of(powers) == want
+        assert PeakDetector().detect(SampleBuffer.from_array(trace, 8e6)).noise_floor == want
+
+    def test_no_finite_chunk_stays_non_finite(self):
+        assert np.isnan(floor_of(np.array([np.nan, np.inf])))
+        with pytest.raises(ValueError):
+            floor_of(np.zeros(0))
