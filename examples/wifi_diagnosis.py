@@ -19,7 +19,6 @@ from repro import (
 )
 from repro.analysis import ping_report, station_traffic
 from repro.analysis.diagnostics import diagnose_interference
-from repro.core.parallelism import estimate_parallel_speedup
 
 
 def main():
@@ -58,10 +57,9 @@ def main():
     print(f"-> non-Wi-Fi pressure: {diagnosis.capacity_pressure * 100:.1f}% "
           f"of the band (transmission opportunities lost)")
 
-    # 4. and what a multi-core deployment of this monitor would gain
-    est = estimate_parallel_speedup(report, workers=4, granularity="range")
+    # 4. and what watching cost
     print(f"\nmonitor cost: {report.cpu_over_realtime:.2f}x real time "
-          f"(single core); estimated {est.speedup:.2f}x speedup on 4 cores")
+          f"(single core)")
 
 
 if __name__ == "__main__":

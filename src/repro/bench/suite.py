@@ -461,18 +461,17 @@ register_benchmark(Benchmark(
 ))
 
 
-# -- end-to-end window latency under a deadline ------------------------------
+# -- end-to-end window latency ------------------------------------------------
 #
-# The deadline layer's SLO benchmark: a full streaming run (detection,
-# dispatch, demodulation) over the mix preset with a 100 ms window
-# budget, accumulating each window's measured latency.  The ``report``
+# The latency SLO benchmark: a full streaming run (detection, dispatch,
+# demodulation) over the mix preset, accumulating each window's measured
+# latency.  The ``report``
 # hook turns the accumulated latencies into p50/p99 quantiles that
 # ``rfbench run --max-p99 window_latency:SECONDS`` gates on in CI —
 # the latency SLO counterpart of the throughput baselines.
 
 _LATENCY_WINDOW = 160_000
 _LATENCY_OVERLAP = 48_000
-_LATENCY_DEADLINE_MS = 100.0
 
 
 def _latency_setup(ctx: BenchContext):
@@ -481,7 +480,7 @@ def _latency_setup(ctx: BenchContext):
     duration = 0.05 if ctx.quick else 0.25
     buffer = preset_buffer("mix", duration, seed=3)
     return {"windows": split_windows(buffer, _LATENCY_WINDOW),
-            "latencies": [], "deadline_misses": 0, "ranges_shed": 0}
+            "latencies": []}
 
 
 def _latency_run(workload, ctx: BenchContext) -> int:
@@ -489,10 +488,8 @@ def _latency_run(workload, ctx: BenchContext) -> int:
     from repro.core.streaming import StreamingMonitor
 
     # fresh monitor per repetition: streaming state is consumed by a run
-    monitor = StreamingMonitor(
-        config=MonitorConfig(deadline_ms=_LATENCY_DEADLINE_MS),
-        overlap=_LATENCY_OVERLAP,
-    )
+    monitor = StreamingMonitor(config=MonitorConfig(),
+                               overlap=_LATENCY_OVERLAP)
     latencies = workload["latencies"]
     total = 0
     for window in workload["windows"]:
@@ -501,8 +498,6 @@ def _latency_run(workload, ctx: BenchContext) -> int:
             latencies.append(report.latency_seconds)
         total += len(window)
     monitor.flush()
-    workload["deadline_misses"] += monitor.deadline_misses
-    workload["ranges_shed"] += monitor.ranges_shed
     return total
 
 
@@ -516,23 +511,19 @@ def _latency_report(workload, ctx: BenchContext) -> Dict[str, object]:
     ordered = sorted(workload["latencies"])
     if not ordered:
         return {"latency": {"windows": 0, "p50": 0.0, "p99": 0.0,
-                            "max": 0.0, "deadline_misses": 0,
-                            "ranges_shed": 0}}
+                            "max": 0.0}}
     return {"latency": {
         "windows": len(ordered),
         "p50": _latency_quantile(ordered, 0.50),
         "p99": _latency_quantile(ordered, 0.99),
         "max": ordered[-1],
-        "deadline_misses": workload["deadline_misses"],
-        "ranges_shed": workload["ranges_shed"],
     }}
 
 
 register_benchmark(Benchmark(
     name="window_latency",
     description="per-window end-to-end latency (p50/p99) of a streaming "
-                "RFDump run with a 100 ms deadline budget over the mix "
-                "preset",
+                "RFDump run over the mix preset",
     setup=_latency_setup,
     run=_latency_run,
     report=_latency_report,

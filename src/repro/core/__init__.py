@@ -14,13 +14,6 @@ from repro.core.errorpolicy import (
     CircuitBreaker,
     ErrorRecord,
 )
-from repro.core.deadline import (
-    AdmissionController,
-    DeadlineScheduler,
-    WindowBudget,
-    order_tasks,
-    range_priority,
-)
 from repro.core.monitor import MONITOR_NAMES, Monitor, make_monitor
 from repro.core.events import (
     EVENT_SCHEMA_VERSION,
@@ -35,8 +28,6 @@ from repro.core.naive import NaiveMonitor, EnergyNaiveMonitor
 from repro.core.accounting import StageClock
 from repro.core.streaming import StreamingMonitor
 from repro.core.scanning import ScanningMonitor
-from repro.core.analysis_stage import AnalysisStage
-from repro.core.parallelism import estimate_parallel_speedup
 
 __all__ = [
     "Peak",
@@ -47,11 +38,6 @@ __all__ = [
     "ERROR_POLICIES",
     "CircuitBreaker",
     "ErrorRecord",
-    "AdmissionController",
-    "DeadlineScheduler",
-    "WindowBudget",
-    "order_tasks",
-    "range_priority",
     "Monitor",
     "make_monitor",
     "MONITOR_NAMES",
@@ -68,6 +54,4 @@ __all__ = [
     "StageClock",
     "StreamingMonitor",
     "ScanningMonitor",
-    "AnalysisStage",
-    "estimate_parallel_speedup",
 ]

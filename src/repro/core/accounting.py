@@ -11,10 +11,9 @@ With an :class:`~repro.obs.Observability` attached the clock doubles as
 a thin adapter into the structured metrics layer: every stage timing
 also lands in the ``rfdump_stage_seconds`` histogram and every touch in
 the ``rfdump_stage_samples_total`` counter, while the plain dict API
-stays exactly as it was.  Worker-side clocks (built inside the parallel
-analysis stage) carry no sink; their values flow into the registry when
-:meth:`merge_in` folds them into an instrumented clock, so serial and
-parallel runs account identical deterministic totals.
+stays exactly as it was.  A clock built without a sink (one per decoded
+range) forwards its values into the registry when :meth:`merge_in`
+folds it into an instrumented clock.
 """
 
 from __future__ import annotations
@@ -68,11 +67,8 @@ class StageClock:
         self._emit_touch(name, int(nsamples))
 
     def total_seconds(self) -> float:
-        """Stage seconds summed.  ``*_wall`` keys (a pool's elapsed time
-        around work its workers already accounted) are not CPU cost and
-        stay out of the total."""
-        return sum(spent for name, spent in self.seconds.items()
-                   if not name.endswith("_wall"))
+        """Stage seconds summed."""
+        return sum(self.seconds.values())
 
     def cpu_over_realtime(self, trace_duration: float, stage: Optional[str] = None) -> float:
         """CPU time / real time, for one stage or the whole run."""
@@ -84,13 +80,11 @@ class StageClock:
     def merge_in(self, other: "StageClock") -> "StageClock":
         """Fold ``other`` into this clock in place; returns self.
 
-        This is how per-worker clocks from the parallel analysis stage
-        land back in the run's main clock: stage seconds add up exactly
-        as repeated serial invocations would.  When this clock has a
-        metrics sink and ``other`` does not share it, the folded values
-        are forwarded into the registry too — that is how worker-side
-        accounting (which cannot reach the registry from a process pool)
-        becomes visible without double counting.
+        This is how each decoded range's clock lands in the window's:
+        stage seconds add up as repeated invocations would.  When this
+        clock has a metrics sink and ``other`` does not share it, the
+        folded values are forwarded into the registry too, without
+        double counting.
         """
         forward = self.obs is not None and other.obs is not self.obs
         for k, v in other.seconds.items():

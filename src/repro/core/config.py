@@ -6,7 +6,7 @@ observability hangs off).  A monitor takes either a ``config=`` object
 or the config's fields as keywords, never both — a daemon serving many
 subscribers must not start from an ambiguous configuration.  Every
 value is validated here, at construction, so a bad one surfaces before
-any thread, socket or worker pool exists.
+any thread or socket exists.
 """
 
 from __future__ import annotations
@@ -21,8 +21,6 @@ from repro.obs import Observability
 
 #: the protocol families ``default_detectors`` and ``make_decoder`` know
 PROTOCOLS = ("wifi", "bluetooth", "zigbee", "ofdm", "microwave")
-
-_BACKENDS = ("thread", "process")
 
 
 @dataclass(frozen=True)
@@ -42,19 +40,6 @@ class MonitorConfig:
     demodulate: bool = True
     decode_payload: bool = True
     noise_floor: Optional[float] = None
-    #: analysis-stage pool size; 1 decodes inline in the calling thread
-    workers: int = 1
-    backend: str = "thread"
-    #: pool watchdog: seconds one dispatched range may spend on a worker
-    #: before it is abandoned and shed (None: no watchdog)
-    timeout: Optional[float] = None
-    #: per-window latency budget in milliseconds; enables the deadline/
-    #: admission layer (:mod:`repro.core.deadline`): dispatched ranges
-    #: are ordered by deadline slack × confidence, analysis tasks get
-    #: absolute deadlines capped by the window budget, and under
-    #: sustained overload the lowest-confidence ranges are shed before
-    #: demodulation.  None (the default) disables deadlines entirely.
-    deadline_ms: Optional[float] = None
     #: fault policy threaded through every pipeline seam: None (legacy
     #: per-component defaults), "raise", "skip" or "degrade" — see
     #: :mod:`repro.core.errorpolicy`
@@ -75,14 +60,6 @@ class MonitorConfig:
                 f"unknown protocol(s) {', '.join(map(repr, unknown))}; "
                 f"known: {', '.join(PROTOCOLS)}"
             )
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
-        if self.backend not in _BACKENDS:
-            raise ValueError(f"backend must be one of {_BACKENDS}")
-        if self.timeout is not None and self.timeout <= 0:
-            raise ValueError("timeout must be positive")
-        if self.deadline_ms is not None and self.deadline_ms <= 0:
-            raise ValueError("deadline_ms must be positive")
         validate_error_policy(self.on_error)
 
     def to_kwargs(self) -> Dict[str, object]:

@@ -7,24 +7,23 @@ Every fault-handling seam in the pipeline consults one policy knob
 (:attr:`MonitorConfig.on_error <repro.core.config.MonitorConfig>`):
 
 ``None`` (legacy)
-    Per-component historical behavior — stream gaps raise, worker
-    crashes fall back to a serial re-run (now recorded, no longer
-    silent), detector exceptions propagate unwrapped.
+    Per-component historical behavior — stream gaps raise, detector
+    and decoder exceptions propagate unwrapped.
 ``"raise"``
     Strict: every fault surfaces immediately as its typed
     :class:`~repro.errors.RFDumpError` subclass
     (:class:`~repro.errors.StreamGapError`,
     :class:`~repro.errors.SampleIntegrityError`,
     :class:`~repro.errors.DetectorCrashError`,
-    :class:`~repro.errors.WorkerCrashError`).
+    :class:`~repro.errors.DecoderCrashError`).
 ``"skip"``
     Drop the faulting unit's work (a window, a detector's vote, a
     dispatched range) and continue; cheap, lossy, fully counted.
 ``"degrade"``
     Recover as much as possible: resynchronize across gaps, sanitize
     non-finite bursts, quarantine repeat-offender detectors behind a
-    circuit breaker, retry broken worker pools and re-run failed tasks
-    inline — everything counted and surfaced on the report.
+    circuit breaker, skip a range its decoder crashed on — everything
+    counted and surfaced on the report.
 
 This module holds the pieces the policy seams share: the policy
 vocabulary, the :class:`ErrorRecord` that reports carry, the non-finite
@@ -74,9 +73,8 @@ class ErrorRecord:
     error: str
     #: stringified exception message
     message: str
-    #: recovery taken: "resync", "sanitized", "skipped", "quarantined",
-    #: "fallback", "retried", "timeout", "shed" (a range dropped by the
-    #: deadline/admission layer to hold the window's latency budget)
+    #: recovery taken: "resync", "sanitized", "skipped", "quarantined";
+    #: the service adds "flushed", "aborted", "rejected", "disconnected"
     action: str = ""
     #: absolute sample bounds of the affected region, when known
     start_sample: int = 0

@@ -82,7 +82,7 @@ class Monitor(abc.ABC):
         return []
 
     def close(self) -> None:
-        """Release any resources (worker pools); default is a no-op."""
+        """Release any resources; no monitor here holds one."""
 
     def __enter__(self) -> "Monitor":
         return self

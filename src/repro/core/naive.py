@@ -31,7 +31,7 @@ class NaiveMonitor(Monitor):
 
     Takes ``config=`` or the config's fields as keywords, like
     :class:`~repro.core.pipeline.RFDumpMonitor`; fields the baseline has
-    no use for (kinds, workers) are simply ignored.
+    no use for (kinds, demodulate) are simply ignored.
     """
 
     def __init__(self, config: Optional[MonitorConfig] = None, **fields):

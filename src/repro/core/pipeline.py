@@ -18,9 +18,7 @@ import numpy as np
 from repro.constants import DEFAULT_CENTER_FREQ
 from repro.analysis.decoders import PacketRecord, make_decoder
 from repro.core.accounting import StageClock
-from repro.core.analysis_stage import AnalysisStage
 from repro.core.config import MonitorConfig, resolve_monitor_config
-from repro.core.deadline import DeadlineScheduler, WindowBudget
 from repro.core.monitor import Monitor
 from repro.core.detectors import (
     BluetoothTimingDetector,
@@ -39,7 +37,7 @@ from repro.core.metadata import Peak, PeakHistory
 from repro.core.peak_detector import PeakDetectionResult, PeakDetector, PeakDetectorConfig
 from repro.dsp.energy import instant_power
 from repro.dsp.samples import SampleBuffer
-from repro.errors import DetectorCrashError
+from repro.errors import DecoderCrashError, DetectorCrashError
 from repro.obs import NULL
 
 
@@ -81,6 +79,23 @@ def default_detectors(protocols: Sequence[str], kinds: Sequence[str],
     return out
 
 
+def packet_sort_key(packet: PacketRecord) -> Tuple:
+    """Total order on a window's decoded packets.
+
+    Dispatched ranges never overlap within a protocol, so sorting by
+    position (with protocol/decoder tie-breaks for simultaneous
+    cross-protocol transmissions) orders the packets by where they are
+    in the ether, not by which protocol's ranges were decoded first.
+    """
+    return (
+        packet.start_sample,
+        packet.end_sample,
+        packet.protocol,
+        packet.decoder,
+        -1 if packet.channel is None else packet.channel,
+    )
+
+
 @dataclass
 class MonitorReport:
     """Everything one monitoring pass produced."""
@@ -102,22 +117,17 @@ class MonitorReport:
     gated_samples: int = 0
     #: of those, the samples whose moving average the gate evaluated
     exact_samples: int = 0
-    #: wall time spent demodulating each protocol (feeds the parallelism
-    #: estimate of Section 2.2)
+    #: thread CPU time spent demodulating each protocol (feeds the
+    #: parallelism estimate of Section 2.2)
     demod_seconds_by_protocol: Dict[str, float] = field(default_factory=dict)
-    #: analysis tasks re-run inline after their pool worker failed
-    #: (always 0 with one worker)
-    parallel_fallbacks: int = 0
     #: faults the error-policy layer handled while producing this report
-    #: (detector crashes, worker failures, stream degradations); empty on
-    #: a clean run and in "raise" mode, where faults raise instead
+    #: (detector and decoder crashes, stream degradations); empty on a
+    #: clean run and in "raise" mode, where faults raise instead
     errors: List[ErrorRecord] = field(default_factory=list)
     #: detectors quarantined by the circuit breaker at report time
     quarantined_detectors: Tuple[str, ...] = ()
     #: end-to-end wall latency of this window's pass through the pipeline
     latency_seconds: float = 0.0
-    #: True when this window exceeded its configured deadline budget
-    deadline_missed: bool = False
     #: what a streamed window left open for the next (None one-shot)
     seam: Optional["Seam"] = None
 
@@ -127,14 +137,9 @@ class MonitorReport:
         return self.errors[-1] if self.errors else None
 
     @property
-    def shed_ranges(self) -> int:
-        """Ranges dropped to hold the latency budget (action="shed")."""
-        return sum(1 for e in self.errors if e.action == "shed")
-
-    @property
     def degraded(self) -> bool:
         """True when any stage recovered from a fault for this report."""
-        return bool(self.errors) or self.parallel_fallbacks > 0
+        return bool(self.errors)
 
     def classifications_for(self, protocol: str) -> List[Classification]:
         return [c for c in self.classifications if c.protocol == protocol]
@@ -230,18 +235,14 @@ class WindowState:
     clock: StageClock
     #: ``perf_counter`` reading when the window entered the monitor
     started: float
-    budget: Optional[WindowBudget]
     errors: List[ErrorRecord] = field(default_factory=list)
     classifications: List[Classification] = field(default_factory=list)
     #: classifications dispatch resolved against (never forwarded)
     overruled: List[Classification] = field(default_factory=list)
-    #: what the dispatcher produced (the report's detection-stage truth)
+    #: what the dispatcher produced: the ranges the analysis stage decodes
     ranges: Dict[str, List[DispatchedRange]] = field(default_factory=dict)
-    #: the subset of ``ranges`` the analysis stage demodulates
-    admitted: Dict[str, List[DispatchedRange]] = field(default_factory=dict)
     packets: List[PacketRecord] = field(default_factory=list)
     demod_seconds: Dict[str, float] = field(default_factory=dict)
-    parallel_fallbacks: int = 0
     #: forwarded classifications of final peaks a seam carried in
     carried: List[Classification] = field(default_factory=list)
     #: what dispatch forwarded, carried claims included
@@ -256,7 +257,8 @@ class RFDumpMonitor(Monitor):
 
     Configuration is a :class:`~repro.core.config.MonitorConfig`, given
     either as ``config=`` or as its fields spelled out as keywords
-    (``RFDumpMonitor(protocols=("wifi",), workers=2)``) — never both.
+    (``RFDumpMonitor(protocols=("wifi",), demodulate=False)``) — never
+    both.
     The fields that shape this monitor:
 
     protocols / kinds:
@@ -267,19 +269,9 @@ class RFDumpMonitor(Monitor):
         configurations of Figure 9.
     decode_payload:
         When False the Wi-Fi analyzer decodes PLCP headers only.
-    workers / backend / timeout:
-        Forwarded to the :class:`AnalysisStage`: one worker decodes the
-        dispatched ranges inline in the calling thread, more decode
-        them over a pool; output is list-identical either way.  Call
-        :meth:`close` (or use the monitor as a context manager) to
-        release the pool.
-    deadline_ms:
-        Per-window latency budget; enables the deadline/admission layer
-        (:mod:`repro.core.deadline`): ranges are analysed in priority
-        order against the budget, overruns are counted as misses, and
-        under sustained overload the lowest-confidence ranges are shed
-        (recorded as ``ErrorRecord(action="shed")``) before
-        demodulation.
+    on_error:
+        What a crashing detector or decoder costs (see
+        :meth:`classify` and :meth:`analyze`).
     obs:
         The metrics/tracing sink for the whole pipeline.
 
@@ -307,7 +299,6 @@ class RFDumpMonitor(Monitor):
         self.kinds = cfg.kinds
         self.demodulate = cfg.demodulate
         self.noise_floor = cfg.noise_floor
-        self.workers = int(cfg.workers)
         self.peak_detector = PeakDetector(peak_config, obs=self.obs)
         self.dispatcher = Dispatcher(
             self.peak_detector.config.chunk_samples, obs=self.obs
@@ -317,24 +308,16 @@ class RFDumpMonitor(Monitor):
                 self.protocols, self.kinds, self.center_freq
             )
         self.detectors = list(detectors)
-        self._deadline: Optional[DeadlineScheduler] = None
-        if cfg.deadline_ms is not None:
-            self._deadline = DeadlineScheduler(cfg.deadline_ms, obs=self.obs)
-        self._analysis: Optional[AnalysisStage] = None
+        #: protocol -> stream decoder, for the protocols that have one
+        #: (microwave's classification is its output); empty with
+        #: ``demodulate=False``
+        self.decoders: Dict[str, object] = {}
         if cfg.demodulate:
-            self._analysis = AnalysisStage(
-                {
-                    protocol: make_decoder(
-                        protocol, self.sample_rate, self.center_freq,
-                        cfg.decode_payload)
-                    for protocol in self.protocols
-                },
-                workers=self.workers,
-                backend=cfg.backend,
-                timeout_per_range=cfg.timeout,
-                on_error=cfg.on_error,
-                obs=self.obs,
-            )
+            for protocol in self.protocols:
+                decoder = make_decoder(protocol, self.sample_rate,
+                                       self.center_freq, cfg.decode_payload)
+                if decoder is not None:
+                    self.decoders[protocol] = decoder
 
     # -- stages (Figure 2, in order) ------------------------------------------
     #
@@ -356,15 +339,13 @@ class RFDumpMonitor(Monitor):
             "rfdump_samples_total", help="samples entering the monitor"
         ).inc(len(buffer))
         started = time.perf_counter()
-        budget = (self._deadline.start_window()
-                  if self._deadline is not None else None)
         clock = StageClock(obs=self.obs)
         with obs.span("peak_detection", start_sample=buffer.start_sample,
                       end_sample=buffer.end_sample):
             with clock.stage("peak_detection"):
                 detection = self.peak_detector.detect(buffer, self.noise_floor)
                 clock.touch("peak_detection", len(buffer))
-        w = WindowState(buffer, detection, clock, started, budget)
+        w = WindowState(buffer, detection, clock, started)
         w.buffer = sanitize_nonfinite(
             buffer, detection.nonfinite_samples, "detector", "PeakDetector",
             self.on_error, w.errors)
@@ -468,27 +449,73 @@ class RFDumpMonitor(Monitor):
                 and c.peak.index not in backed
                 and barker.tail_matches(c.peak, buffer)]
 
-    def admit(self, w: WindowState) -> None:
-        """Deadline admission: under sustained overload (or an already
-        expired budget) the lowest-confidence ranges are shed *before*
-        any demodulator sees them.  ``w.ranges`` keeps the detection-stage
-        truth; ``w.admitted`` is what the analysis stage gets."""
-        w.admitted = w.ranges
-        if self._deadline is not None and self.demodulate:
-            w.admitted, shed_records = self._deadline.admit(w.ranges, w.budget)
-            w.errors.extend(shed_records)
-
     def analyze(self, w: WindowState) -> None:
-        """Demodulate the admitted ranges on the analysis stage."""
-        if self._analysis is None:
+        """Demodulate every dispatched range, inline, in dispatch order.
+
+        Each range's decode is timed on this thread's CPU clock.  Its
+        packets, accounting and ``demod[<protocol>]`` span are then
+        folded in by position, ``(protocol, start_sample)``, and the
+        packets end sorted by :func:`packet_sort_key`.
+
+        A decoder that raises is handled like a detector in
+        :meth:`classify`: with no policy the exception propagates;
+        ``"raise"`` raises :class:`~repro.errors.DecoderCrashError`;
+        ``"skip"`` and ``"degrade"`` leave one ``ErrorRecord(
+        stage="analysis", action="skipped")`` over the range's samples
+        and decode the ranges left.
+        """
+        if not self.demodulate:
             return
-        w.packets, w.demod_seconds, w.parallel_fallbacks = self._analysis.run(
-            w.buffer, w.admitted, w.clock, budget=w.budget)
-        w.errors.extend(self._analysis.take_error_records())
+        obs = self.obs or NULL
+        decoded = []
+        with obs.span("analysis"):
+            for protocol, ranges in w.ranges.items():
+                decoder = self.decoders.get(protocol)
+                if decoder is None:
+                    continue
+                for r in ranges:
+                    buffer = w.buffer.slice(r.start_sample, r.end_sample)
+                    started = time.thread_time()
+                    try:
+                        packets = list(decoder.scan(buffer,
+                                                    channel_hint=r.channel))
+                    except Exception as exc:
+                        if self.on_error is None:
+                            raise
+                        self._decoder_failed(protocol, buffer, exc, w)
+                        continue
+                    decoded.append((protocol, buffer, packets,
+                                    time.thread_time() - started))
+            decoded.sort(key=lambda d: (d[0], d[1].start_sample))
+            for protocol, buffer, packets, seconds in decoded:
+                w.packets.extend(packets)
+                w.clock.merge_in(StageClock({"demodulation": seconds},
+                                            {"demodulation": len(buffer)}))
+                w.demod_seconds[protocol] = (
+                    w.demod_seconds.get(protocol, 0.0) + seconds)
+                obs.record(
+                    f"demod[{protocol}]", seconds, category="range",
+                    start_sample=buffer.start_sample,
+                    end_sample=buffer.end_sample, protocol=protocol,
+                )
+        w.packets.sort(key=packet_sort_key)
+
+    def _decoder_failed(self, protocol: str, buffer: SampleBuffer,
+                        exc: Exception, w: WindowState) -> None:
+        """A decoder raised on a range: raise it typed, or record it."""
+        if self.on_error == "raise":
+            raise DecoderCrashError(
+                f"{protocol} decoder failed on [{buffer.start_sample}, "
+                f"{buffer.end_sample}): {exc}", protocol=protocol,
+            ) from exc
+        w.errors.append(ErrorRecord.from_exception(
+            stage="analysis", component=protocol, exc=exc, action="skipped",
+            start_sample=buffer.start_sample, end_sample=buffer.end_sample,
+        ))
 
     def finish(self, w: WindowState) -> MonitorReport:
-        """Annotate the packets with SNR, close the window's latency and
-        deadline accounting, and assemble the report."""
+        """Annotate the packets with SNR, close the window's latency
+        accounting, and assemble the report."""
         obs = self.obs or NULL
         self._annotate_snr(w.packets, w.detection)
         for c in w.classifications:
@@ -516,9 +543,6 @@ class RFDumpMonitor(Monitor):
             help="end-to-end monitor latency per processed window "
                  "(detection through analysis)",
         ).observe(latency)
-        deadline_missed = False
-        if self._deadline is not None:
-            deadline_missed = self._deadline.finish_window(latency)
         report = MonitorReport(
             total_samples=len(w.buffer),
             duration=w.buffer.duration,
@@ -532,11 +556,9 @@ class RFDumpMonitor(Monitor):
             gated_samples=w.detection.gated_samples,
             exact_samples=w.detection.exact_samples,
             demod_seconds_by_protocol=w.demod_seconds,
-            parallel_fallbacks=w.parallel_fallbacks,
             errors=w.errors,
             quarantined_detectors=self._breaker.open_components,
             latency_seconds=latency,
-            deadline_missed=deadline_missed,
             seam=w.seam,
         )
         for protocol in w.ranges:
@@ -597,7 +619,6 @@ class RFDumpMonitor(Monitor):
                                      if c.peak.index >= new]
             self.dispatch(w)
             trim = self._hold(w, seam, new) if seam is not None else None
-            self.admit(w)
             self.analyze(w)
             if trim is not None:
                 self._carry(w, trim)
@@ -744,31 +765,6 @@ class RFDumpMonitor(Monitor):
     # -- lifecycle ------------------------------------------------------------
 
     @property
-    def analysis_stage(self) -> Optional[AnalysisStage]:
-        """The stage that demodulates, or None with ``demodulate=False``."""
-        return self._analysis
-
-    @property
-    def deadline_scheduler(self) -> Optional[DeadlineScheduler]:
-        """The deadline/admission layer, or None with no ``deadline_ms``."""
-        return self._deadline
-
-    @property
-    def deadline_misses(self) -> int:
-        """Lifetime count of windows that exceeded their budget."""
-        return (self._deadline.deadline_misses
-                if self._deadline is not None else 0)
-
-    @property
-    def ranges_shed(self) -> int:
-        """Lifetime count of ranges shed to hold the latency budget
-        (admission-control sheds plus the analysis stage's own)."""
-        shed = self._deadline.ranges_shed if self._deadline is not None else 0
-        if self._analysis is not None:
-            shed += self._analysis.shed_ranges
-        return shed
-
-    @property
     def quarantined_detectors(self) -> Tuple[str, ...]:
         """Detectors the circuit breaker has taken out of rotation."""
         return self._breaker.open_components
@@ -777,14 +773,3 @@ class RFDumpMonitor(Monitor):
         """Clear the circuit breaker, giving quarantined detectors
         another ``threshold`` consecutive chances."""
         self._breaker.reset()
-
-    def close(self) -> None:
-        """Shut down the analysis worker pool (a no-op without one)."""
-        if self._analysis is not None:
-            self._analysis.close()
-
-    def __enter__(self) -> "RFDumpMonitor":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()

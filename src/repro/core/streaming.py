@@ -259,24 +259,6 @@ class StreamingMonitor(Monitor):
         report.errors.extend(stream_errors)
         return report
 
-    # -- deadline/backpressure surface ---------------------------------------
-    #
-    # The wrapped monitor owns the deadline scheduler; each window this
-    # wrapper feeds it is one budget, so windows that ran over raise the
-    # admission level and the *next* window's admitted range set shrinks
-    # — backpressure from the analyzers to the detection stage without
-    # any coupling in this class.
-
-    @property
-    def deadline_misses(self) -> int:
-        """Windows that exceeded the configured deadline budget so far."""
-        return self.monitor.deadline_misses
-
-    @property
-    def ranges_shed(self) -> int:
-        """Ranges shed to hold the latency budget so far."""
-        return self.monitor.ranges_shed
-
     def flush(self) -> "StreamingMonitor":
         """Finalise whatever the seam holds open; idempotent.
 
@@ -314,13 +296,3 @@ class StreamingMonitor(Monitor):
     def _final_flush(self) -> List[PacketRecord]:
         self.flush()
         return self._drain_new_packets()
-
-    def close(self) -> None:
-        """Release the underlying monitor's worker pool, if any."""
-        self.monitor.close()
-
-    def __enter__(self) -> "StreamingMonitor":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()

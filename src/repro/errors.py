@@ -85,39 +85,15 @@ class SampleIntegrityError(RFDumpError):
         self.bad_samples = bad_samples
 
 
-class WorkerCrashError(RFDumpError):
-    """An analysis worker (thread or process) failed or its pool broke."""
+class DecoderCrashError(RFDumpError):
+    """A protocol's stream decoder raised while decoding a dispatched range.
+
+    Raised only under ``on_error="raise"``; ``"skip"`` and ``"degrade"``
+    record the range and decode the rest.
+    """
 
     def __init__(self, message: str, protocol: Optional[str] = None):
         super().__init__(message)
-        self.protocol = protocol
-
-
-class DeadlineError(RFDumpError):
-    """A latency budget was violated somewhere in the monitoring path.
-
-    Base class for the deadline/admission layer (:mod:`repro.core.deadline`);
-    under the degrade/skip policies budget violations are *handled* —
-    shed and recorded, never raised — so this surfaces only under
-    ``on_error="raise"``.
-    """
-
-    def __init__(self, message: str, budget_seconds: Optional[float] = None):
-        super().__init__(message)
-        self.budget_seconds = budget_seconds
-
-
-class DecodeTimeoutError(DeadlineError):
-    """An analysis task blew through its per-range decode deadline.
-
-    Distinct from :class:`WorkerCrashError`: the worker did not fail, it
-    is *still running* — which is precisely why the stage must not wait
-    for it.  Raised only under ``on_error="raise"``.
-    """
-
-    def __init__(self, message: str, protocol: Optional[str] = None,
-                 budget_seconds: Optional[float] = None):
-        super().__init__(message, budget_seconds=budget_seconds)
         self.protocol = protocol
 
 

@@ -9,8 +9,8 @@ other component:
 * :mod:`repro.faults.injectors` — seeded stream-level injectors (gaps,
   NaN/Inf bursts, truncated/empty windows) composable via
   :class:`FaultPlan`;
-* :mod:`repro.faults.components` — crashing / stalling / pool-killing
-  detector and analyzer wrappers;
+* :mod:`repro.faults.components` — crashing detector and analyzer
+  wrappers;
 * :mod:`repro.faults.harness` — glue running
   :mod:`repro.emulator.presets` scenarios through a streaming monitor
   under a fault plan, for byte-identical comparison against fault-free
@@ -21,8 +21,6 @@ from repro.faults.components import (
     CrashingDecoder,
     CrashingDetector,
     InjectedFault,
-    PoolKillerDecoder,
-    SlowDecoder,
 )
 from repro.faults.harness import (
     FaultRun,
@@ -43,8 +41,6 @@ __all__ = [
     "CrashingDecoder",
     "CrashingDetector",
     "InjectedFault",
-    "PoolKillerDecoder",
-    "SlowDecoder",
     "FaultRun",
     "preset_windows",
     "run_faulted",

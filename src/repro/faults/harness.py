@@ -89,7 +89,7 @@ def run_faulted(windows: Sequence[SampleBuffer],
 
     Builds a :class:`StreamingMonitor` over an :class:`RFDumpMonitor`
     unless one is passed in; ``monitor_kwargs`` (``protocols=``,
-    ``workers=`` …) go to the inner monitor.  The monitor is flushed and
+    ``demodulate=`` …) go to the inner monitor.  The monitor is flushed and
     closed before returning.
     """
     plan = plan if plan is not None else FaultPlan()

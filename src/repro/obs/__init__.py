@@ -12,9 +12,8 @@ operations are no-ops — so hot paths stay branch-free::
         ...
 
 Deterministic counters (samples touched, ranges dispatched, packets
-decoded) are guaranteed identical between serial and parallel runs of
-the same input; timing-valued series (histograms, span durations) are
-not, by nature.
+decoded) are identical across runs of the same input; timing-valued
+series (histograms, span durations) are not, by nature.
 """
 
 from __future__ import annotations

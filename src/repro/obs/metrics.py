@@ -6,7 +6,7 @@ them.  Metrics live in a named :class:`MetricsRegistry` and are
 identified by a metric name plus a sorted label set, Prometheus-style.
 Counters and gauges over deterministic quantities (samples touched,
 ranges dispatched, packets decoded) are exactly reproducible across
-runs and across serial/parallel configurations; histograms use *fixed*
+runs; histograms use *fixed*
 bucket bounds so that two runs observing the same values always produce
 the same bucket counts.
 """

@@ -6,11 +6,10 @@ the absolute sample indices it covered and the worker that ran it.
 Spans nest (stage -> detector -> range) via a per-thread stack, so
 instrumented code just wraps itself in ``with tracer.span(...)``.
 
-Worker processes cannot share the tracer, so the parallel analysis
-stage measures spans worker-side as plain dicts and replays them here
-with :meth:`Tracer.record` in a deterministic order; the *structure* of
-the trace (names, nesting, sample ranges) is then identical across
-serial and parallel runs even though the timings differ.
+The analysis stage times each range's decode on the thread's CPU clock
+and replays the spans here with :meth:`Tracer.record`, ordered by
+position, so the *structure* of the trace (names, nesting, sample
+ranges) does not depend on the order the ranges were decoded in.
 
 Two export formats:
 
@@ -156,7 +155,7 @@ class Tracer:
         """A Chrome ``trace_event`` document (complete "X" events).
 
         Workers map to thread tracks; a metadata event names each track
-        so ``chrome://tracing`` shows "main", "worker pids", etc.
+        so ``chrome://tracing`` shows which worker ran what.
         """
         workers: Dict[str, int] = {}
         events: List[dict] = []

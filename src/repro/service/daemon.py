@@ -108,7 +108,7 @@ class RFDumpDaemon:
         self.kind = kind
         self.errors: List[ErrorRecord] = []
         #: the newest faults the monitor handled inside windows (NaN
-        #: bursts sanitized, detectors quarantined, ranges shed)
+        #: bursts sanitized, detectors quarantined, ranges skipped)
         self.pipeline_errors: Deque[ErrorRecord] = deque(maxlen=64)
         self._errors_lock = threading.Lock()
         self.hub = EventHub(
@@ -244,15 +244,10 @@ class RFDumpDaemon:
         def _finite(value: float) -> Optional[float]:
             return value if math.isfinite(value) else None
 
-        shed = sum(
-            m.value for m in registry.series("rfdump_ranges_shed_total"))
         return {
             "windows": hist.count,
             "p50_seconds": _finite(hist.quantile(0.50)),
             "p99_seconds": _finite(hist.quantile(0.99)),
-            "deadline_misses": int(
-                registry.value("rfdump_deadline_misses_total") or 0),
-            "ranges_shed": int(shed),
         }
 
     # -- internals -------------------------------------------------------------

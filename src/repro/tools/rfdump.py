@@ -5,7 +5,7 @@ Usage::
     python -m repro.tools.rfdump capture.iq
     python -m repro.tools.rfdump capture.iq --protocols wifi,bluetooth \
         --detectors timing,phase --window-ms 100 --summary
-    python -m repro.tools.rfdump capture.iq --workers 4 \
+    python -m repro.tools.rfdump capture.iq \
         --metrics-out metrics.txt --trace-out trace.json
     python -m repro.tools.rfdump capture.iq --on-error degrade --summary
     python -m repro.tools.rfdump capture.iq --format jsonl
@@ -18,9 +18,7 @@ page of the run's metrics; ``--trace-out`` writes an execution trace
 that loads in ``chrome://tracing``).  ``--on-error degrade`` keeps a
 long-running monitor alive across stream gaps, NaN bursts and crashing
 components, printing a degradation summary to stderr when anything was
-absorbed.  ``--workers N`` decodes the dispatched ranges over a pool of
-N workers instead of inline in the calling thread; the output is the
-same, byte for byte.  ``--format jsonl`` emits one canonical
+absorbed.  ``--format jsonl`` emits one canonical
 :class:`~repro.core.PacketEvent` JSON object per line — the exact
 stream an ``rfdumpd`` subscriber receives for the same trace, so the
 two can be diffed byte for byte.
@@ -74,33 +72,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="streaming window size in milliseconds",
     )
     parser.add_argument(
-        "--workers", type=int, default=1,
-        help="analysis-stage workers: 1 decodes the dispatched ranges "
-             "inline, N > 1 decodes them one range per task over a pool "
-             "of N (with 2 on 2 cores: 0.95-1.12x on the thread backend, "
-             "1.05-1.36x with --parallel-backend process; EXPERIMENTS.md); "
-             "output is identical either way",
-    )
-    parser.add_argument(
-        "--parallel-backend", choices=("thread", "process"), default="thread",
-        help="worker pool backend when --workers > 1",
-    )
-    parser.add_argument(
         "--monitor", choices=("rfdump", "naive", "energy"), default="rfdump",
         help="monitoring architecture (baselines for cost comparison)",
-    )
-    parser.add_argument(
-        "--deadline-ms", type=float, default=None,
-        help="per-window latency budget in milliseconds: dispatched "
-             "ranges are analyzed in deadline-priority order, and under "
-             "overload the lowest-confidence ranges are shed (recorded, "
-             "counted) instead of stalling the stream",
     )
     parser.add_argument(
         "--on-error", choices=("raise", "skip", "degrade"), default=None,
         help="fault policy: raise typed errors, skip faulting units, or "
              "degrade gracefully (resync gaps, sanitize NaN bursts, "
-             "quarantine crashing detectors); default keeps legacy "
+             "quarantine crashing detectors, skip a range a decoder "
+             "crashed on); default keeps legacy "
              "per-component behavior",
     )
     parser.add_argument(
@@ -151,10 +131,7 @@ def run(args) -> int:
             protocols=protocols,
             kinds=kinds,
             demodulate=not args.no_demod,
-            workers=args.workers,
-            backend=args.parallel_backend,
             on_error=args.on_error,
-            deadline_ms=args.deadline_ms,
             obs=obs,
         ))
     except ValueError as exc:
@@ -194,16 +171,13 @@ def run(args) -> int:
         packets = streaming.packets
         classifications = streaming.classifications
         clock = streaming.clock
-        if (streaming.errors or streaming.monitor.quarantined_detectors
-                or streaming.ranges_shed or streaming.deadline_misses):
+        if streaming.errors or streaming.monitor.quarantined_detectors:
             degradation = (
                 f"degradation: {streaming.gaps} stream gap(s), "
                 f"{streaming.lost_samples} samples lost, "
                 f"{len(streaming.errors)} handled fault(s), "
                 f"{len(streaming.monitor.quarantined_detectors)} "
-                f"detector(s) quarantined, "
-                f"{streaming.ranges_shed} range(s) shed, "
-                f"{streaming.deadline_misses} deadline miss(es)"
+                f"detector(s) quarantined"
             )
     else:
         # baselines have no cross-window state; process windows directly

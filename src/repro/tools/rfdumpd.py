@@ -80,14 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--sample-rate", type=float, default=DEFAULT_SAMPLE_RATE,
                        help="sample rate ingest clients must match")
     serve.add_argument("--center-freq", type=float, default=DEFAULT_CENTER_FREQ)
-    serve.add_argument("--workers", type=int, default=1,
-                       help="analysis-stage workers (1 = decode inline; "
-                            "N > 1 = one dispatched range per task over a "
-                            "thread pool of N)")
-    serve.add_argument("--deadline-ms", type=float, default=None,
-                       help="per-window latency budget in milliseconds; "
-                            "under overload low-confidence ranges are shed "
-                            "instead of stalling the event stream")
     serve.add_argument("--on-error", choices=("raise", "skip", "degrade"),
                        default=None,
                        help="fault policy; also selects the slow-consumer "
@@ -131,9 +123,7 @@ def _run_serve(args) -> int:
                     p.strip() for p in args.protocols.split(",") if p.strip()),
                 kinds=tuple(
                     k.strip() for k in args.detectors.split(",") if k.strip()),
-                workers=args.workers,
                 on_error=args.on_error,
-                deadline_ms=args.deadline_ms,
             ),
             kind=kind, host=args.host, port=args.port,
             metrics_port=args.metrics_port,

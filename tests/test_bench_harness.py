@@ -1,5 +1,7 @@
 """repro.bench harness: results schema, comparisons, runner, CLI gate."""
 
+import types
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,10 @@ from repro.bench.results import (
 from repro.bench.runner import BenchOptions, BenchRunner
 from repro.obs import Observability
 from repro.tools import rfbench
+from repro.tools.rfbench import (
+    _check_latency_requirements,
+    _parse_latency_requirements,
+)
 
 
 def _result(name="peak_detection", normalized=1.0, **overrides):
@@ -248,3 +254,45 @@ class TestCli:
         reference = load_results("benchmarks/baselines/reference")
         assert reference["peak_detection"].impl == "reference"
         assert reference["phase_detectors"].impl == "reference"
+
+
+# -- the rfbench latency SLO gate --------------------------------------------
+
+def _latency_result(name, meta):
+    return types.SimpleNamespace(name=name, meta=meta)
+
+
+class TestRfbenchLatencyGate:
+    def test_parse_ok(self):
+        assert _parse_latency_requirements(["window_latency:0.45"]) == [
+            ("window_latency", 0.45)
+        ]
+
+    @pytest.mark.parametrize("spec", ["nocolon", ":0.45", "name:abc",
+                                      "name:-1"])
+    def test_parse_rejects_bad_specs(self, spec):
+        with pytest.raises(SystemExit):
+            _parse_latency_requirements([spec])
+
+    def test_gate_passes_under_limit(self, capsys):
+        results = [_latency_result("window_latency",
+                           {"latency": {"p99": 0.08, "p50": 0.05,
+                                        "windows": 10}})]
+        assert _check_latency_requirements(
+            results, [("window_latency", 0.45)]) == []
+        assert "meets the 450.0ms SLO" in capsys.readouterr().out
+
+    def test_gate_fails_over_limit(self):
+        results = [_latency_result("window_latency",
+                           {"latency": {"p99": 0.9, "p50": 0.1,
+                                        "windows": 10}})]
+        (message,) = _check_latency_requirements(
+            results, [("window_latency", 0.45)])
+        assert "exceeds" in message
+
+    def test_gate_fails_without_latency_report(self):
+        (message,) = _check_latency_requirements(
+            [_latency_result("peak_detection", {"tags": []})],
+            [("peak_detection", 0.45)])
+        assert "no latency report" in message
+        assert _check_latency_requirements([], [("missing", 0.1)])

@@ -86,7 +86,7 @@ def test_whole_trace_unhinted():
 
 def _event_lines(buffer, window, impl):
     with StreamingMonitor(config=MonitorConfig(), overlap=48_000) as monitor:
-        monitor.monitor.analysis_stage.decoders["bluetooth"] = (
+        monitor.monitor.decoders["bluetooth"] = (
             BluetoothStreamDecoder(buffer.sample_rate, impl=impl))
         return [event.to_json()
                 for event in monitor.events(split_windows(buffer, window))]

@@ -26,15 +26,6 @@ class TestStageClock:
             clock.seconds["a"] + clock.seconds["b"]
         )
 
-    def test_wall_keys_stay_out_of_the_total(self):
-        # a pool's elapsed time surrounds work its workers already accounted
-        clock = StageClock(seconds={"peak_detection": 0.2, "demodulation": 1.0,
-                                    "demodulation_wall": 0.6})
-        assert clock.total_seconds() == pytest.approx(1.2)
-        assert clock.cpu_over_realtime(2.0) == pytest.approx(0.6)
-        assert clock.cpu_over_realtime(2.0, stage="demodulation_wall") \
-            == pytest.approx(0.3)
-
     def test_cpu_over_realtime(self):
         clock = StageClock(seconds={"demod": 0.5})
         assert clock.cpu_over_realtime(0.25) == pytest.approx(2.0)

@@ -9,10 +9,10 @@ from repro.core.errorpolicy import (
     validate_error_policy,
 )
 from repro.errors import (
+    DecoderCrashError,
     RFDumpError,
     SampleIntegrityError,
     StreamGapError,
-    WorkerCrashError,
 )
 
 
@@ -50,9 +50,9 @@ class TestTypedErrors:
     def test_gap_samples_unknown_without_positions(self):
         assert StreamGapError("gap").gap_samples is None
 
-    def test_integrity_and_worker_errors_carry_context(self):
+    def test_integrity_and_decoder_errors_carry_context(self):
         assert SampleIntegrityError("bad", bad_samples=7).bad_samples == 7
-        assert WorkerCrashError("dead", protocol="wifi").protocol == "wifi"
+        assert DecoderCrashError("dead", protocol="wifi").protocol == "wifi"
 
 
 class TestCircuitBreaker:

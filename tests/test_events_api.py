@@ -1,6 +1,7 @@
 """Tests for the PacketEvent contract and Monitor.events()."""
 
 import dataclasses
+import importlib
 import json
 
 import pytest
@@ -150,31 +151,26 @@ class TestMonitorEvents:
 
     @pytest.mark.parametrize("preset", ["mix", "broadcast", "bluetooth"])
     def test_every_driver_emits_the_same_bytes(self, preset):
-        """rfdump and streaming are one pipeline behind two drivers, and
-        the analysis stage one task list behind inline execution and two
-        pool backends: the same IQ yields the same canonical event lines
-        through all of them."""
+        """rfdump and streaming are one pipeline behind two drivers: the
+        same IQ yields the same canonical event lines through both."""
         trace = build_preset(preset, 0.2, seed=3).render()
         config = MonitorConfig(sample_rate=trace.sample_rate,
                                center_freq=trace.center_freq)
-        runs = [(kind, config) for kind in ("rfdump", "streaming")]
-        runs += [("streaming", config.replace(workers=2, backend=backend))
-                 for backend in ("thread", "process")]
-        lines = []
-        for kind, cfg in runs:
-            with make_monitor(kind, cfg) as monitor:
-                lines.append(
-                    [e.to_json() for e in monitor.events([trace.buffer])])
-        assert lines[0]
-        for (kind, cfg), got in zip(runs, lines):
-            assert got == lines[0], (kind, cfg.workers, cfg.backend)
+        lines = {}
+        for kind in ("rfdump", "streaming"):
+            with make_monitor(kind, config) as monitor:
+                lines[kind] = [
+                    e.to_json() for e in monitor.events([trace.buffer])]
+        assert lines["rfdump"]
+        assert lines["streaming"] == lines["rfdump"]
 
     def test_removed_names_fail_loudly(self, tmp_path, capsys):
         for kind in ("sharded", "flowgraph", "naive+energy"):
             with pytest.raises(ValueError, match="unknown monitor"):
                 make_monitor(kind)
         for removed in ("shards", "granularity", "parallel_granularity",
-                        "parallel_backend"):
+                        "parallel_backend", "workers", "backend", "timeout",
+                        "deadline_ms"):
             with pytest.raises(TypeError):
                 MonitorConfig(**{removed: 2})
             with pytest.raises(TypeError):
@@ -189,11 +185,24 @@ class TestMonitorEvents:
         # the ingest queue is gone: TCP backpressure is the flow control
         with pytest.raises(TypeError):
             RFDumpDaemon(MonitorConfig(), ingest_depth=8)
-        with pytest.raises(SystemExit) as exc:
-            rfdumpd.main(["serve", "--ingest-depth", "4"])
-        assert exc.value.code == 2
-        (line,) = capsys.readouterr().err.splitlines()
-        assert line.startswith("rfdumpd: ")
+        # so are the analysis pools and the deadline layer
+        for module in ("analysis_stage", "deadline", "parallelism"):
+            with pytest.raises(ImportError):
+                importlib.import_module(f"repro.core.{module}")
+        for flags in (["--ingest-depth", "4"], ["--workers", "2"],
+                      ["--deadline-ms", "100"]):
+            with pytest.raises(SystemExit) as exc:
+                rfdumpd.main(["serve", *flags])
+            assert exc.value.code == 2
+            (line,) = capsys.readouterr().err.splitlines()
+            assert line.startswith("rfdumpd: ")
+        for flags in (["--workers", "2"], ["--parallel-backend", "process"],
+                      ["--deadline-ms", "100"]):
+            with pytest.raises(SystemExit) as exc:
+                rfdump.main([str(tmp_path / "absent.iq"), *flags])
+            assert exc.value.code == 2
+            (line,) = capsys.readouterr().err.splitlines()
+            assert line.startswith("rfdump: unrecognized arguments")
         # and the CLI before it opens the trace: one line, exit 2
         with pytest.raises(SystemExit) as exc:
             rfdump.main([str(tmp_path / "absent.iq"), "--monitor", "flowgraph"])

@@ -190,7 +190,7 @@ class TestNonFiniteSample:
         if kind in ("naive", "energy"):
             decoder = monitor._decoders["wifi"]
         else:
-            decoder = monitor.analysis_stage.decoders["wifi"]
+            decoder = monitor.decoders["wifi"]
         scan = decoder.scan
         decoder.scan = lambda sub, **kw: (
             seen.append(bool(np.isfinite(sub.samples).all()))

@@ -17,13 +17,13 @@ class TestMonitorConfig:
         cfg = MonitorConfig()
         assert cfg.protocols == ("wifi", "bluetooth")
         assert cfg.kinds == ("timing", "phase")
-        assert cfg.workers == 1
-        assert cfg.backend == "thread"
+        assert cfg.demodulate is True
+        assert cfg.on_error is None
         assert cfg.obs is None
 
     def test_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
-            MonitorConfig().workers = 4
+            MonitorConfig().demodulate = False
 
     def test_sequences_normalised_to_tuples(self):
         cfg = MonitorConfig(protocols=["wifi"], kinds=["timing"])
@@ -32,10 +32,10 @@ class TestMonitorConfig:
 
     @pytest.mark.parametrize("bad", [
         {"sample_rate": 0},
-        {"workers": 0},
-        {"backend": "greenlet"},
-        {"deadline_ms": -5.0},
-        {"timeout": -1.0},
+        {"sample_rate": -8e6},
+        {"on_error": "ignore"},
+        {"on_error": "RAISE"},
+        {"protocols": ("foo",)},
         {"protocols": ("wifi", "foo")},
     ])
     def test_validation(self, bad):
@@ -44,15 +44,15 @@ class TestMonitorConfig:
 
     def test_round_trip(self):
         cfg = MonitorConfig(
-            sample_rate=8e6, protocols=("zigbee",), workers=3,
-            backend="process", timeout=2.0,
+            sample_rate=8e6, protocols=("zigbee",), demodulate=False,
+            noise_floor=2.0, on_error="skip",
         )
         assert MonitorConfig(**cfg.to_kwargs()) == cfg
 
     def test_to_kwargs_emits_canonical_names_only(self):
-        out = MonitorConfig(backend="process").to_kwargs()
+        out = MonitorConfig(on_error="degrade").to_kwargs()
         assert set(out) == {f.name for f in dataclasses.fields(MonitorConfig)}
-        assert len(out) == 13
+        assert len(out) == 9
         with pytest.raises(TypeError):
             MonitorConfig().to_kwargs(legacy=True)
 
@@ -74,31 +74,31 @@ class TestMonitorConfig:
 
     def test_replace_revalidates(self):
         cfg = MonitorConfig()
-        assert cfg.replace(workers=4).workers == 4
+        assert cfg.replace(on_error="skip").on_error == "skip"
         with pytest.raises(ValueError):
-            cfg.replace(workers=0)
+            cfg.replace(sample_rate=0)
 
 
 class TestResolve:
     def test_kwargs_only(self):
-        cfg = resolve_monitor_config(None, workers=2)
-        assert cfg.workers == 2
+        cfg = resolve_monitor_config(None, noise_floor=2.0)
+        assert cfg.noise_floor == 2.0
 
     def test_config_only_passthrough(self):
-        cfg = MonitorConfig(workers=2)
+        cfg = MonitorConfig(noise_floor=2.0)
         assert resolve_monitor_config(cfg) is cfg
 
     def test_inconsistent_mix_raises(self):
-        cfg = MonitorConfig(workers=2)
-        with pytest.raises(ConfigurationError, match="workers"):
-            resolve_monitor_config(cfg, workers=4)
+        cfg = MonitorConfig(noise_floor=2.0)
+        with pytest.raises(ConfigurationError, match="noise_floor"):
+            resolve_monitor_config(cfg, noise_floor=4.0)
 
     def test_agreeing_mix_raises_too(self):
         """One or the other: a keyword that repeats the config is still
         two sources of truth at the call site."""
-        cfg = MonitorConfig(workers=2, backend="process")
+        cfg = MonitorConfig(noise_floor=2.0, on_error="skip")
         with pytest.raises(ConfigurationError, match="one or the other"):
-            resolve_monitor_config(cfg, workers=2)
+            resolve_monitor_config(cfg, noise_floor=2.0)
 
     def test_unknown_field_rejected(self):
         with pytest.raises(TypeError):
@@ -107,9 +107,11 @@ class TestResolve:
 
 class TestMonitorsAcceptConfig:
     def test_rfdump_config_equivalent_to_kwargs(self):
-        cfg = MonitorConfig(protocols=("wifi",), kinds=("timing",), workers=2)
+        cfg = MonitorConfig(protocols=("wifi",), kinds=("timing",),
+                            on_error="skip")
         a = RFDumpMonitor(config=cfg)
-        b = RFDumpMonitor(protocols=("wifi",), kinds=("timing",), workers=2)
+        b = RFDumpMonitor(protocols=("wifi",), kinds=("timing",),
+                          on_error="skip")
         assert a.config == b.config
         assert a.protocols == b.protocols == ("wifi",)
 

@@ -213,3 +213,31 @@ class TestObservabilityFacade:
         with NULL.span("s", start_sample=0) as span:
             assert span is None
         assert NULL.record("r", 0.1) is None
+
+
+# -- Histogram.quantile ------------------------------------------------------
+
+class TestHistogramQuantile:
+    def _hist(self):
+        return MetricsRegistry().histogram("h_seconds", buckets=(0.1, 1.0))
+
+    def test_empty_histogram_reports_zero(self):
+        assert self._hist().quantile(0.5) == 0.0
+
+    def test_conservative_bucket_upper_bound(self):
+        hist = self._hist()
+        for _ in range(9):
+            hist.observe(0.05)
+        hist.observe(0.5)
+        assert hist.quantile(0.5) == 0.1
+        assert hist.quantile(0.99) == 1.0
+        assert hist.quantile(0.0) == 0.1  # rank floors at 1
+
+    def test_overflow_bucket_is_inf(self):
+        hist = self._hist()
+        hist.observe(5.0)
+        assert hist.quantile(0.5) == float("inf")
+
+    def test_out_of_range_q_rejected(self):
+        with pytest.raises(ValueError):
+            self._hist().quantile(1.5)

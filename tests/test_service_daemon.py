@@ -10,7 +10,7 @@ import threading
 import pytest
 
 from repro import MonitorConfig
-from repro.core import analysis_stage, make_monitor
+from repro.core import make_monitor
 from repro.errors import ServiceProtocolError
 from repro.obs import Observability, metrics, tracing
 from repro.service import RFDumpDaemon, replay_trace, subscribe_events
@@ -399,7 +399,7 @@ class TestMetricsEndpoint:
 
 # -- lock order ----------------------------------------------------------------
 #
-# The nine lock sites, by (module, attribute), and the domain DESIGN.md's
+# The seven lock sites, by (module, attribute), and the domain DESIGN.md's
 # lock table names them by.  A lock created anywhere else in these
 # modules is reported as undocumented.
 LOCK_DOMAINS = {
@@ -410,8 +410,6 @@ LOCK_DOMAINS = {
     ("repro.service.daemon", "_errors_lock"): "daemon.errors",
     ("repro.service.daemon", "_conns_lock"): "daemon.conns",
     ("repro.service.daemon", "_state_lock"): "daemon.state",
-    ("repro.core.analysis_stage", "_pool_lock"): "parallel.pool",
-    ("repro.core.analysis_stage", "_leak_lock"): "parallel.leaks",
 }
 
 #: every (held -> acquired) order the design allows; no other nesting
@@ -544,8 +542,7 @@ class _RecordingThreading:
 def lock_recorder(monkeypatch):
     recorder = _LockRecorder()
     patched = _RecordingThreading(recorder)
-    for module in (metrics, tracing, hub_module, daemon_module,
-                   analysis_stage):
+    for module in (metrics, tracing, hub_module, daemon_module):
         monkeypatch.setattr(module, "threading", patched)
     return recorder
 
@@ -553,7 +550,7 @@ def lock_recorder(monkeypatch):
 class TestLockOrder:
     def test_daemon_session_takes_only_documented_edges(
             self, lock_recorder, daemon_config, wifi_trace_file):
-        config = daemon_config.replace(workers=2, obs=Observability())
+        config = daemon_config.replace(obs=Observability())
         with RFDumpDaemon(config) as rfdumpd:
             live = []
             thread = threading.Thread(

@@ -118,18 +118,9 @@ class TestRfdump:
         code = rfdump.main([str(recorded), "--window-ms", "40", "--summary"])
         assert code == 0
 
-    def test_workers_output_matches_serial(self, recorded, capsys):
-        assert rfdump.main([str(recorded)]) == 0
-        serial = capsys.readouterr().out
-        assert rfdump.main([str(recorded), "--workers", "3"]) == 0
-        parallel = capsys.readouterr().out
-        assert parallel == serial
-
-    def test_rejects_bad_workers(self, recorded, capsys):
-        assert rfdump.main([str(recorded), "--workers", "0"]) == 2
-
     @pytest.mark.parametrize("flags", [
-        ["--workers", "0"], ["--deadline-ms", "-5"], ["--protocols", "foo"],
+        ["--window-ms", "inf"], ["--protocols", "wifi,foo"],
+        ["--protocols", "foo"],
         # was: silently one-sample windows (0.08 s = 640 000 of them)
         ["--window-ms", "0"], ["--window-ms", "-5"], ["--window-ms", "nan"],
     ])
@@ -257,8 +248,8 @@ class TestRfdumpdCLI:
         assert line.startswith("rfdumpd serve: ")
 
     @pytest.mark.parametrize("flags", [
-        ["--protocols", "foo"], ["--workers", "0"], ["--deadline-ms", "-5"],
-        ["--sample-rate", "0"],
+        ["--protocols", "foo"], ["--protocols", "wifi,foo"],
+        ["--sample-rate", "-8000000"], ["--sample-rate", "0"],
     ])
     def test_serve_rejects_bad_config_before_announcing(self, flags, capsys):
         """Was: a pump-thread traceback (``--protocols foo``) behind an
@@ -348,20 +339,3 @@ class TestRfdumpObservability:
                  for line in out_path.read_text().splitlines() if line]
         assert spans
         assert all("t_start" in s and "name" in s for s in spans)
-
-    def test_deterministic_counters_across_workers(self, recorded, tmp_path, capsys):
-        pages = []
-        for workers in (1, 3):
-            out_path = tmp_path / f"metrics-w{workers}.txt"
-            code = rfdump.main([str(recorded), "--summary",
-                                "--workers", str(workers),
-                                "--metrics-out", str(out_path)])
-            assert code == 0
-            # timing-valued series (seconds histograms) legitimately vary;
-            # every deterministic counter must match exactly
-            pages.append("\n".join(
-                line for line in out_path.read_text().splitlines()
-                if "_total" in line and "_seconds" not in line
-                and not line.startswith("#")
-            ))
-        assert pages[0] == pages[1]

@@ -36,7 +36,7 @@ DURATION = 0.06
 
 def _event_lines(buffer: SampleBuffer, window: int, impl: str):
     with StreamingMonitor(config=MonitorConfig(), overlap=48_000) as monitor:
-        monitor.monitor.analysis_stage.decoders["wifi"] = WifiStreamDecoder(
+        monitor.monitor.decoders["wifi"] = WifiStreamDecoder(
             buffer.sample_rate, impl=impl)
         return [event.to_json()
                 for event in monitor.events(split_windows(buffer, window))]
