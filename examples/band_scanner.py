@@ -5,13 +5,17 @@ Section 3.1 notes that cheap energy/peak detection matters most "when
 scanning, e.g. a single radio looks at multiple frequency bands over
 time, since efficiency is then a concern even for idle bands".  This
 example retunes across three centers while a Bluetooth piconet hops and a
-Wi-Fi station pings, and prints the per-band census a site survey wants.
+Wi-Fi station pings, runs one detection-only RFDump monitor per center
+(detector channel maps are center-specific) and prints the per-band
+census a site survey wants, built from the monitors' reports.
 
 Run:  python examples/band_scanner.py
 """
 
-from repro import BluetoothL2PingSession, Scenario, WifiPingSession, render_summary
-from repro.core.scanning import ScanningMonitor
+from collections import Counter, defaultdict
+
+from repro import (BluetoothL2PingSession, RFDumpMonitor, Scenario,
+                   WifiPingSession, render_summary)
 from repro.emulator.scanning import ScanPlan, render_scan
 
 
@@ -34,10 +38,32 @@ def main():
     print(f"scanning {len(plan.centers)} bands, {len(windows)} dwells of "
           f"{plan.dwell * 1e3:.0f} ms")
 
-    monitor = ScanningMonitor(protocols=("wifi", "bluetooth"))
-    monitor.scan(windows)
+    monitors = {
+        center: RFDumpMonitor(center_freq=center, demodulate=False)
+        for center in plan.centers
+    }
+    reports = defaultdict(list)
+    for window in windows:
+        center = window.dwell.center_freq
+        monitor = monitors[center]
+        report = monitor.process(window.buffer)
+        monitor.noise_floor = report.noise_floor  # carried across visits
+        reports[center].append(report)
 
-    rows = monitor.summary_rows()
+    rows = []
+    for center in plan.centers:
+        band = reports[center]
+        total = sum(r.total_samples for r in band)
+        busy = sum(p.length for r in band for p in r.peaks)
+        classified = Counter(c.protocol for r in band
+                             for c in r.classifications)
+        rows.append({
+            "center (GHz)": round(center / 1e9, 4),
+            "dwells": len(band),
+            "occupancy (%)": round(100 * busy / max(total, 1), 2),
+            "peaks": sum(len(r.peaks) for r in band),
+            "classified": dict(sorted(classified.items())),
+        })
     print()
     print(render_summary(
         "Per-band census",

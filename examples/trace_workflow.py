@@ -34,27 +34,30 @@ def main():
     print(f"recorded {meta.nsamples} samples ({size_mb:.1f} MB) -> {trace_path}")
 
     # -- replay in streaming windows ------------------------------------------
-    # StreamingMonitor carries an overlap tail across windows, so packets
+    # StreamingMonitor carries a seam across windows, so packets
     # straddling a window boundary are neither lost nor double-counted.
+    # Each window's report holds what became final in it; flush()
+    # reports what was still open when the trace ended.
     from repro.core.streaming import StreamingMonitor
 
     streaming = StreamingMonitor(RFDumpMonitor(protocols=("wifi",)))
     reader = TraceReader(trace_path, window_samples=400_000)  # 50 ms windows
 
+    packets = []
     for window in reader:
         report = streaming.process(window)
+        packets.extend(p for r in report.passes() for p in r.packets)
         print(f"window @{window.start_sample:>8d}: "
               f"{len(report.peaks):2d} peaks, {len(report.packets):2d} packets, "
               f"noise floor {report.noise_floor:.3f}")
-    streaming.flush()
+    packets.extend(streaming.flush().packets)
 
     print("\ndecoded packet log:")
-    print(render_packet_log(streaming.packets, meta.sample_rate))
+    print(render_packet_log(packets, meta.sample_rate))
 
     truth = rendered.ground_truth.observable("wifi")
-    print(f"\n{len(streaming.packets)} packets decoded; ground truth had "
+    print(f"\n{len(packets)} packets decoded; ground truth had "
           f"{len(truth)}")
-
 
 if __name__ == "__main__":
     main()

@@ -554,8 +554,7 @@ class ZigbeeStreamDecoder:
 
 
 def make_decoder(protocol: str, sample_rate: float,
-                 center_freq: float = DEFAULT_CENTER_FREQ,
-                 decode_payload: bool = True):
+                 center_freq: float = DEFAULT_CENTER_FREQ):
     """The stream decoder every monitor uses for ``protocol``.
 
     All decoders share one call shape — ``scan(buffer, channel_hint=None)``
@@ -564,7 +563,7 @@ def make_decoder(protocol: str, sample_rate: float,
     is nothing to demodulate, the classification is the output.
     """
     if protocol == "wifi":
-        return WifiStreamDecoder(sample_rate, decode_payload=decode_payload)
+        return WifiStreamDecoder(sample_rate)
     if protocol == "bluetooth":
         return BluetoothStreamDecoder(sample_rate, center_freq)
     if protocol == "zigbee":

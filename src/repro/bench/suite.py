@@ -493,9 +493,7 @@ def _latency_run(workload, ctx: BenchContext) -> int:
     latencies = workload["latencies"]
     total = 0
     for window in workload["windows"]:
-        report = monitor.process(window)
-        if report is not None:
-            latencies.append(report.latency_seconds)
+        latencies.append(monitor.process(window).latency_seconds)
         total += len(window)
     monitor.flush()
     return total

@@ -27,7 +27,6 @@ from repro.core.pipeline import RFDumpMonitor, MonitorReport
 from repro.core.naive import NaiveMonitor, EnergyNaiveMonitor
 from repro.core.accounting import StageClock
 from repro.core.streaming import StreamingMonitor
-from repro.core.scanning import ScanningMonitor
 
 __all__ = [
     "Peak",
@@ -53,5 +52,4 @@ __all__ = [
     "EnergyNaiveMonitor",
     "StageClock",
     "StreamingMonitor",
-    "ScanningMonitor",
 ]

@@ -11,9 +11,7 @@ With an :class:`~repro.obs.Observability` attached the clock doubles as
 a thin adapter into the structured metrics layer: every stage timing
 also lands in the ``rfdump_stage_seconds`` histogram and every touch in
 the ``rfdump_stage_samples_total`` counter, while the plain dict API
-stays exactly as it was.  A clock built without a sink (one per decoded
-range) forwards its values into the registry when :meth:`merge_in`
-folds it into an instrumented clock.
+stays exactly as it was.
 """
 
 from __future__ import annotations
@@ -57,9 +55,13 @@ class StageClock:
         try:
             yield
         finally:
-            elapsed = time.perf_counter() - start
-            self.seconds[name] = self.seconds.get(name, 0.0) + elapsed
-            self._emit_seconds(name, elapsed)
+            self.add(name, time.perf_counter() - start)
+
+    def add(self, name: str, seconds: float) -> None:
+        """Record ``seconds`` a stage spent, measured by the caller (the
+        analysis stage times each decode on the thread's CPU clock)."""
+        self.seconds[name] = self.seconds.get(name, 0.0) + seconds
+        self._emit_seconds(name, seconds)
 
     def touch(self, name: str, nsamples: int) -> None:
         """Record that a stage read ``nsamples`` samples."""
@@ -77,28 +79,12 @@ class StageClock:
         spent = self.seconds.get(stage, 0.0) if stage else self.total_seconds()
         return spent / trace_duration
 
-    def merge_in(self, other: "StageClock") -> "StageClock":
-        """Fold ``other`` into this clock in place; returns self.
-
-        This is how each decoded range's clock lands in the window's:
-        stage seconds add up as repeated invocations would.  When this
-        clock has a metrics sink and ``other`` does not share it, the
-        folded values are forwarded into the registry too, without
-        double counting.
-        """
-        forward = self.obs is not None and other.obs is not self.obs
-        for k, v in other.seconds.items():
-            self.seconds[k] = self.seconds.get(k, 0.0) + v
-            if forward:
-                self._emit_seconds(k, v)
-        for k, v in other.samples_touched.items():
-            self.samples_touched[k] = self.samples_touched.get(k, 0) + v
-            if forward:
-                self._emit_touch(k, v)
-        return self
-
     def merged(self, other: "StageClock") -> "StageClock":
         """A new clock summing this one and ``other`` (dict-only: the
         result carries no metrics sink, so nothing is double-emitted)."""
         out = StageClock(dict(self.seconds), dict(self.samples_touched))
-        return out.merge_in(other)
+        for k, v in other.seconds.items():
+            out.seconds[k] = out.seconds.get(k, 0.0) + v
+        for k, v in other.samples_touched.items():
+            out.samples_touched[k] = out.samples_touched.get(k, 0) + v
+        return out

@@ -11,6 +11,7 @@ any thread or socket exists.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 from typing import Dict, Optional, Tuple
 
@@ -38,7 +39,6 @@ class MonitorConfig:
     protocols: Tuple[str, ...] = ("wifi", "bluetooth")
     kinds: Tuple[str, ...] = ("timing", "phase")
     demodulate: bool = True
-    decode_payload: bool = True
     noise_floor: Optional[float] = None
     #: fault policy threaded through every pipeline seam: None (legacy
     #: per-component defaults), "raise", "skip" or "degrade" — see
@@ -52,8 +52,13 @@ class MonitorConfig:
     def __post_init__(self):
         object.__setattr__(self, "protocols", tuple(self.protocols))
         object.__setattr__(self, "kinds", tuple(self.kinds))
-        if self.sample_rate <= 0:
-            raise ValueError("sample_rate must be positive")
+        if not (math.isfinite(self.sample_rate) and self.sample_rate > 0):
+            raise ValueError(
+                f"sample_rate must be finite and positive, got "
+                f"{self.sample_rate!r}")
+        if not math.isfinite(self.center_freq):
+            raise ValueError(
+                f"center_freq must be finite, got {self.center_freq!r}")
         unknown = [p for p in self.protocols if p not in PROTOCOLS]
         if unknown:
             raise ValueError(

@@ -144,17 +144,17 @@ class PacketEvent:
         )
 
 
-def events_from_records(records: Iterable[PacketRecord], sample_rate: float,
-                        start_seq: int = 0) -> List[PacketEvent]:
-    """Convert a finished packet list to events, in list order.
+def events_from_records(records: Iterable[PacketRecord],
+                        sample_rate: float) -> List[PacketEvent]:
+    """Convert a finished packet list to events, in list order, ``seq``
+    from 0.
 
-    For already-final output (a one-shot :class:`MonitorReport`, an
-    accumulated streaming run); live consumers should iterate
-    ``Monitor.events()`` instead, which assigns sequence numbers as
-    packets become final.
+    For already-final output (a one-shot :class:`MonitorReport`); live
+    consumers should iterate ``Monitor.events()`` instead, which assigns
+    sequence numbers as packets become final.
     """
     return [
-        PacketEvent.from_record(record, sample_rate, seq=start_seq + i)
+        PacketEvent.from_record(record, sample_rate, seq=i)
         for i, record in enumerate(records)
     ]
 

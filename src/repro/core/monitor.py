@@ -2,11 +2,13 @@
 
 Every architecture the paper compares (Figure 1 naive, naive+energy,
 the RFDump pipeline) plus its streaming driver satisfies the same
-contract: ``process(buffer) -> MonitorReport``,
-``events(windows) -> Iterator[PacketEvent]``, ``close()``,
-context-manager.  :func:`make_monitor` maps a name to a constructor so
-the CLI, the daemon and the benchmarks pick architectures through one
-seam instead of per-call-site ``if/elif`` ladders.
+contract: ``process(buffer) -> MonitorReport``, ``flush() ->
+MonitorReport``, ``events(windows) -> Iterator[PacketEvent]``,
+``close()``, context-manager.  Reports are the only channel a
+monitor's results leave by: every pipeline pass reaches the caller in
+exactly one.  :func:`make_monitor` maps a name to a constructor so the
+CLI, the daemon and the benchmarks pick architectures through one seam
+instead of per-call-site ``if/elif`` ladders.
 
 ``events()`` is the uniform streaming surface: whatever the family
 (one-shot pipeline, seam-carrying streaming wrapper), consuming it
@@ -24,7 +26,6 @@ from typing import (TYPE_CHECKING, Callable, Dict, Iterable, Iterator, List,
 from repro.core.config import MonitorConfig
 
 if TYPE_CHECKING:
-    from repro.analysis.decoders import PacketRecord
     from repro.core.events import PacketEvent
     from repro.core.pipeline import MonitorReport
 
@@ -36,8 +37,14 @@ class Monitor(abc.ABC):
     def process(self, buffer) -> "MonitorReport":
         """Run the architecture over one sample buffer."""
 
-    def events(self, windows: Iterable, *,
-               start_seq: int = 0) -> Iterator["PacketEvent"]:
+    def flush(self) -> "MonitorReport":
+        """Finalise what the monitor holds open and report that pass; a
+        monitor that carries nothing across windows reports nothing."""
+        from repro.core.pipeline import MonitorReport
+
+        return MonitorReport.empty()
+
+    def events(self, windows: Iterable) -> Iterator["PacketEvent"]:
         """Stream finalized packets over ``windows`` as event records.
 
         Processes each window in order and yields a
@@ -45,41 +52,32 @@ class Monitor(abc.ABC):
         moment it becomes *final* (for stateful monitors: once its range
         closes; for one-shot monitors: immediately).  When the window
         iterable is exhausted, what is still open is finalised and
-        yielded too, so the generator ends with the stream complete.  ``seq`` numbers are consecutive from ``start_seq``.
+        yielded too, so the generator ends with the stream complete.
+        ``seq`` numbers are consecutive from 0.
         """
-        for _, events in self.window_events(windows, start_seq=start_seq):
+        for _, events in self.window_events(windows):
             yield from events
 
-    def window_events(self, windows: Iterable, *, start_seq: int = 0
-                      ) -> Iterator[Tuple[Optional["MonitorReport"],
-                                          List["PacketEvent"]]]:
-        """:meth:`events`, one window at a time: each window's report
-        with the events it made final, then ``(None, flushed events)``."""
+    def window_events(self, windows: Iterable
+                      ) -> Iterator[Tuple["MonitorReport", List["PacketEvent"]]]:
+        """:meth:`events` one report at a time: each window's report,
+        then the :meth:`flush` report, each with the events of the
+        packets its :meth:`~repro.core.pipeline.MonitorReport.passes`
+        made final."""
         from repro.core.events import PacketEvent
 
+        def reports():
+            for window in windows:
+                yield self.process(window)
+            yield self.flush()
+
         sample_rate = self.config.sample_rate
-        seq = start_seq
-        for window in windows:
-            report = self.process(window)
-            records = self._final_packets(report)
+        seq = 0
+        for report in reports():
+            records = [r for p in report.passes() for r in p.packets]
             yield report, [PacketEvent.from_record(r, sample_rate, seq=seq + i)
                            for i, r in enumerate(records)]
             seq += len(records)
-        yield None, [PacketEvent.from_record(r, sample_rate, seq=seq + i)
-                     for i, r in enumerate(self._final_flush())]
-
-    # -- events() hooks (stateful monitors override both) ---------------------
-
-    def _final_packets(self, report: "MonitorReport") -> List["PacketRecord"]:
-        """Packets made final by the window just processed.  One-shot
-        monitors finalize everything per window; a seam-carrying monitor
-        returns the packets of the ranges that closed."""
-        return report.packets
-
-    def _final_flush(self) -> List["PacketRecord"]:
-        """Packets released by the end-of-stream flush (none for
-        monitors that carry nothing across windows)."""
-        return []
 
     def close(self) -> None:
         """Release any resources; no monitor here holds one."""

@@ -45,7 +45,7 @@ class NaiveMonitor(Monitor):
         self.demodulate = cfg.demodulate
         self._decoders = {
             protocol: make_decoder(protocol, self.sample_rate,
-                                   self.center_freq, cfg.decode_payload)
+                                   self.center_freq)
             for protocol in self.protocols
         }
 

@@ -130,6 +130,23 @@ class MonitorReport:
     latency_seconds: float = 0.0
     #: what a streamed window left open for the next (None one-shot)
     seam: Optional["Seam"] = None
+    #: the pass a stream gap or a skipped window forced before this one,
+    #: over what the seam held open (its own peaks, ranges and packets)
+    closed: Optional["MonitorReport"] = None
+
+    @classmethod
+    def empty(cls, noise_floor: Optional[float] = None,
+              errors: Iterable[ErrorRecord] = ()) -> "MonitorReport":
+        """The report of a pass that analysed nothing."""
+        return cls(total_samples=0, duration=0.0, peaks=None,
+                   classifications=[], ranges={}, packets=[],
+                   clock=StageClock(), noise_floor=noise_floor,
+                   errors=list(errors))
+
+    def passes(self) -> List["MonitorReport"]:
+        """The pipeline passes this report holds, in order: the forced
+        close pass, if any, then this one."""
+        return [self] if self.closed is None else [self.closed, self]
 
     @property
     def last_error(self) -> Optional[ErrorRecord]:
@@ -267,8 +284,6 @@ class RFDumpMonitor(Monitor):
     demodulate:
         When False, stop after dispatch — the "no demodulation"
         configurations of Figure 9.
-    decode_payload:
-        When False the Wi-Fi analyzer decodes PLCP headers only.
     on_error:
         What a crashing detector or decoder costs (see
         :meth:`classify` and :meth:`analyze`).
@@ -315,7 +330,7 @@ class RFDumpMonitor(Monitor):
         if cfg.demodulate:
             for protocol in self.protocols:
                 decoder = make_decoder(protocol, self.sample_rate,
-                                       self.center_freq, cfg.decode_payload)
+                                       self.center_freq)
                 if decoder is not None:
                     self.decoders[protocol] = decoder
 
@@ -450,12 +465,12 @@ class RFDumpMonitor(Monitor):
                 and barker.tail_matches(c.peak, buffer)]
 
     def analyze(self, w: WindowState) -> None:
-        """Demodulate every dispatched range, inline, in dispatch order.
+        """Demodulate every dispatched range, inline, by position:
+        ``(protocol, start_sample)``.
 
-        Each range's decode is timed on this thread's CPU clock.  Its
-        packets, accounting and ``demod[<protocol>]`` span are then
-        folded in by position, ``(protocol, start_sample)``, and the
-        packets end sorted by :func:`packet_sort_key`.
+        Each range's decode runs in a ``demod[<protocol>]`` span and is
+        timed on this thread's CPU clock; the packets end sorted by
+        :func:`packet_sort_key`.
 
         A decoder that raises is handled like a detector in
         :meth:`classify`: with no policy the exception propagates;
@@ -467,37 +482,32 @@ class RFDumpMonitor(Monitor):
         if not self.demodulate:
             return
         obs = self.obs or NULL
-        decoded = []
         with obs.span("analysis"):
-            for protocol, ranges in w.ranges.items():
+            for protocol in sorted(w.ranges):
                 decoder = self.decoders.get(protocol)
                 if decoder is None:
                     continue
-                for r in ranges:
+                for r in w.ranges[protocol]:
                     buffer = w.buffer.slice(r.start_sample, r.end_sample)
-                    started = time.thread_time()
-                    try:
-                        packets = list(decoder.scan(buffer,
-                                                    channel_hint=r.channel))
-                    except Exception as exc:
-                        if self.on_error is None:
-                            raise
-                        self._decoder_failed(protocol, buffer, exc, w)
-                        continue
-                    decoded.append((protocol, buffer, packets,
-                                    time.thread_time() - started))
-            decoded.sort(key=lambda d: (d[0], d[1].start_sample))
-            for protocol, buffer, packets, seconds in decoded:
-                w.packets.extend(packets)
-                w.clock.merge_in(StageClock({"demodulation": seconds},
-                                            {"demodulation": len(buffer)}))
-                w.demod_seconds[protocol] = (
-                    w.demod_seconds.get(protocol, 0.0) + seconds)
-                obs.record(
-                    f"demod[{protocol}]", seconds, category="range",
-                    start_sample=buffer.start_sample,
-                    end_sample=buffer.end_sample, protocol=protocol,
-                )
+                    with obs.span(f"demod[{protocol}]", category="range",
+                                  start_sample=buffer.start_sample,
+                                  end_sample=buffer.end_sample,
+                                  protocol=protocol):
+                        started = time.thread_time()
+                        try:
+                            packets = list(decoder.scan(
+                                buffer, channel_hint=r.channel))
+                        except Exception as exc:
+                            if self.on_error is None:
+                                raise
+                            self._decoder_failed(protocol, buffer, exc, w)
+                            continue
+                        seconds = time.thread_time() - started
+                    w.packets.extend(packets)
+                    w.clock.add("demodulation", seconds)
+                    w.clock.touch("demodulation", len(buffer))
+                    w.demod_seconds[protocol] = (
+                        w.demod_seconds.get(protocol, 0.0) + seconds)
         w.packets.sort(key=packet_sort_key)
 
     def _decoder_failed(self, protocol: str, buffer: SampleBuffer,

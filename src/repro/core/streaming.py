@@ -11,7 +11,10 @@ open ranges.  A window that ends in silence carries no samples and the
 next is analysed in place, uncopied.  A range that closes inside a
 window is demodulated once and its packets are final at once; an open
 range is demodulated when a later window, a stream gap, a skipped window
-or :meth:`~StreamingMonitor.flush` closes it.  Peaks and ranges are
+or :meth:`~StreamingMonitor.flush` closes it.  Every pass reaches the
+caller in a report, and only there: a window's report, the report of a
+close pass a gap or a skipped window forced (``report.closed``), and the
+flush's report.  Peaks and ranges are
 analysed with the context one pass over the whole stream gives them, so
 the events equal the one-shot monitor's given the same noise floor
 (DESIGN.md "Streaming: the seam" names the one exception).  The
@@ -39,12 +42,10 @@ exactly as it does for a one-shot :class:`RFDumpMonitor`.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Iterable, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
-from repro.analysis.decoders import PacketRecord
-from repro.core.accounting import StageClock
 from repro.core.config import MonitorConfig
 from repro.core.errorpolicy import ErrorRecord
 from repro.core.monitor import Monitor
@@ -98,32 +99,19 @@ class StreamingMonitor(Monitor):
         self.gaps = 0
         #: what the last window left open (None before the first)
         self._seam: Optional[Seam] = None
-        self._event_cursor = 0  # packets already yielded by events()
-        self.packets: List[PacketRecord] = []
-        self.classifications = []
-        self.clock = StageClock()
         self._noise_floor = monitor.noise_floor
 
     @staticmethod
     def _stitch(window: SampleBuffer, carry: SampleBuffer) -> SampleBuffer:
-        # contiguity is _check_stream's job: it ran first and either
-        # raised or dropped the seam
+        # contiguity is process()'s job: it checked first and either
+        # raised or restarted the seam
         if len(carry) == 0:
             return window
         samples = np.concatenate([carry.samples, window.samples])
         return SampleBuffer(samples, window.timebase, carry.start_sample)
 
-    def _empty_report(self, errors: Optional[List[ErrorRecord]] = None
-                      ) -> MonitorReport:
-        return MonitorReport(
-            total_samples=0, duration=0.0, peaks=None,
-            classifications=[], ranges={}, packets=[],
-            clock=StageClock(), noise_floor=self._noise_floor,
-            errors=list(errors or []),
-        )
-
     def _analyse(self, buffer: SampleBuffer, seam: Seam) -> MonitorReport:
-        """One pass of the wrapped monitor; its final results are kept."""
+        """One pass of the wrapped monitor; keeps its floor and seam."""
         self.monitor.noise_floor = self._noise_floor
         report = self.monitor.process(buffer, seam)
         nf = report.noise_floor
@@ -143,96 +131,98 @@ class StreamingMonitor(Monitor):
             ).inc()
         else:
             self._noise_floor = nf
-        self.clock = self.clock.merged(report.clock)
-        self.packets.extend(report.packets)
-        self.classifications.extend(report.classifications)
         self._seam = report.seam
         return report
 
-    def _close(self) -> None:
+    def _close(self) -> Optional[MonitorReport]:
         """Finalise what the seam holds open, the one way every path
         does (a gap, a skipped window, ``flush()``): one last pass over
-        the carried samples in which every range closes.  Nothing later
-        reads those samples again, so nothing is emitted twice."""
-        if self._seam is not None and len(self._seam.buffer):
-            self._analyse(self._seam.buffer, replace(self._seam, final=True))
+        the carried samples in which every range closes; returns its
+        report, or None when nothing is open.  Nothing later reads those
+        samples again, so nothing is emitted twice."""
+        if self._seam is None or not len(self._seam.buffer):
+            return None
+        return self._analyse(self._seam.buffer,
+                             replace(self._seam, final=True))
 
-    def _check_stream(self, window: SampleBuffer, expected: int, obs,
-                      errors: List[ErrorRecord]) -> bool:
-        """Apply the stream-fault policy to a window the stream expected
-        at sample ``expected``; False when the skip policy dropped it."""
-        # -- continuity ------------------------------------------------------
-        if expected != window.start_sample:
-            if self.on_error in (None, "raise"):
-                raise StreamGapError(
-                    f"window starts at {window.start_sample}, expected "
-                    f"{expected} (streams must be contiguous)",
-                    expected_sample=expected,
-                    actual_sample=window.start_sample,
-                )
-            lost = max(window.start_sample - expected, 0)
-            self.gaps += 1
-            self.lost_samples += lost
-            record = ErrorRecord(
-                stage="stream", component="window", error="StreamGapError",
-                message=f"stream gap: expected sample {expected}, window "
-                        f"starts at {window.start_sample} ({lost} samples "
-                        f"lost)",
-                action="resync", start_sample=expected,
-                end_sample=window.start_sample,
-            )
-            self.errors.append(record)
-            errors.append(record)
-            obs.counter(
-                "rfdump_stream_gaps_total",
-                help="stream discontinuities resynchronized across",
-            ).inc()
-            obs.counter(
-                "rfdump_stream_gap_lost_samples_total",
-                help="samples lost to stream gaps",
-            ).inc(lost)
-            self._close()
-            self._seam = self._opening(window, window.start_sample)
-        # -- sample integrity ------------------------------------------------
-        # Only skip acts here: under raise and degrade the window goes on,
-        # and the peak detector applies the one non-finite rule
-        # (errorpolicy.sanitize_nonfinite) to the window it gates.
-        if self.on_error == "skip":
-            bad = int(len(window) - np.count_nonzero(
-                np.isfinite(window.samples)
-            ))
-            if bad:
-                record = ErrorRecord(
-                    stage="stream", component="window",
-                    error="SampleIntegrityError",
-                    message=f"{bad} non-finite samples; window dropped",
-                    action="skipped", start_sample=window.start_sample,
-                    end_sample=window.end_sample,
-                )
-                self.errors.append(record)
-                errors.append(record)
-                self.lost_samples += len(window)
-                obs.counter(
-                    "rfdump_stream_windows_skipped_total",
-                    help="windows dropped by the skip error policy",
-                ).inc()
-                self._close()
-                # the stream resumes at the dropped window's end
-                self._seam = self._opening(window, window.end_sample)
-                return False
-        return True
+    def _restart(self, window: SampleBuffer,
+                 at: int) -> Optional[MonitorReport]:
+        """Close what the seam holds open and restart the stream at
+        ``window``'s sample ``at``; returns the close pass's report."""
+        closed = self._close()
+        self._seam = self._opening(window, at)
+        return closed
 
     def _opening(self, window: SampleBuffer, at: int) -> Seam:
         """The seam of a stream (re)starting at ``window``'s sample ``at``."""
         return Seam(window.slice(at, at), self.overlap, closed_to=at)
+
+    def _gap(self, window: SampleBuffer, expected: int, obs,
+             errors: List[ErrorRecord]) -> None:
+        """A window that does not start at sample ``expected``, where the
+        stream is: raise, or record the gap and the samples it lost."""
+        if self.on_error in (None, "raise"):
+            raise StreamGapError(
+                f"window starts at {window.start_sample}, expected "
+                f"{expected} (streams must be contiguous)",
+                expected_sample=expected,
+                actual_sample=window.start_sample,
+            )
+        lost = max(window.start_sample - expected, 0)
+        self.gaps += 1
+        self.lost_samples += lost
+        record = ErrorRecord(
+            stage="stream", component="window", error="StreamGapError",
+            message=f"stream gap: expected sample {expected}, window "
+                    f"starts at {window.start_sample} ({lost} samples "
+                    f"lost)",
+            action="resync", start_sample=expected,
+            end_sample=window.start_sample,
+        )
+        errors.append(record)
+        obs.counter(
+            "rfdump_stream_gaps_total",
+            help="stream discontinuities resynchronized across",
+        ).inc()
+        obs.counter(
+            "rfdump_stream_gap_lost_samples_total",
+            help="samples lost to stream gaps",
+        ).inc(lost)
+
+    def _skips(self, window: SampleBuffer, obs,
+               errors: List[ErrorRecord]) -> bool:
+        """True when the skip policy drops ``window`` for holding
+        non-finite samples (recorded).  Under raise and degrade the
+        window goes on, and the peak detector applies the one
+        non-finite rule (errorpolicy.sanitize_nonfinite) to it."""
+        if self.on_error != "skip":
+            return False
+        bad = int(len(window) - np.count_nonzero(np.isfinite(window.samples)))
+        if not bad:
+            return False
+        record = ErrorRecord(
+            stage="stream", component="window",
+            error="SampleIntegrityError",
+            message=f"{bad} non-finite samples; window dropped",
+            action="skipped", start_sample=window.start_sample,
+            end_sample=window.end_sample,
+        )
+        errors.append(record)
+        self.lost_samples += len(window)
+        obs.counter(
+            "rfdump_stream_windows_skipped_total",
+            help="windows dropped by the skip error policy",
+        ).inc()
+        return True
 
     def process(self, window: SampleBuffer) -> MonitorReport:
         """Process the next contiguous window; returns its report.
 
         The report holds what became final in this window: the ranges
         that closed (and their packets), and the peaks and
-        classifications that can no longer change.  They are also
-        accumulated on the monitor.
+        classifications that can no longer change.  When a stream gap
+        or a skipped window forced the seam closed first, that pass's
+        report is ``report.closed``.
         """
         obs = self.obs or NULL
         if len(window) == 0:
@@ -240,27 +230,39 @@ class StreamingMonitor(Monitor):
             # is discontiguous, there is nothing to lose or resync; keep
             # the seam intact and let the next real window face the
             # continuity check.
-            return self._empty_report()
+            return MonitorReport.empty(self._noise_floor)
         if self._seam is None:
             self._seam = self._opening(window, window.start_sample)
-        stream_errors: List[ErrorRecord] = []
-        if not self._check_stream(window, self._seam.buffer.end_sample, obs,
-                                  stream_errors):
-            return self._empty_report(stream_errors)
-        stitched = self._stitch(window, self._seam.buffer)
-        obs.counter(
-            "rfdump_stream_windows_total", help="stream windows processed"
-        ).inc()
-        obs.counter(
-            "rfdump_stream_overlap_samples_total",
-            help="samples the seam carried into the window",
-        ).inc(len(stitched) - len(window))
-        report = self._analyse(stitched, self._seam)
-        report.errors.extend(stream_errors)
+        errors: List[ErrorRecord] = []
+        closed = None
+        expected = self._seam.buffer.end_sample
+        if window.start_sample != expected:
+            self._gap(window, expected, obs, errors)
+            closed = self._restart(window, window.start_sample)
+        skipped = self._skips(window, obs, errors)
+        self.errors.extend(errors)
+        if skipped:
+            # the stream resumes at the dropped window's end
+            closed = self._restart(window, window.end_sample) or closed
+            report = MonitorReport.empty(self._noise_floor, errors)
+        else:
+            stitched = self._stitch(window, self._seam.buffer)
+            obs.counter(
+                "rfdump_stream_windows_total",
+                help="stream windows processed",
+            ).inc()
+            obs.counter(
+                "rfdump_stream_overlap_samples_total",
+                help="samples the seam carried into the window",
+            ).inc(len(stitched) - len(window))
+            report = self._analyse(stitched, self._seam)
+            report.errors.extend(errors)
+        report.closed = closed
         return report
 
-    def flush(self) -> "StreamingMonitor":
-        """Finalise whatever the seam holds open; idempotent.
+    def flush(self) -> MonitorReport:
+        """Finalise whatever the seam holds open and return that pass's
+        report (an empty one when nothing is open); idempotent.
 
         Mid-stream it closes the open ranges as a gap would: a packet
         still running into the stream head is decoded as far as it has
@@ -269,30 +271,4 @@ class StreamingMonitor(Monitor):
         (self.obs or NULL).counter(
             "rfdump_stream_flushes_total", help="flush() calls"
         ).inc()
-        self._close()
-        return self
-
-    def run(self, windows: Iterable[SampleBuffer]) -> "StreamingMonitor":
-        """Process every window of a stream, then flush; returns self."""
-        for window in windows:
-            self.process(window)
-        return self.flush()
-
-    # -- events() hooks -------------------------------------------------------
-
-    def _drain_new_packets(self) -> List[PacketRecord]:
-        """Accumulated packets not yet yielded as events.
-
-        ``self.packets`` is append-only in emission order, so a cursor
-        into it is exact: every packet is yielded exactly once, the
-        moment its range closes."""
-        new = self.packets[self._event_cursor:]
-        self._event_cursor = len(self.packets)
-        return new
-
-    def _final_packets(self, report: MonitorReport) -> List[PacketRecord]:
-        return self._drain_new_packets()
-
-    def _final_flush(self) -> List[PacketRecord]:
-        self.flush()
-        return self._drain_new_packets()
+        return self._close() or MonitorReport.empty(self._noise_floor)

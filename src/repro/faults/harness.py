@@ -57,23 +57,32 @@ class FaultRun:
     """What one harness run produced, with the fault log that shaped it."""
 
     monitor: StreamingMonitor
+    #: one report per window, each with the close pass it forced
     reports: List[MonitorReport]
+    #: the end-of-stream flush's report
+    flushed: MonitorReport
     events: List[FaultEvent] = field(default_factory=list)
+
+    def passes(self) -> List[MonitorReport]:
+        """Every pipeline pass of the run, in order."""
+        return [p for report in [*self.reports, self.flushed]
+                for p in report.passes()]
 
     @property
     def packets(self):
-        return self.monitor.packets
+        return [p for report in self.passes() for p in report.packets]
 
     @property
     def classifications(self):
-        return self.monitor.classifications
+        return [c for report in self.passes()
+                for c in report.classifications]
 
     @property
     def errors(self):
-        """Every handled fault across the run (stream + per-window)."""
+        """Every handled fault across the run (stream + per-pass)."""
         out = list(self.monitor.errors)
         seen = {id(r) for r in out}
-        for report in self.reports:
+        for report in self.passes():
             out.extend(r for r in report.errors if id(r) not in seen)
         return out
 
@@ -98,9 +107,8 @@ def run_faulted(windows: Sequence[SampleBuffer],
             config = MonitorConfig(on_error=on_error, **monitor_kwargs)
         inner = RFDumpMonitor(config=config)
         monitor = StreamingMonitor(inner, overlap=overlap)
-    reports = []
     with monitor:
-        for window in plan.apply(windows):
-            reports.append(monitor.process(window))
-        monitor.flush()
-    return FaultRun(monitor=monitor, reports=reports, events=plan.events)
+        reports = [monitor.process(window) for window in plan.apply(windows)]
+        flushed = monitor.flush()
+    return FaultRun(monitor=monitor, reports=reports, flushed=flushed,
+                    events=plan.events)

@@ -63,9 +63,6 @@ class Observability:
     def span(self, name: str, category: str = "stage", **kwargs):
         return self.tracer.span(name, category, **kwargs)
 
-    def record(self, name: str, duration: float, category: str = "stage", **kwargs):
-        return self.tracer.record(name, duration, category, **kwargs)
-
 
 class _NullMetric:
     """Accepts every metric operation and records nothing."""
@@ -106,9 +103,6 @@ class _NullObservability(Observability):
     @contextmanager
     def span(self, name, category="stage", **kwargs):
         yield None
-
-    def record(self, name, duration, category="stage", **kwargs):
-        return None
 
 
 #: shared no-op instance for un-instrumented runs

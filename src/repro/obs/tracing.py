@@ -6,11 +6,6 @@ the absolute sample indices it covered and the worker that ran it.
 Spans nest (stage -> detector -> range) via a per-thread stack, so
 instrumented code just wraps itself in ``with tracer.span(...)``.
 
-The analysis stage times each range's decode on the thread's CPU clock
-and replays the spans here with :meth:`Tracer.record`, ordered by
-position, so the *structure* of the trace (names, nesting, sample
-ranges) does not depend on the order the ranges were decoded in.
-
 Two export formats:
 
 * :meth:`Tracer.to_jsonl` — one JSON object per span, grep-friendly;
@@ -117,31 +112,6 @@ class Tracer:
         finally:
             stack.pop()
             span.t_end = self._now()
-
-    def record(self, name: str, duration: float, category: str = "stage", *,
-               worker: str = "main", parent: Optional[int] = None,
-               start_sample: Optional[int] = None,
-               end_sample: Optional[int] = None, **attrs) -> Span:
-        """Append a span measured elsewhere (e.g. inside a worker process).
-
-        The span is anchored at the current time with its measured
-        duration; ``parent`` defaults to the innermost open span of the
-        calling thread, so recorded worker spans nest under the analysis
-        stage that scheduled them.
-        """
-        stack = self._stack()
-        if parent is None and stack:
-            parent = stack[-1]
-        depth = 0
-        if parent is not None and 0 <= parent < len(self.spans):
-            depth = self.spans[parent].depth + 1
-        now = self._now()
-        return self._append(Span(
-            id=-1, name=name, category=category,
-            t_start=now, t_end=now + max(float(duration), 0.0),
-            parent=parent, depth=depth, worker=worker,
-            start_sample=start_sample, end_sample=end_sample, attrs=attrs,
-        ))
 
     # -- export ---------------------------------------------------------------
 

@@ -3,7 +3,7 @@
 One daemon owns one monitor (any :func:`repro.core.make_monitor` kind)
 and one event stream.  An *ingest* client streams IQ windows over the
 socket protocol; its connection's thread runs them through
-``Monitor.window_events()`` (keeping each window's fault records for
+``Monitor.window_events()`` (keeping every pass's fault records for
 ``status()``) and publishes each :class:`~repro.core.PacketEvent` to
 the :class:`~repro.service.hub.EventHub` before it reads the next
 frame.  The hub fans out to any number of *subscriber* clients.  There
@@ -390,9 +390,11 @@ class RFDumpDaemon:
                 })
                 try:
                     for report, events in monitor.window_events(frames):
-                        if report is not None and report.errors:
+                        errors = [e for p in report.passes()
+                                  for e in p.errors]
+                        if errors:
                             with self._errors_lock:
-                                self.pipeline_errors.extend(report.errors)
+                                self.pipeline_errors.extend(errors)
                         for event in events:
                             self.hub.publish(event)
                 except RFDumpError as exc:

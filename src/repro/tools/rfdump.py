@@ -32,9 +32,10 @@ from collections import Counter
 
 from repro.analysis import render_packet_log, render_summary
 from repro.analysis.export import write_pcap, write_sigmf_meta
+from repro.core.accounting import StageClock
 from repro.core.config import MonitorConfig
-from repro.core.events import events_from_records
 from repro.core.monitor import make_monitor
+from repro.core.streaming import StreamingMonitor
 from repro.errors import RFDumpError, TraceFormatError
 from repro.obs import Observability, write_metrics, write_trace
 from repro.trace import TraceReader
@@ -139,59 +140,27 @@ def run(args) -> int:
         return 2
     reader = TraceReader(args.trace, window_samples=window)
 
-    if args.format == "jsonl":
-        # the event-stream path: same monitor, same windows, same wire
-        # form as an rfdumpd subscriber — equivalence is line equality
-        capture = [] if (args.pcap_out or args.sigmf_out) else None
-        with monitor:
-            for event in monitor.events(reader):
-                print(event.to_json())
-                if capture is not None:
-                    capture.append(event)
-        if obs is not None:
-            if args.metrics_out:
-                write_metrics(obs.registry, args.metrics_out)
-            if args.trace_out:
-                write_trace(obs.tracer, args.trace_out)
-        _write_capture_sinks(args, capture, meta)
-        return 0
-
-    counts = Counter()  # peaks and scanned / gated / exact samples
-    duration = meta.nsamples / meta.sample_rate
-    degradation = None
-    forwarded = Counter()  # ranges handed to each protocol's decoder ...
-    fruitful = Counter()   # ... and those a decoded packet overlaps
-    overruled = Counter()  # classifications dispatch did not forward
-    if args.monitor == "rfdump":
-        with monitor as streaming:
-            for buf in reader:
-                _tally(streaming.process(buf), counts, forwarded, fruitful,
-                       overruled)
-            streaming.flush()
-        packets = streaming.packets
-        classifications = streaming.classifications
-        clock = streaming.clock
-        if streaming.errors or streaming.monitor.quarantined_detectors:
-            degradation = (
-                f"degradation: {streaming.gaps} stream gap(s), "
-                f"{streaming.lost_samples} samples lost, "
-                f"{len(streaming.errors)} handled fault(s), "
-                f"{len(streaming.monitor.quarantined_detectors)} "
-                f"detector(s) quarantined"
-            )
-    else:
-        # baselines have no cross-window state; process windows directly
-        packets = []
-        classifications = []
-        clock = None
-        with monitor:
-            for buf in reader:
-                report = monitor.process(buf)
-                packets.extend(report.packets)
-                classifications.extend(report.classifications)
-                _tally(report, counts, forwarded, fruitful, overruled)
-                clock = report.clock if clock is None else clock.merged(report.clock)
-    classified = Counter(c.protocol for c in classifications)
+    jsonl = args.format == "jsonl"
+    events = [] if (args.pcap_out or args.sigmf_out) else None
+    packets = []
+    counts = Counter()
+    clock = StageClock()
+    # every pass reaches this loop in a report: each window's, the close
+    # pass a gap or a skipped window forced, and the flush's
+    with monitor:
+        for report, final in monitor.window_events(reader):
+            if events is not None:
+                events.extend(final)
+            if jsonl:
+                # the same wire form as an rfdumpd subscriber:
+                # equivalence is line equality
+                for event in final:
+                    print(event.to_json())
+                continue
+            for r in report.passes():
+                packets.extend(r.packets)
+                clock = clock.merged(r.clock)
+                _tally(r, counts)
 
     if obs is not None:
         if args.metrics_out:
@@ -199,58 +168,60 @@ def run(args) -> int:
         if args.trace_out:
             write_trace(obs.tracer, args.trace_out)
 
-    if args.summary:
+    if args.summary and not jsonl:
+        duration = meta.nsamples / meta.sample_rate
         rows = []
         for protocol in protocols:
             decoded = [p for p in packets if p.protocol == protocol]
-            rows.append(
-                {
-                    "protocol": protocol,
-                    "classifications": classified.get(protocol, 0),
-                    "overruled": overruled[protocol],
-                    "ranges": forwarded[protocol],
-                    "ranges decoded": fruitful[protocol],
-                    "decoded packets": len(decoded),
-                    "decoded bytes": sum(p.payload_size for p in decoded),
-                }
-            )
+            rows.append({
+                "protocol": protocol,
+                **{column: counts[column, protocol] for column in _TALLIED},
+                "decoded packets": len(decoded),
+                "decoded bytes": sum(p.payload_size for p in decoded),
+            })
         print(render_summary(
             f"{args.trace}: {duration * 1e3:.1f} ms, {counts['peaks']} peaks, "
             f"{100.0 * counts['gated'] / max(counts['scanned'], 1):.1f}% of "
             f"samples gated, {100.0 * counts['exact'] / max(counts['scanned'], 1):.1f}"
             f"% decided sample by sample",
             rows,
-            ["protocol", "classifications", "overruled", "ranges",
-             "ranges decoded", "decoded packets", "decoded bytes"],
+            ["protocol", *_TALLIED, "decoded packets", "decoded bytes"],
         ))
-        if clock is not None:
-            print(f"processing cost: {clock.cpu_over_realtime(duration):.2f}x real time")
-    else:
+        print(f"processing cost: {clock.cpu_over_realtime(duration):.2f}x real time")
+    elif not jsonl:
         print(render_packet_log(packets, meta.sample_rate))
-    if args.pcap_out or args.sigmf_out:
-        _write_capture_sinks(
-            args, events_from_records(packets, meta.sample_rate), meta)
-    if degradation is not None:
-        print(degradation, file=sys.stderr)
+    _write_capture_sinks(args, events, meta)
+    if isinstance(monitor, StreamingMonitor) and (
+            monitor.errors or monitor.monitor.quarantined_detectors):
+        print(f"degradation: {monitor.gaps} stream gap(s), "
+              f"{monitor.lost_samples} samples lost, "
+              f"{len(monitor.errors)} handled fault(s), "
+              f"{len(monitor.monitor.quarantined_detectors)} "
+              f"detector(s) quarantined", file=sys.stderr)
     return 0
 
 
-def _tally(report, counts: Counter, forwarded: Counter, fruitful: Counter,
-           overruled: Counter) -> None:
-    """Add one window's peaks and scanned / gated / exact samples to
-    ``counts``, its dispatched ranges, per protocol, to ``forwarded``,
-    those overlapped by a packet it decoded to ``fruitful`` and the
-    classifications dispatch overruled to ``overruled``.
+#: the per-protocol summary columns :func:`_tally` counts
+_TALLIED = ("classifications", "overruled", "ranges", "ranges decoded")
 
-    A streamed window reports only what became final in it, so each
+
+def _tally(report, counts: Counter) -> None:
+    """Add one pass to ``counts``: its peaks and scanned / gated / exact
+    samples, and per ``(column, protocol)`` its classifications, those
+    dispatch overruled, its dispatched ranges and those a packet it
+    decoded overlaps.
+
+    A streamed pass reports only what became final in it, so each
     range, peak and classification is counted once.
     """
     counts.update(peaks=len(report.peaks or []), scanned=report.total_samples,
                   gated=report.gated_samples, exact=report.exact_samples)
+    counts.update(("classifications", c.protocol)
+                  for c in report.classifications)
+    counts.update(("overruled", c.protocol) for c in report.overruled)
     for protocol, ranges in report.ranges.items():
-        forwarded[protocol] += len(ranges)
-        fruitful[protocol] += report.ranges_decoded(protocol)
-    overruled.update(c.protocol for c in report.overruled)
+        counts["ranges", protocol] += len(ranges)
+        counts["ranges decoded", protocol] += report.ranges_decoded(protocol)
 
 
 def _write_capture_sinks(args, events, meta) -> None:

@@ -23,6 +23,22 @@ def _windows(buffer, size):
     return out
 
 
+def _stream(monitor, windows):
+    """Every window's report, then the flush's."""
+    return [monitor.process(window) for window in windows] + [monitor.flush()]
+
+
+def _packets(reports):
+    """The packets of every pass the reports hold, in order."""
+    return [p for report in reports for r in report.passes()
+            for p in r.packets]
+
+
+def _classifications(reports):
+    return [c for report in reports for r in report.passes()
+            for c in r.classifications]
+
+
 def _whole(truth, buffer, points):
     """Transmissions (in samples) that no flush point cuts."""
     to_samples = buffer.timebase.to_samples
@@ -42,14 +58,15 @@ def straddle_trace():
 class TestStreamingMonitor:
     def test_no_packets_lost_at_boundaries(self, straddle_trace):
         monitor = StreamingMonitor(RFDumpMonitor(protocols=("wifi",)))
-        monitor.run(_windows(straddle_trace.buffer, 300_000))
+        packets = _packets(_stream(monitor,
+                                   _windows(straddle_trace.buffer, 300_000)))
         truth = straddle_trace.ground_truth.observable("wifi")
-        assert len(monitor.packets) == len(truth)
+        assert len(packets) == len(truth)
 
     def test_no_duplicates(self, straddle_trace):
         monitor = StreamingMonitor(RFDumpMonitor(protocols=("wifi",)))
-        monitor.run(_windows(straddle_trace.buffer, 200_000))
-        starts = [p.start_sample for p in monitor.packets]
+        starts = [p.start_sample for p in _packets(_stream(
+            monitor, _windows(straddle_trace.buffer, 200_000)))]
         assert len(starts) == len(set(starts))
         truth = straddle_trace.ground_truth.observable("wifi")
         assert len(starts) == len(truth)
@@ -57,8 +74,9 @@ class TestStreamingMonitor:
     def test_matches_batch_monitor(self, straddle_trace):
         batch = RFDumpMonitor(protocols=("wifi",)).process(straddle_trace.buffer)
         stream = StreamingMonitor(RFDumpMonitor(protocols=("wifi",)))
-        stream.run(_windows(straddle_trace.buffer, 250_000))
-        assert sorted(p.start_sample for p in stream.packets) == sorted(
+        packets = _packets(_stream(stream,
+                                   _windows(straddle_trace.buffer, 250_000)))
+        assert sorted(p.start_sample for p in packets) == sorted(
             p.start_sample for p in batch.packets
         )
 
@@ -70,8 +88,9 @@ class TestStreamingMonitor:
 
     def test_clock_accumulates(self, straddle_trace):
         monitor = StreamingMonitor(RFDumpMonitor(protocols=("wifi",)))
-        monitor.run(_windows(straddle_trace.buffer, 400_000))
-        assert monitor.clock.seconds["peak_detection"] > 0
+        reports = _stream(monitor, _windows(straddle_trace.buffer, 400_000))
+        assert sum(r.clock.seconds.get("peak_detection", 0.0)
+                   for r in reports) > 0
 
     def test_rejects_negative_overlap(self):
         with pytest.raises(ValueError):
@@ -84,10 +103,11 @@ class TestStreamingMonitor:
         neither drop nor repeat anything the later windows decode."""
         buffer = straddle_trace.buffer
         monitor = StreamingMonitor(RFDumpMonitor(protocols=("wifi",)))
-        monitor.run([buffer.slice(0, 30_000),
-                     *_windows(buffer.slice(30_000, len(buffer)), 300_000)])
+        packets = _packets(_stream(monitor, [
+            buffer.slice(0, 30_000),
+            *_windows(buffer.slice(30_000, len(buffer)), 300_000)]))
         batch = RFDumpMonitor(protocols=("wifi",)).process(buffer)
-        assert [p.start_sample for p in monitor.packets] == [
+        assert [p.start_sample for p in packets] == [
             p.start_sample for p in batch.packets]
 
     def test_flush_midstream_no_duplicates(self, straddle_trace):
@@ -97,29 +117,32 @@ class TestStreamingMonitor:
         far as it had arrived, as across a stream gap.)"""
         buffer = straddle_trace.buffer
         monitor = StreamingMonitor(RFDumpMonitor(protocols=("wifi",)))
+        reports = []
         for window in _windows(buffer, 50_000):
-            monitor.process(window)
-            monitor.flush()  # incremental consumer wants results now
-        starts = [p.start_sample for p in monitor.packets]
+            reports.append(monitor.process(window))
+            # incremental consumer wants results now
+            reports.append(monitor.flush())
+        packets = _packets(reports)
+        starts = [p.start_sample for p in packets]
         assert len(starts) == len(set(starts))
         whole = _whole(straddle_trace.ground_truth.observable("wifi"), buffer,
                        range(50_000, len(buffer), 50_000))
         assert len(whole) == 6  # two of the eight straddle a flush
         assert len(starts) == len(whole)
         assert all(any(p.start_sample < b and p.end_sample > a
-                       for p in monitor.packets) for a, b in whole)
+                       for p in packets) for a, b in whole)
 
     def test_windows_shorter_than_overlap_no_duplicates(self, straddle_trace):
         """Windows shorter than the overlap, after a mid-stream flush,
         emit nothing twice and lose nothing the flush did not cut."""
         buffer = straddle_trace.buffer
         monitor = StreamingMonitor(RFDumpMonitor(protocols=("wifi",)))
-        monitor.process(buffer.slice(0, 50_000))
-        monitor.flush()
+        reports = [monitor.process(buffer.slice(0, 50_000)), monitor.flush()]
         for lo in range(50_000, len(buffer), 20_000):  # < overlap windows
-            monitor.process(buffer.slice(lo, min(lo + 20_000, len(buffer))))
-        monitor.flush()
-        starts = [p.start_sample for p in monitor.packets]
+            reports.append(monitor.process(
+                buffer.slice(lo, min(lo + 20_000, len(buffer)))))
+        reports.append(monitor.flush())
+        starts = [p.start_sample for p in _packets(reports)]
         assert len(starts) == len(set(starts))
         whole = _whole(straddle_trace.ground_truth.observable("wifi"), buffer,
                        [50_000])
@@ -128,36 +151,36 @@ class TestStreamingMonitor:
     def test_empty_windows_are_harmless(self, straddle_trace):
         buffer = straddle_trace.buffer
         monitor = StreamingMonitor(RFDumpMonitor(protocols=("wifi",)))
-        monitor.process(buffer.slice(0, 0))  # empty stream head
+        reports = [monitor.process(buffer.slice(0, 0))]  # empty stream head
         for window in _windows(buffer, 300_000):
-            monitor.process(window)
+            reports.append(monitor.process(window))
             report = monitor.process(buffer.slice(
                 window.end_sample, window.end_sample
             ))
             assert report.total_samples == 0
             assert report.packets == []
-        monitor.flush()
+        reports.append(monitor.flush())
         batch = RFDumpMonitor(protocols=("wifi",)).process(buffer)
-        assert [p.start_sample for p in monitor.packets] == [
+        assert [p.start_sample for p in _packets(reports)] == [
             p.start_sample for p in batch.packets
         ]
 
     def test_flush_is_idempotent(self, straddle_trace):
         monitor = StreamingMonitor(RFDumpMonitor(protocols=("wifi",)))
-        monitor.run(_windows(straddle_trace.buffer, 300_000))
-        n_packets = len(monitor.packets)
-        n_classifications = len(monitor.classifications)
-        monitor.flush().flush()
-        assert len(monitor.packets) == n_packets
-        assert len(monitor.classifications) == n_classifications
+        reports = _stream(monitor, _windows(straddle_trace.buffer, 300_000))
+        n_packets = len(_packets(reports))
+        n_classifications = len(_classifications(reports))
+        reports += [monitor.flush(), monitor.flush()]
+        assert len(_packets(reports)) == n_packets
+        assert len(_classifications(reports)) == n_classifications
 
     def test_classification_dedup(self, straddle_trace):
         monitor = StreamingMonitor(
             RFDumpMonitor(protocols=("wifi",), demodulate=False)
         )
-        monitor.run(_windows(straddle_trace.buffer, 200_000))
+        reports = _stream(monitor, _windows(straddle_trace.buffer, 200_000))
         keys = [
-            (c.peak.start_sample, c.detector) for c in monitor.classifications
+            (c.peak.start_sample, c.detector) for c in _classifications(reports)
         ]
         assert len(keys) == len(set(keys))
 
@@ -183,9 +206,11 @@ class TestStreamingMonitor:
         points = range(50_000, len(buffer), 50_000)
         monitor = StreamingMonitor(
             RFDumpMonitor(protocols=("wifi",), demodulate=False))
+        reports = []
         for window in _windows(buffer, 50_000):
-            monitor.process(window)
-            monitor.flush()  # incremental consumer wants results now
+            reports.append(monitor.process(window))
+            # incremental consumer wants results now
+            reports.append(monitor.flush())
         batch = RFDumpMonitor(protocols=("wifi",), demodulate=False).process(
             buffer)
 
@@ -194,7 +219,7 @@ class TestStreamingMonitor:
                     if not any(c.peak.start_sample <= p <= c.peak.end_sample
                                for p in points)]
 
-        streamed = keys(monitor.classifications)
+        streamed = keys(_classifications(reports))
         assert len(streamed) == len(set(streamed))
         assert sorted(streamed) == sorted(keys(batch.classifications))
         assert len(streamed) >= 8  # the comparison is not vacuous
@@ -248,7 +273,8 @@ class TestSeam:
         obs = Observability()
         monitor = StreamingMonitor(config=MonitorConfig(obs=obs))
         # 100k ends in the idle ether between the two ping exchanges
-        monitor.run(_windows(straddle_trace.buffer.slice(0, 300_000), 100_000))
+        _stream(monitor, _windows(straddle_trace.buffer.slice(0, 300_000),
+                                  100_000))
         assert obs.registry.value("rfdump_stream_windows_total") == 3
         assert obs.registry.value("rfdump_stream_overlap_samples_total") == 0
 
@@ -264,24 +290,46 @@ class TestFinalisation:
         monitor = StreamingMonitor(RFDumpMonitor(protocols=("wifi",),
                                                  on_error=on_error))
         # 50k ends inside the data frame at 46 720: its range is carried
-        monitor.process(buffer.slice(0, 50_000))
+        reports = [monitor.process(buffer.slice(0, 50_000))]
         rest = buffer.slice(50_000, len(buffer))
         if event == "flush":
-            monitor.flush()
+            reports.append(monitor.flush())
         elif event == "gap":
             rest = buffer.slice(60_000, len(buffer))
         else:
             bad = rest.samples.copy()
             bad[100] = np.nan
-            monitor.process(SampleBuffer(bad[:50_000], rest.timebase, 50_000))
+            reports.append(monitor.process(
+                SampleBuffer(bad[:50_000], rest.timebase, 50_000)))
             rest = rest.slice(100_000, len(buffer))
-        monitor.run(_windows(rest, 50_000))
-        keys = [(p.start_sample, p.end_sample) for p in monitor.packets]
+        reports += _stream(monitor, _windows(rest, 50_000))
+        keys = [(p.start_sample, p.end_sample) for p in _packets(reports)]
         assert len(keys) == len(set(keys))
         # what the close decoded: the two packets before the frame, and
         # nothing of the frame it cut
         assert [k for k in keys if k[0] < 50_000] == [(8000, 43328),
                                                       (43384, 45815)]
+
+
+    def test_gap_close_pass_is_the_next_reports_closed(self, straddle_trace):
+        """The pass a gap forces over the carried range reaches the
+        caller as the next window's ``report.closed``, with its own
+        ranges and packets."""
+        buffer = straddle_trace.buffer
+        monitor = StreamingMonitor(RFDumpMonitor(protocols=("wifi",),
+                                                 on_error="degrade"))
+        # 46k ends 185 samples past the ACK: its range is still open
+        first = monitor.process(buffer.slice(0, 46_000))
+        report = monitor.process(buffer.slice(56_000, 106_000))
+        closed = report.closed
+        assert first.closed is None and first.packets == []
+        assert report.passes() == [closed, report]
+        assert [(p.start_sample, p.end_sample) for p in closed.packets] == [
+            (8000, 43328), (43384, 45815)]
+        assert [(r.start_sample, r.end_sample)
+                for r in closed.ranges["wifi"]] == [(8000, 46_000)]
+        assert [e.error for e in report.errors] == ["StreamGapError"]
+        assert closed.errors == []
 
 
 class TestBoundedCarry:
@@ -310,17 +358,17 @@ class TestBoundedCarry:
         obs = Observability()
         monitor = StreamingMonitor(config=MonitorConfig(obs=obs),
                                    overlap=48_000)
-        carried, sizes = [], []
+        carried, sizes, packets = [], [], []
         tracemalloc.start()
         try:
             for window in _windows(buffer, self.WINDOW):
                 before = obs.registry.value(
                     "rfdump_stream_overlap_samples_total") or 0
-                monitor.process(window)
+                packets += _packets([monitor.process(window)])
                 carried.append(obs.registry.value(
                     "rfdump_stream_overlap_samples_total") - before)
                 sizes.append(tracemalloc.get_traced_memory()[0])
-            monitor.flush()
+            packets += monitor.flush().packets
         finally:
             tracemalloc.stop()
         assert len(carried) == self.WINDOWS
@@ -330,5 +378,5 @@ class TestBoundedCarry:
         window_bytes = 8 * self.WINDOW
         assert max(sizes) < 2 * window_bytes
         assert max(sizes[-10:]) < max(sizes[:10]) + window_bytes
-        starts = [(p.protocol, p.start_sample) for p in monitor.packets]
+        starts = [(p.protocol, p.start_sample) for p in packets]
         assert len(starts) == len(set(starts))

@@ -65,21 +65,6 @@ class TestNaiveExtraProtocols:
         )
 
 
-class TestScanningWithDemod:
-    def test_scan_decodes_packets(self):
-        from repro import WifiPingSession
-        from repro.core.scanning import ScanningMonitor
-        from repro.emulator.scanning import ScanPlan, render_scan
-
-        scenario = Scenario(duration=0.05, seed=53)
-        scenario.add(WifiPingSession(n_pings=2, snr_db=20.0, interval=22e-3))
-        plan = ScanPlan(centers=[scenario.center_freq], dwell=0.025)
-        monitor = ScanningMonitor(protocols=("wifi",), demodulate=True)
-        monitor.scan(render_scan(scenario, plan))
-        decoded = [p for r in monitor.reports for p in r.packets]
-        assert decoded
-
-
 class TestReportRendering:
     def test_snr_column_rendered(self, wifi_report, wifi_trace):
         log = render_packet_log(wifi_report.packets, wifi_trace.sample_rate)

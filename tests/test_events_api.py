@@ -98,11 +98,6 @@ class TestEventsFromRecords:
             assert event.meta.timestamp == pytest.approx(
                 record.start_sample / wifi_trace.sample_rate)
 
-    def test_start_seq_offset(self, wifi_report, wifi_trace):
-        events = events_from_records(
-            wifi_report.packets, wifi_trace.sample_rate, start_seq=10)
-        assert events[0].seq == 10
-
     def test_rf_metadata_carried(self, wifi_report, wifi_trace):
         events = events_from_records(
             wifi_report.packets, wifi_trace.sample_rate)
@@ -123,7 +118,12 @@ class TestMonitorEvents:
     def test_streaming_matches_accumulated_packets(self, wifi_trace):
         with make_monitor("streaming", _config(wifi_trace)) as monitor:
             events = list(monitor.events(_windows(wifi_trace)))
-            packets = monitor.packets
+        with make_monitor("streaming", _config(wifi_trace)) as monitor:
+            reports = [monitor.process(window)
+                       for window in _windows(wifi_trace)]
+            reports.append(monitor.flush())
+        packets = [p for report in reports for r in report.passes()
+                   for p in r.packets]
         expected = events_from_records(packets, wifi_trace.sample_rate)
         assert [e.to_json() for e in events] == [e.to_json() for e in expected]
 
@@ -164,13 +164,13 @@ class TestMonitorEvents:
         assert lines["rfdump"]
         assert lines["streaming"] == lines["rfdump"]
 
-    def test_removed_names_fail_loudly(self, tmp_path, capsys):
+    def test_removed_names_fail_loudly(self, wifi_trace, tmp_path, capsys):
         for kind in ("sharded", "flowgraph", "naive+energy"):
             with pytest.raises(ValueError, match="unknown monitor"):
                 make_monitor(kind)
         for removed in ("shards", "granularity", "parallel_granularity",
                         "parallel_backend", "workers", "backend", "timeout",
-                        "deadline_ms"):
+                        "deadline_ms", "decode_payload"):
             with pytest.raises(TypeError):
                 MonitorConfig(**{removed: 2})
             with pytest.raises(TypeError):
@@ -179,14 +179,33 @@ class TestMonitorEvents:
             import repro.flowgraph  # noqa: F401
         with pytest.raises(TypeError):
             StreamingMonitor(config=MonitorConfig(), on_error="degrade")
+        # reports are the only channel: no accumulators, no run()
+        streaming = StreamingMonitor(config=MonitorConfig())
+        for name in ("packets", "classifications", "clock", "run"):
+            assert not hasattr(streaming, name), name
+        # seq always starts at 0
+        with pytest.raises(TypeError):
+            events_from_records([], wifi_trace.sample_rate, start_seq=5)
+        for monitor in (streaming, RFDumpMonitor()):
+            with pytest.raises(TypeError):
+                monitor.events([wifi_trace.buffer], start_seq=5)
+            with pytest.raises(TypeError):
+                monitor.window_events([wifi_trace.buffer], start_seq=5)
+        # spans are opened where the work runs, never replayed
+        from repro.obs import NULL, Observability, Tracer
+
+        for obs in (Tracer(), Observability(), NULL):
+            assert not hasattr(obs, "record")
         # a daemon refuses the kind before it owns a socket or a thread
         with pytest.raises(ValueError, match="unknown monitor"):
             RFDumpDaemon(MonitorConfig(), kind="flowgraph")
         # the ingest queue is gone: TCP backpressure is the flow control
         with pytest.raises(TypeError):
             RFDumpDaemon(MonitorConfig(), ingest_depth=8)
-        # so are the analysis pools and the deadline layer
-        for module in ("analysis_stage", "deadline", "parallelism"):
+        # so are the analysis pools, the deadline layer and the scanning
+        # monitor
+        for module in ("analysis_stage", "deadline", "parallelism",
+                       "scanning"):
             with pytest.raises(ImportError):
                 importlib.import_module(f"repro.core.{module}")
         for flags in (["--ingest-depth", "4"], ["--workers", "2"],
@@ -215,8 +234,3 @@ class TestMonitorEvents:
             events = list(monitor.events(_windows(wifi_trace, n=2)))
         assert all(isinstance(e, PacketEvent) for e in events)
         assert [e.seq for e in events] == list(range(len(events)))
-
-    def test_start_seq_threads_through(self, wifi_trace):
-        with make_monitor("rfdump", _config(wifi_trace)) as monitor:
-            events = list(monitor.events([wifi_trace.buffer], start_seq=5))
-        assert events[0].seq == 5

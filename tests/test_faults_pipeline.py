@@ -279,18 +279,21 @@ class TestNonFiniteSample:
             stream = StreamingMonitor(
                 config=MonitorConfig(protocols=("wifi",), obs=obs),
                 overlap=overlap)
-            for a in range(0, len(samples), window):
+            reports = [
                 stream.process(SampleBuffer(samples[a:a + window],
                                             wifi_trace.buffer.timebase, a))
-            stream.flush()
-            return stream, obs
+                for a in range(0, len(samples), window)]
+            reports.append(stream.flush())
+            packets = [p for report in reports for r in report.passes()
+                       for p in r.packets]
+            return stream, packets, obs
 
-        clean, _ = run(samples)
-        assert any(p.end_sample < window for p in clean.packets)
+        _, clean, _ = run(samples)
+        assert any(p.end_sample < window for p in clean)
         samples[self.BAD] = np.nan
-        faulted, obs = run(samples)
-        assert [(p.start_sample, p.ok) for p in faulted.packets] \
-            == [(p.start_sample, p.ok) for p in clean.packets]
+        faulted, packets, obs = run(samples)
+        assert [(p.start_sample, p.ok) for p in packets] \
+            == [(p.start_sample, p.ok) for p in clean]
         assert obs.registry.value(
             "rfdump_stream_nonfinite_noise_floor_total") == 1
         assert np.isfinite(faulted._noise_floor)

@@ -236,3 +236,56 @@ class TestComposedFaults:
         ) == 256
         spans = plan.affected_spans(margin=OVERLAP)
         assert _outside(run.packets, spans) == _outside(clean.packets, spans)
+
+
+def crash_after(monkeypatch, calls):
+    """Make the Wi-Fi DIFS timing detector raise on every pass after its
+    first ``calls``: with ``calls`` windows, only in the flush pass."""
+    from repro.core.detectors import WifiDifsTimingDetector
+
+    original = WifiDifsTimingDetector.classify
+    seen = []
+
+    def classify(self, detection, buffer):
+        seen.append(buffer.start_sample)
+        if len(seen) > calls:
+            raise RuntimeError("detector fault in the flush pass")
+        return original(self, detection, buffer)
+
+    monkeypatch.setattr(WifiDifsTimingDetector, "classify", classify)
+
+
+def open_ended(windows):
+    """Three windows whose last ends inside the data frame at 328 000,
+    so the flush pass has a range to close."""
+    return [windows[0], windows[1], windows[2].slice(320_000, 340_000)]
+
+
+class TestFlushPassFault:
+    """A fault record made in the flush pass reaches the caller (it
+    reached no consumer when only window reports were read)."""
+
+    def test_reaches_the_last_window_events_report(self, windows,
+                                                   monkeypatch):
+        from repro.core.config import MonitorConfig
+        from repro.core.streaming import StreamingMonitor
+
+        crash_after(monkeypatch, 3)
+        monitor = StreamingMonitor(config=MonitorConfig(
+            protocols=("wifi",), on_error="degrade"), overlap=OVERLAP)
+        passes = list(monitor.window_events(open_ended(windows)))
+        assert len(passes) == 4
+        assert all(not report.errors for report, _ in passes[:3])
+        last, events = passes[-1]
+        assert last is not None and last.total_samples > 0
+        assert [(e.stage, e.error, e.action) for e in last.errors] == [
+            ("detector", "RuntimeError", "quarantined")]
+        assert monitor.errors == []  # stream-level faults only
+
+    def test_reaches_fault_run_errors(self, windows, monkeypatch):
+        crash_after(monkeypatch, 3)
+        run = run_faulted(open_ended(windows), on_error="degrade",
+                          overlap=OVERLAP, protocols=("wifi",))
+        assert [(e.stage, e.action) for e in run.errors] == [
+            ("detector", "quarantined")]
+        assert run.flushed.errors == run.errors

@@ -33,6 +33,11 @@ class TestMonitorConfig:
     @pytest.mark.parametrize("bad", [
         {"sample_rate": 0},
         {"sample_rate": -8e6},
+        {"sample_rate": float("nan")},
+        {"sample_rate": float("inf")},
+        {"sample_rate": float("-inf")},
+        {"center_freq": float("nan")},
+        {"center_freq": float("inf")},
         {"on_error": "ignore"},
         {"on_error": "RAISE"},
         {"protocols": ("foo",)},
@@ -52,7 +57,7 @@ class TestMonitorConfig:
     def test_to_kwargs_emits_canonical_names_only(self):
         out = MonitorConfig(on_error="degrade").to_kwargs()
         assert set(out) == {f.name for f in dataclasses.fields(MonitorConfig)}
-        assert len(out) == 9
+        assert len(out) == 8
         with pytest.raises(TypeError):
             MonitorConfig().to_kwargs(legacy=True)
 

@@ -45,28 +45,6 @@ def test_siblings_share_parent():
     assert all(s.depth == 1 for s in kids)
 
 
-def test_record_nests_under_open_span():
-    tracer = Tracer(clock=FakeClock())
-    with tracer.span("analysis") as top:
-        replayed = tracer.record(
-            "demod[wifi]", 0.25, category="task", worker="pid-1234",
-            start_sample=0, end_sample=100,
-        )
-        child = tracer.record("range", 0.1, category="range",
-                              parent=replayed.id, worker="pid-1234")
-    assert replayed.parent == top.id
-    assert replayed.depth == 1
-    assert replayed.duration == 0.25
-    assert replayed.worker == "pid-1234"
-    assert child.parent == replayed.id and child.depth == 2
-
-
-def test_record_without_context_is_root():
-    tracer = Tracer(clock=FakeClock())
-    span = tracer.record("orphan", 1.0)
-    assert span.parent is None and span.depth == 0
-
-
 def test_jsonl_roundtrip():
     tracer = Tracer(clock=FakeClock())
     with tracer.span("a", kind="timing"):
@@ -84,7 +62,8 @@ def test_jsonl_roundtrip():
 def test_chrome_export_shape():
     tracer = Tracer(clock=FakeClock())
     with tracer.span("stage"):
-        tracer.record("task", 0.5, worker="worker-1")
+        with tracer.span("task", worker="worker-1"):
+            pass
     doc = tracer.to_chrome()
     assert doc["displayTimeUnit"] == "ms"
     events = doc["traceEvents"]

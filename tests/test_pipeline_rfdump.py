@@ -123,7 +123,11 @@ class TestConfigurations:
         assert report.noise_floor == 1.0
 
     def test_headers_only_analyzer(self, wifi_trace):
-        mon = RFDumpMonitor(protocols=("wifi",), decode_payload=False)
+        from repro.analysis.decoders import WifiStreamDecoder
+
+        mon = RFDumpMonitor(protocols=("wifi",))
+        mon.decoders["wifi"] = WifiStreamDecoder(wifi_trace.sample_rate,
+                                                 decode_payload=False)
         report = mon.process(wifi_trace.buffer)
         assert report.packets
         assert all(p.decoded.header_only for p in report.packets)

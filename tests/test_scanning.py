@@ -1,9 +1,8 @@
-"""Tests for multi-band scanning (emulator rendering + scanning monitor)."""
+"""Tests for multi-band scan rendering."""
 
 import pytest
 
-from repro import BluetoothL2PingSession, Scenario, WifiPingSession
-from repro.core.scanning import ScanningMonitor
+from repro import BluetoothL2PingSession, Scenario
 from repro.emulator.scanning import ScanPlan, render_scan
 
 
@@ -53,53 +52,3 @@ class TestRenderScan:
             key = w.dwell.center_freq
             by_center[key] = len(truth.observable("bluetooth"))
         assert len(set(by_center.values())) > 1
-
-
-class TestScanningMonitor:
-    def test_busy_vs_idle_bands(self):
-        # wifi sits in the monitored band; two other bands are idle
-        scenario = Scenario(duration=0.12, seed=45)
-        scenario.add(WifiPingSession(n_pings=8, snr_db=20.0, interval=14e-3))
-        busy_center = scenario.center_freq
-        plan = ScanPlan(
-            centers=[busy_center, 2.4125e9 - 1e7, 2.47e9], dwell=0.01
-        )
-        # Wi-Fi renders at band center for whichever center is tuned, so
-        # emulate idle bands by scanning a scenario with no traffic there:
-        windows = render_scan(scenario, plan)
-        # keep wifi only in its home band; idle elsewhere
-        idle = Scenario(duration=0.12, seed=46)
-        idle_windows = render_scan(idle, plan)
-        mixed = [
-            w if w.dwell.center_freq == busy_center else idle_windows[i]
-            for i, w in enumerate(windows)
-        ]
-        monitor = ScanningMonitor(protocols=("wifi",), kinds=("timing",))
-        monitor.scan(mixed)
-        bands = monitor.bands
-        assert bands[busy_center].occupancy > 0.2
-        for center, band in bands.items():
-            if center != busy_center:
-                assert band.occupancy < 0.02
-                assert band.n_peaks <= 2
-
-    def test_noise_floor_carried_per_band(self):
-        scenario = Scenario(duration=0.06, seed=47, noise_power=2.0)
-        plan = ScanPlan(centers=[2.43e9, 2.45e9], dwell=0.01)
-        windows = render_scan(scenario, plan)
-        monitor = ScanningMonitor(protocols=("wifi",), kinds=("timing",))
-        monitor.scan(windows)
-        for band in monitor.bands.values():
-            assert band.noise_floor == pytest.approx(2.0, rel=0.2)
-            assert band.n_dwells == 3
-
-    def test_summary_rows(self):
-        scenario = Scenario(duration=0.04, seed=48)
-        scenario.add(WifiPingSession(n_pings=2, snr_db=20.0, interval=15e-3))
-        plan = ScanPlan(centers=[scenario.center_freq], dwell=0.02)
-        monitor = ScanningMonitor(protocols=("wifi",), kinds=("timing",))
-        monitor.scan(render_scan(scenario, plan))
-        rows = monitor.summary_rows()
-        assert len(rows) == 1
-        assert rows[0]["dwells"] == 2
-        assert rows[0]["occupancy (%)"] > 0

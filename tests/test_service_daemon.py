@@ -254,6 +254,24 @@ class TestIngestGapDetection:
         assert listed[0]["start_sample"] <= windows[1].start_sample + 1_000
         assert listed[0]["end_sample"] >= windows[1].start_sample + 1_010
 
+    def test_status_lists_a_flush_pass_fault_record(
+            self, daemon_config, monkeypatch):
+        """A record the end-of-stream flush pass makes (a detector that
+        fails only there) reaches ``pipeline_errors`` too."""
+        from repro.faults import preset_windows
+        from tests.test_faults_streaming import crash_after, open_ended
+
+        windows = open_ended(preset_windows(
+            "wifi", duration=0.08, window_samples=160_000, seed=3))
+        crash_after(monkeypatch, len(windows))
+        with RFDumpDaemon(daemon_config) as daemon:
+            final = _ingest_raw(daemon, list(enumerate(windows)))
+            assert final["type"] == "done"
+            assert daemon.wait_stream_end(30)
+            listed = daemon.status()["pipeline_errors"]
+        assert [(e["stage"], e["action"]) for e in listed] == [
+            ("detector", "quarantined")]
+
     def test_raise_policy_rejects_gapped_stream(
             self, daemon_config, wifi_trace):
         windows = self._windows(wifi_trace)

@@ -76,6 +76,31 @@ class TestRfdump:
         assert [[int(v) for v in row.split()[2:5]] for row in rows] == [
             [0, 8, 0], [6, 0, 0]]
 
+    @pytest.mark.parametrize("preset, peaks, ranges", [
+        ("wifi", 43, 22), ("kitchen", 38, 13)])
+    def test_summary_tallies_every_pass(self, preset, peaks, ranges,
+                                        tmp_path, capsys):
+        """The summary counts every pass the stream ran, the flush's
+        included, so at every window size its peaks and dispatched
+        ranges are the one-shot monitor's (they missed the flush
+        pass's: 42 and 21 on wifi, 37 and 12 on kitchen)."""
+        from repro import RFDumpMonitor
+        from repro.trace.io import read_trace
+
+        path = tmp_path / f"{preset}.iq"
+        assert rfrecord.main([str(path), "--preset", preset, "--duration",
+                              "0.21", "--seed", "5"]) == 0
+        one_shot = RFDumpMonitor().process(read_trace(path))
+        assert len(one_shot.peaks) == peaks
+        assert sum(map(len, one_shot.ranges.values())) == ranges
+        for window_ms in ("200", "50", "20"):
+            capsys.readouterr()
+            assert rfdump.main([str(path), "--summary",
+                                "--window-ms", window_ms]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            assert f", {peaks} peaks, " in lines[0], window_ms
+            assert sum(int(row.split()[3]) for row in lines[3:5]) == ranges
+
     def test_summary_title_reports_the_gated_share(self, recorded, tmp_path,
                                                    capsys):
         """``..., N peaks, S% of samples gated, E% decided sample by
@@ -250,6 +275,7 @@ class TestRfdumpdCLI:
     @pytest.mark.parametrize("flags", [
         ["--protocols", "foo"], ["--protocols", "wifi,foo"],
         ["--sample-rate", "-8000000"], ["--sample-rate", "0"],
+        ["--sample-rate", "nan"], ["--center-freq", "inf"],
     ])
     def test_serve_rejects_bad_config_before_announcing(self, flags, capsys):
         """Was: a pump-thread traceback (``--protocols foo``) behind an
