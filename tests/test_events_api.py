@@ -98,6 +98,15 @@ class TestEventsFromRecords:
             assert event.meta.timestamp == pytest.approx(
                 record.start_sample / wifi_trace.sample_rate)
 
+    def test_start_seq_offset(self, wifi_report, wifi_trace):
+        """seq always starts at 0: there is no offset to pass."""
+        events = events_from_records(
+            wifi_report.packets, wifi_trace.sample_rate)
+        assert events[0].seq == 0
+        with pytest.raises(TypeError):
+            events_from_records(
+                wifi_report.packets, wifi_trace.sample_rate, start_seq=10)
+
     def test_rf_metadata_carried(self, wifi_report, wifi_trace):
         events = events_from_records(
             wifi_report.packets, wifi_trace.sample_rate)
@@ -183,14 +192,6 @@ class TestMonitorEvents:
         streaming = StreamingMonitor(config=MonitorConfig())
         for name in ("packets", "classifications", "clock", "run"):
             assert not hasattr(streaming, name), name
-        # seq always starts at 0
-        with pytest.raises(TypeError):
-            events_from_records([], wifi_trace.sample_rate, start_seq=5)
-        for monitor in (streaming, RFDumpMonitor()):
-            with pytest.raises(TypeError):
-                monitor.events([wifi_trace.buffer], start_seq=5)
-            with pytest.raises(TypeError):
-                monitor.window_events([wifi_trace.buffer], start_seq=5)
         # spans are opened where the work runs, never replayed
         from repro.obs import NULL, Observability, Tracer
 
@@ -234,3 +235,15 @@ class TestMonitorEvents:
             events = list(monitor.events(_windows(wifi_trace, n=2)))
         assert all(isinstance(e, PacketEvent) for e in events)
         assert [e.seq for e in events] == list(range(len(events)))
+
+    def test_start_seq_threads_through(self, wifi_trace):
+        """No monitor takes a seq offset: every stream numbers from 0."""
+        with make_monitor("rfdump", _config(wifi_trace)) as monitor:
+            events = list(monitor.events([wifi_trace.buffer]))
+        assert events[0].seq == 0
+        for kind in ("rfdump", "streaming"):
+            with make_monitor(kind, _config(wifi_trace)) as monitor:
+                with pytest.raises(TypeError):
+                    monitor.events([wifi_trace.buffer], start_seq=5)
+                with pytest.raises(TypeError):
+                    monitor.window_events([wifi_trace.buffer], start_seq=5)
