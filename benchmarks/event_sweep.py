@@ -5,11 +5,12 @@ this is that check as a command.  Each source (every emulator preset,
 plus hand-built short-preamble 2 Mbps frames the emulator does not
 send, plus ``collide``: Wi-Fi pings spaced at Bluetooth slot multiples
 over an l2ping session, so ACKs fuse with DH5 packets) is rendered per
-(seed, SNR) arm and run through six paths — the streaming monitor in
-200, 20 and 5 ms windows, the 20 ms windows through an ``RFDumpDaemon``
-over loopback (the lines a subscriber reads), whole-trace ``rfdump`` and
-the whole-trace naive monitor — and the canonical event lines of each
-stream are hashed::
+(seed, SNR) arm and run through seven paths — the streaming monitor in
+200, 20 and 5 ms windows, the 20 and 5 ms windows through an
+``RFDumpDaemon`` over loopback (the lines a subscriber reads; at 5 ms
+the seam carries most often), whole-trace ``rfdump`` and the whole-trace
+naive monitor — and the canonical event lines of each stream are
+hashed::
 
     PYTHONPATH=src python benchmarks/event_sweep.py              # {stream: sha1} as JSON
     PYTHONPATH=src python benchmarks/event_sweep.py --against DIR
@@ -30,8 +31,9 @@ second observation path: whole-trace ``rfdump`` given the noise floor
 the stream froze from its first window.  The two must emit the same
 lines, ``seq`` stripped; any difference is printed — lost and gained
 lines, each gained one with its ground-truth match — and the command
-exits 1.  Every daemon stream must also equal its in-process
-``stream20`` twin byte for byte, ``seq`` included (exits 1 otherwise).
+exits 1.  Every daemon stream must also equal its in-process twin
+(``daemon20`` == ``stream20``, ``daemon5`` == ``stream5``) byte for
+byte, ``seq`` included (exits 1 otherwise).
 """
 
 from __future__ import annotations
@@ -60,6 +62,7 @@ PATHS = {
     "stream20": ("streaming", 160_000),
     "stream5": ("streaming", 40_000),
     "daemon20": (DAEMON, 160_000),
+    "daemon5": (DAEMON, 40_000),
     "rfdump": ("rfdump", None),
     "naive": ("naive", None),
 }
@@ -253,10 +256,14 @@ def check_one_shot(lines: Dict[str, List[str]], one_shot: Dict[str, List[str]],
 
 
 def check_daemon(lines: Dict[str, List[str]]) -> List[str]:
-    """Print every ``daemon20`` stream whose lines, ``seq`` included,
-    differ from its in-process ``stream20`` twin's; returns their names."""
-    pairs = [(name, name[:-len("daemon20")] + "stream20")
-             for name in sorted(lines) if name.endswith("/daemon20")]
+    """Print every daemon stream whose lines, ``seq`` included, differ
+    from its in-process twin's (``daemonN`` against ``streamN``); returns
+    their names."""
+    pairs = []
+    for name in sorted(lines):
+        source, path = name.rsplit("/", 1)
+        if path.startswith(DAEMON):
+            pairs.append((name, f"{source}/stream{path[len(DAEMON):]}"))
     differing = []
     for name, twin in pairs:
         if lines[name] != lines[twin]:

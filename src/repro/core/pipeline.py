@@ -219,8 +219,9 @@ class Seam:
     classifications of final peaks inside an open range.
     """
 
-    #: carried samples, ``[start, end of the window)``; empty when
-    #: nothing is open, but its end still marks where the stream is
+    #: carried samples, ``[start, end of the window)``, a copy the seam
+    #: owns (never a view of the caller's window); empty when nothing
+    #: is open, but its end still marks where the stream is
     buffer: SampleBuffer
     #: most samples ``buffer`` may hold (and how far back ``peaks`` go)
     limit: int
@@ -736,7 +737,7 @@ class RFDumpMonitor(Monitor):
                              if c.peak.index in indices]
         w.overruled = [c for c in w.overruled if c.peak.index in indices]
         w.seam = Seam(
-            buffer=w.buffer.slice(start, end), limit=seam.limit,
+            buffer=w.buffer.slice(start, end).copy(), limit=seam.limit,
             closed_to=closed_to,
             peaks=[p for p in history
                    if end - seam.limit < p.end_sample <= closed_to],
@@ -751,7 +752,7 @@ class RFDumpMonitor(Monitor):
         carry = seam.buffer
         start = max([carry.start_sample]
                     + [p.end_sample // cs * cs for p in w.packets])
-        seam.buffer = carry.slice(start, carry.end_sample)
+        seam.buffer = carry.slice(start, carry.end_sample).copy()
         history = w.detection.history
         peak = history[-1] if len(history) else None
         if peak is not None and peak.start_sample < start < peak.end_sample:

@@ -23,6 +23,12 @@ handed to every later window (``PeakDetector.detect`` returns the floor
 it was given), so later windows skip the estimate and the whole-window
 power array it needs.
 
+The monitor keeps nothing of a window once :meth:`~StreamingMonitor.process`
+returns: the seam holds its own copy of the samples it carries (at most
+``overlap`` of them, none when the window ends in silence), and no
+report points into the window.  A caller may therefore read every window
+into one reused array, as the ``rfdumpd`` ingest session does.
+
 Because the front end is a real radio, the stream is allowed to
 misbehave: overruns drop samples (the next window no longer starts where
 the last one ended) and saturation emits NaN/Inf bursts.  A window
@@ -155,7 +161,7 @@ class StreamingMonitor(Monitor):
 
     def _opening(self, window: SampleBuffer, at: int) -> Seam:
         """The seam of a stream (re)starting at ``window``'s sample ``at``."""
-        return Seam(window.slice(at, at), self.overlap, closed_to=at)
+        return Seam(window.slice(at, at).copy(), self.overlap, closed_to=at)
 
     def _gap(self, window: SampleBuffer, expected: int, obs,
              errors: List[ErrorRecord]) -> None:
@@ -222,7 +228,8 @@ class StreamingMonitor(Monitor):
         that closed (and their packets), and the peaks and
         classifications that can no longer change.  When a stream gap
         or a skipped window forced the seam closed first, that pass's
-        report is ``report.closed``.
+        report is ``report.closed``.  ``window``'s samples are not read
+        after this returns, so the caller may overwrite them.
         """
         obs = self.obs or NULL
         if len(window) == 0:

@@ -73,6 +73,11 @@ class SampleBuffer:
             hi = lo
         return SampleBuffer(self.samples[lo:hi], self.timebase, self.start_sample + lo)
 
+    def copy(self) -> "SampleBuffer":
+        """A copy that owns its samples (a slice is a view)."""
+        return SampleBuffer(self.samples.copy(), self.timebase,
+                            self.start_sample)
+
     def finite(self) -> "SampleBuffer":
         """A copy with every sample that has a NaN/Inf part set to zero."""
         samples = self.samples.copy()

@@ -340,15 +340,18 @@ class RFDumpDaemon:
 
         def windows() -> Iterator[SampleBuffer]:
             # one frame read per window, after the previous window's
-            # events are published; every ending but `end` is recorded
+            # events are published; every ending but `end` is recorded.
+            # Every window is read into the session's one buffer: the
+            # monitor keeps nothing of a window once process() returns
             nonlocal ended_by_end, rejection
             expected_seq = 0
             expected_sample: Optional[int] = None
             stopped = ("DaemonStopped", "the daemon stopped mid-session")
             ending = stopped
+            received = protocol.ReceiveBuffer()
             try:
                 while not self._stop.is_set():
-                    frame = protocol.recv_frame(rw)
+                    frame = protocol.recv_frame(rw, received)
                     if frame is None:
                         ending = ("ConnectionClosed",
                                   "ingest stream ended without an end frame")

@@ -33,7 +33,7 @@ subscriber).
 from __future__ import annotations
 
 import json
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
 
@@ -66,9 +66,34 @@ def send_frame(wfile, header: Dict, payload: bytes = b"") -> None:
     wfile.flush()
 
 
-def recv_frame(rfile) -> Optional[Tuple[Dict, bytes]]:
+class ReceiveBuffer:
+    """One ingest session's payload buffer, reused for every frame.
+
+    It is allocated as complex64, so a window wrapped in place is
+    aligned, and grows to the largest payload the session has received.
+    A payload read into it is valid until the next frame is read into
+    it: the monitor keeps nothing of a window once ``process()`` returns,
+    which is what makes one buffer per session safe.
+    """
+
+    def __init__(self):
+        self._samples = np.empty(0, dtype=_WINDOW_DTYPE)
+
+    def take(self, nbytes: int) -> memoryview:
+        """The buffer's first ``nbytes`` bytes, writable."""
+        if nbytes > self._samples.nbytes:
+            itemsize = self._samples.itemsize
+            self._samples = np.empty(-(-nbytes // itemsize),
+                                     dtype=_WINDOW_DTYPE)
+        return memoryview(self._samples.view(np.uint8))[:nbytes]
+
+
+def recv_frame(rfile, into: Optional[ReceiveBuffer] = None
+               ) -> Optional[Tuple[Dict, Union[bytes, memoryview]]]:
     """Read one frame; ``None`` on a clean EOF before any header byte.
 
+    The payload is read into ``into`` (a fresh buffer when omitted) and
+    returned as a view of it; a frame without one returns ``b""``.
     Raises :class:`~repro.errors.ServiceProtocolError` on a malformed
     header or a payload truncated mid-frame.
     """
@@ -88,20 +113,18 @@ def recv_frame(rfile) -> Optional[Tuple[Dict, bytes]]:
     nbytes = int(header.get("nbytes", 0))
     if nbytes < 0 or nbytes > MAX_PAYLOAD_BYTES:
         raise ServiceProtocolError(f"implausible frame payload size {nbytes}")
-    payload = b""
-    if nbytes:
-        chunks = []
-        remaining = nbytes
-        while remaining:
-            chunk = rfile.read(remaining)
-            if not chunk:
-                raise ServiceProtocolError(
-                    f"stream ended {remaining} bytes short of a "
-                    f"{nbytes}-byte payload"
-                )
-            chunks.append(chunk)
-            remaining -= len(chunk)
-        payload = b"".join(chunks)
+    if not nbytes:
+        return header, b""
+    payload = (ReceiveBuffer() if into is None else into).take(nbytes)
+    got = 0
+    while got < nbytes:
+        n = rfile.readinto(payload[got:])
+        if not n:
+            raise ServiceProtocolError(
+                f"stream ended {nbytes - got} bytes short of a "
+                f"{nbytes}-byte payload"
+            )
+        got += n
     return header, payload
 
 
@@ -121,9 +144,10 @@ def window_frame(buffer: SampleBuffer) -> Tuple[Dict, bytes]:
     return header, payload
 
 
-def decode_window(header: Dict, payload: bytes,
+def decode_window(header: Dict, payload: Union[bytes, memoryview],
                   sample_rate: float) -> SampleBuffer:
-    """Rebuild the :class:`SampleBuffer` a ``window`` frame carries."""
+    """The :class:`SampleBuffer` a ``window`` frame carries, wrapping
+    ``payload`` (bytes, or a :class:`ReceiveBuffer` view) uncopied."""
     itemsize = np.dtype(_WINDOW_DTYPE).itemsize
     if len(payload) % itemsize:
         raise ServiceProtocolError(

@@ -145,10 +145,12 @@ def run(args) -> int:
     packets = []
     counts = Counter()
     clock = StageClock()
+    faults = []
     # every pass reaches this loop in a report: each window's, the close
     # pass a gap or a skipped window forced, and the flush's
     with monitor:
         for report, final in monitor.window_events(reader):
+            faults.extend(e for r in report.passes() for e in r.errors)
             if events is not None:
                 events.extend(final)
             if jsonl:
@@ -192,10 +194,10 @@ def run(args) -> int:
         print(render_packet_log(packets, meta.sample_rate))
     _write_capture_sinks(args, events, meta)
     if isinstance(monitor, StreamingMonitor) and (
-            monitor.errors or monitor.monitor.quarantined_detectors):
+            faults or monitor.monitor.quarantined_detectors):
         print(f"degradation: {monitor.gaps} stream gap(s), "
               f"{monitor.lost_samples} samples lost, "
-              f"{len(monitor.errors)} handled fault(s), "
+              f"{len(faults)} handled fault(s), "
               f"{len(monitor.monitor.quarantined_detectors)} "
               f"detector(s) quarantined", file=sys.stderr)
     return 0

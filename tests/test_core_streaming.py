@@ -8,7 +8,8 @@ import pytest
 
 from repro import RFDumpMonitor, Scenario, WifiPingSession
 from repro.core.config import MonitorConfig
-from repro.core.monitor import make_monitor
+from repro.core.events import PacketEvent
+from repro.core.monitor import MONITOR_NAMES, make_monitor
 from repro.core.streaming import StreamingMonitor
 from repro.dsp.samples import SampleBuffer
 from repro.emulator.presets import build_preset
@@ -380,3 +381,50 @@ class TestBoundedCarry:
         assert max(sizes[-10:]) < max(sizes[:10]) + window_bytes
         starts = [(p.protocol, p.start_sample) for p in packets]
         assert len(starts) == len(set(starts))
+
+
+class TestWindowOwnership:
+    """A monitor keeps nothing of a window once ``process()`` returns:
+    a caller may read every window into one reused array."""
+
+    CUTS = (400_000, 1_138_700)  # the second lies inside a frame
+
+    @pytest.fixture(scope="class")
+    def kitchen(self):
+        return build_preset("kitchen", 0.3, snr_db=20, seed=11).render().buffer
+
+    def _windows(self, buffer):
+        edges = (0, *self.CUTS, len(buffer))
+        return [buffer.slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
+
+    def _events(self, monitor, windows, reuse):
+        shared = np.empty(max(map(len, windows)), dtype=np.complex64)
+        reports = []
+        for window in windows:
+            if reuse:
+                view = shared[:len(window)]
+                view[:] = window.samples
+                window = SampleBuffer(view, window.timebase,
+                                      window.start_sample)
+            reports.append(monitor.process(window))
+            shared.fill(np.nan)
+        reports.append(monitor.flush())
+        fs = monitor.config.sample_rate
+        return [PacketEvent.from_record(r, fs, seq=i).to_json()
+                for i, r in enumerate(_packets(reports))]
+
+    @pytest.mark.parametrize("kind", MONITOR_NAMES)
+    def test_reused_window_array_changes_no_event(self, kitchen, kind):
+        windows = self._windows(kitchen)
+        with make_monitor(kind, MonitorConfig()) as monitor:
+            fresh = self._events(monitor, windows, reuse=False)
+        with make_monitor(kind, MonitorConfig()) as monitor:
+            reused = self._events(monitor, windows, reuse=True)
+        assert fresh, "the kitchen trace must decode to events"
+        assert reused == fresh
+
+    def test_cut_inside_a_frame_carries_samples(self, kitchen):
+        obs = Observability()
+        monitor = StreamingMonitor(config=MonitorConfig(obs=obs))
+        _stream(monitor, self._windows(kitchen))
+        assert obs.registry.value("rfdump_stream_overlap_samples_total") > 0

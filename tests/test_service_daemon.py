@@ -185,6 +185,31 @@ class TestDaemonCLIEquivalence:
         assert actual == expected
 
 
+class TestSessionBuffer:
+    """Every window of a session is read into one reused buffer; a
+    window shorter than the buffer must see none of an earlier one."""
+
+    SIZES = (8_000, 16_000, 4_000)
+
+    def test_windows_of_changing_size_equal_in_process(
+            self, daemon_config, wifi_trace):
+        edges = [0]
+        while edges[-1] < 250_000:
+            edges.append(edges[-1] + self.SIZES[(len(edges) - 1) % 3])
+        windows = [wifi_trace.buffer.slice(lo, hi)
+                   for lo, hi in zip(edges, edges[1:])]
+        with make_monitor("streaming",
+                          daemon_config.replace(obs=None)) as monitor:
+            expected = [event.to_json() for event in monitor.events(windows)]
+        assert expected, "the windows must decode to at least one event"
+        with RFDumpDaemon(daemon_config) as daemon:
+            final = _ingest_raw(daemon, list(enumerate(windows)))
+            actual = [event.to_json() for event
+                      in subscribe_events(daemon.address, from_seq=0)]
+        assert final["type"] == "done" and final["errors"] == 0
+        assert actual == expected
+
+
 def _ingest_raw(daemon, windows):
     """Drive the ingest protocol by hand; returns the final frame."""
     conn, rw = _open_ingest(daemon)

@@ -164,6 +164,30 @@ class TestRfdump:
         assert "decoded packets" in out
 
 
+class TestRfdumpDegradation:
+    def test_report_fault_records_print_the_degradation_line(
+            self, tmp_path, capsys):
+        """A NaN sample the peak detector sanitizes is a record on its
+        window's report, not on the stream: it still counts."""
+        import re
+
+        import numpy as np
+
+        path = tmp_path / "mix.iq"
+        assert rfrecord.main([str(path), "--preset", "mix", "--duration",
+                              "0.2", "--seed", "7"]) == 0
+        samples = np.memmap(path, dtype=np.complex64, mode="r+")
+        samples[100_000] = np.nan
+        samples.flush()
+        del samples
+        capsys.readouterr()
+        assert rfdump.main([str(path), "--on-error", "degrade"]) == 0
+        err = capsys.readouterr().err
+        found = re.search(r"degradation: .* (\d+) handled fault\(s\)", err)
+        assert found, err
+        assert int(found.group(1)) >= 1
+
+
 class TestRfdumpEventFormat:
     def test_jsonl_emits_canonical_events(self, recorded, capsys):
         import json
