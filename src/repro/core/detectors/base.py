@@ -36,6 +36,10 @@ class Detector:
     protocol: str = ""
     #: "timing", "phase", or "frequency"
     kind: str = ""
+    #: seconds after a peak ends within which the next peak's start can
+    #: still add a claim on it (a pair detector's widest gap); a stream
+    #: holds a peak's claims open that long
+    reach: float = 0.0
 
     @property
     def name(self) -> str:

@@ -29,6 +29,7 @@ class WifiSifsTimingDetector(Detector):
 
     def __init__(self, tolerance: float = 3e-6):
         self.tolerance = tolerance
+        self.reach = WIFI_SIFS + tolerance
 
     def classify(self, detection: PeakDetectionResult,
                  buffer: Optional[SampleBuffer] = None) -> List[Classification]:
@@ -64,6 +65,7 @@ class WifiDifsTimingDetector(Detector):
     def __init__(self, tolerance: float = 4e-6, cw: int = WIFI_CW_MAX):
         self.tolerance = tolerance
         self.cw = cw
+        self.reach = WIFI_DIFS + cw * WIFI_SLOT_TIME + tolerance
 
     def classify(self, detection: PeakDetectionResult,
                  buffer: Optional[SampleBuffer] = None) -> List[Classification]:

@@ -35,6 +35,8 @@ class ZigbeeTimingDetector(Detector):
             "SIFS": ZIGBEE_SIFS,
             "LIFS": ZIGBEE_LIFS,
         }
+        self.reach = max(*self._fixed_gaps.values(),
+                         max_backoffs * ZIGBEE_BACKOFF_PERIOD) + tolerance
 
     def _match_gap(self, gap: float):
         """Return (pattern, error) for the best-matching spacing, or None."""

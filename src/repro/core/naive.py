@@ -54,6 +54,8 @@ class NaiveMonitor(Monitor):
         return [(buffer.start_sample, buffer.end_sample)]
 
     def process(self, buffer: SampleBuffer) -> MonitorReport:
+        if not len(buffer):
+            return MonitorReport.empty()
         clock = StageClock(obs=self.obs)
         obs = self.obs or NULL
         obs.counter(

@@ -41,8 +41,10 @@ values summed in the same order).  What is **peak-equal only**: the
 moving average inside a doubtful span — its running sum starts at the
 span instead of at sample 0, so it differs in the last bits, and the
 comparison against the threshold could differ only for an average
-within ~1e-9 relative of it (the same exposure every streaming window
-size already has; no sweep has seen it).  The whole-array gate and the
+within ~1e-9 relative of it (no sweep has seen it).  A stream is gated
+window by window from a :class:`GateState` each window hands the next
+(the moving average's last powers, the group of runs still open), with
+the same peaks as one pass.  The whole-array gate and the
 pre-vectorization Python-loop kernels
 are retained as ``impl="reference"`` so equivalence can be asserted (and
 the speedup measured) against them — see ``repro.bench.equivalence`` and
@@ -51,7 +53,7 @@ the speedup measured) against them — see ``repro.bench.equivalence`` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -108,6 +110,22 @@ class PeakDetectorConfig:
             raise ValueError("energy window cannot exceed the chunk size")
 
 
+@dataclass(frozen=True, eq=False)
+class GateState:
+    """Where a stream's energy gate stands between two windows:
+    :meth:`PeakDetector.detect` takes one and returns the next, so a
+    stream is gated as one pass would gate it, however it is cut."""
+
+    #: the next sample to gate
+    at: int
+    #: powers before ``at`` the gate still reads: the moving average's
+    #: last ``energy_window - 1`` and those since the open group's end
+    tail: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    #: the group of active runs that may still grow, ``(start, end of its
+    #: last run, power sum, peak power)``; None when idle at ``at``
+    open: Optional[Tuple[int, int, float, float]] = None
+
+
 class PeakDetectionResult:
     """Everything the protocol-specific detectors consume.
 
@@ -122,7 +140,7 @@ class PeakDetectionResult:
                  chunk_builder=None, nonfinite_samples: int = 0,
                  gated_samples: Optional[int] = None,
                  exact_samples: Optional[int] = None,
-                 open_start: Optional[int] = None):
+                 gate: Optional[GateState] = None):
         self.history = history
         self.noise_floor = noise_floor
         self.threshold = threshold
@@ -136,10 +154,8 @@ class PeakDetectionResult:
         #: of those, the samples whose moving average was evaluated
         self.exact_samples = (self.gated_samples if exact_samples is None
                               else exact_samples)
-        #: absolute start of the active samples still running into the
-        #: buffer's end (gaps under ``min_gap`` apart, a peak or not yet
-        #: one), or None when the buffer ends idle
-        self.open_start = open_start
+        #: the gate state at the buffer's end (None from the reference)
+        self.gate = gate
         self._chunks = chunks
         self._chunk_builder = chunk_builder
 
@@ -151,6 +167,11 @@ class PeakDetectionResult:
             else:
                 self._chunks = self._chunk_builder()
         return self._chunks
+
+    @property
+    def open_start(self) -> Optional[int]:
+        """Start of the group still open at the buffer's end, or None."""
+        return self.gate.open[0] if self.gate and self.gate.open else None
 
     @property
     def peaks(self) -> List[Peak]:
@@ -182,19 +203,33 @@ class PeakDetector:
         self.obs = obs
         self.impl = impl
 
-    def detect(self, buffer: SampleBuffer, noise_floor: Optional[float] = None) -> PeakDetectionResult:
-        """Find peaks and build chunk metadata for a buffer."""
+    def detect(self, buffer: SampleBuffer, noise_floor: Optional[float] = None,
+               gate: Optional[GateState] = None) -> PeakDetectionResult:
+        """Find peaks and build chunk metadata for a buffer.
+
+        ``gate`` is the state a stream's previous window left: the
+        samples of ``buffer`` before ``gate.at`` were gated then, so only
+        the rest are, continuing its moving average and open group.
+        Without one the stream starts at the buffer's first sample.  The
+        history holds every group that ends in the samples gated now or
+        continues the open one, the group still open at the end included.
+        """
         if self.impl == "reference":
-            return self._detect_reference(buffer, noise_floor)
+            return self._detect_reference(buffer, noise_floor, gate)
         cfg = self.config
-        samples = buffer.samples
+        w = cfg.energy_window
+        gate = gate or GateState(buffer.start_sample)
+        skip = gate.at - buffer.start_sample
+        samples = buffer.samples[skip:]
         n = len(samples)
+        if noise_floor is None and skip:  # not frozen yet: the whole window's
+            noise_floor = floor_of(chunked_power(buffer.samples,
+                                                 cfg.chunk_samples)[1])
         power = chunk_powers = None
         nonfinite = 0
-        sums = block_sums(samples, cfg.energy_window)  # the coarse pass's read
+        sums = block_sums(samples, w)  # the coarse pass's read
         if noise_floor is None:
-            noise_floor = certified_floor(samples, sums, cfg.energy_window,
-                                          cfg.chunk_samples)
+            noise_floor = certified_floor(samples, sums, w, cfg.chunk_samples)
         if noise_floor is None:
             power, chunk_powers = chunked_power(samples, cfg.chunk_samples)
             nonfinite = self._zero_nonfinite(power, chunk_powers)
@@ -204,15 +239,17 @@ class PeakDetector:
         # don't smear peak boundaries by a full window — an instantaneous
         # one at a fraction of the threshold
         instant_threshold = cfg.instantaneous_factor * threshold
+        # the powers the first samples' averaging windows reach back to
+        context = gate.tail[max(gate.tail.size - (w - 1), 0):]
 
         # coarse pass: which runs of samples are worth gating
         runs = None
         if sums is not None:
             # runs closer than the gate's context, or than a gap one
             # peak may span, must be one run
-            runs = candidate_runs(samples, cfg.energy_window, threshold,
-                                  max(RUN_MERGE_SAMPLES, cfg.energy_window,
-                                      cfg.min_gap), sums)
+            runs = candidate_runs(
+                samples, w, threshold, max(RUN_MERGE_SAMPLES, w, cfg.min_gap),
+                sums, context.sum() if context.size == w - 1 else None)
             del sums  # dead now: not held while the fine pass squares
         if runs is None:
             if power is None:
@@ -220,25 +257,46 @@ class PeakDetector:
                 nonfinite = self._zero_nonfinite(power, chunk_powers)
             runs = np.array([0]), np.array([n])
 
-        # fine pass: the active runs, found from their edges
-        fine = gate_runs(samples, power, *runs, cfg.energy_window, threshold,
-                         instant_threshold)
-        first, last = self._merge_runs(fine.starts, fine.ends)
-        history = PeakHistory(buffer.sample_rate)
-        if first.size:
-            # a peak lies inside one run: the same shift maps both ends
+        # fine pass: the active runs, found from their edges, grouped
+        # after the open group the gate holds (a pseudo-run before 0)
+        fine = gate_runs(samples, power, *runs, w, threshold,
+                         instant_threshold, context)
+        starts, ends = fine.starts, fine.ends
+        held = int(gate.open is not None)
+        if gate.open is not None:
+            starts = np.insert(starts, 0, gate.open[0] - gate.at)
+            ends = np.insert(ends, 0, gate.open[1] - gate.at)
+        first, last = self._merge_runs(starts, ends)
+        starts, ends = starts[first], ends[last]
+        sums, maxes = np.zeros(first.size), np.zeros(first.size)
+        if first.size > held:
+            # a group lies inside one run: the same shift maps both ends
             # into the powers, where its samples are contiguous
-            starts, ends = fine.starts[first], fine.ends[last]
-            _, means, maxes = interval_stats(
-                fine.power, starts - fine.shift[first], ends - fine.shift[first])
-            base = buffer.start_sample
-            history.extend_from_arrays((starts + base).astype(np.int64),
-                                       (ends + base).astype(np.int64), means, maxes)
+            shift = fine.shift[first[held:] - held]
+            sums[held:], _, maxes[held:] = interval_stats(
+                fine.power, starts[held:] - shift, ends[held:] - shift)
+        if gate.open is not None:
+            sums[0], maxes[0] = self._continued(buffer, gate, gate.open,
+                                                gate.at + int(ends[0]))
+        keep = ends - starts >= cfg.min_length
+        history = PeakHistory(buffer.sample_rate)
+        history.extend_from_arrays(
+            starts[keep] + gate.at, ends[keep] + gate.at,
+            sums[keep] / (ends - starts)[keep], maxes[keep])
+        # the state the next window continues: the tail its gate reads
+        # (and the open group's trailing gap), and the group still open
+        still = first.size and ends[-1] > n - cfg.min_gap
+        need = max(w - 1, n - int(ends[-1]) if still else 0)
+        tail = np.concatenate([gate.tail,
+                               self._powers(samples[max(n - need, 0):])])
+        state = GateState(buffer.end_sample, tail[max(tail.size - need, 0):],
+                          (gate.at + int(starts[-1]), gate.at + int(ends[-1]),
+                           float(sums[-1]), float(maxes[-1])) if still else None)
 
         def chunk_builder():
             powers = chunk_powers
-            if powers is None:  # floor carried: nothing needed them yet
-                powers = chunked_power(samples, cfg.chunk_samples)[1]
+            if powers is None or skip:  # floor carried: nothing needed them yet
+                powers = chunked_power(buffer.samples, cfg.chunk_samples)[1]
             return self._chunk_metadata_vectorized(
                 buffer, powers, threshold, history)
 
@@ -252,12 +310,43 @@ class PeakDetector:
             nonfinite_samples=nonfinite,
             gated_samples=fine.gated,
             exact_samples=fine.exact,
-            open_start=self._open_start(buffer, fine.starts, fine.ends),
+            gate=state,
         )
 
+    @staticmethod
+    def _powers(samples: np.ndarray) -> np.ndarray:
+        """``|x|^2``, bitwise the gate's, a NaN/Inf one zeroed as it is."""
+        power = instant_power(samples)
+        power[~np.isfinite(power)] = 0.0
+        return power
+
+    def _continued(self, buffer: SampleBuffer, gate: GateState,
+                   group: Tuple[int, int, float, float],
+                   end: int) -> Tuple[float, float]:
+        """Power sum and maximum of ``gate``'s open ``group``, ended at
+        ``end``: one reduce over its samples, as one pass makes it, when
+        the buffer holds them; else (a group longer than a seam carries)
+        the state's sum plus one over what followed it."""
+        start, last, total, top = group
+        if start < buffer.start_sample:
+            if end > last:  # the gap the tail holds, then what followed
+                rest = np.concatenate([
+                    gate.tail[gate.tail.size - gate.at + last:],
+                    self._powers(buffer.slice(gate.at, end).samples)])
+                total, top = total + rest.sum(), max(top, rest.max())
+            return total, top
+        sums, _, maxes = interval_stats(
+            self._powers(buffer.slice(start, end).samples),
+            np.array([0]), np.array([end - start]))
+        return sums[0], maxes[0]
+
     def _detect_reference(self, buffer: SampleBuffer,
-                          noise_floor: Optional[float]) -> PeakDetectionResult:
-        """The whole-array gate and per-peak Python loops: the oracle."""
+                          noise_floor: Optional[float],
+                          gate: Optional[GateState]) -> PeakDetectionResult:
+        """The whole-array gate and per-peak Python loops: the oracle,
+        over one whole buffer (a stream of one window)."""
+        if gate and (gate.at != buffer.start_sample or gate.tail.size):
+            raise ValueError("the reference gate runs over one whole buffer")
         cfg = self.config
         samples = buffer.samples
         power = instant_power(samples)
@@ -280,7 +369,6 @@ class PeakDetector:
             chunk_builder=lambda: self._chunk_metadata_reference(
                 buffer, chunk_powers, threshold, history),
             nonfinite_samples=nonfinite,
-            open_start=self._open_start(buffer, *self._run_edges(active)),
         )
 
     # -- shared ---------------------------------------------------------------
@@ -342,28 +430,16 @@ class PeakDetector:
 
     _run_edges = staticmethod(run_edges)
 
-    def _open_start(self, buffer: SampleBuffer, starts: np.ndarray,
-                    ends: np.ndarray) -> Optional[int]:
-        """Where the group of active runs reaching the buffer's last
-        ``min_gap`` samples begins: a later sample could still join it.
-        The gate is causal, so every run before that is final."""
-        n = len(buffer)
-        if ends.size == 0 or ends[-1] <= n - self.config.min_gap:
-            return None
-        apart = np.flatnonzero(starts[1:] - ends[:-1] >= self.config.min_gap)
-        first = int(apart[-1]) + 1 if apart.size else 0
-        return buffer.start_sample + int(starts[first])
-
     # -- vectorized kernels ---------------------------------------------------
 
     def _merge_runs(self, starts: np.ndarray,
                     ends: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Gap-merge and length-filter sorted, disjoint active runs.
+        """Gap-merge sorted, disjoint active runs.
 
         Runs separated by less than ``min_gap`` coalesce: a boolean break
         mask over the inter-run gaps selects each merged group's first
         and last run — no per-run Python iteration.  Returns the indices
-        of those runs: peak ``k`` is ``[starts[first[k]], ends[last[k]])``.
+        of those runs: group ``k`` is ``[starts[first[k]], ends[last[k]])``.
         """
         cfg = self.config
         if starts.size == 0:
@@ -374,8 +450,7 @@ class PeakDetector:
         breaks = (starts[1:] - ends[:-1]) >= cfg.min_gap
         first = np.flatnonzero(np.concatenate([[True], breaks]))
         last = np.flatnonzero(np.concatenate([breaks, [True]]))
-        keep = (ends[last] - starts[first]) >= cfg.min_length
-        return first[keep], last[keep]
+        return first, last
 
     def _chunk_metadata_vectorized(self, buffer: SampleBuffer, chunk_powers: np.ndarray,
                                    threshold: float, history: PeakHistory) -> List[ChunkMetadata]:

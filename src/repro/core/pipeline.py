@@ -34,8 +34,8 @@ from repro.core.detectors.base import Classification, Detector
 from repro.core.dispatcher import DispatchedRange, Dispatcher
 from repro.core.errorpolicy import CircuitBreaker, ErrorRecord, sanitize_nonfinite
 from repro.core.metadata import Peak, PeakHistory
-from repro.core.peak_detector import PeakDetectionResult, PeakDetector, PeakDetectorConfig
-from repro.dsp.energy import instant_power
+from repro.core.peak_detector import (GateState, PeakDetectionResult,
+                                      PeakDetector, PeakDetectorConfig)
 from repro.dsp.samples import SampleBuffer
 from repro.errors import DecoderCrashError, DetectorCrashError
 from repro.obs import NULL
@@ -208,13 +208,11 @@ class MonitorReport:
 class Seam:
     """What a streamed window leaves open at its end for the next one.
 
-    A peak whose active samples reach the window's last ``min_gap``
-    samples may still grow, and a range ending in the window's last
-    chunk may still merge with the next window's first peak; every
-    other peak and range is final.  The seam carries only what the open
-    ones need: the samples from the chunk-aligned start of the earliest
-    open range, or of the open peak less its gate context (none when the
-    window ends in silence); the final peaks of the last ``limit``
+    It carries the gate's state (:class:`~repro.core.peak_detector.GateState`),
+    so the next window gates only its own samples; the samples from the
+    chunk-aligned start of the earliest open range or peak, which
+    classification and demodulation read (none when the window ends
+    idle on a chunk edge); the final peaks of the last ``limit``
     samples, which the timing detectors read back to; and the forwarded
     classifications of final peaks inside an open range.
     """
@@ -225,16 +223,23 @@ class Seam:
     buffer: SampleBuffer
     #: most samples ``buffer`` may hold (and how far back ``peaks`` go)
     limit: int
-    #: a peak ending at or before this sample is final
-    closed_to: int
+    #: the gate's state at the window's end (None after a reference
+    #: detector's pass, which gates one whole buffer)
+    gate: Optional[GateState]
     peaks: List[Peak] = field(default_factory=list)
+    #: a final peak whose pair claims wait for the next peak's start
+    pending: List[Peak] = field(default_factory=list)
     classifications: List[Classification] = field(default_factory=list)
-    #: the part before ``buffer`` of an open peak too long to carry
-    #: whole; the next window's first peak continues it
-    head: Optional[Peak] = None
     #: close every range at the end of the next pass: the stream ends
     #: or breaks there
     final: bool = False
+
+    @classmethod
+    def opening(cls, window: SampleBuffer, at: int, limit: int,
+                final: bool = False) -> "Seam":
+        """The seam of a stream (re)starting at ``window``'s sample ``at``."""
+        return cls(window.slice(at, at).copy(), limit, GateState(at),
+                   final=final)
 
 
 @dataclass
@@ -265,7 +270,7 @@ class WindowState:
     carried: List[Classification] = field(default_factory=list)
     #: what dispatch forwarded, carried claims included
     forwarded: List[Classification] = field(default_factory=list)
-    #: peaks first final in this window (streamed; None: the whole history)
+    #: peaks first final in this window
     peaks: Optional[PeakHistory] = None
     seam: Optional[Seam] = None
 
@@ -341,8 +346,10 @@ class RFDumpMonitor(Monitor):
     # it in place.  process() below runs them back to back: Figure 2's
     # graph is fixed, so its schedule is a straight line.
 
-    def detect_peaks(self, buffer: SampleBuffer) -> WindowState:
-        """Open a window with protocol-agnostic peak detection.
+    def detect_peaks(self, buffer: SampleBuffer,
+                     gate: Optional[GateState] = None) -> WindowState:
+        """Open a window with protocol-agnostic peak detection (from
+        where ``gate`` stands).
 
         Applies the non-finite policy: when the gate zeroed NaN/Inf
         samples, the window carries the sanitized copy of ``buffer`` — a
@@ -359,7 +366,8 @@ class RFDumpMonitor(Monitor):
         with obs.span("peak_detection", start_sample=buffer.start_sample,
                       end_sample=buffer.end_sample):
             with clock.stage("peak_detection"):
-                detection = self.peak_detector.detect(buffer, self.noise_floor)
+                detection = self.peak_detector.detect(buffer, self.noise_floor,
+                                                      gate)
                 clock.touch("peak_detection", len(buffer))
         w = WindowState(buffer, detection, clock, started)
         w.buffer = sanitize_nonfinite(
@@ -557,7 +565,7 @@ class RFDumpMonitor(Monitor):
         report = MonitorReport(
             total_samples=len(w.buffer),
             duration=w.buffer.duration,
-            peaks=w.detection.history if w.peaks is None else w.peaks,
+            peaks=w.peaks,
             classifications=w.classifications,
             ranges=w.ranges,
             packets=w.packets,
@@ -610,111 +618,103 @@ class RFDumpMonitor(Monitor):
 
     def process(self, buffer: SampleBuffer,
                 seam: Optional[Seam] = None) -> MonitorReport:
-        """Run the full pipeline over a buffer.
+        """Run the full pipeline over one window of a stream.
 
-        With a ``seam`` (streaming; ``buffer`` then starts with its
-        carried samples) the buffer is one window of a stream: the
-        seam's final peaks and classifications join the window's, only
-        ranges final at its end are demodulated, and the report's
-        ``seam`` holds what is still open.
+        ``seam`` is what the previous window left open (``buffer`` then
+        starts with its carried samples); only ranges final at the
+        window's end are demodulated, and the report's ``seam`` holds
+        what is still open.  Without one, ``buffer`` is a stream of one
+        window, and everything closes at its end.
         """
+        if not len(buffer):
+            return MonitorReport.empty(self.noise_floor)
+        if seam is None:
+            seam = Seam.opening(buffer, buffer.start_sample, 0, final=True)
         obs = self.obs or NULL
         with obs.span("process", start_sample=buffer.start_sample,
                       end_sample=buffer.end_sample):
-            w = self.detect_peaks(buffer)
-            new = self._join(w, seam) if seam is not None else 0
+            w = self.detect_peaks(buffer, seam.gate)
+            new = self._join(w, seam)
             for detector in self.detectors:
                 w.classifications.extend(self.classify(detector, w))
-            if new:
-                w.classifications = [c for c in w.classifications
-                                     if c.peak.index >= new]
+            w.classifications = [c for c in w.classifications
+                                 if c.peak.index >= new]
             self.dispatch(w)
-            trim = self._hold(w, seam, new) if seam is not None else None
+            overlong = self._hold(w, seam, new)
             self.analyze(w)
-            if trim is not None:
-                self._carry(w, trim)
+            carry = w.seam.buffer
+            if overlong:
+                # every range closed: carry only what no packet decoded now
+                cs = self.peak_detector.config.chunk_samples
+                carry = carry.slice(max([carry.start_sample] + [
+                    p.end_sample // cs * cs for p in w.packets]),
+                    carry.end_sample)
+            w.seam.buffer = carry.copy()
         return self.finish(w)
 
     # -- the streaming seam ---------------------------------------------------
 
     def _join(self, w: WindowState, seam: Seam) -> int:
-        """Put the seam's final peaks ahead of the window's new ones and
-        its classifications on them; returns the first new peak's index.
-
-        The window's samples up to ``seam.closed_to`` were analysed
-        before: peaks ending there are the seam's (re-detected, they may
-        be cut at the buffer's start), and a later one is new.
-        """
-        history = w.detection.history
-        first = int(np.searchsorted(history.ends, seam.closed_to, "right"))
-        carried = [p for p in seam.peaks if p.end_sample <= seam.closed_to]
-        fresh = list(history)[first:]
-        head = seam.head
-        cfg = self.peak_detector.config
-        if head is not None and fresh and fresh[0].start_sample < (
-                w.buffer.start_sample + cfg.energy_window + cfg.min_gap):
-            # the overlong peak the seam cut: one peak again, its power
-            # summed over both parts
-            p = fresh[0]
-            fresh[0] = Peak(head.start_sample, p.end_sample,
-                            (head.mean_power * head.length
-                             + p.mean_power * p.length)
-                            / (p.end_sample - head.start_sample),
-                            max(head.peak_power, p.peak_power))
-        elif not (carried or first):
+        """Put the seam's final and pending peaks ahead of the window's,
+        and its classifications on them; returns the first index of a
+        peak classified in this window."""
+        if not (seam.peaks or seam.pending):
             return 0
+        history = w.detection.history
         joined = PeakHistory(history.sample_rate)
-        for p in carried + fresh:
+        for p in seam.peaks + seam.pending + list(history):
             joined.append(p.start_sample, p.end_sample, p.mean_power,
                           p.peak_power)
         w.detection.history = joined
-        index = {p.start_sample: i for i, p in enumerate(carried)}
+        index = {p.start_sample: i for i, p in enumerate(seam.peaks)}
         w.carried = [replace(c, peak=replace(
             c.peak, index=index[c.peak.start_sample]))
             for c in seam.classifications]
-        return len(carried)
+        return len(seam.peaks)
 
-    def _hold(self, w: WindowState, seam: Seam,
-              new: int) -> Optional[Seam]:
-        """Keep the ranges still open at the window's end out of this
-        pass and put them, with what they need, on ``w.seam``.
+    def _hold(self, w: WindowState, seam: Seam, new: int) -> bool:
+        """Keep what is still open at the window's end out of this pass
+        and put it, with what it needs, on ``w.seam`` (its ``buffer`` a
+        view :meth:`process` copies after analysis).
 
-        Open: a range ending in the chunk where the window's open
-        activity starts, or later (the next window's first peak could
-        merge with it).  When carrying them would take more than
-        ``seam.limit`` samples, what is final closes now and only the
-        open peak is carried, to be classified afresh; when the open
-        peak alone is longer, everything closes and the seam carries
-        the last ``limit`` samples past the packets decoded now
-        (:meth:`_carry`; the seam is returned for it); when ``seam.final`` says
-        the stream ends or breaks here, everything closes and nothing is
-        carried.
+        Open: the group the gate holds open, and the last peak while the
+        next could still start within a detector's ``reach`` of it (a
+        pair claim); both are classified next window.  A range is open
+        when it ends in that peak's chunk or later.  When carrying them
+        takes over ``seam.limit`` samples, what is final closes now; when
+        the open group alone is longer, everything closes and the last
+        ``limit`` samples are carried (True is returned: they then start
+        past the packets decoded now); when ``seam.final``, everything
+        closes and nothing is carried.
         """
         cfg = self.peak_detector.config
         cs = cfg.chunk_samples
         end = w.buffer.end_sample
-        closed_to = end - cfg.min_gap
         history = w.detection.history
-        edge = peak_from = end
-        overlong = False
-        if w.detection.open_start is not None:
-            edge = w.detection.open_start
-            # re-detected next time: give its leading edge the gate's
-            # context and a gap no cut run before it can merge across
-            peak_from = max((edge - cfg.energy_window - cfg.min_gap)
-                            // cs * cs, w.buffer.start_sample)
-        bound = edge // cs * cs
+        edge = w.detection.open_start
+        edge = end if edge is None else edge
+        reach = max((getattr(d, "reach", 0.0) for d in self.detectors),
+                    default=0.0) * self.sample_rate
+        last = history[-1] if len(history) > new else None
+        pending: List[Peak] = []
+        if (last is not None and last.start_sample < edge
+                and edge - last.end_sample <= reach
+                and end - last.start_sample // cs * cs <= seam.limit):
+            edge, pending = last.start_sample, [last]
+        # the next window's first range reaches back to this chunk
+        open_from = edge // cs * cs
         open_lo = {protocol: next((r.start_sample for r in rs
-                                   if r.end_sample >= bound), end)
+                                   if r.end_sample >= open_from), end)
                    for protocol, rs in w.ranges.items()}
-        start = min([peak_from, *open_lo.values()])
+        start = min([open_from, *open_lo.values()])
         final = [c for c in w.forwarded
                  if c.peak.start_sample >= open_lo.get(c.protocol, end)
-                 and history[c.peak.index].end_sample <= closed_to]
+                 and c.peak.start_sample < edge]
+        overlong = False
         if seam.final:
-            start = closed_to = end
-            final = []
-        elif end - peak_from > seam.limit:
+            start = edge = end
+            final, pending = [], []
+        elif end - open_from > seam.limit:
             start = -(-(end - seam.limit) // cs) * cs
             final, overlong = [], True
         elif end - start > seam.limit:
@@ -724,44 +724,26 @@ class RFDumpMonitor(Monitor):
                                    if r.start_sample < open_lo[protocol]]
                         + closing.get(protocol, [])
                         for protocol in w.ranges}
-            start, final = peak_from, []
+            start, final = open_from, []
         elif start < end:
             w.ranges = {protocol: [r for r in rs
                                    if r.start_sample < open_lo[protocol]]
                         for protocol, rs in w.ranges.items()}
         w.ranges = {protocol: rs for protocol, rs in w.ranges.items() if rs}
-        done = [p for p in list(history)[new:] if p.end_sample <= closed_to]
+        done = [p for p in list(history)[new:] if p.start_sample < edge]
         w.peaks = PeakHistory.of(history.sample_rate, done)
         indices = {p.index for p in done}
         w.classifications = [c for c in w.classifications
                              if c.peak.index in indices]
         w.overruled = [c for c in w.overruled if c.peak.index in indices]
         w.seam = Seam(
-            buffer=w.buffer.slice(start, end).copy(), limit=seam.limit,
-            closed_to=closed_to,
+            buffer=w.buffer.slice(start, end), limit=seam.limit,
+            gate=w.detection.gate,
             peaks=[p for p in history
-                   if end - seam.limit < p.end_sample <= closed_to],
+                   if p.start_sample < edge and p.end_sample > end - seam.limit],
+            pending=pending,
             classifications=final)
-        return w.seam if overlong else None
-
-    def _carry(self, w: WindowState, seam: Seam) -> None:
-        """After an overlong open peak closed every range: start the
-        carried samples past every packet decoded from them, so the next
-        window decodes only what did not end in this one."""
-        cs = self.peak_detector.config.chunk_samples
-        carry = seam.buffer
-        start = max([carry.start_sample]
-                    + [p.end_sample // cs * cs for p in w.packets])
-        seam.buffer = carry.slice(start, carry.end_sample).copy()
-        history = w.detection.history
-        peak = history[-1] if len(history) else None
-        if peak is not None and peak.start_sample < start < peak.end_sample:
-            rest = float(instant_power(
-                w.buffer.slice(start, peak.end_sample).samples).sum())
-            seam.head = Peak(
-                peak.start_sample, start,
-                (peak.mean_power * peak.length - rest)
-                / (start - peak.start_sample), peak.peak_power)
+        return overlong
 
     def detect(self, buffer: SampleBuffer) -> Tuple[
         PeakDetectionResult, List[Classification]

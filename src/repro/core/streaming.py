@@ -4,20 +4,21 @@ The core monitor processes one finite buffer at a time; a real deployment
 consumes an unbounded stream in windows.  A transmission that straddles a
 window boundary would be lost (its peak is cut in both windows), so
 :class:`StreamingMonitor` carries a *seam* (:class:`~repro.core.pipeline.Seam`)
-from each window into the next: the samples from the chunk-aligned start
-of the earliest range or peak still open at the window's end, the final
-peaks the timing detectors read back to, and the classifications of the
-open ranges.  A window that ends in silence carries no samples and the
-next is analysed in place, uncopied.  A range that closes inside a
+from each window into the next: the peak detector's gate state, the
+samples from the chunk-aligned start of the earliest range or peak still
+open at the window's end, the final peaks the timing detectors read back
+to, and the classifications of the open ranges.  A window that ends idle
+on a chunk edge carries no samples and the next is analysed in place,
+uncopied.  A range that closes inside a
 window is demodulated once and its packets are final at once; an open
 range is demodulated when a later window, a stream gap, a skipped window
 or :meth:`~StreamingMonitor.flush` closes it.  Every pass reaches the
 caller in a report, and only there: a window's report, the report of a
 close pass a gap or a skipped window forced (``report.closed``), and the
-flush's report.  Peaks and ranges are
-analysed with the context one pass over the whole stream gives them, so
-the events equal the one-shot monitor's given the same noise floor
-(DESIGN.md "Streaming: the seam" names the one exception).  The
+flush's report.  The gate continues from window to window and peaks and
+ranges are analysed with the context one pass over the whole stream
+gives them, so the events equal the one-shot monitor's given the same
+noise floor, however the stream is cut.  The
 floor is estimated once: the first window's estimate is frozen and
 handed to every later window (``PeakDetector.detect`` returns the floor
 it was given), so later windows skip the estimate and the whole-window
@@ -25,7 +26,7 @@ power array it needs.
 
 The monitor keeps nothing of a window once :meth:`~StreamingMonitor.process`
 returns: the seam holds its own copy of the samples it carries (at most
-``overlap`` of them, none when the window ends in silence), and no
+``overlap`` of them, none when the window ends idle), and no
 report points into the window.  A caller may therefore read every window
 into one reused array, as the ``rfdumpd`` ingest session does.
 
@@ -72,9 +73,9 @@ class StreamingMonitor(Monitor):
         then builds its own :class:`RFDumpMonitor` from the config.
     overlap:
         The most samples the seam may carry into the next window (default
-        6 ms at 8 Msps — a maximum-length 1 Mbps 802.11b frame).  A
-        window whose open activity needs more closes every range at its
-        end instead, as :meth:`flush` does.
+        20 ms at 8 Msps: a maximum-length 1 Mbps 802.11b frame is 18.96
+        ms).  A window whose open activity needs more closes every range
+        at its end instead, as :meth:`flush` does.
 
     The fault policy for stream-level faults (gaps, NaN bursts) is the
     wrapped monitor's ``config.on_error``.  ``None`` keeps the legacy
@@ -84,7 +85,7 @@ class StreamingMonitor(Monitor):
     """
 
     def __init__(self, monitor: Optional[RFDumpMonitor] = None,
-                 overlap: int = 48_000,
+                 overlap: int = 160_000,
                  config: Optional[MonitorConfig] = None):
         if overlap < 0:
             raise ValueError("overlap must be non-negative")
@@ -156,12 +157,8 @@ class StreamingMonitor(Monitor):
         """Close what the seam holds open and restart the stream at
         ``window``'s sample ``at``; returns the close pass's report."""
         closed = self._close()
-        self._seam = self._opening(window, at)
+        self._seam = Seam.opening(window, at, self.overlap)
         return closed
-
-    def _opening(self, window: SampleBuffer, at: int) -> Seam:
-        """The seam of a stream (re)starting at ``window``'s sample ``at``."""
-        return Seam(window.slice(at, at).copy(), self.overlap, closed_to=at)
 
     def _gap(self, window: SampleBuffer, expected: int, obs,
              errors: List[ErrorRecord]) -> None:
@@ -239,7 +236,8 @@ class StreamingMonitor(Monitor):
             # continuity check.
             return MonitorReport.empty(self._noise_floor)
         if self._seam is None:
-            self._seam = self._opening(window, window.start_sample)
+            self._seam = Seam.opening(window, window.start_sample,
+                                      self.overlap)
         errors: List[ErrorRecord] = []
         closed = None
         expected = self._seam.buffer.end_sample

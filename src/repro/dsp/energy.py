@@ -243,8 +243,8 @@ _FLOAT32_TINY = float(np.finfo(np.float32).tiny)
 def _groups(starts: np.ndarray, ends: np.ndarray,
             apart: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Intervals whose successor is not ``apart`` joined into one."""
-    return (starts[np.concatenate([[True], apart])],
-            ends[np.concatenate([apart, [True]])])
+    return (starts[np.concatenate([[True], apart])[:starts.size]],
+            ends[np.concatenate([apart, [True]])[:ends.size]])
 
 
 def coarse_block(window: int) -> int:
@@ -268,7 +268,8 @@ def block_sums(samples: np.ndarray, window: int) -> Optional[np.ndarray]:
 
 
 def candidate_runs(samples: np.ndarray, window: int, avg_threshold: float,
-                   merge_gap: int, sums: Optional[np.ndarray] = None
+                   merge_gap: int, sums: Optional[np.ndarray] = None,
+                   head: Optional[float] = None
                    ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
     """Coarse pass of the energy gate: the sample runs ``[start, end)``
     outside which ``moving_average_of(|x|^2, window) > avg_threshold`` is
@@ -278,9 +279,11 @@ def candidate_runs(samples: np.ndarray, window: int, avg_threshold: float,
     non-negative, so a sample passes the averaged gate only if the blocks
     its window touches — its own and the few before it — hold ``window *
     avg_threshold`` between them; a block whose sum over those blocks
-    stays under that by :data:`COARSE_MARGIN` is idle.  The buffer head
-    (the moving average's warm-up prefix) and a ragged tail shorter than
-    a block are always candidates.  Runs closer than ``merge_gap``
+    stays under that by :data:`COARSE_MARGIN` is idle.  ``head``, the
+    power of the ``window - 1`` samples before ``samples``, is added to
+    the first blocks'; without it the stream starts at ``samples``, whose
+    head (the moving average's warm-up prefix) is always a candidate, as
+    is a ragged tail shorter than a block.  Runs closer than ``merge_gap``
     samples are returned as one.  ``None`` — gate the whole array — when
     the block sums are, or the threshold is too small for float32.
     """
@@ -299,8 +302,12 @@ def candidate_runs(samples: np.ndarray, window: int, avg_threshold: float,
     cover = sums.copy()
     for k in range(1, (window + block - 2) // block + 1):
         cover[k:] += sums[:-k]
+    lead = -(-window // block)
+    if head is not None:
+        cover[:lead] += np.float32(head)
     candidate = cover > np.float32(limit)
-    candidate[: -(-window // block)] = True
+    if head is None:
+        candidate[:lead] = True
     starts, ends = run_edges(candidate)
     starts, ends = starts * block, ends * block
     if n > nblocks * block:
@@ -377,37 +384,50 @@ class FineGate(NamedTuple):
 
 def gate_runs(samples: np.ndarray, power: Optional[np.ndarray],
               starts: np.ndarray, ends: np.ndarray, window: int,
-              avg_threshold: float, instant_threshold: float) -> FineGate:
+              avg_threshold: float, instant_threshold: float,
+              context: Optional[np.ndarray] = None) -> FineGate:
     """Fine pass over the candidate runs: peak edges, not interiors.
 
-    Each run of :func:`candidate_runs` (the first starts at sample 0,
-    the others lie at least ``window`` apart) is read with the
-    ``window`` samples ahead of it as context, never active: from
-    ``power`` (the whole-array ``|x|^2``, a fallback's) where it lies,
-    else squared from the C-contiguous complex64 ``samples`` as
-    :func:`chunked_power` does and laid back to back.  A sample is
+    Each run of :func:`candidate_runs` (sorted, at least ``window``
+    apart) is read with the ``window`` samples ahead of it as context,
+    never active: from ``power`` (the whole-array ``|x|^2``, a
+    fallback's) where it lies, else squared from the C-contiguous
+    complex64 ``samples`` as :func:`chunked_power` does and laid back to
+    back; ``context``, the powers of the samples just before ``samples``
+    (a stream's last ``window - 1``), lies ahead of a run near sample 0,
+    and without it the stream starts at sample 0.  A sample is
     *certainly active* when every power of its averaging window (or
     warm-up prefix) exceeds
     ``max(avg_threshold, instant_threshold)`` by the running sum's worst
     rounding.  Only the rest — peak edges, dips — go through
     :func:`energy_gate`, each span with ``window`` samples of context.
     """
-    origins = np.maximum(starts - window, 0)
+    if not starts.size:
+        empty = np.zeros(0, dtype=np.intp)
+        return FineGate(empty, empty, np.zeros(0), empty, 0, 0)
+    context = np.zeros(0) if context is None else context
+    origins = np.maximum(starts - window, -context.size)
     sizes = ends - origins
     offsets = np.concatenate([[0], np.cumsum(sizes)[:-1]])
     gated = int(sizes.sum())
-    if power is None:
-        base = offsets
-        power = np.empty(gated, dtype=np.float64)
-        flat = samples.view(np.float32)
-        scratch = np.empty(2 * min(gated, TILE_SAMPLES), dtype=np.float64)
+    if power is None or origins[0] < 0:
+        laid = np.empty(gated, dtype=np.float64)
+        if origins[0] < 0:
+            laid[:-origins[0]] = context[context.size + origins[0]:]
+        if power is None:
+            flat = samples.view(np.float32)
+            scratch = np.empty(2 * min(gated, TILE_SAMPLES), dtype=np.float64)
         # one iteration per run and 32k-sample tile, never per sample
         for origin, end, at in zip(origins.tolist(), ends.tolist(),
                                    offsets.tolist()):
-            for a in range(origin, end, TILE_SAMPLES):
+            for a in range(max(origin, 0), end, TILE_SAMPLES):
                 b = min(a + TILE_SAMPLES, end)
-                _interleaved_power(flat[2 * a: 2 * b], scratch,
-                                   power[at + a - origin: at + b - origin])
+                dst = laid[at + a - origin: at + b - origin]
+                if power is None:
+                    _interleaved_power(flat[2 * a: 2 * b], scratch, dst)
+                else:
+                    dst[:] = power[a:b]
+        power, base = laid, offsets
     else:
         base = origins
     # Every partial sum of a running sum over these non-negative powers,
@@ -433,7 +453,12 @@ def gate_runs(samples: np.ndarray, power: Optional[np.ndarray],
         # soup; real ether reads 10-1000x sparser): the spans between
         # them cost more to gather than to gate, so decide every sample
         certain[:] = False
-    cs, ce = np.where(hs == 0, 0, hs + window - 1)[certain], he[certain]
+    # a span from the first laid sample: the stream's warm-up prefix, or
+    # context the first run's own samples begin after
+    cs = np.maximum(np.where(hs == 0, 0, hs + window - 1)[certain],
+                    starts[0] - origins[0])
+    ce = he[certain]
+    cs, ce = cs[ce > cs], ce[ce > cs]
     # certified spans lie inside runs: run starts and certified ends
     # open the uncertain spans, certified starts and run ends close them
     us = np.sort(np.concatenate([offsets + starts - origins, ce]))

@@ -50,7 +50,7 @@ from repro.core.config import MonitorConfig
 from repro.core.errorpolicy import ErrorRecord
 from repro.core.monitor import MONITOR_NAMES, make_monitor
 from repro.dsp.samples import SampleBuffer
-from repro.errors import RFDumpError, ServiceProtocolError
+from repro.errors import ServiceProtocolError
 from repro.obs import Observability, render_prometheus
 from repro.obs.metrics import Histogram
 from repro.service import protocol
@@ -400,9 +400,10 @@ class RFDumpDaemon:
                                 self.pipeline_errors.extend(errors)
                         for event in events:
                             self.hub.publish(event)
-                except RFDumpError as exc:
-                    # the monitor's own policy said raise: the stream is
-                    # over, and the session reads on to its end to say so
+                except Exception as exc:
+                    # the monitor raised (its own policy said so, or it
+                    # failed): the stream is over, and the session reads
+                    # on to its end to say so
                     self._abort_stream(exc)
                     for _ in frames:
                         pass
@@ -420,7 +421,7 @@ class RFDumpDaemon:
                 "stream_error": self.stream_error,
             })
 
-    def _abort_stream(self, exc: RFDumpError) -> None:
+    def _abort_stream(self, exc: Exception) -> None:
         with self._state_lock:
             self._stream_error = f"{type(exc).__name__}: {exc}"
         self._record_error(ErrorRecord.from_exception(

@@ -6,6 +6,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
+
+#: ``--hypothesis-profile=seam`` (CI's seam step): the partition property
+#: of ``tests/test_core_streaming.py`` at 2,000 examples instead of 200
+settings.register_profile("seam", max_examples=2_000)
 
 from repro import (
     BluetoothL2PingSession,

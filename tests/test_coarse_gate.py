@@ -384,3 +384,43 @@ def test_no_active_sample_outside_a_candidate_run(layout, floor, window):
     for a, b in zip(starts, ends):
         covered[a:b] = True
     assert not np.any(active & ~covered)
+
+
+#: bursts of a 30 000-sample stream: at the warm-up prefix, shorter than
+#: min_length, two under min_gap apart, a long one, one in the tail
+STREAM_BURSTS = [(2, 30, 4.0), (900, 35, 8.0), (5_000, 200, 3.0),
+                 (5_210, 300, 3.0), (12_000, 9_000, 4.0), (29_950, 50, 8.0)]
+STREAM_EDGES = sorted({e for s, n, _ in STREAM_BURSTS for e in (s, s + n)}
+                      | {1, 30_000 - 1})
+
+
+def _cuts():
+    near = st.sampled_from(STREAM_EDGES).flatmap(
+        lambda e: st.integers(max(e - 40, 1), min(e + 40, 29_999)))
+    return st.lists(st.one_of(near, st.integers(1, 29_999)), min_size=1,
+                    max_size=6, unique=True).map(sorted)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cuts=_cuts(), floor=st.sampled_from([None, FLOOR]))
+def test_a_stream_gated_window_by_window_is_one_pass(cuts, floor):
+    """Each window hands the next its gate state and the samples from
+    its open group on: the peaks the windows make final are one pass's,
+    means and maxima bitwise, however the stream is cut (windows as
+    short as one sample included)."""
+    x = _trace(30_000, STREAM_BURSTS)
+    whole = PeakDetector().detect(_buffer(x), floor)
+    detector, gate, peaks = PeakDetector(), None, []
+    floor = whole.noise_floor
+    for lo, hi in zip([0, *cuts], [*cuts, x.size]):
+        if gate is not None and gate.open is not None:
+            lo = gate.open[0] - 4_000
+        got = detector.detect(
+            SampleBuffer(x[lo:hi], Timebase(8e6), 4_000 + lo), floor, gate)
+        gate = got.gate
+        peaks += [p for p in got.history
+                  if hi == x.size or p.start_sample != got.open_start]
+    key = [(p.start_sample, p.end_sample, p.mean_power, p.peak_power)
+           for p in peaks]
+    assert key == [(p.start_sample, p.end_sample, p.mean_power,
+                    p.peak_power) for p in whole.history]

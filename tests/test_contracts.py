@@ -253,3 +253,31 @@ class TestMetricNameDrift:
                 "rfdumpd_events_published_total"} <= found
         assert len(found) >= 40
         assert metric_drift(src, src + tests) == []
+
+
+#: the most bytes the newest CHANGES.md entry may take
+CHANGES_ENTRY_BYTES = 2_048
+
+
+def newest_changes_entry(text):
+    """The last ``## PR`` section of a CHANGES.md text, to its end."""
+    starts = [m.start() for m in re.finditer(r"(?m)^## PR ", text)]
+    return text[starts[-1]:] if starts else ""
+
+
+class TestChangesEntrySize:
+    """The newest CHANGES.md entry says what a change did in at most
+    2 KB, so the file stays a ledger a reader can scan."""
+
+    def test_newest_entry_fits(self):
+        entry = newest_changes_entry(
+            (REPO / "CHANGES.md").read_text(encoding="utf-8"))
+        assert entry, "CHANGES.md has no '## PR' entry"
+        size = len(entry.encode("utf-8"))
+        assert size <= CHANGES_ENTRY_BYTES, (
+            f"newest CHANGES.md entry is {size} bytes "
+            f"(at most {CHANGES_ENTRY_BYTES})")
+
+    def test_the_newest_section_is_the_last(self):
+        text = "# log\n\n## PR 1 — a\n\n- x\n\n## PR 2 — b\n\n- y\nFOUND: z\n"
+        assert newest_changes_entry(text) == "## PR 2 — b\n\n- y\nFOUND: z\n"

@@ -1,20 +1,26 @@
 """Tests for the streaming monitor (the seam carried across windows)."""
 
+import functools
 import json
+import socket
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from repro import RFDumpMonitor, Scenario, WifiPingSession
 from repro.core.config import MonitorConfig
 from repro.core.events import PacketEvent
 from repro.core.monitor import MONITOR_NAMES, make_monitor
+from repro.core.peak_detector import PeakDetectorConfig
 from repro.core.streaming import StreamingMonitor
 from repro.dsp.samples import SampleBuffer
 from repro.emulator.presets import build_preset
 from repro.emulator.traffic import MicrowaveSource
 from repro.obs import Observability
+from repro.service import RFDumpDaemon, protocol, subscribe_events
 
 
 def _windows(buffer, size):
@@ -46,6 +52,11 @@ def _whole(truth, buffer, points):
     spans = [(int(to_samples(t.start_time)), int(to_samples(t.end_time)))
              for t in truth]
     return [(a, b) for a, b in spans if not any(a < p < b for p in points)]
+
+
+@pytest.fixture(scope="module")
+def kitchen():
+    return build_preset("kitchen", 0.3, snr_db=20, seed=11).render().buffer
 
 
 @pytest.fixture(scope="module")
@@ -227,49 +238,167 @@ class TestStreamingMonitor:
 
 
 def _lines(events):
+    return _lines_of(event.to_json() for event in events)
+
+
+def _lines_of(lines):
+    """Event lines with ``seq`` stripped."""
     out = []
-    for event in events:
-        record = json.loads(event.to_json())
+    for line in lines:
+        record = json.loads(line)
         record.pop("seq")
         out.append(json.dumps(record, sort_keys=True))
     return out
 
 
-def _seam_case(preset, seed, snr_db, duration, window):
-    """The streamed events and the one-shot monitor's, given the floor
-    the stream froze from its first window."""
-    buffer = build_preset(preset, duration, snr_db=snr_db, seed=seed).render(
-        ).buffer
-    with make_monitor("streaming", MonitorConfig()) as stream:
-        streamed = _lines(stream.events(_windows(buffer, window)))
-    config = MonitorConfig(noise_floor=stream._noise_floor)
-    with make_monitor("rfdump", config) as whole:
-        return streamed, _lines(whole.events([buffer]))
+#: the partition property's sources: ``(preset, seed, snr_db, duration)``
+PARTITION_SOURCES = [(name, 3, 20.0, 0.05)
+                     for name in ("bluetooth", "mix", "kitchen", "campus")]
+CHUNK = PeakDetectorConfig().chunk_samples
+
+
+@functools.lru_cache(maxsize=None)
+def _source(preset, seed, snr_db, duration=0.1):
+    """A trace's buffer and its marks: the ground-truth starts and ends,
+    in samples."""
+    trace = build_preset(preset, duration, snr_db=snr_db,
+                         seed=seed).render()
+    to_samples = trace.buffer.timebase.to_samples
+    marks = {int(to_samples(t)) for tx in trace.ground_truth.observable()
+             for t in (tx.start_time, tx.end_time)}
+    return trace.buffer, tuple(sorted(marks))
+
+
+@functools.lru_cache(maxsize=None)
+def _one_shot(source, noise_floor):
+    """One-shot ``rfdump`` over a source, given a floor (None: its own)."""
+    with make_monitor("rfdump", MonitorConfig(noise_floor=noise_floor)) as m:
+        report, events = list(m.window_events([_source(*source)[0]]))[0]
+        return report.noise_floor, _lines(events)
+
+
+@st.composite
+def _partitions(draw):
+    """A source and 2-6 cuts, most within 64 samples of a ground-truth
+    start or end or of a chunk edge; a window may be one sample."""
+    source = draw(st.sampled_from(PARTITION_SOURCES))
+    buffer, marks = _source(*source)
+    n = len(buffer)
+    edge = st.one_of(st.sampled_from(marks),
+                     st.integers(1, n // CHUNK).map(lambda k: k * CHUNK))
+    cut = st.one_of(st.builds(int.__add__, edge, st.integers(-64, 64)),
+                    st.integers(1, n - 1))
+    cuts = sorted(draw(st.lists(cut.filter(lambda c: 0 < c < n),
+                                min_size=2, max_size=6, unique=True)))
+    if draw(st.booleans()):  # a one-sample window
+        cuts[-1] = cuts[0] + 1
+    return source, tuple(sorted(set(cuts)))
+
+
+def _stream_lines(buffer, cuts, noise_floor=None):
+    """A stream cut at ``cuts``: the floor it froze and its event lines."""
+    edges = (0, *cuts, len(buffer))
+    windows = [buffer.slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
+    with make_monitor("streaming",
+                      MonitorConfig(noise_floor=noise_floor)) as stream:
+        lines = [event.to_json() for event in stream.events(windows)]
+        return stream._noise_floor, lines
+
+
+def _every(window, duration=0.05):
+    return tuple(range(window, int(duration * 8e6), window))
+
+
+class TestPartition:
+    """Any partition of a stream emits the one-shot monitor's events,
+    given the floor the stream froze."""
+
+    # 50 ms of the streams TestSeam pinned, where the fixed-overlap seam
+    # emitted duplicates, and a first window shorter than the seam
+    @example(partition=(("campus", 3, 20.0, 0.05), _every(160_000)),
+             estimate=True)
+    @example(partition=(("broadcast", 11, 20.0, 0.05), _every(160_000)),
+             estimate=True)
+    @example(partition=(("broadcast", 11, 20.0, 0.05), _every(40_000)),
+             estimate=True)
+    @example(partition=(("campus", 3, 20.0, 0.05), _every(40_000)),
+             estimate=True)
+    @example(partition=(("campus", 11, 20.0, 0.05), _every(40_000)),
+             estimate=True)
+    @example(partition=(("campus", 5, 8.0, 0.05), _every(40_000)),
+             estimate=True)
+    @example(partition=(("campus", 7, 4.0, 0.05), _every(40_000)),
+             estimate=True)
+    @example(partition=(("kitchen", 3, 20.0, 0.05), _every(40_000)),
+             estimate=True)
+    @example(partition=(("mix", 3, 20.0, 0.05), (1, 2, 3, 30_000)),
+             estimate=True)
+    # a cut just past a frame's start, in silence since the last peak: its
+    # range reaches back into the cut chunk
+    @example(partition=(("campus", 3, 20.0), (100_000, 714_685)),
+             estimate=False)
+    # a 7.8 ms frame (736,292 to 798,371) cut past the old 6 ms overlap
+    @example(partition=(("campus", 3, 20.0), (736_287, 798_360)),
+             estimate=False)
+    # a DIFS pair across the cut at 624,016: the claim on 623,734 waits
+    @example(partition=(("kitchen", 5, 8.0),
+                        (22_532, 624_016, 641_154, 646_293)), estimate=True)
+    @settings(max_examples=max(200, settings.default.max_examples),
+              deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(partition=_partitions(),
+           estimate=st.sampled_from([False] * 7 + [True]))
+    def test_any_partition_equals_one_shot(self, partition, estimate):
+        source, cuts = partition
+        buffer, _ = _source(*source)
+        # most examples share the source's own floor, so its one-shot
+        # pass is computed once; the rest freeze their first window's
+        floor = None if estimate else _one_shot(source, None)[0]
+        floor, lines = _stream_lines(buffer, cuts, floor)
+        streamed = _lines_of(lines)
+        assert len(streamed) == len(set(streamed))
+        assert streamed == _one_shot(source, floor)[1]
+
+    @settings(max_examples=1, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(partition=_partitions())
+    def test_a_drawn_partition_through_the_daemon(self, partition):
+        """The drawn windows, cut again every 5 ms, through an
+        ``RFDumpDaemon``: a subscriber reads the in-process stream's
+        bytes, which are the one-shot events."""
+        source, cuts = partition
+        buffer, _ = _source(*source)
+        cuts = tuple(sorted(set(cuts) | set(_every(40_000))))
+        floor, lines = _stream_lines(buffer, cuts)
+        edges = (0, *cuts, len(buffer))
+        with RFDumpDaemon(MonitorConfig()) as daemon:
+            with socket.create_connection(daemon.address, timeout=60) as conn:
+                rw = conn.makefile("rwb")
+                protocol.send_frame(rw, {"type": "hello", "role": "ingest",
+                                         "v": protocol.PROTOCOL_VERSION})
+                protocol.recv_frame(rw)
+                for seq, (lo, hi) in enumerate(zip(edges, edges[1:])):
+                    header, payload = protocol.window_frame(
+                        buffer.slice(lo, hi))
+                    protocol.send_frame(rw, {**header, "seq": seq}, payload)
+                protocol.send_frame(rw, {"type": "end"})
+                assert protocol.recv_frame(rw)[0]["type"] == "done"
+            served = [event.to_json() for event
+                      in subscribe_events(daemon.address, from_seq=0)]
+        assert served == lines
+        assert _lines_of(lines) == _one_shot(source, floor)[1]
+
+    def test_cut_in_a_frame_head_equals_one_shot(self, kitchen):
+        """A cut 2 samples into a 1 Mbps frame's head (it starts at
+        1,138,632): the frame is decoded from its start, not from the
+        next symbol boundary as when the next window re-detected it."""
+        floor, lines = _stream_lines(kitchen, (400_000, 1_138_634))
+        with make_monitor("rfdump", MonitorConfig(noise_floor=floor)) as m:
+            one_shot = _lines(m.events([kitchen]))
+        assert _lines_of(lines) == one_shot
+        assert any('"start_sample": 1138632' in line for line in one_shot)
 
 
 class TestSeam:
-    """Streams whose fixed-overlap predecessor emitted seam duplicates:
-    a packet decoded once from the window it closed in, and again from
-    the re-analysed tail (or a fragment of it from the tail's first
-    sample)."""
-
-    @pytest.mark.parametrize("preset, seed, snr_db, duration, window", [
-        ("campus", 3, 20.0, 0.25, 160_000),
-        # the packet at 2 351 672 was re-emitted from 2 352 000
-        ("broadcast", 11, 20.0, 0.4, 160_000),
-        ("broadcast", 11, 20.0, 0.25, 40_000),
-        ("campus", 3, 20.0, 0.25, 40_000),
-        ("campus", 11, 20.0, 0.25, 40_000),
-        ("campus", 5, 8.0, 0.25, 40_000),
-        ("campus", 7, 4.0, 0.25, 40_000),
-        ("kitchen", 3, 20.0, 0.25, 40_000),
-    ])
-    def test_stream_equals_one_shot(self, preset, seed, snr_db, duration,
-                                    window):
-        streamed, one_shot = _seam_case(preset, seed, snr_db, duration, window)
-        assert len(streamed) == len(set(streamed))
-        assert streamed == one_shot
-
     def test_window_ending_in_silence_carries_nothing(self, straddle_trace):
         obs = Observability()
         monitor = StreamingMonitor(config=MonitorConfig(obs=obs))
@@ -389,10 +518,6 @@ class TestWindowOwnership:
 
     CUTS = (400_000, 1_138_700)  # the second lies inside a frame
 
-    @pytest.fixture(scope="class")
-    def kitchen(self):
-        return build_preset("kitchen", 0.3, snr_db=20, seed=11).render().buffer
-
     def _windows(self, buffer):
         edges = (0, *self.CUTS, len(buffer))
         return [buffer.slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
@@ -428,3 +553,24 @@ class TestWindowOwnership:
         monitor = StreamingMonitor(config=MonitorConfig(obs=obs))
         _stream(monitor, self._windows(kitchen))
         assert obs.registry.value("rfdump_stream_overlap_samples_total") > 0
+
+
+class TestZeroLengthWindow:
+    """A zero-length window is an empty pass for every monitor kind and
+    policy: no exception, no event, and the stream around it unchanged
+    (it used to raise ``ValueError("empty buffer")`` from ``rfdump``
+    and ``IndexError`` from ``energy``)."""
+
+    @pytest.mark.parametrize("on_error", [None, "raise", "skip", "degrade"])
+    @pytest.mark.parametrize("kind", MONITOR_NAMES)
+    def test_empty_pass(self, straddle_trace, kind, on_error):
+        window = straddle_trace.buffer.slice(0, 50_000)
+        config = MonitorConfig(protocols=("wifi",), on_error=on_error)
+        with make_monitor(kind, config) as monitor:
+            report = monitor.process(window.slice(0, 0))
+            assert (report.total_samples, report.packets) == (0, [])
+            around = [e.to_json() for e in monitor.events(
+                [window, window.slice(50_000, 50_000)])]
+        with make_monitor(kind, config) as monitor:
+            assert around == [e.to_json() for e in monitor.events([window])]
+        assert around, "the window must decode to events"

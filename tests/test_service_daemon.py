@@ -11,6 +11,7 @@ import pytest
 
 from repro import MonitorConfig
 from repro.core import make_monitor
+from repro.core.monitor import MONITOR_NAMES, Monitor
 from repro.errors import ServiceProtocolError
 from repro.obs import Observability, metrics, tracing
 from repro.service import RFDumpDaemon, replay_trace, subscribe_events
@@ -219,6 +220,42 @@ def _ingest_raw(daemon, windows):
         protocol.send_frame(rw, {"type": "end"})
         final = protocol.recv_frame(rw)
         return final[0] if final else None
+
+
+class TestZeroLengthWindow:
+    """A zero-length window costs a session nothing, and a monitor that
+    raises ends it the way a raise-policy fault does."""
+
+    @pytest.mark.parametrize("kind", sorted(MONITOR_NAMES))
+    def test_every_kind_ends_in_done(self, daemon_config, wifi_trace, kind):
+        buffer = wifi_trace.buffer
+        windows = [buffer.slice(0, 0), buffer.slice(0, 40_000),
+                   buffer.slice(40_000, 40_000)]
+        with RFDumpDaemon(daemon_config, kind=kind) as daemon:
+            final = _ingest_raw(daemon, list(enumerate(windows)))
+            errors = list(daemon.errors)
+        assert final["type"] == "done" and final["stream_error"] is None
+        assert errors == []
+
+    def test_a_monitor_that_raises_ends_in_done(
+            self, daemon_config, wifi_trace, monkeypatch):
+        class Broken(Monitor):
+            config = daemon_config
+
+            def process(self, buffer):
+                raise IndexError("boom")
+
+        monkeypatch.setattr(daemon_module, "make_monitor",
+                            lambda kind, config: Broken())
+        windows = [wifi_trace.buffer.slice(0, 8_000),
+                   wifi_trace.buffer.slice(8_000, 16_000)]
+        with RFDumpDaemon(daemon_config) as daemon:
+            final = _ingest_raw(daemon, list(enumerate(windows)))
+            errors = list(daemon.errors)
+        assert final["type"] == "done"
+        assert final["stream_error"] == "IndexError: boom"
+        assert [(e.component, e.action) for e in errors] == [
+            ("monitor", "aborted")]
 
 
 class TestIngestGapDetection:
