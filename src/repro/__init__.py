@@ -44,7 +44,6 @@ from repro.emulator import (
     ZigbeePingSession,
 )
 from repro.analysis import (
-    AccuracyReport,
     packet_miss_rate,
     render_packet_log,
     render_summary,
@@ -75,7 +74,6 @@ __all__ = [
     "BluetoothL2PingSession",
     "ZigbeePingSession",
     "MicrowaveSource",
-    "AccuracyReport",
     "packet_miss_rate",
     "render_packet_log",
     "render_summary",

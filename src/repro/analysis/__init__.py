@@ -17,7 +17,6 @@ from repro.analysis.stats import (
     match_detections,
     packet_miss_rate,
     false_positive_sample_rate,
-    AccuracyReport,
 )
 from repro.analysis.report import render_packet_log, render_summary
 from repro.analysis.diagnostics import (
@@ -39,7 +38,6 @@ __all__ = [
     "match_detections",
     "packet_miss_rate",
     "false_positive_sample_rate",
-    "AccuracyReport",
     "render_packet_log",
     "render_summary",
     "diagnose_interference",

@@ -1,111 +1,20 @@
 """Machine-readable export of monitoring results.
 
-A monitoring tool is a data source for other tooling — tcpdump has pcap;
-RFDump's packet log and accuracy reports export here as plain JSON and
-CSV so notebooks, dashboards and regression harnesses can consume them
-without importing the library.  The event-stream sinks
-(:func:`write_pcap`, :func:`write_sigmf_meta`) serialize
-:class:`~repro.core.PacketEvent` records — the contract the daemon and
-``rfdump --format jsonl`` speak — into the two capture formats the SDR
-world already reads.
+A monitoring tool is a data source for other tooling — tcpdump has pcap.
+The event-stream sinks (:func:`write_pcap`, :func:`write_sigmf_meta`)
+serialize :class:`~repro.core.PacketEvent` records — the contract the
+daemon and ``rfdump --format jsonl`` speak — into the two capture
+formats the SDR world already reads.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import struct
-from typing import TYPE_CHECKING, Iterable, List, Optional
-
-from repro.analysis.decoders import PacketRecord
-from repro.analysis.stats import AccuracyReport
+from typing import TYPE_CHECKING, Iterable, Optional
 
 if TYPE_CHECKING:
     from repro.core.events import PacketEvent
-    from repro.core.pipeline import MonitorReport
-
-#: columns of the packet CSV, in order
-PACKET_FIELDS = [
-    "time_s", "protocol", "start_sample", "end_sample", "payload_size",
-    "rate_mbps", "channel", "snr_db", "decoder", "ok",
-]
-
-
-def _packet_rows(records: Iterable[PacketRecord], sample_rate: float) -> List[dict]:
-    """Flatten packet records to plain dicts (JSON/CSV friendly)."""
-    out = []
-    for rec in sorted(records, key=lambda r: r.start_sample):
-        out.append(
-            {
-                "time_s": rec.start_sample / sample_rate,
-                "protocol": rec.protocol,
-                "start_sample": rec.start_sample,
-                "end_sample": rec.end_sample,
-                "payload_size": rec.payload_size,
-                "rate_mbps": rec.rate_mbps,
-                "channel": rec.channel,
-                "snr_db": rec.info.get("snr_db"),
-                "decoder": rec.decoder,
-                "ok": rec.ok,
-            }
-        )
-    return out
-
-
-def packets_to_csv(records: Iterable[PacketRecord], sample_rate: float) -> str:
-    """Render packet records as CSV text (header + one row per packet)."""
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=PACKET_FIELDS, lineterminator="\n")
-    writer.writeheader()
-    for row in _packet_rows(records, sample_rate):
-        writer.writerow(row)
-    return buf.getvalue()
-
-
-def report_to_json(report: "MonitorReport", sample_rate: float,
-                   indent: int = 2) -> str:
-    """Serialize a MonitorReport: packets, classifications, stage costs."""
-    payload = {
-        "total_samples": report.total_samples,
-        "duration_s": report.duration,
-        "noise_floor": report.noise_floor,
-        "cpu_over_realtime": (
-            report.cpu_over_realtime if report.duration > 0 else None
-        ),
-        "stage_seconds": dict(report.clock.seconds),
-        "packets": _packet_rows(report.packets, sample_rate),
-        "classifications": [
-            {
-                "protocol": c.protocol,
-                "detector": c.detector,
-                "confidence": c.confidence,
-                "channel": c.channel,
-                "peak_start_sample": c.peak.start_sample,
-                "peak_end_sample": c.peak.end_sample,
-            }
-            for c in report.classifications
-        ],
-        "forwarded_samples": {
-            protocol: report.forwarded_samples(protocol)
-            for protocol in report.ranges
-        },
-    }
-    return json.dumps(payload, indent=indent, sort_keys=True)
-
-
-def accuracy_to_json(report: AccuracyReport, indent: int = 2) -> str:
-    """Serialize an AccuracyReport (the Figure 6-8 / Table 3 quantities)."""
-    payload = {
-        "miss_rate": report.miss_rate,
-        "false_positive_rate": report.false_positive_rate,
-        "found": report.found,
-        "total": report.total,
-    }
-    return json.dumps(payload, indent=indent, sort_keys=True)
-
-
-# -- event-stream capture sinks ------------------------------------------------
 
 #: classic pcap magic (microsecond timestamps, host-written little-endian)
 _PCAP_MAGIC = 0xA1B2C3D4

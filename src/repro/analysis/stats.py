@@ -8,8 +8,8 @@ to the demodulators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -114,33 +114,3 @@ def false_positive_sample_rate(
     for start, end in forwarded_ranges:
         forwarded[max(start, 0) : min(end, total_samples)] = True
     return float(np.count_nonzero(forwarded & ~useful)) / total_samples
-
-
-@dataclass
-class AccuracyReport:
-    """Per-protocol miss / false-positive summary for one run."""
-
-    miss_rate: Dict[str, float] = field(default_factory=dict)
-    false_positive_rate: Dict[str, float] = field(default_factory=dict)
-    found: Dict[str, int] = field(default_factory=dict)
-    total: Dict[str, int] = field(default_factory=dict)
-
-    @classmethod
-    def evaluate(
-        cls,
-        truth: GroundTruth,
-        detections_by_protocol: Dict[str, Iterable],
-        forwarded_by_protocol: Dict[str, Sequence[Tuple[int, int]]],
-        total_samples: int,
-    ) -> "AccuracyReport":
-        report = cls()
-        for protocol, detections in detections_by_protocol.items():
-            result = match_detections(truth, list(detections), protocol)
-            report.miss_rate[protocol] = result.miss_rate
-            report.found[protocol] = len(result.found)
-            report.total[protocol] = len(result.found) + len(result.missed)
-            forwarded = forwarded_by_protocol.get(protocol, [])
-            report.false_positive_rate[protocol] = false_positive_sample_rate(
-                truth, forwarded, total_samples, protocol
-            )
-        return report

@@ -2,9 +2,9 @@
 
 A benchmark number for the vectorized detection stage is only worth
 recording if the vectorized kernels still compute *the same answer* as
-the reference implementation: identical peak intervals, identical chunk
-metadata, and identical dispatch decisions (extending PR 2's
-deterministic-counter guarantees to the kernel level).  The bench runner
+the reference implementation: identical peak intervals and identical
+dispatch decisions (extending PR 2's deterministic-counter guarantees
+to the kernel level).  The bench runner
 calls :func:`assert_detection_equivalence` on the benchmark workload
 before timing it; the same helper backs the tier-1 equivalence tests.
 """
@@ -47,9 +47,9 @@ def compare_detections(reference: PeakDetectionResult,
                        power_rtol: float = 1e-9) -> None:
     """Raise :class:`EquivalenceError` unless the two results agree.
 
-    Integer-valued outputs (intervals, chunk metadata, peak indices) must
-    match exactly; per-peak float statistics may differ only by summation
-    order (``power_rtol``).
+    Integer-valued outputs (intervals, peak indices) must match exactly;
+    per-peak float statistics may differ only by summation order
+    (``power_rtol``).
     """
     _check(reference.noise_floor == vectorized.noise_floor,
            "noise floor estimates differ")
@@ -71,18 +71,6 @@ def compare_detections(reference: PeakDetectionResult,
     vec_max = np.array([p.peak_power for p in vectorized.history])
     _check(bool(np.array_equal(ref_max, vec_max)), "peak max powers differ")
 
-    ref_chunks = reference.chunks
-    vec_chunks = vectorized.chunks
-    _check(len(ref_chunks) == len(vec_chunks), "chunk counts differ")
-    for i, (a, b) in enumerate(zip(ref_chunks, vec_chunks)):
-        _check(
-            (a.start_sample, a.n_samples, a.mean_power, a.n_peaks, a.active,
-             a.peak_indices)
-            == (b.start_sample, b.n_samples, b.mean_power, b.n_peaks, b.active,
-                b.peak_indices),
-            f"chunk metadata differs at chunk {i}",
-        )
-
 
 def assert_detection_equivalence(
     buffer: SampleBuffer,
@@ -98,7 +86,7 @@ def assert_detection_equivalence(
     the noise floor estimated (a stream's first window) and with that
     estimate carried in, as every later window gets it — the arm on
     which the vectorized gate never forms the whole-window power array.
-    Returns a summary (peak/chunk/range counts) for benchmark metadata.
+    Returns a summary (peak/range counts) for benchmark metadata.
     """
     cfg = config or PeakDetectorConfig()
     reference = PeakDetector(cfg, impl="reference").detect(buffer)
@@ -110,7 +98,6 @@ def assert_detection_equivalence(
 
     summary: Dict[str, object] = {
         "peaks": len(vectorized.history),
-        "chunks": len(vectorized.chunks),
     }
     if detectors:
         ranges = {}

@@ -58,8 +58,7 @@ def _peak_setup(ctx: BenchContext) -> Dict[str, object]:
 def _peak_run(workload, ctx: BenchContext) -> int:
     buffer = workload["buffer"]
     # detect() is the hot path: the history feeds the timing/phase
-    # detectors directly; chunk records stay lazy (their byte-identity is
-    # what the equivalence hook asserts)
+    # detectors directly
     workload["detector"].detect(buffer)
     return len(buffer)
 
@@ -71,7 +70,7 @@ def _peak_equivalence(workload, ctx: BenchContext) -> Dict[str, object]:
 
 register_benchmark(Benchmark(
     name="peak_detection",
-    description="protocol-agnostic peak detection + chunk metadata over a "
+    description="protocol-agnostic peak detection over a "
                 "peak-dense trace",
     setup=_peak_setup,
     run=_peak_run,

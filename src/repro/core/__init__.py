@@ -7,7 +7,7 @@ of the expensive demodulators, plus the naive baseline architectures the
 evaluation compares against.
 """
 
-from repro.core.metadata import Peak, PeakHistory, ChunkMetadata
+from repro.core.metadata import Peak, PeakHistory
 from repro.core.config import MonitorConfig, resolve_monitor_config
 from repro.core.errorpolicy import (
     ERROR_POLICIES,
@@ -31,7 +31,6 @@ from repro.core.streaming import StreamingMonitor
 __all__ = [
     "Peak",
     "PeakHistory",
-    "ChunkMetadata",
     "MonitorConfig",
     "resolve_monitor_config",
     "ERROR_POLICIES",

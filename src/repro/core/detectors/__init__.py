@@ -13,10 +13,8 @@ from repro.core.detectors.timing_zigbee import ZigbeeTimingDetector
 from repro.core.detectors.timing_microwave import MicrowaveTimingDetector
 from repro.core.detectors.phase_dbpsk import DbpskPhaseDetector
 from repro.core.detectors.phase_gfsk import GfskPhaseDetector
-from repro.core.detectors.phase_psk import PskConstellationDetector
 from repro.core.detectors.freq_bluetooth import BluetoothFrequencyDetector
 from repro.core.detectors.cp_ofdm import OfdmCyclicPrefixDetector
-from repro.core.detectors.collision import CollisionDetector
 
 __all__ = [
     "Classification",
@@ -28,8 +26,6 @@ __all__ = [
     "MicrowaveTimingDetector",
     "DbpskPhaseDetector",
     "GfskPhaseDetector",
-    "PskConstellationDetector",
     "BluetoothFrequencyDetector",
     "OfdmCyclicPrefixDetector",
-    "CollisionDetector",
 ]

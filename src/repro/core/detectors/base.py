@@ -26,7 +26,7 @@ class Detector:
     """Base class for protocol-specific fast detectors.
 
     ``classify`` receives the protocol-agnostic stage's output (peak
-    history + chunk metadata) and, for sample-reading detectors, the
+    history, floor and threshold) and, for sample-reading detectors, the
     buffer itself.  Timing detectors must not touch the buffer — that
     property is what makes them nearly free — and the test suite enforces
     it.

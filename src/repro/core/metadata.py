@@ -1,16 +1,16 @@
-"""Detection-stage metadata: peaks, peak history, per-chunk records.
+"""Detection-stage metadata: peaks and the peak history.
 
 The protocol-agnostic stage communicates with the protocol-specific
 detectors by "passing metadata containing succinct information regarding
 the peaks detected in every fixed chunk of samples along with a pointer to
 the history of peaks detected" (Section 3.2).  :class:`PeakHistory` is that
-history — a compact array of start/end timestamps — and
-:class:`ChunkMetadata` is the per-chunk record.
+history — a compact array of start/end timestamps; every detector reads
+the peaks from it, so no per-chunk record is built.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -136,27 +136,3 @@ class PeakHistory:
         """Peaks preceding ``index``, optionally only the last ``window``."""
         lo = 0 if window is None else max(index - window, 0)
         return self._peaks[lo:index]
-
-    def starts_near(self, index: int, target_starts: np.ndarray,
-                    tolerance_samples: int) -> List[Peak]:
-        """Peaks before ``index`` whose start is within tolerance of any target."""
-        if index <= 0:
-            return []
-        starts = self.starts[:index]
-        targets = np.asarray(target_starts, dtype=np.int64)
-        close = np.abs(starts[:, None] - targets[None, :]) <= tolerance_samples
-        return [self._peaks[i] for i in np.flatnonzero(close.any(axis=1))]
-
-
-@dataclass
-class ChunkMetadata:
-    """Aggregate peak information for one chunk of samples."""
-
-    start_sample: int
-    n_samples: int
-    mean_power: float
-    n_peaks: int
-    active: bool  # passed the integrated energy filter
-    #: indices into the PeakHistory of peaks overlapping this chunk
-    peak_indices: List[int] = field(default_factory=list)
-    history: Optional[PeakHistory] = None

@@ -20,7 +20,8 @@ from repro.core.config import MonitorConfig, resolve_monitor_config
 from repro.core.errorpolicy import ErrorRecord, sanitize_nonfinite
 from repro.core.monitor import Monitor
 from repro.core.pipeline import MonitorReport
-from repro.dsp.energy import chunk_average_power
+from repro.core.dispatcher import DispatchedRange
+from repro.dsp.energy import chunk_average_power, floor_of, run_edges
 from repro.dsp.samples import SampleBuffer
 from repro.obs import NULL
 from repro.util.db import db_to_linear
@@ -71,7 +72,7 @@ class NaiveMonitor(Monitor):
         ranges = {
             protocol: [
                 # the naive architectures forward regions to all protocols
-                _PlainRange(start, end) for start, end in regions
+                DispatchedRange(start, end) for start, end in regions
             ]
             for protocol in self.protocols
         }
@@ -106,21 +107,6 @@ class NaiveMonitor(Monitor):
         )
 
 
-class _PlainRange:
-    """Minimal stand-in for DispatchedRange in the baseline reports."""
-
-    def __init__(self, start_sample: int, end_sample: int):
-        self.start_sample = start_sample
-        self.end_sample = end_sample
-        self.channel = None
-        self.peak_indices: List[int] = []
-        self.confidence = 0.0
-
-    @property
-    def length(self) -> int:
-        return self.end_sample - self.start_sample
-
-
 class EnergyNaiveMonitor(NaiveMonitor):
     """Naive + a chunk-level energy filter before the demodulators."""
 
@@ -145,7 +131,7 @@ class EnergyNaiveMonitor(NaiveMonitor):
             powers = chunk_average_power(buffer.samples, self.chunk_samples)
             floor = self.noise_floor
             if floor is None:
-                floor = float(np.percentile(powers, 10.0))
+                floor = floor_of(powers)
             threshold = floor * float(db_to_linear(self.threshold_db))
             active = powers > threshold
             # conservative filtering: keep a margin of chunks around every
@@ -156,16 +142,9 @@ class EnergyNaiveMonitor(NaiveMonitor):
                     padded[shift:] |= active[:-shift]
                     padded[:-shift] |= active[shift:]
                 active = padded
-            regions: List[Tuple[int, int]] = []
-            cs = self.chunk_samples
-            run_start = None
-            for i, on in enumerate(active):
-                if on and run_start is None:
-                    run_start = i
-                elif not on and run_start is not None:
-                    regions.append((run_start * cs, i * cs))
-                    run_start = None
-            if run_start is not None:
-                regions.append((run_start * cs, len(buffer)))
-        base = buffer.start_sample
-        return [(base + lo, base + hi) for lo, hi in regions]
+            starts, ends = run_edges(active)
+            # a run of the partial last chunk ends with the buffer
+            base, cs = buffer.start_sample, self.chunk_samples
+            starts = base + starts * cs
+            ends = base + np.minimum(ends * cs, len(buffer))
+        return list(zip(starts.tolist(), ends.tolist()))

@@ -63,7 +63,7 @@ from repro.constants import (
     DEFAULT_ENERGY_THRESHOLD_DB,
     DEFAULT_ENERGY_WINDOW,
 )
-from repro.core.metadata import ChunkMetadata, Peak, PeakHistory
+from repro.core.metadata import Peak, PeakHistory
 from repro.dsp.energy import (
     RUN_MERGE_SAMPLES,
     block_sums,
@@ -127,17 +127,12 @@ class GateState:
 
 
 class PeakDetectionResult:
-    """Everything the protocol-specific detectors consume.
-
-    ``chunks`` (the per-chunk metadata records) are materialized lazily:
-    the timing detectors work on the peak history alone, so the common
-    path never pays for building thousands of chunk records.
-    """
+    """Everything the protocol-specific detectors consume: the peak
+    history and the floor and threshold it was gated against."""
 
     def __init__(self, history: PeakHistory, noise_floor: float,
                  threshold: float, total_samples: int,
-                 chunks: Optional[List[ChunkMetadata]] = None,
-                 chunk_builder=None, nonfinite_samples: int = 0,
+                 nonfinite_samples: int = 0,
                  gated_samples: Optional[int] = None,
                  exact_samples: Optional[int] = None,
                  gate: Optional[GateState] = None):
@@ -156,17 +151,6 @@ class PeakDetectionResult:
                               else exact_samples)
         #: the gate state at the buffer's end (None from the reference)
         self.gate = gate
-        self._chunks = chunks
-        self._chunk_builder = chunk_builder
-
-    @property
-    def chunks(self) -> List[ChunkMetadata]:
-        if self._chunks is None:
-            if self._chunk_builder is None:
-                self._chunks = []
-            else:
-                self._chunks = self._chunk_builder()
-        return self._chunks
 
     @property
     def open_start(self) -> Optional[int]:
@@ -189,8 +173,8 @@ class PeakDetector:
     default, the coarse-to-fine gate) or ``"reference"``, the whole-array
     gate and pre-vectorization Python-loop version kept for equivalence
     testing and as the benchmark baseline.  Both produce identical
-    intervals, chunk metadata and dispatch decisions; the reference's
-    per-peak means agree to ULP-level rounding.
+    intervals and dispatch decisions; the reference's per-peak means
+    agree to ULP-level rounding.
     """
 
     def __init__(self, config: Optional[PeakDetectorConfig] = None, obs=None,
@@ -205,7 +189,7 @@ class PeakDetector:
 
     def detect(self, buffer: SampleBuffer, noise_floor: Optional[float] = None,
                gate: Optional[GateState] = None) -> PeakDetectionResult:
-        """Find peaks and build chunk metadata for a buffer.
+        """Find the peaks of a buffer.
 
         ``gate`` is the state a stream's previous window left: the
         samples of ``buffer`` before ``gate.at`` were gated then, so only
@@ -225,7 +209,7 @@ class PeakDetector:
         if noise_floor is None and skip:  # not frozen yet: the whole window's
             noise_floor = floor_of(chunked_power(buffer.samples,
                                                  cfg.chunk_samples)[1])
-        power = chunk_powers = None
+        power = None
         nonfinite = 0
         sums = block_sums(samples, w)  # the coarse pass's read
         if noise_floor is None:
@@ -293,20 +277,12 @@ class PeakDetector:
                           (gate.at + int(starts[-1]), gate.at + int(ends[-1]),
                            float(sums[-1]), float(maxes[-1])) if still else None)
 
-        def chunk_builder():
-            powers = chunk_powers
-            if powers is None or skip:  # floor carried: nothing needed them yet
-                powers = chunked_power(buffer.samples, cfg.chunk_samples)[1]
-            return self._chunk_metadata_vectorized(
-                buffer, powers, threshold, history)
-
         self._count(history, n, fine.gated, noise_floor, fine.exact)
         return PeakDetectionResult(
             history=history,
             noise_floor=noise_floor,
             threshold=threshold,
             total_samples=n,
-            chunk_builder=chunk_builder,
             nonfinite_samples=nonfinite,
             gated_samples=fine.gated,
             exact_samples=fine.exact,
@@ -366,8 +342,6 @@ class PeakDetector:
             noise_floor=noise_floor,
             threshold=threshold,
             total_samples=len(samples),
-            chunk_builder=lambda: self._chunk_metadata_reference(
-                buffer, chunk_powers, threshold, history),
             nonfinite_samples=nonfinite,
         )
 
@@ -452,58 +426,6 @@ class PeakDetector:
         last = np.flatnonzero(np.concatenate([breaks, [True]]))
         return first, last
 
-    def _chunk_metadata_vectorized(self, buffer: SampleBuffer, chunk_powers: np.ndarray,
-                                   threshold: float, history: PeakHistory) -> List[ChunkMetadata]:
-        """Peak->chunk assignment via bincount/repeat instead of a
-        history x chunks Python fill."""
-        cfg = self.config
-        cs = cfg.chunk_samples
-        nchunks = chunk_powers.size
-        npeaks = len(history)
-
-        starts = history.starts - buffer.start_sample
-        ends = history.ends - buffer.start_sample
-        first_chunk = np.maximum(starts // cs, 0)
-        last_chunk = np.minimum((ends - 1) // cs, nchunks - 1)
-        lengths = np.maximum(last_chunk - first_chunk + 1, 0)
-        total = int(lengths.sum())
-
-        if total:
-            run_offsets = np.concatenate([[0], np.cumsum(lengths[:-1])])
-            pos = np.arange(total, dtype=np.int64) - np.repeat(run_offsets, lengths)
-            chunk_idx = np.repeat(first_chunk, lengths) + pos
-            peak_ids = np.repeat(np.arange(npeaks, dtype=np.int64), lengths)
-            counts = np.bincount(chunk_idx, minlength=nchunks)
-            # group peak ids by chunk, ascending peak index within a chunk
-            # (byte-identical to the reference append order)
-            order = np.lexsort((peak_ids, chunk_idx))
-            sorted_ids = peak_ids[order]
-            offsets = np.concatenate([[0], np.cumsum(counts)])
-        else:
-            counts = np.zeros(nchunks, dtype=np.int64)
-            sorted_ids = np.zeros(0, dtype=np.int64)
-            offsets = np.zeros(nchunks + 1, dtype=np.int64)
-
-        base = buffer.start_sample
-        end_sample = buffer.end_sample
-        active = chunk_powers > threshold
-        active_list = active.tolist()
-        power_list = chunk_powers.tolist()
-        counts_list = counts.tolist()
-        offsets_list = offsets.tolist()
-        return [
-            ChunkMetadata(
-                start_sample=base + i * cs,
-                n_samples=min(cs, end_sample - (base + i * cs)),
-                mean_power=power_list[i],
-                n_peaks=counts_list[i],
-                active=active_list[i],
-                peak_indices=sorted_ids[offsets_list[i]:offsets_list[i + 1]].tolist(),
-                history=history,
-            )
-            for i in range(nchunks)
-        ]
-
     # -- reference kernels (pre-vectorization; equivalence + baseline) --------
 
     def _intervals_reference(self, active: np.ndarray) -> List[Tuple[int, int]]:
@@ -530,36 +452,3 @@ class PeakDetector:
                 float(seg.mean()),
                 float(seg.max()),
             )
-
-    def _chunk_metadata_reference(self, buffer: SampleBuffer, chunk_powers: np.ndarray,
-                                  threshold: float, history: PeakHistory) -> List[ChunkMetadata]:
-        cfg = self.config
-        cs = cfg.chunk_samples
-        nchunks = chunk_powers.size
-        peak_lists: List[List[int]] = [[] for _ in range(nchunks)]
-        starts = history.starts - buffer.start_sample
-        ends = history.ends - buffer.start_sample
-        first_chunk = np.maximum(starts // cs, 0)
-        last_chunk = np.minimum((ends - 1) // cs, nchunks - 1)
-        # reference implementation: the O(history x chunks) fill
-        for k in range(len(history)):
-            for ci in range(int(first_chunk[k]), int(last_chunk[k]) + 1):
-                peak_lists[ci].append(k)
-        active = chunk_powers > threshold
-        chunks: List[ChunkMetadata] = []
-        # reference implementation: per-chunk record construction loop
-        for i in range(nchunks):
-            c_start = buffer.start_sample + i * cs
-            c_len = min(cs, buffer.end_sample - c_start)
-            chunks.append(
-                ChunkMetadata(
-                    start_sample=c_start,
-                    n_samples=int(c_len),
-                    mean_power=float(chunk_powers[i]),
-                    n_peaks=len(peak_lists[i]),
-                    active=bool(active[i]),
-                    peak_indices=peak_lists[i],
-                    history=history,
-                )
-            )
-        return chunks

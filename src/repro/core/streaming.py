@@ -61,6 +61,9 @@ from repro.dsp.samples import SampleBuffer
 from repro.errors import StreamGapError
 from repro.obs import NULL
 
+#: the seam's default cap, in seconds of ether (160,000 samples at 8 Msps)
+SEAM_SECONDS = 20e-3
+
 
 class StreamingMonitor(Monitor):
     """Wraps an :class:`RFDumpMonitor`, carrying a seam across windows.
@@ -73,9 +76,10 @@ class StreamingMonitor(Monitor):
         then builds its own :class:`RFDumpMonitor` from the config.
     overlap:
         The most samples the seam may carry into the next window (default
-        20 ms at 8 Msps: a maximum-length 1 Mbps 802.11b frame is 18.96
-        ms).  A window whose open activity needs more closes every range
-        at its end instead, as :meth:`flush` does.
+        :data:`SEAM_SECONDS` at the config's sample rate: a maximum-length
+        1 Mbps 802.11b frame is 18.96 ms).  A window whose open activity
+        needs more closes every range at its end instead, as
+        :meth:`flush` does.
 
     The fault policy for stream-level faults (gaps, NaN bursts) is the
     wrapped monitor's ``config.on_error``.  ``None`` keeps the legacy
@@ -85,9 +89,9 @@ class StreamingMonitor(Monitor):
     """
 
     def __init__(self, monitor: Optional[RFDumpMonitor] = None,
-                 overlap: int = 160_000,
+                 overlap: Optional[int] = None,
                  config: Optional[MonitorConfig] = None):
-        if overlap < 0:
+        if overlap is not None and overlap < 0:
             raise ValueError("overlap must be non-negative")
         if monitor is None:
             if config is None:
@@ -96,7 +100,8 @@ class StreamingMonitor(Monitor):
         self.monitor = monitor
         self.config = monitor.config
         self.obs = monitor.obs
-        self.overlap = overlap
+        self.overlap = (round(SEAM_SECONDS * self.config.sample_rate)
+                        if overlap is None else overlap)
         self.on_error = monitor.config.on_error
         #: stream-level faults handled so far (gaps, NaN bursts, skips)
         self.errors: List[ErrorRecord] = []

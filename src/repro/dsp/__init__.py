@@ -7,14 +7,7 @@ from repro.dsp.energy import (
     instant_power,
     interval_stats,
 )
-from repro.dsp.phase import (
-    instantaneous_phase,
-    phase_derivative,
-    phase_second_derivative,
-    phase_histogram,
-    estimate_cfo,
-    count_constellation_points,
-)
+from repro.dsp.phase import phase_derivative
 from repro.dsp.filters import (
     fir_lowpass,
     gaussian_pulse,
@@ -30,7 +23,7 @@ from repro.dsp.fftutil import (
     spectrogram,
     spectrogram_frames,
 )
-from repro.dsp.resample import fractional_indices, repeat_to_rate
+from repro.dsp.resample import fractional_indices
 
 __all__ = [
     "SampleBuffer",
@@ -40,12 +33,7 @@ __all__ = [
     "chunk_average_power",
     "instant_power",
     "interval_stats",
-    "instantaneous_phase",
     "phase_derivative",
-    "phase_second_derivative",
-    "phase_histogram",
-    "estimate_cfo",
-    "count_constellation_points",
     "fir_lowpass",
     "gaussian_pulse",
     "filter_signal",
@@ -58,5 +46,4 @@ __all__ = [
     "spectrogram",
     "spectrogram_frames",
     "fractional_indices",
-    "repeat_to_rate",
 ]

@@ -47,21 +47,3 @@ def filter_signal(samples: np.ndarray, taps: np.ndarray) -> np.ndarray:
     if x.size == 0:
         return x
     return np.convolve(x, np.asarray(taps), mode="same")
-
-
-def raised_cosine_edges(length: int, ramp: int) -> np.ndarray:
-    """Amplitude envelope with raised-cosine ramps at both ends.
-
-    Real transmitters do not switch on instantaneously; shaping packet
-    edges avoids spectral splatter in the rendered traces and gives the
-    peak detector realistic rise/fall profiles.
-    """
-    if length <= 0:
-        return np.zeros(0)
-    env = np.ones(length)
-    ramp = min(ramp, length // 2)
-    if ramp > 0:
-        edge = 0.5 * (1 - np.cos(np.pi * np.arange(ramp) / ramp))
-        env[:ramp] = edge
-        env[-ramp:] = edge[::-1]
-    return env

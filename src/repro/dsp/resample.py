@@ -39,10 +39,3 @@ def sample_held(values: np.ndarray, n_out: int, rate_in: float, rate_out: float,
         raise ValueError("values must be non-empty")
     idx = fractional_indices(n_out, rate_in, rate_out, phase)
     return values[np.minimum(idx, values.size - 1)]
-
-
-def repeat_to_rate(values: np.ndarray, samples_per_value: int) -> np.ndarray:
-    """Integer-rate upsample by sample repetition."""
-    if samples_per_value <= 0:
-        raise ValueError("samples_per_value must be positive")
-    return np.repeat(np.asarray(values), samples_per_value)

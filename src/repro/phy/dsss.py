@@ -87,29 +87,6 @@ def modulate_2mbps(bits: np.ndarray, sample_rate: float, chip_phase: float = 0.0
 # ---------------------------------------------------------------------------
 
 
-def correlate_symbols(
-    samples: np.ndarray, template: np.ndarray, n_symbols: int, offset: int = 0
-) -> np.ndarray:
-    """Per-symbol correlation of the capture stream against a chip template.
-
-    ``template`` is the per-symbol sample template from
-    :func:`repro.phy.barker.symbol_template`; ``offset`` is the sample index
-    of the first symbol boundary.  Returns ``n_symbols`` complex
-    correlations.
-    """
-    sps = template.size
-    samples = np.asarray(samples)
-    need = offset + n_symbols * sps
-    if need > samples.size:
-        n_symbols = max((samples.size - offset) // sps, 0)
-    # per-symbol correlation deliberately accumulates at float64 for
-    # decision margin; the empty-result sentinel matches that dtype
-    if n_symbols <= 0:
-        return np.zeros(0, dtype=np.complex128)
-    block = samples[offset : offset + n_symbols * sps].reshape(n_symbols, sps)
-    return block @ template.astype(np.complex128)
-
-
 def differential_decisions(correlations: np.ndarray) -> np.ndarray:
     """Symbol-to-symbol phase jumps from a correlation sequence.
 

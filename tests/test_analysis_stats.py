@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.analysis.stats import (
-    AccuracyReport,
     false_positive_sample_rate,
     match_detections,
     packet_miss_rate,
@@ -113,18 +112,3 @@ class TestFalsePositive:
         # forward the transmission plus 40000 extra samples
         fp = false_positive_sample_rate(truth, [(0, 440000)], 800000)
         assert fp == pytest.approx(0.05)
-
-
-class TestAccuracyReport:
-    def test_evaluate(self):
-        truth = _truth([(0.01, 0.02), (0.05, 0.06)], duration=0.1)
-        report = AccuracyReport.evaluate(
-            truth,
-            {"wifi": _detections([(0.01, 0.02)])},
-            {"wifi": [(0, 80000)]},
-            800000,
-        )
-        assert report.miss_rate["wifi"] == 0.5
-        assert report.found["wifi"] == 1
-        assert report.total["wifi"] == 2
-        assert report.false_positive_rate["wifi"] > 0

@@ -1,4 +1,5 @@
-"""Cross-file contracts no single module can check: wire and metric drift.
+"""Cross-file contracts no single module can check: wire and metric
+drift, and public names nothing reads.
 
 The wire protocol's builders write header fields in
 ``service/protocol.py`` that the daemon and the client read two files
@@ -281,3 +282,80 @@ class TestChangesEntrySize:
     def test_the_newest_section_is_the_last(self):
         text = "# log\n\n## PR 1 — a\n\n- x\n\n## PR 2 — b\n\n- y\nFOUND: z\n"
         assert newest_changes_entry(text) == "## PR 2 — b\n\n- y\nFOUND: z\n"
+
+
+#: public names no program file reads, kept on purpose: what tests
+#: drive as entry points, hook into, or build signals and oracles from
+ORPHAN_ALLOWLIST = {
+    "read_trace": "public entry point: loads a trace file",
+    "read_events": "public entry point: parses an event stream",
+    "events_from_records": "public entry point: packet records to events",
+    "fetch_metrics": "public client entry point: a daemon's metrics page",
+    "reset_plan_cache": "test hook: empties the FFT plan cache",
+    "plan_cache_stats": "test hook: reads the FFT plan cache's counters",
+    "moving_average_power": "test oracle for the tiled energy gate",
+    "find_all_sfds": "test oracle for the Wi-Fi scan's SFD search",
+    "hop_sequence": "test oracle for the vectorized hop kernel",
+    "modulate_1mbps": "test signal builder: a 1 Mbps DSSS waveform",
+    "modulate_2mbps": "test signal builder: a 2 Mbps DSSS waveform",
+    "CrashingDecoder": "fault injector the decoder-crash tests install",
+}
+
+
+def orphans(root):
+    """Public top-level ``def`` / ``class`` names under ``src/repro``
+    that no word of ``src/``, ``benchmarks/``, ``examples/`` or
+    ``.github/workflows/`` reads.  A name's own definition line and
+    ``__init__.py`` re-exports do not count as readers."""
+    root = pathlib.Path(root)
+    package = root / "src" / "repro"
+    files = [p for d in ("src", "benchmarks", "examples")
+             for p in (root / d).rglob("*.py")]
+    workflows = root / ".github" / "workflows"
+    if workflows.is_dir():
+        files += [p for p in workflows.iterdir() if p.is_file()]
+    defined, words = set(), set()
+    for path in files:
+        text = path.read_text(encoding="utf-8")
+        lines = text.splitlines()
+        if path.suffix == ".py" and package in path.parents:
+            for node in ast.parse(text, filename=str(path)).body:
+                if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                        and not node.name.startswith("_")):
+                    defined.add(node.name)
+                    lines[node.lineno - 1] = ""
+        if path.name != "__init__.py":
+            words.update(re.findall(r"\w+", "\n".join(lines)))
+    return sorted(defined - words)
+
+
+class TestOrphans:
+    """Every public name has a reader in the program, or a reason on
+    :data:`ORPHAN_ALLOWLIST`; what nothing runs is deleted."""
+
+    @staticmethod
+    def _tree(root, reader):
+        package = root / "src" / "repro"
+        package.mkdir(parents=True)
+        (package / "__init__.py").write_text(
+            "from repro.mod import used, unused\n")
+        (package / "mod.py").write_text(
+            "def used():\n    return 1\n\n\nclass unused:\n    pass\n\n\n"
+            "def _private():\n    return used()\n")
+        (root / "examples").mkdir()
+        (root / "examples" / "demo.py").write_text(reader)
+        return root
+
+    def test_an_unread_name_is_found(self, tmp_path):
+        # one word anywhere reads it; the re-export does not
+        read = self._tree(tmp_path / "read", "print('unused')\n")
+        assert orphans(read) == []
+        unread = self._tree(tmp_path / "unread", "print('no reader')\n")
+        assert orphans(unread) == ["unused"]
+
+    def test_repo_has_no_unread_public_name(self):
+        found = orphans(REPO)
+        assert len(ORPHAN_ALLOWLIST) <= 15
+        assert sorted(set(found) - set(ORPHAN_ALLOWLIST)) == []
+        # an entry whose name gained a reader, or went, leaves the list
+        assert sorted(set(ORPHAN_ALLOWLIST) - set(found)) == []

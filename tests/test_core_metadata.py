@@ -1,9 +1,8 @@
 """Tests for repro.core.metadata."""
 
-import numpy as np
 import pytest
 
-from repro.core.metadata import ChunkMetadata, Peak, PeakHistory
+from repro.core.metadata import Peak, PeakHistory
 
 
 class TestPeak:
@@ -53,24 +52,3 @@ class TestPeakHistory:
         h = self._history()
         assert [p.index for p in h.before(2)] == [0, 1]
         assert [p.index for p in h.before(2, window=1)] == [1]
-
-    def test_starts_near(self):
-        h = self._history()
-        # looking back 5000 samples from peak 2 with tolerance 150
-        found = h.starts_near(2, np.array([5000]), 150)
-        assert [p.index for p in found] == [1]
-
-    def test_starts_near_empty_for_first(self):
-        h = self._history()
-        assert h.starts_near(0, np.array([0]), 100) == []
-
-
-class TestChunkMetadata:
-    def test_fields(self):
-        h = PeakHistory(8e6)
-        meta = ChunkMetadata(
-            start_sample=200, n_samples=200, mean_power=1.5, n_peaks=0,
-            active=False, history=h,
-        )
-        assert meta.peak_indices == []
-        assert meta.history is h

@@ -106,34 +106,6 @@ class TestDetection:
         assert abs(result.history[0].start_sample - 60000) < 40
 
 
-class TestChunkMetadata:
-    def test_chunk_count(self):
-        buf = _trace([], n=4000)
-        result = PeakDetector().detect(buf)
-        assert len(result.chunks) == 20
-
-    def test_active_chunks_flagged(self):
-        buf = _trace([(2000, 2600)], n=4000)
-        result = PeakDetector().detect(buf)
-        active = [c.active for c in result.chunks]
-        assert active[10] and active[12]
-        assert not active[0]
-
-    def test_peak_indices_attached(self):
-        buf = _trace([(2000, 2600)], n=4000)
-        result = PeakDetector().detect(buf)
-        assert result.chunks[10].peak_indices == [0]
-        assert result.chunks[0].peak_indices == []
-        assert result.chunks[10].history is result.history
-
-    def test_peak_spanning_chunks(self):
-        buf = _trace([(1000, 3000)], n=4000)
-        result = PeakDetector().detect(buf)
-        covered = [c for c in result.chunks if c.n_peaks > 0]
-        # chunks 5..14, plus possibly one more from the averaging tail
-        assert 10 <= len(covered) <= 11
-
-
 class TestRunEdges:
     @staticmethod
     def _by_diff(active):

@@ -4,6 +4,7 @@ import functools
 import json
 import socket
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from repro.core.streaming import StreamingMonitor
 from repro.dsp.samples import SampleBuffer
 from repro.emulator.presets import build_preset
 from repro.emulator.traffic import MicrowaveSource
+from repro.faults.harness import split_windows
 from repro.obs import Observability
 from repro.service import RFDumpDaemon, protocol, subscribe_events
 
@@ -407,6 +409,29 @@ class TestSeam:
                                   100_000))
         assert obs.registry.value("rfdump_stream_windows_total") == 3
         assert obs.registry.value("rfdump_stream_overlap_samples_total") == 0
+
+    def test_the_default_cap_is_20_ms_at_any_sample_rate(self):
+        """At 22 Msps the cap is 440,000 samples: 1,228-byte 1 Mbps frames
+        (9.9 ms) cut by 5 ms windows decode as one shot decodes them;
+        a cap of 8 Msps's 160,000 samples cut them (4 events of 8)."""
+        scenario = Scenario(0.06, sample_rate=22e6, seed=7)
+        scenario.add(WifiPingSession(n_pings=2, interval=25e-3,
+                                     rate_mbps=1.0, payload_size=1200,
+                                     snr_db=20))
+        trace = scenario.render()
+        config = MonitorConfig(sample_rate=trace.sample_rate,
+                               center_freq=trace.center_freq)
+        with make_monitor("streaming", config) as stream:
+            lines = _lines(stream.events(split_windows(trace.buffer,
+                                                       110_000)))
+            floor = stream._noise_floor
+        with make_monitor("rfdump", replace(config, noise_floor=floor)) as m:
+            one_shot = _lines(m.events([trace.buffer]))
+        assert sum('"payload_size": 1228' in line for line in one_shot) == 4
+        assert lines == one_shot
+        assert stream.overlap == 440_000
+        assert StreamingMonitor(config=MonitorConfig()).overlap == 160_000
+        assert StreamingMonitor(config=config, overlap=48_000).overlap == 48_000
 
 
 class TestFinalisation:

@@ -27,7 +27,7 @@ def _buffer_with(wave, lead=400, noise=0.05, seed=0):
     history = PeakHistory(FS)
     history.append(lead, lead + wave.size, 1.0, 1.0)
     detection = PeakDetectionResult(
-        history=history, chunks=[], noise_floor=noise**2 * 2,
+        history=history, noise_floor=noise**2 * 2,
         threshold=noise**2 * 5, total_samples=n,
     )
     return buf, detection
@@ -64,7 +64,7 @@ class TestBluetoothFreq:
         history = PeakHistory(FS)
         history.append(lead, lead + 2 * pad + wave.size, 1.0, 1.0)
         det = PeakDetectionResult(
-            history=history, chunks=[], noise_floor=0.005,
+            history=history, noise_floor=0.005,
             threshold=0.0125, total_samples=n,
         )
         out = BluetoothFrequencyDetector(center_freq=CENTER).classify(det, buf)

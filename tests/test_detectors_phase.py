@@ -1,14 +1,10 @@
-"""Tests for the phase detectors: DBPSK/Barker, GFSK, PSK constellation."""
+"""Tests for the phase detectors: DBPSK/Barker and GFSK."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.detectors import (
-    DbpskPhaseDetector,
-    GfskPhaseDetector,
-    PskConstellationDetector,
-)
+from repro.core.detectors import DbpskPhaseDetector, GfskPhaseDetector
 from repro.core.metadata import PeakHistory
 from repro.core.peak_detector import PeakDetectionResult
 from repro.dsp.samples import SampleBuffer
@@ -30,7 +26,7 @@ def _buffer_with(wave, lead=400, tail=400, noise=0.05, seed=0):
     history = PeakHistory(FS)
     history.append(lead, lead + wave.size, 1.0, 1.0)
     detection = PeakDetectionResult(
-        history=history, chunks=[], noise_floor=noise**2 * 2,
+        history=history, noise_floor=noise**2 * 2,
         threshold=noise**2 * 5, total_samples=n,
     )
     return buf, detection
@@ -180,24 +176,3 @@ class TestGfskDetector:
         buf, det = _buffer_with(wave.astype(np.complex64))
         out = GfskPhaseDetector().classify(det, buf)
         assert len(out) == 1  # tolerated false positive
-
-
-class TestPskConstellation:
-    def test_dbpsk_order_2(self, wifi_wave):
-        buf, det = _buffer_with(wifi_wave)
-        out = PskConstellationDetector().classify(det, buf)
-        assert len(out) == 1
-        assert out[0].info["constellation_order"] == 2
-        assert out[0].info["modulation"] == "DBPSK"
-
-    def test_gfsk_rejected(self, bt_wave):
-        buf, det = _buffer_with(bt_wave)
-        out = PskConstellationDetector().classify(det, buf)
-        assert out == []
-
-    def test_protocol_map_respected(self, wifi_wave):
-        buf, det = _buffer_with(wifi_wave)
-        out = PskConstellationDetector(
-            protocol_for_order={4: "something"}
-        ).classify(det, buf)
-        assert out == []

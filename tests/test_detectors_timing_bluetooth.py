@@ -21,7 +21,7 @@ def _detection(starts, length=2400):
     for start, plen in zip(starts, lengths):
         history.append(int(start), int(start) + int(plen), 1.0, 1.0)
     return PeakDetectionResult(
-        history=history, chunks=[], noise_floor=1.0, threshold=2.5,
+        history=history, noise_floor=1.0, threshold=2.5,
         total_samples=int(starts[-1]) + 10000 if len(starts) else 0,
     )
 

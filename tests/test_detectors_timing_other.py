@@ -22,7 +22,7 @@ def _detection(entries):
     for start, length, power in entries:
         history.append(int(start), int(start + length), power, power)
     return PeakDetectionResult(
-        history=history, chunks=[], noise_floor=1.0, threshold=2.5,
+        history=history, noise_floor=1.0, threshold=2.5,
         total_samples=int(entries[-1][0] + entries[-1][1]) + 1000 if entries else 0,
     )
 

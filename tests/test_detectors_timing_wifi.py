@@ -26,7 +26,7 @@ def _detection(gaps_us, first_start=1000, lengths=4000):
         if i < len(gaps_us):
             start = start + length + int(gaps_us[i] * 1e-6 * FS)
     return PeakDetectionResult(
-        history=history, chunks=[], noise_floor=1.0, threshold=2.5,
+        history=history, noise_floor=1.0, threshold=2.5,
         total_samples=start + lengths[-1] + 1000,
     )
 

@@ -7,7 +7,6 @@ from repro.dsp.filters import (
     filter_signal,
     fir_lowpass,
     gaussian_pulse,
-    raised_cosine_edges,
 )
 
 
@@ -77,21 +76,3 @@ class TestFilterSignal:
         x = np.ones(200)
         taps = fir_lowpass(1e6, 8e6, 33)
         assert np.allclose(filter_signal(x, taps)[50:150], 1.0, atol=1e-3)
-
-
-class TestRaisedCosineEdges:
-    def test_flat_top(self):
-        env = raised_cosine_edges(100, 10)
-        assert np.allclose(env[10:90], 1.0)
-
-    def test_starts_and_ends_low(self):
-        env = raised_cosine_edges(100, 10)
-        assert env[0] == pytest.approx(0.0)
-        assert env[-1] < 0.05
-
-    def test_short_envelope(self):
-        env = raised_cosine_edges(4, 10)
-        assert env.size == 4
-
-    def test_zero_length(self):
-        assert raised_cosine_edges(0, 5).size == 0

@@ -1,17 +1,8 @@
 """Tests for repro.dsp.phase."""
 
 import numpy as np
-import pytest
 
-from repro.dsp.phase import (
-    count_constellation_points,
-    estimate_cfo,
-    instantaneous_phase,
-    phase_derivative,
-    phase_histogram,
-    phase_second_derivative,
-    remove_cfo,
-)
+from repro.dsp.phase import phase_derivative
 
 
 def _tone(freq, fs, n, phase0=0.0):
@@ -24,17 +15,11 @@ class TestDerivatives:
         d1 = phase_derivative(x)
         assert np.allclose(d1, 2 * np.pi * 1e5 / 8e6, atol=1e-6)
 
-    def test_tone_second_derivative_zero(self):
-        x = _tone(3e5, 8e6, 1000)
-        d2 = phase_second_derivative(x)
-        assert np.max(np.abs(d2)) < 1e-5
-
     def test_derivative_length(self):
         assert phase_derivative(np.ones(10, dtype=complex)).size == 9
 
     def test_short_inputs(self):
         assert phase_derivative(np.ones(1, dtype=complex)).size == 0
-        assert phase_second_derivative(np.ones(2, dtype=complex)).size == 0
 
     def test_bpsk_flip_appears_as_pi(self):
         x = np.concatenate([np.ones(10), -np.ones(10)]).astype(complex)
@@ -46,56 +31,3 @@ class TestDerivatives:
         x = _tone(3e6, 8e6, 100)
         d1 = phase_derivative(x)
         assert np.allclose(d1, 0.75 * np.pi, atol=1e-6)
-
-
-class TestCfo:
-    def test_estimate_positive(self):
-        x = _tone(2e5, 8e6, 4000)
-        assert estimate_cfo(x, 8e6) == pytest.approx(2e5, rel=1e-3)
-
-    def test_estimate_negative(self):
-        x = _tone(-1e5, 8e6, 4000)
-        assert estimate_cfo(x, 8e6) == pytest.approx(-1e5, rel=1e-3)
-
-    def test_remove_cfo_round_trip(self):
-        x = _tone(2.5e5, 8e6, 2000)
-        centered = remove_cfo(x, 2.5e5, 8e6)
-        assert abs(estimate_cfo(centered, 8e6)) < 100.0
-
-    def test_empty(self):
-        assert estimate_cfo(np.zeros(0, dtype=complex), 8e6) == 0.0
-
-
-class TestHistogram:
-    def test_bin_count(self):
-        counts = phase_histogram(np.zeros(10), nbins=8)
-        assert counts.size == 8
-        assert counts.sum() == 10
-
-    def test_rejects_bad_bins(self):
-        with pytest.raises(ValueError):
-            phase_histogram(np.zeros(4), nbins=0)
-
-
-class TestConstellationCount:
-    def test_dbpsk_two_clusters(self, rng):
-        jumps = rng.choice([0.0, np.pi], size=500) + rng.normal(0, 0.05, 500)
-        assert count_constellation_points(jumps) == 2
-
-    def test_dqpsk_four_clusters(self, rng):
-        jumps = rng.choice([0.0, np.pi / 2, np.pi, -np.pi / 2], size=800)
-        jumps = jumps + rng.normal(0, 0.05, 800)
-        assert count_constellation_points(jumps) == 4
-
-    def test_uniform_is_not_psk(self, rng):
-        jumps = rng.uniform(-np.pi, np.pi, size=2000)
-        assert count_constellation_points(jumps) <= 1
-
-    def test_empty(self):
-        assert count_constellation_points(np.zeros(0)) == 0
-
-    def test_cluster_straddling_wrap_counted_once(self, rng):
-        # jumps of +/- pi land on the wrap boundary; must count as ONE cluster
-        jumps = np.pi * np.ones(300) + rng.normal(0, 0.08, 300)
-        jumps = np.angle(np.exp(1j * jumps))
-        assert count_constellation_points(jumps) == 1

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.dsp.resample import fractional_indices, repeat_to_rate, sample_held
+from repro.dsp.resample import fractional_indices, sample_held
 
 
 class TestFractionalIndices:
@@ -54,13 +54,3 @@ class TestSampleHeld:
         counts = np.bincount(out.astype(int), minlength=110)
         assert counts.max() <= 2
         assert counts[:109].mean() == pytest.approx(8 / 11, abs=0.05)
-
-
-class TestRepeat:
-    def test_repeat(self):
-        out = repeat_to_rate(np.array([1, 2]), 3)
-        assert out.tolist() == [1, 1, 1, 2, 2, 2]
-
-    def test_rejects_bad_factor(self):
-        with pytest.raises(ValueError):
-            repeat_to_rate(np.array([1]), 0)

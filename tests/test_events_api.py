@@ -7,6 +7,7 @@ import json
 import pytest
 
 from repro import MonitorConfig, RFDumpMonitor
+from repro.bench.equivalence import assert_detection_equivalence
 from repro.core import make_monitor
 from repro.core.events import (
     EVENT_SCHEMA_VERSION,
@@ -15,6 +16,8 @@ from repro.core.events import (
     events_from_records,
     read_events,
 )
+from repro.core.metadata import PeakHistory
+from repro.core.peak_detector import PeakDetectionResult, PeakDetector
 from repro.core.streaming import StreamingMonitor
 from repro.emulator.presets import build_preset
 from repro.faults.harness import split_windows
@@ -229,6 +232,46 @@ class TestMonitorEvents:
         assert exc.value.code == 2
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith("rfdump: ")
+        # what nothing read: the per-chunk records, two detectors no
+        # monitor built, and the helpers no tool called
+        for module in ("collision", "phase_psk"):
+            with pytest.raises(ImportError):
+                importlib.import_module(f"repro.core.detectors.{module}")
+        for module, names in (
+            ("repro", ("AccuracyReport",)),
+            ("repro.core", ("ChunkMetadata",)),
+            ("repro.core.metadata", ("ChunkMetadata",)),
+            ("repro.core.detectors",
+             ("CollisionDetector", "PskConstellationDetector")),
+            ("repro.dsp", ("instantaneous_phase", "phase_second_derivative",
+                           "phase_histogram", "estimate_cfo",
+                           "count_constellation_points", "repeat_to_rate")),
+            ("repro.dsp.phase",
+             ("instantaneous_phase", "phase_second_derivative",
+              "phase_histogram", "estimate_cfo", "remove_cfo",
+              "count_constellation_points")),
+            ("repro.dsp.filters", ("raised_cosine_edges",)),
+            ("repro.dsp.resample", ("repeat_to_rate",)),
+            ("repro.phy.dsss", ("correlate_symbols",)),
+            ("repro.analysis", ("AccuracyReport",)),
+            ("repro.analysis.stats", ("AccuracyReport",)),
+            ("repro.analysis.export", ("packets_to_csv", "report_to_json",
+                                       "accuracy_to_json", "_packet_rows")),
+        ):
+            imported = importlib.import_module(module)
+            for name in names:
+                assert not hasattr(imported, name), f"{module}.{name}"
+        assert not hasattr(PeakHistory, "starts_near")
+        for name in ("_chunk_metadata_vectorized", "_chunk_metadata_reference"):
+            assert not hasattr(PeakDetector, name), name
+        detection = PeakDetectionResult(PeakHistory(8e6), 1.0, 2.5, 0)
+        assert not hasattr(detection, "chunks")
+        for removed in ("chunks", "chunk_builder"):
+            with pytest.raises(TypeError):
+                PeakDetectionResult(PeakHistory(8e6), 1.0, 2.5, 0,
+                                    **{removed: []})
+        summary = assert_detection_equivalence(wifi_trace.buffer)
+        assert "chunks" not in summary and summary["peaks"] > 0
 
     def test_naive_monitor_events(self, wifi_trace):
         with make_monitor("naive", _config(wifi_trace)) as monitor:

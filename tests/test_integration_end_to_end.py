@@ -13,7 +13,7 @@ from repro import (
     packet_miss_rate,
     render_packet_log,
 )
-from repro.analysis.stats import AccuracyReport, match_detections
+from repro.analysis.stats import false_positive_sample_rate, match_detections
 
 
 class TestMixedTraffic:
@@ -38,20 +38,10 @@ class TestMixedTraffic:
 
     def test_false_positive_rates_small(self, mixed_trace):
         report = RFDumpMonitor().process(mixed_trace.buffer)
-        acc = AccuracyReport.evaluate(
-            mixed_trace.ground_truth,
-            {
-                "wifi": report.classifications_for("wifi"),
-                "bluetooth": report.classifications_for("bluetooth"),
-            },
-            {
-                "wifi": report.forwarded_ranges("wifi"),
-                "bluetooth": report.forwarded_ranges("bluetooth"),
-            },
-            report.total_samples,
-        )
-        assert acc.false_positive_rate["wifi"] < 0.05
-        assert acc.false_positive_rate["bluetooth"] < 0.05
+        for protocol in ("wifi", "bluetooth"):
+            assert false_positive_sample_rate(
+                mixed_trace.ground_truth, report.forwarded_ranges(protocol),
+                report.total_samples, protocol) < 0.05
 
     def test_packet_log_renders(self, mixed_trace):
         report = RFDumpMonitor().process(mixed_trace.buffer)

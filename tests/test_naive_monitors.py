@@ -1,8 +1,11 @@
 """Tests for the naive baseline architectures (repro.core.naive)."""
 
+import numpy as np
 import pytest
 
 from repro import EnergyNaiveMonitor, NaiveMonitor, RFDumpMonitor
+from repro.dsp.samples import SampleBuffer
+from repro.util.timebase import Timebase
 
 
 @pytest.fixture(scope="module")
@@ -69,6 +72,24 @@ class TestEnergyNaive:
             protocols=("wifi",), demodulate=False, margin_chunks=2
         ).process(wifi_trace.buffer)
         assert wide.forwarded_samples("wifi") > tight.forwarded_samples("wifi")
+
+    @pytest.mark.parametrize("margin, regions", [
+        (0, [(1600, 2000), (3000, 3050)]),
+        (2, [(1200, 2400), (2600, 3050)]),
+    ])
+    def test_region_bounds(self, margin, regions):
+        """Ten 200-sample chunks and a partial 50-sample one, from sample
+        1,000: chunks 3-4 and the partial one are active.  A region is
+        whole chunks widened by the margin, and the last ends with the
+        buffer."""
+        samples = np.ones(2_050, dtype=np.complex64)
+        samples[600:1_000] = samples[2_000:] = 10.0
+        buffer = SampleBuffer(samples, Timebase(8e6), start_sample=1_000)
+        report = EnergyNaiveMonitor(
+            protocols=("wifi",), demodulate=False, margin_chunks=margin
+        ).process(buffer)
+        assert [(r.start_sample, r.end_sample)
+                for r in report.ranges["wifi"]] == regions
 
 
 class TestArchitectureOrdering:
